@@ -15,6 +15,12 @@ The cache stores pre-rotary smoothed K (and V); a read dequantizes, maps to
 raw space exactly once, then applies the rotary embedding for the stored
 positions.  cache_post_rotary=True flips K storage to post-rotary raw space
 (experimentation flag; channel smoothing is bypassed for K in that layout).
+
+block_core is the one block forward shared by prefill, decode, calibration
+and training.  It treats all heads at once: each of Q, K and a cache read is
+rotated by a single rope call over (T, n_heads * head_dim), and
+causal_attention computes every head's scores, in-place causal softmax and
+weighted sum as one tape node with an explicit backward.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .quantizers import (
     quantize_token,
     quantize_weight,
 )
-from .tensor import Tensor, concat_cols, concat_rows, rms_norm, rope, softmax_causal
+from .tensor import Tensor, concat_rows, rms_norm, rope, softmax_causal
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -277,12 +283,47 @@ class PoqKvCache:
 
 
 def _rope_heads(x: Tensor, positions: np.ndarray, cfg: ModelConfig) -> Tensor:
-    d = cfg.head_dim
-    parts = [
-        rope(x.slice_cols(h * d, (h + 1) * d), positions, cfg.rope_base)
-        for h in range(cfg.n_heads)
-    ]
-    return concat_cols(parts)
+    return rope(x, positions, cfg.rope_base, cfg.head_dim)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, offset: int) -> Tensor:
+    """softmax(q k^T / sqrt(d) + causal mask) v for every head, as one tape node.
+
+    q is (T, H*D) at absolute positions offset .. offset+T-1; k and v are
+    (S, H*D) at positions 0 .. S-1.  The heads are (H, rows, D) views of the
+    inputs; the (H, T, S) scores buffer becomes the probabilities in place,
+    and the backward keeps only that buffer and the inputs.
+    """
+    t, s = q.shape[0], k.shape[0]
+    d = q.shape[1] // n_heads
+    scale = np.float32(1.0 / np.sqrt(d))
+
+    def heads(a: np.ndarray, rows: int) -> np.ndarray:
+        return a.reshape(rows, n_heads, d).transpose(1, 0, 2)
+
+    def merge(a: np.ndarray) -> np.ndarray:
+        return a.transpose(1, 0, 2).reshape(a.shape[1], n_heads * d)
+
+    qh, kh, vh = heads(q.data, t), heads(k.data, s), heads(v.data, s)
+    p = np.matmul(qh, kh.transpose(0, 2, 1))
+    p *= scale
+    softmax_causal(p, offset)
+
+    def backward(g, q=q, k=k, v=v):
+        gh = heads(g, t)
+        if v.requires_grad:
+            v._accum(merge(np.matmul(p.transpose(0, 2, 1), gh)))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dp = np.matmul(gh, vh.transpose(0, 2, 1))
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        ds *= scale
+        if q.requires_grad:
+            q._accum(merge(np.matmul(ds, kh)))
+        if k.requires_grad:
+            k._accum(merge(np.matmul(qh.transpose(0, 2, 1), ds).transpose(0, 2, 1)))
+
+    return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), backward)
 
 
 def _act_quant_fn(cfg: ModelConfig):
@@ -354,18 +395,7 @@ def block_core(cfg: ModelConfig, w: dict[str, Tensor], x: Tensor, positions: np.
 
     q_rot = _rope_heads(q, positions, cfg)
     k_all, v_all, offset = kv_fn(k_s, v_s, positions)
-
-    d = cfg.head_dim
-    inv_sqrt_d = np.float32(1.0 / np.sqrt(d))
-    heads = []
-    for h in range(cfg.n_heads):
-        qh = q_rot.slice_cols(h * d, (h + 1) * d)
-        kh = k_all.slice_cols(h * d, (h + 1) * d)
-        vh = v_all.slice_cols(h * d, (h + 1) * d)
-        scores = (qh @ kh.transpose()) * inv_sqrt_d
-        attn = softmax_causal(scores, offset=offset)
-        heads.append(attn @ vh)
-    merged = concat_cols(heads)
+    merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, offset)
     out = aq(merged) @ w["o_w"] + w["o_b"]
     x = x + out
 

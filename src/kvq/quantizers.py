@@ -175,7 +175,9 @@ def apply_kv_smoothing(x, sp: SmoothingParams, direction: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
     if direction == "to_raw":
         sp.to_raw_calls += 1
-        return x * sp.s[None, :] + sp.delta[None, :]
+        out = x * sp.s[None, :]
+        out += sp.delta[None, :]
+        return out
     if direction == "to_smoothed":
         sp.check_scale()
         return (x - sp.delta[None, :]) / sp.s[None, :]
@@ -198,28 +200,48 @@ def init_smoothing(samples: np.ndarray, floor: float = 1e-5) -> SmoothingParams:
 # -- integer-code quantizers (runtime path) -----------------------------------
 
 
+def _group_spans(c: int, group_size: int) -> list[tuple[int, int, int]]:
+    """(start, stop, size): all full groups as one span, then a short tail group."""
+    group_bounds(c, group_size)  # rejects a non-positive group_size
+    full = c - c % group_size
+    spans = [(0, full, group_size)] if full else []
+    if full < c:
+        spans.append((full, c, c - full))
+    return spans
+
+
+def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
+    """(T, groups * size) codes and (T, groups) m, n of a (T, groups, size) array."""
+    t, k, size = y.shape
+    half = float(2 ** (spec.bits - 1))
+    m = y.mean(axis=2)
+    centered = y - m[:, :, None]
+    spread = np.abs(centered).max(axis=2)
+    flat = spread < SPREAD_EPS
+    n = np.where(flat, 1.0, spread / half).astype(np.float32)
+    q = round_half_away(centered / n[:, :, None])
+    np.clip(q, spec.code_lo, spec.code_hi, out=q)
+    q[flat] = 0.0
+    return q.astype(np.int8).reshape(t, k * size), m, n
+
+
 def quantize_token(y: np.ndarray, spec: TokenQuantSpec) -> QuantizedTensor:
-    """Per-token, per-group shifted-symmetric quantization."""
+    """Per-token, per-group shifted-symmetric quantization.
+
+    The full groups are quantized at once as a (T, groups, group_size) view;
+    a short tail group is a separate slice with its own statistics.
+    """
     y = np.asarray(y, dtype=np.float32)
     if not np.all(np.isfinite(y)):
         raise NumericError("quantize_token: non-finite input")
     t, c = y.shape
-    bounds = group_bounds(c, spec.group_size)
-    codes = np.empty((t, c), dtype=np.int8)
-    m = np.empty((t, len(bounds)), dtype=np.float32)
-    n = np.empty((t, len(bounds)), dtype=np.float32)
-    half = float(2 ** (spec.bits - 1))
-    for g, (a, b) in enumerate(bounds):
-        block = y[:, a:b]
-        mg = block.mean(axis=1)
-        spread = np.abs(block - mg[:, None]).max(axis=1)
-        ng = np.where(spread < SPREAD_EPS, 1.0, spread / half).astype(np.float32)
-        q = round_half_away((block - mg[:, None]) / ng[:, None])
-        np.clip(q, spec.code_lo, spec.code_hi, out=q)
-        q[spread < SPREAD_EPS] = 0.0
-        codes[:, a:b] = q.astype(np.int8)
-        m[:, g] = mg
-        n[:, g] = ng
+    parts = [
+        _quantize_token_groups(y[:, a:b].reshape(t, (b - a) // size, size), spec)
+        for a, b, size in _group_spans(c, spec.group_size)
+    ]
+    codes, m, n = parts[0] if len(parts) == 1 else (
+        np.concatenate(arrays, axis=1) for arrays in zip(*parts)
+    )
     return QuantizedTensor(
         kind="token", codes=codes, bits=spec.bits, group_size=spec.group_size, m=m, n=n
     )
@@ -267,12 +289,15 @@ def quantize_weight(w: np.ndarray, spec: WeightQuantSpec) -> QuantizedTensor:
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     if q.kind == "token":
         t, c = q.codes.shape
-        out = np.empty((t, c), dtype=np.float32)
-        for g, (a, b) in enumerate(group_bounds(c, q.group_size)):
-            out[:, a:b] = q.codes[:, a:b].astype(np.float32) * q.n[:, g : g + 1] + q.m[
-                :, g : g + 1
-            ]
-        return out
+        parts, g = [], 0
+        for a, b, size in _group_spans(c, q.group_size):
+            k = (b - a) // size
+            part = q.codes[:, a:b].reshape(t, k, size).astype(np.float32)
+            part *= q.n[:, g : g + k, None]
+            part += q.m[:, g : g + k, None]
+            parts.append(part.reshape(t, b - a))
+            g += k
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     if q.kind == "weight":
         r, c = q.codes.shape
         out = np.empty((r, c), dtype=np.float32)

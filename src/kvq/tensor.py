@@ -8,6 +8,13 @@ against a (T, C) matrix.  Python scalars are accepted anywhere.
 Rounding uses half-away-from-zero ties everywhere (see round_half_away);
 round_ste passes gradients through unchanged, clamp passes them only
 inside the clamp interval.
+
+The transformer primitives work on all heads at once.  rope rotates a
+(T, n_heads * head_dim) tensor in one op, slicing cos/sin from a float32
+table that is computed in float64 once per (base, head_dim) and grown on
+demand.  softmax_causal is an in-place kernel on a plain (..., T, S) array,
+so a caller can turn its (heads, T, S) scores buffer into probabilities
+without a copy.
 """
 
 from __future__ import annotations
@@ -341,13 +348,6 @@ class Tensor:
 
     __matmul__ = matmul
 
-    def transpose(self):
-        def backward(g, a=self):
-            if a.requires_grad:
-                a._accum(g.T)
-
-        return Tensor._from_op(self.data.T.copy(), (self,), backward)
-
     def slice_cols(self, start: int, stop: int):
         out_data = self.data[:, start:stop].copy()
 
@@ -453,29 +453,22 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return Tensor._from_op(out_data, tuple(parts), backward)
 
 
-def softmax_causal(scores: Tensor, offset: int = 0) -> Tensor:
-    """Row-wise softmax over the last axis with a causal mask.
+def softmax_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
+    """In-place causal softmax over the last axis of a (..., T, S) float32 array.
 
     Query row i (absolute position offset + i) may attend key columns
-    j <= offset + i; masked entries are exactly zero in the output.
+    j <= offset + i; masked entries come out exactly zero.  Leading axes
+    (heads) share the mask.  Returns scores, now holding the probabilities.
     """
-    _check_finite("softmax_causal", scores.data)
-    t, s = scores.shape
-    cols = np.arange(s)[None, :]
-    rows = np.arange(t)[:, None] + offset
-    mask = cols <= rows
-    masked = np.where(mask, scores.data, -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    e = np.exp(masked - m)
-    e = np.where(mask, e, 0.0)
-    out_data = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
-
-    def backward(g, a=scores, p=out_data):
-        if a.requires_grad:
-            dot = (g * p).sum(axis=1, keepdims=True)
-            a._accum(p * (g - dot))
-
-    return Tensor._from_op(out_data, (scores,), backward)
+    _check_finite("softmax_causal", scores)
+    t, s = scores.shape[-2:]
+    if s > offset + 1:
+        masked = np.arange(s)[None, :] > np.arange(t)[:, None] + offset
+        np.copyto(scores, -np.inf, where=masked)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -486,35 +479,66 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     return (x / inv) * gain
 
 
-def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotary position embedding on a (T, head_dim) tensor (rotate-half layout)."""
+_ROPE_TABLES: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _rope_table(base: float, head_dim: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rotary (cos, sin) tables of shape (>= length, head_dim), float32.
+
+    With angles p * base^(-2i / head_dim) for position p and pair i, row p
+    holds [cos, cos] and [-sin, sin] across the two halves of a head.  The
+    angles are computed in float64, once per (base, head_dim); the table at
+    least doubles whenever a longer range is asked for.  A row depends only
+    on its key and position, so every caller can share the cached tables.
+    """
+    key = (float(base), head_dim)
+    cos, sin = _ROPE_TABLES.get(key, (None, None))
+    if cos is None or len(cos) < length:
+        n = max(length, 2 * len(cos)) if cos is not None else length
+        half = head_dim // 2
+        inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
+        ang = np.arange(n, dtype=np.float64)[:, None] * inv_freq[None, :]
+        c, s = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
+        cos, sin = np.concatenate([c, c], axis=1), np.concatenate([-s, s], axis=1)
+        _ROPE_TABLES[key] = (cos, sin)
+    return cos, sin
+
+
+def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0,
+         head_dim: int | None = None) -> Tensor:
+    """Rotary position embedding on a (T, n_heads * head_dim) tensor.
+
+    Every head is rotated in the rotate-half layout, [x1, x2] ->
+    [x1 cos - x2 sin, x2 cos + x1 sin]; head_dim defaults to the full width
+    (one head).  positions must be a contiguous ascending range, so cos/sin
+    are a slice of _rope_table.
+    """
     _check_finite("rope", x.data)
-    t, d = x.shape
-    if d % 2 != 0:
-        raise DimensionError(f"rope requires an even head_dim, got {d}")
-    half = d // 2
-    inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
-    ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
-    cos = np.cos(ang).astype(np.float32)
-    sin = np.sin(ang).astype(np.float32)
-    x1 = x.data[:, :half]
-    x2 = x.data[:, half:]
-    out_data = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=1)
+    t, width = x.shape
+    d = width if head_dim is None else head_dim
+    if d % 2 != 0 or width % d != 0:
+        raise DimensionError(f"rope requires an even head_dim dividing {width}, got {d}")
+    positions = np.asarray(positions)
+    start = int(positions[0]) if t else 0
+    if positions.shape != (t,) or start < 0 or np.any(np.diff(positions) != 1):
+        raise DimensionError("rope positions must be a contiguous range from >= 0")
+    cos, sin = _rope_table(base, d, start + t)
+    cos = cos[start : start + t, None, :]
+    sin = sin[start : start + t, None, :]
 
-    def backward(g, a=x, cos=cos, sin=sin, half=half):
+    def rotate(a: np.ndarray, sin_rows: np.ndarray) -> np.ndarray:
+        a = a.reshape(t, width // d, d)
+        swapped = np.concatenate([a[..., d // 2 :], a[..., : d // 2]], axis=-1)
+        swapped *= sin_rows
+        out = a * cos
+        out += swapped
+        return out.reshape(t, width)
+
+    def backward(g, a=x):
         if a.requires_grad:
-            g1 = g[:, :half]
-            g2 = g[:, half:]
-            a._accum(
-                np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=1)
-            )
+            a._accum(rotate(g, -sin))  # the transpose rotates by -angle
 
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def rope_array(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> np.ndarray:
-    """rope() on a plain array (used on dequantized cache reads)."""
-    return rope(Tensor(x), positions, base).data
+    return Tensor._from_op(rotate(x.data, sin), (x,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -245,9 +245,14 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
         h = x
         for j, blk in enumerate(model.blocks):
             h = block_forward(model.config, blk, h, 0, j, None, "fp")
-        return (h * h).mean(), x
+        return (h * h).mean(), x, h
 
-    loss, x = fp_loss(x0)
+    def fd_loss(arr):
+        # a float64 reduction: one float32 ulp of the loss (2.3e-10) would
+        # move the central difference by 1.2e-7, above 1e-3 of the 1e-4 floor
+        return float(np.mean(fp_loss(arr)[2].data.astype(np.float64) ** 2))
+
+    loss, x, _ = fp_loss(x0)
     loss.backward()
     grad = x.grad.copy()
     worst_smooth = 0.0
@@ -258,7 +263,7 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
         xp, xm = x0.copy(), x0.copy()
         xp[i, j] += eps
         xm[i, j] -= eps
-        fd = (fp_loss(xp)[0].item() - fp_loss(xm)[0].item()) / (2 * eps)
+        fd = (fd_loss(xp) - fd_loss(xm)) / (2 * eps)
         worst_smooth = max(worst_smooth,
                            abs(grad[i, j] - fd) / max(abs(fd), abs(grad[i, j]), 1e-4))
     smooth_ok = worst_smooth < 1e-3

@@ -280,7 +280,7 @@ class TestFakeQuant:
             real = dequantize(quantize_weight(w, WeightQuantSpec(4, 8, gamma=gamma, beta=beta)))
             assert np.abs(fake - real).max() < 1e-5
 
-    def test_token_fake_ste_gradient_flows(self):
+    def test_token_fake_gradient_flows(self):
         rng = np.random.default_rng(13)
         y = Tensor(rng.normal(size=(2, 8)).astype(np.float32), requires_grad=True)
         fake_quant_token(y, 4, 4).sum().backward()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config, word_corpus
+import kvq.model
 from kvq.errors import CapacityError, KvqError
 from kvq.model import (
     Model,
@@ -30,6 +31,62 @@ def quantized(model, mode="weight_kv"):
     quantize_model_weights(m)
     m.config.quant_mode = mode
     return m
+
+
+def smoothed(model):
+    """Attach K/V smoothing from the statistics of the IDS prompt."""
+    per_layer = []
+    for blk in model.blocks:
+        xn = rms_norm(Tensor(model.embed[IDS]), Tensor(blk.attn_norm.reshape(1, -1))).data
+        per_layer.append(
+            (init_smoothing(xn @ blk.k.w + blk.k.b), init_smoothing(xn @ blk.v.w + blk.v.b))
+        )
+    attach_kv_smoothing(model, per_layer)
+    return model
+
+
+# -- reference: the per-head block the all-heads forward replaced -------------
+
+
+def reference_rope_heads(x, positions, cfg):
+    """Per-head rotary embedding, cos/sin recomputed for these positions."""
+    d, half = cfg.head_dim, cfg.head_dim // 2
+    inv_freq = cfg.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
+    ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    cos, sin = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
+    parts = []
+    for h in range(cfg.n_heads):
+        x1, x2 = x.data[:, h * d : h * d + half], x.data[:, h * d + half : (h + 1) * d]
+        parts += [x1 * cos - x2 * sin, x1 * sin + x2 * cos]
+    return Tensor(np.concatenate(parts, axis=1))
+
+
+def reference_softmax_causal(scores, offset):
+    t, s = scores.shape
+    mask = np.arange(s)[None, :] <= np.arange(t)[:, None] + offset
+    masked = np.where(mask, scores, -np.inf)
+    e = np.where(mask, np.exp(masked - masked.max(axis=1, keepdims=True)), 0.0)
+    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+def reference_block_core(cfg, w, x, positions, kv_fn, act_fn=None):
+    aq = act_fn if act_fn is not None else (lambda y: y)
+    xq = aq(rms_norm(x, w["attn_norm"]))
+    q = xq @ w["q_w"] + w["q_b"]
+    k_s = xq @ w["k_w"] + w["k_b"]
+    v_s = xq @ w["v_w"] + w["v_b"]
+    q_rot = reference_rope_heads(q, positions, cfg).data
+    k_all, v_all, offset = kv_fn(k_s, v_s, positions)
+    d = cfg.head_dim
+    heads = []
+    for h in range(cfg.n_heads):
+        cols = slice(h * d, (h + 1) * d)
+        scores = (q_rot[:, cols] @ k_all.data[:, cols].T) * np.float32(1.0 / np.sqrt(d))
+        heads.append(reference_softmax_causal(scores, offset) @ v_all.data[:, cols])
+    x = x + (aq(Tensor(np.concatenate(heads, axis=1))) @ w["o_w"] + w["o_b"])
+    xq2 = aq(rms_norm(x, w["mlp_norm"]))
+    mid = aq((xq2 @ w["gate_w"] + w["gate_b"]).silu() * (xq2 @ w["up_w"] + w["up_b"]))
+    return x + (mid @ w["down_w"] + w["down_b"])
 
 
 IDS = np.arange(24) % 250
@@ -71,6 +128,30 @@ class TestFpForward:
         whole = model_forward(m, IDS).data
         got = np.concatenate([a.data, b.data], axis=0)
         assert np.abs(got - whole).max() < 1e-4
+
+
+class TestAllHeadsForward:
+    @pytest.mark.parametrize("kv_bits", [4, 8, 16])
+    @pytest.mark.parametrize("poq", [True, False])
+    @pytest.mark.parametrize("mode", ["fp", "weight_only", "weight_kv"])
+    def test_matches_per_head_reference(self, monkeypatch, mode, poq, kv_bits):
+        base = make_model(seed=2, n_heads=4, head_dim=8, kv_bits=kv_bits, poq=poq)
+        spread_kv_channels(base, 2.0, seed=2)
+        m = quantized(smoothed(base), mode=mode)
+
+        def prefill_and_decode():
+            logits, cache = prefill(m, IDS, mode=mode)
+            rows = [logits.data]
+            for tok in IDS[:8]:
+                rows.append(decode_step(m, int(tok), cache, mode=mode).data)
+            return np.concatenate(rows)
+
+        fast = prefill_and_decode()
+        monkeypatch.setattr(kvq.model, "block_core", reference_block_core)
+        monkeypatch.setattr(kvq.model, "_rope_heads", reference_rope_heads)
+        slow = prefill_and_decode()
+        assert fast.shape == (len(IDS) + 8, m.config.vocab_size)
+        assert np.abs(fast - slow).max() <= 1e-5
 
 
 class TestCache:

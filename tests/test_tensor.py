@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError
+from kvq.model import causal_attention
 from kvq.tensor import (
     Tensor,
     concat_cols,
@@ -47,6 +48,50 @@ def check_grads(f, arrs, tol=2e-2):
 
 def randn(rng, *shape):
     return rng.normal(size=shape).astype(np.float32)
+
+
+# -- per-head reference: the composition the all-heads ops replace ------------
+
+
+def transpose_op(a):
+    def backward(g, a=a):
+        if a.requires_grad:
+            a._accum(g.T)
+
+    return Tensor._from_op(a.data.T.copy(), (a,), backward)
+
+
+def softmax_causal_op(scores, offset):
+    p = softmax_causal(scores.data.copy(), offset)
+
+    def backward(g, a=scores, p=p):
+        if a.requires_grad:
+            a._accum(p * (g - (g * p).sum(axis=1, keepdims=True)))
+
+    return Tensor._from_op(p, (scores,), backward)
+
+
+def per_head_rope(x, positions, head_dim):
+    d = head_dim
+    return concat_cols([rope(x.slice_cols(h * d, (h + 1) * d), positions)
+                        for h in range(x.shape[1] // d)])
+
+
+def per_head_attention(q, k, v, n_heads, offset):
+    d = q.shape[1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        qh, kh, vh = (a.slice_cols(h * d, (h + 1) * d) for a in (q, k, v))
+        scores = (qh @ transpose_op(kh)) * np.float32(1.0 / np.sqrt(d))
+        heads.append(softmax_causal_op(scores, offset) @ vh)
+    return concat_cols(heads)
+
+
+def grads_of(f, arrs):
+    ts = [Tensor(a, requires_grad=True) for a in arrs]
+    out = f(*ts)
+    out.backward()
+    return out.data, [t.grad for t in ts]
 
 
 class TestRounding:
@@ -122,10 +167,24 @@ class TestGradients:
         x.max().backward()
         assert np.array_equal(x.grad, np.array([[0.0, 1.0, 0.0]], np.float32))
 
-    def test_softmax_causal(self):
+    def test_causal_attention(self):
+        # two queries at positions 3 and 4 over five keys, two heads of 4
         rng = np.random.default_rng(5)
-        w = Tensor(randn(rng, 4, 4))
-        check_grads(lambda s: (softmax_causal(s, offset=0) * w).sum(), [randn(rng, 4, 4)])
+        w = Tensor(randn(rng, 2, 8))
+        check_grads(
+            lambda q, k, v: (causal_attention(q, k, v, 2, 3) * w).sum(),
+            [randn(rng, 2, 8), randn(rng, 5, 8), randn(rng, 5, 8)],
+        )
+
+    def test_causal_attention_matches_per_head_composition(self):
+        rng = np.random.default_rng(15)
+        arrs = [randn(rng, 3, 16), randn(rng, 7, 16), randn(rng, 7, 16)]
+        w = Tensor(randn(rng, 3, 16))
+        fused = grads_of(lambda q, k, v: (causal_attention(q, k, v, 4, 4) * w).sum(), arrs)
+        ref = grads_of(lambda q, k, v: (per_head_attention(q, k, v, 4, 4) * w).sum(), arrs)
+        assert abs(fused[0] - ref[0]) <= 1e-6 * max(1.0, abs(float(ref[0])))
+        for a, b in zip(fused[1], ref[1]):
+            assert np.abs(a - b).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
 
     def test_rms_norm(self):
         rng = np.random.default_rng(6)
@@ -138,6 +197,23 @@ class TestGradients:
         rng = np.random.default_rng(7)
         pos = np.arange(5)
         check_grads(lambda x: (rope(x, pos) * rope(x, pos)).sum(), [randn(rng, 5, 8)])
+
+    def test_rope_multi_head(self):
+        rng = np.random.default_rng(16)
+        pos = np.arange(3, 8)
+        w = Tensor(randn(rng, 5, 16))
+        check_grads(lambda x: (rope(x, pos, head_dim=4) * w).sum(), [randn(rng, 5, 16)])
+
+    def test_rope_multi_head_matches_per_head(self):
+        rng = np.random.default_rng(17)
+        pos = np.arange(9, 15)
+        x = randn(rng, 6, 32)
+        w = Tensor(randn(rng, 6, 32))
+        fused = grads_of(lambda a: (rope(a, pos, head_dim=8) * w).sum(), [x])
+        ref = grads_of(lambda a: (per_head_rope(a, pos, 8) * w).sum(), [x])
+        assert np.array_equal(rope(Tensor(x), pos, head_dim=8).data,
+                              per_head_rope(Tensor(x), pos, 8).data)
+        assert np.array_equal(fused[1][0], ref[1][0])
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(8)
@@ -166,9 +242,8 @@ class TestGradients:
             [randn(rng, 2, 3), randn(rng, 3, 3)],
         )
 
-    def test_transpose_reshape(self):
+    def test_reshape(self):
         rng = np.random.default_rng(10)
-        check_grads(lambda x: (x.transpose() @ x).sum(), [randn(rng, 3, 4)])
         check_grads(lambda x: x.reshape(2, 6).slice_cols(0, 3).sum(), [randn(rng, 3, 4)])
 
 
@@ -188,19 +263,25 @@ class TestSte:
 class TestCausalMask:
     def test_masked_entries_exactly_zero(self):
         rng = np.random.default_rng(11)
-        p = softmax_causal(Tensor(randn(rng, 4, 4)), offset=0).data
+        p = softmax_causal(randn(rng, 4, 4), offset=0)
         assert np.array_equal(np.triu(p, k=1), np.zeros((4, 4)))
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
     def test_offset_shifts_mask(self):
         rng = np.random.default_rng(12)
-        p = softmax_causal(Tensor(randn(rng, 2, 5)), offset=3).data
+        p = softmax_causal(randn(rng, 2, 5), offset=3)
         assert p[0, 4] == 0.0 and p[1, 4] > 0.0
         assert np.all(p[0, :4] > 0.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError):
-            softmax_causal(Tensor(np.array([[np.inf, 0.0]], np.float32)))
+            softmax_causal(np.array([[np.inf, 0.0]], np.float32))
+
+    def test_head_axis_shares_mask(self):
+        rng = np.random.default_rng(18)
+        scores = randn(rng, 3, 2, 5)
+        per_head = [softmax_causal(scores[h].copy(), offset=2) for h in range(3)]
+        assert np.array_equal(softmax_causal(scores, offset=2), np.stack(per_head))
 
 
 class TestMisc:
