@@ -8,7 +8,6 @@ K/V tokens with their codes held fixed in the backward pass (see
 quantizers.py), so d(loss)/ds for the smoothing scales is the exact
 derivative wherever the loss is differentiable in s.  Blocks i+1 .. i+k-1
 run full precision in both branches and receive no parameter gradients.
-Both branches are fed the raw full-precision inputs x_i by default.
 Past-only quantization is always off during training (the calibration
 forward has no cache).
 """
@@ -16,29 +15,23 @@ forward has no cache).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, KvqError, NumericError
-from .model import (
-    Model,
-    ModelConfig,
-    PROJECTION_NAMES,
-    _rope_heads,
-    block_core,
-    block_forward,
-    block_tensors,
-    quantize_model_weights,
-)
+from .model import Model, _rope_heads, block_core, block_forward
 from .quantizers import (
     S_FLOOR,
     SmoothingParams,
+    WeightQuantSpec,
     absorb_smoothing,
+    dequantize,
     fake_quant_token,
     fake_quant_weight,
     group_bounds,
     init_smoothing,
+    quantize_weight,
 )
 from .tensor import Tensor, rms_norm
 
@@ -50,16 +43,12 @@ CLIP_LOGIT_INIT = 9.2102
 class CalibConfig:
     k: int = 5
     epochs: int = 5
-    batch_size: int = 1
     lr_smoothing: float = 5e-4
     lr_clipping: float = 1e-2
-    weight_decay: float = 0.0
     seed: int = 0
     loss: str = "mae"
     segments: int = 32
     seg_len: int = 256
-    feed_quantized_inputs: bool = False
-    poq_during_training: bool = False  # recorded; the training path has no cache
     use_smoothing: bool = True  # False: identity channel scale/shift, untrained
     use_clipping: bool = True  # False: clipping stays ~1 (plain rounding), untrained
 
@@ -157,10 +146,6 @@ def _sigmoid(x: Tensor) -> Tensor:
     return Tensor(1.0) / ((-x).exp() + 1.0)
 
 
-def _n_weight_groups(rows: int, group_size: int) -> int:
-    return len(group_bounds(rows, group_size))
-
-
 def init_trainables(model: Model, i: int, x_segs: list[np.ndarray],
                     use_smoothing: bool = True) -> BlockTrainables:
     """Clipping logits near 1.0 and smoothing stats from the calibration tokens."""
@@ -168,7 +153,7 @@ def init_trainables(model: Model, i: int, x_segs: list[np.ndarray],
     blk = model.blocks[i]
     gamma, beta = {}, {}
     for name, lin in blk.projections().items():
-        g = _n_weight_groups(lin.w.shape[0], cfg.weight_group_size)
+        g = len(group_bounds(lin.w.shape[0], cfg.weight_group_size))
         shape = (g, lin.w.shape[1])
         gamma[name] = Tensor(np.full(shape, CLIP_LOGIT_INIT, np.float32), requires_grad=True)
         beta[name] = Tensor(np.full(shape, CLIP_LOGIT_INIT, np.float32), requires_grad=True)
@@ -186,9 +171,6 @@ def init_trainables(model: Model, i: int, x_segs: list[np.ndarray],
     else:
         sp_k = SmoothingParams.identity(cfg.hidden_size)
         sp_v = SmoothingParams.identity(cfg.hidden_size)
-    if cfg.cache_post_rotary:
-        # K is cached post-rotary in raw space; no channel smoothing for K
-        sp_k = SmoothingParams.identity(cfg.hidden_size)
     row = lambda a: a.reshape(1, -1).astype(np.float32)
     return BlockTrainables(
         gamma_logit=gamma,
@@ -208,18 +190,15 @@ def fake_block_weights(model: Model, i: int, tp: BlockTrainables) -> dict[str, T
         "attn_norm": Tensor(blk.attn_norm.reshape(1, -1)),
         "mlp_norm": Tensor(blk.mlp_norm.reshape(1, -1)),
     }
-    smooth_k = not cfg.cache_post_rotary
+    smoothing = {"k": (tp.s_k, tp.d_k), "v": (tp.s_v, tp.d_v)}
     for name, lin in blk.projections().items():
         wt = Tensor(lin.w)
         bt = Tensor(lin.b)
-        if name == "k" and smooth_k:
-            s = tp.s_k.clamp(S_FLOOR, np.inf)
+        if name in smoothing:
+            s, d = smoothing[name]
+            s = s.clamp(S_FLOOR, np.inf)
             wt = wt / s
-            bt = (bt - tp.d_k) / s
-        elif name == "v":
-            s = tp.s_v.clamp(S_FLOOR, np.inf)
-            wt = wt / s
-            bt = (bt - tp.d_v) / s
+            bt = (bt - d) / s
         gamma = _sigmoid(tp.gamma_logit[name])
         beta = _sigmoid(tp.beta_logit[name])
         w[f"{name}_w"] = fake_quant_weight(
@@ -232,23 +211,14 @@ def fake_block_weights(model: Model, i: int, tp: BlockTrainables) -> dict[str, T
 def _calib_kv_fn(model: Model, tp: BlockTrainables):
     """KV handler for the quantized calibration branch (POQ off, no cache)."""
     cfg = model.config
-    smooth_k = not cfg.cache_post_rotary
 
     def kv_fn(k_s: Tensor, v_s: Tensor, positions: np.ndarray):
         if cfg.kv_quantized:
-            v_q = fake_quant_token(v_s, cfg.kv_bits, cfg.kv_group_size)
-        else:
-            v_q = v_s
-        v_raw = v_q * tp.s_v.clamp(S_FLOOR, np.inf) + tp.d_v
-        if smooth_k:
-            k_q = fake_quant_token(k_s, cfg.kv_bits, cfg.kv_group_size) if cfg.kv_quantized else k_s
-            k_raw = k_q * tp.s_k.clamp(S_FLOOR, np.inf) + tp.d_k
-            k_rot = _rope_heads(k_raw, positions, cfg)
-        else:
-            k_rot = _rope_heads(k_s, positions, cfg)
-            if cfg.kv_quantized:
-                k_rot = fake_quant_token(k_rot, cfg.kv_bits, cfg.kv_group_size)
-        return k_rot, v_raw, 0
+            v_s = fake_quant_token(v_s, cfg.kv_bits, cfg.kv_group_size)
+            k_s = fake_quant_token(k_s, cfg.kv_bits, cfg.kv_group_size)
+        v_raw = v_s * tp.s_v.clamp(S_FLOOR, np.inf) + tp.d_v
+        k_raw = k_s * tp.s_k.clamp(S_FLOOR, np.inf) + tp.d_k
+        return _rope_heads(k_raw, positions, cfg), v_raw, 0
 
     return kv_fn
 
@@ -271,8 +241,6 @@ def crr_loss(model: Model, i: int, x_i: np.ndarray, tp: BlockTrainables, calib: 
 
 def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[np.ndarray]]:
     """Full-precision inputs x_i to every block (index n_layers = final output)."""
-    from .model import model_forward  # noqa: F401  (embedding path reused below)
-
     acts: list[list[np.ndarray]] = []
     for ids in segments:
         xs = [model.embed[np.asarray(ids, dtype=np.int64)].astype(np.float32)]
@@ -302,7 +270,7 @@ def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
     s_v = np.maximum(tp.s_v.data.reshape(-1), S_FLOOR)
     sp_k = SmoothingParams(s_k, tp.d_k.data.reshape(-1))
     sp_v = SmoothingParams(s_v, tp.d_v.data.reshape(-1))
-    if not cfg.cache_post_rotary and not sp_k.is_identity():
+    if not sp_k.is_identity():
         blk.k.w, blk.k.b = absorb_smoothing(blk.k.w, blk.k.b, sp_k)
         blk.k.smoothing = sp_k
     if not sp_v.is_identity():
@@ -311,8 +279,6 @@ def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
     clipping = _mapped_clipping(tp)
     if model.clipping is None:
         model.clipping = {}
-    from .quantizers import WeightQuantSpec, dequantize, quantize_weight
-
     for name, lin in blk.projections().items():
         gamma, beta = clipping[name]
         model.clipping[(i, name)] = (gamma, beta)
@@ -351,7 +317,7 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
             groups.append((tp.clip_params(), calib.lr_clipping * lr_scale))
         if calib.use_smoothing:
             groups.append((tp.smooth_params(), calib.lr_smoothing * lr_scale))
-        opt = AdamW(groups=groups, weight_decay=calib.weight_decay)
+        opt = AdamW(groups=groups)
         trajectory = [mean_loss(tp)]
         for _ in range(calib.epochs if opt.groups else 0):
             epoch_losses = []
@@ -430,19 +396,11 @@ def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) ->
     acts = collect_activations(model, segments)
     cfg = model.config
     blocks_trace = []
-    quant_acts = [list(xs) for xs in acts] if calib.feed_quantized_inputs else None
     for i in range(cfg.n_layers):
         k_eff = min(calib.k, cfg.n_layers - i)
-        if quant_acts is None:
-            x_segs = [xs[i] for xs in acts]
-        else:
-            x_segs = [xs[i] for xs in quant_acts]
+        x_segs = [xs[i] for xs in acts]
         ref_segs = [xs[i + k_eff] for xs in acts]
         blocks_trace.append(calibrate_block(model, i, calib, x_segs, ref_segs))
-        if quant_acts is not None:
-            for xs in quant_acts:
-                out = block_forward(cfg, model.blocks[i], Tensor(xs[i]), 0, i, None, "weight_kv")
-                xs[i + 1] = out.data
     model.config.quant_mode = "weight_kv"
     finals = [b["final_loss"] for b in blocks_trace]
     inits = [b["initial_loss"] for b in blocks_trace]

@@ -4,7 +4,9 @@ length, a JSON header (config + tensor table + quantization metadata), then a
 
 A single container carries both fp and quantized models; quant_mode and any
 learned parameters (codes, scales, smoothing, clipping) live in the header's
-metadata plus named payload tensors.
+metadata plus named payload tensors.  A quantized projection is stored as its
+codes and (h, z) only; loading rebuilds its weights as dequantize(codes),
+bit-identical to the saved model's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .model import DecoderBlockWeights, Linear, Model, ModelConfig, PROJECTION_NAMES
-from .quantizers import QuantizedTensor, SmoothingParams
+from .quantizers import QuantizedTensor, SmoothingParams, dequantize
 
 MAGIC = b"KVQ1"
 ALIGN = 64
@@ -126,9 +128,10 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
         tensors[f"blocks.{li}.mlp_norm"] = blk.mlp_norm
         for name, lin in blk.projections().items():
             base = f"blocks.{li}.{name}"
-            tensors[f"{base}.w"] = lin.w
             tensors[f"{base}.b"] = lin.b
-            if lin.wq is not None:
+            if lin.wq is None:
+                tensors[f"{base}.w"] = lin.w
+            else:
                 tensors[f"{base}.wq.codes"] = lin.wq.codes
                 tensors[f"{base}.wq.h"] = lin.wq.h
                 tensors[f"{base}.wq.z"] = lin.wq.z
@@ -163,10 +166,11 @@ def load_model(path: str) -> Model:
     quant_meta = meta.get("quant", {})
 
     def lin(base: str) -> Linear:
-        out = Linear(w=tensors[f"{base}.w"], b=tensors[f"{base}.b"])
         pq = quant_meta.get("projections", {}).get(base)
-        if pq is not None:
-            out.wq = QuantizedTensor(
+        if pq is None:
+            out = Linear(w=tensors[f"{base}.w"], b=tensors[f"{base}.b"])
+        else:
+            wq = QuantizedTensor(
                 kind="weight",
                 codes=tensors[f"{base}.wq.codes"],
                 bits=pq["bits"],
@@ -174,6 +178,7 @@ def load_model(path: str) -> Model:
                 h=tensors[f"{base}.wq.h"],
                 z=tensors[f"{base}.wq.z"],
             )
+            out = Linear(w=dequantize(wq), b=tensors[f"{base}.b"], wq=wq)
         sm = quant_meta.get("smoothing", {}).get(base)
         if sm is not None:
             out.smoothing = SmoothingParams(

@@ -201,5 +201,6 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
         for name, lin in blk.projections().items():
             lin.w = w[f"{name}_w"].data
             lin.b = w[f"{name}_b"].data
+            lin.wq = None  # trained weights are off the quantization grid
     return {"steps": steps, "initial_loss": losses[0] if losses else None,
             "final_loss": losses[-1] if losses else None}

@@ -13,8 +13,7 @@ Quantization modes:
 
 The cache stores pre-rotary smoothed K (and V); a read dequantizes, maps to
 raw space exactly once, then applies the rotary embedding for the stored
-positions.  cache_post_rotary=True flips K storage to post-rotary raw space
-(experimentation flag; channel smoothing is bypassed for K in that layout).
+positions.
 
 block_core is the one block forward shared by prefill, decode, calibration
 and training.  It treats all heads at once: each of Q, K and a cache read is
@@ -25,7 +24,7 @@ weighted sum as one tape node with an explicit backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +61,6 @@ class ModelConfig:
     kv_group_size: int = 32
     weight_group_size: int = 128
     poq: bool = True
-    cache_post_rotary: bool = False
 
     def __post_init__(self):
         if self.hidden_size != self.n_heads * self.head_dim:
@@ -88,6 +86,7 @@ class Linear:
     w: np.ndarray  # (C_in, C_out)
     b: np.ndarray  # (1, C_out)
     smoothing: SmoothingParams | None = None
+    # weight codes; when set, w == dequantize(wq) and a checkpoint stores only wq
     wq: QuantizedTensor | None = None
 
 
@@ -254,8 +253,7 @@ class PoqKvCache:
         blk = self.blocks[li]
         k = dequantize(qk)
         v = dequantize(qv)
-        # post-rotary K is stored in raw space, so smoothing only applies to V
-        if blk.k.smoothing is not None and not self.cfg.cache_post_rotary:
+        if blk.k.smoothing is not None:
             k = apply_kv_smoothing(k, blk.k.smoothing, "to_raw")
         if blk.v.smoothing is not None:
             v = apply_kv_smoothing(v, blk.v.smoothing, "to_raw")
@@ -412,15 +410,9 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
     def kv_fn(k_s: Tensor, v_s: Tensor, positions: np.ndarray):
         k_raw, v_raw, k_store, v_store = _current_kv(blk, cfg, mode, k_s, v_s)
         k_rot_cur = _rope_heads(k_raw, positions, cfg)
-        if cfg.cache_post_rotary:
-            k_store = k_rot_cur.data
         if cache is not None and cache.length > 0:
-            past_pos = np.arange(cache.length)
             k_past, v_past = cache.read_raw(li)
-            if cfg.cache_post_rotary and cache.layers[li].quantized:
-                k_past_rot = Tensor(k_past)  # stored post-rotary
-            else:
-                k_past_rot = _rope_heads(Tensor(k_past), past_pos, cfg)
+            k_past_rot = _rope_heads(Tensor(k_past), np.arange(cache.length), cfg)
             k_all = concat_rows([k_past_rot, k_rot_cur])
             v_all = concat_rows([Tensor(v_past), v_raw])
             offset = cache.length
@@ -520,11 +512,6 @@ def generate(model: Model, prompt_ids: np.ndarray, n_new: int, mode: str | None 
     return np.asarray(out, dtype=np.int64)
 
 
-def forward_activation_quant(model: Model, token_ids: np.ndarray) -> Tensor:
-    """Full-sequence forward with per-token RTN quantization of linear inputs."""
-    return model_forward(model, token_ids, mode="weight_activation")
-
-
 def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> None:
     """Rescale K/V channels without changing the model function.
 
@@ -532,7 +519,8 @@ def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> N
     channels; tiny randomly-initialized models do not.  This injects that
     heterogeneity exactly: K columns are scaled per rotary pair with the
     inverse applied to Q (dot products unchanged), and V columns are scaled
-    with the inverse applied to the o-projection rows.
+    with the inverse applied to the o-projection rows.  Weight codes of the
+    rescaled projections no longer describe them and are dropped.
     """
     cfg = model.config
     rng = np.random.default_rng(seed)
@@ -550,6 +538,8 @@ def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> N
         blk.v.w = (blk.v.w * v_scale[None, :]).astype(np.float32)
         blk.v.b = (blk.v.b * v_scale[None, :]).astype(np.float32)
         blk.o.w = (blk.o.w / v_scale[:, None]).astype(np.float32)
+        for lin in (blk.q, blk.k, blk.v, blk.o):
+            lin.wq = None
 
 
 # -- quantized-model construction ---------------------------------------------
@@ -558,14 +548,17 @@ PROJECTION_NAMES = ("q", "k", "v", "o", "gate", "up", "down")
 
 
 def attach_kv_smoothing(model: Model, per_layer: list[tuple[SmoothingParams, SmoothingParams]]) -> None:
-    """Absorb per-layer (K, V) smoothing params into the k/v projections."""
+    """Absorb per-layer (K, V) smoothing params into the k/v projections.
+
+    Weight codes of a rescaled projection no longer describe it and are dropped.
+    """
     for blk, (sp_k, sp_v) in zip(model.blocks, per_layer):
         if not sp_k.is_identity():
             blk.k.w, blk.k.b = absorb_smoothing(blk.k.w, blk.k.b, sp_k)
-            blk.k.smoothing = sp_k
+            blk.k.smoothing, blk.k.wq = sp_k, None
         if not sp_v.is_identity():
             blk.v.w, blk.v.b = absorb_smoothing(blk.v.w, blk.v.b, sp_v)
-            blk.v.smoothing = sp_v
+            blk.v.smoothing, blk.v.wq = sp_v, None
 
 
 def quantize_model_weights(

@@ -1,31 +1,38 @@
 """Quantization math: channel smoothing with absorption, dynamic per-token
 shifted-symmetric group quantization, and learnable-clipping weight quantization.
 
-Two parallel implementations exist for each quantizer:
+There is one core per quantizer kind.  quantize_token and quantize_weight
+turn an array into integer codes plus per-group affine parameters, and
+dequantize maps them back; each works on a 3-d view of all full groups at
+once, with a short tail group as one separate slice.  The KV cache and the
+checkpoints store the codes.  Calibration trains through the same core:
+fake_quant_token and fake_quant_weight are single autodiff ops whose forward
+is dequantize(quantize_*(...)), so training sees exactly the deployed
+rounding, the constant-group rule included.  They differ only in their
+gradient estimator:
 
-* integer-code functions operating on plain arrays (runtime path), and
-* fake-quant functions operating on autodiff Tensors (calibration path).
-
-The two fake-quant paths differentiate rounding differently.  The token path
-holds its codes fixed in the backward pass, so its gradient is the exact
-local derivative through the group mean and half-range.  The weight path
-rounds with a straight-through gradient, the estimator OmniQuant trains its
-learnable clipping with.  Scaling a weight column by 1/s leaves its codes
-and zero-point unchanged, so the straight-through d/ds there is already
-exact.
+* token path: the codes are held fixed in the backward pass, so the gradient
+  is the exact local derivative q * dn + dm through the group mean m and
+  half-range n;
+* weight path: rounding is straight-through (STE), the estimator OmniQuant
+  trains its learnable clipping with.  Scaling a weight column by 1/s leaves
+  its codes and zero-point unchanged, so the straight-through d/ds there is
+  already exact.
 
 Token codes are signed and live in [-2^(N-1), 2^(N-1)-1]; weight codes are
-unsigned in [0, 2^N - 1].  A trailing partial group keeps its own statistics.
+unsigned in [0, 2^N - 1].  A group whose spread is below SPREAD_EPS is
+constant: it gets a unit step and zero codes, and dequantizes to its mean
+(token) or clipped minimum (weight).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateScaleError, DimensionError, KvqError, NumericError
-from .tensor import Tensor, concat_cols, concat_rows, round_half_away
+from .tensor import Tensor, round_half_away
 
 S_FLOOR = 1e-6
 SPREAD_EPS = 1e-12
@@ -48,7 +55,6 @@ class SmoothingParams:
     s: np.ndarray
     delta: np.ndarray
     absorbed: bool = False
-    to_raw_calls: int = 0  # instrumentation: cache reads must call to_raw once
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.float32).reshape(-1)
@@ -174,7 +180,6 @@ def apply_kv_smoothing(x, sp: SmoothingParams, direction: str) -> np.ndarray:
         x = x.dequantize()
     x = np.asarray(x, dtype=np.float32)
     if direction == "to_raw":
-        sp.to_raw_calls += 1
         out = x * sp.s[None, :]
         out += sp.delta[None, :]
         return out
@@ -197,17 +202,30 @@ def init_smoothing(samples: np.ndarray, floor: float = 1e-5) -> SmoothingParams:
     return SmoothingParams(s, delta)
 
 
-# -- integer-code quantizers (runtime path) -----------------------------------
+# -- one core per kind: integer codes (runtime) and fake-quant (calibration) --
 
 
-def _group_spans(c: int, group_size: int) -> list[tuple[int, int, int]]:
-    """(start, stop, size): all full groups as one span, then a short tail group."""
-    group_bounds(c, group_size)  # rejects a non-positive group_size
-    full = c - c % group_size
-    spans = [(0, full, group_size)] if full else []
-    if full < c:
-        spans.append((full, c, c - full))
+def _spans(n: int, group_size: int) -> list[tuple[slice, slice, int, int]]:
+    """(channel slice, group slice, groups, group size) of each span of n channels.
+
+    All full groups form one span, and a short tail group a second one.
+    """
+    group_bounds(n, group_size)  # rejects a non-positive group_size
+    k = n // group_size
+    spans = [(slice(0, k * group_size), slice(0, k), k, group_size)] if k else []
+    if k * group_size < n:
+        spans.append((slice(k * group_size, n), slice(k, k + 1), 1, n - k * group_size))
     return spans
+
+
+def _cat(arrays, axis: int) -> np.ndarray:
+    """Join per-span arrays along axis (no copy for a single span)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+def _add_at(a: np.ndarray, at: np.ndarray, v: np.ndarray, axis: int) -> None:
+    """Add v to the one element per group that at picks along axis."""
+    np.put_along_axis(a, at, np.take_along_axis(a, at, axis=axis) + v, axis=axis)
 
 
 def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
@@ -236,140 +254,154 @@ def quantize_token(y: np.ndarray, spec: TokenQuantSpec) -> QuantizedTensor:
         raise NumericError("quantize_token: non-finite input")
     t, c = y.shape
     parts = [
-        _quantize_token_groups(y[:, a:b].reshape(t, (b - a) // size, size), spec)
-        for a, b, size in _group_spans(c, spec.group_size)
+        _quantize_token_groups(y[:, cols].reshape(t, k, size), spec)
+        for cols, _, k, size in _spans(c, spec.group_size)
     ]
-    codes, m, n = parts[0] if len(parts) == 1 else (
-        np.concatenate(arrays, axis=1) for arrays in zip(*parts)
-    )
+    codes, m, n = (_cat(arrays, 1) for arrays in zip(*parts))
     return QuantizedTensor(
         kind="token", codes=codes, bits=spec.bits, group_size=spec.group_size, m=m, n=n
     )
 
 
+def _quantize_weight_groups(w: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                            spec: WeightQuantSpec):
+    """(groups * size, C) codes and (groups, C) h, z of a (groups, size, C) array."""
+    k, size, c = w.shape
+    top = gamma * w.max(axis=1)
+    bot = beta * w.min(axis=1)
+    flat = (top - bot) < SPREAD_EPS
+    h = np.where(flat, 1.0, (top - bot) / spec.step_div).astype(np.float32)
+    # constant group: unit step, zero codes, and an exact (unrounded)
+    # zero-point so dequantization reproduces the constant losslessly
+    z = np.where(flat, -bot, -round_half_away(bot / h)).astype(np.float32)
+    q = round_half_away(w / h[:, None, :]) + z[:, None, :]
+    np.clip(q, 0, spec.code_hi, out=q)
+    q[np.broadcast_to(flat[:, None, :], q.shape)] = 0.0
+    return q.astype(np.uint8).reshape(k * size, c), h, z
+
+
 def quantize_weight(w: np.ndarray, spec: WeightQuantSpec) -> QuantizedTensor:
-    """Group-wise (input-channel axis) asymmetric quantization with clipping."""
+    """Group-wise (input-channel axis) asymmetric quantization with clipping.
+
+    The full groups are quantized at once as a (groups, group_size, C_out)
+    view; a short tail group is a separate slice with its own statistics.
+    """
     w = np.asarray(w, dtype=np.float32)
     if not np.all(np.isfinite(w)):
         raise NumericError("quantize_weight: non-finite input")
     r, c = w.shape
-    bounds = group_bounds(r, spec.group_size)
-    ng = len(bounds)
-    gamma = np.ones((ng, c), dtype=np.float32) if spec.gamma is None else np.asarray(
-        spec.gamma, dtype=np.float32
-    ).reshape(ng, c)
-    beta = np.ones((ng, c), dtype=np.float32) if spec.beta is None else np.asarray(
-        spec.beta, dtype=np.float32
-    ).reshape(ng, c)
-    codes = np.empty((r, c), dtype=np.uint8)
-    h = np.empty((ng, c), dtype=np.float32)
-    z = np.empty((ng, c), dtype=np.float32)
-    for g, (a, b) in enumerate(bounds):
-        block = w[a:b, :]
-        top = gamma[g] * block.max(axis=0)
-        bot = beta[g] * block.min(axis=0)
-        hg = (top - bot) / spec.step_div
-        degenerate = (top - bot) < SPREAD_EPS
-        hg = np.where(degenerate, 1.0, hg).astype(np.float32)
-        zg = -round_half_away(bot / hg)
-        # constant group: unit step, zero codes, and an exact (unrounded)
-        # zero-point so dequantization reproduces the constant losslessly
-        zg = np.where(degenerate, -bot, zg).astype(np.float32)
-        q = round_half_away(block / hg[None, :]) + zg[None, :]
-        np.clip(q, 0, spec.code_hi, out=q)
-        q[:, degenerate] = 0.0
-        codes[a:b, :] = q.astype(np.uint8)
-        h[g] = hg
-        z[g] = zg
+    spans = _spans(r, spec.group_size)
+    ng = sum(k for *_, k, _ in spans)
+    gamma, beta = (
+        np.ones((ng, c), np.float32) if a is None else np.asarray(a, np.float32).reshape(ng, c)
+        for a in (spec.gamma, spec.beta)
+    )
+    parts = [
+        _quantize_weight_groups(w[rows].reshape(k, size, c), gamma[gs], beta[gs], spec)
+        for rows, gs, k, size in spans
+    ]
+    codes, h, z = (_cat(arrays, 0) for arrays in zip(*parts))
     return QuantizedTensor(
         kind="weight", codes=codes, bits=spec.bits, group_size=spec.group_size, h=h, z=z
     )
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
+    """codes * n + m (token) or (codes - z) * h (weight), span by span."""
     if q.kind == "token":
         t, c = q.codes.shape
-        parts, g = [], 0
-        for a, b, size in _group_spans(c, q.group_size):
-            k = (b - a) // size
-            part = q.codes[:, a:b].reshape(t, k, size).astype(np.float32)
-            part *= q.n[:, g : g + k, None]
-            part += q.m[:, g : g + k, None]
-            parts.append(part.reshape(t, b - a))
-            g += k
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        parts = []
+        for cols, gs, k, size in _spans(c, q.group_size):
+            part = q.codes[:, cols].reshape(t, k, size).astype(np.float32)
+            part *= q.n[:, gs, None]
+            part += q.m[:, gs, None]
+            parts.append(part.reshape(t, k * size))
+        return _cat(parts, 1)
     if q.kind == "weight":
         r, c = q.codes.shape
-        out = np.empty((r, c), dtype=np.float32)
-        for g, (a, b) in enumerate(group_bounds(r, q.group_size)):
-            out[a:b, :] = (q.codes[a:b, :].astype(np.float32) - q.z[g][None, :]) * q.h[
-                g
-            ][None, :]
-        return out
+        parts = []
+        for rows, gs, k, size in _spans(r, q.group_size):
+            part = q.codes[rows].reshape(k, size, c).astype(np.float32)
+            part -= q.z[gs, None, :]
+            part *= q.h[gs, None, :]
+            parts.append(part.reshape(k * size, c))
+        return _cat(parts, 0)
     raise KvqError(f"unknown QuantizedTensor kind: {q.kind!r}")
 
 
-# -- fake-quant (calibration path, differentiable) ----------------------------
-
-FAKE_EPS = 1e-8
-
-
 def fake_quant_token(y: Tensor, bits: int, group_size: int) -> Tensor:
-    """In-graph quantize -> dequantize with the codes held fixed (token path).
+    """dequantize(quantize_token(y)) as one autodiff op, codes held fixed.
 
-    Forward: q * n + m with q = clamp(round((y - m) / n)).  Backward: q is a
-    constant, so the gradient is the exact local derivative q * dn + dm of
-    the computed function wherever the codes and each group's |y - m| argmax
-    do not move; it flows only through the group mean m and half-range n.
+    Backward: with the codes q constant each group computes q * n + m, so the
+    gradient is the exact local derivative q * dn + dm wherever the codes and
+    each group's |y - m| argmax do not move.  n = |y_p - m| / half sends its
+    gradient to the first element p attaining the largest deviation; a
+    constant group (n = 1, zero codes) passes dm alone.
     """
-    c = y.shape[1]
+    qt = quantize_token(y.data, TokenQuantSpec(bits, group_size))
     half = float(2 ** (bits - 1))
-    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-    parts = []
-    for a, b in group_bounds(c, group_size):
-        block = y.slice_cols(a, b)
-        m = block.mean(axis=1, keepdims=True)
-        centered = block - m
-        n = centered.abs().max(axis=1, keepdims=True) / half
-        n = n.maximum(FAKE_EPS)
-        q = Tensor(np.clip(round_half_away(centered.data / n.data), lo, hi))
-        parts.append(q * n + m)
-    return parts[0] if len(parts) == 1 else concat_cols(parts)
+
+    def backward(g, y=y):
+        t, c = g.shape
+        parts = []
+        for cols, gs, k, size in _spans(c, group_size):
+            g3 = g[:, cols].reshape(t, k, size)
+            centered = y.data[:, cols].reshape(t, k, size) - qt.m[:, gs, None]
+            peak = np.abs(centered).argmax(axis=2)[:, :, None]
+            at_peak = np.take_along_axis(centered, peak, axis=2)
+            dn = np.where(np.abs(at_peak) < SPREAD_EPS, 0.0, np.sign(at_peak) / half)
+            g_n = (g3 * qt.codes[:, cols].reshape(t, k, size)).sum(axis=2, keepdims=True) * dn
+            dy = np.repeat((g3.sum(axis=2, keepdims=True) - g_n) / size, size, axis=2)
+            _add_at(dy, peak, g_n, axis=2)
+            parts.append(dy.reshape(t, k * size))
+        y._accum(_cat(parts, 1))
+
+    return Tensor._from_op(dequantize(qt), (y,), backward)
 
 
-def fake_quant_weight(
-    w: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    bits: int,
-    group_size: int,
-    literal_range: bool = False,
-) -> Tensor:
-    """In-graph quantize -> dequantize with STE rounding (weight path).
+def fake_quant_weight(w: Tensor, gamma: Tensor, beta: Tensor, bits: int,
+                      group_size: int) -> Tensor:
+    """dequantize(quantize_weight(w)) as one autodiff op with straight-through rounding.
 
     gamma and beta are (n_groups, C_out) Tensors of mapped clipping values.
+    Backward, per group and column: out = (q - z) h with q = clamp(round(w / h)
+    + z, 0, hi), z = round(-bot / h), h = (top - bot) / hi, top = gamma * max
+    and bot = beta * min.  Both roundings pass the gradient straight through,
+    the clamp passes it only inside [0, hi], and max and min send theirs to
+    the first row that attains them.  A constant group dequantizes to bot, so
+    it passes d bot alone.
     """
-    r = w.shape[0]
-    bounds = group_bounds(r, group_size)
-    div = float(2 ** (bits - 1) if literal_range else 2**bits - 1)
-    hi = float(2 ** (bits - 1) if literal_range else 2**bits - 1)
-    parts = []
-    for g, (a, b) in enumerate(bounds):
-        block = w.slice_rows(a, b)
-        top = gamma.slice_rows(g, g + 1) * block.max(axis=0, keepdims=True)
-        bot = beta.slice_rows(g, g + 1) * block.min(axis=0, keepdims=True)
-        h = ((top - bot) / div).maximum(FAKE_EPS)
-        z = (Tensor(0.0) - (bot / h)).round_ste()
-        q = ((block / h).round_ste() + z).clamp(0.0, hi)
-        parts.append((q - z) * h)
-    return parts[0] if len(parts) == 1 else concat_rows(parts)
+    spec = WeightQuantSpec(bits, group_size, gamma.data, beta.data)
+    qw = quantize_weight(w.data, spec)
 
+    def backward(g, w=w, gamma=gamma, beta=beta):
+        r, c = g.shape
+        parts = []
+        for rows, gs, k, size in _spans(r, group_size):
+            x = w.data[rows].reshape(k, size, c)
+            g3 = g[rows].reshape(k, size, c)
+            h, z = qw.h[gs, None, :], qw.z[gs, None, :]
+            gam, bet = gamma.data[gs, None, :], beta.data[gs, None, :]
+            top_at, bot_at = x.argmax(axis=1)[:, None, :], x.argmin(axis=1)[:, None, :]
+            top_x = np.take_along_axis(x, top_at, axis=1)
+            bot_x = np.take_along_axis(x, bot_at, axis=1)
+            bot = bet * bot_x
+            flat = (gam * top_x - bot) < SPREAD_EPS
+            u = round_half_away(x / h) + z
+            inside = (u >= 0) & (u <= spec.code_hi) & ~flat
+            q = qw.codes[rows].reshape(k, size, c).astype(np.float32)
+            # d out / d h through (q - z) h, the rounded w / h and z
+            d_h = q - z - np.where(inside, x, bot) / h
+            g_h = np.where(flat, 0.0, (g3 * d_h).sum(axis=1, keepdims=True))
+            g_top = g_h / spec.step_div
+            g_bot = np.where(inside, 0.0, g3).sum(axis=1, keepdims=True) - g_top
+            dx = np.where(inside, g3, 0.0)
+            _add_at(dx, top_at, g_top * gam, axis=1)
+            _add_at(dx, bot_at, g_bot * bet, axis=1)
+            parts.append((dx.reshape(k * size, c), (g_top * top_x)[:, 0], (g_bot * bot_x)[:, 0]))
+        dw, dgamma, dbeta = (_cat(arrays, 0) for arrays in zip(*parts))
+        for p, d in ((w, dw), (gamma, dgamma), (beta, dbeta)):
+            if p.requires_grad:
+                p._accum(d)
 
-def smooth_tensor(y: Tensor, s: Tensor, delta: Tensor) -> Tensor:
-    """(Y - delta) / s with row-vector parameters (differentiable)."""
-    return (y - delta) / s
-
-
-def unsmooth_tensor(y: Tensor, s: Tensor, delta: Tensor) -> Tensor:
-    """Y~ * s + delta (differentiable inverse of smooth_tensor)."""
-    return y * s + delta
+    return Tensor._from_op(dequantize(qw), (w, gamma, beta), backward)

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import tiny_config, word_corpus
 from kvq.checkpoint import (
     ALIGN,
     MAGIC,
@@ -15,6 +15,7 @@ from kvq.checkpoint import (
     write_container,
 )
 from kvq.errors import DataFormatError
+from kvq.evaluate import train_model
 from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
 from kvq.quantizers import init_smoothing
 from kvq.model import attach_kv_smoothing
@@ -150,9 +151,15 @@ class TestModelRoundtrip:
         m = self.make(quantize=True, smooth=True)
         p = str(tmp_path / "m.kvq")
         save_model(m, p)
+        # a quantized projection is stored as its codes only
+        _, _, tensors = read_container(p)
+        assert "blocks.0.q.wq.codes" in tensors
+        assert not [n for n in tensors if n.startswith("blocks.") and n.endswith(".w")]
         m2 = load_model(p)
         assert m2.config.quant_mode == "weight_kv"
         for b1, b2 in zip(m.blocks, m2.blocks):
+            for name, lin in b1.projections().items():
+                assert np.array_equal(lin.w, b2.projections()[name].w)
             assert np.array_equal(b1.q.wq.codes, b2.q.wq.codes)
             assert np.array_equal(b1.q.wq.h, b2.q.wq.h)
             assert np.array_equal(b1.v.smoothing.s, b2.v.smoothing.s)
@@ -178,6 +185,28 @@ class TestModelRoundtrip:
         g1, b1 = m.clipping[(0, "q")]
         g2, b2 = m2.clipping[(0, "q")]
         assert np.array_equal(g1, g2) and np.array_equal(b1, b2)
+
+    @pytest.mark.parametrize("rewrite", ["train", "spread", "smooth"])
+    def test_rewritten_quantized_model_saves_new_weights(self, tmp_path, rewrite):
+        # a writer that moves w off its codes drops them, so w is what is saved
+        m = self.make(quantize=True)
+        if rewrite == "train":
+            train_model(m, word_corpus(0), steps=2, batch=1, seq_len=16)
+        elif rewrite == "spread":
+            spread_kv_channels(m, 1.5, seed=0)
+        else:
+            x = m.embed[IDS]
+            attach_kv_smoothing(m, [(init_smoothing(x @ blk.k.w + blk.k.b),
+                                     init_smoothing(x @ blk.v.w + blk.v.b))
+                                    for blk in m.blocks])
+        p = str(tmp_path / "m.kvq")
+        save_model(m, p)
+        m2 = load_model(p)
+        for b1, b2 in zip(m.blocks, m2.blocks):
+            assert b2.v.wq is None
+            for name, lin in b1.projections().items():
+                assert np.array_equal(lin.w, b2.projections()[name].w)
+        assert np.array_equal(model_forward(m, IDS).data, model_forward(m2, IDS).data)
 
     def test_save_deterministic(self, tmp_path):
         m = self.make(quantize=True)

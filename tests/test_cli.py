@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import WORDS
-from kvq.checkpoint import load_model
+from kvq.checkpoint import load_model, read_container, write_container
 from kvq.cli import main
 
 FIT_ARGS = [
@@ -140,6 +140,17 @@ class TestEval:
             "--corpus", str(workdir / "corpus.txt"),
         ])
         assert rc == 3
+
+    def test_removed_config_key_is_data_error(self, workdir, capsys):
+        # checkpoints written with the removed cache_post_rotary option are refused
+        config, meta, tensors = read_container(str(workdir / "model.kvq"))
+        old = workdir / "old.kvq"
+        write_container(str(old), dict(config, cache_post_rotary=False), meta, tensors)
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(old), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert "cache_post_rotary" in err
 
     def test_bad_mode_is_usage_error(self, workdir):
         with pytest.raises(SystemExit) as e:

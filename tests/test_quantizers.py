@@ -19,7 +19,7 @@ from kvq.quantizers import (
     quantize_token,
     quantize_weight,
 )
-from kvq.tensor import Tensor
+from kvq.tensor import Tensor, concat_cols, concat_rows, round_half_away
 
 
 def oracle_token(y, bits, group_size):
@@ -74,6 +74,71 @@ def oracle_weight(w, bits, group_size, gamma=None, beta=None):
                 q = rnd(np.float32(v) / np.float32(h)) + z
                 codes[a + jj, ci] = min(max(q, 0), hi)
     return codes
+
+
+# -- reference: the per-group tape fake quantizers the single ops replaced ----
+
+REF_EPS = 1e-8  # the tape's floor on n and h; constant groups differ from the runtime
+
+
+def reference_fake_quant_token(y, bits, group_size):
+    """Per-group tape: codes held fixed, q * n + m."""
+    half = float(2 ** (bits - 1))
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    parts = []
+    for a, b in group_bounds(y.shape[1], group_size):
+        block = y.slice_cols(a, b)
+        m = block.mean(axis=1, keepdims=True)
+        centered = block - m
+        n = (centered.abs().max(axis=1, keepdims=True) / half).maximum(REF_EPS)
+        q = Tensor(np.clip(round_half_away(centered.data / n.data), lo, hi))
+        parts.append(q * n + m)
+    return parts[0] if len(parts) == 1 else concat_cols(parts)
+
+
+def reference_fake_quant_weight(w, gamma, beta, bits, group_size):
+    """Per-group tape: straight-through rounding, clamp, first-row max/min."""
+    div = hi = float(2**bits - 1)
+    parts = []
+    for g, (a, b) in enumerate(group_bounds(w.shape[0], group_size)):
+        block = w.slice_rows(a, b)
+        top = gamma.slice_rows(g, g + 1) * block.max(axis=0, keepdims=True)
+        bot = beta.slice_rows(g, g + 1) * block.min(axis=0, keepdims=True)
+        h = ((top - bot) / div).maximum(REF_EPS)
+        z = (Tensor(0.0) - (bot / h)).round_ste()
+        q = ((block / h).round_ste() + z).clamp(0.0, hi)
+        parts.append((q - z) * h)
+    return parts[0] if len(parts) == 1 else concat_rows(parts)
+
+
+def fake_quant_cases(seed, kind):
+    """(array, bits, group_size, regular) inputs for the fake-quant ops.
+
+    Regular cases are random shapes with tail groups at bits 2/3/4/8;
+    continuous random values put no input on a rounding or argmax tie.  The
+    others are constant and near-constant groups (spread 0, 1e-13, 1e-9,
+    1e-7) around 0 and 1.5, where the tape's floor on n and h differs from
+    the runtime's constant-group rule.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(80):
+        gs = int(rng.integers(2, 17))
+        n = int(rng.integers(gs, 3 * gs + 1))
+        other = int(rng.integers(1, 5))
+        shape = (other, n) if kind == "token" else (n, other)
+        x = (rng.normal(size=shape) * rng.uniform(0.1, 10)).astype(np.float32)
+        yield x, int(rng.choice([2, 3, 4, 8])), gs, True
+    for spread in (0.0, 1e-13, 1e-9, 1e-7):
+        for base in (0.0, 1.5):
+            x = (base + spread * rng.uniform(-1, 1, (3, 12))).astype(np.float32)
+            yield (x if kind == "token" else x.T.copy()), 4, 8, False
+
+
+def assert_grad_close(actual, ref, upstream, x):
+    # float32 sums in another order: rtol 1e-5, plus an atol of 1e-5 times the
+    # size of the summed terms, sum |upstream| * max(1, |x|)
+    atol = 1e-5 * np.abs(upstream).sum() * max(1.0, float(np.abs(x).max()))
+    np.testing.assert_allclose(actual, ref, rtol=1e-5, atol=atol)
 
 
 class TestTokenQuant:
@@ -253,32 +318,51 @@ class TestSmoothing:
         with pytest.raises(DimensionError):
             absorb_smoothing(np.ones((2, 4), np.float32), np.zeros((1, 4), np.float32), sp)
 
-    def test_to_raw_instrumented(self):
-        sp = SmoothingParams.identity(3)
-        apply_kv_smoothing(np.ones((2, 3), np.float32), sp, "to_raw")
-        apply_kv_smoothing(np.ones((2, 3), np.float32), sp, "to_raw")
-        assert sp.to_raw_calls == 2
-
 
 class TestFakeQuant:
     def test_token_fake_matches_integer_path(self):
+        # forward bit-identical to the runtime; gradient equal to the tape's
         rng = np.random.default_rng(11)
-        for _ in range(30):
-            y = rng.normal(size=(3, 16)).astype(np.float32)
-            fake = fake_quant_token(Tensor(y), 4, 8).data
-            real = dequantize(quantize_token(y, TokenQuantSpec(4, 8)))
-            assert np.abs(fake - real).max() < 1e-5
+        for y0, bits, gs, regular in fake_quant_cases(11, "token"):
+            upstream = rng.normal(size=y0.shape).astype(np.float32)
+            y = Tensor(y0, requires_grad=True)
+            fake = fake_quant_token(y, bits, gs)
+            real = dequantize(quantize_token(y0, TokenQuantSpec(bits, gs)))
+            assert np.array_equal(fake.data, real)
+            (fake * Tensor(upstream)).sum().backward()
+            assert np.all(np.isfinite(y.grad))
+            if regular:
+                ref = Tensor(y0, requires_grad=True)
+                (reference_fake_quant_token(ref, bits, gs) * Tensor(upstream)).sum().backward()
+                assert_grad_close(y.grad, ref.grad, upstream, y0)
 
     def test_weight_fake_matches_integer_path(self):
         rng = np.random.default_rng(12)
-        for _ in range(30):
-            w = rng.normal(size=(16, 4)).astype(np.float32)
-            ng = len(group_bounds(16, 8))
-            gamma = rng.uniform(0.7, 1.0, (ng, 4)).astype(np.float32)
-            beta = rng.uniform(0.7, 1.0, (ng, 4)).astype(np.float32)
-            fake = fake_quant_weight(Tensor(w), Tensor(gamma), Tensor(beta), 4, 8).data
-            real = dequantize(quantize_weight(w, WeightQuantSpec(4, 8, gamma=gamma, beta=beta)))
-            assert np.abs(fake - real).max() < 1e-5
+        compared = 0
+        for w0, bits, gs, regular in fake_quant_cases(12, "weight"):
+            bounds = group_bounds(w0.shape[0], gs)
+            shape = (len(bounds), w0.shape[1])
+            clip = rng.uniform(0.8, 1.0, (2,) + shape) if regular else np.ones((2,) + shape)
+            gamma0, beta0 = clip.astype(np.float32)
+            # clipping can leave top <= bot in a group whose values share a
+            # sign: that group is constant to the runtime, not to the tape
+            regular = regular and all(
+                np.all(gamma0[g] * w0[a:b].max(0) - beta0[g] * w0[a:b].min(0) > 1e-3)
+                for g, (a, b) in enumerate(bounds))
+            compared += regular
+            upstream = rng.normal(size=w0.shape).astype(np.float32)
+            params = [Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0)]
+            fake = fake_quant_weight(*params, bits, gs)
+            spec = WeightQuantSpec(bits, gs, gamma=gamma0, beta=beta0)
+            assert np.array_equal(fake.data, dequantize(quantize_weight(w0, spec)))
+            (fake * Tensor(upstream)).sum().backward()
+            assert all(np.all(np.isfinite(p.grad)) for p in params)
+            if regular:
+                refs = [Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0)]
+                (reference_fake_quant_weight(*refs, bits, gs) * Tensor(upstream)).sum().backward()
+                for p, ref in zip(params, refs):
+                    assert_grad_close(p.grad, ref.grad, upstream, w0)
+        assert compared >= 40
 
     def test_token_fake_gradient_flows(self):
         rng = np.random.default_rng(13)

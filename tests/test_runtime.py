@@ -183,7 +183,7 @@ class TestCache:
         model_forward(m, IDS[:4], cache=cache, start_pos=0)
         assert cache.length == 4
 
-    def test_smoothing_applied_once_per_read(self):
+    def test_smoothing_applied_once_per_read(self, monkeypatch):
         m = make_model()
         per_layer = []
         for blk in m.blocks:
@@ -194,11 +194,18 @@ class TestCache:
         attach_kv_smoothing(m, per_layer)
         mq = quantized(m)
         _, cache = prefill(mq, IDS, mode="weight_kv")
-        before = mq.blocks[0].k.smoothing.to_raw_calls
+        calls = []
+        apply = kvq.model.apply_kv_smoothing
+
+        def counting(x, sp, direction):
+            if sp is mq.blocks[0].k.smoothing:
+                calls.append(direction)
+            return apply(x, sp, direction)
+
+        monkeypatch.setattr(kvq.model, "apply_kv_smoothing", counting)
         decode_step(mq, 3, cache, mode="weight_kv")
-        after = mq.blocks[0].k.smoothing.to_raw_calls
         # one cache read plus one current-step mapping per forward
-        assert after - before == 2
+        assert calls == ["to_raw", "to_raw"]
 
     def test_kv_bytes_grows_linearly(self):
         m = quantized(make_model())
