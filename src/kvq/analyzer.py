@@ -6,8 +6,7 @@ Byte accounting rules:
   per-group parameters (scale, offset);
 * unquantized tensors are counted at their stated width (fp16 by default);
 * norm gains and biases are always counted at 16 bits;
-* embedding and output head are counted at weight_bits by default; the
-  embed_fp16 flag keeps them at 16 bits instead.
+* embedding and output head are counted at weight_bits.
 
 Temporary activations use a declared peak-live-set approximation:
 batch x seq x (hidden*4 + intermediate*2) elements (seq = 1 in decode) plus
@@ -62,7 +61,6 @@ class DeployConfig:
     weight_group_size: int = 128
     kv_group_size: int = 128
     bandwidth_bytes: float = 1.0e12
-    embed_fp16: bool = False
 
     def __post_init__(self):
         if self.batch < 1 or self.prompt_len < 0 or self.gen_len < 0:
@@ -124,8 +122,7 @@ def _matrix_bytes(rows: int, cols: int, bits: int, group_size: int) -> int:
 def weights_bytes(cfg: DeployConfig) -> int:
     a = cfg.arch
     c, inter, v = a.hidden_size, a.intermediate_size, a.vocab_size
-    embed_bits = 16 if cfg.embed_fp16 else cfg.weight_bits
-    total = 2 * _matrix_bytes(v, c, embed_bits, cfg.weight_group_size)  # embed + head
+    total = 2 * _matrix_bytes(v, c, cfg.weight_bits, cfg.weight_group_size)  # embed + head
     per_layer = (
         4 * _matrix_bytes(c, c, cfg.weight_bits, cfg.weight_group_size)
         + 2 * _matrix_bytes(c, inter, cfg.weight_bits, cfg.weight_group_size)

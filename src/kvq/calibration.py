@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, KvqError, NumericError
-from .model import Model, _rope_heads, block_core, block_forward
+from .model import Model, block_core, block_forward
 from .quantizers import (
     S_FLOOR,
     SmoothingParams,
@@ -33,10 +33,11 @@ from .quantizers import (
     init_smoothing,
     quantize_weight,
 )
-from .tensor import Tensor, rms_norm
+from .tensor import Tensor, rms_norm, rope
 
 # sigmoid(9.2102) ~= 1 - 1e-4: effectively no clipping at initialization
 CLIP_LOGIT_INIT = 9.2102
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -62,13 +63,10 @@ class CalibConfig:
 
 
 class AdamW:
-    """AdamW over parameter groups [(params, lr), ...]; defaults (0.9, 0.999, 1e-8)."""
+    """AdamW at zero weight decay, i.e. Adam, over parameter groups [(params, lr), ...]."""
 
-    def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, groups):
         self.groups = [(list(ps), lr) for ps, lr in groups]
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.wd = weight_decay
         self.t = 0
         self.state = {}
         for ps, _ in self.groups:
@@ -91,14 +89,12 @@ class AdamW:
                     continue
                 m, v = self.state[id(p)]
                 g = p.grad.astype(np.float32)
-                m = self.b1 * m + (1 - self.b1) * g
-                v = self.b2 * v + (1 - self.b2) * g * g
+                m = ADAM_B1 * m + (1 - ADAM_B1) * g
+                v = ADAM_B2 * v + (1 - ADAM_B2) * g * g
                 self.state[id(p)] = (m, v)
-                mhat = m / (1 - self.b1**self.t)
-                vhat = v / (1 - self.b2**self.t)
-                upd = mhat / (np.sqrt(vhat) + self.eps)
-                if self.wd:
-                    upd = upd + self.wd * p.data
+                mhat = m / (1 - ADAM_B1**self.t)
+                vhat = v / (1 - ADAM_B2**self.t)
+                upd = mhat / (np.sqrt(vhat) + ADAM_EPS)
                 p.data = (p.data - lr * upd).astype(np.float32)
 
 
@@ -108,20 +104,6 @@ class AdamW:
 def reconstruction_loss(y_hat: Tensor, y_ref: Tensor, kind: str = "mae") -> Tensor:
     d = y_hat - y_ref
     return d.abs().mean() if kind == "mae" else (d * d).mean()
-
-
-def cross_block_loss(quant_out: Tensor, fp_out, tail_blocks, kind: str = "mae") -> Tensor:
-    """Push the quantized-branch output through the (frozen) tail and compare.
-
-    tail_blocks is a list of callables Tensor -> Tensor run on both branches;
-    fp_out may be a Tensor or a plain array (precomputed reference).
-    """
-    a = quant_out
-    b = fp_out if isinstance(fp_out, Tensor) else Tensor(fp_out)
-    for f in tail_blocks:
-        a = f(a)
-        b = f(b)
-    return reconstruction_loss(a, b, kind)
 
 
 @dataclass
@@ -218,7 +200,7 @@ def _calib_kv_fn(model: Model, tp: BlockTrainables):
             k_s = fake_quant_token(k_s, cfg.kv_bits, cfg.kv_group_size)
         v_raw = v_s * tp.s_v.clamp(S_FLOOR, np.inf) + tp.d_v
         k_raw = k_s * tp.s_k.clamp(S_FLOOR, np.inf) + tp.d_k
-        return _rope_heads(k_raw, positions, cfg), v_raw, 0
+        return rope(k_raw, positions, cfg.rope_base, cfg.head_dim), v_raw, 0
 
     return kv_fn
 
@@ -263,7 +245,10 @@ def _mapped_clipping(tp: BlockTrainables) -> dict[str, tuple[np.ndarray, np.ndar
 
 
 def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
-    """Absorb smoothing, fix the block's weight codes, and store its parameters."""
+    """Absorb smoothing and fix the block's weight codes with its learned clipping.
+
+    The clipping lives on only in the codes; the report keeps its ranges.
+    """
     cfg = model.config
     blk = model.blocks[i]
     s_k = np.maximum(tp.s_k.data.reshape(-1), S_FLOOR)
@@ -276,21 +261,14 @@ def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
     if not sp_v.is_identity():
         blk.v.w, blk.v.b = absorb_smoothing(blk.v.w, blk.v.b, sp_v)
         blk.v.smoothing = sp_v
+    if cfg.weight_bits >= 16:
+        return
     clipping = _mapped_clipping(tp)
-    if model.clipping is None:
-        model.clipping = {}
     for name, lin in blk.projections().items():
         gamma, beta = clipping[name]
-        model.clipping[(i, name)] = (gamma, beta)
-        if cfg.weight_bits < 16:
-            spec = WeightQuantSpec(
-                bits=cfg.weight_bits,
-                group_size=cfg.weight_group_size,
-                gamma=gamma,
-                beta=beta,
-            )
-            lin.wq = quantize_weight(lin.w, spec)
-            lin.w = dequantize(lin.wq)
+        spec = WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size, gamma=gamma, beta=beta)
+        lin.wq = quantize_weight(lin.w, spec)
+        lin.w = dequantize(lin.wq)
 
 
 def calibrate_block(model: Model, i: int, calib: CalibConfig,

@@ -3,10 +3,13 @@ length, a JSON header (config + tensor table + quantization metadata), then a
 64-byte-aligned little-endian tensor payload.
 
 A single container carries both fp and quantized models; quant_mode and any
-learned parameters (codes, scales, smoothing, clipping) live in the header's
+learned parameters (weight codes and scales, smoothing) live in the header's
 metadata plus named payload tensors.  A quantized projection is stored as its
 codes and (h, z) only; loading rebuilds its weights as dequantize(codes),
-bit-identical to the saved model's.
+bit-identical to the saved model's.  Learned clipping has no tensor of its
+own: it is already in the codes.  Files that still carry per-projection
+.gamma/.beta tensors load, and those tensors are not read.  A file that lacks
+a tensor the layout needs raises DataFormatError naming it.
 """
 
 from __future__ import annotations
@@ -145,13 +148,6 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
                 quant_meta.setdefault("smoothing", {})[base] = {
                     "absorbed": lin.smoothing.absorbed
                 }
-    clipping = getattr(model, "clipping", None)
-    if clipping:
-        for (li, name), (gamma, beta) in clipping.items():
-            base = f"blocks.{li}.{name}"
-            tensors[f"{base}.gamma"] = np.asarray(gamma, dtype=np.float32)
-            tensors[f"{base}.beta"] = np.asarray(beta, dtype=np.float32)
-            quant_meta.setdefault("clipping", []).append(base)
     full_meta = dict(meta or {})
     full_meta["quant"] = quant_meta
     write_container(path, asdict(cfg), full_meta, tensors)
@@ -165,25 +161,30 @@ def load_model(path: str) -> Model:
         raise DataFormatError(f"bad config in header: {e}") from e
     quant_meta = meta.get("quant", {})
 
+    def get(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise DataFormatError(f"tensor {name!r} missing from {path}")
+        return tensors[name]
+
     def lin(base: str) -> Linear:
         pq = quant_meta.get("projections", {}).get(base)
         if pq is None:
-            out = Linear(w=tensors[f"{base}.w"], b=tensors[f"{base}.b"])
+            out = Linear(w=get(f"{base}.w"), b=get(f"{base}.b"))
         else:
             wq = QuantizedTensor(
                 kind="weight",
-                codes=tensors[f"{base}.wq.codes"],
+                codes=get(f"{base}.wq.codes"),
                 bits=pq["bits"],
                 group_size=pq["group_size"],
-                h=tensors[f"{base}.wq.h"],
-                z=tensors[f"{base}.wq.z"],
+                h=get(f"{base}.wq.h"),
+                z=get(f"{base}.wq.z"),
             )
-            out = Linear(w=dequantize(wq), b=tensors[f"{base}.b"], wq=wq)
+            out = Linear(w=dequantize(wq), b=get(f"{base}.b"), wq=wq)
         sm = quant_meta.get("smoothing", {}).get(base)
         if sm is not None:
             out.smoothing = SmoothingParams(
-                tensors[f"{base}.smooth.s"],
-                tensors[f"{base}.smooth.delta"],
+                get(f"{base}.smooth.s"),
+                get(f"{base}.smooth.delta"),
                 absorbed=sm["absorbed"],
             )
         return out
@@ -193,23 +194,15 @@ def load_model(path: str) -> Model:
         kw = {name: lin(f"blocks.{li}.{name}") for name in PROJECTION_NAMES}
         blocks.append(
             DecoderBlockWeights(
-                attn_norm=tensors[f"blocks.{li}.attn_norm"],
-                mlp_norm=tensors[f"blocks.{li}.mlp_norm"],
+                attn_norm=get(f"blocks.{li}.attn_norm"),
+                mlp_norm=get(f"blocks.{li}.mlp_norm"),
                 **kw,
             )
         )
-    model = Model(
+    return Model(
         config=cfg,
-        embed=tensors["embed"],
+        embed=get("embed"),
         blocks=blocks,
-        final_norm=tensors["final_norm"],
-        head=Linear(w=tensors["head.w"], b=tensors["head.b"]),
+        final_norm=get("final_norm"),
+        head=Linear(w=get("head.w"), b=get("head.b")),
     )
-    clipping_bases = quant_meta.get("clipping", [])
-    if clipping_bases:
-        clipping = {}
-        for base in clipping_bases:
-            _, li, name = base.split(".")
-            clipping[(int(li), name)] = (tensors[f"{base}.gamma"], tensors[f"{base}.beta"])
-        model.clipping = clipping
-    return model

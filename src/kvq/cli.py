@@ -28,7 +28,6 @@ SETTING_MODES = {
     "w4": "weight_only",
     "w4kv4": "weight_kv",
     "w4a4": "weight_activation",
-    "rtn": "weight_only",
 }
 
 
@@ -86,8 +85,7 @@ def cmd_quantize(args) -> int:
     cfg.weight_group_size = args.group_size
     cfg.kv_group_size = args.kv_group_size
     cfg.quant_mode = SETTING_MODES[args.mode]
-    clipping = None if args.mode == "rtn" else model.clipping
-    quantize_model_weights(model, clipping=clipping, literal_range=args.literal_range)
+    quantize_model_weights(model, literal_range=args.literal_range)
     if cfg.quant_mode == "weight_kv" and all(
         blk.v.smoothing is None for blk in model.blocks
     ):
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json")
     sp.set_defaults(fn=cmd_fit)
 
-    sp = sub.add_parser("quantize", help="round-to-nearest or precalibrated quantization")
+    sp = sub.add_parser("quantize", help="round-to-nearest quantization; keeps calibrated codes")
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--mode", choices=sorted(SETTING_MODES), default="w4kv4")

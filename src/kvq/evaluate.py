@@ -15,12 +15,13 @@ from .errors import DataFormatError, KvqError
 from .model import (
     Model,
     block_core,
+    block_tensors,
     decode_step,
     generate,
     model_forward,
     prefill,
 )
-from .tensor import Tensor, cross_entropy, embedding, rms_norm
+from .tensor import Tensor, cross_entropy, embedding, rms_norm, rope
 
 BOS = 256
 
@@ -144,32 +145,16 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
         )
     rng = np.random.default_rng(seed)
 
-    embed = Tensor(model.embed, requires_grad=True)
-    final_norm = Tensor(model.final_norm.reshape(1, -1), requires_grad=True)
-    head_w = Tensor(model.head.w, requires_grad=True)
-    head_b = Tensor(model.head.b, requires_grad=True)
-    blocks = []
-    for blk in model.blocks:
-        w = {
-            "attn_norm": Tensor(blk.attn_norm.reshape(1, -1), requires_grad=True),
-            "mlp_norm": Tensor(blk.mlp_norm.reshape(1, -1), requires_grad=True),
-        }
-        for name, lin in blk.projections().items():
-            w[f"{name}_w"] = Tensor(lin.w, requires_grad=True)
-            w[f"{name}_b"] = Tensor(lin.b, requires_grad=True)
-        blocks.append(w)
-    params = [embed, final_norm, head_w, head_b]
-    for w in blocks:
-        params.extend(w.values())
+    embed = Tensor(model.embed)
+    final_norm = Tensor(model.final_norm.reshape(1, -1))
+    head_w = Tensor(model.head.w)
+    head_b = Tensor(model.head.b)
+    blocks = [block_tensors(blk) for blk in model.blocks]
+    params = [embed, final_norm, head_w, head_b] + [p for w in blocks for p in w.values()]
+    for p in params:
+        p.requires_grad = True
     opt = AdamW([(params, lr)])
-
-    from .model import _rope_heads
-
-    def kv_fn_factory():
-        def kv_fn(k_s, v_s, positions):
-            return _rope_heads(k_s, positions, model.config), v_s, 0
-
-        return kv_fn
+    kv_fn = lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s, 0)
 
     losses = []
     for _ in range(steps):
@@ -180,7 +165,7 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
             x = embedding(embed, seq[:-1])
             positions = np.arange(seq_len)
             for w in blocks:
-                x = block_core(cfg, w, x, positions, kv_fn_factory())
+                x = block_core(cfg, w, x, positions, kv_fn)
             xn = rms_norm(x, final_norm)
             logits = xn @ head_w + head_b
             loss = cross_entropy(logits, seq[1:])

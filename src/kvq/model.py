@@ -15,6 +15,14 @@ The cache stores pre-rotary smoothed K (and V); a read dequantizes, maps to
 raw space exactly once, then applies the rotary embedding for the stored
 positions.
 
+Cache protocol: PoqKvCache.length is the one record of how many positions
+the cache holds, and a forward over a chunk starts at that position.  Each
+block's KV handler first reads the past rows 0 .. length-1, then appends the
+chunk's rows at length .. length+t-1 (append is the only write site and the
+only capacity check).  model_forward advances length once, after the last
+block, so a forward that raises part-way leaves length unchanged and the
+next forward overwrites the rows it had written.
+
 block_core is the one block forward shared by prefill, decode, calibration
 and training.  It treats all heads at once: each of Q, K and a cache read is
 rotated by a single rope call over (T, n_heads * head_dim), and
@@ -128,8 +136,6 @@ class Model:
         self.blocks = blocks
         self.final_norm = final_norm
         self.head = head
-        # (layer, projection) -> mapped (gamma, beta) arrays, set by calibration
-        self.clipping: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] | None = None
 
     @staticmethod
     def random(config: ModelConfig, seed: int = 0) -> "Model":
@@ -188,7 +194,6 @@ class LayerCache:
         else:
             self.k_fp = np.zeros((t, c), dtype=np.float32)
             self.v_fp = np.zeros((t, c), dtype=np.float32)
-        self.write_counts = np.zeros(t, dtype=np.int32)
 
 
 class PoqKvCache:
@@ -196,8 +201,8 @@ class PoqKvCache:
 
     Quantized layout holds token codes of the smoothed pre-rotary projections
     plus per-(token, group) parameters; the fp layout holds raw-space arrays
-    (pre-rotary K).  Codes for a token position are written once and never
-    rewritten.
+    (pre-rotary K).  length counts the positions every layer holds; only
+    model_forward advances it.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights],
@@ -207,10 +212,10 @@ class PoqKvCache:
         self.mode = cfg.quant_mode if mode is None else mode
         self.layers = [LayerCache(cfg, self.mode) for _ in range(cfg.n_layers)]
         self.length = 0
-        self._staged = 0
 
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_raw: np.ndarray, v_raw: np.ndarray) -> None:
-        """Store one step's KV for layer li (k_s/v_s smoothed, k_raw/v_raw raw)."""
+        """Store a chunk's KV for layer li at rows length .. length+t-1
+        (k_s/v_s smoothed, k_raw/v_raw raw)."""
         t = k_s.shape[0]
         start = self.length
         if start + t > self.cfg.max_seq_len:
@@ -231,11 +236,6 @@ class PoqKvCache:
         else:
             lc.k_fp[start : start + t] = k_raw
             lc.v_fp[start : start + t] = v_raw
-        lc.write_counts[start : start + t] += 1
-        self._staged += 1
-        if self._staged == self.cfg.n_layers:
-            self._staged = 0
-            self.length += t
 
     def read_raw(self, li: int) -> tuple[np.ndarray, np.ndarray]:
         """Return raw-space (pre-rotary K) past KV for layer li."""
@@ -278,10 +278,6 @@ class PoqKvCache:
 
 
 # -- forward pass -------------------------------------------------------------
-
-
-def _rope_heads(x: Tensor, positions: np.ndarray, cfg: ModelConfig) -> Tensor:
-    return rope(x, positions, cfg.rope_base, cfg.head_dim)
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, offset: int) -> Tensor:
@@ -391,7 +387,7 @@ def block_core(cfg: ModelConfig, w: dict[str, Tensor], x: Tensor, positions: np.
     k_s = xq @ w["k_w"] + w["k_b"]
     v_s = xq @ w["v_w"] + w["v_b"]
 
-    q_rot = _rope_heads(q, positions, cfg)
+    q_rot = rope(q, positions, cfg.rope_base, cfg.head_dim)
     k_all, v_all, offset = kv_fn(k_s, v_s, positions)
     merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, offset)
     out = aq(merged) @ w["o_w"] + w["o_b"]
@@ -406,22 +402,23 @@ def block_core(cfg: ModelConfig, w: dict[str, Tensor], x: Tensor, positions: np.
 
 
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
-                   cache: PoqKvCache | None, mode: str, pending: list):
+                   cache: PoqKvCache | None, mode: str):
+    """Attend over the cache's past rows plus the chunk's, then append the chunk's."""
+
     def kv_fn(k_s: Tensor, v_s: Tensor, positions: np.ndarray):
         k_raw, v_raw, k_store, v_store = _current_kv(blk, cfg, mode, k_s, v_s)
-        k_rot_cur = _rope_heads(k_raw, positions, cfg)
-        if cache is not None and cache.length > 0:
+        k_all = rope(k_raw, positions, cfg.rope_base, cfg.head_dim)
+        v_all = v_raw
+        past = 0 if cache is None else cache.length
+        if past:
             k_past, v_past = cache.read_raw(li)
-            k_past_rot = _rope_heads(Tensor(k_past), np.arange(cache.length), cfg)
-            k_all = concat_rows([k_past_rot, k_rot_cur])
+            k_past = rope(Tensor(k_past), np.arange(past), cfg.rope_base, cfg.head_dim)
+            k_all = concat_rows([k_past, k_all])
             v_all = concat_rows([Tensor(v_past), v_raw])
-            offset = cache.length
-        else:
-            # columns cover only the current chunk, so the causal mask is local
-            k_all, v_all, offset = k_rot_cur, v_raw, 0
         if cache is not None:
-            pending.append((li, k_store, v_store, k_raw.data, v_raw.data))
-        return k_all, v_all, offset
+            cache.append(li, k_store, v_store, k_raw.data, v_raw.data)
+        # past is the causal-mask offset; at 0 the columns cover only the chunk
+        return k_all, v_all, past
 
     return kv_fn
 
@@ -436,24 +433,23 @@ def block_forward(
     mode: str,
     act_fn=None,
 ) -> Tensor:
-    t = x.shape[0]
-    positions = np.arange(start_pos, start_pos + t)
-    pending: list = []
-    kv_fn = _runtime_kv_fn(cfg, blk, li, cache, mode, pending)
-    out = block_core(cfg, block_tensors(blk), x, positions, kv_fn, act_fn=act_fn)
-    for args in pending:
-        cache.append(*args)
-    return out
+    """Block li over x, whose first row sits at start_pos (cache.length with a cache)."""
+    positions = np.arange(start_pos, start_pos + x.shape[0])
+    kv_fn = _runtime_kv_fn(cfg, blk, li, cache, mode)
+    return block_core(cfg, block_tensors(blk), x, positions, kv_fn, act_fn=act_fn)
 
 
 def model_forward(
     model: Model,
     token_ids: np.ndarray,
     cache: PoqKvCache | None = None,
-    start_pos: int = 0,
     mode: str | None = None,
 ) -> Tensor:
-    """Forward over a token chunk; returns (T, vocab) logits."""
+    """Forward over a token chunk; returns (T, vocab) logits.
+
+    With a cache, the chunk continues at position cache.length and its KV is
+    appended; without one it starts at position 0.
+    """
     cfg = model.config
     mode = cfg.quant_mode if mode is None else mode
     if mode not in MODES:
@@ -461,8 +457,11 @@ def model_forward(
     token_ids = np.asarray(token_ids, dtype=np.int64)
     act_fn = _act_quant_fn(cfg) if mode == "weight_activation" else None
     x = Tensor(model.embed[token_ids])
+    start = 0 if cache is None else cache.length
     for li, blk in enumerate(model.blocks):
-        x = block_forward(cfg, blk, x, start_pos, li, cache, mode, act_fn=act_fn)
+        x = block_forward(cfg, blk, x, start, li, cache, mode, act_fn=act_fn)
+    if cache is not None:
+        cache.length += len(token_ids)
     xn = rms_norm(x, Tensor(model.final_norm.reshape(1, -1)))
     if act_fn is not None:
         xn = act_fn(xn)
@@ -471,27 +470,15 @@ def model_forward(
 
 def prefill(model: Model, token_ids: np.ndarray, mode: str | None = None):
     """Single pass over the prompt; returns (logits, populated cache)."""
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    if len(token_ids) > model.config.max_seq_len:
-        raise CapacityError(
-            f"prompt length {len(token_ids)} > max_seq_len {model.config.max_seq_len}"
-        )
     cache = PoqKvCache(model.config, model.blocks, mode=mode)
-    logits = model_forward(model, token_ids, cache=cache, start_pos=0, mode=mode)
-    return logits, cache
+    return model_forward(model, token_ids, cache=cache, mode=mode), cache
 
 
 def decode_step(model: Model, token_id: int, cache: PoqKvCache, mode: str | None = None) -> Tensor:
     """One generation step; past KV read from the cache, current KV full precision."""
     if cache.length < 1:
         raise KvqError("decode_step requires a non-empty cache (run prefill first)")
-    if cache.length >= model.config.max_seq_len:
-        raise CapacityError(
-            f"cache full: length {cache.length} == max_seq_len {model.config.max_seq_len}"
-        )
-    return model_forward(
-        model, np.asarray([token_id]), cache=cache, start_pos=cache.length, mode=mode
-    )
+    return model_forward(model, np.asarray([token_id]), cache=cache, mode=mode)
 
 
 def generate(model: Model, prompt_ids: np.ndarray, n_new: int, mode: str | None = None) -> np.ndarray:
@@ -561,31 +548,19 @@ def attach_kv_smoothing(model: Model, per_layer: list[tuple[SmoothingParams, Smo
             blk.v.smoothing, blk.v.wq = sp_v, None
 
 
-def quantize_model_weights(
-    model: Model,
-    clipping: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] | None = None,
-    literal_range: bool = False,
-) -> None:
-    """Quantize every block projection in place; biases and embeddings stay fp.
+def quantize_model_weights(model: Model, literal_range: bool = False) -> None:
+    """Round every block projection to nearest in place (no clipping); biases
+    and embeddings stay fp.
 
-    clipping maps (layer, projection) to mapped (gamma, beta) arrays; missing
-    entries use gamma = beta = 1 (the RTN baseline).
+    A calibrated model's learned clipping is already in its codes and its w
+    is dequantize(codes), so quantizing it again at the same bits and group
+    size keeps those codes.
     """
     cfg = model.config
     if cfg.weight_bits >= 16:
         return
-    for li, blk in enumerate(model.blocks):
-        for name, lin in blk.projections().items():
-            gamma = beta = None
-            if clipping is not None and (li, name) in clipping:
-                gamma, beta = clipping[(li, name)]
-            spec = WeightQuantSpec(
-                bits=cfg.weight_bits,
-                group_size=cfg.weight_group_size,
-                gamma=gamma,
-                beta=beta,
-                literal_range=literal_range,
-            )
-            qt = quantize_weight(lin.w, spec)
-            lin.wq = qt
-            lin.w = dequantize(qt)
+    spec = WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size, literal_range=literal_range)
+    for blk in model.blocks:
+        for lin in blk.projections().values():
+            lin.wq = quantize_weight(lin.w, spec)
+            lin.w = dequantize(lin.wq)

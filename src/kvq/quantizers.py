@@ -137,9 +137,6 @@ class QuantizedTensor:
     h: np.ndarray | None = None
     z: np.ndarray | None = None
 
-    def dequantize(self) -> np.ndarray:
-        return dequantize(self)
-
     def nbytes_modeled(self) -> int:
         """Bytes under the deployment model: packed codes + 16-bit params."""
         param_count = (self.m.size + self.n.size) if self.kind == "token" else (
@@ -170,14 +167,12 @@ def absorb_smoothing(
     return w_t.astype(np.float32), b_t.astype(np.float32)
 
 
-def apply_kv_smoothing(x, sp: SmoothingParams, direction: str) -> np.ndarray:
+def apply_kv_smoothing(x: np.ndarray, sp: SmoothingParams, direction: str) -> np.ndarray:
     """Map between raw KV space and smoothed space.
 
     to_raw: Y~ * s + delta (after dequantizing cached KV).
     to_smoothed: (Y - delta) / s (only when smoothing is not absorbed).
     """
-    if isinstance(x, QuantizedTensor):
-        x = x.dequantize()
     x = np.asarray(x, dtype=np.float32)
     if direction == "to_raw":
         out = x * sp.s[None, :]

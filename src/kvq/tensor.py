@@ -6,8 +6,8 @@ Broadcasting is deliberately restricted to three cases: equal shapes, a
 against a (T, C) matrix.  Python scalars are accepted anywhere.
 
 Rounding uses half-away-from-zero ties everywhere (see round_half_away);
-round_ste passes gradients through unchanged, clamp passes them only
-inside the clamp interval.
+clamp passes gradients only inside the clamp interval.  The tape holds only
+the ops the model, calibration and training call.
 
 The transformer primitives work on all heads at once.  rope rotates a
 (T, n_heads * head_dim) tensor in one op, slicing cos/sin from a float32
@@ -101,9 +101,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -127,8 +124,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self, b), backward)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         b = self._coerce(other)
         _check_broadcast(self.shape, b.shape)
@@ -142,9 +137,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self, b), backward)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         b = self._coerce(other)
         _check_broadcast(self.shape, b.shape)
@@ -157,8 +149,6 @@ class Tensor:
                 b._accum(_unbroadcast(g * a.data, b.shape))
 
         return Tensor._from_op(out_data, (self, b), backward)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         b = self._coerce(other)
@@ -176,9 +166,6 @@ class Tensor:
                 b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
         return Tensor._from_op(out_data, (self, b), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __neg__(self):
         def backward(g, a=self):
@@ -202,15 +189,6 @@ class Tensor:
         def backward(g, a=self, od=None):
             if a.requires_grad:
                 a._accum(g * np.exp(a.data))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def log(self):
-        out_data = np.log(self.data)
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                a._accum(g / a.data)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -244,43 +222,7 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self,), backward)
 
-    def round_ste(self):
-        """Half-away-from-zero rounding; straight-through gradient."""
-        out_data = round_half_away(self.data)
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                a._accum(g)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def maximum(self, other):
-        b = self._coerce(other)
-        _check_broadcast(self.shape, b.shape)
-        out_data = np.maximum(self.data, b.data)
-
-        def backward(g, a=self, b=b):
-            take_a = a.data >= b.data
-            if a.requires_grad:
-                a._accum(_unbroadcast(g * take_a, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g * ~take_a, b.shape))
-
-        return Tensor._from_op(out_data, (self, b), backward)
-
     # -- reductions -----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g, a=self, axis=axis, keepdims=keepdims):
-            if a.requires_grad:
-                g = np.asarray(g)
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(g, a.shape).astype(np.float32))
-
-        return Tensor._from_op(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         out_data = self.data.mean(axis=axis, keepdims=keepdims)
@@ -297,36 +239,6 @@ class Tensor:
                 a._accum((np.broadcast_to(g, a.shape) / count).astype(np.float32))
 
         return Tensor._from_op(out_data, (self,), backward)
-
-    def max(self, axis=None, keepdims: bool = False):
-        """Max reduction; subgradient routed to the first attaining element."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g, a=self, axis=axis, keepdims=keepdims):
-            if not a.requires_grad:
-                return
-            g = np.asarray(g)
-            full = self.data.max(axis=axis, keepdims=True)
-            hit = a.data == full
-            # route to the first max along the reduced axis
-            if axis is None:
-                flat = hit.ravel()
-                first = np.zeros_like(flat)
-                first[np.argmax(flat)] = 1.0
-                mask = first.reshape(a.shape)
-                a._accum((mask * g).astype(np.float32))
-            else:
-                idx = np.argmax(hit, axis=axis)
-                mask = np.zeros_like(a.data)
-                np.put_along_axis(mask, np.expand_dims(idx, axis), 1.0, axis=axis)
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accum((mask * g).astype(np.float32))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def min(self, axis=None, keepdims: bool = False):
-        return -((-self).max(axis=axis, keepdims=keepdims))
 
     # -- linear algebra / structure -------------------------------------------
 
@@ -347,37 +259,6 @@ class Tensor:
         return Tensor._from_op(out_data, (self, b), backward)
 
     __matmul__ = matmul
-
-    def slice_cols(self, start: int, stop: int):
-        out_data = self.data[:, start:stop].copy()
-
-        def backward(g, a=self, start=start, stop=stop):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[:, start:stop] = g
-                a._accum(full)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def slice_rows(self, start: int, stop: int):
-        out_data = self.data[start:stop, :].copy()
-
-        def backward(g, a=self, start=start, stop=stop):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[start:stop, :] = g
-                a._accum(full)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def reshape(self, *shape):
-        out_data = self.data.reshape(*shape)
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                a._accum(g.reshape(a.shape))
-
-        return Tensor._from_op(out_data, (self,), backward)
 
     # -- autodiff driver ------------------------------------------------------
 
@@ -423,20 +304,6 @@ class Tensor:
 def _check_finite(name: str, x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"{name}: non-finite input")
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.shape[1] for p in parts]
-
-    def backward(g, parts=parts, widths=widths):
-        off = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p._accum(g[:, off : off + w])
-            off += w
-
-    return Tensor._from_op(out_data, tuple(parts), backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:

@@ -11,7 +11,6 @@ from kvq.calibration import (
     CalibConfig,
     calibrate_model,
     collect_activations,
-    cross_block_loss,
     crr_loss,
     init_trainables,
     reconstruction_loss,
@@ -49,13 +48,6 @@ class TestAdamW:
         expect = np.array([1.0, -2.0]) - 0.1 * np.sign([0.5, -3.0])
         assert np.allclose(p.data, expect, atol=1e-6)
 
-    def test_weight_decay_pulls_toward_zero(self):
-        p = Tensor(np.array([10.0], np.float32), requires_grad=True)
-        p.grad = np.zeros(1, np.float32)
-        opt = AdamW([([p], 0.1)], weight_decay=0.5)
-        opt.step()
-        assert p.data[0] < 10.0
-
     def test_none_grad_skipped(self):
         p = Tensor(np.array([1.0], np.float32), requires_grad=True)
         opt = AdamW([([p], 0.1)])
@@ -66,7 +58,7 @@ class TestAdamW:
         p = Tensor(np.array([4.0], np.float32), requires_grad=True)
         opt = AdamW([([p], 0.2)])
         for _ in range(100):
-            loss = (p * p).sum()
+            loss = (p * p).mean()  # p has one element
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -79,23 +71,6 @@ class TestLosses:
         b = Tensor(np.array([[0.0, 4.0]], np.float32))
         assert reconstruction_loss(a, b, "mae").item() == pytest.approx(1.5)
         assert reconstruction_loss(a, b, "mse").item() == pytest.approx(2.5)
-
-    def test_cross_block_linear_oracle(self):
-        # [DERIVED] with linear tails f(x) = x @ A, the loss is
-        # mean |(q - p) @ A1 @ A2| computed in closed form
-        rng = np.random.default_rng(0)
-        q = rng.normal(size=(3, 4)).astype(np.float32)
-        p = rng.normal(size=(3, 4)).astype(np.float32)
-        a1 = rng.normal(size=(4, 4)).astype(np.float32)
-        a2 = rng.normal(size=(4, 4)).astype(np.float32)
-        tails = [lambda x, a=Tensor(a1): x @ a, lambda x, a=Tensor(a2): x @ a]
-        got = cross_block_loss(Tensor(q), p, tails, "mae").item()
-        expect = np.abs((q - p) @ a1 @ a2).mean()
-        assert got == pytest.approx(expect, rel=1e-5)
-
-    def test_zero_tail_blocks(self):
-        q = Tensor(np.ones((2, 2), np.float32))
-        assert cross_block_loss(q, np.ones((2, 2), np.float32), [], "mae").item() == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -197,12 +172,16 @@ class TestCalibrateModel:
     def test_blocks_frozen_with_codes_and_clipping(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup
         mq = copy.deepcopy(model)
-        calibrate_model(mq, corpus, calib)
-        for li, blk in enumerate(mq.blocks):
-            for name, lin in blk.projections().items():
+        report = calibrate_model(mq, corpus, calib)
+        init = 1.0 / (1.0 + np.exp(-CLIP_LOGIT_INIT))
+        for blk, trace in zip(mq.blocks, report["blocks"]):
+            for lin in blk.projections().values():
                 assert lin.wq is not None
-                assert (li, name) in mq.clipping
             assert blk.v.smoothing is not None and blk.v.smoothing.absorbed
+            # the learned clipping lives in the codes; the report keeps its range
+            for key in ("gamma", "beta"):
+                lo, hi = trace["params"][key]
+                assert 0.0 < lo < init < hi < 1.0
 
     def test_deterministic(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup
@@ -223,8 +202,9 @@ class TestCalibrateModel:
         mq = copy.deepcopy(model)
         report = calibrate_model(mq, corpus, c)
         assert mq.blocks[0].v.smoothing is None  # identity never attached
-        g, b = mq.clipping[(0, "q")]
-        assert np.allclose(g, 1.0, atol=2e-4)
+        for blk_trace in report["blocks"]:
+            for key in ("gamma", "beta"):
+                assert np.allclose(blk_trace["params"][key], 1.0, atol=2e-4)
         for blk_trace in report["blocks"]:
             assert blk_trace["final_loss"] == blk_trace["trajectory"][0]
 

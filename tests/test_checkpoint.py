@@ -168,23 +168,30 @@ class TestModelRoundtrip:
         out2 = model_forward(m2, IDS, mode="weight_kv").data
         assert np.array_equal(out1, out2)
 
-    def test_clipping_roundtrip(self, tmp_path):
-        m = self.make()
-        gs = m.config.weight_group_size
-        m.clipping = {
-            (li, name): (np.full((-(-w.shape[0] // gs), w.shape[1]), 0.9, np.float32),
-                         np.full((-(-w.shape[0] // gs), w.shape[1]), 0.8, np.float32))
-            for li, blk in enumerate(m.blocks)
-            for name, w in [(n, l.w) for n, l in blk.projections().items()]
-        }
-        quantize_model_weights(m, clipping=m.clipping)
-        p = str(tmp_path / "m.kvq")
+    def test_old_clipping_tensors_load_to_same_codes(self, tmp_path):
+        # files from when checkpoints also stored the mapped clipping carry
+        # .gamma/.beta tensors and a quant.clipping list; loading ignores them
+        m = self.make(quantize=True)
+        p, old = str(tmp_path / "m.kvq"), str(tmp_path / "old.kvq")
         save_model(m, p)
-        m2 = load_model(p)
-        assert set(m2.clipping) == set(m.clipping)
-        g1, b1 = m.clipping[(0, "q")]
-        g2, b2 = m2.clipping[(0, "q")]
-        assert np.array_equal(g1, g2) and np.array_equal(b1, b2)
+        config, meta, tensors = read_container(p)
+        gs = m.config.weight_group_size
+        for li, blk in enumerate(m.blocks):
+            for name, lin in blk.projections().items():
+                base = f"blocks.{li}.{name}"
+                shape = (-(-lin.w.shape[0] // gs), lin.w.shape[1])
+                tensors[f"{base}.gamma"] = np.full(shape, 0.9, np.float32)
+                tensors[f"{base}.beta"] = np.full(shape, 0.8, np.float32)
+                meta["quant"].setdefault("clipping", []).append(base)
+        write_container(old, config, meta, tensors)
+        m1, m2 = load_model(p), load_model(old)
+        assert not hasattr(m2, "clipping")
+        for b1, b2 in zip(m1.blocks, m2.blocks):
+            for name, lin in b1.projections().items():
+                assert np.array_equal(lin.wq.codes, b2.projections()[name].wq.codes)
+                assert np.array_equal(lin.w, b2.projections()[name].w)
+        out1 = model_forward(m1, IDS, mode="weight_kv").data
+        assert np.array_equal(out1, model_forward(m2, IDS, mode="weight_kv").data)
 
     @pytest.mark.parametrize("rewrite", ["train", "spread", "smooth"])
     def test_rewritten_quantized_model_saves_new_weights(self, tmp_path, rewrite):

@@ -97,6 +97,33 @@ class TestQuantize:
             assert rc == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_calibrated_codes_kept(self, workdir, capsys):
+        # the learned clipping is in the calibrated codes; quantizing again
+        # must not apply it a second time
+        cal, out = workdir / "cal_for_quantize.kvq", workdir / "cal_w4kv4.kvq"
+        rc, _, _ = run(capsys, [
+            "calibrate", "--model", str(workdir / "model.kvq"),
+            "--corpus", str(workdir / "corpus.txt"), "--out", str(cal),
+        ] + CAL_ARGS)
+        assert rc == 0
+        rc, _, _ = run(capsys, [
+            "quantize", "--model", str(cal), "--out", str(out), "--mode", "w4kv4",
+            "--group-size", "16", "--kv-group-size", "8",
+        ])
+        assert rc == 0
+        before, after = load_model(str(cal)), load_model(str(out))
+        for b1, b2 in zip(before.blocks, after.blocks):
+            for name, lin in b1.projections().items():
+                lin2 = b2.projections()[name]
+                assert np.array_equal(lin.wq.codes, lin2.wq.codes), name
+                assert np.abs(lin2.w - lin.w).max() <= 1e-6 * np.abs(lin.w).max(), name
+
+    def test_rtn_mode_removed(self, workdir):
+        with pytest.raises(SystemExit) as e:
+            main(["quantize", "--model", str(workdir / "model.kvq"),
+                  "--out", str(workdir / "rtn.kvq"), "--mode", "rtn"])
+        assert e.value.code == 2
+
 
 class TestCalibrate:
     def test_produces_calibrated_model(self, workdir, capsys):
@@ -151,6 +178,17 @@ class TestEval:
         ])
         assert rc == 3
         assert "cache_post_rotary" in err
+
+    def test_missing_tensor_is_data_error(self, workdir, capsys):
+        config, meta, tensors = read_container(str(workdir / "model.kvq"))
+        del tensors["blocks.0.q.w"]
+        broken = workdir / "missing_tensor.kvq"
+        write_container(str(broken), config, meta, tensors)
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(broken), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert "blocks.0.q.w" in err
 
     def test_bad_mode_is_usage_error(self, workdir):
         with pytest.raises(SystemExit) as e:

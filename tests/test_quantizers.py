@@ -19,7 +19,8 @@ from kvq.quantizers import (
     quantize_token,
     quantize_weight,
 )
-from kvq.tensor import Tensor, concat_cols, concat_rows, round_half_away
+from kvq.tensor import Tensor, concat_rows, round_half_away
+from tape_ops import concat_cols, maximum, round_ste, slice_cols, slice_rows, tmax, tmin, tsum
 
 
 def oracle_token(y, bits, group_size):
@@ -87,10 +88,10 @@ def reference_fake_quant_token(y, bits, group_size):
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     parts = []
     for a, b in group_bounds(y.shape[1], group_size):
-        block = y.slice_cols(a, b)
+        block = slice_cols(y, a, b)
         m = block.mean(axis=1, keepdims=True)
         centered = block - m
-        n = (centered.abs().max(axis=1, keepdims=True) / half).maximum(REF_EPS)
+        n = maximum(tmax(centered.abs(), axis=1, keepdims=True) / half, REF_EPS)
         q = Tensor(np.clip(round_half_away(centered.data / n.data), lo, hi))
         parts.append(q * n + m)
     return parts[0] if len(parts) == 1 else concat_cols(parts)
@@ -101,12 +102,12 @@ def reference_fake_quant_weight(w, gamma, beta, bits, group_size):
     div = hi = float(2**bits - 1)
     parts = []
     for g, (a, b) in enumerate(group_bounds(w.shape[0], group_size)):
-        block = w.slice_rows(a, b)
-        top = gamma.slice_rows(g, g + 1) * block.max(axis=0, keepdims=True)
-        bot = beta.slice_rows(g, g + 1) * block.min(axis=0, keepdims=True)
-        h = ((top - bot) / div).maximum(REF_EPS)
-        z = (Tensor(0.0) - (bot / h)).round_ste()
-        q = ((block / h).round_ste() + z).clamp(0.0, hi)
+        block = slice_rows(w, a, b)
+        top = slice_rows(gamma, g, g + 1) * tmax(block, axis=0, keepdims=True)
+        bot = slice_rows(beta, g, g + 1) * tmin(block, axis=0, keepdims=True)
+        h = maximum((top - bot) / div, REF_EPS)
+        z = round_ste(Tensor(0.0) - (bot / h))
+        q = (round_ste(block / h) + z).clamp(0.0, hi)
         parts.append((q - z) * h)
     return parts[0] if len(parts) == 1 else concat_rows(parts)
 
@@ -329,11 +330,11 @@ class TestFakeQuant:
             fake = fake_quant_token(y, bits, gs)
             real = dequantize(quantize_token(y0, TokenQuantSpec(bits, gs)))
             assert np.array_equal(fake.data, real)
-            (fake * Tensor(upstream)).sum().backward()
+            tsum(fake * Tensor(upstream)).backward()
             assert np.all(np.isfinite(y.grad))
             if regular:
                 ref = Tensor(y0, requires_grad=True)
-                (reference_fake_quant_token(ref, bits, gs) * Tensor(upstream)).sum().backward()
+                tsum(reference_fake_quant_token(ref, bits, gs) * Tensor(upstream)).backward()
                 assert_grad_close(y.grad, ref.grad, upstream, y0)
 
     def test_weight_fake_matches_integer_path(self):
@@ -355,11 +356,11 @@ class TestFakeQuant:
             fake = fake_quant_weight(*params, bits, gs)
             spec = WeightQuantSpec(bits, gs, gamma=gamma0, beta=beta0)
             assert np.array_equal(fake.data, dequantize(quantize_weight(w0, spec)))
-            (fake * Tensor(upstream)).sum().backward()
+            tsum(fake * Tensor(upstream)).backward()
             assert all(np.all(np.isfinite(p.grad)) for p in params)
             if regular:
                 refs = [Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0)]
-                (reference_fake_quant_weight(*refs, bits, gs) * Tensor(upstream)).sum().backward()
+                tsum(reference_fake_quant_weight(*refs, bits, gs) * Tensor(upstream)).backward()
                 for p, ref in zip(params, refs):
                     assert_grad_close(p.grad, ref.grad, upstream, w0)
         assert compared >= 40
@@ -367,7 +368,7 @@ class TestFakeQuant:
     def test_token_fake_gradient_flows(self):
         rng = np.random.default_rng(13)
         y = Tensor(rng.normal(size=(2, 8)).astype(np.float32), requires_grad=True)
-        fake_quant_token(y, 4, 4).sum().backward()
+        tsum(fake_quant_token(y, 4, 4)).backward()
         assert y.grad is not None and np.all(np.isfinite(y.grad))
 
     def test_token_fake_gradient_holds_codes_fixed(self):
@@ -378,7 +379,7 @@ class TestFakeQuant:
         y0 = rng.normal(size=(3, 11)).astype(np.float32)  # groups 4, 4 and a tail of 3
         upstream = rng.normal(size=(3, 11)).astype(np.float32)
         y = Tensor(y0, requires_grad=True)
-        (fake_quant_token(y, bits, gs) * Tensor(upstream)).sum().backward()
+        tsum(fake_quant_token(y, bits, gs) * Tensor(upstream)).backward()
         qt = quantize_token(y0, TokenQuantSpec(bits, gs))
         expected = np.zeros((3, 11))
         for g, (a, b) in enumerate(group_bounds(11, gs)):
@@ -402,7 +403,7 @@ class TestFakeQuant:
         w = Tensor(rng.normal(size=(8, 3)).astype(np.float32))
         gamma = Tensor(np.full((1, 3), 0.9, np.float32), requires_grad=True)
         beta = Tensor(np.full((1, 3), 0.9, np.float32), requires_grad=True)
-        (fake_quant_weight(w, gamma, beta, 4, 8) * w).sum().backward()
+        tsum(fake_quant_weight(w, gamma, beta, 4, 8) * w).backward()
         assert gamma.grad is not None and np.any(gamma.grad != 0.0)
         assert beta.grad is not None and np.any(beta.grad != 0.0)
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import tiny_config, word_corpus
 import kvq.model
-from kvq.errors import CapacityError, KvqError
+from kvq.errors import CapacityError, KvqError, NumericError
 from kvq.model import (
     Model,
     ModelConfig,
@@ -48,14 +48,14 @@ def smoothed(model):
 # -- reference: the per-head block the all-heads forward replaced -------------
 
 
-def reference_rope_heads(x, positions, cfg):
+def reference_rope(x, positions, base, head_dim):
     """Per-head rotary embedding, cos/sin recomputed for these positions."""
-    d, half = cfg.head_dim, cfg.head_dim // 2
-    inv_freq = cfg.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
+    d, half = head_dim, head_dim // 2
+    inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
     ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
     cos, sin = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
     parts = []
-    for h in range(cfg.n_heads):
+    for h in range(x.shape[1] // d):
         x1, x2 = x.data[:, h * d : h * d + half], x.data[:, h * d + half : (h + 1) * d]
         parts += [x1 * cos - x2 * sin, x1 * sin + x2 * cos]
     return Tensor(np.concatenate(parts, axis=1))
@@ -75,7 +75,7 @@ def reference_block_core(cfg, w, x, positions, kv_fn, act_fn=None):
     q = xq @ w["q_w"] + w["q_b"]
     k_s = xq @ w["k_w"] + w["k_b"]
     v_s = xq @ w["v_w"] + w["v_b"]
-    q_rot = reference_rope_heads(q, positions, cfg).data
+    q_rot = reference_rope(q, positions, cfg.rope_base, cfg.head_dim).data
     k_all, v_all, offset = kv_fn(k_s, v_s, positions)
     d = cfg.head_dim
     heads = []
@@ -123,8 +123,8 @@ class TestFpForward:
     def test_chunked_prefill_consistent(self):
         m = make_model()
         cache = PoqKvCache(m.config, m.blocks, mode="fp")
-        a = model_forward(m, IDS[:10], cache=cache, start_pos=0)
-        b = model_forward(m, IDS[10:], cache=cache, start_pos=10)
+        a = model_forward(m, IDS[:10], cache=cache)
+        b = model_forward(m, IDS[10:], cache=cache)
         whole = model_forward(m, IDS).data
         got = np.concatenate([a.data, b.data], axis=0)
         assert np.abs(got - whole).max() < 1e-4
@@ -148,7 +148,7 @@ class TestAllHeadsForward:
 
         fast = prefill_and_decode()
         monkeypatch.setattr(kvq.model, "block_core", reference_block_core)
-        monkeypatch.setattr(kvq.model, "_rope_heads", reference_rope_heads)
+        monkeypatch.setattr(kvq.model, "rope", reference_rope)
         slow = prefill_and_decode()
         assert fast.shape == (len(IDS) + 8, m.config.vocab_size)
         assert np.abs(fast - slow).max() <= 1e-5
@@ -169,19 +169,49 @@ class TestCache:
         with pytest.raises(KvqError):
             decode_step(m, 0, cache)
 
-    def test_positions_written_once(self):
+    def test_positions_written_once(self, monkeypatch):
         m = quantized(make_model())
+        written = np.zeros((m.config.n_layers, m.config.max_seq_len), dtype=np.int64)
+        append = PoqKvCache.append
+
+        def counting(cache, li, k_s, *rest):
+            written[li, cache.length : cache.length + k_s.shape[0]] += 1
+            return append(cache, li, k_s, *rest)
+
+        monkeypatch.setattr(PoqKvCache, "append", counting)
         _, cache = prefill(m, IDS, mode="weight_kv")
         decode_step(m, 3, cache, mode="weight_kv")
-        counts = cache.layers[0].write_counts
-        assert np.all(counts[: len(IDS) + 1] == 1)
-        assert np.all(counts[len(IDS) + 1 :] == 0)
+        assert np.all(written[:, : len(IDS) + 1] == 1)
+        assert np.all(written[:, len(IDS) + 1 :] == 0)
 
     def test_length_advances_after_all_layers(self):
         m = make_model()
         cache = PoqKvCache(m.config, m.blocks, mode="fp")
-        model_forward(m, IDS[:4], cache=cache, start_pos=0)
+        model_forward(m, IDS[:4], cache=cache)
         assert cache.length == 4
+
+    def test_forward_failing_mid_model_leaves_length(self, monkeypatch):
+        # layer 0 has written its row when layer 1 raises; the cache must not
+        # advance, and the next step overwrites that row
+        m = make_model()
+        _, cache = prefill(m, IDS)
+        core, calls = kvq.model.block_core, []
+
+        def failing_at_layer_1(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("injected failure at layer 1")
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(kvq.model, "block_core", failing_at_layer_1)
+        with pytest.raises(NumericError):
+            decode_step(m, 7, cache)
+        monkeypatch.undo()
+        assert cache.length == len(IDS)
+        step = decode_step(m, 5, cache).data[-1]
+        full = model_forward(m, np.concatenate([IDS, [5]])).data[-1]
+        assert cache.length == len(IDS) + 1
+        assert np.abs(step - full).max() < 1e-4
 
     def test_smoothing_applied_once_per_read(self, monkeypatch):
         m = make_model()
