@@ -15,7 +15,7 @@ one attention-score tile of batch x heads x seq elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import AccountingError, KvqError
 

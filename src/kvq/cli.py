@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--mode", choices=("fp", "weight_only", "weight_kv",
                                        "weight_activation"), default=None)
-    sp.add_argument("--use-cache", action="store_true")
+    sp.add_argument("--use-cache", action="store_true",
+                    help="score through the POQ cache path (quantized past, fp current K/V)")
     sp.add_argument("--fp-model")
     sp.add_argument("--max-tokens", type=int, default=4096)
     sp.add_argument("--json")

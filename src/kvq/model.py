@@ -23,9 +23,9 @@ only capacity check).  model_forward advances length once, after the last
 block, so a forward that raises part-way leaves length unchanged and the
 next forward overwrites the rows it had written.
 
-block_core is the one block forward shared by prefill, decode, calibration
-and training.  It treats all heads at once: each of Q, K and a cache read is
-rotated by a single rope call over (T, n_heads * head_dim), and
+block_core is the one block forward of prefill, decode, cache-path scoring,
+calibration and training.  It treats all heads at once: each of Q, K and a
+cache read is rotated by a single rope call over (T, n_heads * head_dim), and
 causal_attention computes every head's scores, in-place causal softmax and
 weighted sum as one tape node with an explicit backward.
 """
@@ -250,14 +250,7 @@ class PoqKvCache:
         qv = QuantizedTensor(
             "token", lc.v_codes[:t], spec.bits, spec.group_size, m=lc.v_m[:t], n=lc.v_n[:t]
         )
-        blk = self.blocks[li]
-        k = dequantize(qk)
-        v = dequantize(qv)
-        if blk.k.smoothing is not None:
-            k = apply_kv_smoothing(k, blk.k.smoothing, "to_raw")
-        if blk.v.smoothing is not None:
-            v = apply_kv_smoothing(v, blk.v.smoothing, "to_raw")
-        return k, v
+        return _dequantize_raw(self.blocks[li], qk, qv)
 
     def kv_bytes(self) -> int:
         """Deployment-model byte count of the live cache (packed codes + 16-bit params)."""
@@ -280,13 +273,18 @@ class PoqKvCache:
 # -- forward pass -------------------------------------------------------------
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, offset: int) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, offset: int,
+                     diag: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """softmax(q k^T / sqrt(d) + causal mask) v for every head, as one tape node.
 
     q is (T, H*D) at absolute positions offset .. offset+T-1; k and v are
     (S, H*D) at positions 0 .. S-1.  The heads are (H, rows, D) views of the
     inputs; the (H, T, S) scores buffer becomes the probabilities in place,
     and the backward keeps only that buffer and the inputs.
+
+    The POQ diagonal diag = (k_cur, v_cur), each (T, H*D), stands in for the
+    keys and values at column offset+i of query row i: with k and v from the
+    cache round trip, every row attends as a decode step does.
     """
     t, s = q.shape[0], k.shape[0]
     d = q.shape[1] // n_heads
@@ -300,24 +298,38 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, offset: int)
 
     qh, kh, vh = heads(q.data, t), heads(k.data, s), heads(v.data, s)
     p = np.matmul(qh, kh.transpose(0, 2, 1))
+    if diag is not None:
+        kch, vch = heads(diag[0].data, t), heads(diag[1].data, t)
+        ii, cur = (slice(None), np.arange(t), np.arange(t) + offset), slice(offset, offset + t)
+        p[ii] = np.einsum("htd,htd->ht", qh, kch)
     p *= scale
     softmax_causal(p, offset)
+    out = np.matmul(p, vh)
+    if diag is not None:
+        out += p[ii][..., None] * (vch - vh[:, cur])
 
-    def backward(g, q=q, k=k, v=v):
+    parents = (q, k, v) + tuple(diag or ())
+
+    def backward(g):
         gh = heads(g, t)
-        if v.requires_grad:
-            v._accum(merge(np.matmul(p.transpose(0, 2, 1), gh)))
-        if not (q.requires_grad or k.requires_grad):
-            return
         dp = np.matmul(gh, vh.transpose(0, 2, 1))
+        if diag is not None:
+            dp[ii] = np.einsum("htd,htd->ht", gh, vch)
         ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
         ds *= scale
-        if q.requires_grad:
-            q._accum(merge(np.matmul(ds, kh)))
-        if k.requires_grad:
-            k._accum(merge(np.matmul(qh.transpose(0, 2, 1), ds).transpose(0, 2, 1)))
+        grads = [np.matmul(ds, kh), np.matmul(qh.transpose(0, 2, 1), ds).transpose(0, 2, 1),
+                 np.matmul(p.transpose(0, 2, 1), gh)]
+        if diag is not None:  # the diagonal column read (k_cur, v_cur), not (k, v)
+            pd, dsd = p[ii][..., None], ds[ii][..., None]
+            grads[0] += dsd * (kch - kh[:, cur])
+            grads[1][:, cur] -= dsd * qh
+            grads[2][:, cur] -= pd * gh
+            grads += [dsd * qh, pd * gh]
+        for a, ga in zip(parents, grads):
+            if a.requires_grad:
+                a._accum(merge(ga))
 
-    return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), backward)
+    return Tensor._from_op(merge(out), parents, backward)
 
 
 def _act_quant_fn(cfg: ModelConfig):
@@ -331,32 +343,22 @@ def _act_quant_fn(cfg: ModelConfig):
     return f
 
 
-def _current_kv(blk: DecoderBlockWeights, cfg: ModelConfig, mode: str, k_s: Tensor, v_s: Tensor):
-    """Map the current step's smoothed projections to raw-space attention inputs.
+def _dequantize_raw(blk: DecoderBlockWeights, qk: QuantizedTensor, qv: QuantizedTensor):
+    """Raw-space (pre-rotary K) K/V arrays from token codes of the smoothed
+    projections: what a cache read returns for the rows it stored."""
+    un = lambda x, sp: x if sp is None else apply_kv_smoothing(x, sp, "to_raw")
+    return un(dequantize(qk), blk.k.smoothing), un(dequantize(qv), blk.v.smoothing)
 
-    Returns (k_raw, v_raw, k_store, v_store): the attention inputs and the
-    (smoothed-space) tensors that would enter the cache.  With POQ disabled the
-    attention inputs themselves go through quantize -> dequantize first.
-    """
-    quantize_current = (
-        mode == "weight_kv" and cfg.kv_quantized and not cfg.poq
-    )
-    spec = cfg.token_spec() if cfg.kv_quantized else None
-    k_store, v_store = k_s.data, v_s.data
-    if quantize_current:
-        k_s = Tensor(dequantize(quantize_token(k_s.data, spec)))
-        v_s = Tensor(dequantize(quantize_token(v_s.data, spec)))
-    k_raw = (
-        Tensor(apply_kv_smoothing(k_s.data, blk.k.smoothing, "to_raw"))
-        if blk.k.smoothing is not None
-        else k_s
-    )
-    v_raw = (
-        Tensor(apply_kv_smoothing(v_s.data, blk.v.smoothing, "to_raw"))
-        if blk.v.smoothing is not None
-        else v_s
-    )
-    return k_raw, v_raw, k_store, v_store
+
+def _raw_kv(blk: DecoderBlockWeights, k_s: Tensor, v_s: Tensor,
+            spec: TokenQuantSpec | None = None) -> tuple[Tensor, Tensor]:
+    """Raw-space attention inputs from the smoothed projections k_s, v_s;
+    given a token spec, their cache round trip (quantize, then _dequantize_raw)."""
+    if spec is not None:
+        k, v = _dequantize_raw(blk, quantize_token(k_s.data, spec), quantize_token(v_s.data, spec))
+        return Tensor(k), Tensor(v)
+    un = lambda x, sp: x if sp is None else Tensor(apply_kv_smoothing(x.data, sp, "to_raw"))
+    return un(k_s, blk.k.smoothing), un(v_s, blk.v.smoothing)
 
 
 def block_tensors(blk: DecoderBlockWeights) -> dict[str, Tensor]:
@@ -375,7 +377,8 @@ def block_core(cfg: ModelConfig, w: dict[str, Tensor], x: Tensor, positions: np.
 
     kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and must
     return (k_all_rotated, v_all, offset): raw-space attention inputs covering
-    past + current tokens and the causal-mask offset of the current chunk.
+    past + current tokens and the causal-mask offset of the current chunk.  A
+    fourth element, if returned, is causal_attention's POQ diagonal.
     Both the runtime cache path and the calibration fake-quant path plug in
     through kv_fn, so the surrounding arithmetic is shared bit-for-bit.
     """
@@ -388,8 +391,8 @@ def block_core(cfg: ModelConfig, w: dict[str, Tensor], x: Tensor, positions: np.
     v_s = xq @ w["v_w"] + w["v_b"]
 
     q_rot = rope(q, positions, cfg.rope_base, cfg.head_dim)
-    k_all, v_all, offset = kv_fn(k_s, v_s, positions)
-    merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, offset)
+    k_all, v_all, offset, *diag = kv_fn(k_s, v_s, positions)
+    merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, offset, *diag)
     out = aq(merged) @ w["o_w"] + w["o_b"]
     x = x + out
 
@@ -404,9 +407,10 @@ def block_core(cfg: ModelConfig, w: dict[str, Tensor], x: Tensor, positions: np.
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
                    cache: PoqKvCache | None, mode: str):
     """Attend over the cache's past rows plus the chunk's, then append the chunk's."""
+    spec = cfg.token_spec() if mode == "weight_kv" and cfg.kv_quantized and not cfg.poq else None
 
     def kv_fn(k_s: Tensor, v_s: Tensor, positions: np.ndarray):
-        k_raw, v_raw, k_store, v_store = _current_kv(blk, cfg, mode, k_s, v_s)
+        k_raw, v_raw = _raw_kv(blk, k_s, v_s, spec)
         k_all = rope(k_raw, positions, cfg.rope_base, cfg.head_dim)
         v_all = v_raw
         past = 0 if cache is None else cache.length
@@ -416,9 +420,22 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
             k_all = concat_rows([k_past, k_all])
             v_all = concat_rows([Tensor(v_past), v_raw])
         if cache is not None:
-            cache.append(li, k_store, v_store, k_raw.data, v_raw.data)
+            cache.append(li, k_s.data, v_s.data, k_raw.data, v_raw.data)
         # past is the causal-mask offset; at 0 the columns cover only the chunk
         return k_all, v_all, past
+
+    return kv_fn
+
+
+def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
+    """A chunk from position 0 as a POQ cache serves it one step at a time:
+    every row's past is the cache round trip, and its own K/V stay fp."""
+
+    def kv_fn(k_s: Tensor, v_s: Tensor, positions: np.ndarray):
+        rot = lambda k: rope(k, positions, cfg.rope_base, cfg.head_dim)
+        k_past, v_past = _raw_kv(blk, k_s, v_s, cfg.token_spec())
+        k_cur, v_cur = _raw_kv(blk, k_s, v_s)
+        return rot(k_past), v_past, 0, (rot(k_cur), v_cur)
 
     return kv_fn
 
@@ -462,10 +479,30 @@ def model_forward(
         x = block_forward(cfg, blk, x, start, li, cache, mode, act_fn=act_fn)
     if cache is not None:
         cache.length += len(token_ids)
+    return _head(model, x, act_fn)
+
+
+def _head(model: Model, x: Tensor, act_fn=None) -> Tensor:
     xn = rms_norm(x, Tensor(model.final_norm.reshape(1, -1)))
     if act_fn is not None:
         xn = act_fn(xn)
     return xn @ Tensor(model.head.w) + Tensor(model.head.b)
+
+
+def cache_path_forward(model: Model, token_ids: np.ndarray, mode: str | None = None) -> Tensor:
+    """(T, vocab) logits of a chunk as prefill of its first token and then one
+    decode_step per token give them, in one pass.  Only POQ over a quantized
+    cache differs from the cacheless forward; elsewhere the cache holds what
+    attention saw."""
+    cfg = model.config
+    mode = cfg.quant_mode if mode is None else mode
+    if not (mode == "weight_kv" and cfg.kv_quantized and cfg.poq):
+        return model_forward(model, token_ids, mode=mode)
+    positions = np.arange(len(token_ids))
+    x = Tensor(model.embed[token_ids])
+    for blk in model.blocks:
+        x = block_core(cfg, block_tensors(blk), x, positions, _poq_kv_fn(cfg, blk))
+    return _head(model, x)
 
 
 def prefill(model: Model, token_ids: np.ndarray, mode: str | None = None):

@@ -186,9 +186,9 @@ class Tensor:
     def exp(self):
         out_data = np.exp(self.data)
 
-        def backward(g, a=self, od=None):
+        def backward(g, a=self, e=out_data):
             if a.requires_grad:
-                a._accum(g * np.exp(a.data))
+                a._accum(g * e)
 
         return Tensor._from_op(out_data, (self,), backward)
 

@@ -39,7 +39,6 @@ from kvq.model import (
     block_forward,
     prefill,
     quantize_model_weights,
-    spread_kv_channels,
 )
 from kvq.quantizers import (
     S_FLOOR,

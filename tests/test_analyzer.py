@@ -4,7 +4,6 @@ import pytest
 from conftest import tiny_config
 from kvq.analyzer import (
     ARCH_PRESETS,
-    GB,
     LLAMA2_7B,
     LLAMA2_13B,
     ArchSpec,

@@ -3,11 +3,10 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import fitted_model, tiny_config, word_corpus
+from conftest import fitted_model, word_corpus
 from kvq.calibration import (
     CLIP_LOGIT_INIT,
     AdamW,
-    BlockTrainables,
     CalibConfig,
     calibrate_model,
     collect_activations,
@@ -19,7 +18,7 @@ from kvq.calibration import (
 )
 from kvq.errors import DataFormatError, KvqError
 from kvq.evaluate import logit_mae, perplexity
-from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
+from kvq.model import model_forward, quantize_model_weights
 from kvq.tensor import Tensor
 
 

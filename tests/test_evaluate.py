@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config, word_corpus
-from kvq.errors import DataFormatError, KvqError
+from kvq.errors import CapacityError, DataFormatError, KvqError
 from kvq.evaluate import (
     BOS,
     encode_bytes,
@@ -15,7 +15,37 @@ from kvq.evaluate import (
     sequence_nll,
     train_model,
 )
-from kvq.model import Model, model_forward
+from kvq.model import (
+    MODES,
+    Model,
+    decode_step,
+    model_forward,
+    prefill,
+    quantize_model_weights,
+    spread_kv_channels,
+)
+from test_runtime import smoothed
+
+
+def stepwise_logits(model, ids, mode=None):
+    """The cache path one token at a time: prefill of the first token, then
+    one decode_step per token.  Reference for score_logits(use_cache=True)."""
+    logits, cache = prefill(model, ids[:1], mode=mode)
+    rows = [logits.data[-1]]
+    for t in range(1, len(ids)):
+        rows.append(decode_step(model, int(ids[t]), cache, mode=mode).data[-1])
+    return np.stack(rows)
+
+
+def equivalence_model(seed, **cfg_kw):
+    """A random model with spread K/V channels and quantized weights; at odd
+    seeds K/V smoothing is attached as well."""
+    model = Model.random(tiny_config(**cfg_kw), seed=seed)
+    spread_kv_channels(model, log_range=2.0, seed=seed)
+    if seed % 2:
+        smoothed(model)
+    quantize_model_weights(model)
+    return model
 
 
 class TestEncoding:
@@ -76,10 +106,43 @@ class TestScoring:
         assert a.shape == b.shape == (10, m.config.vocab_size)
         assert np.abs(a - b).max() < 1e-3
 
+    @pytest.mark.parametrize("use_cache", [False, True])
+    def test_chunk_longer_than_cache_rejected(self, use_cache):
+        m = Model.random(tiny_config(max_seq_len=8), seed=0)
+        with pytest.raises(CapacityError):
+            score_logits(m, np.zeros(9, dtype=np.int64), use_cache=use_cache)
+        assert score_logits(m, np.zeros(8, dtype=np.int64), use_cache=use_cache).shape[0] == 8
+
     def test_logit_mae_zero_for_identical_models(self):
         m = Model.random(tiny_config(), seed=3)
         ids = word_corpus(3)[:15]
         assert logit_mae(m, m, ids) == 0.0
+
+
+# weight_activation rounds every linear-layer input to per-token codes, and a
+# float32 reorder between the chunk-shaped and row-shaped matmuls can move an
+# input across a rounding boundary: seed 0 at 8 bits differs by 1.4e-5.  The
+# bound there is the one test_runtime puts on decode against a full forward.
+TOL = {"fp": 1e-5, "weight_only": 1e-5, "weight_kv": 1e-5, "weight_activation": 1e-4}
+
+
+class TestCachePathOnePass:
+    """score_logits(use_cache=True) against the step-by-step cache path."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_stepwise(self, seed):
+        # Rows of the step loop depend only on the tokens up to them, so one
+        # loop over max_seq_len tokens is the reference for every shorter chunk.
+        ids = word_corpus(seed)[: tiny_config().max_seq_len]
+        for poq in (True, False):
+            for kv_bits in (4, 8, 16):
+                model = equivalence_model(seed, poq=poq, kv_bits=kv_bits)
+                for mode in MODES:
+                    ref = stepwise_logits(model, ids, mode=mode)
+                    for n in (2, 17, len(ids)):
+                        got = score_logits(model, ids[:n], use_cache=True, mode=mode)
+                        assert got.shape == (n, model.config.vocab_size)
+                        assert np.abs(got - ref[:n]).max() <= TOL[mode], (poq, kv_bits, mode, n)
 
 
 class TestDivergence:

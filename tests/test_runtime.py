@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import tiny_config, word_corpus
+from conftest import tiny_config
 import kvq.model
 from kvq.errors import CapacityError, KvqError, NumericError
 from kvq.model import (

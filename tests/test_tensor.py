@@ -186,6 +186,31 @@ class TestGradients:
         for a, b in zip(fused[1], ref[1]):
             assert np.abs(a - b).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
 
+    @pytest.mark.parametrize("t,s,offset", [(2, 5, 3), (4, 4, 0)])
+    def test_causal_attention_poq_diagonal(self, t, s, offset):
+        # gradients reach the diagonal inputs (k_cur, v_cur) as well as q, k, v
+        rng = np.random.default_rng(18 + offset)
+        w = Tensor(randn(rng, t, 8))
+        check_grads(
+            lambda q, k, v, kc, vc: tsum(causal_attention(q, k, v, 2, offset, (kc, vc)) * w),
+            [randn(rng, t, 8), randn(rng, s, 8), randn(rng, s, 8),
+             randn(rng, t, 8), randn(rng, t, 8)],
+        )
+
+    def test_causal_attention_poq_diagonal_matches_rowwise(self):
+        # row i attends to k, v before its column and to (k_cur[i], v_cur[i]) at it
+        rng = np.random.default_rng(19)
+        t, offset = 5, 3
+        q, kc, vc = (Tensor(randn(rng, t, 16)) for _ in range(3))
+        k, v = (Tensor(randn(rng, offset + t, 16)) for _ in range(2))
+        fused = causal_attention(q, k, v, 4, offset, (kc, vc)).data
+        for i in range(t):
+            past = slice(0, offset + i)
+            ki = Tensor(np.concatenate([k.data[past], kc.data[i : i + 1]]))
+            vi = Tensor(np.concatenate([v.data[past], vc.data[i : i + 1]]))
+            row = causal_attention(Tensor(q.data[i : i + 1]), ki, vi, 4, offset + i).data
+            assert np.abs(fused[i] - row[0]).max() <= 1e-6
+
     def test_rms_norm(self):
         rng = np.random.default_rng(6)
         check_grads(
