@@ -11,27 +11,34 @@ Quantization modes:
 * weight_activation  - quantized weights plus per-token RTN quantization of
                        every linear-layer input (sensitivity harness only).
 
-The cache stores pre-rotary smoothed K (and V); a read dequantizes, maps to
-raw space exactly once, then applies the rotary embedding for the stored
-positions.
+The cache stores pre-rotary smoothed K (and V) as codes.  A read fills one
+float32 scratch buffer per cache, shared by the layers and overwritten by
+every read: first with the past keys (cast the codes, dequantize, un-smooth
+and rotate in place, then the chunk's own rotated rows), and once the scores
+are taken, with the past values' cast codes.  The values are never mapped to
+raw space: their dequantization and un-smoothing are folded past the
+attention weights (PoqKvCache.read_raw).
 
 Cache protocol: PoqKvCache.length is the one record of how many positions
 the cache holds, and a forward over a chunk starts at that position.  Each
-block's KV handler first reads the past rows 0 .. length-1, then appends the
-chunk's rows at length .. length+t-1 (append is the only write site and the
-only capacity check).  model_forward advances length once, after the last
+block's KV handler first appends the chunk's rows at length .. length+t-1
+(append is the only write site and the only capacity check), then reads the
+past rows 0 .. length-1.  model_forward advances length once, after the last
 block, so a forward that raises part-way leaves length unchanged and the
 next forward overwrites the rows it had written.
 
 block_core is the one block forward of prefill, decode, cache-path scoring,
-calibration and training.  It treats all heads at once: each of Q, K and a
-cache read is rotated by a single rope call over (T, n_heads * head_dim), and
+calibration and training.  It treats all heads at once: each of Q and K is
+rotated by a single rope call over (T, n_heads * head_dim), and
 causal_attention computes every head's scores, in-place causal softmax and
-weighted sum as one tape node with an explicit backward.
+weighted sum together.  Given Tensors (calibration, training) the block is
+recorded on the autodiff tape; the runtime forward (prefill, decode_step,
+cache_path_forward) passes plain float32 arrays and records nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +55,7 @@ from .quantizers import (
     quantize_token,
     quantize_weight,
 )
-from .tensor import Tensor, concat_rows, rms_norm, rope, softmax_causal
+from .tensor import Tensor, rms_norm, rope, silu, softmax_causal
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -202,7 +209,8 @@ class PoqKvCache:
     Quantized layout holds token codes of the smoothed pre-rotary projections
     plus per-(token, group) parameters; the fp layout holds raw-space arrays
     (pre-rotary K).  length counts the positions every layer holds; only
-    model_forward advances it.
+    model_forward advances it.  One (max_seq_len, hidden) float32 scratch
+    buffer serves every layer's reads.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights],
@@ -212,6 +220,7 @@ class PoqKvCache:
         self.mode = cfg.quant_mode if mode is None else mode
         self.layers = [LayerCache(cfg, self.mode) for _ in range(cfg.n_layers)]
         self.length = 0
+        self.scratch = np.empty((cfg.max_seq_len, cfg.hidden_size), dtype=np.float32)
 
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_raw: np.ndarray, v_raw: np.ndarray) -> None:
         """Store a chunk's KV for layer li at rows length .. length+t-1
@@ -223,34 +232,71 @@ class PoqKvCache:
                 f"cache capacity exceeded: {start}+{t} > {self.cfg.max_seq_len}"
             )
         lc = self.layers[li]
+        rows = slice(start, start + t)
         if lc.quantized:
-            spec = self.cfg.token_spec()
-            qk = quantize_token(k_s, spec)
-            qv = quantize_token(v_s, spec)
-            lc.k_codes[start : start + t] = qk.codes
-            lc.k_m[start : start + t] = qk.m
-            lc.k_n[start : start + t] = qk.n
-            lc.v_codes[start : start + t] = qv.codes
-            lc.v_m[start : start + t] = qv.m
-            lc.v_n[start : start + t] = qv.n
+            # token groups are per row, so one call over the stacked K and V
+            # rows gives each the codes of its own call
+            q = quantize_token(np.concatenate([k_s, v_s]), self.cfg.token_spec())
+            lc.k_codes[rows], lc.v_codes[rows] = q.codes[:t], q.codes[t:]
+            lc.k_m[rows], lc.v_m[rows] = q.m[:t], q.m[t:]
+            lc.k_n[rows], lc.v_n[rows] = q.n[:t], q.n[t:]
         else:
-            lc.k_fp[start : start + t] = k_raw
-            lc.v_fp[start : start + t] = v_raw
+            lc.k_fp[rows] = k_raw
+            lc.v_fp[rows] = v_raw
 
-    def read_raw(self, li: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return raw-space (pre-rotary K) past KV for layer li."""
-        lc = self.layers[li]
-        t = self.length
-        if not lc.quantized:
-            return lc.k_fp[:t], lc.v_fp[:t]
-        spec = self.cfg.token_spec()
-        qk = QuantizedTensor(
-            "token", lc.k_codes[:t], spec.bits, spec.group_size, m=lc.k_m[:t], n=lc.k_n[:t]
-        )
-        qv = QuantizedTensor(
-            "token", lc.v_codes[:t], spec.bits, spec.group_size, m=lc.v_m[:t], n=lc.v_n[:t]
-        )
-        return _dequantize_raw(self.blocks[li], qk, qv)
+    def read_raw(self, li: int, k_cur: np.ndarray, v_cur: np.ndarray):
+        """Layer li's attention inputs over its rows 0 .. length-1 and the
+        chunk's raw rows k_cur, v_cur (pre-rotary K) at length .. length+t-1.
+
+        Returns (k, v): k is the (length + t, hidden) rotated keys in the
+        scratch buffer, and v(p) applies (H, T, length + t) attention weights
+        to the values, giving (H, T, head_dim).  v(p) overwrites the buffer,
+        so k must be used before v is called.
+
+        Quantized values stay codes.  Take a segment of w = gcd(kv_group_size,
+        head_dim) channels, which lies inside one head and one group, with
+        per-token parameters m, n and smoothing s, delta.  Over the past rows,
+        P . V_raw = s * ((P * n) . codes + P . m) + (sum P) * delta.
+        """
+        cfg, lc, blk = self.cfg, self.layers[li], self.blocks[li]
+        past, t = self.length, k_cur.shape[0]
+        k = self.scratch[: past + t]
+        if lc.quantized:
+            spec = cfg.token_spec()
+            qk = QuantizedTensor("token", lc.k_codes[:past], spec.bits, spec.group_size,
+                                 m=lc.k_m[:past], n=lc.k_n[:past])
+            dequantize(qk, out=k[:past])
+            if blk.k.smoothing is not None:
+                apply_kv_smoothing(k[:past], blk.k.smoothing, "to_raw", out=k[:past])
+        else:
+            k[:past] = lc.k_fp[:past]
+        k[past:] = k_cur
+        rope(k, np.arange(past + t), cfg.rope_base, cfg.head_dim, out=k)
+
+        h, d = cfg.n_heads, cfg.head_dim
+        heads = lambda a: a.reshape(a.shape[0], h, d).transpose(1, 0, 2)
+
+        def v(p: np.ndarray) -> np.ndarray:
+            p_past = p[..., :past]
+            out = np.matmul(p[..., past:], heads(v_cur))
+            if not lc.quantized:
+                return out + np.matmul(p_past, heads(lc.v_fp[:past]))
+            w = math.gcd(cfg.kv_group_size, d)
+            seg = np.arange(0, cfg.hidden_size, w)
+            seg_head, seg_group = seg // d, seg // cfg.kv_group_size
+            codes = self.scratch[:past]
+            codes[...] = lc.v_codes[:past]
+            p_seg = p_past[seg_head]  # (segments, T, past)
+            p_seg *= lc.v_n[:past, seg_group].T[:, None, :]
+            acc = np.matmul(p_seg, codes.reshape(past, -1, w).transpose(1, 0, 2))
+            acc += np.matmul(p_past, lc.v_m[:past])[seg_head, :, seg_group][..., None]
+            sp = blk.v.smoothing
+            if sp is not None:
+                acc *= sp.s.reshape(-1, 1, w)
+                acc += p_past.sum(axis=2)[seg_head][..., None] * sp.delta.reshape(-1, 1, w)
+            return out + acc.reshape(h, d // w, -1, w).transpose(0, 2, 1, 3).reshape(out.shape)
+
+        return k, v
 
     def kv_bytes(self) -> int:
         """Deployment-model byte count of the live cache (packed codes + 16-bit params)."""
@@ -273,19 +319,23 @@ class PoqKvCache:
 # -- forward pass -------------------------------------------------------------
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, offset: int,
-                     diag: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + causal mask) v for every head, as one tape node.
+def causal_attention(q, k, v, n_heads: int, offset: int, diag=None):
+    """softmax(q k^T / sqrt(d) + causal mask) v for every head.
 
     q is (T, H*D) at absolute positions offset .. offset+T-1; k and v are
     (S, H*D) at positions 0 .. S-1.  The heads are (H, rows, D) views of the
-    inputs; the (H, T, S) scores buffer becomes the probabilities in place,
-    and the backward keeps only that buffer and the inputs.
+    inputs, and the (H, T, S) scores buffer becomes the probabilities in
+    place.  Tensors make one tape node whose backward keeps only that buffer
+    and the inputs; arrays record nothing, and there v may instead be a
+    function v(p) -> (H, T, D) that applies the probabilities itself, as a
+    cache read's folded values do (PoqKvCache.read_raw).
 
     The POQ diagonal diag = (k_cur, v_cur), each (T, H*D), stands in for the
     keys and values at column offset+i of query row i: with k and v from the
     cache round trip, every row attends as a decode step does.
     """
+    tape = isinstance(q, Tensor)
+    data = (lambda a: a.data) if tape else (lambda a: a)
     t, s = q.shape[0], k.shape[0]
     d = q.shape[1] // n_heads
     scale = np.float32(1.0 / np.sqrt(d))
@@ -296,17 +346,23 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, offset: int,
     def merge(a: np.ndarray) -> np.ndarray:
         return a.transpose(1, 0, 2).reshape(a.shape[1], n_heads * d)
 
-    qh, kh, vh = heads(q.data, t), heads(k.data, s), heads(v.data, s)
+    qh, kh = heads(data(q), t), heads(data(k), s)
     p = np.matmul(qh, kh.transpose(0, 2, 1))
     if diag is not None:
-        kch, vch = heads(diag[0].data, t), heads(diag[1].data, t)
+        kch, vch = heads(data(diag[0]), t), heads(data(diag[1]), t)
         ii, cur = (slice(None), np.arange(t), np.arange(t) + offset), slice(offset, offset + t)
         p[ii] = np.einsum("htd,htd->ht", qh, kch)
     p *= scale
     softmax_causal(p, offset)
-    out = np.matmul(p, vh)
+    if callable(v):
+        out = v(p)
+    else:
+        vh = heads(data(v), s)
+        out = np.matmul(p, vh)
     if diag is not None:
         out += p[ii][..., None] * (vch - vh[:, cur])
+    if not tape:
+        return merge(out)
 
     parents = (q, k, v) + tuple(diag or ())
 
@@ -336,51 +392,53 @@ def _act_quant_fn(cfg: ModelConfig):
     if cfg.kv_bits >= 16:
         return lambda x: x
     spec = cfg.token_spec()
-
-    def f(x: Tensor) -> Tensor:
-        return Tensor(dequantize(quantize_token(x.data, spec)))
-
-    return f
+    return lambda x: dequantize(quantize_token(x, spec))
 
 
-def _dequantize_raw(blk: DecoderBlockWeights, qk: QuantizedTensor, qv: QuantizedTensor):
-    """Raw-space (pre-rotary K) K/V arrays from token codes of the smoothed
-    projections: what a cache read returns for the rows it stored."""
-    un = lambda x, sp: x if sp is None else apply_kv_smoothing(x, sp, "to_raw")
-    return un(dequantize(qk), blk.k.smoothing), un(dequantize(qv), blk.v.smoothing)
-
-
-def _raw_kv(blk: DecoderBlockWeights, k_s: Tensor, v_s: Tensor,
-            spec: TokenQuantSpec | None = None) -> tuple[Tensor, Tensor]:
+def _raw_kv(blk: DecoderBlockWeights, k_s, v_s, spec: TokenQuantSpec | None = None):
     """Raw-space attention inputs from the smoothed projections k_s, v_s;
-    given a token spec, their cache round trip (quantize, then _dequantize_raw)."""
-    if spec is not None:
-        k, v = _dequantize_raw(blk, quantize_token(k_s.data, spec), quantize_token(v_s.data, spec))
-        return Tensor(k), Tensor(v)
-    un = lambda x, sp: x if sp is None else Tensor(apply_kv_smoothing(x.data, sp, "to_raw"))
-    return un(k_s, blk.k.smoothing), un(v_s, blk.v.smoothing)
+    given a token spec, their cache round trip (quantize, dequantize, then
+    un-smooth).  On Tensors a mapped input comes back as a new leaf."""
+
+    def raw(x, sp):
+        if spec is None and sp is None:
+            return x
+        a = x.data if isinstance(x, Tensor) else x
+        if spec is not None:
+            a = dequantize(quantize_token(a, spec))
+        if sp is not None:
+            a = apply_kv_smoothing(a, sp, "to_raw")
+        return Tensor(a) if isinstance(x, Tensor) else a
+
+    return raw(k_s, blk.k.smoothing), raw(v_s, blk.v.smoothing)
+
+
+def block_arrays(blk: DecoderBlockWeights) -> dict[str, np.ndarray]:
+    """A block's weights as the arrays block_core takes."""
+    w = {"attn_norm": blk.attn_norm.reshape(1, -1), "mlp_norm": blk.mlp_norm.reshape(1, -1)}
+    for name, lin in blk.projections().items():
+        w[f"{name}_w"] = lin.w
+        w[f"{name}_b"] = lin.b
+    return w
 
 
 def block_tensors(blk: DecoderBlockWeights) -> dict[str, Tensor]:
     """Wrap a block's weights as (non-differentiable) Tensors for block_core."""
-    w = {"attn_norm": Tensor(blk.attn_norm.reshape(1, -1)),
-         "mlp_norm": Tensor(blk.mlp_norm.reshape(1, -1))}
-    for name, lin in blk.projections().items():
-        w[f"{name}_w"] = Tensor(lin.w)
-        w[f"{name}_b"] = Tensor(lin.b)
-    return w
+    return {name: Tensor(a) for name, a in block_arrays(blk).items()}
 
 
-def block_core(cfg: ModelConfig, w: dict[str, Tensor], x: Tensor, positions: np.ndarray,
-               kv_fn, act_fn=None) -> Tensor:
-    """One decoder block given weight Tensors and a KV handler.
+def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_fn=None):
+    """One decoder block given its weights and a KV handler.
 
+    x and the weights are all Tensors (recorded on the tape) or all arrays.
     kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and must
     return (k_all_rotated, v_all, offset): raw-space attention inputs covering
     past + current tokens and the causal-mask offset of the current chunk.  A
-    fourth element, if returned, is causal_attention's POQ diagonal.
-    Both the runtime cache path and the calibration fake-quant path plug in
-    through kv_fn, so the surrounding arithmetic is shared bit-for-bit.
+    fourth element, if returned, is causal_attention's POQ diagonal; on
+    arrays v_all may be a function of the attention weights (see
+    causal_attention).  The runtime cache path and the calibration fake-quant
+    path both plug in through kv_fn, so the surrounding arithmetic is shared
+    bit-for-bit.
     """
     aq = act_fn if act_fn is not None else (lambda y: y)
 
@@ -400,29 +458,25 @@ def block_core(cfg: ModelConfig, w: dict[str, Tensor], x: Tensor, positions: np.
     xq2 = aq(xn2)
     g = xq2 @ w["gate_w"] + w["gate_b"]
     u = xq2 @ w["up_w"] + w["up_b"]
-    mid = aq(g.silu() * u)
+    mid = aq(silu(g) * u)
     return x + (mid @ w["down_w"] + w["down_b"])
 
 
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
                    cache: PoqKvCache | None, mode: str):
-    """Attend over the cache's past rows plus the chunk's, then append the chunk's."""
+    """Append the chunk's rows to the cache, then attend over its past rows
+    plus the chunk's.  A cache needs array inputs."""
     spec = cfg.token_spec() if mode == "weight_kv" and cfg.kv_quantized and not cfg.poq else None
 
-    def kv_fn(k_s: Tensor, v_s: Tensor, positions: np.ndarray):
+    def kv_fn(k_s, v_s, positions: np.ndarray):
         k_raw, v_raw = _raw_kv(blk, k_s, v_s, spec)
-        k_all = rope(k_raw, positions, cfg.rope_base, cfg.head_dim)
-        v_all = v_raw
         past = 0 if cache is None else cache.length
-        if past:
-            k_past, v_past = cache.read_raw(li)
-            k_past = rope(Tensor(k_past), np.arange(past), cfg.rope_base, cfg.head_dim)
-            k_all = concat_rows([k_past, k_all])
-            v_all = concat_rows([Tensor(v_past), v_raw])
         if cache is not None:
-            cache.append(li, k_s.data, v_s.data, k_raw.data, v_raw.data)
-        # past is the causal-mask offset; at 0 the columns cover only the chunk
-        return k_all, v_all, past
+            cache.append(li, k_s, v_s, k_raw, v_raw)
+        if past:
+            return (*cache.read_raw(li, k_raw, v_raw), past)
+        # at offset 0 the columns cover only the chunk
+        return rope(k_raw, positions, cfg.rope_base, cfg.head_dim), v_raw, 0
 
     return kv_fn
 
@@ -431,7 +485,7 @@ def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
     """A chunk from position 0 as a POQ cache serves it one step at a time:
     every row's past is the cache round trip, and its own K/V stay fp."""
 
-    def kv_fn(k_s: Tensor, v_s: Tensor, positions: np.ndarray):
+    def kv_fn(k_s, v_s, positions: np.ndarray):
         rot = lambda k: rope(k, positions, cfg.rope_base, cfg.head_dim)
         k_past, v_past = _raw_kv(blk, k_s, v_s, cfg.token_spec())
         k_cur, v_cur = _raw_kv(blk, k_s, v_s)
@@ -443,17 +497,19 @@ def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
 def block_forward(
     cfg: ModelConfig,
     blk: DecoderBlockWeights,
-    x: Tensor,
+    x,
     start_pos: int,
     li: int,
     cache: PoqKvCache | None,
     mode: str,
     act_fn=None,
-) -> Tensor:
-    """Block li over x, whose first row sits at start_pos (cache.length with a cache)."""
+):
+    """Block li over x, whose first row sits at start_pos (cache.length with a
+    cache).  A Tensor x is recorded on the tape (no cache); an array is not."""
     positions = np.arange(start_pos, start_pos + x.shape[0])
     kv_fn = _runtime_kv_fn(cfg, blk, li, cache, mode)
-    return block_core(cfg, block_tensors(blk), x, positions, kv_fn, act_fn=act_fn)
+    w = block_tensors(blk) if isinstance(x, Tensor) else block_arrays(blk)
+    return block_core(cfg, w, x, positions, kv_fn, act_fn=act_fn)
 
 
 def model_forward(
@@ -462,7 +518,7 @@ def model_forward(
     cache: PoqKvCache | None = None,
     mode: str | None = None,
 ) -> Tensor:
-    """Forward over a token chunk; returns (T, vocab) logits.
+    """Forward over a token chunk on arrays; returns (T, vocab) logits.
 
     With a cache, the chunk continues at position cache.length and its KV is
     appended; without one it starts at position 0.
@@ -473,7 +529,7 @@ def model_forward(
         raise KvqError(f"unknown quant_mode: {mode!r}")
     token_ids = np.asarray(token_ids, dtype=np.int64)
     act_fn = _act_quant_fn(cfg) if mode == "weight_activation" else None
-    x = Tensor(model.embed[token_ids])
+    x = model.embed[token_ids]
     start = 0 if cache is None else cache.length
     for li, blk in enumerate(model.blocks):
         x = block_forward(cfg, blk, x, start, li, cache, mode, act_fn=act_fn)
@@ -482,26 +538,26 @@ def model_forward(
     return _head(model, x, act_fn)
 
 
-def _head(model: Model, x: Tensor, act_fn=None) -> Tensor:
-    xn = rms_norm(x, Tensor(model.final_norm.reshape(1, -1)))
+def _head(model: Model, x: np.ndarray, act_fn=None) -> Tensor:
+    xn = rms_norm(x, model.final_norm.reshape(1, -1))
     if act_fn is not None:
         xn = act_fn(xn)
-    return xn @ Tensor(model.head.w) + Tensor(model.head.b)
+    return Tensor(xn @ model.head.w + model.head.b)
 
 
 def cache_path_forward(model: Model, token_ids: np.ndarray, mode: str | None = None) -> Tensor:
     """(T, vocab) logits of a chunk as prefill of its first token and then one
-    decode_step per token give them, in one pass.  Only POQ over a quantized
-    cache differs from the cacheless forward; elsewhere the cache holds what
-    attention saw."""
+    decode_step per token give them, in one pass on arrays.  Only POQ over a
+    quantized cache differs from the cacheless forward; elsewhere the cache
+    holds what attention saw."""
     cfg = model.config
     mode = cfg.quant_mode if mode is None else mode
     if not (mode == "weight_kv" and cfg.kv_quantized and cfg.poq):
         return model_forward(model, token_ids, mode=mode)
     positions = np.arange(len(token_ids))
-    x = Tensor(model.embed[token_ids])
+    x = model.embed[token_ids]
     for blk in model.blocks:
-        x = block_core(cfg, block_tensors(blk), x, positions, _poq_kv_fn(cfg, blk))
+        x = block_core(cfg, block_arrays(blk), x, positions, _poq_kv_fn(cfg, blk))
     return _head(model, x)
 
 

@@ -167,20 +167,24 @@ def absorb_smoothing(
     return w_t.astype(np.float32), b_t.astype(np.float32)
 
 
-def apply_kv_smoothing(x: np.ndarray, sp: SmoothingParams, direction: str) -> np.ndarray:
-    """Map between raw KV space and smoothed space.
+def apply_kv_smoothing(x: np.ndarray, sp: SmoothingParams, direction: str,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Map between raw KV space and smoothed space, into out when given
+    (out may be x itself).
 
     to_raw: Y~ * s + delta (after dequantizing cached KV).
     to_smoothed: (Y - delta) / s (only when smoothing is not absorbed).
     """
     x = np.asarray(x, dtype=np.float32)
     if direction == "to_raw":
-        out = x * sp.s[None, :]
+        out = np.multiply(x, sp.s[None, :], out=out)
         out += sp.delta[None, :]
         return out
     if direction == "to_smoothed":
         sp.check_scale()
-        return (x - sp.delta[None, :]) / sp.s[None, :]
+        out = np.subtract(x, sp.delta[None, :], out=out)
+        out /= sp.s[None, :]
+        return out
     raise KvqError(f"unknown smoothing direction: {direction!r}")
 
 
@@ -301,27 +305,27 @@ def quantize_weight(w: np.ndarray, spec: WeightQuantSpec) -> QuantizedTensor:
     )
 
 
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """codes * n + m (token) or (codes - z) * h (weight), span by span."""
+def dequantize(q: QuantizedTensor, out: np.ndarray | None = None) -> np.ndarray:
+    """codes * n + m (token) or (codes - z) * h (weight), span by span, into
+    out (a float32 array of the codes' shape) when given."""
+    if q.kind not in ("token", "weight"):
+        raise KvqError(f"unknown QuantizedTensor kind: {q.kind!r}")
+    r, c = q.codes.shape
+    if out is None:
+        out = np.empty((r, c), dtype=np.float32)
     if q.kind == "token":
-        t, c = q.codes.shape
-        parts = []
         for cols, gs, k, size in _spans(c, q.group_size):
-            part = q.codes[:, cols].reshape(t, k, size).astype(np.float32)
+            part = out[:, cols].reshape(r, k, size)  # a view: only the last axis splits
+            part[...] = q.codes[:, cols].reshape(r, k, size)
             part *= q.n[:, gs, None]
             part += q.m[:, gs, None]
-            parts.append(part.reshape(t, k * size))
-        return _cat(parts, 1)
-    if q.kind == "weight":
-        r, c = q.codes.shape
-        parts = []
-        for rows, gs, k, size in _spans(r, q.group_size):
-            part = q.codes[rows].reshape(k, size, c).astype(np.float32)
-            part -= q.z[gs, None, :]
-            part *= q.h[gs, None, :]
-            parts.append(part.reshape(k * size, c))
-        return _cat(parts, 0)
-    raise KvqError(f"unknown QuantizedTensor kind: {q.kind!r}")
+        return out
+    for rows, gs, k, size in _spans(r, q.group_size):
+        part = out[rows].reshape(k, size, c)
+        part[...] = q.codes[rows].reshape(k, size, c)
+        part -= q.z[gs, None, :]
+        part *= q.h[gs, None, :]
+    return out
 
 
 def fake_quant_token(y: Tensor, bits: int, group_size: int) -> Tensor:

@@ -11,10 +11,14 @@ the ops the model, calibration and training call.
 
 The transformer primitives work on all heads at once.  rope rotates a
 (T, n_heads * head_dim) tensor in one op, slicing cos/sin from a float32
-table that is computed in float64 once per (base, head_dim) and grown on
-demand.  softmax_causal is an in-place kernel on a plain (..., T, S) array,
+table that repeats each head's angles across the width, is computed in
+float64 once per (base, head_dim, width) and is grown on demand.  softmax_causal is an in-place kernel on a plain (..., T, S) array,
 so a caller can turn its (heads, T, S) scores buffer into probabilities
 without a copy.
+
+rms_norm, rope and silu take a Tensor, which records a tape op, or a plain
+float32 array, which records nothing and runs the same arithmetic: the
+runtime forward runs on arrays, calibration and training on Tensors.
 """
 
 from __future__ import annotations
@@ -306,20 +310,6 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise NumericError(f"{name}: non-finite input")
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    heights = [p.shape[0] for p in parts]
-
-    def backward(g, parts=parts, heights=heights):
-        off = 0
-        for p, h in zip(parts, heights):
-            if p.requires_grad:
-                p._accum(g[off : off + h, :])
-            off += h
-
-    return Tensor._from_op(out_data, tuple(parts), backward)
-
-
 def softmax_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
     """In-place causal softmax over the last axis of a (..., T, S) float32 array.
 
@@ -338,27 +328,33 @@ def softmax_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
     return scores
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """RMS normalization over the channel axis with a learnable gain row."""
+def rms_norm(x, gain, eps: float = 1e-6):
+    """RMS normalization over the channel axis with a gain row (learnable on Tensors)."""
+    if not isinstance(x, Tensor):
+        _check_finite("rms_norm", x)
+        return x / np.sqrt((x * x).mean(axis=1, keepdims=True) + np.float32(eps)) * gain
     _check_finite("rms_norm", x.data)
     ms = (x * x).mean(axis=1, keepdims=True)
     inv = (ms + Tensor(np.full((x.shape[0], 1), eps, dtype=np.float32))).sqrt()
     return (x / inv) * gain
 
 
-_ROPE_TABLES: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+_ROPE_TABLES: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _rope_table(base: float, head_dim: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rotary (cos, sin) tables of shape (>= length, head_dim), float32.
+def _rope_table(base: float, head_dim: int, width: int,
+                length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rotary (cos, sin) tables of shape (>= length, width), float32.
 
     With angles p * base^(-2i / head_dim) for position p and pair i, row p
-    holds [cos, cos] and [-sin, sin] across the two halves of a head.  The
-    angles are computed in float64, once per (base, head_dim); the table at
-    least doubles whenever a longer range is asked for.  A row depends only
-    on its key and position, so every caller can share the cached tables.
+    holds [cos, cos] and [-sin, sin] across the two halves of a head, repeated
+    for each of the width // head_dim heads, so a rotation multiplies whole
+    rows.  The angles are computed in float64, once per (base, head_dim,
+    width); the table at least doubles whenever a longer range is asked for.
+    A row depends only on its key and position, so every caller can share the
+    cached tables.
     """
-    key = (float(base), head_dim)
+    key = (float(base), head_dim, width)
     cos, sin = _ROPE_TABLES.get(key, (None, None))
     if cos is None or len(cos) < length:
         n = max(length, 2 * len(cos)) if cos is not None else length
@@ -366,21 +362,25 @@ def _rope_table(base: float, head_dim: int, length: int) -> tuple[np.ndarray, np
         inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
         ang = np.arange(n, dtype=np.float64)[:, None] * inv_freq[None, :]
         c, s = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
-        cos, sin = np.concatenate([c, c], axis=1), np.concatenate([-s, s], axis=1)
+        reps = width // head_dim
+        cos = np.tile(np.concatenate([c, c], axis=1), reps)
+        sin = np.tile(np.concatenate([-s, s], axis=1), reps)
         _ROPE_TABLES[key] = (cos, sin)
     return cos, sin
 
 
-def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0,
-         head_dim: int | None = None) -> Tensor:
-    """Rotary position embedding on a (T, n_heads * head_dim) tensor.
+def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None = None,
+         out: np.ndarray | None = None):
+    """Rotary position embedding on a (T, n_heads * head_dim) Tensor or array.
 
     Every head is rotated in the rotate-half layout, [x1, x2] ->
     [x1 cos - x2 sin, x2 cos + x1 sin]; head_dim defaults to the full width
     (one head).  positions must be a contiguous ascending range, so cos/sin
-    are a slice of _rope_table.
+    are a slice of _rope_table.  An array result is written to out when given
+    (out may be x itself).
     """
-    _check_finite("rope", x.data)
+    tape = isinstance(x, Tensor)
+    _check_finite("rope", x.data if tape else x)
     t, width = x.shape
     d = width if head_dim is None else head_dim
     if d % 2 != 0 or width % d != 0:
@@ -389,23 +389,33 @@ def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0,
     start = int(positions[0]) if t else 0
     if positions.shape != (t,) or start < 0 or np.any(np.diff(positions) != 1):
         raise DimensionError("rope positions must be a contiguous range from >= 0")
-    cos, sin = _rope_table(base, d, start + t)
-    cos = cos[start : start + t, None, :]
-    sin = sin[start : start + t, None, :]
+    cos, sin = _rope_table(base, d, width, start + t)
+    cos, sin = cos[start : start + t], sin[start : start + t]
 
-    def rotate(a: np.ndarray, sin_rows: np.ndarray) -> np.ndarray:
-        a = a.reshape(t, width // d, d)
-        swapped = np.concatenate([a[..., d // 2 :], a[..., : d // 2]], axis=-1)
+    def rotate(a: np.ndarray, sin_rows: np.ndarray, out=None) -> np.ndarray:
+        a3 = a.reshape(t, width // d, d)
+        swapped = np.concatenate([a3[..., d // 2 :], a3[..., : d // 2]], axis=-1)
+        swapped = swapped.reshape(t, width)
         swapped *= sin_rows
-        out = a * cos
+        out = np.multiply(a, cos, out=out)
         out += swapped
-        return out.reshape(t, width)
+        return out
+
+    if not tape:
+        return rotate(x, sin, out)
 
     def backward(g, a=x):
         if a.requires_grad:
             a._accum(rotate(g, -sin))  # the transpose rotates by -angle
 
     return Tensor._from_op(rotate(x.data, sin), (x,), backward)
+
+
+def silu(x):
+    """x * sigmoid(x) of a Tensor (a tape op) or an array."""
+    if isinstance(x, Tensor):
+        return x.silu()
+    return x * (1.0 / (1.0 + np.exp(-x)))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

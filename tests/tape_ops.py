@@ -1,8 +1,8 @@
 """Tape ops that only the tests' reference computations use.
 
-The per-head references in test_tensor.py and the per-group fake-quant
-references in test_quantizers.py are built from these; test_tensor.py checks
-their gradients.  Each is a function over kvq Tensors recorded on the same
+The per-head references in test_tensor.py, the per-group fake-quant
+references in test_quantizers.py and the tape cache read in test_runtime.py
+are built from these; test_tensor.py checks their gradients.  Each is a function over kvq Tensors recorded on the same
 tape as the library's ops.
 """
 
@@ -100,4 +100,18 @@ def concat_cols(parts):
             off += w
 
     return Tensor._from_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts),
+                           backward)
+
+
+def concat_rows(parts):
+    heights = [p.shape[0] for p in parts]
+
+    def backward(g, parts=parts):
+        off = 0
+        for p, h in zip(parts, heights):
+            if p.requires_grad:
+                p._accum(g[off : off + h, :])
+            off += h
+
+    return Tensor._from_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts),
                            backward)

@@ -3,11 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import fitted_model, word_corpus
+from conftest import fitted_model, tiny_config, word_corpus
 from kvq.calibration import (
     CLIP_LOGIT_INIT,
     AdamW,
     CalibConfig,
+    calibrate_block,
     calibrate_model,
     collect_activations,
     crr_loss,
@@ -18,7 +19,7 @@ from kvq.calibration import (
 )
 from kvq.errors import DataFormatError, KvqError
 from kvq.evaluate import logit_mae, perplexity
-from kvq.model import model_forward, quantize_model_weights
+from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
 from kvq.tensor import Tensor
 
 
@@ -206,6 +207,22 @@ class TestCalibrateModel:
                 assert np.allclose(blk_trace["params"][key], 1.0, atol=2e-4)
         for blk_trace in report["blocks"]:
             assert blk_trace["final_loss"] == blk_trace["trajectory"][0]
+
+
+class TestCalibrateBlock:
+    def test_losses_unchanged_by_the_runtime_leaving_the_tape(self):
+        # calibration records block_core and block_forward on the tape; these
+        # are the float32 losses it gave when the runtime forward ran on the
+        # tape as well (numpy 2.4, OpenBLAS 0.3, x86-64)
+        m = Model.random(tiny_config(), seed=0)
+        spread_kv_channels(m, 2.0, seed=0)
+        calib = CalibConfig(k=2, epochs=2, segments=2, seg_len=16, seed=0)
+        acts = collect_activations(m, sample_segments(word_corpus(0, 200), calib))
+        trace = calibrate_block(m, 0, calib, [a[0] for a in acts], [a[2] for a in acts])
+        assert trace["initial_loss"] == 0.001488231762778014
+        assert trace["final_loss"] == 0.0010899411281570792
+        assert trace["trajectory"] == [0.0010686033056117594, 0.001067170815076679,
+                                       0.0010893316066358238]
 
 
 class TestSegments:

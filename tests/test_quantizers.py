@@ -19,8 +19,8 @@ from kvq.quantizers import (
     quantize_token,
     quantize_weight,
 )
-from kvq.tensor import Tensor, concat_rows, round_half_away
-from tape_ops import concat_cols, maximum, round_ste, slice_cols, slice_rows, tmax, tmin, tsum
+from kvq.tensor import Tensor, round_half_away
+from tape_ops import concat_cols, concat_rows, maximum, round_ste, slice_cols, slice_rows, tmax, tmin, tsum
 
 
 def oracle_token(y, bits, group_size):

@@ -6,7 +6,9 @@ import pytest
 from conftest import tiny_config
 import kvq.model
 from kvq.errors import CapacityError, KvqError, NumericError
+from kvq.evaluate import score_logits
 from kvq.model import (
+    MODES,
     Model,
     ModelConfig,
     PoqKvCache,
@@ -18,8 +20,15 @@ from kvq.model import (
     quantize_model_weights,
     spread_kv_channels,
 )
-from kvq.quantizers import init_smoothing
-from kvq.tensor import Tensor, rms_norm
+from kvq.quantizers import (
+    QuantizedTensor,
+    apply_kv_smoothing,
+    dequantize,
+    init_smoothing,
+    quantize_token,
+)
+from kvq.tensor import Tensor, rms_norm, rope
+from tape_ops import concat_rows
 
 
 def make_model(seed=0, **kw):
@@ -48,17 +57,20 @@ def smoothed(model):
 # -- reference: the per-head block the all-heads forward replaced -------------
 
 
-def reference_rope(x, positions, base, head_dim):
-    """Per-head rotary embedding, cos/sin recomputed for these positions."""
+def reference_rope(x, positions, base, head_dim, out=None):
+    """Per-head rotary embedding of an array, cos/sin recomputed for these positions."""
     d, half = head_dim, head_dim // 2
     inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
     ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
     cos, sin = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
     parts = []
     for h in range(x.shape[1] // d):
-        x1, x2 = x.data[:, h * d : h * d + half], x.data[:, h * d + half : (h + 1) * d]
+        x1, x2 = x[:, h * d : h * d + half], x[:, h * d + half : (h + 1) * d]
         parts += [x1 * cos - x2 * sin, x1 * sin + x2 * cos]
-    return Tensor(np.concatenate(parts, axis=1))
+    rotated = np.concatenate(parts, axis=1)
+    if out is not None:
+        out[...] = rotated
+    return rotated
 
 
 def reference_softmax_causal(scores, offset):
@@ -75,18 +87,80 @@ def reference_block_core(cfg, w, x, positions, kv_fn, act_fn=None):
     q = xq @ w["q_w"] + w["q_b"]
     k_s = xq @ w["k_w"] + w["k_b"]
     v_s = xq @ w["v_w"] + w["v_b"]
-    q_rot = reference_rope(q, positions, cfg.rope_base, cfg.head_dim).data
+    q_rot = reference_rope(q, positions, cfg.rope_base, cfg.head_dim)
     k_all, v_all, offset = kv_fn(k_s, v_s, positions)
     d = cfg.head_dim
-    heads = []
+    probs = []
     for h in range(cfg.n_heads):
         cols = slice(h * d, (h + 1) * d)
-        scores = (q_rot[:, cols] @ k_all.data[:, cols].T) * np.float32(1.0 / np.sqrt(d))
-        heads.append(reference_softmax_causal(scores, offset) @ v_all.data[:, cols])
-    x = x + (aq(Tensor(np.concatenate(heads, axis=1))) @ w["o_w"] + w["o_b"])
+        scores = (q_rot[:, cols] @ k_all[:, cols].T) * np.float32(1.0 / np.sqrt(d))
+        probs.append(reference_softmax_causal(scores, offset))
+    if callable(v_all):  # a cache read's folded values take every head's weights at once
+        heads = list(v_all(np.stack(probs)))
+    else:
+        heads = [p @ v_all[:, h * d : (h + 1) * d] for h, p in enumerate(probs)]
+    x = x + (aq(np.concatenate(heads, axis=1)) @ w["o_w"] + w["o_b"])
     xq2 = aq(rms_norm(x, w["mlp_norm"]))
-    mid = aq((xq2 @ w["gate_w"] + w["gate_b"]).silu() * (xq2 @ w["up_w"] + w["up_b"]))
+    g = xq2 @ w["gate_w"] + w["gate_b"]
+    mid = aq(g / (1.0 + np.exp(-g)) * (xq2 @ w["up_w"] + w["up_b"]))
     return x + (mid @ w["down_w"] + w["down_b"])
+
+
+# -- reference: the cache read on the tape that the folded read replaced -------
+
+
+def tape_read_raw(cache, li):
+    """Raw-space (pre-rotary K) past K/V of layer li: dequantize, then un-smooth."""
+    lc, t, blk = cache.layers[li], cache.length, cache.blocks[li]
+    if not lc.quantized:
+        return lc.k_fp[:t], lc.v_fp[:t]
+    spec = cache.cfg.token_spec()
+
+    def raw(codes, m, n, sp):
+        y = dequantize(QuantizedTensor("token", codes[:t], spec.bits, spec.group_size,
+                                       m=m[:t], n=n[:t]))
+        return y if sp is None else apply_kv_smoothing(y, sp, "to_raw")
+
+    return (raw(lc.k_codes, lc.k_m, lc.k_n, blk.k.smoothing),
+            raw(lc.v_codes, lc.v_m, lc.v_n, blk.v.smoothing))
+
+
+def tape_append(cache, li, k_s, v_s, k_raw, v_raw):
+    """Store a chunk's rows, quantizing K and V in separate calls."""
+    lc, rows = cache.layers[li], slice(cache.length, cache.length + k_s.shape[0])
+    if not lc.quantized:
+        lc.k_fp[rows], lc.v_fp[rows] = k_raw, v_raw
+        return
+    for y, codes, m, n in ((k_s, lc.k_codes, lc.k_m, lc.k_n), (v_s, lc.v_codes, lc.v_m, lc.v_n)):
+        q = quantize_token(y, cache.cfg.token_spec())
+        codes[rows], m[rows], n[rows] = q.codes, q.m, q.n
+
+
+def tape_runtime_kv_fn(cfg, blk, li, cache, mode):
+    """The runtime KV handler as it ran on the tape: the past read back to raw
+    space and rotated, then joined to the chunk's rows with concat_rows."""
+    spec = cfg.token_spec() if mode == "weight_kv" and cfg.kv_quantized and not cfg.poq else None
+
+    def raw(y, sp):
+        if spec is not None:
+            y = dequantize(quantize_token(y, spec))
+        return y if sp is None else apply_kv_smoothing(y, sp, "to_raw")
+
+    def kv_fn(k_s, v_s, positions):
+        k_raw, v_raw = raw(k_s, blk.k.smoothing), raw(v_s, blk.v.smoothing)
+        k_all = rope(Tensor(k_raw), positions, cfg.rope_base, cfg.head_dim)
+        v_all = Tensor(v_raw)
+        past = 0 if cache is None else cache.length
+        if past:
+            k_past, v_past = tape_read_raw(cache, li)
+            k_past = rope(Tensor(k_past), np.arange(past), cfg.rope_base, cfg.head_dim)
+            k_all = concat_rows([k_past, k_all])
+            v_all = concat_rows([Tensor(v_past), v_all])
+        if cache is not None:
+            tape_append(cache, li, k_s, v_s, k_raw, v_raw)
+        return k_all.data, v_all.data, past
+
+    return kv_fn
 
 
 IDS = np.arange(24) % 250
@@ -227,10 +301,10 @@ class TestCache:
         calls = []
         apply = kvq.model.apply_kv_smoothing
 
-        def counting(x, sp, direction):
+        def counting(x, sp, direction, **kwargs):
             if sp is mq.blocks[0].k.smoothing:
                 calls.append(direction)
-            return apply(x, sp, direction)
+            return apply(x, sp, direction, **kwargs)
 
         monkeypatch.setattr(kvq.model, "apply_kv_smoothing", counting)
         decode_step(mq, 3, cache, mode="weight_kv")
@@ -244,6 +318,70 @@ class TestCache:
         for t in range(8):
             decode_step(m, 1, cache, mode="weight_kv")
         assert cache.kv_bytes() == 2 * b8
+
+
+class TestFoldedCacheRead:
+    # (kv_group_size, head_dim, n_heads): groups inside a head, several per
+    # head, spanning two heads, straddling heads with a short tail group, and
+    # segments one channel wide
+    LAYOUTS = [(32, 32, 2), (8, 32, 2), (64, 32, 2), (48, 32, 2), (5, 8, 4)]
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("group, head_dim, n_heads", LAYOUTS)
+    def test_matches_tape_read(self, monkeypatch, group, head_dim, n_heads, smooth):
+        base = make_model(seed=1, n_heads=n_heads, head_dim=head_dim,
+                          hidden_size=n_heads * head_dim, kv_group_size=group)
+        spread_kv_channels(base, 2.0, seed=1)
+        m = quantized(smoothed(base) if smooth else base)
+
+        def run():
+            # prefill, a chunk onto the non-empty cache, then decode steps
+            logits, cache = prefill(m, IDS[:10])
+            rows = [logits.data, model_forward(m, IDS[10:20], cache=cache).data]
+            rows += [decode_step(m, int(tok), cache).data for tok in IDS[20:28]]
+            return np.concatenate(rows), cache.layers[0]
+
+        for mode in MODES:
+            for poq in (True, False):
+                for kv_bits in (2, 3, 4, 8, 16):
+                    m.config.quant_mode, m.config.poq, m.config.kv_bits = mode, poq, kv_bits
+                    fast, fast_layer0 = run()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(kvq.model, "_runtime_kv_fn", tape_runtime_kv_fn)
+                        slow, slow_layer0 = run()
+                    bound = 1e-4 if mode == "weight_activation" else 1e-5
+                    assert np.abs(fast - slow).max() <= bound, (mode, poq, kv_bits)
+                    # layer 0 sees the same inputs on both paths, so one
+                    # quantize call over K and V stores what two calls store
+                    for name, stored in vars(fast_layer0).items():
+                        assert np.array_equal(stored, vars(slow_layer0)[name]), name
+
+    def test_runtime_records_no_tape_ops(self, monkeypatch):
+        calls = []
+        from_op = Tensor._from_op
+
+        def counting(*args):
+            calls.append(1)
+            return from_op(*args)
+
+        models = [quantized(smoothed(make_model(seed=1, poq=poq)), mode)
+                  for mode in MODES for poq in (True, False)]
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
+        for m in models:
+            _, cache = prefill(m, IDS[:12])
+            decode_step(m, 5, cache)
+            score_logits(m, IDS, use_cache=True)
+        assert calls == []
+        rms_norm(Tensor(m.embed[IDS]), Tensor(m.final_norm.reshape(1, -1)))
+        assert calls  # the counter sees the tape ops that do run
+
+    @pytest.mark.parametrize("name", ["k_m", "k_n", "v_m", "v_n"])
+    def test_corrupt_cache_params_raise(self, name):
+        m = quantized(smoothed(make_model(seed=1)))
+        _, cache = prefill(m, IDS, mode="weight_kv")
+        getattr(cache.layers[-1], name)[3, 0] = np.nan
+        with pytest.raises(NumericError):
+            decode_step(m, 5, cache, mode="weight_kv")
 
 
 class TestPoq:

@@ -7,7 +7,6 @@ from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericEr
 from kvq.model import causal_attention
 from kvq.tensor import (
     Tensor,
-    concat_rows,
     cross_entropy,
     embedding,
     rms_norm,
@@ -15,7 +14,7 @@ from kvq.tensor import (
     round_half_away,
     softmax_causal,
 )
-from tape_ops import concat_cols, round_ste, slice_cols, slice_rows, tmax, tsum
+from tape_ops import concat_cols, concat_rows, round_ste, slice_cols, slice_rows, tmax, tsum
 
 
 def finite_diff(f, arrs, eps=1e-3):
