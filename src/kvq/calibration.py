@@ -19,19 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, KvqError, NumericError
+from .errors import DataFormatError, KvqError, NumericError, UsageError
 from .model import Model, block_core, block_forward
 from .quantizers import (
     S_FLOOR,
     SmoothingParams,
     WeightQuantSpec,
-    absorb_smoothing,
-    dequantize,
     fake_quant_token,
     fake_quant_weight,
     group_bounds,
     init_smoothing,
-    quantize_weight,
 )
 from .tensor import Tensor, rms_norm, rope
 
@@ -200,7 +197,7 @@ def _calib_kv_fn(model: Model, tp: BlockTrainables):
             k_s = fake_quant_token(k_s, cfg.kv_bits, cfg.kv_group_size)
         v_raw = v_s * tp.s_v.clamp(S_FLOOR, np.inf) + tp.d_v
         k_raw = k_s * tp.s_k.clamp(S_FLOOR, np.inf) + tp.d_k
-        return rope(k_raw, positions, cfg.rope_base, cfg.head_dim), v_raw, 0
+        return rope(k_raw, positions, cfg.rope_base, cfg.head_dim), v_raw
 
     return kv_fn
 
@@ -226,10 +223,8 @@ def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[n
     acts: list[list[np.ndarray]] = []
     for ids in segments:
         xs = [model.embed[np.asarray(ids, dtype=np.int64)].astype(np.float32)]
-        x = Tensor(xs[0])
         for j, blk in enumerate(model.blocks):
-            x = block_forward(model.config, blk, x, 0, j, None, "fp")
-            xs.append(x.data)
+            xs.append(block_forward(model.config, blk, xs[-1], 0, j, None, "fp"))
         acts.append(xs)
     return acts
 
@@ -248,27 +243,19 @@ def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
     """Absorb smoothing and fix the block's weight codes with its learned clipping.
 
     The clipping lives on only in the codes; the report keeps its ranges.
+    At weight_bits >= 16 no codes are made, and an absorbed projection's old
+    codes are dropped.
     """
     cfg = model.config
     blk = model.blocks[i]
-    s_k = np.maximum(tp.s_k.data.reshape(-1), S_FLOOR)
-    s_v = np.maximum(tp.s_v.data.reshape(-1), S_FLOOR)
-    sp_k = SmoothingParams(s_k, tp.d_k.data.reshape(-1))
-    sp_v = SmoothingParams(s_v, tp.d_v.data.reshape(-1))
-    if not sp_k.is_identity():
-        blk.k.w, blk.k.b = absorb_smoothing(blk.k.w, blk.k.b, sp_k)
-        blk.k.smoothing = sp_k
-    if not sp_v.is_identity():
-        blk.v.w, blk.v.b = absorb_smoothing(blk.v.w, blk.v.b, sp_v)
-        blk.v.smoothing = sp_v
+    blk.k.absorb(SmoothingParams(np.maximum(tp.s_k.data.reshape(-1), S_FLOOR), tp.d_k.data))
+    blk.v.absorb(SmoothingParams(np.maximum(tp.s_v.data.reshape(-1), S_FLOOR), tp.d_v.data))
     if cfg.weight_bits >= 16:
         return
     clipping = _mapped_clipping(tp)
     for name, lin in blk.projections().items():
         gamma, beta = clipping[name]
-        spec = WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size, gamma=gamma, beta=beta)
-        lin.wq = quantize_weight(lin.w, spec)
-        lin.w = dequantize(lin.wq)
+        lin.quantize(WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size, gamma, beta))
 
 
 def calibrate_block(model: Model, i: int, calib: CalibConfig,
@@ -367,9 +354,18 @@ def sample_segments(corpus_ids: np.ndarray, calib: CalibConfig) -> list[np.ndarr
 def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) -> dict:
     """Calibrate all blocks sequentially, in place; returns the report dict.
 
-    The model must be in fp state; on return it carries absorbed smoothing,
+    The model must be unsmoothed (fp or round-to-nearest): a k or v
+    projection that already carries smoothing raises UsageError naming its
+    block, before any work.  On return the model carries absorbed smoothing,
     fixed weight codes, and quant_mode="weight_kv".
     """
+    for i, blk in enumerate(model.blocks):
+        for name in ("k", "v"):
+            if getattr(blk, name).smoothing is not None:
+                raise UsageError(
+                    f"block {i}: the {name} projection already carries smoothing; "
+                    "calibrate takes an unsmoothed (fp or RTN) model"
+                )
     segments = sample_segments(corpus_ids, calib)
     acts = collect_activations(model, segments)
     cfg = model.config

@@ -168,26 +168,21 @@ def load_model(path: str) -> Model:
 
     def lin(base: str) -> Linear:
         pq = quant_meta.get("projections", {}).get(base)
-        if pq is None:
-            out = Linear(w=get(f"{base}.w"), b=get(f"{base}.b"))
-        else:
-            wq = QuantizedTensor(
-                kind="weight",
-                codes=get(f"{base}.wq.codes"),
-                bits=pq["bits"],
-                group_size=pq["group_size"],
-                h=get(f"{base}.wq.h"),
-                z=get(f"{base}.wq.z"),
-            )
-            out = Linear(w=dequantize(wq), b=get(f"{base}.b"), wq=wq)
+        wq = None if pq is None else QuantizedTensor(
+            kind="weight",
+            codes=get(f"{base}.wq.codes"),
+            bits=pq["bits"],
+            group_size=pq["group_size"],
+            h=get(f"{base}.wq.h"),
+            z=get(f"{base}.wq.z"),
+        )
+        w = get(f"{base}.w") if wq is None else dequantize(wq)
+        b = get(f"{base}.b")
         sm = quant_meta.get("smoothing", {}).get(base)
-        if sm is not None:
-            out.smoothing = SmoothingParams(
-                get(f"{base}.smooth.s"),
-                get(f"{base}.smooth.delta"),
-                absorbed=sm["absorbed"],
-            )
-        return out
+        smoothing = None if sm is None else SmoothingParams(
+            get(f"{base}.smooth.s"), get(f"{base}.smooth.delta"), absorbed=sm["absorbed"]
+        )
+        return Linear(w=w, b=b, smoothing=smoothing, wq=wq)
 
     blocks = []
     for li in range(cfg.n_layers):

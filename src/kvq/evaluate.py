@@ -156,7 +156,7 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
     for p in params:
         p.requires_grad = True
     opt = AdamW([(params, lr)])
-    kv_fn = lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s, 0)
+    kv_fn = lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s)
 
     losses = []
     for _ in range(steps):
@@ -180,14 +180,11 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
 
     model.embed = embed.data
     model.final_norm = final_norm.data.reshape(-1)
-    model.head.w = head_w.data
-    model.head.b = head_b.data
+    model.head.set(head_w.data, head_b.data)
     for blk, w in zip(model.blocks, blocks):
         blk.attn_norm = w["attn_norm"].data.reshape(-1)
         blk.mlp_norm = w["mlp_norm"].data.reshape(-1)
         for name, lin in blk.projections().items():
-            lin.w = w[f"{name}_w"].data
-            lin.b = w[f"{name}_b"].data
-            lin.wq = None  # trained weights are off the quantization grid
+            lin.set(w[f"{name}_w"].data, w[f"{name}_b"].data)
     return {"steps": steps, "initial_loss": losses[0] if losses else None,
             "final_loss": losses[-1] if losses else None}

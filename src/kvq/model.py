@@ -34,6 +34,11 @@ causal_attention computes every head's scores, in-place causal softmax and
 weighted sum together.  Given Tensors (calibration, training) the block is
 recorded on the autodiff tape; the runtime forward (prefill, decode_step,
 cache_path_forward) passes plain float32 arrays and records nothing.
+
+Each projection is a Linear, the one owner of its weights, weight codes and
+K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
+change them.  So the codes always describe w, and a projection is smoothed
+at most once (a second smoothing raises UsageError).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, KvqError
+from .errors import CapacityError, KvqError, UsageError
 from .quantizers import (
     QuantizedTensor,
     SmoothingParams,
@@ -98,11 +103,35 @@ class ModelConfig:
 
 @dataclass
 class Linear:
+    """One projection x @ w + b, the one owner of its weights, codes and K/V
+    smoothing.  Once it is built, only its methods change them, so the codes
+    always describe w and the projection is smoothed at most once."""
+
     w: np.ndarray  # (C_in, C_out)
     b: np.ndarray  # (1, C_out)
     smoothing: SmoothingParams | None = None
     # weight codes; when set, w == dequantize(wq) and a checkpoint stores only wq
     wq: QuantizedTensor | None = None
+
+    def set(self, w: np.ndarray, b: np.ndarray) -> None:
+        """Install new weights; codes no longer describe them and are dropped."""
+        self.w, self.b, self.wq = w, b, None
+
+    def absorb(self, sp: SmoothingParams) -> None:
+        """Fold K/V smoothing into w and b (absorb_smoothing) and drop the
+        codes.  An identity sp changes nothing; a second smoothing raises
+        UsageError, since the first would be silently replaced."""
+        if sp.is_identity():
+            return
+        if self.smoothing is not None:
+            raise UsageError("projection already carries smoothing; refusing to smooth it twice")
+        self.set(*absorb_smoothing(self.w, self.b, sp))
+        self.smoothing = sp
+
+    def quantize(self, spec: WeightQuantSpec) -> None:
+        """Fix the weight codes at spec; w becomes their dequantization."""
+        self.wq = quantize_weight(self.w, spec)
+        self.w = dequantize(self.wq)
 
 
 @dataclass
@@ -319,24 +348,25 @@ class PoqKvCache:
 # -- forward pass -------------------------------------------------------------
 
 
-def causal_attention(q, k, v, n_heads: int, offset: int, diag=None):
+def causal_attention(q, k, v, n_heads: int, diag=None):
     """softmax(q k^T / sqrt(d) + causal mask) v for every head.
 
-    q is (T, H*D) at absolute positions offset .. offset+T-1; k and v are
-    (S, H*D) at positions 0 .. S-1.  The heads are (H, rows, D) views of the
+    k and v are (S, H*D) at positions 0 .. S-1, and q is (T, H*D) at the
+    last T of them, S-T .. S-1.  The heads are (H, rows, D) views of the
     inputs, and the (H, T, S) scores buffer becomes the probabilities in
     place.  Tensors make one tape node whose backward keeps only that buffer
     and the inputs; arrays record nothing, and there v may instead be a
     function v(p) -> (H, T, D) that applies the probabilities itself, as a
     cache read's folded values do (PoqKvCache.read_raw).
 
-    The POQ diagonal diag = (k_cur, v_cur), each (T, H*D), stands in for the
-    keys and values at column offset+i of query row i: with k and v from the
-    cache round trip, every row attends as a decode step does.
+    On arrays only, the POQ diagonal diag = (k_cur, v_cur), each (T, H*D),
+    stands in for the keys and values at column S-T+i of query row i: with k
+    and v from the cache round trip, every row attends as a decode step does.
     """
     tape = isinstance(q, Tensor)
     data = (lambda a: a.data) if tape else (lambda a: a)
     t, s = q.shape[0], k.shape[0]
+    offset = s - t
     d = q.shape[1] // n_heads
     scale = np.float32(1.0 / np.sqrt(d))
 
@@ -349,8 +379,8 @@ def causal_attention(q, k, v, n_heads: int, offset: int, diag=None):
     qh, kh = heads(data(q), t), heads(data(k), s)
     p = np.matmul(qh, kh.transpose(0, 2, 1))
     if diag is not None:
-        kch, vch = heads(data(diag[0]), t), heads(data(diag[1]), t)
-        ii, cur = (slice(None), np.arange(t), np.arange(t) + offset), slice(offset, offset + t)
+        kch, vch = heads(diag[0], t), heads(diag[1], t)
+        ii, cur = (slice(None), np.arange(t), np.arange(t) + offset), slice(offset, s)
         p[ii] = np.einsum("htd,htd->ht", qh, kch)
     p *= scale
     softmax_causal(p, offset)
@@ -364,28 +394,18 @@ def causal_attention(q, k, v, n_heads: int, offset: int, diag=None):
     if not tape:
         return merge(out)
 
-    parents = (q, k, v) + tuple(diag or ())
-
     def backward(g):
         gh = heads(g, t)
         dp = np.matmul(gh, vh.transpose(0, 2, 1))
-        if diag is not None:
-            dp[ii] = np.einsum("htd,htd->ht", gh, vch)
         ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
         ds *= scale
-        grads = [np.matmul(ds, kh), np.matmul(qh.transpose(0, 2, 1), ds).transpose(0, 2, 1),
-                 np.matmul(p.transpose(0, 2, 1), gh)]
-        if diag is not None:  # the diagonal column read (k_cur, v_cur), not (k, v)
-            pd, dsd = p[ii][..., None], ds[ii][..., None]
-            grads[0] += dsd * (kch - kh[:, cur])
-            grads[1][:, cur] -= dsd * qh
-            grads[2][:, cur] -= pd * gh
-            grads += [dsd * qh, pd * gh]
-        for a, ga in zip(parents, grads):
+        grads = (np.matmul(ds, kh), np.matmul(qh.transpose(0, 2, 1), ds).transpose(0, 2, 1),
+                 np.matmul(p.transpose(0, 2, 1), gh))
+        for a, ga in zip((q, k, v), grads):
             if a.requires_grad:
                 a._accum(merge(ga))
 
-    return Tensor._from_op(merge(out), parents, backward)
+    return Tensor._from_op(merge(out), (q, k, v), backward)
 
 
 def _act_quant_fn(cfg: ModelConfig):
@@ -398,17 +418,14 @@ def _act_quant_fn(cfg: ModelConfig):
 def _raw_kv(blk: DecoderBlockWeights, k_s, v_s, spec: TokenQuantSpec | None = None):
     """Raw-space attention inputs from the smoothed projections k_s, v_s;
     given a token spec, their cache round trip (quantize, dequantize, then
-    un-smooth).  On Tensors a mapped input comes back as a new leaf."""
+    un-smooth).  Tensors must pass through unmapped, as in calibration's fp
+    tail blocks, which are never smoothed: calibration refuses a smoothed
+    model."""
 
     def raw(x, sp):
-        if spec is None and sp is None:
-            return x
-        a = x.data if isinstance(x, Tensor) else x
         if spec is not None:
-            a = dequantize(quantize_token(a, spec))
-        if sp is not None:
-            a = apply_kv_smoothing(a, sp, "to_raw")
-        return Tensor(a) if isinstance(x, Tensor) else a
+            x = dequantize(quantize_token(x, spec))
+        return x if sp is None else apply_kv_smoothing(x, sp, "to_raw")
 
     return raw(k_s, blk.k.smoothing), raw(v_s, blk.v.smoothing)
 
@@ -432,13 +449,13 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
 
     x and the weights are all Tensors (recorded on the tape) or all arrays.
     kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and must
-    return (k_all_rotated, v_all, offset): raw-space attention inputs covering
-    past + current tokens and the causal-mask offset of the current chunk.  A
-    fourth element, if returned, is causal_attention's POQ diagonal; on
-    arrays v_all may be a function of the attention weights (see
-    causal_attention).  The runtime cache path and the calibration fake-quant
-    path both plug in through kv_fn, so the surrounding arithmetic is shared
-    bit-for-bit.
+    return (k_all_rotated, v_all): raw-space attention inputs covering past +
+    current tokens, the chunk's rows last, so the causal mask follows from
+    their row counts.  A third element, if returned, is causal_attention's
+    POQ diagonal; on arrays v_all may be a function of the attention weights
+    (see causal_attention).  The runtime cache path and the calibration
+    fake-quant path both plug in through kv_fn, so the surrounding arithmetic
+    is shared bit-for-bit.
     """
     aq = act_fn if act_fn is not None else (lambda y: y)
 
@@ -449,8 +466,8 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     v_s = xq @ w["v_w"] + w["v_b"]
 
     q_rot = rope(q, positions, cfg.rope_base, cfg.head_dim)
-    k_all, v_all, offset, *diag = kv_fn(k_s, v_s, positions)
-    merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, offset, *diag)
+    k_all, v_all, *diag = kv_fn(k_s, v_s, positions)
+    merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, *diag)
     out = aq(merged) @ w["o_w"] + w["o_b"]
     x = x + out
 
@@ -474,9 +491,8 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
         if cache is not None:
             cache.append(li, k_s, v_s, k_raw, v_raw)
         if past:
-            return (*cache.read_raw(li, k_raw, v_raw), past)
-        # at offset 0 the columns cover only the chunk
-        return rope(k_raw, positions, cfg.rope_base, cfg.head_dim), v_raw, 0
+            return cache.read_raw(li, k_raw, v_raw)
+        return rope(k_raw, positions, cfg.rope_base, cfg.head_dim), v_raw
 
     return kv_fn
 
@@ -489,7 +505,7 @@ def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
         rot = lambda k: rope(k, positions, cfg.rope_base, cfg.head_dim)
         k_past, v_past = _raw_kv(blk, k_s, v_s, cfg.token_spec())
         k_cur, v_cur = _raw_kv(blk, k_s, v_s)
-        return rot(k_past), v_past, 0, (rot(k_cur), v_cur)
+        return rot(k_past), v_past, (rot(k_cur), v_cur)
 
     return kv_fn
 
@@ -611,15 +627,10 @@ def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> N
         v_scale = np.exp(rng.uniform(-log_range, log_range, cfg.hidden_size)).astype(
             np.float32
         )
-        blk.k.w = (blk.k.w * k_scale[None, :]).astype(np.float32)
-        blk.k.b = (blk.k.b * k_scale[None, :]).astype(np.float32)
-        blk.q.w = (blk.q.w / k_scale[None, :]).astype(np.float32)
-        blk.q.b = (blk.q.b / k_scale[None, :]).astype(np.float32)
-        blk.v.w = (blk.v.w * v_scale[None, :]).astype(np.float32)
-        blk.v.b = (blk.v.b * v_scale[None, :]).astype(np.float32)
-        blk.o.w = (blk.o.w / v_scale[:, None]).astype(np.float32)
-        for lin in (blk.q, blk.k, blk.v, blk.o):
-            lin.wq = None
+        blk.k.set(blk.k.w * k_scale, blk.k.b * k_scale)
+        blk.q.set(blk.q.w / k_scale, blk.q.b / k_scale)
+        blk.v.set(blk.v.w * v_scale, blk.v.b * v_scale)
+        blk.o.set(blk.o.w / v_scale[:, None], blk.o.b)
 
 
 # -- quantized-model construction ---------------------------------------------
@@ -628,17 +639,11 @@ PROJECTION_NAMES = ("q", "k", "v", "o", "gate", "up", "down")
 
 
 def attach_kv_smoothing(model: Model, per_layer: list[tuple[SmoothingParams, SmoothingParams]]) -> None:
-    """Absorb per-layer (K, V) smoothing params into the k/v projections.
-
-    Weight codes of a rescaled projection no longer describe it and are dropped.
-    """
+    """Absorb per-layer (K, V) smoothing params into the k/v projections
+    (Linear.absorb: codes dropped, a second smoothing refused)."""
     for blk, (sp_k, sp_v) in zip(model.blocks, per_layer):
-        if not sp_k.is_identity():
-            blk.k.w, blk.k.b = absorb_smoothing(blk.k.w, blk.k.b, sp_k)
-            blk.k.smoothing, blk.k.wq = sp_k, None
-        if not sp_v.is_identity():
-            blk.v.w, blk.v.b = absorb_smoothing(blk.v.w, blk.v.b, sp_v)
-            blk.v.smoothing, blk.v.wq = sp_v, None
+        blk.k.absorb(sp_k)
+        blk.v.absorb(sp_v)
 
 
 def quantize_model_weights(model: Model, literal_range: bool = False) -> None:
@@ -655,5 +660,4 @@ def quantize_model_weights(model: Model, literal_range: bool = False) -> None:
     spec = WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size, literal_range=literal_range)
     for blk in model.blocks:
         for lin in blk.projections().values():
-            lin.wq = quantize_weight(lin.w, spec)
-            lin.w = dequantize(lin.wq)
+            lin.quantize(spec)

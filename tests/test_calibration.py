@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from conftest import fitted_model, tiny_config, word_corpus
+import kvq.calibration as calibration
 from kvq.calibration import (
     CLIP_LOGIT_INIT,
     AdamW,
@@ -17,7 +19,7 @@ from kvq.calibration import (
     sample_segments,
     sweep_k,
 )
-from kvq.errors import DataFormatError, KvqError
+from kvq.errors import DataFormatError, KvqError, UsageError
 from kvq.evaluate import logit_mae, perplexity
 from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
 from kvq.tensor import Tensor
@@ -193,6 +195,18 @@ class TestCalibrateModel:
             outs.append(model_forward(mq, corpus[:20], mode="weight_kv").data)
         assert reports[0] == reports[1]
         assert np.array_equal(outs[0], outs[1])
+
+    def test_calibrated_model_refused_before_any_work(self, calib_setup, monkeypatch):
+        # calibrating again would smooth each k/v projection a second time
+        model, corpus, calib, _, _ = calib_setup
+        mq = copy.deepcopy(model)
+        calibrate_model(mq, corpus, dataclasses.replace(calib, epochs=1, segments=2))
+        calls = []
+        for name in ("collect_activations", "calibrate_block"):
+            monkeypatch.setattr(calibration, name, lambda *a, name=name: calls.append(name))
+        with pytest.raises(UsageError, match="block 0"):
+            calibrate_model(mq, corpus, calib)
+        assert calls == []
 
     def test_disabled_features_stay_untrained(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config, word_corpus
+from kvq.calibration import CalibConfig, calibrate_model
 from kvq.checkpoint import (
     ALIGN,
     MAGIC,
@@ -193,7 +194,7 @@ class TestModelRoundtrip:
         out1 = model_forward(m1, IDS, mode="weight_kv").data
         assert np.array_equal(out1, model_forward(m2, IDS, mode="weight_kv").data)
 
-    @pytest.mark.parametrize("rewrite", ["train", "spread", "smooth"])
+    @pytest.mark.parametrize("rewrite", ["train", "spread", "smooth", "calibrate16"])
     def test_rewritten_quantized_model_saves_new_weights(self, tmp_path, rewrite):
         # a writer that moves w off its codes drops them, so w is what is saved
         m = self.make(quantize=True)
@@ -201,6 +202,14 @@ class TestModelRoundtrip:
             train_model(m, word_corpus(0), steps=2, batch=1, seq_len=16)
         elif rewrite == "spread":
             spread_kv_channels(m, 1.5, seed=0)
+        elif rewrite == "calibrate16":
+            # kvq quantize --mode w4kv4, then kvq calibrate --bits 16: the
+            # smoothing is absorbed but no new codes are made
+            m.config.weight_bits = 16
+            calibrate_model(m, word_corpus(0), CalibConfig(k=1, epochs=1, segments=2,
+                                                           seg_len=16))
+            assert all(b.k.smoothing is not None and b.v.smoothing is not None
+                       for b in m.blocks)
         else:
             x = m.embed[IDS]
             attach_kv_smoothing(m, [(init_smoothing(x @ blk.k.w + blk.k.b),
@@ -210,7 +219,7 @@ class TestModelRoundtrip:
         save_model(m, p)
         m2 = load_model(p)
         for b1, b2 in zip(m.blocks, m2.blocks):
-            assert b2.v.wq is None
+            assert b2.k.wq is None and b2.v.wq is None
             for name, lin in b1.projections().items():
                 assert np.array_equal(lin.w, b2.projections()[name].w)
         assert np.array_equal(model_forward(m, IDS).data, model_forward(m2, IDS).data)

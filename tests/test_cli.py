@@ -31,6 +31,15 @@ def workdir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def calibrated(workdir):
+    out = workdir / "calibrated.kvq"
+    rc = main(["calibrate", "--model", str(workdir / "model.kvq"),
+               "--corpus", str(workdir / "corpus.txt"), "--out", str(out)] + CAL_ARGS)
+    assert rc == 0
+    return out
+
+
 def run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr()
@@ -139,6 +148,24 @@ class TestCalibrate:
         assert json.loads((workdir / "cal.json").read_text()) == rep
         m = load_model(str(out))
         assert m.config.quant_mode == "weight_kv"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("calibrate", CAL_ARGS),
+        ("ablate", ["--k", "1", "--epochs", "1", "--segments", "2", "--seg-len", "24"]),
+        ("sweep-k", ["--k-values", "1", "--epochs", "1", "--segments", "2",
+                     "--seg-len", "24"]),
+    ], ids=["calibrate", "ablate", "sweep-k"])
+    def test_calibrated_checkpoint_refused(self, workdir, calibrated, capsys, command, extra):
+        # a second calibration would smooth the k/v projections twice
+        out = workdir / "recalibrated.kvq"
+        if command == "calibrate":
+            extra = extra + ["--out", str(out)]
+        rc, stdout, err = run(capsys, [
+            command, "--model", str(calibrated), "--corpus", str(workdir / "corpus.txt"),
+        ] + extra)
+        assert rc == 2
+        assert "block 0" in err and "smoothing" in err
+        assert stdout == "" and not out.exists()
 
 
 class TestEval:

@@ -1,14 +1,17 @@
+import ast
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import tiny_config
 import kvq.model
-from kvq.errors import CapacityError, KvqError, NumericError
+from kvq.errors import CapacityError, KvqError, NumericError, UsageError
 from kvq.evaluate import score_logits
 from kvq.model import (
     MODES,
+    Linear,
     Model,
     ModelConfig,
     PoqKvCache,
@@ -22,6 +25,8 @@ from kvq.model import (
 )
 from kvq.quantizers import (
     QuantizedTensor,
+    SmoothingParams,
+    WeightQuantSpec,
     apply_kv_smoothing,
     dequantize,
     init_smoothing,
@@ -88,7 +93,8 @@ def reference_block_core(cfg, w, x, positions, kv_fn, act_fn=None):
     k_s = xq @ w["k_w"] + w["k_b"]
     v_s = xq @ w["v_w"] + w["v_b"]
     q_rot = reference_rope(q, positions, cfg.rope_base, cfg.head_dim)
-    k_all, v_all, offset = kv_fn(k_s, v_s, positions)
+    k_all, v_all = kv_fn(k_s, v_s, positions)
+    offset = k_all.shape[0] - x.shape[0]
     d = cfg.head_dim
     probs = []
     for h in range(cfg.n_heads):
@@ -158,7 +164,7 @@ def tape_runtime_kv_fn(cfg, blk, li, cache, mode):
             v_all = concat_rows([Tensor(v_past), v_all])
         if cache is not None:
             tape_append(cache, li, k_s, v_s, k_raw, v_raw)
-        return k_all.data, v_all.data, past
+        return k_all.data, v_all.data
 
     return kv_fn
 
@@ -512,3 +518,54 @@ class TestSmoothingRuntime:
         attach_kv_smoothing(ms, per_layer)
         err_smooth = decode_err(ms)
         assert err_smooth < err_plain
+
+    def test_second_smoothing_refused(self):
+        # a second smoothing would replace the first while w carries both
+        m = smoothed(make_model(seed=4))
+        before = copy.deepcopy(m)
+        with pytest.raises(UsageError):
+            smoothed(m)
+        for b1, b2 in zip(before.blocks, m.blocks):
+            for lin1, lin2 in ((b1.k, b2.k), (b1.v, b2.v)):
+                assert np.array_equal(lin1.w, lin2.w) and np.array_equal(lin1.b, lin2.b)
+                assert np.array_equal(lin1.smoothing.s, lin2.smoothing.s)
+
+    def test_linear_absorb(self):
+        rng = np.random.default_rng(8)
+        lin = Linear(w=rng.normal(size=(16, 4)).astype(np.float32),
+                     b=rng.normal(size=(1, 4)).astype(np.float32))
+        lin.quantize(WeightQuantSpec(4, 8))
+        w, wq = lin.w, lin.wq
+        lin.absorb(SmoothingParams.identity(4))  # nothing to fold
+        assert lin.w is w and lin.wq is wq and lin.smoothing is None
+        sp = init_smoothing(rng.normal(size=(6, 4)).astype(np.float32))
+        lin.absorb(sp)
+        assert lin.smoothing is sp and lin.wq is None
+        assert np.array_equal(lin.w, w / sp.s[None, :])
+        with pytest.raises(UsageError):
+            lin.absorb(init_smoothing(rng.normal(size=(6, 4)).astype(np.float32)))
+        assert lin.smoothing is sp
+
+
+class TestStateOwnership:
+    def test_only_linear_writes_its_state(self):
+        # after a Linear is built, only its own methods change its weights,
+        # codes and smoothing, so the codes describe w and it is smoothed once
+        owned = {"w", "b", "wq", "smoothing"}
+        found = []
+        for path in sorted(Path(kvq.model.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            linear = {id(n) for c in ast.walk(tree)
+                      if isinstance(c, ast.ClassDef) and c.name == "Linear" for n in ast.walk(c)}
+            for node in ast.walk(tree):
+                if id(node) in linear:
+                    continue
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                found += [f"{path.name}:{n.lineno} .{n.attr}" for t in targets
+                          for n in ast.walk(t) if isinstance(n, ast.Attribute) and n.attr in owned]
+        assert found == []

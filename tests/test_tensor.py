@@ -171,7 +171,7 @@ class TestGradients:
         rng = np.random.default_rng(5)
         w = Tensor(randn(rng, 2, 8))
         check_grads(
-            lambda q, k, v: tsum(causal_attention(q, k, v, 2, 3) * w),
+            lambda q, k, v: tsum(causal_attention(q, k, v, 2) * w),
             [randn(rng, 2, 8), randn(rng, 5, 8), randn(rng, 5, 8)],
         )
 
@@ -179,35 +179,24 @@ class TestGradients:
         rng = np.random.default_rng(15)
         arrs = [randn(rng, 3, 16), randn(rng, 7, 16), randn(rng, 7, 16)]
         w = Tensor(randn(rng, 3, 16))
-        fused = grads_of(lambda q, k, v: tsum(causal_attention(q, k, v, 4, 4) * w), arrs)
+        fused = grads_of(lambda q, k, v: tsum(causal_attention(q, k, v, 4) * w), arrs)
         ref = grads_of(lambda q, k, v: tsum(per_head_attention(q, k, v, 4, 4) * w), arrs)
         assert abs(fused[0] - ref[0]) <= 1e-6 * max(1.0, abs(float(ref[0])))
         for a, b in zip(fused[1], ref[1]):
             assert np.abs(a - b).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
 
-    @pytest.mark.parametrize("t,s,offset", [(2, 5, 3), (4, 4, 0)])
-    def test_causal_attention_poq_diagonal(self, t, s, offset):
-        # gradients reach the diagonal inputs (k_cur, v_cur) as well as q, k, v
-        rng = np.random.default_rng(18 + offset)
-        w = Tensor(randn(rng, t, 8))
-        check_grads(
-            lambda q, k, v, kc, vc: tsum(causal_attention(q, k, v, 2, offset, (kc, vc)) * w),
-            [randn(rng, t, 8), randn(rng, s, 8), randn(rng, s, 8),
-             randn(rng, t, 8), randn(rng, t, 8)],
-        )
-
     def test_causal_attention_poq_diagonal_matches_rowwise(self):
         # row i attends to k, v before its column and to (k_cur[i], v_cur[i]) at it
         rng = np.random.default_rng(19)
         t, offset = 5, 3
-        q, kc, vc = (Tensor(randn(rng, t, 16)) for _ in range(3))
-        k, v = (Tensor(randn(rng, offset + t, 16)) for _ in range(2))
-        fused = causal_attention(q, k, v, 4, offset, (kc, vc)).data
+        q, kc, vc = (randn(rng, t, 16) for _ in range(3))
+        k, v = (randn(rng, offset + t, 16) for _ in range(2))
+        fused = causal_attention(q, k, v, 4, (kc, vc))
         for i in range(t):
             past = slice(0, offset + i)
-            ki = Tensor(np.concatenate([k.data[past], kc.data[i : i + 1]]))
-            vi = Tensor(np.concatenate([v.data[past], vc.data[i : i + 1]]))
-            row = causal_attention(Tensor(q.data[i : i + 1]), ki, vi, 4, offset + i).data
+            ki = np.concatenate([k[past], kc[i : i + 1]])
+            vi = np.concatenate([v[past], vc[i : i + 1]])
+            row = causal_attention(q[i : i + 1], ki, vi, 4)
             assert np.abs(fused[i] - row[0]).max() <= 1e-6
 
     def test_rms_norm(self):
