@@ -37,7 +37,7 @@ from .model import (
     prefill,
     quantize_model_weights,
 )
-from .calibration import CalibConfig, calibrate_model, sweep_k
+from .calibration import CalibConfig, calibrate_model
 from .analyzer import ArchSpec, DeployConfig, estimate_decode_time, estimate_memory
 from .checkpoint import load_model, read_container, save_model, write_container
 from .evaluate import eval_report, load_corpus, perplexity, train_model
@@ -84,7 +84,6 @@ __all__ = [
     "quantize_weight",
     "read_container",
     "save_model",
-    "sweep_k",
     "train_model",
     "write_container",
 ]

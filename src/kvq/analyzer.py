@@ -3,7 +3,8 @@
 Byte accounting rules:
 
 * quantized tensors (bits < 16) are counted bit-packed plus two 16-bit
-  per-group parameters (scale, offset);
+  per-group parameters (scale, offset); the KV cache may hold any code
+  width from 2 to 8 bits (KV_BITS), weights and activations 4 or 8;
 * unquantized tensors are counted at their stated width (fp16 by default);
 * norm gains and biases are always counted at 16 bits;
 * embedding and output head are counted at weight_bits.
@@ -20,6 +21,8 @@ from dataclasses import dataclass, replace
 from .errors import AccountingError, KvqError
 
 VALID_BITS = (4, 8, 16, 32)
+# every code width the runtime KV cache stores, and the unquantized widths
+KV_BITS = (2, 3, 4, 5, 6, 7, 8, 16, 32)
 
 GB = 1e9
 
@@ -65,9 +68,11 @@ class DeployConfig:
     def __post_init__(self):
         if self.batch < 1 or self.prompt_len < 0 or self.gen_len < 0:
             raise KvqError("batch must be >= 1 and lengths must be >= 0")
-        for b in (self.weight_bits, self.kv_bits, self.act_bits):
+        for b in (self.weight_bits, self.act_bits):
             if b not in VALID_BITS:
                 raise KvqError(f"bits must be one of {VALID_BITS}, got {b}")
+        if self.kv_bits not in KV_BITS:
+            raise KvqError(f"kv bits must be one of {KV_BITS}, got {self.kv_bits}")
         if self.bandwidth_bytes <= 0:
             raise KvqError("bandwidth must be positive")
 
@@ -194,7 +199,8 @@ def estimate_decode_time(cfg: DeployConfig) -> dict:
 
 
 def verify_runtime_accounting(model, cache) -> dict:
-    """Check the analyzer KV formula against live PoqKvCache buffers, exactly."""
+    """Check the analyzer KV formula against live PoqKvCache buffers, exactly:
+    a quantized cache at the config's kv_bits, an unquantized one at >= 16."""
     mc = model.config
     quantized = any(lc.quantized for lc in cache.layers)
     arch = ArchSpec(
@@ -206,12 +212,11 @@ def verify_runtime_accounting(model, cache) -> dict:
         mc.intermediate_size,
         mc.vocab_size,
     )
-    kv_bits = mc.kv_bits if quantized else max(mc.kv_bits, 16)
     dc = DeployConfig(
         arch=arch,
         batch=1,
         prompt_len=cache.length,
-        kv_bits=kv_bits if kv_bits in VALID_BITS else 16,
+        kv_bits=mc.kv_bits if quantized else max(mc.kv_bits, 16),
         kv_group_size=mc.kv_group_size,
     )
     analyzer = kv_cache_bytes(dc, cache.length)

@@ -14,13 +14,12 @@ forward has no cache).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, KvqError, NumericError, UsageError
-from .model import Model, block_core, block_forward
+from .errors import DataFormatError, KvqError, NumericError
+from .model import Model, block_core, block_forward, require_unsmoothed
 from .quantizers import (
     S_FLOOR,
     SmoothingParams,
@@ -359,13 +358,7 @@ def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) ->
     block, before any work.  On return the model carries absorbed smoothing,
     fixed weight codes, and quant_mode="weight_kv".
     """
-    for i, blk in enumerate(model.blocks):
-        for name in ("k", "v"):
-            if getattr(blk, name).smoothing is not None:
-                raise UsageError(
-                    f"block {i}: the {name} projection already carries smoothing; "
-                    "calibrate takes an unsmoothed (fp or RTN) model"
-                )
+    require_unsmoothed(model, "calibrate")
     segments = sample_segments(corpus_ids, calib)
     acts = collect_activations(model, segments)
     cfg = model.config
@@ -389,28 +382,3 @@ def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) ->
         "blocks": blocks_trace,
         "mean_final_initial_ratio": float(np.mean(ratios)) if ratios else 1.0,
     }
-
-
-def sweep_k(model: Model, corpus_ids: np.ndarray, k_values: list[int], calib: CalibConfig,
-            eval_fn=None) -> list[dict]:
-    """Calibrate a fresh copy of the model per k; optional eval_fn(model) -> ppl."""
-    cfg = model.config
-    rows = []
-    for k in k_values:
-        if not 1 <= k <= cfg.n_layers:
-            raise KvqError(f"k must be in 1..{cfg.n_layers}, got {k}")
-        m = copy.deepcopy(model)
-        c = copy.deepcopy(calib)
-        c.k = k
-        report = calibrate_model(m, corpus_ids, c)
-        row = {
-            "k": k,
-            "mean_final_loss": float(
-                np.mean([b["final_loss"] for b in report["blocks"]])
-            ),
-            "report": report,
-        }
-        if eval_fn is not None:
-            row["perplexity"] = float(eval_fn(m))
-        rows.append(row)
-    return rows

@@ -17,6 +17,7 @@ if _t:
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 
@@ -41,6 +42,18 @@ def _write_json(obj, path: str | None) -> str:
 
 def _eval_slice(ids: np.ndarray, limit: int) -> np.ndarray:
     return ids[: max(2, min(len(ids), limit))]
+
+
+# quantization flag -> ModelConfig field
+_QUANT_FIELDS = {"bits": "weight_bits", "kv_bits": "kv_bits",
+                 "group_size": "weight_group_size", "kv_group_size": "kv_group_size"}
+
+
+def _apply_quant_args(cfg, args) -> None:
+    """Set the config fields whose flags were given; the rest keep the checkpoint's."""
+    for flag, field in _QUANT_FIELDS.items():
+        if getattr(args, flag) is not None:
+            setattr(cfg, field, getattr(args, flag))
 
 
 # -- commands -----------------------------------------------------------------
@@ -80,10 +93,7 @@ def cmd_quantize(args) -> int:
 
     model = load_model(args.model)
     cfg = model.config
-    cfg.weight_bits = args.bits
-    cfg.kv_bits = args.kv_bits
-    cfg.weight_group_size = args.group_size
-    cfg.kv_group_size = args.kv_group_size
+    _apply_quant_args(cfg, args)
     cfg.quant_mode = SETTING_MODES[args.mode]
     quantize_model_weights(model, literal_range=args.literal_range)
     if cfg.quant_mode == "weight_kv" and all(
@@ -106,11 +116,7 @@ def cmd_calibrate(args) -> int:
     from .evaluate import load_corpus
 
     model = load_model(args.model)
-    cfg = model.config
-    cfg.weight_bits = args.bits
-    cfg.kv_bits = args.kv_bits
-    cfg.weight_group_size = args.group_size
-    cfg.kv_group_size = args.kv_group_size
+    _apply_quant_args(model.config, args)
     ids = load_corpus(args.corpus)
     calib = CalibConfig(
         k=args.k,
@@ -133,13 +139,11 @@ def cmd_eval(args) -> int:
     from .evaluate import eval_report, load_corpus
 
     model = load_model(args.model)
+    if args.mode:
+        model.config.quant_mode = args.mode
     ids = _eval_slice(load_corpus(args.corpus), args.max_tokens)
     fp_model = load_model(args.fp_model) if args.fp_model else None
-    mode = args.mode if args.mode else None
-    report = eval_report(
-        model, ids, setting=mode or model.config.quant_mode,
-        use_cache=args.use_cache, mode=mode, fp_model=fp_model,
-    )
+    report = eval_report(model, ids, use_cache=args.use_cache, fp_model=fp_model)
     print(_write_json(report, args.json))
     return 0
 
@@ -260,24 +264,25 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
-    from .calibration import CalibConfig, sweep_k
+    from .calibration import CalibConfig
     from .checkpoint import load_model
-    from .evaluate import load_corpus, perplexity
+    from .evaluate import load_corpus
 
     model = load_model(args.model)
+    k_values = [int(v) for v in args.k_values.split(",") if v]
+    for k in k_values:
+        if not 1 <= k <= model.config.n_layers:
+            raise UsageError(f"k must be in 1..{model.config.n_layers}, got {k}")
     ids = load_corpus(args.corpus)
     eval_ids = _eval_slice(ids, args.max_tokens)
     calib = CalibConfig(epochs=args.epochs, seed=args.seed,
                         segments=args.segments, seg_len=args.seg_len)
-    k_values = [int(v) for v in args.k_values.split(",") if v]
-
-    def eval_fn(m):
-        return perplexity(m, eval_ids, use_cache=True)["perplexity"]
-
-    rows = sweep_k(model, ids, k_values, calib, eval_fn=eval_fn)
-    slim = [{"k": r["k"], "mean_final_loss": r["mean_final_loss"],
-             "perplexity": r["perplexity"]} for r in rows]
-    print(_write_json({"rows": slim}, args.json))
+    rows = []
+    for k in k_values:
+        row = _run_variant(model, ids, eval_ids, set(_FEATURES), dataclasses.replace(calib, k=k))
+        rows.append({"k": k, "mean_final_loss": row["mean_final_loss"],
+                     "perplexity": row["perplexity"]})
+    print(_write_json({"rows": rows}, args.json))
     return 0
 
 
@@ -287,8 +292,10 @@ def cmd_generate(args) -> int:
     from .model import generate
 
     model = load_model(args.model)
+    if args.mode:
+        model.config.quant_mode = args.mode
     prompt = encode_bytes(args.prompt.encode("utf-8"))
-    out = generate(model, prompt, args.n_new, mode=args.mode or None)
+    out = generate(model, prompt, args.n_new)
     new = out[len(prompt):]
     text = bytes(int(t) for t in new if t < 256).decode("utf-8", errors="replace")
     print(_write_json({"prompt": args.prompt, "ids": [int(t) for t in out],
@@ -304,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_quant_args(sp):
-        sp.add_argument("--bits", type=int, default=4)
-        sp.add_argument("--kv-bits", type=int, default=4)
-        sp.add_argument("--group-size", type=int, default=128)
-        sp.add_argument("--kv-group-size", type=int, default=128)
+        for flag in _QUANT_FIELDS:
+            sp.add_argument("--" + flag.replace("_", "-"), type=int, default=None,
+                            help="default: the checkpoint's value")
 
     sp = sub.add_parser("fit", help="train a small byte-level model")
     sp.add_argument("--corpus", required=True)
@@ -355,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--mode", choices=("fp", "weight_only", "weight_kv",
-                                       "weight_activation"), default=None)
+                                       "weight_activation"), default=None,
+                    help="setting to score in (default: the checkpoint's quant_mode)")
     sp.add_argument("--use-cache", action="store_true",
                     help="score through the POQ cache path (quantized past, fp current K/V)")
     sp.add_argument("--fp-model")
@@ -407,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--prompt", required=True)
     sp.add_argument("--n-new", type=int, default=32)
-    sp.add_argument("--mode", default=None)
+    sp.add_argument("--mode", default=None,
+                    help="setting to generate in (default: the checkpoint's quant_mode)")
     sp.add_argument("--json")
     sp.set_defaults(fn=cmd_generate)
 

@@ -3,6 +3,9 @@ cacheless or through the cache path (one teacher-forced pass, see
 cache_path_forward), logit MAE against an fp reference, greedy divergence,
 and a small trainer so the desk model actually fits a corpus.
 
+Every score runs the setting in the given model's config (quant_mode, poq,
+kv_bits); to compare settings, score models whose configs differ.
+
 Sequences longer than max_seq_len are scored in independent non-overlapping
 chunks (stride = max_seq_len); the first token of each chunk is a context
 token and is not scored.
@@ -22,6 +25,7 @@ from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and dec
     generate,
     model_forward,
     prefill,
+    require_unsmoothed,
 )
 from .tensor import Tensor, cross_entropy, embedding, rms_norm, rope
 
@@ -46,8 +50,7 @@ def load_corpus(path: str) -> np.ndarray:
 # -- scoring ------------------------------------------------------------------
 
 
-def score_logits(model: Model, ids: np.ndarray, use_cache: bool = False,
-                 mode: str | None = None) -> np.ndarray:
+def score_logits(model: Model, ids: np.ndarray, use_cache: bool = False) -> np.ndarray:
     """Next-token logits at every position of one chunk (len <= max_seq_len,
     else CapacityError).  use_cache=True gives what prefill of the first token
     and then one decode_step per token give, in one pass (cache_path_forward)."""
@@ -55,8 +58,8 @@ def score_logits(model: Model, ids: np.ndarray, use_cache: bool = False,
     if len(ids) > model.config.max_seq_len:
         raise CapacityError(f"chunk of {len(ids)} tokens > max_seq_len {model.config.max_seq_len}")
     if not use_cache:
-        return model_forward(model, ids, mode=mode).data
-    return cache_path_forward(model, ids, mode=mode).data
+        return model_forward(model, ids).data
+    return cache_path_forward(model, ids).data
 
 
 def _chunks(ids: np.ndarray, max_len: int):
@@ -66,12 +69,11 @@ def _chunks(ids: np.ndarray, max_len: int):
             yield chunk
 
 
-def sequence_nll(model: Model, ids: np.ndarray, use_cache: bool = False,
-                 mode: str | None = None) -> np.ndarray:
+def sequence_nll(model: Model, ids: np.ndarray, use_cache: bool = False) -> np.ndarray:
     """Per-token negative log-likelihoods over all scored positions."""
     nlls = []
     for chunk in _chunks(np.asarray(ids, dtype=np.int64), model.config.max_seq_len):
-        logits = score_logits(model, chunk, use_cache=use_cache, mode=mode)
+        logits = score_logits(model, chunk, use_cache=use_cache)
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         targets = chunk[1:]
@@ -81,21 +83,19 @@ def sequence_nll(model: Model, ids: np.ndarray, use_cache: bool = False,
     return np.concatenate(nlls).astype(np.float64)
 
 
-def perplexity(model: Model, ids: np.ndarray, use_cache: bool = False,
-               mode: str | None = None) -> dict:
-    nll = sequence_nll(model, ids, use_cache=use_cache, mode=mode)
+def perplexity(model: Model, ids: np.ndarray, use_cache: bool = False) -> dict:
+    nll = sequence_nll(model, ids, use_cache=use_cache)
     mean = float(nll.mean())
     return {"perplexity": float(np.exp(mean)), "mean_nll": mean, "tokens": int(len(nll))}
 
 
-def logit_mae(model_a: Model, model_b: Model, ids: np.ndarray, use_cache: bool = False,
-              mode_a: str | None = None, mode_b: str | None = None) -> float:
+def logit_mae(model_a: Model, model_b: Model, ids: np.ndarray, use_cache: bool = False) -> float:
     """Mean absolute difference of next-token logits over all scored positions."""
     total, count = 0.0, 0
     ids = np.asarray(ids, dtype=np.int64)
     for chunk in _chunks(ids, model_a.config.max_seq_len):
-        la = score_logits(model_a, chunk, use_cache=use_cache, mode=mode_a)
-        lb = score_logits(model_b, chunk, use_cache=use_cache, mode=mode_b)
+        la = score_logits(model_a, chunk, use_cache=use_cache)
+        lb = score_logits(model_b, chunk, use_cache=use_cache)
         total += float(np.abs(la - lb).sum())
         count += la.size
     return total / count
@@ -108,25 +108,25 @@ def first_divergence(a: np.ndarray, b: np.ndarray) -> int:
     return int(diff[0]) if len(diff) else n
 
 
-def eval_report(model: Model, ids: np.ndarray, setting: str, use_cache: bool = False,
-                mode: str | None = None, fp_model: Model | None = None) -> dict:
-    nll = sequence_nll(model, ids, use_cache=use_cache, mode=mode)
+def eval_report(model: Model, ids: np.ndarray, use_cache: bool = False,
+                fp_model: Model | None = None) -> dict:
+    """Perplexity of model in its own setting; given fp_model, also the
+    logit MAE and the first greedy divergence against it."""
+    nll = sequence_nll(model, ids, use_cache=use_cache)
     mean = float(nll.mean())
     report = {
-        "setting": setting,
+        "setting": model.config.quant_mode,
         "use_cache": use_cache,
         "perplexity": float(np.exp(mean)),
         "mean_nll": mean,
         "tokens": int(len(nll)),
     }
     if fp_model is not None:
-        report["logit_mae_vs_fp"] = logit_mae(
-            fp_model, model, ids, use_cache=use_cache, mode_b=mode
-        )
+        report["logit_mae_vs_fp"] = logit_mae(fp_model, model, ids, use_cache=use_cache)
         n_new = min(32, model.config.max_seq_len - min(8, len(ids)))
         prompt = ids[: min(8, len(ids))]
         g_fp = generate(fp_model, prompt, n_new)
-        g_q = generate(model, prompt, n_new, mode=mode)
+        g_q = generate(model, prompt, n_new)
         report["first_divergence_vs_fp"] = first_divergence(g_fp, g_q)
     return report
 
@@ -136,9 +136,11 @@ def eval_report(model: Model, ids: np.ndarray, setting: str, use_cache: bool = F
 
 def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: int = 4,
                 seq_len: int = 64, lr: float = 3e-3, seed: int = 0) -> dict:
-    """Brief language-model fit on a byte corpus (dev utility, not calibration)."""
+    """Brief language-model fit on a byte corpus (dev utility, not calibration).
+    Its KV handler takes k/v outputs as raw K/V, so a smoothed model is refused."""
     from .calibration import AdamW
 
+    require_unsmoothed(model, "train_model")
     cfg = model.config
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
     if len(corpus_ids) < seq_len + 1:

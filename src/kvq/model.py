@@ -19,6 +19,10 @@ are taken, with the past values' cast codes.  The values are never mapped to
 raw space: their dequantization and un-smoothing are folded past the
 attention weights (PoqKvCache.read_raw).
 
+Setting: a forward without a cache runs model.config.quant_mode.  A cache
+keeps the quant_mode it was built in (PoqKvCache.mode), and every forward
+onto it runs that mode, so a decode step runs the setting of its cache.
+
 Cache protocol: PoqKvCache.length is the one record of how many positions
 the cache holds, and a forward over a chunk starts at that position.  Each
 block's KV handler first appends the chunk's rows at length .. length+t-1
@@ -214,11 +218,11 @@ class Model:
 
 
 class LayerCache:
-    def __init__(self, cfg: ModelConfig, mode: str):
+    def __init__(self, cfg: ModelConfig, quantized: bool):
         c = cfg.hidden_size
         t = cfg.max_seq_len
-        self.quantized = mode == "weight_kv" and cfg.kv_quantized
-        if self.quantized:
+        self.quantized = quantized
+        if quantized:
             spec = cfg.token_spec()
             g = (c + spec.group_size - 1) // spec.group_size
             self.k_codes = np.zeros((t, c), dtype=np.int8)
@@ -237,17 +241,18 @@ class PoqKvCache:
 
     Quantized layout holds token codes of the smoothed pre-rotary projections
     plus per-(token, group) parameters; the fp layout holds raw-space arrays
-    (pre-rotary K).  length counts the positions every layer holds; only
-    model_forward advances it.  One (max_seq_len, hidden) float32 scratch
-    buffer serves every layer's reads.
+    (pre-rotary K).  mode is the setting of every forward onto the cache.
+    length counts the positions every layer holds; only model_forward
+    advances it.  One (max_seq_len, hidden) float32 scratch buffer serves
+    every layer's reads.
     """
 
-    def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights],
-                 mode: str | None = None):
+    def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
         self.cfg = cfg
         self.blocks = blocks
-        self.mode = cfg.quant_mode if mode is None else mode
-        self.layers = [LayerCache(cfg, self.mode) for _ in range(cfg.n_layers)]
+        self.mode = cfg.quant_mode
+        quantized = self.mode == "weight_kv" and cfg.kv_quantized
+        self.layers = [LayerCache(cfg, quantized) for _ in range(cfg.n_layers)]
         self.length = 0
         self.scratch = np.empty((cfg.max_seq_len, cfg.hidden_size), dtype=np.float32)
 
@@ -528,19 +533,15 @@ def block_forward(
     return block_core(cfg, w, x, positions, kv_fn, act_fn=act_fn)
 
 
-def model_forward(
-    model: Model,
-    token_ids: np.ndarray,
-    cache: PoqKvCache | None = None,
-    mode: str | None = None,
-) -> Tensor:
+def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None = None) -> Tensor:
     """Forward over a token chunk on arrays; returns (T, vocab) logits.
 
-    With a cache, the chunk continues at position cache.length and its KV is
-    appended; without one it starts at position 0.
+    With a cache, the chunk continues at position cache.length, its KV is
+    appended, and it runs cache.mode; without one it starts at position 0
+    and runs model.config.quant_mode.
     """
     cfg = model.config
-    mode = cfg.quant_mode if mode is None else mode
+    mode = cfg.quant_mode if cache is None else cache.mode
     if mode not in MODES:
         raise KvqError(f"unknown quant_mode: {mode!r}")
     token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -561,15 +562,14 @@ def _head(model: Model, x: np.ndarray, act_fn=None) -> Tensor:
     return Tensor(xn @ model.head.w + model.head.b)
 
 
-def cache_path_forward(model: Model, token_ids: np.ndarray, mode: str | None = None) -> Tensor:
+def cache_path_forward(model: Model, token_ids: np.ndarray) -> Tensor:
     """(T, vocab) logits of a chunk as prefill of its first token and then one
     decode_step per token give them, in one pass on arrays.  Only POQ over a
     quantized cache differs from the cacheless forward; elsewhere the cache
     holds what attention saw."""
     cfg = model.config
-    mode = cfg.quant_mode if mode is None else mode
-    if not (mode == "weight_kv" and cfg.kv_quantized and cfg.poq):
-        return model_forward(model, token_ids, mode=mode)
+    if not (cfg.quant_mode == "weight_kv" and cfg.kv_quantized and cfg.poq):
+        return model_forward(model, token_ids)
     positions = np.arange(len(token_ids))
     x = model.embed[token_ids]
     for blk in model.blocks:
@@ -577,20 +577,20 @@ def cache_path_forward(model: Model, token_ids: np.ndarray, mode: str | None = N
     return _head(model, x)
 
 
-def prefill(model: Model, token_ids: np.ndarray, mode: str | None = None):
+def prefill(model: Model, token_ids: np.ndarray):
     """Single pass over the prompt; returns (logits, populated cache)."""
-    cache = PoqKvCache(model.config, model.blocks, mode=mode)
-    return model_forward(model, token_ids, cache=cache, mode=mode), cache
+    cache = PoqKvCache(model.config, model.blocks)
+    return model_forward(model, token_ids, cache=cache), cache
 
 
-def decode_step(model: Model, token_id: int, cache: PoqKvCache, mode: str | None = None) -> Tensor:
+def decode_step(model: Model, token_id: int, cache: PoqKvCache) -> Tensor:
     """One generation step; past KV read from the cache, current KV full precision."""
     if cache.length < 1:
         raise KvqError("decode_step requires a non-empty cache (run prefill first)")
-    return model_forward(model, np.asarray([token_id]), cache=cache, mode=mode)
+    return model_forward(model, np.asarray([token_id]), cache=cache)
 
 
-def generate(model: Model, prompt_ids: np.ndarray, n_new: int, mode: str | None = None) -> np.ndarray:
+def generate(model: Model, prompt_ids: np.ndarray, n_new: int) -> np.ndarray:
     """Deterministic greedy continuation; returns prompt + generated ids."""
     prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
     if n_new < 0:
@@ -598,11 +598,11 @@ def generate(model: Model, prompt_ids: np.ndarray, n_new: int, mode: str | None 
     out = list(prompt_ids)
     if n_new == 0:
         return np.asarray(out, dtype=np.int64)
-    logits, cache = prefill(model, prompt_ids, mode=mode)
+    logits, cache = prefill(model, prompt_ids)
     nxt = int(np.argmax(logits.data[-1]))
     out.append(nxt)
     for _ in range(n_new - 1):
-        logits = decode_step(model, nxt, cache, mode=mode)
+        logits = decode_step(model, nxt, cache)
         nxt = int(np.argmax(logits.data[-1]))
         out.append(nxt)
     return np.asarray(out, dtype=np.int64)
@@ -616,8 +616,10 @@ def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> N
     heterogeneity exactly: K columns are scaled per rotary pair with the
     inverse applied to Q (dot products unchanged), and V columns are scaled
     with the inverse applied to the o-projection rows.  Weight codes of the
-    rescaled projections no longer describe them and are dropped.
+    rescaled projections no longer describe them and are dropped.  A smoothed
+    model is refused, since its un-smoothing shift would stay unscaled.
     """
+    require_unsmoothed(model, "spread_kv_channels")
     cfg = model.config
     rng = np.random.default_rng(seed)
     d, half = cfg.head_dim, cfg.head_dim // 2
@@ -636,6 +638,16 @@ def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> N
 # -- quantized-model construction ---------------------------------------------
 
 PROJECTION_NAMES = ("q", "k", "v", "o", "gate", "up", "down")
+
+
+def require_unsmoothed(model: Model, action: str) -> None:
+    """Raise UsageError naming the first block whose k or v projection carries
+    smoothing: action works on raw k/v weights and would mishandle it."""
+    for i, blk in enumerate(model.blocks):
+        for name in ("k", "v"):
+            if getattr(blk, name).smoothing is not None:
+                raise UsageError(f"block {i}: the {name} projection already carries smoothing; "
+                                 f"{action} takes an unsmoothed (fp or RTN) model")
 
 
 def attach_kv_smoothing(model: Model, per_layer: list[tuple[SmoothingParams, SmoothingParams]]) -> None:

@@ -110,8 +110,10 @@ def test_criterion_01_poq_prefill_equivalence(capsys):
         m = Model.random(cfg, seed=trial)
         quantize_model_weights(m)
         ids = rng.integers(0, cfg.vocab_size, size=int(rng.integers(8, 48)))
-        a, _ = prefill(m, ids, mode="weight_only")
-        b, _ = prefill(m, ids, mode="weight_kv")
+        m.config.quant_mode = "weight_only"
+        a, _ = prefill(m, ids)
+        m.config.quant_mode = "weight_kv"
+        b, _ = prefill(m, ids)
         identical += int(np.array_equal(a.data, b.data))
     dt = time.time() - t0
     ok = identical == 20 and dt < 30
@@ -373,10 +375,10 @@ def test_criterion_09_ablation_directions(capsys, seeds_suite):
         fp, corpus, mr = entry["fp"], entry["corpus"], entry["mr"]
         ev = corpus[:300]
         # past-only quantization on the W4KV4 model whose KV error dominates
-        mae_on = logit_mae(fp, mr, ev, use_cache=True, mode_b="weight_kv")
+        mae_on = logit_mae(fp, mr, ev, use_cache=True)
         m_off = copy.deepcopy(mr)
         m_off.config.poq = False
-        mae_off = logit_mae(fp, m_off, ev, use_cache=True, mode_b="weight_kv")
+        mae_off = logit_mae(fp, m_off, ev, use_cache=True)
         poq_worse += int(mae_off > mae_on)
 
         ms = copy.deepcopy(fp)
@@ -389,8 +391,8 @@ def test_criterion_09_ablation_directions(capsys, seeds_suite):
         attach_kv_smoothing(ms, per_layer)
         quantize_model_weights(ms)
         ms.config.quant_mode = "weight_kv"
-        mae_rtn = logit_mae(fp, mr, ev, use_cache=True, mode_b="weight_kv")
-        mae_sm = logit_mae(fp, ms, ev, use_cache=True, mode_b="weight_kv")
+        mae_rtn = logit_mae(fp, mr, ev, use_cache=True)
+        mae_sm = logit_mae(fp, ms, ev, use_cache=True)
         smooth_better += int(mae_sm < mae_rtn)
     dt = time.time() - t0
     ok = poq_worse >= 9 and smooth_better >= 8 and dt < 600
@@ -412,7 +414,7 @@ def test_criterion_10_activation_vs_kv_sensitivity(capsys):
             m = copy.deepcopy(model)
             m.config.kv_bits = bits
             m.config.quant_mode = mode
-            return perplexity(m, ev, use_cache=True, mode=mode)["perplexity"] - ppl_fp
+            return perplexity(m, ev, use_cache=True)["perplexity"] - ppl_fp
 
         kv4 = degraded("weight_kv", 4)
         act4 = degraded("weight_activation", 4)
@@ -450,7 +452,7 @@ def test_criterion_11_accounting_agreement(capsys):
         m = Model.random(cfg, seed=trial)
         quantize_model_weights(m)
         m.config.quant_mode = "weight_kv"
-        _, cache = prefill(m, np.arange(int(rng.integers(2, 40))), mode="weight_kv")
+        _, cache = prefill(m, np.arange(int(rng.integers(2, 40))))
         rep = verify_runtime_accounting(m, cache)
         exact += int(rep["analyzer_bytes"] == rep["runtime_bytes"])
     dt = time.time() - t0

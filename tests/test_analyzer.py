@@ -153,15 +153,23 @@ class TestRuntimeAgreement:
             m = Model.random(cfg, seed=trial)
             quantize_model_weights(m)
             m.config.quant_mode = "weight_kv"
-            _, cache = prefill(m, np.arange(int(rng.integers(2, 40))), mode="weight_kv")
+            _, cache = prefill(m, np.arange(int(rng.integers(2, 40))))
             report = verify_runtime_accounting(m, cache)
             assert report["analyzer_bytes"] == report["runtime_bytes"]
+
+    @pytest.mark.parametrize("kv_bits", [2, 3, 4, 8, 16])
+    def test_exact_match_at_every_stored_width(self, kv_bits):
+        m = Model.random(tiny_config(kv_bits=kv_bits, quant_mode="weight_kv"), seed=0)
+        quantize_model_weights(m)
+        _, cache = prefill(m, np.arange(10))
+        report = verify_runtime_accounting(m, cache)
+        assert report["analyzer_bytes"] == report["runtime_bytes"] == cache.kv_bytes()
 
     def test_mismatch_raises(self):
         m = Model.random(tiny_config(), seed=0)
         quantize_model_weights(m)
         m.config.quant_mode = "weight_kv"
-        _, cache = prefill(m, np.arange(10), mode="weight_kv")
+        _, cache = prefill(m, np.arange(10))
         cache.layers[0].k_codes = np.zeros((64, 40), dtype=np.int8)  # corrupt
         with pytest.raises(AccountingError, match=r"\d+ != .*\d+"):
             verify_runtime_accounting(m, cache)

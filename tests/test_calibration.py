@@ -17,10 +17,9 @@ from kvq.calibration import (
     init_trainables,
     reconstruction_loss,
     sample_segments,
-    sweep_k,
 )
 from kvq.errors import DataFormatError, KvqError, UsageError
-from kvq.evaluate import logit_mae, perplexity
+from kvq.evaluate import logit_mae
 from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
 from kvq.tensor import Tensor
 
@@ -167,8 +166,8 @@ class TestCalibrateModel:
         quantize_model_weights(mr)
         mr.config.quant_mode = "weight_kv"
         ev = corpus[:300]
-        mae_cal = logit_mae(model, mq, ev, use_cache=True, mode_b="weight_kv")
-        mae_rtn = logit_mae(model, mr, ev, use_cache=True, mode_b="weight_kv")
+        mae_cal = logit_mae(model, mq, ev, use_cache=True)
+        mae_rtn = logit_mae(model, mr, ev, use_cache=True)
         assert mae_cal < mae_rtn
 
     def test_blocks_frozen_with_codes_and_clipping(self, calib_setup):
@@ -192,7 +191,7 @@ class TestCalibrateModel:
         for _ in range(2):
             mq = copy.deepcopy(model)
             reports.append(calibrate_model(mq, corpus, calib))
-            outs.append(model_forward(mq, corpus[:20], mode="weight_kv").data)
+            outs.append(model_forward(mq, corpus[:20]).data)
         assert reports[0] == reports[1]
         assert np.array_equal(outs[0], outs[1])
 
@@ -207,6 +206,21 @@ class TestCalibrateModel:
         with pytest.raises(UsageError, match="block 0"):
             calibrate_model(mq, corpus, calib)
         assert calls == []
+
+    def test_non_finite_loss_falls_back(self, calib_setup, monkeypatch):
+        # a non-finite loss stops training; the block keeps its plain-rounding
+        # baseline (identity smoothing, codes at the clipping init) and fails
+        model, corpus, calib, _, _ = calib_setup
+        loss = calibration.crr_loss
+        monkeypatch.setattr(calibration, "crr_loss", lambda *a: loss(*a) * np.float32(np.nan))
+        mq = copy.deepcopy(model)
+        report = calibrate_model(mq, corpus, dataclasses.replace(calib, epochs=1, segments=2))
+        for blk, trace in zip(mq.blocks, report["blocks"]):
+            assert trace["failed"] and trace["trajectory"] == []
+            assert np.isnan(trace["initial_loss"]) and np.isnan(trace["final_loss"])
+            assert blk.k.smoothing is None and blk.v.smoothing is None
+            assert all(lin.wq is not None for lin in blk.projections().values())
+        assert report["mean_final_initial_ratio"] == 1.0
 
     def test_disabled_features_stay_untrained(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup
@@ -251,24 +265,3 @@ class TestSegments:
     def test_short_corpus_rejected(self):
         with pytest.raises(DataFormatError):
             sample_segments(np.arange(8), CalibConfig(seg_len=16))
-
-
-class TestSweep:
-    def test_invalid_k_rejected(self, calib_setup):
-        model, corpus, calib, _, _ = calib_setup
-        with pytest.raises(KvqError):
-            sweep_k(model, corpus, [99], calib)
-
-    def test_rows_and_eval(self, calib_setup):
-        model, corpus, calib, _, _ = calib_setup
-        c = copy.deepcopy(calib)
-        c.epochs = 1
-        c.segments = 4
-        rows = sweep_k(
-            model, corpus, [1, 2], c,
-            eval_fn=lambda m: perplexity(m, corpus[:200], use_cache=True)["perplexity"],
-        )
-        assert [r["k"] for r in rows] == [1, 2]
-        for r in rows:
-            assert r["perplexity"] > 1.0
-            assert np.isfinite(r["mean_final_loss"])

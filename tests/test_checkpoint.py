@@ -165,8 +165,8 @@ class TestModelRoundtrip:
             assert np.array_equal(b1.q.wq.h, b2.q.wq.h)
             assert np.array_equal(b1.v.smoothing.s, b2.v.smoothing.s)
             assert b2.v.smoothing.absorbed
-        out1 = model_forward(m, IDS, mode="weight_kv").data
-        out2 = model_forward(m2, IDS, mode="weight_kv").data
+        out1 = model_forward(m, IDS).data
+        out2 = model_forward(m2, IDS).data
         assert np.array_equal(out1, out2)
 
     def test_old_clipping_tensors_load_to_same_codes(self, tmp_path):
@@ -191,8 +191,8 @@ class TestModelRoundtrip:
             for name, lin in b1.projections().items():
                 assert np.array_equal(lin.wq.codes, b2.projections()[name].wq.codes)
                 assert np.array_equal(lin.w, b2.projections()[name].w)
-        out1 = model_forward(m1, IDS, mode="weight_kv").data
-        assert np.array_equal(out1, model_forward(m2, IDS, mode="weight_kv").data)
+        out1 = model_forward(m1, IDS).data
+        assert np.array_equal(out1, model_forward(m2, IDS).data)
 
     @pytest.mark.parametrize("rewrite", ["train", "spread", "smooth", "calibrate16"])
     def test_rewritten_quantized_model_saves_new_weights(self, tmp_path, rewrite):

@@ -127,6 +127,22 @@ class TestQuantize:
                 assert np.array_equal(lin.wq.codes, lin2.wq.codes), name
                 assert np.abs(lin2.w - lin.w).max() <= 1e-6 * np.abs(lin.w).max(), name
 
+    @pytest.mark.parametrize("command, extra", [
+        ("quantize", ["--mode", "w4kv4"]),
+        ("calibrate", ["--corpus", "corpus.txt", "--k", "1", "--epochs", "1",
+                       "--segments", "2", "--seg-len", "24"]),
+    ], ids=["quantize", "calibrate"])
+    def test_unset_quant_flags_keep_checkpoint_values(self, workdir, capsys, command, extra):
+        # fit wrote group sizes 16 and 8; only --kv-bits is given here
+        out = workdir / f"keep_{command}.kvq"
+        extra = [str(workdir / a) if a == "corpus.txt" else a for a in extra]
+        rc, _, _ = run(capsys, [command, "--model", str(workdir / "model.kvq"),
+                                "--out", str(out), "--kv-bits", "8"] + extra)
+        assert rc == 0
+        cfg = load_model(str(out)).config
+        assert (cfg.weight_group_size, cfg.kv_group_size) == (16, 8)
+        assert (cfg.weight_bits, cfg.kv_bits) == (4, 8)
+
     def test_rtn_mode_removed(self, workdir):
         with pytest.raises(SystemExit) as e:
             main(["quantize", "--model", str(workdir / "model.kvq"),
@@ -217,6 +233,25 @@ class TestEval:
         assert rc == 3
         assert "blocks.0.q.w" in err
 
+    def test_unknown_dtype_is_data_error(self, workdir, capsys):
+        # same header length, so only the dtype name is wrong
+        data = (workdir / "model.kvq").read_bytes()
+        bad = workdir / "unknown_dtype.kvq"
+        bad.write_bytes(data.replace(b'"dtype":"f32"', b'"dtype":"f64"', 1))
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert "unknown dtype 'f64'" in err
+
+    def test_setting_comes_from_mode_flag_or_checkpoint(self, workdir, capsys):
+        argv = ["eval", "--model", str(workdir / "model.kvq"),
+                "--corpus", str(workdir / "corpus.txt"), "--max-tokens", "64"]
+        own = json.loads(run(capsys, argv)[1])
+        rep = json.loads(run(capsys, argv + ["--mode", "weight_activation"])[1])
+        assert (own["setting"], rep["setting"]) == ("fp", "weight_activation")
+        assert rep["perplexity"] != own["perplexity"]  # the flag reached the forward
+
     def test_bad_mode_is_usage_error(self, workdir):
         with pytest.raises(SystemExit) as e:
             main(["eval", "--model", str(workdir / "model.kvq"),
@@ -269,6 +304,23 @@ class TestAblate:
         assert variants == {"full", "drop:poq"}
         assert doc["fp_perplexity"] > 1.0
 
+    def test_add_and_drop_token_quantization(self, workdir, capsys):
+        rc, stdout, _ = run(capsys, [
+            "ablate", "--model", str(workdir / "model.kvq"),
+            "--corpus", str(workdir / "corpus.txt"), "--drop", "2dq-token", "--add", "lwc",
+            "--k", "1", "--epochs", "1", "--segments", "2", "--seg-len", "24",
+            "--max-tokens", "64",
+        ])
+        assert rc == 0
+        rows = json.loads(stdout)["variants"]
+        assert [(r["variant"], r["features"]) for r in rows] == [
+            ("full", ["2dq-channel", "2dq-token", "lwc", "poq"]),
+            ("drop:2dq-token", ["2dq-channel", "lwc", "poq"]),
+            ("none", []),
+            ("add:lwc", ["lwc"]),
+        ]
+        assert all(np.isfinite(r["perplexity"]) for r in rows)
+
     def test_unknown_feature_usage_error(self, workdir, capsys):
         rc, _, err = run(capsys, [
             "ablate", "--model", str(workdir / "model.kvq"),
@@ -289,6 +341,18 @@ class TestSweepK:
         assert rc == 0
         rows = json.loads(stdout)["rows"]
         assert [r["k"] for r in rows] == [1, 2]
+        for r in rows:
+            assert np.isfinite(r["perplexity"]) and r["perplexity"] > 1.0
+            assert np.isfinite(r["mean_final_loss"])
+
+    @pytest.mark.parametrize("k_values", ["99", "1,0"])
+    def test_invalid_k_rejected(self, workdir, capsys, k_values):
+        rc, stdout, err = run(capsys, [
+            "sweep-k", "--model", str(workdir / "model.kvq"),
+            "--corpus", str(workdir / "corpus.txt"), "--k-values", k_values,
+        ])
+        assert rc == 2
+        assert "k must be in 1..2" in err and stdout == ""
 
 
 class TestGenerate:

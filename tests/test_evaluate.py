@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import tiny_config, word_corpus
-from kvq.errors import CapacityError, DataFormatError, KvqError
+from kvq.errors import CapacityError, DataFormatError, KvqError, UsageError
 from kvq.evaluate import (
     BOS,
     encode_bytes,
@@ -27,13 +29,13 @@ from kvq.model import (
 from test_runtime import smoothed
 
 
-def stepwise_logits(model, ids, mode=None):
+def stepwise_logits(model, ids):
     """The cache path one token at a time: prefill of the first token, then
     one decode_step per token.  Reference for score_logits(use_cache=True)."""
-    logits, cache = prefill(model, ids[:1], mode=mode)
+    logits, cache = prefill(model, ids[:1])
     rows = [logits.data[-1]]
     for t in range(1, len(ids)):
-        rows.append(decode_step(model, int(ids[t]), cache, mode=mode).data[-1])
+        rows.append(decode_step(model, int(ids[t]), cache).data[-1])
     return np.stack(rows)
 
 
@@ -138,9 +140,10 @@ class TestCachePathOnePass:
             for kv_bits in (4, 8, 16):
                 model = equivalence_model(seed, poq=poq, kv_bits=kv_bits)
                 for mode in MODES:
-                    ref = stepwise_logits(model, ids, mode=mode)
+                    model.config.quant_mode = mode
+                    ref = stepwise_logits(model, ids)
                     for n in (2, 17, len(ids)):
-                        got = score_logits(model, ids[:n], use_cache=True, mode=mode)
+                        got = score_logits(model, ids[:n], use_cache=True)
                         assert got.shape == (n, model.config.vocab_size)
                         assert np.abs(got - ref[:n]).max() <= TOL[mode], (poq, kv_bits, mode, n)
 
@@ -157,7 +160,8 @@ class TestReport:
     def test_fields_present(self):
         m = Model.random(tiny_config(), seed=4)
         ids = word_corpus(4)[:30]
-        rep = eval_report(m, ids, setting="fp", fp_model=m)
+        rep = eval_report(m, ids, fp_model=m)
+        assert rep["setting"] == "fp"
         assert rep["logit_mae_vs_fp"] == 0.0
         assert rep["first_divergence_vs_fp"] >= 8
         assert rep["perplexity"] == pytest.approx(np.exp(rep["mean_nll"]))
@@ -170,6 +174,17 @@ class TestTraining:
         before = perplexity(fresh, corpus[:200])["perplexity"]
         after = perplexity(model, corpus[:200])["perplexity"]
         assert after < before / 2
+
+    def test_smoothed_model_refused(self):
+        # the trainer's KV handler would take the smoothed k/v outputs as raw
+        m = smoothed(Model.random(tiny_config(), seed=0))
+        before = copy.deepcopy(m)
+        with pytest.raises(UsageError, match="block 0"):
+            train_model(m, word_corpus(0), steps=1, batch=1, seq_len=16)
+        assert np.array_equal(m.embed, before.embed)
+        for b1, b2 in zip(before.blocks, m.blocks):
+            for name, lin in b1.projections().items():
+                assert np.array_equal(lin.w, b2.projections()[name].w), name
 
     def test_corpus_too_short_rejected(self):
         m = Model.random(tiny_config(), seed=0)

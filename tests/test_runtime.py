@@ -1,11 +1,13 @@
 import ast
 import copy
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import tiny_config
+import kvq.evaluate
 import kvq.model
 from kvq.errors import CapacityError, KvqError, NumericError, UsageError
 from kvq.evaluate import score_logits
@@ -40,10 +42,16 @@ def make_model(seed=0, **kw):
     return Model.random(tiny_config(**kw), seed=seed)
 
 
-def quantized(model, mode="weight_kv"):
+def in_mode(model, mode):
+    """A copy of model whose forwards run mode."""
     m = copy.deepcopy(model)
-    quantize_model_weights(m)
     m.config.quant_mode = mode
+    return m
+
+
+def quantized(model, mode="weight_kv"):
+    m = in_mode(model, mode)
+    quantize_model_weights(m)
     return m
 
 
@@ -202,7 +210,7 @@ class TestFpForward:
 
     def test_chunked_prefill_consistent(self):
         m = make_model()
-        cache = PoqKvCache(m.config, m.blocks, mode="fp")
+        cache = PoqKvCache(m.config, m.blocks)
         a = model_forward(m, IDS[:10], cache=cache)
         b = model_forward(m, IDS[10:], cache=cache)
         whole = model_forward(m, IDS).data
@@ -220,10 +228,10 @@ class TestAllHeadsForward:
         m = quantized(smoothed(base), mode=mode)
 
         def prefill_and_decode():
-            logits, cache = prefill(m, IDS, mode=mode)
+            logits, cache = prefill(m, IDS)
             rows = [logits.data]
             for tok in IDS[:8]:
-                rows.append(decode_step(m, int(tok), cache, mode=mode).data)
+                rows.append(decode_step(m, int(tok), cache).data)
             return np.concatenate(rows)
 
         fast = prefill_and_decode()
@@ -259,14 +267,14 @@ class TestCache:
             return append(cache, li, k_s, *rest)
 
         monkeypatch.setattr(PoqKvCache, "append", counting)
-        _, cache = prefill(m, IDS, mode="weight_kv")
-        decode_step(m, 3, cache, mode="weight_kv")
+        _, cache = prefill(m, IDS)
+        decode_step(m, 3, cache)
         assert np.all(written[:, : len(IDS) + 1] == 1)
         assert np.all(written[:, len(IDS) + 1 :] == 0)
 
     def test_length_advances_after_all_layers(self):
         m = make_model()
-        cache = PoqKvCache(m.config, m.blocks, mode="fp")
+        cache = PoqKvCache(m.config, m.blocks)
         model_forward(m, IDS[:4], cache=cache)
         assert cache.length == 4
 
@@ -303,7 +311,7 @@ class TestCache:
             )
         attach_kv_smoothing(m, per_layer)
         mq = quantized(m)
-        _, cache = prefill(mq, IDS, mode="weight_kv")
+        _, cache = prefill(mq, IDS)
         calls = []
         apply = kvq.model.apply_kv_smoothing
 
@@ -313,16 +321,16 @@ class TestCache:
             return apply(x, sp, direction, **kwargs)
 
         monkeypatch.setattr(kvq.model, "apply_kv_smoothing", counting)
-        decode_step(mq, 3, cache, mode="weight_kv")
+        decode_step(mq, 3, cache)
         # one cache read plus one current-step mapping per forward
         assert calls == ["to_raw", "to_raw"]
 
     def test_kv_bytes_grows_linearly(self):
         m = quantized(make_model())
-        _, cache = prefill(m, IDS[:8], mode="weight_kv")
+        _, cache = prefill(m, IDS[:8])
         b8 = cache.kv_bytes()
         for t in range(8):
-            decode_step(m, 1, cache, mode="weight_kv")
+            decode_step(m, 1, cache)
         assert cache.kv_bytes() == 2 * b8
 
 
@@ -384,44 +392,45 @@ class TestFoldedCacheRead:
     @pytest.mark.parametrize("name", ["k_m", "k_n", "v_m", "v_n"])
     def test_corrupt_cache_params_raise(self, name):
         m = quantized(smoothed(make_model(seed=1)))
-        _, cache = prefill(m, IDS, mode="weight_kv")
+        _, cache = prefill(m, IDS)
         getattr(cache.layers[-1], name)[3, 0] = np.nan
         with pytest.raises(NumericError):
-            decode_step(m, 5, cache, mode="weight_kv")
+            decode_step(m, 5, cache)
 
 
 class TestPoq:
     def test_prefill_identical_to_weight_only(self):
         m = quantized(make_model())
-        a, _ = prefill(m, IDS, mode="weight_only")
-        b, _ = prefill(m, IDS, mode="weight_kv")
+        a, _ = prefill(in_mode(m, "weight_only"), IDS)
+        b, _ = prefill(m, IDS)
         assert np.array_equal(a.data, b.data)
 
     def test_decode_differs_from_weight_only(self):
         m = quantized(make_model())
         spread_kv_channels(m, 1.5, seed=0)
-        _, ca = prefill(m, IDS, mode="weight_only")
-        _, cb = prefill(m, IDS, mode="weight_kv")
-        da = decode_step(m, 5, ca, mode="weight_only").data
-        db = decode_step(m, 5, cb, mode="weight_kv").data
+        mo = in_mode(m, "weight_only")
+        _, ca = prefill(mo, IDS)
+        _, cb = prefill(m, IDS)
+        da = decode_step(mo, 5, ca).data
+        db = decode_step(m, 5, cb).data
         assert np.abs(da - db).max() > 0.0
 
     def test_poq_off_quantizes_current_step(self):
         m = quantized(make_model())
         m2 = copy.deepcopy(m)
         m2.config.poq = False
-        a, _ = prefill(m, IDS, mode="weight_kv")
-        b, _ = prefill(m2, IDS, mode="weight_kv")
+        a, _ = prefill(m, IDS)
+        b, _ = prefill(m2, IDS)
         assert not np.array_equal(a.data, b.data)
 
     def test_kv_bits_16_is_lossless_passthrough(self):
         m = quantized(make_model(kv_bits=16))
-        a, _ = prefill(m, IDS, mode="weight_only")
-        b, cache = prefill(m, IDS, mode="weight_kv")
-        da = decode_step(m, 5, cache, mode="weight_kv").data
-        m2 = quantized(make_model(kv_bits=16))
-        _, c2 = prefill(m2, IDS, mode="weight_only")
-        db = decode_step(m2, 5, c2, mode="weight_only").data
+        a, _ = prefill(in_mode(m, "weight_only"), IDS)
+        b, cache = prefill(m, IDS)
+        da = decode_step(m, 5, cache).data
+        m2 = quantized(make_model(kv_bits=16), "weight_only")
+        _, c2 = prefill(m2, IDS)
+        db = decode_step(m2, 5, c2).data
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(da, db)
 
@@ -429,21 +438,36 @@ class TestPoq:
 class TestModes:
     def test_activation_quant_changes_output(self):
         m = quantized(make_model(), mode="weight_activation")
-        a = model_forward(m, IDS, mode="weight_activation").data
-        b = model_forward(m, IDS, mode="weight_only").data
+        a = model_forward(m, IDS).data
+        b = model_forward(in_mode(m, "weight_only"), IDS).data
         assert not np.array_equal(a, b)
 
     def test_weight_quant_changes_output(self):
         m = make_model()
         a = model_forward(m, IDS).data
-        mq = quantized(m)
-        b = model_forward(mq, IDS, mode="weight_only").data
+        mq = quantized(m, "weight_only")
+        b = model_forward(mq, IDS).data
         assert not np.array_equal(a, b)
         assert np.abs(a - b).mean() < 1.0  # still close
 
+    def test_16_bit_weights_stay_unquantized(self):
+        m = make_model(weight_bits=16)
+        before = copy.deepcopy(m)
+        quantize_model_weights(m)
+        for b1, b2 in zip(before.blocks, m.blocks):
+            for name, lin in b1.projections().items():
+                assert b2.projections()[name].wq is None, name
+                assert np.array_equal(lin.w, b2.projections()[name].w), name
+
     def test_unknown_mode_rejected(self):
+        # the config is checked when built, and again by every forward, since
+        # the field can be set afterwards (kvq eval/generate --mode do)
+        m = make_model()
+        m.config.quant_mode = "bogus"
         with pytest.raises(KvqError):
-            model_forward(make_model(), IDS, mode="bogus")
+            model_forward(m, IDS)
+        with pytest.raises(KvqError):
+            prefill(m, IDS)
 
 
 class TestGenerate:
@@ -479,6 +503,17 @@ class TestChannelSpread:
         norms = np.linalg.norm(m.blocks[0].v.w, axis=0)
         assert norms.max() / norms.min() > 5.0
 
+    def test_smoothed_model_refused(self):
+        # the spread would rescale the smoothed k/v columns but not the shift
+        m = smoothed(make_model(seed=3))
+        before = copy.deepcopy(m)
+        with pytest.raises(UsageError, match="block 0"):
+            spread_kv_channels(m, log_range=2.0, seed=1)
+        for b1, b2 in zip(before.blocks, m.blocks):
+            for name, lin in b1.projections().items():
+                lin2 = b2.projections()[name]
+                assert np.array_equal(lin.w, lin2.w) and np.array_equal(lin.b, lin2.b), name
+
 
 class TestSmoothingRuntime:
     def test_fp_function_preserved_by_absorption(self):
@@ -501,10 +536,11 @@ class TestSmoothingRuntime:
 
         def decode_err(model):
             mq = quantized(model)
-            _, ca = prefill(mq, IDS, mode="weight_only")
-            _, cb = prefill(mq, IDS, mode="weight_kv")
-            da = decode_step(mq, 5, ca, mode="weight_only").data
-            db = decode_step(mq, 5, cb, mode="weight_kv").data
+            mo = in_mode(mq, "weight_only")
+            _, ca = prefill(mo, IDS)
+            _, cb = prefill(mq, IDS)
+            da = decode_step(mo, 5, ca).data
+            db = decode_step(mq, 5, cb).data
             return np.abs(da - db).mean()
 
         err_plain = decode_err(base)
@@ -545,6 +581,37 @@ class TestSmoothingRuntime:
         with pytest.raises(UsageError):
             lin.absorb(init_smoothing(rng.normal(size=(6, 4)).astype(np.float32)))
         assert lin.smoothing is sp
+
+
+class TestSettingRecord:
+    def test_cache_runs_the_mode_it_was_built_in(self):
+        # a decode step runs the setting its cache was filled in, whatever
+        # the config says by then
+        m = quantized(smoothed(make_model(seed=1)))
+
+        def decode_after_switching_to(mode):
+            mm = copy.deepcopy(m)
+            _, cache = prefill(mm, IDS[:12])
+            mm.config.quant_mode = mode
+            return np.concatenate([decode_step(mm, int(t), cache).data for t in IDS[12:20]])
+
+        assert np.array_equal(decode_after_switching_to("weight_activation"),
+                              decode_after_switching_to("weight_kv"))
+
+    def test_no_public_call_takes_a_mode(self):
+        # a forward's setting has one record, the config (or the cache built
+        # from it); only the internal block_forward takes a mode
+        banned = {"mode", "mode_a", "mode_b", "setting"}
+        found = []
+        for module in (kvq.model, kvq.evaluate):
+            for name, obj in vars(module).items():
+                if (name.startswith("_") or name == "block_forward" or not callable(obj)
+                        or getattr(obj, "__module__", None) != module.__name__):
+                    continue
+                found += [f"{module.__name__}.{name}({p})"
+                          for p in inspect.signature(obj).parameters if p in banned]
+        assert found == []
+        assert list(inspect.signature(PoqKvCache).parameters) == ["cfg", "blocks"]
 
 
 class TestStateOwnership:

@@ -321,6 +321,12 @@ class TestMisc:
         with pytest.raises(DimensionError):
             rope(Tensor(np.zeros((2, 3), np.float32)), np.arange(2))
 
+    # a gap, a start below 0, and too few positions for the rows
+    @pytest.mark.parametrize("positions", [[0, 2, 3], [-1, 0, 1], [0, 1]])
+    def test_rope_positions_must_be_contiguous(self, positions):
+        with pytest.raises(DimensionError, match="contiguous"):
+            rope(np.zeros((3, 8), np.float32), np.asarray(positions))
+
     def test_rope_position_zero_is_identity(self):
         rng = np.random.default_rng(14)
         x = randn(rng, 1, 8)
