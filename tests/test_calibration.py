@@ -265,3 +265,20 @@ class TestSegments:
     def test_short_corpus_rejected(self):
         with pytest.raises(DataFormatError):
             sample_segments(np.arange(8), CalibConfig(seg_len=16))
+
+
+class TestSweep:
+    def test_rows_and_eval(self, calib_setup):
+        # the per-k rows of `kvq sweep-k`: every feature on, calibrated at k
+        from kvq.cli import _FEATURES, _run_variant
+
+        model, corpus, calib, _, _ = calib_setup
+        c = dataclasses.replace(calib, epochs=1, segments=4)
+        rows = [dict(_run_variant(model, corpus, corpus[:200], set(_FEATURES),
+                                  dataclasses.replace(c, k=k)), k=k)
+                for k in (1, 2)]
+        assert [r["k"] for r in rows] == [1, 2]
+        for r in rows:
+            assert r["perplexity"] > 1.0
+            assert np.isfinite(r["mean_final_loss"])
+        assert rows[0]["mean_final_loss"] != rows[1]["mean_final_loss"]
