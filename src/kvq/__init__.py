@@ -1,7 +1,8 @@
 """Post-training quantization toolkit for small decoder-only transformers:
 channel-smoothed + per-token-grouped KV-cache quantization with a past-only
-quantized cache, learnable-clipping weight quantization, cross-block
-reconstruction calibration, and an analytical deployment-memory model.
+quantized cache, round-to-nearest group-wise weight quantization,
+cross-block reconstruction calibration of the KV smoothing, and an
+analytical deployment-memory model.
 """
 
 from .errors import (

@@ -1,15 +1,16 @@
-"""Block-by-block optimization of the learnable quantization parameters
-(clipping factors, channel scale/shift) under cross-block reconstruction
-regularization.
+"""Block-by-block optimization of the K/V channel scale/shift under
+cross-block reconstruction regularization.
 
-The quantized branch fake-quantizes block i's weights and its K/V projection
-outputs in-graph: the weights round with a straight-through gradient, the
-K/V tokens with their codes held fixed in the backward pass (see
-quantizers.py), so d(loss)/ds for the smoothing scales is the exact
-derivative wherever the loss is differentiable in s.  Blocks i+1 .. i+k-1
-run full precision in both branches and receive no parameter gradients.
-Past-only quantization is always off during training (the calibration
-forward has no cache).
+Each block's seven projections are quantized once, round to nearest, before
+training.  The quantized branch divides the k and v weights by the smoothing
+scale on the tape, as Q(w) / s and (b - delta) / s, and fake-quantizes the
+K/V projection outputs with their codes held fixed in the backward pass (see
+quantizers.py).  Weight groups run along input channels and s is per output
+channel, so Q(w) / s has the codes that freezing gives, Q(w / s), and
+d(loss)/ds is the exact derivative wherever the loss is differentiable in s.
+Blocks i+1 .. i+k-1 run full precision in both branches and receive no
+parameter gradients.  Past-only quantization is always off during training
+(the calibration forward has no cache).
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ from .quantizers import (
     WeightQuantSpec,
     fake_quant_token,
     fake_quant_weight,
-    group_bounds,
     init_smoothing,
 )
 from .tensor import Tensor, rms_norm, rope
 
-# sigmoid(9.2102) ~= 1 - 1e-4: effectively no clipping at initialization
-CLIP_LOGIT_INIT = 9.2102
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -41,19 +39,17 @@ class CalibConfig:
     k: int = 5
     epochs: int = 5
     lr_smoothing: float = 5e-4
-    lr_clipping: float = 1e-2
     seed: int = 0
     loss: str = "mae"
     segments: int = 32
     seg_len: int = 256
     use_smoothing: bool = True  # False: identity channel scale/shift, untrained
-    use_clipping: bool = True  # False: clipping stays ~1 (plain rounding), untrained
 
     def __post_init__(self):
         if self.k < 1:
             raise KvqError(f"k must be >= 1, got {self.k}")
-        if self.lr_smoothing <= 0 or self.lr_clipping <= 0:
-            raise KvqError("learning rates must be positive")
+        if self.lr_smoothing <= 0:
+            raise KvqError("lr_smoothing must be positive")
         if self.loss not in ("mae", "mse"):
             raise KvqError(f"loss must be mae or mse, got {self.loss!r}")
 
@@ -104,38 +100,22 @@ def reconstruction_loss(y_hat: Tensor, y_ref: Tensor, kind: str = "mae") -> Tens
 
 @dataclass
 class BlockTrainables:
-    """Learnable parameters for one block: clipping logits and K/V smoothing."""
+    """Learnable parameters for one block: the K/V smoothing."""
 
-    gamma_logit: dict[str, Tensor]
-    beta_logit: dict[str, Tensor]
     s_k: Tensor
     d_k: Tensor
     s_v: Tensor
     d_v: Tensor
 
-    def clip_params(self) -> list[Tensor]:
-        return list(self.gamma_logit.values()) + list(self.beta_logit.values())
-
     def smooth_params(self) -> list[Tensor]:
         return [self.s_k, self.d_k, self.s_v, self.d_v]
 
 
-def _sigmoid(x: Tensor) -> Tensor:
-    return Tensor(1.0) / ((-x).exp() + 1.0)
-
-
 def init_trainables(model: Model, i: int, x_segs: list[np.ndarray],
                     use_smoothing: bool = True) -> BlockTrainables:
-    """Clipping logits near 1.0 and smoothing stats from the calibration tokens."""
+    """Smoothing stats from the calibration tokens, or identity smoothing."""
     cfg = model.config
     blk = model.blocks[i]
-    gamma, beta = {}, {}
-    for name, lin in blk.projections().items():
-        g = len(group_bounds(lin.w.shape[0], cfg.weight_group_size))
-        shape = (g, lin.w.shape[1])
-        gamma[name] = Tensor(np.full(shape, CLIP_LOGIT_INIT, np.float32), requires_grad=True)
-        beta[name] = Tensor(np.full(shape, CLIP_LOGIT_INIT, np.float32), requires_grad=True)
-
     # K/V activations of this block over the calibration set, raw space
     if use_smoothing:
         ks, vs = [], []
@@ -149,20 +129,26 @@ def init_trainables(model: Model, i: int, x_segs: list[np.ndarray],
     else:
         sp_k = SmoothingParams.identity(cfg.hidden_size)
         sp_v = SmoothingParams.identity(cfg.hidden_size)
-    row = lambda a: a.reshape(1, -1).astype(np.float32)
-    return BlockTrainables(
-        gamma_logit=gamma,
-        beta_logit=beta,
-        s_k=Tensor(row(sp_k.s), requires_grad=True),
-        d_k=Tensor(row(sp_k.delta), requires_grad=True),
-        s_v=Tensor(row(sp_v.s), requires_grad=True),
-        d_v=Tensor(row(sp_v.delta), requires_grad=True),
-    )
+    row = lambda a: Tensor(a.reshape(1, -1).astype(np.float32), requires_grad=True)
+    return BlockTrainables(s_k=row(sp_k.s), d_k=row(sp_k.delta),
+                           s_v=row(sp_v.s), d_v=row(sp_v.delta))
 
 
-def fake_block_weights(model: Model, i: int, tp: BlockTrainables) -> dict[str, Tensor]:
-    """Block-i weight Tensors with in-graph smoothing absorption and fake quant."""
+def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:
+    """Block i's seven raw projection weights rounded to nearest, Q(w), or
+    the raw weights at weight_bits >= 16: what calibration trains against."""
     cfg = model.config
+    return {
+        name: fake_quant_weight(lin.w, cfg.weight_bits, cfg.weight_group_size)
+        if cfg.weight_bits < 16 else lin.w
+        for name, lin in model.blocks[i].projections().items()
+    }
+
+
+def fake_block_weights(model: Model, i: int, tp: BlockTrainables,
+                       wq: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """Block-i weight Tensors from its quantized weights wq, with the K/V
+    smoothing absorbed in-graph: Q(w) / s and (b - delta) / s."""
     blk = model.blocks[i]
     w = {
         "attn_norm": Tensor(blk.attn_norm.reshape(1, -1)),
@@ -170,18 +156,14 @@ def fake_block_weights(model: Model, i: int, tp: BlockTrainables) -> dict[str, T
     }
     smoothing = {"k": (tp.s_k, tp.d_k), "v": (tp.s_v, tp.d_v)}
     for name, lin in blk.projections().items():
-        wt = Tensor(lin.w)
+        wt = Tensor(wq[name])
         bt = Tensor(lin.b)
         if name in smoothing:
             s, d = smoothing[name]
             s = s.clamp(S_FLOOR, np.inf)
             wt = wt / s
             bt = (bt - d) / s
-        gamma = _sigmoid(tp.gamma_logit[name])
-        beta = _sigmoid(tp.beta_logit[name])
-        w[f"{name}_w"] = fake_quant_weight(
-            wt, gamma, beta, cfg.weight_bits, cfg.weight_group_size
-        ) if cfg.weight_bits < 16 else wt
+        w[f"{name}_w"] = wt
         w[f"{name}_b"] = bt
     return w
 
@@ -202,12 +184,13 @@ def _calib_kv_fn(model: Model, tp: BlockTrainables):
 
 
 def crr_loss(model: Model, i: int, x_i: np.ndarray, tp: BlockTrainables, calib: CalibConfig,
-             y_ref: np.ndarray) -> Tensor:
-    """Reconstruction loss for block i spanning up to k blocks (Qblock_i vs fp)."""
+             y_ref: np.ndarray, wq: dict[str, np.ndarray]) -> Tensor:
+    """Reconstruction loss for block i spanning up to k blocks (Qblock_i vs
+    fp); wq is the block's quantized_weights."""
     cfg = model.config
     k_eff = min(calib.k, cfg.n_layers - i)
     positions = np.arange(x_i.shape[0])
-    w = fake_block_weights(model, i, tp)
+    w = fake_block_weights(model, i, tp, wq)
     y_hat = block_core(cfg, w, Tensor(x_i), positions, _calib_kv_fn(model, tp))
     for j in range(i + 1, i + k_eff):
         y_hat = block_forward(cfg, model.blocks[j], y_hat, 0, j, None, "fp")
@@ -228,20 +211,9 @@ def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[n
     return acts
 
 
-def _mapped_clipping(tp: BlockTrainables) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    return {
-        name: (
-            1.0 / (1.0 + np.exp(-tp.gamma_logit[name].data)),
-            1.0 / (1.0 + np.exp(-tp.beta_logit[name].data)),
-        )
-        for name in tp.gamma_logit
-    }
-
-
 def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
-    """Absorb smoothing and fix the block's weight codes with its learned clipping.
+    """Absorb smoothing and fix the block's weight codes, round to nearest.
 
-    The clipping lives on only in the codes; the report keeps its ranges.
     At weight_bits >= 16 no codes are made, and an absorbed projection's old
     codes are dropped.
     """
@@ -251,42 +223,37 @@ def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
     blk.v.absorb(SmoothingParams(np.maximum(tp.s_v.data.reshape(-1), S_FLOOR), tp.d_v.data))
     if cfg.weight_bits >= 16:
         return
-    clipping = _mapped_clipping(tp)
-    for name, lin in blk.projections().items():
-        gamma, beta = clipping[name]
-        lin.quantize(WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size, gamma, beta))
+    for lin in blk.projections().values():
+        lin.quantize(WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size))
 
 
 def calibrate_block(model: Model, i: int, calib: CalibConfig,
                     x_segs: list[np.ndarray], ref_segs: list[np.ndarray]) -> dict:
     """Optimize block i's parameters; returns the per-block trace (pre-freeze).
 
-    initial_loss is the plain-rounding baseline (identity smoothing, no
-    clipping); training starts from the activation-statistics smoothing
-    init, so final/initial measures the whole calibration gain.
+    initial_loss is the plain-rounding baseline (identity smoothing over
+    the round-to-nearest weights, the RTN model's block); training starts
+    from the activation-statistics smoothing init, so final/initial measures
+    the whole calibration gain.
     """
+    wq = quantized_weights(model, i)
 
     def mean_loss(tp):
-        return float(
-            np.mean([crr_loss(model, i, x, tp, calib, r).item() for x, r in zip(x_segs, ref_segs)])
-        )
+        return float(np.mean(
+            [crr_loss(model, i, x, tp, calib, r, wq).item() for x, r in zip(x_segs, ref_segs)]
+        ))
 
     baseline_tp = init_trainables(model, i, x_segs, use_smoothing=False)
     initial = mean_loss(baseline_tp)
 
     def run(lr_scale: float):
         tp = init_trainables(model, i, x_segs, use_smoothing=calib.use_smoothing)
-        groups = []
-        if calib.use_clipping:
-            groups.append((tp.clip_params(), calib.lr_clipping * lr_scale))
-        if calib.use_smoothing:
-            groups.append((tp.smooth_params(), calib.lr_smoothing * lr_scale))
-        opt = AdamW(groups=groups)
+        opt = AdamW([(tp.smooth_params(), calib.lr_smoothing * lr_scale)])
         trajectory = [mean_loss(tp)]
-        for _ in range(calib.epochs if opt.groups else 0):
+        for _ in range(calib.epochs if calib.use_smoothing else 0):
             epoch_losses = []
             for x, r in zip(x_segs, ref_segs):
-                loss = crr_loss(model, i, x, tp, calib, r)
+                loss = crr_loss(model, i, x, tp, calib, r, wq)
                 val = loss.item()
                 if not np.isfinite(val):
                     raise NumericError(f"non-finite calibration loss at block {i}")
@@ -312,7 +279,6 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
         trajectory = []
         failed = True
 
-    clipping = _mapped_clipping(tp)
     trace = {
         "block": i,
         "initial_loss": initial,
@@ -324,14 +290,6 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
             "d_k": [float(tp.d_k.data.min()), float(tp.d_k.data.max())],
             "s_v": [float(tp.s_v.data.min()), float(tp.s_v.data.max())],
             "d_v": [float(tp.d_v.data.min()), float(tp.d_v.data.max())],
-            "gamma": [
-                float(min(g.min() for g, _ in clipping.values())),
-                float(max(g.max() for g, _ in clipping.values())),
-            ],
-            "beta": [
-                float(min(b.min() for _, b in clipping.values())),
-                float(max(b.max() for _, b in clipping.values())),
-            ],
         },
     }
     freeze_block(model, i, tp)

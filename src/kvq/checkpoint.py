@@ -6,10 +6,10 @@ A single container carries both fp and quantized models; quant_mode and any
 learned parameters (weight codes and scales, smoothing) live in the header's
 metadata plus named payload tensors.  A quantized projection is stored as its
 codes and (h, z) only; loading rebuilds its weights as dequantize(codes),
-bit-identical to the saved model's.  Learned clipping has no tensor of its
-own: it is already in the codes.  Files that still carry per-projection
-.gamma/.beta tensors load, and those tensors are not read.  A file that lacks
-a tensor the layout needs raises DataFormatError naming it.
+bit-identical to the saved model's.  Files written when calibration still
+learned weight clipping may carry per-projection .gamma/.beta tensors; they
+load, and those tensors are not read.  A file that lacks a tensor the layout
+needs raises DataFormatError naming it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, KvqError
 from .model import DecoderBlockWeights, Linear, Model, ModelConfig, PROJECTION_NAMES
 from .quantizers import QuantizedTensor, SmoothingParams, dequantize
 
@@ -157,7 +157,7 @@ def load_model(path: str) -> Model:
     config, meta, tensors = read_container(path)
     try:
         cfg = ModelConfig(**config)
-    except TypeError as e:
+    except (TypeError, KvqError) as e:
         raise DataFormatError(f"bad config in header: {e}") from e
     quant_meta = meta.get("quant", {})
 

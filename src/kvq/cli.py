@@ -49,11 +49,14 @@ _QUANT_FIELDS = {"bits": "weight_bits", "kv_bits": "kv_bits",
                  "group_size": "weight_group_size", "kv_group_size": "kv_group_size"}
 
 
-def _apply_quant_args(cfg, args) -> None:
-    """Set the config fields whose flags were given; the rest keep the checkpoint's."""
+def _apply_quant_args(model, args, **fields) -> None:
+    """Rebuild the model's config with the fields whose flags were given (and
+    any fields passed), so ModelConfig checks them; the rest keep the
+    checkpoint's."""
     for flag, field in _QUANT_FIELDS.items():
         if getattr(args, flag) is not None:
-            setattr(cfg, field, getattr(args, flag))
+            fields[field] = getattr(args, flag)
+    model.config = dataclasses.replace(model.config, **fields)
 
 
 # -- commands -----------------------------------------------------------------
@@ -92,10 +95,9 @@ def cmd_quantize(args) -> int:
     from .model import quantize_model_weights
 
     model = load_model(args.model)
+    _apply_quant_args(model, args, quant_mode=SETTING_MODES[args.mode])
     cfg = model.config
-    _apply_quant_args(cfg, args)
-    cfg.quant_mode = SETTING_MODES[args.mode]
-    quantize_model_weights(model, literal_range=args.literal_range)
+    quantize_model_weights(model)
     if cfg.quant_mode == "weight_kv" and all(
         blk.v.smoothing is None for blk in model.blocks
     ):
@@ -116,13 +118,12 @@ def cmd_calibrate(args) -> int:
     from .evaluate import load_corpus
 
     model = load_model(args.model)
-    _apply_quant_args(model.config, args)
+    _apply_quant_args(model, args)
     ids = load_corpus(args.corpus)
     calib = CalibConfig(
         k=args.k,
         epochs=args.epochs,
         lr_smoothing=args.lr_smoothing,
-        lr_clipping=args.lr_clipping,
         seed=args.seed,
         loss=args.loss,
         segments=args.segments,
@@ -208,7 +209,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_FEATURES = ("lwc", "2dq-channel", "2dq-token", "poq")
+_FEATURES = ("2dq-channel", "2dq-token", "poq")
 
 
 def _run_variant(model, ids, eval_ids, features: set[str], calib_base) -> dict:
@@ -216,9 +217,7 @@ def _run_variant(model, ids, eval_ids, features: set[str], calib_base) -> dict:
     from .evaluate import perplexity
 
     m = copy.deepcopy(model)
-    calib = copy.deepcopy(calib_base)
-    calib.use_clipping = "lwc" in features
-    calib.use_smoothing = "2dq-channel" in features
+    calib = dataclasses.replace(calib_base, use_smoothing="2dq-channel" in features)
     if "2dq-token" not in features:
         m.config.kv_bits = 16
     report = calibrate_model(m, ids, calib)
@@ -337,11 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--mode", choices=sorted(SETTING_MODES), default="w4kv4")
-    sp.add_argument("--literal-range", action="store_true")
     add_quant_args(sp)
     sp.set_defaults(fn=cmd_quantize)
 
-    sp = sub.add_parser("calibrate", help="optimize clipping + smoothing block by block")
+    sp = sub.add_parser("calibrate", help="optimize K/V smoothing block by block")
     sp.add_argument("--model", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=5)
     sp.add_argument("--epochs", type=int, default=5)
     sp.add_argument("--lr-smoothing", type=float, default=5e-4)
-    sp.add_argument("--lr-clipping", type=float, default=1e-2)
     sp.add_argument("--loss", choices=("mae", "mse"), default="mae")
     sp.add_argument("--segments", type=int, default=32)
     sp.add_argument("--seg-len", type=int, default=256)

@@ -19,9 +19,10 @@ are taken, with the past values' cast codes.  The values are never mapped to
 raw space: their dequantization and un-smoothing are folded past the
 attention weights (PoqKvCache.read_raw).
 
-Setting: a forward without a cache runs model.config.quant_mode.  A cache
-keeps the quant_mode it was built in (PoqKvCache.mode), and every forward
-onto it runs that mode, so a decode step runs the setting of its cache.
+Setting: a forward without a cache runs model.config.  A cache keeps a copy
+of the config it was built with (PoqKvCache.cfg), and every forward onto it
+runs that copy, so a decode step runs the setting of its cache whatever
+model.config says by then.
 
 Cache protocol: PoqKvCache.length is the one record of how many positions
 the cache holds, and a forward over a chunk starts at that position.  Each
@@ -47,6 +48,7 @@ at most once (a second smoothing raises UsageError).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -96,6 +98,11 @@ class ModelConfig:
             raise KvqError("max_seq_len must be >= 1 and vocab_size >= 2")
         if self.quant_mode not in MODES:
             raise KvqError(f"unknown quant_mode: {self.quant_mode!r}")
+        # token codes are int8 and weight codes uint8; 16 bits and up means unquantized
+        for name in ("kv_bits", "weight_bits"):
+            bits = getattr(self, name)
+            if bits < 2 or 8 < bits < 16:
+                raise KvqError(f"{name} must be 2..8 or at least 16, got {bits}")
 
     @property
     def kv_quantized(self) -> bool:
@@ -241,17 +248,16 @@ class PoqKvCache:
 
     Quantized layout holds token codes of the smoothed pre-rotary projections
     plus per-(token, group) parameters; the fp layout holds raw-space arrays
-    (pre-rotary K).  mode is the setting of every forward onto the cache.
-    length counts the positions every layer holds; only model_forward
-    advances it.  One (max_seq_len, hidden) float32 scratch buffer serves
-    every layer's reads.
+    (pre-rotary K).  cfg is a copy of the config the cache was built with,
+    the setting of every forward onto it.  length counts the positions every
+    layer holds; only model_forward advances it.  One (max_seq_len, hidden)
+    float32 scratch buffer serves every layer's reads.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
-        self.cfg = cfg
+        self.cfg = cfg = dataclasses.replace(cfg)
         self.blocks = blocks
-        self.mode = cfg.quant_mode
-        quantized = self.mode == "weight_kv" and cfg.kv_quantized
+        quantized = cfg.quant_mode == "weight_kv" and cfg.kv_quantized
         self.layers = [LayerCache(cfg, quantized) for _ in range(cfg.n_layers)]
         self.length = 0
         self.scratch = np.empty((cfg.max_seq_len, cfg.hidden_size), dtype=np.float32)
@@ -537,11 +543,11 @@ def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None 
     """Forward over a token chunk on arrays; returns (T, vocab) logits.
 
     With a cache, the chunk continues at position cache.length, its KV is
-    appended, and it runs cache.mode; without one it starts at position 0
-    and runs model.config.quant_mode.
+    appended, and it runs the cache's config; without one it starts at
+    position 0 and runs model.config.
     """
-    cfg = model.config
-    mode = cfg.quant_mode if cache is None else cache.mode
+    cfg = model.config if cache is None else cache.cfg
+    mode = cfg.quant_mode
     if mode not in MODES:
         raise KvqError(f"unknown quant_mode: {mode!r}")
     token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -658,18 +664,17 @@ def attach_kv_smoothing(model: Model, per_layer: list[tuple[SmoothingParams, Smo
         blk.v.absorb(sp_v)
 
 
-def quantize_model_weights(model: Model, literal_range: bool = False) -> None:
-    """Round every block projection to nearest in place (no clipping); biases
-    and embeddings stay fp.
+def quantize_model_weights(model: Model) -> None:
+    """Round every block projection to nearest in place; biases and
+    embeddings stay fp.
 
-    A calibrated model's learned clipping is already in its codes and its w
-    is dequantize(codes), so quantizing it again at the same bits and group
-    size keeps those codes.
+    A calibrated model's w is dequantize(codes), so quantizing it again at
+    the same bits and group size keeps those codes.
     """
     cfg = model.config
     if cfg.weight_bits >= 16:
         return
-    spec = WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size, literal_range=literal_range)
+    spec = WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size)
     for blk in model.blocks:
         for lin in blk.projections().values():
             lin.quantize(spec)

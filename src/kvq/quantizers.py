@@ -1,28 +1,27 @@
 """Quantization math: channel smoothing with absorption, dynamic per-token
-shifted-symmetric group quantization, and learnable-clipping weight quantization.
+shifted-symmetric group quantization, and round-to-nearest group-wise weight
+quantization.
 
 There is one core per quantizer kind.  quantize_token and quantize_weight
 turn an array into integer codes plus per-group affine parameters, and
 dequantize maps them back; each works on a 3-d view of all full groups at
 once, with a short tail group as one separate slice.  The KV cache and the
 checkpoints store the codes.  Calibration trains through the same core:
-fake_quant_token and fake_quant_weight are single autodiff ops whose forward
-is dequantize(quantize_*(...)), so training sees exactly the deployed
-rounding, the constant-group rule included.  They differ only in their
-gradient estimator:
 
-* token path: the codes are held fixed in the backward pass, so the gradient
-  is the exact local derivative q * dn + dm through the group mean m and
-  half-range n;
-* weight path: rounding is straight-through (STE), the estimator OmniQuant
-  trains its learnable clipping with.  Scaling a weight column by 1/s leaves
-  its codes and zero-point unchanged, so the straight-through d/ds there is
-  already exact.
+* token path: fake_quant_token is one autodiff op whose forward is
+  dequantize(quantize_token(...)) and whose backward holds the codes fixed,
+  so the gradient is the exact local derivative q * dn + dm through the
+  group mean m and half-range n;
+* weight path: fake_quant_weight is the plain array function
+  dequantize(quantize_weight(...)).  Weight groups run along input channels
+  and K/V smoothing scales output channels, so w / s has the codes and
+  zero-points of w: calibration quantizes each weight once and divides the
+  result by s on the tape.
 
 Token codes are signed and live in [-2^(N-1), 2^(N-1)-1]; weight codes are
 unsigned in [0, 2^N - 1].  A group whose spread is below SPREAD_EPS is
 constant: it gets a unit step and zero codes, and dequantizes to its mean
-(token) or clipped minimum (weight).
+(token) or minimum (weight).
 """
 
 from __future__ import annotations
@@ -96,27 +95,14 @@ class TokenQuantSpec:
 
 @dataclass
 class WeightQuantSpec:
-    """Group-wise asymmetric weight quantization with clipping factors.
-
-    gamma/beta hold the mapped clipping values in (0, 1], shaped
-    (n_groups, C_out) or None for the RTN case (both treated as 1).
-    literal_range enables the narrow-range ablation (step divisor and clamp
-    ceiling both 2^(N-1)) instead of the standard 2^N - 1 scheme.
-    """
+    """Group-wise asymmetric round-to-nearest weight quantization."""
 
     bits: int = 4
     group_size: int = 128
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    literal_range: bool = False
 
     @property
     def code_hi(self) -> int:
-        return 2 ** (self.bits - 1) if self.literal_range else 2**self.bits - 1
-
-    @property
-    def step_div(self) -> float:
-        return float(2 ** (self.bits - 1) if self.literal_range else 2**self.bits - 1)
+        return 2**self.bits - 1
 
 
 @dataclass
@@ -262,14 +248,12 @@ def quantize_token(y: np.ndarray, spec: TokenQuantSpec) -> QuantizedTensor:
     )
 
 
-def _quantize_weight_groups(w: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                            spec: WeightQuantSpec):
+def _quantize_weight_groups(w: np.ndarray, spec: WeightQuantSpec):
     """(groups * size, C) codes and (groups, C) h, z of a (groups, size, C) array."""
     k, size, c = w.shape
-    top = gamma * w.max(axis=1)
-    bot = beta * w.min(axis=1)
+    top, bot = w.max(axis=1), w.min(axis=1)
     flat = (top - bot) < SPREAD_EPS
-    h = np.where(flat, 1.0, (top - bot) / spec.step_div).astype(np.float32)
+    h = np.where(flat, 1.0, (top - bot) / spec.code_hi).astype(np.float32)
     # constant group: unit step, zero codes, and an exact (unrounded)
     # zero-point so dequantization reproduces the constant losslessly
     z = np.where(flat, -bot, -round_half_away(bot / h)).astype(np.float32)
@@ -280,7 +264,7 @@ def _quantize_weight_groups(w: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def quantize_weight(w: np.ndarray, spec: WeightQuantSpec) -> QuantizedTensor:
-    """Group-wise (input-channel axis) asymmetric quantization with clipping.
+    """Group-wise (input-channel axis) asymmetric round-to-nearest quantization.
 
     The full groups are quantized at once as a (groups, group_size, C_out)
     view; a short tail group is a separate slice with its own statistics.
@@ -289,15 +273,9 @@ def quantize_weight(w: np.ndarray, spec: WeightQuantSpec) -> QuantizedTensor:
     if not np.all(np.isfinite(w)):
         raise NumericError("quantize_weight: non-finite input")
     r, c = w.shape
-    spans = _spans(r, spec.group_size)
-    ng = sum(k for *_, k, _ in spans)
-    gamma, beta = (
-        np.ones((ng, c), np.float32) if a is None else np.asarray(a, np.float32).reshape(ng, c)
-        for a in (spec.gamma, spec.beta)
-    )
     parts = [
-        _quantize_weight_groups(w[rows].reshape(k, size, c), gamma[gs], beta[gs], spec)
-        for rows, gs, k, size in spans
+        _quantize_weight_groups(w[rows].reshape(k, size, c), spec)
+        for rows, _, k, size in _spans(r, spec.group_size)
     ]
     codes, h, z = (_cat(arrays, 0) for arrays in zip(*parts))
     return QuantizedTensor(
@@ -358,49 +336,6 @@ def fake_quant_token(y: Tensor, bits: int, group_size: int) -> Tensor:
     return Tensor._from_op(dequantize(qt), (y,), backward)
 
 
-def fake_quant_weight(w: Tensor, gamma: Tensor, beta: Tensor, bits: int,
-                      group_size: int) -> Tensor:
-    """dequantize(quantize_weight(w)) as one autodiff op with straight-through rounding.
-
-    gamma and beta are (n_groups, C_out) Tensors of mapped clipping values.
-    Backward, per group and column: out = (q - z) h with q = clamp(round(w / h)
-    + z, 0, hi), z = round(-bot / h), h = (top - bot) / hi, top = gamma * max
-    and bot = beta * min.  Both roundings pass the gradient straight through,
-    the clamp passes it only inside [0, hi], and max and min send theirs to
-    the first row that attains them.  A constant group dequantizes to bot, so
-    it passes d bot alone.
-    """
-    spec = WeightQuantSpec(bits, group_size, gamma.data, beta.data)
-    qw = quantize_weight(w.data, spec)
-
-    def backward(g, w=w, gamma=gamma, beta=beta):
-        r, c = g.shape
-        parts = []
-        for rows, gs, k, size in _spans(r, group_size):
-            x = w.data[rows].reshape(k, size, c)
-            g3 = g[rows].reshape(k, size, c)
-            h, z = qw.h[gs, None, :], qw.z[gs, None, :]
-            gam, bet = gamma.data[gs, None, :], beta.data[gs, None, :]
-            top_at, bot_at = x.argmax(axis=1)[:, None, :], x.argmin(axis=1)[:, None, :]
-            top_x = np.take_along_axis(x, top_at, axis=1)
-            bot_x = np.take_along_axis(x, bot_at, axis=1)
-            bot = bet * bot_x
-            flat = (gam * top_x - bot) < SPREAD_EPS
-            u = round_half_away(x / h) + z
-            inside = (u >= 0) & (u <= spec.code_hi) & ~flat
-            q = qw.codes[rows].reshape(k, size, c).astype(np.float32)
-            # d out / d h through (q - z) h, the rounded w / h and z
-            d_h = q - z - np.where(inside, x, bot) / h
-            g_h = np.where(flat, 0.0, (g3 * d_h).sum(axis=1, keepdims=True))
-            g_top = g_h / spec.step_div
-            g_bot = np.where(inside, 0.0, g3).sum(axis=1, keepdims=True) - g_top
-            dx = np.where(inside, g3, 0.0)
-            _add_at(dx, top_at, g_top * gam, axis=1)
-            _add_at(dx, bot_at, g_bot * bet, axis=1)
-            parts.append((dx.reshape(k * size, c), (g_top * top_x)[:, 0], (g_bot * bot_x)[:, 0]))
-        dw, dgamma, dbeta = (_cat(arrays, 0) for arrays in zip(*parts))
-        for p, d in ((w, dw), (gamma, dgamma), (beta, dbeta)):
-            if p.requires_grad:
-                p._accum(d)
-
-    return Tensor._from_op(dequantize(qw), (w, gamma, beta), backward)
+def fake_quant_weight(w: np.ndarray, bits: int, group_size: int) -> np.ndarray:
+    """dequantize(quantize_weight(w)): the deployed rounding of w as floats."""
+    return dequantize(quantize_weight(w, WeightQuantSpec(bits, group_size)))

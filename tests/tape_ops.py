@@ -1,7 +1,7 @@
 """Tape ops that only the tests' reference computations use.
 
-The per-head references in test_tensor.py, the per-group fake-quant
-references in test_quantizers.py and the tape cache read in test_runtime.py
+The per-head references in test_tensor.py, the per-group token fake-quant
+reference in test_quantizers.py and the tape cache read in test_runtime.py
 are built from these; test_tensor.py checks their gradients.  Each is a function over kvq Tensors recorded on the same
 tape as the library's ops.
 """
@@ -41,10 +41,6 @@ def tmax(a, axis=None, keepdims=False):
         a._accum((mask * g).astype(np.float32))
 
     return Tensor._from_op(a.data.max(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def tmin(a, axis=None, keepdims=False):
-    return -tmax(-a, axis=axis, keepdims=keepdims)
 
 
 def maximum(a, other):

@@ -28,6 +28,7 @@ from kvq.calibration import (
     collect_activations,
     crr_loss,
     init_trainables,
+    quantized_weights,
     sample_segments,
 )
 from kvq.cli import main
@@ -278,6 +279,7 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
     acts = collect_activations(model2, sample_segments(corpus, calib))
     xs = [a[0] for a in acts]
     tp = init_trainables(model2, 0, xs)
+    wq = quantized_weights(model2, 0)
     residual = []
     mae = calibration.reconstruction_loss
 
@@ -286,7 +288,7 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
         return mae(y_hat, y_ref, kind)
 
     monkeypatch.setattr(calibration, "reconstruction_loss", capture)
-    loss2 = crr_loss(model2, 0, acts[0][0], tp, calib, acts[0][2])
+    loss2 = crr_loss(model2, 0, acts[0][0], tp, calib, acts[0][2], wq)
     loss2.backward()
     # mean(sign0 * r) has the MAE's value and derivative at s0, and no kink
     # where a residual r crosses zero inside the probe
@@ -302,26 +304,21 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
     s_base = tp.s_v.data.copy()
     blk = model2.blocks[0]
     xn = rms_norm(Tensor(acts[0][0]), Tensor(blk.attn_norm.reshape(1, -1))).data
-    gamma_v = 1.0 / (1.0 + np.exp(-tp.gamma_logit["v"].data))
-    beta_v = 1.0 / (1.0 + np.exp(-tp.beta_logit["v"].data))
 
     def v_codes(s_row):
         s = np.maximum(s_row, S_FLOOR)
-        wq = quantize_weight(
-            blk.v.w / s,
-            WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size, gamma_v, beta_v),
-        )
-        v_s = xn @ dequantize(wq) + (blk.v.b - tp.d_v.data.reshape(-1)) / s
+        qw = quantize_weight(blk.v.w / s, WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size))
+        v_s = xn @ dequantize(qw) + (blk.v.b - tp.d_v.data.reshape(-1)) / s
         tq = quantize_token(v_s, TokenQuantSpec(cfg.kv_bits, cfg.kv_group_size))
         peaks = [np.abs(v_s[:, a:b] - v_s[:, a:b].mean(axis=1, keepdims=True)).argmax(axis=1)
                  for a, b in group_bounds(cfg.hidden_size, cfg.kv_group_size)]
-        return wq.codes, tq.codes, np.stack(peaks)
+        return qw.codes, tq.codes, np.stack(peaks)
 
     def loss_at(j, v):
         tp2 = init_trainables(model2, 0, xs)
         tp2.s_v.data[:] = s_base
         tp2.s_v.data[0, j] = v
-        return crr_loss(model2, 0, acts[0][0], tp2, calib, acts[0][2]).item()
+        return crr_loss(model2, 0, acts[0][0], tp2, calib, acts[0][2], wq).item()
 
     worst_s = 0.0
     kink_free = 0

@@ -1,5 +1,7 @@
+import ast
 import copy
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,34 +9,36 @@ import pytest
 from conftest import fitted_model, tiny_config, word_corpus
 import kvq.calibration as calibration
 from kvq.calibration import (
-    CLIP_LOGIT_INIT,
     AdamW,
     CalibConfig,
     calibrate_block,
     calibrate_model,
     collect_activations,
     crr_loss,
+    fake_block_weights,
     init_trainables,
+    quantized_weights,
     reconstruction_loss,
     sample_segments,
 )
 from kvq.errors import DataFormatError, KvqError, UsageError
 from kvq.evaluate import logit_mae
 from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
+from kvq.quantizers import WeightQuantSpec
 from kvq.tensor import Tensor
 
 
 class TestConfig:
     def test_defaults_mirror_recipe(self):
         c = CalibConfig()
-        assert (c.k, c.epochs, c.lr_smoothing, c.lr_clipping) == (5, 5, 5e-4, 1e-2)
+        assert (c.k, c.epochs, c.lr_smoothing) == (5, 5, 5e-4)
         assert c.loss == "mae"
 
     def test_invalid_values_rejected(self):
         with pytest.raises(KvqError):
             CalibConfig(k=0)
         with pytest.raises(KvqError):
-            CalibConfig(lr_clipping=0.0)
+            CalibConfig(lr_smoothing=0.0)
         with pytest.raises(KvqError):
             CalibConfig(loss="huber")
 
@@ -84,13 +88,6 @@ def calib_setup():
 
 
 class TestTrainables:
-    def test_clip_logits_init(self, calib_setup):
-        model, _, _, _, acts = calib_setup
-        tp = init_trainables(model, 0, [a[0] for a in acts])
-        assert np.all(tp.gamma_logit["q"].data == np.float32(CLIP_LOGIT_INIT))
-        mapped = 1.0 / (1.0 + np.exp(-CLIP_LOGIT_INIT))
-        assert mapped == pytest.approx(1.0, abs=2e-4)
-
     def test_smoothing_init_from_activations(self, calib_setup):
         model, _, _, _, acts = calib_setup
         tp = init_trainables(model, 0, [a[0] for a in acts])
@@ -107,12 +104,11 @@ class TestCrrLoss:
     def test_gradients_reach_all_parameter_kinds(self, calib_setup):
         model, _, calib, _, acts = calib_setup
         tp = init_trainables(model, 0, [a[0] for a in acts])
-        loss = crr_loss(model, 0, acts[0][0], tp, calib, acts[0][2])
+        wq = quantized_weights(model, 0)
+        loss = crr_loss(model, 0, acts[0][0], tp, calib, acts[0][2], wq)
         loss.backward()
         assert tp.s_v.grad is not None and np.any(tp.s_v.grad != 0.0)
         assert tp.d_k.grad is not None
-        assert tp.gamma_logit["q"].grad is not None
-        assert np.any(tp.gamma_logit["down"].grad != 0.0)
 
     def test_tail_truncated_at_model_end(self, calib_setup):
         model, _, calib, _, acts = calib_setup
@@ -120,7 +116,8 @@ class TestCrrLoss:
         tp = init_trainables(model, last, [a[last] for a in acts])
         big_k = copy.deepcopy(calib)
         big_k.k = 10
-        loss = crr_loss(model, last, acts[0][last], tp, big_k, acts[0][last + 1])
+        loss = crr_loss(model, last, acts[0][last], tp, big_k, acts[0][last + 1],
+                        quantized_weights(model, last))
         assert np.isfinite(loss.item())
 
     def test_loss_scale_invariant_when_kv_unquantized(self):
@@ -131,22 +128,24 @@ class TestCrrLoss:
         calib = CalibConfig(k=2, segments=4, seg_len=24, seed=0)
         acts = collect_activations(model, sample_segments(corpus, calib))
         tp = init_trainables(model, 0, [a[0] for a in acts])
-        base = crr_loss(model, 0, acts[0][0], tp, calib, acts[0][2])
+        wq = quantized_weights(model, 0)
+        base = crr_loss(model, 0, acts[0][0], tp, calib, acts[0][2], wq)
         base.backward()
         assert np.abs(tp.s_v.grad).max() < 1e-6
         tp2 = init_trainables(model, 0, [a[0] for a in acts])
         tp2.s_v.data *= 1.07
-        shifted = crr_loss(model, 0, acts[0][0], tp2, calib, acts[0][2])
+        shifted = crr_loss(model, 0, acts[0][0], tp2, calib, acts[0][2], wq)
         assert abs(shifted.item() - base.item()) < 1e-5 * max(base.item(), 1e-6)
 
     def test_smoothing_init_reduces_loss_on_spread_channels(self, calib_setup):
         # channel statistics initialization should beat identity smoothing
         # when the K/V channels have uneven magnitudes
         model, _, calib, _, acts = calib_setup
+        wq = quantized_weights(model, 0)
 
         def mean_loss(t):
             return float(np.mean(
-                [crr_loss(model, 0, a[0], t, calib, a[2]).item() for a in acts]
+                [crr_loss(model, 0, a[0], t, calib, a[2], wq).item() for a in acts]
             ))
 
         identity = init_trainables(model, 0, [a[0] for a in acts], use_smoothing=False)
@@ -170,19 +169,14 @@ class TestCalibrateModel:
         mae_rtn = logit_mae(model, mr, ev, use_cache=True)
         assert mae_cal < mae_rtn
 
-    def test_blocks_frozen_with_codes_and_clipping(self, calib_setup):
+    def test_blocks_frozen_with_codes(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup
         mq = copy.deepcopy(model)
-        report = calibrate_model(mq, corpus, calib)
-        init = 1.0 / (1.0 + np.exp(-CLIP_LOGIT_INIT))
-        for blk, trace in zip(mq.blocks, report["blocks"]):
+        calibrate_model(mq, corpus, calib)
+        for blk in mq.blocks:
             for lin in blk.projections().values():
                 assert lin.wq is not None
             assert blk.v.smoothing is not None and blk.v.smoothing.absorbed
-            # the learned clipping lives in the codes; the report keeps its range
-            for key in ("gamma", "beta"):
-                lo, hi = trace["params"][key]
-                assert 0.0 < lo < init < hi < 1.0
 
     def test_deterministic(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup
@@ -209,7 +203,7 @@ class TestCalibrateModel:
 
     def test_non_finite_loss_falls_back(self, calib_setup, monkeypatch):
         # a non-finite loss stops training; the block keeps its plain-rounding
-        # baseline (identity smoothing, codes at the clipping init) and fails
+        # baseline (identity smoothing, round-to-nearest codes) and fails
         model, corpus, calib, _, _ = calib_setup
         loss = calibration.crr_loss
         monkeypatch.setattr(calibration, "crr_loss", lambda *a: loss(*a) * np.float32(np.nan))
@@ -226,31 +220,48 @@ class TestCalibrateModel:
         model, corpus, calib, _, _ = calib_setup
         c = copy.deepcopy(calib)
         c.use_smoothing = False
-        c.use_clipping = False
         mq = copy.deepcopy(model)
         report = calibrate_model(mq, corpus, c)
         assert mq.blocks[0].v.smoothing is None  # identity never attached
-        for blk_trace in report["blocks"]:
-            for key in ("gamma", "beta"):
-                assert np.allclose(blk_trace["params"][key], 1.0, atol=2e-4)
         for blk_trace in report["blocks"]:
             assert blk_trace["final_loss"] == blk_trace["trajectory"][0]
 
 
 class TestCalibrateBlock:
+    def test_baseline_is_the_rtn_model(self, calib_setup):
+        # identity smoothing trains against, and freezes, exactly the weights
+        # that round-to-nearest quantization gives
+        model, corpus, calib, _, acts = calib_setup
+        rtn = copy.deepcopy(model)
+        quantize_model_weights(rtn)
+        for i, blk in enumerate(rtn.blocks):
+            tp = init_trainables(model, i, [a[i] for a in acts], use_smoothing=False)
+            w = fake_block_weights(model, i, tp, quantized_weights(model, i))
+            for name, lin in blk.projections().items():
+                assert np.array_equal(w[f"{name}_w"].data, lin.w)
+                assert np.array_equal(w[f"{name}_b"].data, lin.b)
+        mq = copy.deepcopy(model)
+        calibrate_model(mq, corpus, dataclasses.replace(calib, use_smoothing=False))
+        for bq, br in zip(mq.blocks, rtn.blocks):
+            for name, lin in bq.projections().items():
+                assert np.array_equal(lin.wq.codes, br.projections()[name].wq.codes)
+                assert np.array_equal(lin.w, br.projections()[name].w)
+
     def test_losses_unchanged_by_the_runtime_leaving_the_tape(self):
         # calibration records block_core and block_forward on the tape; these
         # are the float32 losses it gave when the runtime forward ran on the
-        # tape as well (numpy 2.4, OpenBLAS 0.3, x86-64)
+        # tape as well, with the weight clipping held at exactly 1 (its
+        # removal changed only float rounding after the first loss), on
+        # numpy 2.4, OpenBLAS 0.3, x86-64
         m = Model.random(tiny_config(), seed=0)
         spread_kv_channels(m, 2.0, seed=0)
         calib = CalibConfig(k=2, epochs=2, segments=2, seg_len=16, seed=0)
         acts = collect_activations(m, sample_segments(word_corpus(0, 200), calib))
         trace = calibrate_block(m, 0, calib, [a[0] for a in acts], [a[2] for a in acts])
-        assert trace["initial_loss"] == 0.001488231762778014
-        assert trace["final_loss"] == 0.0010899411281570792
-        assert trace["trajectory"] == [0.0010686033056117594, 0.001067170815076679,
-                                       0.0010893316066358238]
+        assert trace["initial_loss"] == 0.001488438923843205
+        assert trace["final_loss"] == 0.001089826546376571
+        assert trace["trajectory"] == [0.0010686650057323277, 0.0010672364733181894,
+                                       0.0010893236903939396]
 
 
 class TestSegments:
@@ -282,3 +293,27 @@ class TestSweep:
             assert r["perplexity"] > 1.0
             assert np.isfinite(r["mean_final_loss"])
         assert rows[0]["mean_final_loss"] != rows[1]["mean_final_loss"]
+
+
+class TestKnobs:
+    def test_every_calib_and_weight_spec_field_is_set(self):
+        # a CalibConfig or WeightQuantSpec field that neither the CLI nor
+        # calibration ever sets is a knob without traffic: delete it with its
+        # feature.  Set means a keyword, or a constructor's positional
+        # argument, or an attribute assignment.
+        specs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                 for cls in (CalibConfig, WeightQuantSpec)}
+        src = Path(calibration.__file__).parent
+        set_fields = set()
+        for name in ("cli.py", "calibration.py"):
+            for node in ast.walk(ast.parse((src / name).read_text())):
+                if isinstance(node, ast.Call):
+                    set_fields |= {kw.arg for kw in node.keywords}
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    set_fields |= set(specs.get(called, [])[: len(node.args)])
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    set_fields |= {t.attr for t in targets if isinstance(t, ast.Attribute)}
+        unset = [f"{cls}.{f}" for cls, fields in specs.items() for f in fields
+                 if f not in set_fields]
+        assert unset == []

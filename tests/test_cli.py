@@ -107,8 +107,8 @@ class TestQuantize:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_calibrated_codes_kept(self, workdir, capsys):
-        # the learned clipping is in the calibrated codes; quantizing again
-        # must not apply it a second time
+        # a calibrated model's weights are its codes' dequantization;
+        # quantizing again must keep those codes
         cal, out = workdir / "cal_for_quantize.kvq", workdir / "cal_w4kv4.kvq"
         rc, _, _ = run(capsys, [
             "calibrate", "--model", str(workdir / "model.kvq"),
@@ -142,6 +142,16 @@ class TestQuantize:
         cfg = load_model(str(out)).config
         assert (cfg.weight_group_size, cfg.kv_group_size) == (16, 8)
         assert (cfg.weight_bits, cfg.kv_bits) == (4, 8)
+
+    @pytest.mark.parametrize("flag", ["--kv-bits", "--bits"])
+    def test_code_width_beyond_storage_refused(self, workdir, capsys, flag):
+        # token codes are int8 and weight codes uint8: 12-bit codes would wrap
+        out = workdir / "wide.kvq"
+        rc, _, err = run(capsys, ["quantize", "--model", str(workdir / "model.kvq"),
+                                  "--out", str(out), flag, "12"])
+        assert rc == 2
+        assert "must be 2..8 or at least 16" in err
+        assert not out.exists()
 
     def test_rtn_mode_removed(self, workdir):
         with pytest.raises(SystemExit) as e:
@@ -221,6 +231,17 @@ class TestEval:
         ])
         assert rc == 3
         assert "cache_post_rotary" in err
+
+    def test_invalid_config_value_is_data_error(self, workdir, capsys):
+        # a header that ModelConfig refuses is a malformed file, not a usage error
+        config, meta, tensors = read_container(str(workdir / "model.kvq"))
+        bad = workdir / "wide_kv.kvq"
+        write_container(str(bad), dict(config, kv_bits=12), meta, tensors)
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert "kv_bits" in err
 
     def test_missing_tensor_is_data_error(self, workdir, capsys):
         config, meta, tensors = read_container(str(workdir / "model.kvq"))
@@ -307,17 +328,17 @@ class TestAblate:
     def test_add_and_drop_token_quantization(self, workdir, capsys):
         rc, stdout, _ = run(capsys, [
             "ablate", "--model", str(workdir / "model.kvq"),
-            "--corpus", str(workdir / "corpus.txt"), "--drop", "2dq-token", "--add", "lwc",
+            "--corpus", str(workdir / "corpus.txt"), "--drop", "2dq-token", "--add", "2dq-channel",
             "--k", "1", "--epochs", "1", "--segments", "2", "--seg-len", "24",
             "--max-tokens", "64",
         ])
         assert rc == 0
         rows = json.loads(stdout)["variants"]
         assert [(r["variant"], r["features"]) for r in rows] == [
-            ("full", ["2dq-channel", "2dq-token", "lwc", "poq"]),
-            ("drop:2dq-token", ["2dq-channel", "lwc", "poq"]),
+            ("full", ["2dq-channel", "2dq-token", "poq"]),
+            ("drop:2dq-token", ["2dq-channel", "poq"]),
             ("none", []),
-            ("add:lwc", ["lwc"]),
+            ("add:2dq-channel", ["2dq-channel"]),
         ]
         assert all(np.isfinite(r["perplexity"]) for r in rows)
 

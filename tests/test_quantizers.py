@@ -20,7 +20,7 @@ from kvq.quantizers import (
     quantize_weight,
 )
 from kvq.tensor import Tensor, round_half_away
-from tape_ops import concat_cols, concat_rows, maximum, round_ste, slice_cols, slice_rows, tmax, tmin, tsum
+from tape_ops import concat_cols, maximum, slice_cols, tmax, tsum
 
 
 def oracle_token(y, bits, group_size):
@@ -47,7 +47,7 @@ def oracle_token(y, bits, group_size):
     return codes, deq
 
 
-def oracle_weight(w, bits, group_size, gamma=None, beta=None):
+def oracle_weight(w, bits, group_size):
     """Scalar-loop reference for the group-wise asymmetric weight quantizer."""
     r, c = w.shape
     hi = 2**bits - 1
@@ -55,10 +55,8 @@ def oracle_weight(w, bits, group_size, gamma=None, beta=None):
     for ci in range(c):
         for gi, a in enumerate(range(0, r, group_size)):
             grp = [float(w[j, ci]) for j in range(a, min(a + group_size, r))]
-            gm = 1.0 if gamma is None else float(gamma[gi, ci])
-            bm = 1.0 if beta is None else float(beta[gi, ci])
-            top = gm * max(grp)
-            bot = bm * min(grp)
+            top = max(grp)
+            bot = min(grp)
             if (top - bot) < 1e-12:
                 # constant group: unit step, zero codes, zero-point -bot
                 for jj in range(len(grp)):
@@ -77,9 +75,9 @@ def oracle_weight(w, bits, group_size, gamma=None, beta=None):
     return codes
 
 
-# -- reference: the per-group tape fake quantizers the single ops replaced ----
+# -- reference: the per-group tape fake quantizer the single op replaced -----
 
-REF_EPS = 1e-8  # the tape's floor on n and h; constant groups differ from the runtime
+REF_EPS = 1e-8  # the tape's floor on n; constant groups differ from the runtime
 
 
 def reference_fake_quant_token(y, bits, group_size):
@@ -95,21 +93,6 @@ def reference_fake_quant_token(y, bits, group_size):
         q = Tensor(np.clip(round_half_away(centered.data / n.data), lo, hi))
         parts.append(q * n + m)
     return parts[0] if len(parts) == 1 else concat_cols(parts)
-
-
-def reference_fake_quant_weight(w, gamma, beta, bits, group_size):
-    """Per-group tape: straight-through rounding, clamp, first-row max/min."""
-    div = hi = float(2**bits - 1)
-    parts = []
-    for g, (a, b) in enumerate(group_bounds(w.shape[0], group_size)):
-        block = slice_rows(w, a, b)
-        top = slice_rows(gamma, g, g + 1) * tmax(block, axis=0, keepdims=True)
-        bot = slice_rows(beta, g, g + 1) * tmin(block, axis=0, keepdims=True)
-        h = maximum((top - bot) / div, REF_EPS)
-        z = round_ste(Tensor(0.0) - (bot / h))
-        q = (round_ste(block / h) + z).clamp(0.0, hi)
-        parts.append((q - z) * h)
-    return parts[0] if len(parts) == 1 else concat_rows(parts)
 
 
 def fake_quant_cases(seed, kind):
@@ -223,14 +206,8 @@ class TestWeightQuant:
             gs = int(rng.integers(1, r + 1))
             bits = int(rng.choice([2, 3, 4, 8]))
             w = (rng.normal(size=(r, c)) * rng.uniform(0.01, 5)).astype(np.float32)
-            ng = len(group_bounds(r, gs))
-            use_clip = rng.random() < 0.5
-            gamma = rng.uniform(0.6, 1.0, (ng, c)).astype(np.float32) if use_clip else None
-            beta = rng.uniform(0.6, 1.0, (ng, c)).astype(np.float32) if use_clip else None
-            spec = WeightQuantSpec(bits, gs, gamma=gamma, beta=beta)
-            q = quantize_weight(w, spec)
-            codes = oracle_weight(w, bits, gs, gamma, beta)
-            assert np.array_equal(q.codes, codes), f"trial {trial}"
+            q = quantize_weight(w, WeightQuantSpec(bits, gs))
+            assert np.array_equal(q.codes, oracle_weight(w, bits, gs)), f"trial {trial}"
 
     def test_constant_group_lossless(self):
         for value in (-3.0, 0.75, 0.0):
@@ -250,20 +227,24 @@ class TestWeightQuant:
                 bound = q.h[g][None, :] / 2 + 1e-6
                 assert np.all(err[a:b] <= np.broadcast_to(bound, err[a:b].shape))
 
-    def test_clipping_shrinks_step(self):
-        rng = np.random.default_rng(6)
-        w = rng.normal(size=(8, 3)).astype(np.float32)
-        q1 = quantize_weight(w, WeightQuantSpec(4, 8))
-        clip = np.full((1, 3), 0.7, np.float32)
-        q2 = quantize_weight(w, WeightQuantSpec(4, 8, gamma=clip, beta=clip))
-        assert np.all(q2.h < q1.h)
-
-    def test_literal_range_variant(self):
-        # [DERIVED] narrow scheme: divisor and ceiling are both 2^(N-1) = 8
-        w = np.linspace(-1, 1, 8).astype(np.float32).reshape(-1, 1)
-        q = quantize_weight(w, WeightQuantSpec(4, 8, literal_range=True))
-        assert np.allclose(q.h[0, 0], 2.0 / 8.0)
-        assert q.codes.max() <= 8
+    def test_column_scale_keeps_codes(self):
+        # groups run along input channels, so dividing each output column by
+        # its own s > 0 leaves the codes and zero-points unchanged: this is
+        # why calibration can train against Q(w) / s and freeze Q(w / s).  A
+        # one-row tail group is constant, and its exact zero-point -w scales.
+        rng = np.random.default_rng(16)
+        for trial in range(20):
+            r, c = int(rng.integers(8, 130)), int(rng.integers(1, 65))
+            gs = int(rng.choice([4, 16, 32, 64]))
+            bits = int(rng.choice([2, 3, 4, 8]))
+            w = (rng.normal(size=(r, c)) * rng.uniform(0.01, 5)).astype(np.float32)
+            s = rng.uniform(0.1, 10.0, c).astype(np.float32)
+            q = quantize_weight(w, WeightQuantSpec(bits, gs))
+            qs = quantize_weight(w / s, WeightQuantSpec(bits, gs))
+            spread = np.array([b - a > 1 for a, b in group_bounds(r, gs)])
+            assert np.array_equal(qs.codes, q.codes), f"trial {trial}"
+            assert np.array_equal(qs.z[spread], q.z[spread]), f"trial {trial}"
+            np.testing.assert_allclose(dequantize(qs), dequantize(q) / s, rtol=1e-5)
 
     def test_codes_dtype_and_range(self):
         rng = np.random.default_rng(7)
@@ -338,32 +319,10 @@ class TestFakeQuant:
                 assert_grad_close(y.grad, ref.grad, upstream, y0)
 
     def test_weight_fake_matches_integer_path(self):
-        rng = np.random.default_rng(12)
-        compared = 0
-        for w0, bits, gs, regular in fake_quant_cases(12, "weight"):
-            bounds = group_bounds(w0.shape[0], gs)
-            shape = (len(bounds), w0.shape[1])
-            clip = rng.uniform(0.8, 1.0, (2,) + shape) if regular else np.ones((2,) + shape)
-            gamma0, beta0 = clip.astype(np.float32)
-            # clipping can leave top <= bot in a group whose values share a
-            # sign: that group is constant to the runtime, not to the tape
-            regular = regular and all(
-                np.all(gamma0[g] * w0[a:b].max(0) - beta0[g] * w0[a:b].min(0) > 1e-3)
-                for g, (a, b) in enumerate(bounds))
-            compared += regular
-            upstream = rng.normal(size=w0.shape).astype(np.float32)
-            params = [Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0)]
-            fake = fake_quant_weight(*params, bits, gs)
-            spec = WeightQuantSpec(bits, gs, gamma=gamma0, beta=beta0)
-            assert np.array_equal(fake.data, dequantize(quantize_weight(w0, spec)))
-            tsum(fake * Tensor(upstream)).backward()
-            assert all(np.all(np.isfinite(p.grad)) for p in params)
-            if regular:
-                refs = [Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0)]
-                tsum(reference_fake_quant_weight(*refs, bits, gs) * Tensor(upstream)).backward()
-                for p, ref in zip(params, refs):
-                    assert_grad_close(p.grad, ref.grad, upstream, w0)
-        assert compared >= 40
+        # the runtime's rounding as floats, constant and tail groups included
+        for w0, bits, gs, _ in fake_quant_cases(12, "weight"):
+            expected = dequantize(quantize_weight(w0, WeightQuantSpec(bits, gs)))
+            assert np.array_equal(fake_quant_weight(w0, bits, gs), expected)
 
     def test_token_fake_gradient_flows(self):
         rng = np.random.default_rng(13)
@@ -397,15 +356,6 @@ class TestFakeQuant:
             dm = upstream[:, a:b].sum(axis=1, keepdims=True) / (b - a)
             expected[:, a:b] = gq * dn + dm
         np.testing.assert_allclose(y.grad, expected, rtol=1e-5, atol=1e-6)
-
-    def test_weight_fake_clip_gradient_flows(self):
-        rng = np.random.default_rng(14)
-        w = Tensor(rng.normal(size=(8, 3)).astype(np.float32))
-        gamma = Tensor(np.full((1, 3), 0.9, np.float32), requires_grad=True)
-        beta = Tensor(np.full((1, 3), 0.9, np.float32), requires_grad=True)
-        tsum(fake_quant_weight(w, gamma, beta, 4, 8) * w).backward()
-        assert gamma.grad is not None and np.any(gamma.grad != 0.0)
-        assert beta.grad is not None and np.any(beta.grad != 0.0)
 
 
 class TestGroupBounds:

@@ -189,6 +189,15 @@ class TestConfig:
         with pytest.raises(KvqError):
             ModelConfig(quant_mode="int3")
 
+    @pytest.mark.parametrize("field", ["kv_bits", "weight_bits"])
+    def test_code_widths_the_codes_cannot_hold_rejected(self, field):
+        # token codes are int8 and weight codes uint8; 16 and up is unquantized
+        for bits in (0, 1, 9, 12, 15):
+            with pytest.raises(KvqError, match=field):
+                tiny_config(**{field: bits})
+        for bits in (2, 3, 8, 16, 32):
+            tiny_config(**{field: bits})
+
     def test_kv_bits_16_not_quantized(self):
         assert not tiny_config(kv_bits=16).kv_quantized
         assert tiny_config(kv_bits=4).kv_quantized
@@ -597,6 +606,21 @@ class TestSettingRecord:
 
         assert np.array_equal(decode_after_switching_to("weight_activation"),
                               decode_after_switching_to("weight_kv"))
+
+    def test_cache_keeps_its_quant_setting(self):
+        # the cache copies its config: changing the model's POQ, KV width or
+        # KV group size after prefill leaves the cached decode untouched
+        m = quantized(smoothed(make_model(seed=1)))
+        ids = np.arange(36) * 7 % 250
+
+        def decode(**change):
+            mm = copy.deepcopy(m)
+            _, cache = prefill(mm, ids[:20])
+            for field, value in change.items():
+                setattr(mm.config, field, value)
+            return np.concatenate([decode_step(mm, int(t), cache).data for t in ids[20:]])
+
+        assert np.array_equal(decode(poq=False, kv_bits=8, kv_group_size=16), decode())
 
     def test_no_public_call_takes_a_mode(self):
         # a forward's setting has one record, the config (or the cache built
