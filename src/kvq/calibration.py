@@ -11,6 +11,10 @@ d(loss)/ds is the exact derivative wherever the loss is differentiable in s.
 Blocks i+1 .. i+k-1 run full precision in both branches and receive no
 parameter gradients.  Past-only quantization is always off during training
 (the calibration forward has no cache).
+
+Each block freezes whichever of three candidates has the lowest mean loss
+(the earlier on a tie): identity smoothing over the round-to-nearest weights
+(RTN), the activation-statistics init, and that init after one training run.
 """
 
 from __future__ import annotations
@@ -40,62 +44,55 @@ class CalibConfig:
     epochs: int = 5
     lr_smoothing: float = 5e-4
     seed: int = 0
-    loss: str = "mae"
     segments: int = 32
     seg_len: int = 256
-    use_smoothing: bool = True  # False: identity channel scale/shift, untrained
 
     def __post_init__(self):
         if self.k < 1:
             raise KvqError(f"k must be >= 1, got {self.k}")
+        if self.segments < 1 or self.seg_len < 1 or self.epochs < 0:  # epochs 0: no training
+            raise KvqError(f"need segments >= 1, seg_len >= 1, epochs >= 0; got "
+                           f"{self.segments}, {self.seg_len}, {self.epochs}")
         if self.lr_smoothing <= 0:
             raise KvqError("lr_smoothing must be positive")
-        if self.loss not in ("mae", "mse"):
-            raise KvqError(f"loss must be mae or mse, got {self.loss!r}")
 
 
 class AdamW:
-    """AdamW at zero weight decay, i.e. Adam, over parameter groups [(params, lr), ...]."""
+    """AdamW at zero weight decay, i.e. Adam, over params at one learning rate."""
 
-    def __init__(self, groups):
-        self.groups = [(list(ps), lr) for ps, lr in groups]
+    def __init__(self, params, lr: float):
+        self.params = list(params)
+        self.lr = lr
         self.t = 0
-        self.state = {}
-        for ps, _ in self.groups:
-            for p in ps:
-                self.state[id(p)] = (
-                    np.zeros_like(p.data),
-                    np.zeros_like(p.data),
-                )
+        self.state = {id(p): (np.zeros_like(p.data), np.zeros_like(p.data))
+                      for p in self.params}
 
     def zero_grad(self):
-        for ps, _ in self.groups:
-            for p in ps:
-                p.grad = None
+        for p in self.params:
+            p.grad = None
 
     def step(self):
         self.t += 1
-        for ps, lr in self.groups:
-            for p in ps:
-                if p.grad is None:
-                    continue
-                m, v = self.state[id(p)]
-                g = p.grad.astype(np.float32)
-                m = ADAM_B1 * m + (1 - ADAM_B1) * g
-                v = ADAM_B2 * v + (1 - ADAM_B2) * g * g
-                self.state[id(p)] = (m, v)
-                mhat = m / (1 - ADAM_B1**self.t)
-                vhat = v / (1 - ADAM_B2**self.t)
-                upd = mhat / (np.sqrt(vhat) + ADAM_EPS)
-                p.data = (p.data - lr * upd).astype(np.float32)
+        for p in self.params:
+            if p.grad is None:
+                continue
+            m, v = self.state[id(p)]
+            g = p.grad.astype(np.float32)
+            m = ADAM_B1 * m + (1 - ADAM_B1) * g
+            v = ADAM_B2 * v + (1 - ADAM_B2) * g * g
+            self.state[id(p)] = (m, v)
+            mhat = m / (1 - ADAM_B1**self.t)
+            vhat = v / (1 - ADAM_B2**self.t)
+            upd = mhat / (np.sqrt(vhat) + ADAM_EPS)
+            p.data = (p.data - self.lr * upd).astype(np.float32)
 
 
 # -- loss construction --------------------------------------------------------
 
 
-def reconstruction_loss(y_hat: Tensor, y_ref: Tensor, kind: str = "mae") -> Tensor:
-    d = y_hat - y_ref
-    return d.abs().mean() if kind == "mae" else (d * d).mean()
+def reconstruction_loss(y_hat: Tensor, y_ref: Tensor) -> Tensor:
+    """Mean absolute error."""
+    return (y_hat - y_ref).abs().mean()
 
 
 @dataclass
@@ -107,31 +104,32 @@ class BlockTrainables:
     s_v: Tensor
     d_v: Tensor
 
+    @classmethod
+    def from_smoothing(cls, sp_k: SmoothingParams, sp_v: SmoothingParams) -> BlockTrainables:
+        row = lambda a: Tensor(a.reshape(1, -1).astype(np.float32), requires_grad=True)
+        return cls(row(sp_k.s), row(sp_k.delta), row(sp_v.s), row(sp_v.delta))
+
+    @classmethod
+    def identity(cls, channels: int) -> BlockTrainables:
+        """Identity smoothing: the round-to-nearest block."""
+        sp = SmoothingParams.identity(channels)
+        return cls.from_smoothing(sp, sp)
+
     def smooth_params(self) -> list[Tensor]:
         return [self.s_k, self.d_k, self.s_v, self.d_v]
 
 
-def init_trainables(model: Model, i: int, x_segs: list[np.ndarray],
-                    use_smoothing: bool = True) -> BlockTrainables:
-    """Smoothing stats from the calibration tokens, or identity smoothing."""
-    cfg = model.config
+def init_trainables(model: Model, i: int, x_segs: list[np.ndarray]) -> BlockTrainables:
+    """Smoothing stats of block i's raw K/V activations over the calibration tokens."""
     blk = model.blocks[i]
-    # K/V activations of this block over the calibration set, raw space
-    if use_smoothing:
-        ks, vs = [], []
-        norm = Tensor(blk.attn_norm.reshape(1, -1))
-        for x in x_segs:
-            xn = rms_norm(Tensor(x), norm).data
-            ks.append(xn @ blk.k.w + blk.k.b)
-            vs.append(xn @ blk.v.w + blk.v.b)
-        sp_k = init_smoothing(np.concatenate(ks, axis=0))
-        sp_v = init_smoothing(np.concatenate(vs, axis=0))
-    else:
-        sp_k = SmoothingParams.identity(cfg.hidden_size)
-        sp_v = SmoothingParams.identity(cfg.hidden_size)
-    row = lambda a: Tensor(a.reshape(1, -1).astype(np.float32), requires_grad=True)
-    return BlockTrainables(s_k=row(sp_k.s), d_k=row(sp_k.delta),
-                           s_v=row(sp_v.s), d_v=row(sp_v.delta))
+    ks, vs = [], []
+    norm = Tensor(blk.attn_norm.reshape(1, -1))
+    for x in x_segs:
+        xn = rms_norm(Tensor(x), norm).data
+        ks.append(xn @ blk.k.w + blk.k.b)
+        vs.append(xn @ blk.v.w + blk.v.b)
+    return BlockTrainables.from_smoothing(init_smoothing(np.concatenate(ks, axis=0)),
+                                          init_smoothing(np.concatenate(vs, axis=0)))
 
 
 def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:
@@ -194,7 +192,7 @@ def crr_loss(model: Model, i: int, x_i: np.ndarray, tp: BlockTrainables, calib: 
     y_hat = block_core(cfg, w, Tensor(x_i), positions, _calib_kv_fn(model, tp))
     for j in range(i + 1, i + k_eff):
         y_hat = block_forward(cfg, model.blocks[j], y_hat, 0, j, None, "fp")
-    return reconstruction_loss(y_hat, Tensor(y_ref), calib.loss)
+    return reconstruction_loss(y_hat, Tensor(y_ref))
 
 
 # -- calibration driver -------------------------------------------------------
@@ -229,62 +227,56 @@ def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
 
 def calibrate_block(model: Model, i: int, calib: CalibConfig,
                     x_segs: list[np.ndarray], ref_segs: list[np.ndarray]) -> dict:
-    """Optimize block i's parameters; returns the per-block trace (pre-freeze).
+    """Calibrate and freeze block i; returns its trace.
 
-    initial_loss is the plain-rounding baseline (identity smoothing over
-    the round-to-nearest weights, the RTN model's block); training starts
-    from the activation-statistics smoothing init, so final/initial measures
-    the whole calibration gain.
+    initial_loss scores identity smoothing over the round-to-nearest weights
+    (the RTN model's block), trajectory[0] the activation-statistics init and
+    trained_loss that init after calib.epochs epochs.  final_loss is the
+    lowest of the three, and the block freezes that candidate; failed means
+    it kept RTN.  A non-finite loss keeps RTN and reports NaN losses.
     """
     wq = quantized_weights(model, i)
 
     def mean_loss(tp):
-        return float(np.mean(
+        val = float(np.mean(
             [crr_loss(model, i, x, tp, calib, r, wq).item() for x, r in zip(x_segs, ref_segs)]
         ))
+        if not np.isfinite(val):
+            raise NumericError(f"non-finite calibration loss at block {i}")
+        return val
 
-    baseline_tp = init_trainables(model, i, x_segs, use_smoothing=False)
-    initial = mean_loss(baseline_tp)
-
-    def run(lr_scale: float):
-        tp = init_trainables(model, i, x_segs, use_smoothing=calib.use_smoothing)
-        opt = AdamW([(tp.smooth_params(), calib.lr_smoothing * lr_scale)])
+    rtn = BlockTrainables.identity(model.config.hidden_size)
+    try:
+        initial = mean_loss(rtn)
+        tp = init_trainables(model, i, x_segs)
+        init = BlockTrainables(*(Tensor(p.data.copy()) for p in tp.smooth_params()))
         trajectory = [mean_loss(tp)]
-        for _ in range(calib.epochs if calib.use_smoothing else 0):
+        opt = AdamW(tp.smooth_params(), calib.lr_smoothing)
+        for _ in range(calib.epochs):
             epoch_losses = []
             for x, r in zip(x_segs, ref_segs):
                 loss = crr_loss(model, i, x, tp, calib, r, wq)
-                val = loss.item()
-                if not np.isfinite(val):
-                    raise NumericError(f"non-finite calibration loss at block {i}")
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
-                epoch_losses.append(val)
+                epoch_losses.append(loss.item())
             trajectory.append(float(np.mean(epoch_losses)))
-        return tp, mean_loss(tp), trajectory
-
-    try:
-        tp, final, trajectory = run(1.0)
-        failed = False
-        if final > initial:
-            tp, final, trajectory = run(0.5)
-            failed = final > initial
-        if failed:
-            tp = baseline_tp
-            final = initial
+        trained = mean_loss(tp)
+        losses = [initial, trajectory[0], trained]
+        best = min(range(3), key=losses.__getitem__)  # the first of equal losses
+        tp, final = (rtn, init, tp)[best], losses[best]
     except NumericError:
-        tp = baseline_tp
-        initial = final = float("nan")
+        tp, best = rtn, 0
+        initial = final = trained = float("nan")
         trajectory = []
-        failed = True
 
     trace = {
         "block": i,
         "initial_loss": initial,
         "final_loss": final,
+        "trained_loss": trained,
         "trajectory": trajectory,
-        "failed": failed,
+        "failed": best == 0,
         "params": {
             "s_k": [float(tp.s_k.data.min()), float(tp.s_k.data.max())],
             "d_k": [float(tp.d_k.data.min()), float(tp.d_k.data.max())],
@@ -334,7 +326,6 @@ def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) ->
         "seed": calib.seed,
         "k": calib.k,
         "epochs": calib.epochs,
-        "loss": calib.loss,
         "segments": calib.segments,
         "seg_len": calib.seg_len,
         "blocks": blocks_trace,

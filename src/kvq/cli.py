@@ -117,18 +117,17 @@ def cmd_calibrate(args) -> int:
     from .checkpoint import load_model, save_model
     from .evaluate import load_corpus
 
-    model = load_model(args.model)
-    _apply_quant_args(model, args)
-    ids = load_corpus(args.corpus)
     calib = CalibConfig(
         k=args.k,
         epochs=args.epochs,
         lr_smoothing=args.lr_smoothing,
         seed=args.seed,
-        loss=args.loss,
         segments=args.segments,
         seg_len=args.seg_len,
     )
+    model = load_model(args.model)
+    _apply_quant_args(model, args)
+    ids = load_corpus(args.corpus)
     report = calibrate_model(model, ids, calib)
     save_model(model, args.out, meta={"calibrated": True, "seed": args.seed})
     print(_write_json(report, args.json))
@@ -212,22 +211,30 @@ def cmd_analyze(args) -> int:
 _FEATURES = ("2dq-channel", "2dq-token", "poq")
 
 
-def _run_variant(model, ids, eval_ids, features: set[str], calib_base) -> dict:
+def _run_variant(model, ids, eval_ids, features: set[str], calib) -> dict:
+    """One ablation row.  Without 2dq-channel the row is the round-to-nearest
+    model, which has no calibration loss."""
     from .calibration import calibrate_model
     from .evaluate import perplexity
+    from .model import quantize_model_weights
 
     m = copy.deepcopy(model)
-    calib = dataclasses.replace(calib_base, use_smoothing="2dq-channel" in features)
     if "2dq-token" not in features:
         m.config.kv_bits = 16
-    report = calibrate_model(m, ids, calib)
+    mean_final_loss = None
+    if "2dq-channel" in features:
+        report = calibrate_model(m, ids, calib)
+        mean_final_loss = float(np.mean([b["final_loss"] for b in report["blocks"]]))
+    else:
+        quantize_model_weights(m)
+        m.config.quant_mode = "weight_kv"
     m.config.poq = "poq" in features
     ppl = perplexity(m, eval_ids, use_cache=True)
     return {
         "features": sorted(features),
         "perplexity": ppl["perplexity"],
         "mean_nll": ppl["mean_nll"],
-        "mean_final_loss": float(np.mean([b["final_loss"] for b in report["blocks"]])),
+        "mean_final_loss": mean_final_loss,
     }
 
 
@@ -239,11 +246,11 @@ def cmd_ablate(args) -> int:
     for f in args.drop + args.add:
         if f not in _FEATURES:
             raise UsageError(f"unknown feature {f!r}; choose from {_FEATURES}")
+    calib = CalibConfig(k=args.k, epochs=args.epochs, seed=args.seed,
+                        segments=args.segments, seg_len=args.seg_len)
     model = load_model(args.model)
     ids = load_corpus(args.corpus)
     eval_ids = _eval_slice(ids, args.max_tokens)
-    calib = CalibConfig(k=args.k, epochs=args.epochs, seed=args.seed,
-                        segments=args.segments, seg_len=args.seg_len)
 
     full = set(_FEATURES)
     rows = [dict(_run_variant(model, ids, eval_ids, full, calib), variant="full")]
@@ -267,6 +274,8 @@ def cmd_sweep_k(args) -> int:
     from .checkpoint import load_model
     from .evaluate import load_corpus
 
+    calib = CalibConfig(epochs=args.epochs, seed=args.seed,
+                        segments=args.segments, seg_len=args.seg_len)
     model = load_model(args.model)
     k_values = [int(v) for v in args.k_values.split(",") if v]
     for k in k_values:
@@ -274,8 +283,6 @@ def cmd_sweep_k(args) -> int:
             raise UsageError(f"k must be in 1..{model.config.n_layers}, got {k}")
     ids = load_corpus(args.corpus)
     eval_ids = _eval_slice(ids, args.max_tokens)
-    calib = CalibConfig(epochs=args.epochs, seed=args.seed,
-                        segments=args.segments, seg_len=args.seg_len)
     rows = []
     for k in k_values:
         row = _run_variant(model, ids, eval_ids, set(_FEATURES), dataclasses.replace(calib, k=k))
@@ -347,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=5)
     sp.add_argument("--epochs", type=int, default=5)
     sp.add_argument("--lr-smoothing", type=float, default=5e-4)
-    sp.add_argument("--loss", choices=("mae", "mse"), default="mae")
     sp.add_argument("--segments", type=int, default=32)
     sp.add_argument("--seg-len", type=int, default=256)
     sp.add_argument("--seed", type=int, default=0)

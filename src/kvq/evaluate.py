@@ -157,7 +157,7 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
     params = [embed, final_norm, head_w, head_b] + [p for w in blocks for p in w.values()]
     for p in params:
         p.requires_grad = True
-    opt = AdamW([(params, lr)])
+    opt = AdamW(params, lr)
     kv_fn = lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s)
 
     losses = []

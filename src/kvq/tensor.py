@@ -171,28 +171,12 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self, b), backward)
 
-    def __neg__(self):
-        def backward(g, a=self):
-            if a.requires_grad:
-                a._accum(-g)
-
-        return Tensor._from_op(-self.data, (self,), backward)
-
     def abs(self):
         out_data = np.abs(self.data)
 
         def backward(g, a=self):
             if a.requires_grad:
                 a._accum(g * np.sign(a.data))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(g, a=self, e=out_data):
-            if a.requires_grad:
-                a._accum(g * e)
 
         return Tensor._from_op(out_data, (self,), backward)
 

@@ -8,7 +8,7 @@ tape as the library's ops.
 
 import numpy as np
 
-from kvq.tensor import Tensor, _check_broadcast, _unbroadcast, round_half_away
+from kvq.tensor import Tensor, _check_broadcast, _unbroadcast
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -55,16 +55,6 @@ def maximum(a, other):
             b._accum(_unbroadcast(g * ~take_a, b.shape))
 
     return Tensor._from_op(np.maximum(a.data, b.data), (a, b), backward)
-
-
-def round_ste(a):
-    """Half-away-from-zero rounding; straight-through gradient."""
-
-    def backward(g, a=a):
-        if a.requires_grad:
-            a._accum(g)
-
-    return Tensor._from_op(round_half_away(a.data), (a,), backward)
 
 
 def _slice(a, rows, cols):

@@ -77,8 +77,10 @@ def seeds_suite():
         mr = copy.deepcopy(fp)
         quantize_model_weights(mr)
         mr.config.quant_mode = "weight_kv"
+        init_ratios = [b["trajectory"][0] / b["initial_loss"] for b in rep["blocks"]]
         suite.append({"seed": seed, "fp": fp, "corpus": corpus, "mq": mq, "mr": mr,
-                      "ratio": rep["mean_final_initial_ratio"]})
+                      "ratio": rep["mean_final_initial_ratio"],
+                      "init_ratio": float(np.mean(init_ratios))})
     return suite
 
 
@@ -283,9 +285,9 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
     residual = []
     mae = calibration.reconstruction_loss
 
-    def capture(y_hat, y_ref, kind):
+    def capture(y_hat, y_ref):
         residual.append(y_hat.data - y_ref.data)
-        return mae(y_hat, y_ref, kind)
+        return mae(y_hat, y_ref)
 
     monkeypatch.setattr(calibration, "reconstruction_loss", capture)
     loss2 = crr_loss(model2, 0, acts[0][0], tp, calib, acts[0][2], wq)
@@ -294,7 +296,7 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
     # where a residual r crosses zero inside the probe
     sign0 = Tensor(np.sign(residual[0]))
     monkeypatch.setattr(calibration, "reconstruction_loss",
-                        lambda y_hat, y_ref, kind: ((y_hat - y_ref) * sign0).mean())
+                        lambda y_hat, y_ref: ((y_hat - y_ref) * sign0).mean())
     # a float32 loss difference carries up to ~10 ulps of rounding noise
     # (measured against float64); 16 leaves a 1.6x margin.  Below the floor
     # that noise sets, 1e-2 relative agreement is not resolvable.
@@ -350,18 +352,21 @@ def test_criterion_08_calibration_efficacy(capsys, seeds_suite):
     t0 = time.time()
     wins = 0
     ratios = []
+    init_ratios = []
     for entry in seeds_suite:
         ev = entry["corpus"][:1200]
         ppl_cal = perplexity(entry["mq"], ev, use_cache=True)["perplexity"]
         ppl_rtn = perplexity(entry["mr"], ev, use_cache=True)["perplexity"]
         wins += int(ppl_cal < ppl_rtn)
         ratios.append(entry["ratio"])
+        init_ratios.append(entry["init_ratio"])
     mean_ratio = float(np.mean(ratios))
     dt = time.time() - t0
     ok = wins >= 9 and mean_ratio < 0.9 and dt < 600
     report(capsys, 8, ok,
            f"calibrated beats RTN on perplexity {wins}/10 seeds (>=9), mean "
-           f"final/initial CRR ratio {mean_ratio:.3f} (<0.9) ({dt:.1f}s)")
+           f"final/initial CRR ratio {mean_ratio:.3f} (<0.9; the init alone "
+           f"{float(np.mean(init_ratios)):.3f}) ({dt:.1f}s)")
 
 
 def test_criterion_09_ablation_directions(capsys, seeds_suite):

@@ -10,12 +10,14 @@ from conftest import fitted_model, tiny_config, word_corpus
 import kvq.calibration as calibration
 from kvq.calibration import (
     AdamW,
+    BlockTrainables,
     CalibConfig,
     calibrate_block,
     calibrate_model,
     collect_activations,
     crr_loss,
     fake_block_weights,
+    freeze_block,
     init_trainables,
     quantized_weights,
     reconstruction_loss,
@@ -32,15 +34,22 @@ class TestConfig:
     def test_defaults_mirror_recipe(self):
         c = CalibConfig()
         assert (c.k, c.epochs, c.lr_smoothing) == (5, 5, 5e-4)
-        assert c.loss == "mae"
 
     def test_invalid_values_rejected(self):
         with pytest.raises(KvqError):
             CalibConfig(k=0)
         with pytest.raises(KvqError):
             CalibConfig(lr_smoothing=0.0)
-        with pytest.raises(KvqError):
-            CalibConfig(loss="huber")
+
+    @pytest.mark.parametrize("field, value", [
+        ("segments", 0), ("segments", -2), ("seg_len", 0), ("epochs", -1),
+    ])
+    def test_degenerate_sizes_rejected(self, field, value):
+        with pytest.raises(KvqError, match=field):
+            CalibConfig(**{field: value})
+
+    def test_zero_epochs_allowed(self):
+        assert CalibConfig(epochs=0).epochs == 0
 
 
 class TestAdamW:
@@ -48,20 +57,20 @@ class TestAdamW:
         # [DERIVED] t=1: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps)
         p = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
         p.grad = np.array([0.5, -3.0], np.float32)
-        opt = AdamW([([p], 0.1)])
+        opt = AdamW([p], 0.1)
         opt.step()
         expect = np.array([1.0, -2.0]) - 0.1 * np.sign([0.5, -3.0])
         assert np.allclose(p.data, expect, atol=1e-6)
 
     def test_none_grad_skipped(self):
         p = Tensor(np.array([1.0], np.float32), requires_grad=True)
-        opt = AdamW([([p], 0.1)])
+        opt = AdamW([p], 0.1)
         opt.step()
         assert p.data[0] == 1.0
 
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([4.0], np.float32), requires_grad=True)
-        opt = AdamW([([p], 0.2)])
+        opt = AdamW([p], 0.2)
         for _ in range(100):
             loss = (p * p).mean()  # p has one element
             opt.zero_grad()
@@ -74,8 +83,7 @@ class TestLosses:
     def test_mae_and_mse(self):
         a = Tensor(np.array([[1.0, 2.0]], np.float32))
         b = Tensor(np.array([[0.0, 4.0]], np.float32))
-        assert reconstruction_loss(a, b, "mae").item() == pytest.approx(1.5)
-        assert reconstruction_loss(a, b, "mse").item() == pytest.approx(2.5)
+        assert reconstruction_loss(a, b).item() == pytest.approx(1.5)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +104,7 @@ class TestTrainables:
 
     def test_identity_when_smoothing_disabled(self, calib_setup):
         model, _, _, _, acts = calib_setup
-        tp = init_trainables(model, 0, [a[0] for a in acts], use_smoothing=False)
+        tp = BlockTrainables.identity(model.config.hidden_size)
         assert np.all(tp.s_k.data == 1.0) and np.all(tp.d_v.data == 0.0)
 
 
@@ -148,7 +156,7 @@ class TestCrrLoss:
                 [crr_loss(model, 0, a[0], t, calib, a[2], wq).item() for a in acts]
             ))
 
-        identity = init_trainables(model, 0, [a[0] for a in acts], use_smoothing=False)
+        identity = BlockTrainables.identity(model.config.hidden_size)
         smoothed = init_trainables(model, 0, [a[0] for a in acts])
         assert mean_loss(smoothed) < mean_loss(identity)
 
@@ -216,32 +224,51 @@ class TestCalibrateModel:
             assert all(lin.wq is not None for lin in blk.projections().values())
         assert report["mean_final_initial_ratio"] == 1.0
 
-    def test_disabled_features_stay_untrained(self, calib_setup):
+    def test_one_training_run_and_rtn_kept_when_training_overshoots(self, calib_setup,
+                                                                   monkeypatch):
+        # an init that equals RTN ties with it, and a learning rate this large
+        # ends training above both: the block trains once and freezes RTN
         model, corpus, calib, _, _ = calib_setup
-        c = copy.deepcopy(calib)
-        c.use_smoothing = False
+        runs = []
+
+        class CountingAdamW(AdamW):
+            def __init__(self, *args):
+                runs.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(calibration, "AdamW", CountingAdamW)
+        monkeypatch.setattr(calibration, "init_trainables",
+                            lambda m, i, xs: BlockTrainables.identity(m.config.hidden_size))
         mq = copy.deepcopy(model)
-        report = calibrate_model(mq, corpus, c)
-        assert mq.blocks[0].v.smoothing is None  # identity never attached
-        for blk_trace in report["blocks"]:
-            assert blk_trace["final_loss"] == blk_trace["trajectory"][0]
+        report = calibrate_model(mq, corpus, dataclasses.replace(calib, lr_smoothing=1.0))
+        assert len(runs) == model.config.n_layers
+        for trace in report["blocks"]:
+            assert trace["trained_loss"] > trace["initial_loss"] == trace["trajectory"][0]
+            assert trace["failed"] and trace["final_loss"] == trace["initial_loss"]
+        rtn = copy.deepcopy(model)
+        quantize_model_weights(rtn)
+        for bq, br in zip(mq.blocks, rtn.blocks):
+            assert bq.k.smoothing is None and bq.v.smoothing is None
+            for name, lin in bq.projections().items():
+                assert np.array_equal(lin.wq.codes, br.projections()[name].wq.codes)
 
 
 class TestCalibrateBlock:
     def test_baseline_is_the_rtn_model(self, calib_setup):
         # identity smoothing trains against, and freezes, exactly the weights
         # that round-to-nearest quantization gives
-        model, corpus, calib, _, acts = calib_setup
+        model = calib_setup[0]
         rtn = copy.deepcopy(model)
         quantize_model_weights(rtn)
+        identity = BlockTrainables.identity(model.config.hidden_size)
         for i, blk in enumerate(rtn.blocks):
-            tp = init_trainables(model, i, [a[i] for a in acts], use_smoothing=False)
-            w = fake_block_weights(model, i, tp, quantized_weights(model, i))
+            w = fake_block_weights(model, i, identity, quantized_weights(model, i))
             for name, lin in blk.projections().items():
                 assert np.array_equal(w[f"{name}_w"].data, lin.w)
                 assert np.array_equal(w[f"{name}_b"].data, lin.b)
         mq = copy.deepcopy(model)
-        calibrate_model(mq, corpus, dataclasses.replace(calib, use_smoothing=False))
+        for i in range(model.config.n_layers):
+            freeze_block(mq, i, identity)
         for bq, br in zip(mq.blocks, rtn.blocks):
             for name, lin in bq.projections().items():
                 assert np.array_equal(lin.wq.codes, br.projections()[name].wq.codes)
@@ -259,7 +286,9 @@ class TestCalibrateBlock:
         acts = collect_activations(m, sample_segments(word_corpus(0, 200), calib))
         trace = calibrate_block(m, 0, calib, [a[0] for a in acts], [a[2] for a in acts])
         assert trace["initial_loss"] == 0.001488438923843205
-        assert trace["final_loss"] == 0.001089826546376571
+        assert trace["trained_loss"] == 0.001089826546376571
+        # training ends above its init, so the block keeps the init
+        assert trace["final_loss"] == trace["trajectory"][0] == 0.0010686650057323277
         assert trace["trajectory"] == [0.0010686650057323277, 0.0010672364733181894,
                                        0.0010893236903939396]
 
@@ -293,6 +322,32 @@ class TestSweep:
             assert r["perplexity"] > 1.0
             assert np.isfinite(r["mean_final_loss"])
         assert rows[0]["mean_final_loss"] != rows[1]["mean_final_loss"]
+
+
+class TestAblateRows:
+    def test_rows_without_channel_smoothing_are_the_rtn_model(self, calib_setup, monkeypatch):
+        from kvq import evaluate
+        from kvq.cli import _run_variant
+
+        model, corpus, calib, _, _ = calib_setup
+        scored = []
+        perplexity = evaluate.perplexity
+        monkeypatch.setattr(evaluate, "perplexity",
+                            lambda m, *a, **kw: scored.append(m) or perplexity(m, *a, **kw))
+        for features in (set(), {"poq"}, {"2dq-token", "poq"}):
+            row = _run_variant(model, corpus, corpus[:200], features, calib)
+            rtn = copy.deepcopy(model)
+            quantize_model_weights(rtn)
+            rtn.config.quant_mode = "weight_kv"
+            rtn.config.poq = "poq" in features
+            if "2dq-token" not in features:
+                rtn.config.kv_bits = 16
+            assert row["mean_final_loss"] is None
+            assert row["perplexity"] == perplexity(rtn, corpus[:200], use_cache=True)["perplexity"]
+            for bq, br in zip(scored[-1].blocks, rtn.blocks):
+                assert bq.k.smoothing is None and bq.v.smoothing is None
+                for name, lin in bq.projections().items():
+                    assert np.array_equal(lin.wq.codes, br.projections()[name].wq.codes)
 
 
 class TestKnobs:

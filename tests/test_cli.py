@@ -194,6 +194,22 @@ class TestCalibrate:
         assert stdout == "" and not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["calibrate", "ablate", "sweep-k"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--segments", "0"), ("--segments", "-2"), ("--seg-len", "0"), ("--epochs", "-1"),
+    ])
+    def test_degenerate_sizes_are_usage_errors(self, workdir, capsys, command, flag, value):
+        out = workdir / "degenerate.kvq"
+        extra = ["--out", str(out)] if command == "calibrate" else []
+        rc, stdout, err = run(capsys, [
+            command, "--model", str(workdir / "model.kvq"),
+            "--corpus", str(workdir / "corpus.txt"), flag, value,
+        ] + extra)
+        assert rc == 2
+        assert flag.lstrip("-").replace("-", "_") in err
+        assert stdout == "" and not out.exists()
+
+
 class TestEval:
     def test_report_fields(self, workdir, capsys):
         rc, stdout, _ = run(capsys, [
