@@ -91,8 +91,17 @@ class AdamW:
 
 
 def reconstruction_loss(y_hat: Tensor, y_ref: Tensor) -> Tensor:
-    """Mean absolute error."""
-    return (y_hat - y_ref).abs().mean()
+    """Mean absolute error, summed in float64 and rounded to float32 once, so
+    the loss carries no float32 accumulation error.  The backward is
+    g * sign(r) / N, as for (y_hat - y_ref).abs().mean()."""
+    r = y_hat - y_ref
+
+    def backward(g):
+        if r.requires_grad:
+            r._accum((np.broadcast_to(g, r.shape) / r.data.size).astype(np.float32)
+                     * np.sign(r.data))
+
+    return Tensor._from_op(np.mean(np.abs(r.data), dtype=np.float64), (r,), backward)
 
 
 @dataclass

@@ -8,20 +8,25 @@ metadata plus named payload tensors.  A quantized projection is stored as its
 codes and (h, z) only; loading rebuilds its weights as dequantize(codes),
 bit-identical to the saved model's.  Files written when calibration still
 learned weight clipping may carry per-projection .gamma/.beta tensors; they
-load, and those tensors are not read.  A file that lacks a tensor the layout
-needs raises DataFormatError naming it.
+load, and those tensors are not read.
+
+A malformed file raises DataFormatError naming the first fault found: a
+table entry whose shape, offset or nbytes cannot describe its bytes, a
+tensor past the end of the file or overlapping another, or a tensor that
+the config's layout needs and that is missing or has another shape.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
 from .errors import DataFormatError, KvqError
-from .model import DecoderBlockWeights, Linear, Model, ModelConfig, PROJECTION_NAMES
+from .model import DecoderBlockWeights, Linear, Model, ModelConfig
 from .quantizers import QuantizedTensor, SmoothingParams, dequantize
 
 MAGIC = b"KVQ1"
@@ -88,10 +93,23 @@ def read_container(path: str) -> tuple[dict, dict, dict[str, np.ndarray]]:
     entries = header.get("tensors", {})
 
     spans = []
-    tensors = {}
     for name, ent in entries.items():
-        start = payload_start + ent["offset"]
-        end = start + ent["nbytes"]
+        dt = _DTYPES.get(ent["dtype"])
+        if dt is None:
+            raise DataFormatError(f"tensor {name!r} has unknown dtype {ent['dtype']!r}")
+        shape, offset = ent["shape"], ent["offset"]
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise DataFormatError(f"tensor {name!r} has shape {shape}: entries must be "
+                                  f"non-negative integers")
+        if not isinstance(offset, int) or offset < 0:
+            raise DataFormatError(f"tensor {name!r} has offset {offset}: it must be a "
+                                  f"non-negative integer")
+        nbytes = math.prod(shape) * np.dtype(dt).itemsize
+        if ent["nbytes"] != nbytes:
+            raise DataFormatError(f"tensor {name!r} has nbytes {ent['nbytes']}, expected "
+                                  f"{nbytes} for shape {shape} of {ent['dtype']}")
+        start = payload_start + offset
+        end = start + nbytes
         if end > len(data):
             raise DataFormatError(
                 f"tensor {name!r} extends to byte {end}, past end of file ({len(data)})"
@@ -103,13 +121,10 @@ def read_container(path: str) -> tuple[dict, dict, dict[str, np.ndarray]]:
             raise DataFormatError(
                 f"tensors {n1!r} and {n2!r} overlap at byte {s2}"
             )
+    tensors = {}
     for name, ent in entries.items():
-        start = payload_start + ent["offset"]
-        dt = _DTYPES.get(ent["dtype"])
-        if dt is None:
-            raise DataFormatError(f"tensor {name!r} has unknown dtype {ent['dtype']!r}")
-        arr = np.frombuffer(data, dtype=dt, count=int(np.prod(ent["shape"])) if ent["shape"] else 1,
-                            offset=start)
+        arr = np.frombuffer(data, dtype=_DTYPES[ent["dtype"]], count=math.prod(ent["shape"]),
+                            offset=payload_start + ent["offset"])
         tensors[name] = arr.reshape(ent["shape"]).copy()
     return header.get("config", {}), header.get("meta", {}), tensors
 
@@ -161,43 +176,56 @@ def load_model(path: str) -> Model:
         raise DataFormatError(f"bad config in header: {e}") from e
     quant_meta = meta.get("quant", {})
 
-    def get(name: str) -> np.ndarray:
+    def get(name: str, *shape: int) -> np.ndarray:
         if name not in tensors:
             raise DataFormatError(f"tensor {name!r} missing from {path}")
+        found = tensors[name].shape
+        if found != shape:
+            raise DataFormatError(f"tensor {name!r} has shape {list(found)}, expected "
+                                  f"{list(shape)} from the config")
         return tensors[name]
 
-    def lin(base: str) -> Linear:
+    def lin(base: str, cin: int, cout: int) -> Linear:
         pq = quant_meta.get("projections", {}).get(base)
-        wq = None if pq is None else QuantizedTensor(
-            kind="weight",
-            codes=get(f"{base}.wq.codes"),
-            bits=pq["bits"],
-            group_size=pq["group_size"],
-            h=get(f"{base}.wq.h"),
-            z=get(f"{base}.wq.z"),
-        )
-        w = get(f"{base}.w") if wq is None else dequantize(wq)
-        b = get(f"{base}.b")
+        wq = None
+        if pq is not None:
+            gs = pq["group_size"]
+            if not isinstance(gs, int) or gs < 1:
+                raise DataFormatError(f"projection {base!r} has weight group size {gs!r}")
+            groups = -(-cin // gs)
+            wq = QuantizedTensor(
+                kind="weight",
+                codes=get(f"{base}.wq.codes", cin, cout),
+                bits=pq["bits"],
+                group_size=gs,
+                h=get(f"{base}.wq.h", groups, cout),
+                z=get(f"{base}.wq.z", groups, cout),
+            )
+        w = get(f"{base}.w", cin, cout) if wq is None else dequantize(wq)
+        b = get(f"{base}.b", 1, cout)
         sm = quant_meta.get("smoothing", {}).get(base)
         smoothing = None if sm is None else SmoothingParams(
-            get(f"{base}.smooth.s"), get(f"{base}.smooth.delta"), absorbed=sm["absorbed"]
+            get(f"{base}.smooth.s", cout), get(f"{base}.smooth.delta", cout),
+            absorbed=sm["absorbed"],
         )
         return Linear(w=w, b=b, smoothing=smoothing, wq=wq)
 
+    c, v = cfg.hidden_size, cfg.vocab_size
     blocks = []
     for li in range(cfg.n_layers):
-        kw = {name: lin(f"blocks.{li}.{name}") for name in PROJECTION_NAMES}
+        kw = {name: lin(f"blocks.{li}.{name}", *shape)
+              for name, shape in cfg.projection_shapes().items()}
         blocks.append(
             DecoderBlockWeights(
-                attn_norm=get(f"blocks.{li}.attn_norm"),
-                mlp_norm=get(f"blocks.{li}.mlp_norm"),
+                attn_norm=get(f"blocks.{li}.attn_norm", c),
+                mlp_norm=get(f"blocks.{li}.mlp_norm", c),
                 **kw,
             )
         )
     return Model(
         config=cfg,
-        embed=get("embed"),
+        embed=get("embed", v, c),
         blocks=blocks,
-        final_norm=get("final_norm"),
-        head=Linear(w=get("head.w"), b=get("head.b")),
+        final_norm=get("final_norm", c),
+        head=Linear(w=get("head.w", c, v), b=get("head.b", 1, v)),
     )

@@ -40,6 +40,15 @@ weighted sum together.  Given Tensors (calibration, training) the block is
 recorded on the autodiff tape; the runtime forward (prefill, decode_step,
 cache_path_forward) passes plain float32 arrays and records nothing.
 
+Attention takes the query rows ATTN_BLOCK at a time, so a long chunk never
+holds its whole (heads, T, T) scores matrix and never scores the masked keys
+past a block's last row.  This covers prefill, cacheless scoring and
+cache_path_forward.  Two cases stay one block, the whole matrix: the tape,
+whose backward keeps one probabilities buffer, and a chunk onto a filled
+cache, whose folded value read overwrites the keys that later blocks would
+still need.  Decode steps, calibration and training thus keep their
+arithmetic bit for bit.
+
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
 change them.  So the codes always describe w, and a projection is smoothed
@@ -110,6 +119,12 @@ class ModelConfig:
 
     def token_spec(self) -> TokenQuantSpec:
         return TokenQuantSpec(bits=self.kv_bits, group_size=self.kv_group_size)
+
+    def projection_shapes(self) -> dict[str, tuple[int, int]]:
+        """(C_in, C_out) of each block projection, in DecoderBlockWeights order."""
+        c, i = self.hidden_size, self.intermediate_size
+        return {"q": (c, c), "k": (c, c), "v": (c, c), "o": (c, c),
+                "gate": (c, i), "up": (c, i), "down": (i, c)}
 
 
 @dataclass
@@ -187,7 +202,7 @@ class Model:
     @staticmethod
     def random(config: ModelConfig, seed: int = 0) -> "Model":
         rng = np.random.default_rng(seed)
-        c, inter, v = config.hidden_size, config.intermediate_size, config.vocab_size
+        c, v = config.hidden_size, config.vocab_size
         std = 0.02
         res_std = std / np.sqrt(2.0 * config.n_layers)
 
@@ -201,13 +216,8 @@ class Model:
         for _ in range(config.n_layers):
             blocks.append(
                 DecoderBlockWeights(
-                    q=lin(c, c, std),
-                    k=lin(c, c, std),
-                    v=lin(c, c, std),
-                    o=lin(c, c, res_std),
-                    gate=lin(c, inter, std),
-                    up=lin(c, inter, std),
-                    down=lin(inter, c, res_std),
+                    **{name: lin(*shape, res_std if name in ("o", "down") else std)
+                       for name, shape in config.projection_shapes().items()},
                     attn_norm=np.ones(c, dtype=np.float32),
                     mlp_norm=np.ones(c, dtype=np.float32),
                 )
@@ -359,16 +369,29 @@ class PoqKvCache:
 # -- forward pass -------------------------------------------------------------
 
 
+# Query rows per attention block.  At 128 rows, 4 heads and 896 keys a
+# block's float32 scores buffer is 1.8 MB and fits a 4 MB L2 cache, where the
+# whole (4, 896, 896) matrix (12.8 MB) does not; smaller blocks add more
+# per-block overhead than they save.
+ATTN_BLOCK = 128
+
+
 def causal_attention(q, k, v, n_heads: int, diag=None):
     """softmax(q k^T / sqrt(d) + causal mask) v for every head.
 
     k and v are (S, H*D) at positions 0 .. S-1, and q is (T, H*D) at the
     last T of them, S-T .. S-1.  The heads are (H, rows, D) views of the
-    inputs, and the (H, T, S) scores buffer becomes the probabilities in
-    place.  Tensors make one tape node whose backward keeps only that buffer
-    and the inputs; arrays record nothing, and there v may instead be a
-    function v(p) -> (H, T, D) that applies the probabilities itself, as a
-    cache read's folded values do (PoqKvCache.read_raw).
+    inputs.  Query rows are taken ATTN_BLOCK at a time: rows [a, b) score
+    only the keys [0, S-T+b) they can see, in an (H, b-a, S-T+b) buffer that
+    becomes the probabilities in place, and write their rows of the output.
+    Tensors make one tape node whose backward keeps only the inputs and the
+    probabilities, so on the tape the whole chunk is one block.  Arrays
+    record nothing, and there v may instead be a function v(p) -> (H, T, D)
+    that applies the probabilities itself, as a cache read's folded values
+    do (PoqKvCache.read_raw); it takes every row at once, since it overwrites
+    the keys' buffer, so it too runs as one block.  One block is the whole
+    (H, T, S) matrix: decode steps, chunks onto a filled cache, calibration
+    and training keep that arithmetic bit for bit.
 
     On arrays only, the POQ diagonal diag = (k_cur, v_cur), each (T, H*D),
     stands in for the keys and values at column S-T+i of query row i: with k
@@ -388,22 +411,28 @@ def causal_attention(q, k, v, n_heads: int, diag=None):
         return a.transpose(1, 0, 2).reshape(a.shape[1], n_heads * d)
 
     qh, kh = heads(data(q), t), heads(data(k), s)
-    p = np.matmul(qh, kh.transpose(0, 2, 1))
+    vh = None if callable(v) else heads(data(v), s)
     if diag is not None:
         kch, vch = heads(diag[0], t), heads(diag[1], t)
-        ii, cur = (slice(None), np.arange(t), np.arange(t) + offset), slice(offset, s)
-        p[ii] = np.einsum("htd,htd->ht", qh, kch)
-    p *= scale
-    softmax_causal(p, offset)
-    if callable(v):
-        out = v(p)
-    else:
-        vh = heads(data(v), s)
-        out = np.matmul(p, vh)
-    if diag is not None:
-        out += p[ii][..., None] * (vch - vh[:, cur])
+    step = max(t, 1) if tape or callable(v) else ATTN_BLOCK
+    out = np.empty((t, n_heads, d), dtype=qh.dtype)
+    for a in range(0, t, step):
+        b = min(a + step, t)
+        cols = offset + b
+        p = np.matmul(qh[:, a:b], kh[:, :cols].transpose(0, 2, 1))
+        if diag is not None:
+            rows = np.arange(b - a)
+            ii = (slice(None), rows, rows + offset + a)
+            p[ii] = np.einsum("htd,htd->ht", qh[:, a:b], kch[:, a:b])
+        p *= scale
+        softmax_causal(p, offset + a)
+        o = v(p) if callable(v) else np.matmul(p, vh[:, :cols])
+        if diag is not None:
+            o += p[ii][..., None] * (vch[:, a:b] - vh[:, offset + a : cols])
+        out[a:b] = o.transpose(1, 0, 2)
+    out = out.reshape(t, n_heads * d)
     if not tape:
-        return merge(out)
+        return out
 
     def backward(g):
         gh = heads(g, t)
@@ -416,7 +445,7 @@ def causal_attention(q, k, v, n_heads: int, diag=None):
             if a.requires_grad:
                 a._accum(merge(ga))
 
-    return Tensor._from_op(merge(out), (q, k, v), backward)
+    return Tensor._from_op(out, (q, k, v), backward)
 
 
 def _act_quant_fn(cfg: ModelConfig):
@@ -642,8 +671,6 @@ def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> N
 
 
 # -- quantized-model construction ---------------------------------------------
-
-PROJECTION_NAMES = ("q", "k", "v", "o", "gate", "up", "down")
 
 
 def require_unsmoothed(model: Model, action: str) -> None:

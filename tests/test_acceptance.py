@@ -293,15 +293,17 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
     loss2 = crr_loss(model2, 0, acts[0][0], tp, calib, acts[0][2], wq)
     loss2.backward()
     # mean(sign0 * r) has the MAE's value and derivative at s0, and no kink
-    # where a residual r crosses zero inside the probe
-    sign0 = Tensor(np.sign(residual[0]))
-    monkeypatch.setattr(calibration, "reconstruction_loss",
-                        lambda y_hat, y_ref: ((y_hat - y_ref) * sign0).mean())
-    # a float32 loss difference carries up to ~10 ulps of rounding noise
-    # (measured against float64); 16 leaves a 1.6x margin.  Below the floor
+    # where a residual r crosses zero inside the probe; summed in float64 and
+    # rounded to float32 once, as the MAE is
+    sign0 = np.sign(residual[0])
+    monkeypatch.setattr(calibration, "reconstruction_loss", lambda y_hat, y_ref: Tensor(
+        np.mean((y_hat.data - y_ref.data) * sign0, dtype=np.float64)))
+    # a loss difference still carries up to 8.9 float32 ulps of rounding
+    # noise from the float32 block forward (seeds 0-5, measured against the
+    # autodiff gradient); 15 leaves a 1.7x margin.  Below the floor
     # that noise sets, 1e-2 relative agreement is not resolvable.
     ulp = float(np.spacing(np.float32(loss2.item())))
-    noise_ulps = 16
+    noise_ulps = 15
     sgrad = tp.s_v.grad.copy()
     s_base = tp.s_v.data.copy()
     blk = model2.blocks[0]

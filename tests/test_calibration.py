@@ -279,17 +279,18 @@ class TestCalibrateBlock:
         # are the float32 losses it gave when the runtime forward ran on the
         # tape as well, with the weight clipping held at exactly 1 (its
         # removal changed only float rounding after the first loss), on
-        # numpy 2.4, OpenBLAS 0.3, x86-64
+        # numpy 2.4, OpenBLAS 0.3, x86-64; summing the loss in float64 moved
+        # three of them by at most 1.2e-10
         m = Model.random(tiny_config(), seed=0)
         spread_kv_channels(m, 2.0, seed=0)
         calib = CalibConfig(k=2, epochs=2, segments=2, seg_len=16, seed=0)
         acts = collect_activations(m, sample_segments(word_corpus(0, 200), calib))
         trace = calibrate_block(m, 0, calib, [a[0] for a in acts], [a[2] for a in acts])
-        assert trace["initial_loss"] == 0.001488438923843205
-        assert trace["trained_loss"] == 0.001089826546376571
+        assert trace["initial_loss"] == 0.0014884390402585268
+        assert trace["trained_loss"] == 0.0010898264881689101
         # training ends above its init, so the block keeps the init
         assert trace["final_loss"] == trace["trajectory"][0] == 0.0010686650057323277
-        assert trace["trajectory"] == [0.0010686650057323277, 0.0010672364733181894,
+        assert trace["trajectory"] == [0.0010686650057323277, 0.0010672364151105285,
                                        0.0010893236903939396]
 
 

@@ -123,6 +123,52 @@ class TestMalformedFiles:
         with pytest.raises(DataFormatError):
             read_container(p)
 
+    def _edit_table(self, path, edit):
+        """Rewrite the header after edit(tensor table), keeping the payload
+        bytes (table offsets are relative to the payload's start)."""
+        data = open(path, "rb").read()
+        (hlen,) = struct.unpack("<Q", data[4:12])
+        header = json.loads(data[12 : 12 + hlen])
+        payload = data[-(-(12 + hlen) // ALIGN) * ALIGN :]
+        edit(header["tensors"])
+        hjson = json.dumps(header).encode()
+        pad = -(-(12 + len(hjson)) // ALIGN) * ALIGN - 12 - len(hjson)
+        open(path, "wb").write(MAGIC + struct.pack("<Q", len(hjson)) + hjson + b"\0" * pad
+                               + payload)
+
+    def _write_matrix(self, path):
+        write_container(path, {}, {}, {"x": np.arange(6, dtype=np.float32).reshape(2, 3)})
+
+    def test_table_edit_keeps_a_good_file_readable(self, tmp_path):
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: None)
+        assert np.array_equal(read_container(p)[2]["x"], np.arange(6).reshape(2, 3))
+
+    def test_nbytes_disagreeing_with_shape(self, tmp_path):
+        # a larger shape with the original nbytes asks for bytes the entry lacks
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: table["x"].update(shape=[4, 3]))
+        with pytest.raises(DataFormatError, match=r"'x' has nbytes 24, expected 48"):
+            read_container(p)
+
+    def test_negative_shape_entry(self, tmp_path):
+        # [-2, -3] has the right element count and nbytes
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: table["x"].update(shape=[-2, -3]))
+        with pytest.raises(DataFormatError, match=r"'x' has shape \[-2, -3\]"):
+            read_container(p)
+
+    def test_negative_offset(self, tmp_path):
+        # the bytes before the payload are the header's
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: table["x"].update(offset=-64))
+        with pytest.raises(DataFormatError, match=r"'x' has offset -64"):
+            read_container(p)
+
 
 class TestModelRoundtrip:
     def make(self, quantize=False, smooth=False):
@@ -230,6 +276,25 @@ class TestModelRoundtrip:
         save_model(m, a)
         save_model(copy.deepcopy(m), b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("name", [
+        "embed", "final_norm", "head.w", "head.b", "blocks.0.attn_norm", "blocks.1.mlp_norm",
+        "blocks.0.q.w", "blocks.1.down.w", "blocks.0.gate.b", "blocks.1.k.wq.codes",
+        "blocks.0.up.wq.h", "blocks.0.o.wq.z", "blocks.1.k.smooth.s", "blocks.0.v.smooth.delta",
+    ])
+    def test_tensor_shape_disagreeing_with_config(self, tmp_path, name):
+        quantize = ".wq." in name or ".smooth." in name
+        p = str(tmp_path / "m.kvq")
+        save_model(self.make(quantize=quantize, smooth=quantize), p)
+        config, meta, tensors = read_container(p)
+        good = tensors[name].shape
+        tensors[name] = tensors[name][:-1]
+        bad = tensors[name].shape
+        write_container(p, config, meta, tensors)
+        with pytest.raises(DataFormatError) as err:
+            load_model(p)
+        assert str(err.value) == (f"tensor {name!r} has shape {list(bad)}, expected "
+                                  f"{list(good)} from the config")
 
     def test_bad_config_rejected(self, tmp_path):
         p = str(tmp_path / "m.kvq")

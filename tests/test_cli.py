@@ -281,6 +281,26 @@ class TestEval:
         assert rc == 3
         assert "unknown dtype 'f64'" in err
 
+    @pytest.mark.parametrize("fault", ["table", "transposed"])
+    def test_head_shape_fault_is_data_error(self, workdir, capsys, fault):
+        bad = workdir / f"head_{fault}.kvq"
+        if fault == "table":
+            # a larger shape in the table, nbytes and header length unchanged
+            data = (workdir / "model.kvq").read_bytes()
+            assert data.count(b'"shape":[32,258]') == 1
+            bad.write_bytes(data.replace(b'"shape":[32,258]', b'"shape":[99,258]'))
+            expect = "'head.w' has nbytes 33024, expected 102168"
+        else:
+            config, meta, tensors = read_container(str(workdir / "model.kvq"))
+            tensors["head.w"] = tensors["head.w"].reshape(258, 32)
+            write_container(str(bad), config, meta, tensors)
+            expect = "'head.w' has shape [258, 32], expected [32, 258]"
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert expect in err
+
     def test_setting_comes_from_mode_flag_or_checkpoint(self, workdir, capsys):
         argv = ["eval", "--model", str(workdir / "model.kvq"),
                 "--corpus", str(workdir / "corpus.txt"), "--max-tokens", "64"]

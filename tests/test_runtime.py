@@ -12,12 +12,14 @@ import kvq.model
 from kvq.errors import CapacityError, KvqError, NumericError, UsageError
 from kvq.evaluate import score_logits
 from kvq.model import (
+    ATTN_BLOCK,
     MODES,
     Linear,
     Model,
     ModelConfig,
     PoqKvCache,
     attach_kv_smoothing,
+    causal_attention,
     decode_step,
     generate,
     model_forward,
@@ -34,7 +36,7 @@ from kvq.quantizers import (
     init_smoothing,
     quantize_token,
 )
-from kvq.tensor import Tensor, rms_norm, rope
+from kvq.tensor import Tensor, rms_norm, rope, softmax_causal
 from tape_ops import concat_rows
 
 
@@ -249,6 +251,62 @@ class TestAllHeadsForward:
         slow = prefill_and_decode()
         assert fast.shape == (len(IDS) + 8, m.config.vocab_size)
         assert np.abs(fast - slow).max() <= 1e-5
+
+
+# -- reference: causal attention as one scores matrix, before query blocks -----
+
+
+def whole_matrix_attention(q, k, v, n_heads, diag=None):
+    """causal_attention on arrays with every query row in one (H, T, S) scores
+    matrix, masked triangle included."""
+    t, s = q.shape[0], k.shape[0]
+    offset, d = s - t, q.shape[1] // n_heads
+    heads = lambda a: a.reshape(a.shape[0], n_heads, d).transpose(1, 0, 2)
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    p = np.matmul(qh, kh.transpose(0, 2, 1))
+    if diag is not None:
+        ii = (slice(None), np.arange(t), np.arange(t) + offset)
+        p[ii] = np.einsum("htd,htd->ht", qh, heads(diag[0]))
+    p *= np.float32(1.0 / np.sqrt(d))
+    softmax_causal(p, offset)
+    out = np.matmul(p, vh)
+    if diag is not None:
+        out += p[ii][..., None] * (heads(diag[1]) - vh[:, offset:])
+    return out.transpose(1, 0, 2).reshape(t, -1)
+
+
+class TestQueryBlocks:
+    """Chunks longer than ATTN_BLOCK attend one block of query rows at a time."""
+
+    @pytest.mark.parametrize("poq", [False, True])
+    @pytest.mark.parametrize("offset", [0, 37])
+    @pytest.mark.parametrize("t", [1, ATTN_BLOCK - 1, ATTN_BLOCK, ATTN_BLOCK + 1, 300])
+    def test_matches_whole_matrix(self, t, offset, poq):
+        rng = np.random.default_rng(t + offset)
+        arr = lambda rows: (2.0 * rng.normal(size=(rows, 32))).astype(np.float32)
+        q, k, v = arr(t), arr(offset + t), arr(offset + t)
+        diag = (arr(t), arr(t)) if poq else None
+        got = causal_attention(q, k, v, 4, diag)
+        want = whole_matrix_attention(q, k, v, 4, diag)
+        assert got.shape == want.shape == (t, 32)
+        assert np.abs(got - want).max() <= 1e-5
+
+    def test_multi_block_prefill_identical_to_weight_only(self):
+        m = quantized(make_model(seed=3, max_seq_len=320))
+        ids = np.random.default_rng(3).integers(0, m.config.vocab_size, 300)
+        a, _ = prefill(in_mode(m, "weight_only"), ids)
+        b, _ = prefill(m, ids)
+        assert np.array_equal(a.data, b.data)
+
+    def test_chunk_onto_filled_cache_matches_blocked_prefill(self):
+        # the chunk reads the cache (one block); the whole prompt takes two
+        m = make_model(max_seq_len=256)
+        ids = np.arange(210) % 250
+        cache = PoqKvCache(m.config, m.blocks)
+        model_forward(m, ids[:10], cache=cache)
+        chunk = model_forward(m, ids[10:], cache=cache).data
+        whole, _ = prefill(m, ids)
+        assert np.abs(chunk - whole.data[10:]).max() < 1e-4
 
 
 class TestCache:
