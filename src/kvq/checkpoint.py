@@ -11,7 +11,9 @@ learned weight clipping may carry per-projection .gamma/.beta tensors; they
 load, and those tensors are not read.
 
 A malformed file raises DataFormatError naming the first fault found: a
-table entry whose shape, offset or nbytes cannot describe its bytes, a
+header, config, meta or tensor table that is not a JSON object, a table
+entry that is not one or lacks a field, a table entry whose dtype, shape,
+offset or nbytes cannot describe its bytes, a
 tensor past the end of the file or overlapping another, or a tensor that
 the config's layout needs and that is missing or has another shape.
 """
@@ -75,6 +77,11 @@ def write_container(path: str, config: dict, meta: dict, tensors: dict[str, np.n
             pos = entries[name]["offset"] + len(blob)
 
 
+def _is_count(v) -> bool:
+    """A non-negative JSON integer (true and false are not numbers here)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def read_container(path: str) -> tuple[dict, dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         data = f.read()
@@ -90,23 +97,34 @@ def read_container(path: str) -> tuple[dict, dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataFormatError(f"malformed JSON header at byte 12: {e}") from e
     payload_start = _align(12 + hlen)
+    if not isinstance(header, dict):
+        raise DataFormatError(f"header is a JSON {type(header).__name__}, not an object")
+    for key in ("config", "meta", "tensors"):
+        if not isinstance(header.get(key, {}), dict):
+            raise DataFormatError(f"header {key!r} is a JSON "
+                                  f"{type(header[key]).__name__}, not an object")
     entries = header.get("tensors", {})
 
     spans = []
     for name, ent in entries.items():
-        dt = _DTYPES.get(ent["dtype"])
+        if not isinstance(ent, dict):
+            raise DataFormatError(f"tensor {name!r} has a table entry that is not an object")
+        missing = [key for key in ("dtype", "shape", "offset", "nbytes") if key not in ent]
+        if missing:
+            raise DataFormatError(f"tensor {name!r} has no {', '.join(missing)} in its entry")
+        dt = _DTYPES.get(ent["dtype"]) if isinstance(ent["dtype"], str) else None
         if dt is None:
             raise DataFormatError(f"tensor {name!r} has unknown dtype {ent['dtype']!r}")
         shape, offset = ent["shape"], ent["offset"]
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise DataFormatError(f"tensor {name!r} has shape {shape}: entries must be "
+        if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+            raise DataFormatError(f"tensor {name!r} has shape {shape}: it must be a list of "
                                   f"non-negative integers")
-        if not isinstance(offset, int) or offset < 0:
+        if not _is_count(offset):
             raise DataFormatError(f"tensor {name!r} has offset {offset}: it must be a "
                                   f"non-negative integer")
         nbytes = math.prod(shape) * np.dtype(dt).itemsize
-        if ent["nbytes"] != nbytes:
-            raise DataFormatError(f"tensor {name!r} has nbytes {ent['nbytes']}, expected "
+        if not _is_count(ent["nbytes"]) or ent["nbytes"] != nbytes:
+            raise DataFormatError(f"tensor {name!r} has nbytes {ent['nbytes']!r}, expected "
                                   f"{nbytes} for shape {shape} of {ent['dtype']}")
         start = payload_start + offset
         end = start + nbytes

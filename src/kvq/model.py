@@ -11,13 +11,20 @@ Quantization modes:
 * weight_activation  - quantized weights plus per-token RTN quantization of
                        every linear-layer input (sensitivity harness only).
 
-The cache stores pre-rotary smoothed K (and V) as codes.  A read fills one
-float32 scratch buffer per cache, shared by the layers and overwritten by
-every read: first with the past keys (cast the codes, dequantize, un-smooth
-and rotate in place, then the chunk's own rotated rows), and once the scores
-are taken, with the past values' cast codes.  The values are never mapped to
-raw space: their dequantization and un-smoothing are folded past the
-attention weights (PoqKvCache.read_raw).
+The cache stores pre-rotary smoothed K (and V) as codes, and a decode step
+maps neither back to raw space.  The keys' dequantization, un-smoothing and
+rotation are folded into the query: with U = cos * (q * s) - sin *
+(sigma(q) * s) over the past rows' rope tables, a segment of codes scores
+n * sum(U * codes) + m * sum(U), which the step computes without forming U
+or any past key (PoqKvCache._folded_k).  The values' dequantization and
+un-smoothing are folded past the attention weights (PoqKvCache.read_raw).
+A chunk of more than one row onto a filled cache, and every read of an fp
+cache, still builds the rotated past keys (PoqKvCache._materialized_k),
+which is the fold's equivalence reference.  A quantized cache plans its
+reads once, when it is built (ReadPlan): segment indices, each layer's
+contraction matrix, the rope tables and a work buffer.  That buffer and the
+cache's scratch buffer are shared by the layers and overwritten by every
+read.
 
 Setting: a forward without a cache runs model.config.  A cache keeps a copy
 of the config it was built with (PoqKvCache.cfg), and every forward onto it
@@ -46,8 +53,8 @@ past a block's last row.  This covers prefill, cacheless scoring and
 cache_path_forward.  Two cases stay one block, the whole matrix: the tape,
 whose backward keeps one probabilities buffer, and a chunk onto a filled
 cache, whose folded value read overwrites the keys that later blocks would
-still need.  Decode steps, calibration and training thus keep their
-arithmetic bit for bit.
+still need.  Calibration and training thus keep their arithmetic bit for
+bit.
 
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
@@ -75,7 +82,7 @@ from .quantizers import (
     quantize_token,
     quantize_weight,
 )
-from .tensor import Tensor, rms_norm, rope, silu, softmax_causal
+from .tensor import Tensor, rms_norm, rope, rope_table, silu, softmax_causal
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -253,22 +260,69 @@ class LayerCache:
             self.v_fp = np.zeros((t, c), dtype=np.float32)
 
 
+class ReadPlan:
+    """What every read of one quantized cache needs and no read changes, made
+    once with the cache under the same rule as its cfg copy: from the config
+    and the blocks' K/V smoothing as they are when the cache is built.
+
+    It holds the token spec, the rope tables, the segments (w =
+    gcd(kv_group_size, head_dim) channels each, inside one head and one
+    group), each layer's K contraction matrix [segment ones | delta/s per
+    head] and a second (max_seq_len, hidden) float32 work buffer.
+
+    A rope table row repeats head_dim / 2 angles across the width: cos is
+    [c, c] and sin is [-s, s] in every head.  So for any (hidden, k) matrix
+    b, cos @ b = cos_cols @ (to_cos @ b) and sin @ b = sin_cols @ (to_sin @
+    b): cos_cols and sin_cols are views of the distinct columns, and to_cos
+    and to_sin sum b's rows over the channels of each angle, with sin's sign.
+    """
+
+    def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
+        c, d, h, length = cfg.hidden_size, cfg.head_dim, cfg.n_heads, cfg.max_seq_len
+        self.spec = cfg.token_spec()
+        cos, sin = rope_table(cfg.rope_base, d, c, length)
+        self.cos, self.sin = cos[:length], sin[:length]
+        self.cos_cols, self.sin_cols = self.cos[:, : d // 2], self.sin[:, d // 2 : d]
+        within = np.arange(c) % d
+        angle = (within % (d // 2) == np.arange(d // 2)[:, None]).astype(np.float32)
+        self.to_cos = angle  # (head_dim / 2, hidden)
+        self.to_sin = np.where(within < d // 2, -angle, angle)
+        self.seg_width = w = math.gcd(cfg.kv_group_size, d)
+        seg = np.arange(0, c, w)
+        self.seg_head, self.seg_group = seg // d, seg // cfg.kv_group_size
+        self.seg_to_head = (self.seg_head[:, None] == np.arange(h)).astype(np.float32)
+        # sigma: the channel order that swaps the halves of every head
+        self.swap = np.arange(c).reshape(h, 2, d // 2)[:, ::-1].reshape(-1)
+        self.work = np.empty((length, c), dtype=np.float32)
+        channel = np.arange(c)[:, None]
+        ones = (channel // w == np.arange(len(seg))).astype(np.float32)
+        in_head = channel // d == np.arange(h)
+        self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
+        self.k_fold = []
+        for sp, _ in self.kv_smoothing:
+            sp = sp or SmoothingParams.identity(c)
+            contraction = np.concatenate([ones, in_head * (sp.delta / sp.s)[:, None]], axis=1)
+            self.k_fold.append((sp.s, contraction.astype(np.float32)))
+
+
 class PoqKvCache:
     """Per-layer paged store of past keys/values.
 
     Quantized layout holds token codes of the smoothed pre-rotary projections
     plus per-(token, group) parameters; the fp layout holds raw-space arrays
     (pre-rotary K).  cfg is a copy of the config the cache was built with,
-    the setting of every forward onto it.  length counts the positions every
-    layer holds; only model_forward advances it.  One (max_seq_len, hidden)
-    float32 scratch buffer serves every layer's reads.
+    the setting of every forward onto it; a quantized cache makes its plan
+    (a ReadPlan) with it, an fp cache has none.  length counts the positions
+    every layer holds; only model_forward advances it.  One (max_seq_len,
+    hidden) float32 scratch buffer serves every layer's reads, and the plan
+    holds a second one.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
         self.cfg = cfg = dataclasses.replace(cfg)
-        self.blocks = blocks
         quantized = cfg.quant_mode == "weight_kv" and cfg.kv_quantized
         self.layers = [LayerCache(cfg, quantized) for _ in range(cfg.n_layers)]
+        self.plan = ReadPlan(cfg, blocks) if quantized else None
         self.length = 0
         self.scratch = np.empty((cfg.max_seq_len, cfg.hidden_size), dtype=np.float32)
 
@@ -286,7 +340,7 @@ class PoqKvCache:
         if lc.quantized:
             # token groups are per row, so one call over the stacked K and V
             # rows gives each the codes of its own call
-            q = quantize_token(np.concatenate([k_s, v_s]), self.cfg.token_spec())
+            q = quantize_token(np.concatenate([k_s, v_s]), self.plan.spec)
             lc.k_codes[rows], lc.v_codes[rows] = q.codes[:t], q.codes[t:]
             lc.k_m[rows], lc.v_m[rows] = q.m[:t], q.m[t:]
             lc.k_n[rows], lc.v_n[rows] = q.n[:t], q.n[t:]
@@ -298,30 +352,25 @@ class PoqKvCache:
         """Layer li's attention inputs over its rows 0 .. length-1 and the
         chunk's raw rows k_cur, v_cur (pre-rotary K) at length .. length+t-1.
 
-        Returns (k, v): k is the (length + t, hidden) rotated keys in the
-        scratch buffer, and v(p) applies (H, T, length + t) attention weights
-        to the values, giving (H, T, head_dim).  v(p) overwrites the buffer,
-        so k must be used before v is called.
+        Returns (k, v).  v(p) applies (H, T, length + t) attention weights to
+        the values, giving (H, T, head_dim).  On a decode step (one row) onto
+        a quantized cache, k(qh) maps the (H, 1, head_dim) rotated query to
+        its (H, 1, length + 1) raw scores (_folded_k) and no past key is
+        built.  Otherwise k is the (length + t, hidden) rotated keys in the
+        scratch buffer (_materialized_k), the fold's equivalence reference.
+        v(p) overwrites the scratch buffer, so k must be used before v is
+        called.
 
-        Quantized values stay codes.  Take a segment of w = gcd(kv_group_size,
-        head_dim) channels, which lies inside one head and one group, with
-        per-token parameters m, n and smoothing s, delta.  Over the past rows,
-        P . V_raw = s * ((P * n) . codes + P . m) + (sum P) * delta.
+        Quantized values stay codes.  Take a segment of w channels (ReadPlan)
+        with per-token parameters m, n and smoothing s, delta.  Over the past
+        rows, P . V_raw = s * ((P * n) . codes + P . m) + (sum P) * delta.
         """
-        cfg, lc, blk = self.cfg, self.layers[li], self.blocks[li]
+        cfg, lc, plan = self.cfg, self.layers[li], self.plan
         past, t = self.length, k_cur.shape[0]
-        k = self.scratch[: past + t]
-        if lc.quantized:
-            spec = cfg.token_spec()
-            qk = QuantizedTensor("token", lc.k_codes[:past], spec.bits, spec.group_size,
-                                 m=lc.k_m[:past], n=lc.k_n[:past])
-            dequantize(qk, out=k[:past])
-            if blk.k.smoothing is not None:
-                apply_kv_smoothing(k[:past], blk.k.smoothing, "to_raw", out=k[:past])
+        if lc.quantized and t == 1:
+            k = self._folded_k(li, k_cur)
         else:
-            k[:past] = lc.k_fp[:past]
-        k[past:] = k_cur
-        rope(k, np.arange(past + t), cfg.rope_base, cfg.head_dim, out=k)
+            k = self._materialized_k(li, k_cur)
 
         h, d = cfg.n_heads, cfg.head_dim
         heads = lambda a: a.reshape(a.shape[0], h, d).transpose(1, 0, 2)
@@ -331,22 +380,81 @@ class PoqKvCache:
             out = np.matmul(p[..., past:], heads(v_cur))
             if not lc.quantized:
                 return out + np.matmul(p_past, heads(lc.v_fp[:past]))
-            w = math.gcd(cfg.kv_group_size, d)
-            seg = np.arange(0, cfg.hidden_size, w)
-            seg_head, seg_group = seg // d, seg // cfg.kv_group_size
+            w, seg_head = plan.seg_width, plan.seg_head
             codes = self.scratch[:past]
             codes[...] = lc.v_codes[:past]
             p_seg = p_past[seg_head]  # (segments, T, past)
-            p_seg *= lc.v_n[:past, seg_group].T[:, None, :]
+            p_seg *= lc.v_n[:past, plan.seg_group].T[:, None, :]
             acc = np.matmul(p_seg, codes.reshape(past, -1, w).transpose(1, 0, 2))
-            acc += np.matmul(p_past, lc.v_m[:past])[seg_head, :, seg_group][..., None]
-            sp = blk.v.smoothing
+            acc += np.matmul(p_past, lc.v_m[:past])[seg_head, :, plan.seg_group][..., None]
+            sp = plan.kv_smoothing[li][1]
             if sp is not None:
                 acc *= sp.s.reshape(-1, 1, w)
                 acc += p_past.sum(axis=2)[seg_head][..., None] * sp.delta.reshape(-1, 1, w)
             return out + acc.reshape(h, d // w, -1, w).transpose(0, 2, 1, 3).reshape(out.shape)
 
         return k, v
+
+    def _materialized_k(self, li: int, k_cur: np.ndarray) -> np.ndarray:
+        """Layer li's past keys and the chunk's own, rotated, in the scratch
+        buffer: the codes are dequantized and un-smoothed in place first."""
+        cfg, lc, plan = self.cfg, self.layers[li], self.plan
+        past, t = self.length, k_cur.shape[0]
+        k = self.scratch[: past + t]
+        if lc.quantized:
+            qk = QuantizedTensor("token", lc.k_codes[:past], plan.spec.bits,
+                                 plan.spec.group_size, m=lc.k_m[:past], n=lc.k_n[:past])
+            dequantize(qk, out=k[:past])
+            sp = plan.kv_smoothing[li][0]
+            if sp is not None:
+                apply_kv_smoothing(k[:past], sp, "to_raw", out=k[:past])
+        else:
+            k[:past] = lc.k_fp[:past]
+        k[past:] = k_cur
+        return rope(k, np.arange(past + t), cfg.rope_base, cfg.head_dim, out=k)
+
+    def _folded_k(self, li: int, k_cur: np.ndarray):
+        """k(qh): one query row's raw scores over layer li's past codes, then
+        over the step's own rotated key k_cur, as (H, 1, length + 1).
+
+        A past key is rope_p(s * y + delta), with y = codes * n + m the
+        dequantized smoothed row, and q . rope_p(x) = x . (cos_p * q -
+        sin_p * sigma(q)) for the rope tables' rows, sigma swapping each
+        head's halves.  So with U = cos * (q * s) - sin * (sigma(q) * s) over
+        rows 0 .. length-1, a segment's past score is n * sum(U * codes) +
+        m * sum(U), plus U . (delta / s) per head.  U is never formed: with
+        the contraction matrix scaled by q * s (a) and by sigma(q) * s (b),
+        sum(U * codes) is (cos * codes) @ a - (sin * codes) @ b over the
+        segment columns, and sum(U) with U . (delta / s) is the tables'
+        distinct columns times a and b (ReadPlan).  No past key is built,
+        and rotary pairs need not share a scale or a group.
+        """
+        cfg, lc, plan = self.cfg, self.layers[li], self.plan
+        past, h = self.length, cfg.n_heads
+        s, contraction = plan.k_fold[li]
+        n_seg = len(plan.seg_head)
+        k_rot = rope(k_cur, np.arange(past, past + 1), cfg.rope_base, cfg.head_dim)
+
+        def k(qh: np.ndarray) -> np.ndarray:
+            q = qh.reshape(-1)
+            a, b = contraction * (q * s)[:, None], contraction * (q[plan.swap] * s)[:, None]
+            codes, cos_codes = self.scratch[:past], plan.work[:past]
+            codes[...] = lc.k_codes[:past]
+            np.multiply(plan.cos[:past], codes, out=cos_codes)
+            sin_codes = np.multiply(codes, plan.sin[:past], out=codes)
+            seg = cos_codes @ a[:, :n_seg]
+            seg -= sin_codes @ b[:, :n_seg]
+            # (past, segments + H): sum(U) per segment, U . (delta / s) per head
+            sums = plan.cos_cols[:past] @ (plan.to_cos @ a)
+            sums -= plan.sin_cols[:past] @ (plan.to_sin @ b)
+            seg *= lc.k_n[:past, plan.seg_group]
+            seg += sums[:, :n_seg] * lc.k_m[:past, plan.seg_group]
+            scores = np.empty((h, 1, past + 1), dtype=np.float32)
+            scores[:, 0, :past] = (seg @ plan.seg_to_head + sums[:, n_seg:]).T
+            scores[:, 0, past] = (q * k_rot[0]).reshape(h, -1).sum(axis=1)
+            return scores
+
+        return k
 
     def kv_bytes(self) -> int:
         """Deployment-model byte count of the live cache (packed codes + 16-bit params)."""
@@ -385,13 +493,16 @@ def causal_attention(q, k, v, n_heads: int, diag=None):
     only the keys [0, S-T+b) they can see, in an (H, b-a, S-T+b) buffer that
     becomes the probabilities in place, and write their rows of the output.
     Tensors make one tape node whose backward keeps only the inputs and the
-    probabilities, so on the tape the whole chunk is one block.  Arrays
-    record nothing, and there v may instead be a function v(p) -> (H, T, D)
-    that applies the probabilities itself, as a cache read's folded values
-    do (PoqKvCache.read_raw); it takes every row at once, since it overwrites
-    the keys' buffer, so it too runs as one block.  One block is the whole
-    (H, T, S) matrix: decode steps, chunks onto a filled cache, calibration
-    and training keep that arithmetic bit for bit.
+    probabilities, so on the tape the whole chunk is one block.
+
+    Arrays record nothing, and there a cache read may hand over functions
+    instead (PoqKvCache.read_raw): k(qh) -> (H, T, S) raw scores of the
+    (H, T, D) query heads, as a decode step's folded keys give them, and
+    v(p) -> (H, T, D) applying the probabilities, as folded values do.  Each
+    takes every row at once (v(p) overwrites the keys' buffer), so then the
+    chunk runs as one block.  One block is the whole (H, T, S) matrix:
+    chunks onto a filled cache, calibration and training keep that
+    arithmetic bit for bit.
 
     On arrays only, the POQ diagonal diag = (k_cur, v_cur), each (T, H*D),
     stands in for the keys and values at column S-T+i of query row i: with k
@@ -399,8 +510,7 @@ def causal_attention(q, k, v, n_heads: int, diag=None):
     """
     tape = isinstance(q, Tensor)
     data = (lambda a: a.data) if tape else (lambda a: a)
-    t, s = q.shape[0], k.shape[0]
-    offset = s - t
+    t = q.shape[0]
     d = q.shape[1] // n_heads
     scale = np.float32(1.0 / np.sqrt(d))
 
@@ -410,16 +520,23 @@ def causal_attention(q, k, v, n_heads: int, diag=None):
     def merge(a: np.ndarray) -> np.ndarray:
         return a.transpose(1, 0, 2).reshape(a.shape[1], n_heads * d)
 
-    qh, kh = heads(data(q), t), heads(data(k), s)
+    qh = heads(data(q), t)
+    if callable(k):
+        scores = k(qh)
+        s = scores.shape[-1]
+    else:
+        s = k.shape[0]
+        kh = heads(data(k), s)
+    offset = s - t
     vh = None if callable(v) else heads(data(v), s)
     if diag is not None:
         kch, vch = heads(diag[0], t), heads(diag[1], t)
-    step = max(t, 1) if tape or callable(v) else ATTN_BLOCK
+    step = max(t, 1) if tape or callable(k) or callable(v) else ATTN_BLOCK
     out = np.empty((t, n_heads, d), dtype=qh.dtype)
     for a in range(0, t, step):
         b = min(a + step, t)
         cols = offset + b
-        p = np.matmul(qh[:, a:b], kh[:, :cols].transpose(0, 2, 1))
+        p = scores if callable(k) else np.matmul(qh[:, a:b], kh[:, :cols].transpose(0, 2, 1))
         if diag is not None:
             rows = np.arange(b - a)
             ii = (slice(None), rows, rows + offset + a)
@@ -492,10 +609,10 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     return (k_all_rotated, v_all): raw-space attention inputs covering past +
     current tokens, the chunk's rows last, so the causal mask follows from
     their row counts.  A third element, if returned, is causal_attention's
-    POQ diagonal; on arrays v_all may be a function of the attention weights
-    (see causal_attention).  The runtime cache path and the calibration
-    fake-quant path both plug in through kv_fn, so the surrounding arithmetic
-    is shared bit-for-bit.
+    POQ diagonal; on arrays k_all may be a function of the query heads and
+    v_all one of the attention weights (see causal_attention).  The runtime
+    cache path and the calibration fake-quant path both plug in through
+    kv_fn, so the surrounding arithmetic is shared bit-for-bit.
     """
     aq = act_fn if act_fn is not None else (lambda y: y)
 

@@ -32,7 +32,11 @@ EPS_DIV = 1e-12
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero (deterministic across platforms)."""
-    return np.copysign(np.floor(np.abs(x) + 0.5), x).astype(np.float32)
+    r = np.abs(x)
+    r += 0.5
+    np.floor(r, out=r)
+    np.copysign(r, x, out=r)
+    return r.astype(np.float32, copy=False)
 
 
 def _as_array(x) -> np.ndarray:
@@ -290,7 +294,7 @@ class Tensor:
 
 
 def _check_finite(name: str, x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"{name}: non-finite input")
 
 
@@ -316,7 +320,9 @@ def rms_norm(x, gain, eps: float = 1e-6):
     """RMS normalization over the channel axis with a gain row (learnable on Tensors)."""
     if not isinstance(x, Tensor):
         _check_finite("rms_norm", x)
-        return x / np.sqrt((x * x).mean(axis=1, keepdims=True) + np.float32(eps)) * gain
+        # the sum and division of mean(axis=1), without its wrapper's cost
+        ms = np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1]
+        return x / np.sqrt(ms + np.float32(eps)) * gain
     _check_finite("rms_norm", x.data)
     ms = (x * x).mean(axis=1, keepdims=True)
     inv = (ms + Tensor(np.full((x.shape[0], 1), eps, dtype=np.float32))).sqrt()
@@ -326,8 +332,8 @@ def rms_norm(x, gain, eps: float = 1e-6):
 _ROPE_TABLES: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _rope_table(base: float, head_dim: int, width: int,
-                length: int) -> tuple[np.ndarray, np.ndarray]:
+def rope_table(base: float, head_dim: int, width: int,
+               length: int) -> tuple[np.ndarray, np.ndarray]:
     """Rotary (cos, sin) tables of shape (>= length, width), float32.
 
     With angles p * base^(-2i / head_dim) for position p and pair i, row p
@@ -360,7 +366,7 @@ def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None =
     Every head is rotated in the rotate-half layout, [x1, x2] ->
     [x1 cos - x2 sin, x2 cos + x1 sin]; head_dim defaults to the full width
     (one head).  positions must be a contiguous ascending range, so cos/sin
-    are a slice of _rope_table.  An array result is written to out when given
+    are a slice of rope_table.  An array result is written to out when given
     (out may be x itself).
     """
     tape = isinstance(x, Tensor)
@@ -371,14 +377,15 @@ def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None =
         raise DimensionError(f"rope requires an even head_dim dividing {width}, got {d}")
     positions = np.asarray(positions)
     start = int(positions[0]) if t else 0
-    if positions.shape != (t,) or start < 0 or np.any(np.diff(positions) != 1):
+    if positions.shape != (t,) or start < 0 or (t > 1 and np.any(np.diff(positions) != 1)):
         raise DimensionError("rope positions must be a contiguous range from >= 0")
-    cos, sin = _rope_table(base, d, width, start + t)
+    cos, sin = rope_table(base, d, width, start + t)
     cos, sin = cos[start : start + t], sin[start : start + t]
 
     def rotate(a: np.ndarray, sin_rows: np.ndarray, out=None) -> np.ndarray:
-        a3 = a.reshape(t, width // d, d)
-        swapped = np.concatenate([a3[..., d // 2 :], a3[..., : d // 2]], axis=-1)
+        # the swapped halves are one copy of a view with the half axis
+        # reversed, taken before out is written, so out may be a
+        swapped = np.ascontiguousarray(a.reshape(t, width // d, 2, d // 2)[:, :, ::-1])
         swapped = swapped.reshape(t, width)
         swapped *= sin_rows
         out = np.multiply(a, cos, out=out)

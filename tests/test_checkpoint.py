@@ -123,18 +123,26 @@ class TestMalformedFiles:
         with pytest.raises(DataFormatError):
             read_container(p)
 
-    def _edit_table(self, path, edit):
-        """Rewrite the header after edit(tensor table), keeping the payload
+    def _edit_header(self, path, edit):
+        """Rewrite the header as edit(header) returns it, keeping the payload
         bytes (table offsets are relative to the payload's start)."""
         data = open(path, "rb").read()
         (hlen,) = struct.unpack("<Q", data[4:12])
         header = json.loads(data[12 : 12 + hlen])
         payload = data[-(-(12 + hlen) // ALIGN) * ALIGN :]
-        edit(header["tensors"])
-        hjson = json.dumps(header).encode()
+        hjson = json.dumps(edit(header)).encode()
         pad = -(-(12 + len(hjson)) // ALIGN) * ALIGN - 12 - len(hjson)
         open(path, "wb").write(MAGIC + struct.pack("<Q", len(hjson)) + hjson + b"\0" * pad
                                + payload)
+
+    def _edit_table(self, path, edit):
+        """Rewrite the header after edit(tensor table) changes it in place."""
+
+        def edit_header(header):
+            edit(header["tensors"])
+            return header
+
+        self._edit_header(path, edit_header)
 
     def _write_matrix(self, path):
         write_container(path, {}, {}, {"x": np.arange(6, dtype=np.float32).reshape(2, 3)})
@@ -167,6 +175,58 @@ class TestMalformedFiles:
         self._write_matrix(p)
         self._edit_table(p, lambda table: table["x"].update(offset=-64))
         with pytest.raises(DataFormatError, match=r"'x' has offset -64"):
+            read_container(p)
+
+
+    @pytest.mark.parametrize("field", ["nbytes", "dtype", "offset", "shape"])
+    def test_entry_without_field(self, tmp_path, field):
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: table["x"].pop(field))
+        with pytest.raises(DataFormatError, match=f"'x' has no {field} in its entry"):
+            read_container(p)
+
+    def test_shape_that_is_a_number(self, tmp_path):
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: table["x"].update(shape=6))
+        with pytest.raises(DataFormatError, match=r"'x' has shape 6: it must be a list"):
+            read_container(p)
+
+    def test_true_is_not_a_shape_entry(self, tmp_path):
+        # isinstance(True, int) holds, and [2, 3, true] has the right size
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: table["x"].update(shape=[2, 3, True]))
+        with pytest.raises(DataFormatError, match=r"'x' has shape \[2, 3, True\]"):
+            read_container(p)
+
+    def test_entry_that_is_not_an_object(self, tmp_path):
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: table.update(x=[0, 24]))
+        with pytest.raises(DataFormatError, match="'x' has a table entry that is not an object"):
+            read_container(p)
+
+    def test_unhashable_dtype(self, tmp_path):
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_table(p, lambda table: table["x"].update(dtype=["f32"]))
+        with pytest.raises(DataFormatError, match=r"'x' has unknown dtype \['f32'\]"):
+            read_container(p)
+
+    def test_table_that_is_a_list(self, tmp_path):
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_header(p, lambda header: dict(header, tensors=list(header["tensors"].values())))
+        with pytest.raises(DataFormatError, match="header 'tensors' is a JSON list"):
+            read_container(p)
+
+    def test_header_that_is_a_list(self, tmp_path):
+        p = str(tmp_path / "t.kvq")
+        self._write_matrix(p)
+        self._edit_header(p, lambda header: [header])
+        with pytest.raises(DataFormatError, match="header is a JSON list"):
             read_container(p)
 
 

@@ -281,6 +281,17 @@ class TestEval:
         assert rc == 3
         assert "unknown dtype 'f64'" in err
 
+    def test_table_entry_without_nbytes_is_data_error(self, workdir, capsys):
+        # same header length: the key's name is misspelt, so the entry lacks it
+        data = (workdir / "model.kvq").read_bytes()
+        bad = workdir / "no_nbytes.kvq"
+        bad.write_bytes(data.replace(b'"nbytes":', b'"nbytez":', 1))
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert "has no nbytes in its entry" in err
+
     @pytest.mark.parametrize("fault", ["table", "transposed"])
     def test_head_shape_fault_is_data_error(self, workdir, capsys, fault):
         bad = workdir / f"head_{fault}.kvq"

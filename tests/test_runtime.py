@@ -28,15 +28,18 @@ from kvq.model import (
     spread_kv_channels,
 )
 from kvq.quantizers import (
+    SPREAD_EPS,
     QuantizedTensor,
     SmoothingParams,
+    TokenQuantSpec,
     WeightQuantSpec,
+    _spans,
     apply_kv_smoothing,
     dequantize,
     init_smoothing,
     quantize_token,
 )
-from kvq.tensor import Tensor, rms_norm, rope, softmax_causal
+from kvq.tensor import Tensor, rms_norm, rope, rope_table, round_half_away, softmax_causal
 from tape_ops import concat_rows
 
 
@@ -104,13 +107,14 @@ def reference_block_core(cfg, w, x, positions, kv_fn, act_fn=None):
     v_s = xq @ w["v_w"] + w["v_b"]
     q_rot = reference_rope(q, positions, cfg.rope_base, cfg.head_dim)
     k_all, v_all = kv_fn(k_s, v_s, positions)
-    offset = k_all.shape[0] - x.shape[0]
     d = cfg.head_dim
-    probs = []
-    for h in range(cfg.n_heads):
-        cols = slice(h * d, (h + 1) * d)
-        scores = (q_rot[:, cols] @ k_all[:, cols].T) * np.float32(1.0 / np.sqrt(d))
-        probs.append(reference_softmax_causal(scores, offset))
+    if callable(k_all):  # a decode step's folded keys score every head's query at once
+        raw = k_all(q_rot.reshape(x.shape[0], cfg.n_heads, d).transpose(1, 0, 2))
+    else:
+        raw = [q_rot[:, h * d : (h + 1) * d] @ k_all[:, h * d : (h + 1) * d].T
+               for h in range(cfg.n_heads)]
+    offset = raw[0].shape[1] - x.shape[0]
+    probs = [reference_softmax_causal(r * np.float32(1.0 / np.sqrt(d)), offset) for r in raw]
     if callable(v_all):  # a cache read's folded values take every head's weights at once
         heads = list(v_all(np.stack(probs)))
     else:
@@ -122,12 +126,103 @@ def reference_block_core(cfg, w, x, positions, kv_fn, act_fn=None):
     return x + (mid @ w["down_w"] + w["down_b"])
 
 
+# -- reference: the kernels before they shed their per-call overhead ----------
+
+
+def swap_copy_rope(x, positions, base=10000.0, head_dim=None, out=None):
+    """rope on arrays as it was: a concatenated copy of the swapped halves,
+    times sin, added to x * cos."""
+    t, width = x.shape
+    d = width if head_dim is None else head_dim
+    start = int(positions[0]) if t else 0
+    cos, sin = (a[start : start + t] for a in rope_table(base, d, width, start + t))
+    x3 = x.reshape(t, width // d, d)
+    swapped = np.concatenate([x3[..., d // 2 :], x3[..., : d // 2]], axis=-1).reshape(t, width)
+    swapped *= sin
+    out = np.multiply(x, cos, out=out)
+    out += swapped
+    return out
+
+
+def mean_rms_norm(x, gain, eps=1e-6):
+    """rms_norm on arrays with np.mean, as it was."""
+    return x / np.sqrt((x * x).mean(axis=1, keepdims=True) + np.float32(eps)) * gain
+
+
+def mean_quantize_token(y, spec):
+    """quantize_token as it was: np.mean for each group's m, and the flat
+    groups' codes zeroed by an assign on every call."""
+    y = np.asarray(y, dtype=np.float32)
+    t, c = y.shape
+    half = float(2 ** (spec.bits - 1))
+    parts = []
+    for cols, _, k, size in _spans(c, spec.group_size):
+        g = y[:, cols].reshape(t, k, size)
+        m = g.mean(axis=2)
+        centered = g - m[:, :, None]
+        spread = np.abs(centered).max(axis=2)
+        flat = spread < SPREAD_EPS
+        n = np.where(flat, 1.0, spread / half).astype(np.float32)
+        q = round_half_away(centered / n[:, :, None])
+        np.clip(q, spec.code_lo, spec.code_hi, out=q)
+        q[flat] = 0.0
+        parts.append((q.astype(np.int8).reshape(t, k * size), m, n))
+    codes, m, n = (np.concatenate(a, axis=1) for a in zip(*parts))
+    return QuantizedTensor("token", codes, spec.bits, spec.group_size, m=m, n=n)
+
+
+class TestSlimKernels:
+    """rope, rms_norm and the token quantizer core keep their bits."""
+
+    def test_rope_matches_swap_copy(self):
+        rng = np.random.default_rng(11)
+        for t, width, d, start in ((1, 32, 8, 40), (7, 64, 32, 0), (130, 16, 16, 3), (0, 8, 8, 0)):
+            x = rng.normal(size=(t, width)).astype(np.float32)
+            pos = np.arange(start, start + t)
+            want = swap_copy_rope(x, pos, 500.0, d)
+            assert np.array_equal(rope(x, pos, 500.0, d), want)
+            y = x.copy()
+            assert rope(y, pos, 500.0, d, out=y) is y and np.array_equal(y, want)
+            xt = Tensor(x, requires_grad=True)
+            r = rope(xt, pos, 500.0, d)
+            assert np.array_equal(r.data, want)
+            g = rng.normal(size=(t, width)).astype(np.float32)
+            r._backward(g)
+            # the transpose rotates by -angle
+            _, sin = rope_table(500.0, d, width, start + t)
+            cos = rope_table(500.0, d, width, start + t)[0][start : start + t]
+            g3 = g.reshape(t, width // d, d)
+            sw = np.concatenate([g3[..., d // 2 :], g3[..., : d // 2]], axis=-1).reshape(t, width)
+            sw *= -sin[start : start + t]
+            assert np.array_equal(xt.grad, g * cos + sw)
+
+    def test_rms_norm_matches_mean(self):
+        rng = np.random.default_rng(12)
+        for rows, c in ((1, 128), (9, 33), (300, 64)):
+            x = (rng.normal(size=(rows, c)) * rng.uniform(0.01, 50)).astype(np.float32)
+            gain = rng.normal(size=(1, c)).astype(np.float32)
+            assert np.array_equal(rms_norm(x, gain), mean_rms_norm(x, gain))
+
+    def test_quantize_token_matches_mean_core(self):
+        rng = np.random.default_rng(13)
+        for trial in range(300):
+            t, c = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+            spec = TokenQuantSpec(int(rng.choice([2, 3, 4, 8])), int(rng.integers(1, c + 1)))
+            y = (rng.normal(size=(t, c)) * rng.uniform(0.01, 100)).astype(np.float32)
+            if trial % 3 == 0:
+                y[0] = 1.5  # flat groups
+            got, want = quantize_token(y, spec), mean_quantize_token(y, spec)
+            for name in ("codes", "m", "n"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (trial, name)
+
+
 # -- reference: the cache read on the tape that the folded read replaced -------
 
 
-def tape_read_raw(cache, li):
-    """Raw-space (pre-rotary K) past K/V of layer li: dequantize, then un-smooth."""
-    lc, t, blk = cache.layers[li], cache.length, cache.blocks[li]
+def tape_read_raw(cache, li, blk):
+    """Raw-space (pre-rotary K) past K/V of layer li (block blk): dequantize,
+    then un-smooth."""
+    lc, t = cache.layers[li], cache.length
     if not lc.quantized:
         return lc.k_fp[:t], lc.v_fp[:t]
     spec = cache.cfg.token_spec()
@@ -168,7 +263,7 @@ def tape_runtime_kv_fn(cfg, blk, li, cache, mode):
         v_all = Tensor(v_raw)
         past = 0 if cache is None else cache.length
         if past:
-            k_past, v_past = tape_read_raw(cache, li)
+            k_past, v_past = tape_read_raw(cache, li, blk)
             k_past = rope(Tensor(k_past), np.arange(past), cfg.rope_base, cfg.head_dim)
             k_all = concat_rows([k_past, k_all])
             v_all = concat_rows([Tensor(v_past), v_all])
@@ -369,28 +464,21 @@ class TestCache:
         assert np.abs(step - full).max() < 1e-4
 
     def test_smoothing_applied_once_per_read(self, monkeypatch):
-        m = make_model()
-        per_layer = []
-        for blk in m.blocks:
-            xn = rms_norm(Tensor(m.embed[IDS]), Tensor(blk.attn_norm.reshape(1, -1))).data
-            per_layer.append(
-                (init_smoothing(xn @ blk.k.w + blk.k.b), init_smoothing(xn @ blk.v.w + blk.v.b))
-            )
-        attach_kv_smoothing(m, per_layer)
-        mq = quantized(m)
+        # the folded reads take the past K/V straight from the codes: a decode
+        # step maps only its own K and V row to raw space, once each
+        mq = quantized(smoothed(make_model()))
         _, cache = prefill(mq, IDS)
-        calls = []
+        blk, calls = mq.blocks[0], []
         apply = kvq.model.apply_kv_smoothing
 
         def counting(x, sp, direction, **kwargs):
-            if sp is mq.blocks[0].k.smoothing:
-                calls.append(direction)
+            if sp is blk.k.smoothing or sp is blk.v.smoothing:
+                calls.append(("k" if sp is blk.k.smoothing else "v", direction, x.shape[0]))
             return apply(x, sp, direction, **kwargs)
 
         monkeypatch.setattr(kvq.model, "apply_kv_smoothing", counting)
         decode_step(mq, 3, cache)
-        # one cache read plus one current-step mapping per forward
-        assert calls == ["to_raw", "to_raw"]
+        assert calls == [("k", "to_raw", 1), ("v", "to_raw", 1)]
 
     def test_kv_bytes_grows_linearly(self):
         m = quantized(make_model())
@@ -436,6 +524,49 @@ class TestFoldedCacheRead:
                     # quantize call over K and V stores what two calls store
                     for name, stored in vars(fast_layer0).items():
                         assert np.array_equal(stored, vars(slow_layer0)[name]), name
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("group, head_dim, n_heads", LAYOUTS)
+    def test_fold_matches_materialized_read(self, monkeypatch, group, head_dim, n_heads, smooth):
+        # decode steps onto a past of about 300 rows score the codes through
+        # the query (_folded_k); the reference materializes every past key
+        base = make_model(seed=4, n_heads=n_heads, head_dim=head_dim, max_seq_len=320,
+                          hidden_size=n_heads * head_dim, kv_group_size=group)
+        spread_kv_channels(base, 2.0, seed=4)
+        m = quantized(smoothed(base) if smooth else base)
+        ids = np.random.default_rng(4).integers(0, m.config.vocab_size, 304)
+
+        def run():
+            _, cache = prefill(m, ids[:298])
+            return np.concatenate([decode_step(m, int(tok), cache).data for tok in ids[298:]])
+
+        for poq in (True, False):
+            for kv_bits in (2, 3, 4, 8):
+                m.config.poq, m.config.kv_bits = poq, kv_bits
+                folded = run()
+                with monkeypatch.context() as patch:
+                    patch.setattr(PoqKvCache, "_folded_k", PoqKvCache._materialized_k)
+                    materialized = run()
+                assert np.abs(folded - materialized).max() <= 1e-5, (poq, kv_bits)
+
+    def test_prefill_and_cache_scoring_unchanged(self, monkeypatch):
+        # neither reads a cache one row at a time, so the fold never runs, and
+        # the slimmed rope, rms_norm and token quantizer keep their bits
+        m = quantized(smoothed(make_model(seed=5, max_seq_len=320)))
+        ids = np.random.default_rng(5).integers(0, m.config.vocab_size, 300)
+
+        def outputs():
+            logits, cache = prefill(m, ids[:200])
+            chunk = model_forward(m, ids[200:], cache=cache).data
+            return logits.data, chunk, score_logits(m, ids, use_cache=True)
+
+        got = outputs()
+        monkeypatch.setattr(PoqKvCache, "_folded_k", PoqKvCache._materialized_k)
+        monkeypatch.setattr(kvq.model, "rope", swap_copy_rope)
+        monkeypatch.setattr(kvq.model, "rms_norm", mean_rms_norm)
+        monkeypatch.setattr(kvq.model, "quantize_token", mean_quantize_token)
+        for a, b in zip(got, outputs()):
+            assert np.array_equal(a, b)
 
     def test_runtime_records_no_tape_ops(self, monkeypatch):
         calls = []
