@@ -14,8 +14,9 @@ A malformed file raises DataFormatError naming the first fault found: a
 header, config, meta or tensor table that is not a JSON object, a table
 entry that is not one or lacks a field, a table entry whose dtype, shape,
 offset or nbytes cannot describe its bytes, a
-tensor past the end of the file or overlapping another, or a tensor that
-the config's layout needs and that is missing or has another shape.
+tensor past the end of the file or overlapping another, a tensor that
+the config's layout needs and that is missing or has another shape, or a
+smoothing scale that is not finite or is below S_FLOOR.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import DataFormatError, KvqError
 from .model import DecoderBlockWeights, Linear, Model, ModelConfig
-from .quantizers import QuantizedTensor, SmoothingParams, dequantize
+from .quantizers import S_FLOOR, QuantizedTensor, SmoothingParams, dequantize
 
 MAGIC = b"KVQ1"
 ALIGN = 64
@@ -222,10 +223,14 @@ def load_model(path: str) -> Model:
         w = get(f"{base}.w", cin, cout) if wq is None else dequantize(wq)
         b = get(f"{base}.b", 1, cout)
         sm = quant_meta.get("smoothing", {}).get(base)
-        smoothing = None if sm is None else SmoothingParams(
-            get(f"{base}.smooth.s", cout), get(f"{base}.smooth.delta", cout),
-            absorbed=sm["absorbed"],
-        )
+        smoothing = None
+        if sm is not None:
+            s = get(f"{base}.smooth.s", cout)
+            if not (np.isfinite(s).all() and s.min() >= S_FLOOR):
+                raise DataFormatError(f"tensor {base + '.smooth.s'!r} has a scale that is not "
+                                      f"finite or is below {S_FLOOR}")
+            smoothing = SmoothingParams(s, get(f"{base}.smooth.delta", cout),
+                                        absorbed=sm["absorbed"])
         return Linear(w=w, b=b, smoothing=smoothing, wq=wq)
 
     c, v = cfg.hidden_size, cfg.vocab_size

@@ -16,15 +16,18 @@ maps neither back to raw space.  The keys' dequantization, un-smoothing and
 rotation are folded into the query: with U = cos * (q * s) - sin *
 (sigma(q) * s) over the past rows' rope tables, a segment of codes scores
 n * sum(U * codes) + m * sum(U), which the step computes without forming U
-or any past key (PoqKvCache._folded_k).  The values' dequantization and
+or any past key (PoqKvCache._folded_k).  Its cost grows with the number of
+segments, hidden / gcd(kv_group_size, head_dim), so only a cache of at most
+FOLD_MAX_SEGMENTS segments folds K.  The values' dequantization and
 un-smoothing are folded past the attention weights (PoqKvCache.read_raw).
-A chunk of more than one row onto a filled cache, and every read of an fp
-cache, still builds the rotated past keys (PoqKvCache._materialized_k),
-which is the fold's equivalence reference.  A quantized cache plans its
-reads once, when it is built (ReadPlan): segment indices, each layer's
-contraction matrix, the rope tables and a work buffer.  That buffer and the
-cache's scratch buffer are shared by the layers and overwritten by every
-read.
+A chunk of more than one row onto a filled cache, every read of an fp
+cache and every K read of a cache with more segments still build the
+rotated past keys (PoqKvCache._materialized_k), which is the fold's
+equivalence reference.  A quantized cache plans its reads once, when it is
+built (PoqKvCache._plan_reads): segment indices, each layer's smoothing and,
+when it folds K, contraction matrices, the rope tables and a work buffer.
+That buffer and the cache's scratch buffer are shared by the layers and
+overwritten by every read.
 
 Setting: a forward without a cache runs model.config.  A cache keeps a copy
 of the config it was built with (PoqKvCache.cfg), and every forward onto it
@@ -260,49 +263,15 @@ class LayerCache:
             self.v_fp = np.zeros((t, c), dtype=np.float32)
 
 
-class ReadPlan:
-    """What every read of one quantized cache needs and no read changes, made
-    once with the cache under the same rule as its cfg copy: from the config
-    and the blocks' K/V smoothing as they are when the cache is built.
-
-    It holds the token spec, the rope tables, the segments (w =
-    gcd(kv_group_size, head_dim) channels each, inside one head and one
-    group), each layer's K contraction matrix [segment ones | delta/s per
-    head] and a second (max_seq_len, hidden) float32 work buffer.
-
-    A rope table row repeats head_dim / 2 angles across the width: cos is
-    [c, c] and sin is [-s, s] in every head.  So for any (hidden, k) matrix
-    b, cos @ b = cos_cols @ (to_cos @ b) and sin @ b = sin_cols @ (to_sin @
-    b): cos_cols and sin_cols are views of the distinct columns, and to_cos
-    and to_sin sum b's rows over the channels of each angle, with sin's sign.
-    """
-
-    def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
-        c, d, h, length = cfg.hidden_size, cfg.head_dim, cfg.n_heads, cfg.max_seq_len
-        self.spec = cfg.token_spec()
-        cos, sin = rope_table(cfg.rope_base, d, c, length)
-        self.cos, self.sin = cos[:length], sin[:length]
-        self.cos_cols, self.sin_cols = self.cos[:, : d // 2], self.sin[:, d // 2 : d]
-        within = np.arange(c) % d
-        angle = (within % (d // 2) == np.arange(d // 2)[:, None]).astype(np.float32)
-        self.to_cos = angle  # (head_dim / 2, hidden)
-        self.to_sin = np.where(within < d // 2, -angle, angle)
-        self.seg_width = w = math.gcd(cfg.kv_group_size, d)
-        seg = np.arange(0, c, w)
-        self.seg_head, self.seg_group = seg // d, seg // cfg.kv_group_size
-        self.seg_to_head = (self.seg_head[:, None] == np.arange(h)).astype(np.float32)
-        # sigma: the channel order that swaps the halves of every head
-        self.swap = np.arange(c).reshape(h, 2, d // 2)[:, ::-1].reshape(-1)
-        self.work = np.empty((length, c), dtype=np.float32)
-        channel = np.arange(c)[:, None]
-        ones = (channel // w == np.arange(len(seg))).astype(np.float32)
-        in_head = channel // d == np.arange(h)
-        self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
-        self.k_fold = []
-        for sp, _ in self.kv_smoothing:
-            sp = sp or SmoothingParams.identity(c)
-            contraction = np.concatenate([ones, in_head * (sp.delta / sp.s)[:, None]], axis=1)
-            self.k_fold.append((sp.s, contraction.astype(np.float32)))
+# A decode step scores the past keys through the query (_folded_k) only on
+# a cache of at most this many segments.  The fold's two (past, hidden) x
+# (hidden, segments) products grow with the count, and the materialized read
+# does not.  On the default config (hidden 128, head_dim 32, one BLAS
+# thread, 2-vCPU Xeon VM) a decode step with the fold took 0.78-1.00x the
+# materialized read's time at 4, 8 and 16 segments (kv_group_size 32, 16, 8)
+# and 0.95-1.02x at 32, but 1.02-1.08x at 64 and 1.10-1.23x at 128, over
+# contexts 64 to 896.
+FOLD_MAX_SEGMENTS = 32
 
 
 class PoqKvCache:
@@ -311,20 +280,69 @@ class PoqKvCache:
     Quantized layout holds token codes of the smoothed pre-rotary projections
     plus per-(token, group) parameters; the fp layout holds raw-space arrays
     (pre-rotary K).  cfg is a copy of the config the cache was built with,
-    the setting of every forward onto it; a quantized cache makes its plan
-    (a ReadPlan) with it, an fp cache has none.  length counts the positions
-    every layer holds; only model_forward advances it.  One (max_seq_len,
-    hidden) float32 scratch buffer serves every layer's reads, and the plan
-    holds a second one.
+    the setting of every forward onto it, and a quantized cache plans its
+    reads with it (_plan_reads).  length counts the positions every layer
+    holds; only model_forward advances it.  One (max_seq_len, hidden) float32
+    scratch buffer serves every layer's reads, and a cache whose decode steps
+    fold K holds a second one (work).
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
         self.cfg = cfg = dataclasses.replace(cfg)
         quantized = cfg.quant_mode == "weight_kv" and cfg.kv_quantized
         self.layers = [LayerCache(cfg, quantized) for _ in range(cfg.n_layers)]
-        self.plan = ReadPlan(cfg, blocks) if quantized else None
         self.length = 0
         self.scratch = np.empty((cfg.max_seq_len, cfg.hidden_size), dtype=np.float32)
+        self.fold_k = False
+        if quantized:
+            self._plan_reads(blocks)
+
+    def _plan_reads(self, blocks: list[DecoderBlockWeights]) -> None:
+        """Fix what every read needs and no read changes, under the same rule
+        as cfg: from the config and the blocks' K/V smoothing as they are now.
+
+        That is each layer's smoothing and the segments (w = gcd(kv_group_size,
+        head_dim) channels each, inside one head and one group).  With at most
+        FOLD_MAX_SEGMENTS segments, decode steps fold K (fold_k), and
+        _folded_k also needs the rope tables, sigma, a work buffer and each
+        layer's K contraction matrix: [segment ones | delta/s per head], or
+        the segment ones alone for a layer without K smoothing.
+
+        A rope table row repeats head_dim / 2 angles across the width: cos is
+        [c, c] and sin is [-s, s] in every head.  So for any (hidden, k)
+        matrix b, cos @ b = cos_cols @ (to_cos @ b) and sin @ b = sin_cols @
+        (to_sin @ b): cos_cols and sin_cols are views of the distinct columns,
+        and to_cos and to_sin sum b's rows over the channels of each angle,
+        with sin's sign.
+        """
+        cfg = self.cfg
+        c, d, h, length = cfg.hidden_size, cfg.head_dim, cfg.n_heads, cfg.max_seq_len
+        self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
+        self.seg_width = w = math.gcd(cfg.kv_group_size, d)
+        seg = np.arange(0, c, w)
+        self.seg_head, self.seg_group = seg // d, seg // cfg.kv_group_size
+        self.fold_k = len(seg) <= FOLD_MAX_SEGMENTS
+        if not self.fold_k:
+            return
+        cos, sin = rope_table(cfg.rope_base, d, c, length)
+        self.cos, self.sin = cos[:length], sin[:length]
+        self.cos_cols, self.sin_cols = self.cos[:, : d // 2], self.sin[:, d // 2 : d]
+        within = np.arange(c) % d
+        angle = (within % (d // 2) == np.arange(d // 2)[:, None]).astype(np.float32)
+        self.to_cos, self.to_sin = angle, np.where(within < d // 2, -angle, angle)
+        self.seg_to_head = (self.seg_head[:, None] == np.arange(h)).astype(np.float32)
+        # sigma: the channel order that swaps the halves of every head
+        self.swap = np.arange(c).reshape(h, 2, d // 2)[:, ::-1].reshape(-1)
+        self.work = np.empty((length, c), dtype=np.float32)
+        channel = np.arange(c)[:, None]
+        ones = (channel // w == np.arange(len(seg))).astype(np.float32)
+        self.k_fold = []
+        for sp, _ in self.kv_smoothing:
+            if sp is None:
+                self.k_fold.append((np.ones(c, dtype=np.float32), ones))
+                continue
+            delta_s = (channel // d == np.arange(h)) * (sp.delta / sp.s)[:, None]
+            self.k_fold.append((sp.s, np.concatenate([ones, delta_s], axis=1).astype(np.float32)))
 
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_raw: np.ndarray, v_raw: np.ndarray) -> None:
         """Store a chunk's KV for layer li at rows length .. length+t-1
@@ -340,7 +358,7 @@ class PoqKvCache:
         if lc.quantized:
             # token groups are per row, so one call over the stacked K and V
             # rows gives each the codes of its own call
-            q = quantize_token(np.concatenate([k_s, v_s]), self.plan.spec)
+            q = quantize_token(np.concatenate([k_s, v_s]), self.cfg.token_spec())
             lc.k_codes[rows], lc.v_codes[rows] = q.codes[:t], q.codes[t:]
             lc.k_m[rows], lc.v_m[rows] = q.m[:t], q.m[t:]
             lc.k_n[rows], lc.v_n[rows] = q.n[:t], q.n[t:]
@@ -354,20 +372,21 @@ class PoqKvCache:
 
         Returns (k, v).  v(p) applies (H, T, length + t) attention weights to
         the values, giving (H, T, head_dim).  On a decode step (one row) onto
-        a quantized cache, k(qh) maps the (H, 1, head_dim) rotated query to
-        its (H, 1, length + 1) raw scores (_folded_k) and no past key is
-        built.  Otherwise k is the (length + t, hidden) rotated keys in the
-        scratch buffer (_materialized_k), the fold's equivalence reference.
-        v(p) overwrites the scratch buffer, so k must be used before v is
-        called.
+        a quantized cache that folds K (fold_k), k(qh) maps the (H, 1,
+        head_dim) rotated query to its (H, 1, length + 1) raw scores
+        (_folded_k) and no past key is built.  Otherwise k is the (length +
+        t, hidden) rotated keys in the scratch buffer (_materialized_k), the
+        fold's equivalence reference.  v(p) overwrites the scratch buffer, so
+        k must be used before v is called.
 
-        Quantized values stay codes.  Take a segment of w channels (ReadPlan)
-        with per-token parameters m, n and smoothing s, delta.  Over the past
-        rows, P . V_raw = s * ((P * n) . codes + P . m) + (sum P) * delta.
+        Quantized values stay codes.  Take a segment of w channels
+        (_plan_reads) with per-token parameters m, n and smoothing s, delta.
+        Over the past rows, P . V_raw = s * ((P * n) . codes + P . m) + (sum
+        P) * delta.
         """
-        cfg, lc, plan = self.cfg, self.layers[li], self.plan
+        cfg, lc = self.cfg, self.layers[li]
         past, t = self.length, k_cur.shape[0]
-        if lc.quantized and t == 1:
+        if self.fold_k and t == 1:
             k = self._folded_k(li, k_cur)
         else:
             k = self._materialized_k(li, k_cur)
@@ -380,14 +399,14 @@ class PoqKvCache:
             out = np.matmul(p[..., past:], heads(v_cur))
             if not lc.quantized:
                 return out + np.matmul(p_past, heads(lc.v_fp[:past]))
-            w, seg_head = plan.seg_width, plan.seg_head
+            w, seg_head = self.seg_width, self.seg_head
             codes = self.scratch[:past]
             codes[...] = lc.v_codes[:past]
             p_seg = p_past[seg_head]  # (segments, T, past)
-            p_seg *= lc.v_n[:past, plan.seg_group].T[:, None, :]
+            p_seg *= lc.v_n[:past, self.seg_group].T[:, None, :]
             acc = np.matmul(p_seg, codes.reshape(past, -1, w).transpose(1, 0, 2))
-            acc += np.matmul(p_past, lc.v_m[:past])[seg_head, :, plan.seg_group][..., None]
-            sp = plan.kv_smoothing[li][1]
+            acc += np.matmul(p_past, lc.v_m[:past])[seg_head, :, self.seg_group][..., None]
+            sp = self.kv_smoothing[li][1]
             if sp is not None:
                 acc *= sp.s.reshape(-1, 1, w)
                 acc += p_past.sum(axis=2)[seg_head][..., None] * sp.delta.reshape(-1, 1, w)
@@ -398,14 +417,15 @@ class PoqKvCache:
     def _materialized_k(self, li: int, k_cur: np.ndarray) -> np.ndarray:
         """Layer li's past keys and the chunk's own, rotated, in the scratch
         buffer: the codes are dequantized and un-smoothed in place first."""
-        cfg, lc, plan = self.cfg, self.layers[li], self.plan
+        cfg, lc = self.cfg, self.layers[li]
         past, t = self.length, k_cur.shape[0]
         k = self.scratch[: past + t]
         if lc.quantized:
-            qk = QuantizedTensor("token", lc.k_codes[:past], plan.spec.bits,
-                                 plan.spec.group_size, m=lc.k_m[:past], n=lc.k_n[:past])
+            spec = cfg.token_spec()
+            qk = QuantizedTensor("token", lc.k_codes[:past], spec.bits, spec.group_size,
+                                 m=lc.k_m[:past], n=lc.k_n[:past])
             dequantize(qk, out=k[:past])
-            sp = plan.kv_smoothing[li][0]
+            sp = self.kv_smoothing[li][0]
             if sp is not None:
                 apply_kv_smoothing(k[:past], sp, "to_raw", out=k[:past])
         else:
@@ -426,31 +446,35 @@ class PoqKvCache:
         the contraction matrix scaled by q * s (a) and by sigma(q) * s (b),
         sum(U * codes) is (cos * codes) @ a - (sin * codes) @ b over the
         segment columns, and sum(U) with U . (delta / s) is the tables'
-        distinct columns times a and b (ReadPlan).  No past key is built,
-        and rotary pairs need not share a scale or a group.
+        distinct columns times a and b (_plan_reads).  No past key is
+        built, and rotary pairs need not share a scale or a group.  A layer
+        without K smoothing has s = 1 and no delta term.
         """
-        cfg, lc, plan = self.cfg, self.layers[li], self.plan
+        cfg, lc = self.cfg, self.layers[li]
         past, h = self.length, cfg.n_heads
-        s, contraction = plan.k_fold[li]
-        n_seg = len(plan.seg_head)
+        s, contraction = self.k_fold[li]
+        n_seg = len(self.seg_head)
         k_rot = rope(k_cur, np.arange(past, past + 1), cfg.rope_base, cfg.head_dim)
 
         def k(qh: np.ndarray) -> np.ndarray:
             q = qh.reshape(-1)
-            a, b = contraction * (q * s)[:, None], contraction * (q[plan.swap] * s)[:, None]
-            codes, cos_codes = self.scratch[:past], plan.work[:past]
+            a, b = contraction * (q * s)[:, None], contraction * (q[self.swap] * s)[:, None]
+            codes, cos_codes = self.scratch[:past], self.work[:past]
             codes[...] = lc.k_codes[:past]
-            np.multiply(plan.cos[:past], codes, out=cos_codes)
-            sin_codes = np.multiply(codes, plan.sin[:past], out=codes)
+            np.multiply(self.cos[:past], codes, out=cos_codes)
+            sin_codes = np.multiply(codes, self.sin[:past], out=codes)
             seg = cos_codes @ a[:, :n_seg]
             seg -= sin_codes @ b[:, :n_seg]
-            # (past, segments + H): sum(U) per segment, U . (delta / s) per head
-            sums = plan.cos_cols[:past] @ (plan.to_cos @ a)
-            sums -= plan.sin_cols[:past] @ (plan.to_sin @ b)
-            seg *= lc.k_n[:past, plan.seg_group]
-            seg += sums[:, :n_seg] * lc.k_m[:past, plan.seg_group]
+            # (past, segments [+ H]): sum(U) per segment [, U . (delta / s) per head]
+            sums = self.cos_cols[:past] @ (self.to_cos @ a)
+            sums -= self.sin_cols[:past] @ (self.to_sin @ b)
+            seg *= lc.k_n[:past, self.seg_group]
+            seg += sums[:, :n_seg] * lc.k_m[:past, self.seg_group]
+            raw = seg @ self.seg_to_head
+            if sums.shape[1] > n_seg:
+                raw += sums[:, n_seg:]
             scores = np.empty((h, 1, past + 1), dtype=np.float32)
-            scores[:, 0, :past] = (seg @ plan.seg_to_head + sums[:, n_seg:]).T
+            scores[:, 0, :past] = raw.T
             scores[:, 0, past] = (q * k_rot[0]).reshape(h, -1).sum(axis=1)
             return scores
 

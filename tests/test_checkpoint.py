@@ -356,6 +356,17 @@ class TestModelRoundtrip:
         assert str(err.value) == (f"tensor {name!r} has shape {list(bad)}, expected "
                                   f"{list(good)} from the config")
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1e-7, np.nan, np.inf])
+    def test_smoothing_scale_out_of_range(self, tmp_path, bad):
+        # a decode step divides by s, so a file's s must be finite and >= S_FLOOR
+        p = str(tmp_path / "m.kvq")
+        save_model(self.make(quantize=True, smooth=True), p)
+        config, meta, tensors = read_container(p)
+        tensors["blocks.1.k.smooth.s"][3] = bad
+        write_container(p, config, meta, tensors)
+        with pytest.raises(DataFormatError, match=r"'blocks\.1\.k\.smooth\.s'"):
+            load_model(p)
+
     def test_bad_config_rejected(self, tmp_path):
         p = str(tmp_path / "m.kvq")
         write_container(p, {"bogus_field": 1}, {}, {})

@@ -529,25 +529,35 @@ class TestFoldedCacheRead:
     @pytest.mark.parametrize("group, head_dim, n_heads", LAYOUTS)
     def test_fold_matches_materialized_read(self, monkeypatch, group, head_dim, n_heads, smooth):
         # decode steps onto a past of about 300 rows score the codes through
-        # the query (_folded_k); the reference materializes every past key
+        # the query (_folded_k), whatever the segment count; the reference
+        # materializes every past key
         base = make_model(seed=4, n_heads=n_heads, head_dim=head_dim, max_seq_len=320,
                           hidden_size=n_heads * head_dim, kv_group_size=group)
         spread_kv_channels(base, 2.0, seed=4)
         m = quantized(smoothed(base) if smooth else base)
         ids = np.random.default_rng(4).integers(0, m.config.vocab_size, 304)
 
-        def run():
+        def run(max_segments):
+            monkeypatch.setattr(kvq.model, "FOLD_MAX_SEGMENTS", max_segments)
             _, cache = prefill(m, ids[:298])
+            assert cache.fold_k == (max_segments > 0)
             return np.concatenate([decode_step(m, int(tok), cache).data for tok in ids[298:]])
 
         for poq in (True, False):
             for kv_bits in (2, 3, 4, 8):
                 m.config.poq, m.config.kv_bits = poq, kv_bits
-                folded = run()
-                with monkeypatch.context() as patch:
-                    patch.setattr(PoqKvCache, "_folded_k", PoqKvCache._materialized_k)
-                    materialized = run()
+                folded, materialized = run(m.config.hidden_size), run(0)
                 assert np.abs(folded - materialized).max() <= 1e-5, (poq, kv_bits)
+
+    @pytest.mark.parametrize("group, folds", [(32, True), (8, True), (4, True), (2, False),
+                                              (5, False)])
+    def test_fold_only_up_to_max_segments(self, group, folds):
+        # hidden 128 holds 4, 16, 32, 64 and 128 segments; the fold's cost
+        # grows with them, the materialized read's does not
+        m = quantized(make_model(n_heads=4, head_dim=32, hidden_size=128, kv_group_size=group))
+        assert PoqKvCache(m.config, m.blocks).fold_k == folds
+        m.config.kv_bits = 16  # an fp cache
+        assert not PoqKvCache(m.config, m.blocks).fold_k
 
     def test_prefill_and_cache_scoring_unchanged(self, monkeypatch):
         # neither reads a cache one row at a time, so the fold never runs, and
@@ -561,7 +571,7 @@ class TestFoldedCacheRead:
             return logits.data, chunk, score_logits(m, ids, use_cache=True)
 
         got = outputs()
-        monkeypatch.setattr(PoqKvCache, "_folded_k", PoqKvCache._materialized_k)
+        monkeypatch.setattr(kvq.model, "FOLD_MAX_SEGMENTS", 0)
         monkeypatch.setattr(kvq.model, "rope", swap_copy_rope)
         monkeypatch.setattr(kvq.model, "rms_norm", mean_rms_norm)
         monkeypatch.setattr(kvq.model, "quantize_token", mean_quantize_token)
