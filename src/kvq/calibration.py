@@ -15,6 +15,14 @@ parameter gradients.  Past-only quantization is always off during training
 Each block freezes whichever of three candidates has the lowest mean loss
 (the earlier on a tie): identity smoothing over the round-to-nearest weights
 (RTN), the activation-statistics init, and that init after one training run.
+
+The calibration segments have one length, so a pass can stack them as rows
+(see model.block_core).  The fp activations of every block come from one
+such pass, and the statistics init from one.  Each candidate is scored by
+one crr_loss pass over all segments stacked: the mean absolute error over
+every row, which is the mean of the per-segment losses, on Tensors that
+need no gradient, so no tape is recorded.  Training takes one Adam step per
+segment, on the tape, in segment order.
 """
 
 from __future__ import annotations
@@ -127,18 +135,20 @@ class BlockTrainables:
     def smooth_params(self) -> list[Tensor]:
         return [self.s_k, self.d_k, self.s_v, self.d_v]
 
+    def detached(self) -> BlockTrainables:
+        """A copy of the values as Tensors that need no gradient, so a loss
+        over them records no tape."""
+        return BlockTrainables(*(Tensor(p.data.copy()) for p in self.smooth_params()))
+
 
 def init_trainables(model: Model, i: int, x_segs: list[np.ndarray]) -> BlockTrainables:
-    """Smoothing stats of block i's raw K/V activations over the calibration tokens."""
+    """Smoothing stats of block i's raw K/V activations over the calibration
+    tokens, in one pass over the segments stacked as rows."""
     blk = model.blocks[i]
-    ks, vs = [], []
-    norm = Tensor(blk.attn_norm.reshape(1, -1))
-    for x in x_segs:
-        xn = rms_norm(Tensor(x), norm).data
-        ks.append(xn @ blk.k.w + blk.k.b)
-        vs.append(xn @ blk.v.w + blk.v.b)
-    return BlockTrainables.from_smoothing(init_smoothing(np.concatenate(ks, axis=0)),
-                                          init_smoothing(np.concatenate(vs, axis=0)))
+    rows = np.reshape(x_segs, (-1, model.config.hidden_size))
+    xn = rms_norm(rows, blk.attn_norm.reshape(1, -1))
+    return BlockTrainables.from_smoothing(init_smoothing(xn @ blk.k.w + blk.k.b),
+                                          init_smoothing(xn @ blk.v.w + blk.v.b))
 
 
 def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:
@@ -193,29 +203,36 @@ def _calib_kv_fn(model: Model, tp: BlockTrainables):
 def crr_loss(model: Model, i: int, x_i: np.ndarray, tp: BlockTrainables, calib: CalibConfig,
              y_ref: np.ndarray, wq: dict[str, np.ndarray]) -> Tensor:
     """Reconstruction loss for block i spanning up to k blocks (Qblock_i vs
-    fp); wq is the block's quantized_weights."""
+    fp); wq is the block's quantized_weights.
+
+    x_i and y_ref are one segment, (T, C), or equal-length segments stacked,
+    (B, T, C), which run as one pass of B * T rows; the loss is the mean
+    over every row.  It is recorded on the tape when tp needs a gradient."""
     cfg = model.config
     k_eff = min(calib.k, cfg.n_layers - i)
-    positions = np.arange(x_i.shape[0])
+    seq_len, c = x_i.shape[-2:]
+    positions = np.arange(seq_len)
     w = fake_block_weights(model, i, tp, wq)
-    y_hat = block_core(cfg, w, Tensor(x_i), positions, _calib_kv_fn(model, tp))
+    y_hat = block_core(cfg, w, Tensor(x_i.reshape(-1, c)), positions, _calib_kv_fn(model, tp))
     for j in range(i + 1, i + k_eff):
-        y_hat = block_forward(cfg, model.blocks[j], y_hat, 0, j, None, "fp")
-    return reconstruction_loss(y_hat, Tensor(y_ref))
+        y_hat = block_forward(cfg, model.blocks[j], y_hat, 0, j, None, "fp", seq_len=seq_len)
+    return reconstruction_loss(y_hat, Tensor(y_ref.reshape(-1, c)))
 
 
 # -- calibration driver -------------------------------------------------------
 
 
 def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Full-precision inputs x_i to every block (index n_layers = final output)."""
-    acts: list[list[np.ndarray]] = []
-    for ids in segments:
-        xs = [model.embed[np.asarray(ids, dtype=np.int64)].astype(np.float32)]
-        for j, blk in enumerate(model.blocks):
-            xs.append(block_forward(model.config, blk, xs[-1], 0, j, None, "fp"))
-        acts.append(xs)
-    return acts
+    """Full-precision inputs x_i to every block (index n_layers = final
+    output) of each equal-length token segment, in one pass with the
+    segments stacked as rows."""
+    ids = np.asarray(segments, dtype=np.int64)
+    b, t = ids.shape
+    xs = [model.embed[ids.reshape(-1)]]
+    for j, blk in enumerate(model.blocks):
+        xs.append(block_forward(model.config, blk, xs[-1], 0, j, None, "fp", seq_len=t))
+    stacked = [x.reshape(b, t, -1) for x in xs]
+    return [[x[s] for x in stacked] for s in range(b)]
 
 
 def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
@@ -240,16 +257,17 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
 
     initial_loss scores identity smoothing over the round-to-nearest weights
     (the RTN model's block), trajectory[0] the activation-statistics init and
-    trained_loss that init after calib.epochs epochs.  final_loss is the
-    lowest of the three, and the block freezes that candidate; failed means
-    it kept RTN.  A non-finite loss keeps RTN and reports NaN losses.
+    trained_loss that init after calib.epochs epochs, each in one pass over
+    every segment that records no tape.  Training takes one Adam step per
+    segment, in order.  final_loss is the lowest of the three, and the block
+    freezes that candidate; failed means it kept RTN.  A non-finite loss
+    keeps RTN and reports NaN losses.
     """
     wq = quantized_weights(model, i)
+    x, ref = np.stack(x_segs), np.stack(ref_segs)
 
     def mean_loss(tp):
-        val = float(np.mean(
-            [crr_loss(model, i, x, tp, calib, r, wq).item() for x, r in zip(x_segs, ref_segs)]
-        ))
+        val = crr_loss(model, i, x, tp.detached(), calib, ref, wq).item()
         if not np.isfinite(val):
             raise NumericError(f"non-finite calibration loss at block {i}")
         return val
@@ -258,13 +276,13 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
     try:
         initial = mean_loss(rtn)
         tp = init_trainables(model, i, x_segs)
-        init = BlockTrainables(*(Tensor(p.data.copy()) for p in tp.smooth_params()))
+        init = tp.detached()
         trajectory = [mean_loss(tp)]
         opt = AdamW(tp.smooth_params(), calib.lr_smoothing)
         for _ in range(calib.epochs):
             epoch_losses = []
-            for x, r in zip(x_segs, ref_segs):
-                loss = crr_loss(model, i, x, tp, calib, r, wq)
+            for x_seg, r_seg in zip(x_segs, ref_segs):
+                loss = crr_loss(model, i, x_seg, tp, calib, r_seg, wq)
                 opt.zero_grad()
                 loss.backward()
                 opt.step()

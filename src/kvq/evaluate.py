@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CapacityError, DataFormatError, KvqError
 from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and decode_step here)
     Model,
+    ModelConfig,
     block_core,
     block_tensors,
     cache_path_forward,
@@ -134,10 +135,46 @@ def eval_report(model: Model, ids: np.ndarray, use_cache: bool = False,
 # -- toy trainer --------------------------------------------------------------
 
 
+def lm_tensors(model: Model) -> dict:
+    """A model's weights as Tensors that need a gradient, for lm_loss: embed,
+    final_norm, head_w, head_b, and under blocks each block's block_core
+    weights."""
+    p = {"embed": Tensor(model.embed), "final_norm": Tensor(model.final_norm.reshape(1, -1)),
+         "head_w": Tensor(model.head.w), "head_b": Tensor(model.head.b),
+         "blocks": [block_tensors(blk) for blk in model.blocks]}
+    for t in _lm_leaves(p):
+        t.requires_grad = True
+    return p
+
+
+def _lm_leaves(p: dict) -> list[Tensor]:
+    return ([p["embed"], p["final_norm"], p["head_w"], p["head_b"]]
+            + [t for w in p["blocks"] for t in w.values()])
+
+
+def lm_loss(cfg: ModelConfig, p: dict, seqs: np.ndarray) -> Tensor:
+    """Mean next-token NLL of equal-length token windows seqs, (B, T + 1),
+    recorded on the tape in one pass with the sequences stacked as rows: one
+    embedding gather, one block_core per layer and one cross_entropy over
+    all B * T rows, whose mean is the mean of the per-sequence losses.  p is
+    lm_tensors' dict; the KV handler takes k/v outputs as raw K/V."""
+    kv_fn = lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s)
+    positions = np.arange(seqs.shape[1] - 1)
+    x = embedding(p["embed"], seqs[:, :-1].reshape(-1))
+    for w in p["blocks"]:
+        x = block_core(cfg, w, x, positions, kv_fn)
+    logits = rms_norm(x, p["final_norm"]) @ p["head_w"] + p["head_b"]
+    return cross_entropy(logits, seqs[:, 1:].reshape(-1))
+
+
 def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: int = 4,
                 seq_len: int = 64, lr: float = 3e-3, seed: int = 0) -> dict:
     """Brief language-model fit on a byte corpus (dev utility, not calibration).
-    Its KV handler takes k/v outputs as raw K/V, so a smoothed model is refused."""
+    A smoothed model is refused, since lm_loss takes k/v outputs as raw K/V.
+
+    Each step draws batch windows of seq_len + 1 tokens, in order from the
+    seeded generator, and takes one Adam step on their lm_loss: one tape
+    pass over all batch * seq_len rows."""
     from .calibration import AdamW
 
     require_unsmoothed(model, "train_model")
@@ -148,42 +185,22 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
             f"corpus has {len(corpus_ids)} tokens; need at least {seq_len + 1} to train"
         )
     rng = np.random.default_rng(seed)
-
-    embed = Tensor(model.embed)
-    final_norm = Tensor(model.final_norm.reshape(1, -1))
-    head_w = Tensor(model.head.w)
-    head_b = Tensor(model.head.b)
-    blocks = [block_tensors(blk) for blk in model.blocks]
-    params = [embed, final_norm, head_w, head_b] + [p for w in blocks for p in w.values()]
-    for p in params:
-        p.requires_grad = True
-    opt = AdamW(params, lr)
-    kv_fn = lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s)
+    p = lm_tensors(model)
+    opt = AdamW(_lm_leaves(p), lr)
 
     losses = []
     for _ in range(steps):
-        total = None
-        for _b in range(batch):
-            start = int(rng.integers(0, len(corpus_ids) - seq_len - 1))
-            seq = corpus_ids[start : start + seq_len + 1]
-            x = embedding(embed, seq[:-1])
-            positions = np.arange(seq_len)
-            for w in blocks:
-                x = block_core(cfg, w, x, positions, kv_fn)
-            xn = rms_norm(x, final_norm)
-            logits = xn @ head_w + head_b
-            loss = cross_entropy(logits, seq[1:])
-            total = loss if total is None else total + loss
-        total = total / batch
-        losses.append(total.item())
+        starts = [int(rng.integers(0, len(corpus_ids) - seq_len - 1)) for _b in range(batch)]
+        loss = lm_loss(cfg, p, np.stack([corpus_ids[a : a + seq_len + 1] for a in starts]))
+        losses.append(loss.item())
         opt.zero_grad()
-        total.backward()
+        loss.backward()
         opt.step()
 
-    model.embed = embed.data
-    model.final_norm = final_norm.data.reshape(-1)
-    model.head.set(head_w.data, head_b.data)
-    for blk, w in zip(model.blocks, blocks):
+    model.embed = p["embed"].data
+    model.final_norm = p["final_norm"].data.reshape(-1)
+    model.head.set(p["head_w"].data, p["head_b"].data)
+    for blk, w in zip(model.blocks, p["blocks"]):
         blk.attn_norm = w["attn_norm"].data.reshape(-1)
         blk.mlp_norm = w["mlp_norm"].data.reshape(-1)
         for name, lin in blk.projections().items():

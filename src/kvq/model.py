@@ -11,23 +11,24 @@ Quantization modes:
 * weight_activation  - quantized weights plus per-token RTN quantization of
                        every linear-layer input (sensitivity harness only).
 
-The cache stores pre-rotary smoothed K (and V) as codes, and a decode step
-maps neither back to raw space.  The keys' dequantization, un-smoothing and
-rotation are folded into the query: with U = cos * (q * s) - sin *
-(sigma(q) * s) over the past rows' rope tables, a segment of codes scores
-n * sum(U * codes) + m * sum(U), which the step computes without forming U
-or any past key (PoqKvCache._folded_k).  Its cost grows with the number of
+A quantized cache stores pre-rotary smoothed K (and V) as codes, and a
+decode step maps neither back to raw space.  The keys' dequantization,
+un-smoothing and rotation are folded into the query: with U = cos * (q * s)
+- sin * (sigma(q) * s) over the past rows' rope tables, a segment of codes
+scores n * sum(U * codes) + m * sum(U), which the step computes without
+forming U or any past key (PoqKvCache._folded_k).  Its cost grows with the number of
 segments, hidden / gcd(kv_group_size, head_dim), so only a cache of at most
 FOLD_MAX_SEGMENTS segments folds K.  The values' dequantization and
 un-smoothing are folded past the attention weights (PoqKvCache.read_raw).
-A chunk of more than one row onto a filled cache, every read of an fp
-cache and every K read of a cache with more segments still build the
-rotated past keys (PoqKvCache._materialized_k), which is the fold's
-equivalence reference.  A quantized cache plans its reads once, when it is
-built (PoqKvCache._plan_reads): segment indices, each layer's smoothing and,
-when it folds K, contraction matrices, the rope tables and a work buffer.
-That buffer and the cache's scratch buffer are shared by the layers and
-overwritten by every read.
+A chunk of more than one row onto a filled cache and every K read of a
+cache with more segments still build the rotated past keys
+(PoqKvCache._materialized_k), which is the fold's equivalence reference.
+An fp cache (fp and weight_only) stores each chunk's K rows rotated, once,
+at append, and its reads take them as stored.  A quantized cache plans its
+reads once, when it is built (PoqKvCache._plan_reads): segment indices,
+each layer's smoothing and, when it folds K, contraction matrices, the rope
+tables and a work buffer.  That buffer and the cache's scratch buffer are
+shared by the layers and overwritten by every read.
 
 Setting: a forward without a cache runs model.config.  A cache keeps a copy
 of the config it was built with (PoqKvCache.cfg), and every forward onto it
@@ -50,14 +51,23 @@ weighted sum together.  Given Tensors (calibration, training) the block is
 recorded on the autodiff tape; the runtime forward (prefill, decode_step,
 cache_path_forward) passes plain float32 arrays and records nothing.
 
+Without a cache, block_core also takes B equal-length sequences stacked as
+rows, (B*T, C), each at the same T positions: every op but rope and
+attention works row by row, rope gives each sequence the same table rows,
+and causal_attention masks each sequence on its own (seqs).  Training and
+calibration's candidate losses and activations run a batch in one pass
+this way.  A forward onto a cache takes one sequence.  Stacking leaves
+each sequence's attention bit for bit as its one-sequence call computes it;
+only the projections' matmuls see more rows, which can move float32 sums
+(and the weight gradients sum over every sequence).
+
 Attention takes the query rows ATTN_BLOCK at a time, so a long chunk never
 holds its whole (heads, T, T) scores matrix and never scores the masked keys
 past a block's last row.  This covers prefill, cacheless scoring and
-cache_path_forward.  Two cases stay one block, the whole matrix: the tape,
-whose backward keeps one probabilities buffer, and a chunk onto a filled
-cache, whose folded value read overwrites the keys that later blocks would
-still need.  Calibration and training thus keep their arithmetic bit for
-bit.
+cache_path_forward.  Two cases stay one block per sequence, the whole
+matrix: the tape, whose backward keeps one probabilities buffer, and a
+chunk onto a filled cache, whose folded value read overwrites the keys that
+later blocks would still need.
 
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
@@ -85,7 +95,7 @@ from .quantizers import (
     quantize_token,
     quantize_weight,
 )
-from .tensor import Tensor, rms_norm, rope, rope_table, silu, softmax_causal
+from .tensor import Tensor, rms_norm, rope, rope_table, sequences, silu, softmax_causal
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -278,10 +288,10 @@ class PoqKvCache:
     """Per-layer paged store of past keys/values.
 
     Quantized layout holds token codes of the smoothed pre-rotary projections
-    plus per-(token, group) parameters; the fp layout holds raw-space arrays
-    (pre-rotary K).  cfg is a copy of the config the cache was built with,
-    the setting of every forward onto it, and a quantized cache plans its
-    reads with it (_plan_reads).  length counts the positions every layer
+    plus per-(token, group) parameters; the fp layout holds raw-space arrays,
+    K rotated at append.  cfg is a copy of the config the cache was built
+    with, the setting of every forward onto it, and a quantized cache plans
+    its reads with it (_plan_reads).  length counts the positions every layer
     holds; only model_forward advances it.  One (max_seq_len, hidden) float32
     scratch buffer serves every layer's reads, and a cache whose decode steps
     fold K holds a second one (work).
@@ -344,9 +354,10 @@ class PoqKvCache:
             delta_s = (channel // d == np.arange(h)) * (sp.delta / sp.s)[:, None]
             self.k_fold.append((sp.s, np.concatenate([ones, delta_s], axis=1).astype(np.float32)))
 
-    def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_raw: np.ndarray, v_raw: np.ndarray) -> None:
+    def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_rot: np.ndarray, v_raw: np.ndarray) -> None:
         """Store a chunk's KV for layer li at rows length .. length+t-1
-        (k_s/v_s smoothed, k_raw/v_raw raw)."""
+        (k_s/v_s smoothed, k_rot rotated raw keys, v_raw raw values): codes of
+        k_s and v_s, or k_rot and v_raw themselves in the fp layout."""
         t = k_s.shape[0]
         start = self.length
         if start + t > self.cfg.max_seq_len:
@@ -363,21 +374,21 @@ class PoqKvCache:
             lc.k_m[rows], lc.v_m[rows] = q.m[:t], q.m[t:]
             lc.k_n[rows], lc.v_n[rows] = q.n[:t], q.n[t:]
         else:
-            lc.k_fp[rows] = k_raw
+            lc.k_fp[rows] = k_rot
             lc.v_fp[rows] = v_raw
 
     def read_raw(self, li: int, k_cur: np.ndarray, v_cur: np.ndarray):
         """Layer li's attention inputs over its rows 0 .. length-1 and the
-        chunk's raw rows k_cur, v_cur (pre-rotary K) at length .. length+t-1.
+        chunk's raw rows k_cur (rotated), v_cur at length .. length+t-1.
 
         Returns (k, v).  v(p) applies (H, T, length + t) attention weights to
         the values, giving (H, T, head_dim).  On a decode step (one row) onto
         a quantized cache that folds K (fold_k), k(qh) maps the (H, 1,
         head_dim) rotated query to its (H, 1, length + 1) raw scores
         (_folded_k) and no past key is built.  Otherwise k is the (length +
-        t, hidden) rotated keys in the scratch buffer (_materialized_k), the
-        fold's equivalence reference.  v(p) overwrites the scratch buffer, so
-        k must be used before v is called.
+        t, hidden) rotated keys (_materialized_k), the fold's equivalence
+        reference.  v(p) overwrites the scratch buffer, so k must be used
+        before v is called.
 
         Quantized values stay codes.  Take a segment of w channels
         (_plan_reads) with per-token parameters m, n and smoothing s, delta.
@@ -415,23 +426,25 @@ class PoqKvCache:
         return k, v
 
     def _materialized_k(self, li: int, k_cur: np.ndarray) -> np.ndarray:
-        """Layer li's past keys and the chunk's own, rotated, in the scratch
-        buffer: the codes are dequantized and un-smoothed in place first."""
+        """Layer li's past keys and the chunk's own rotated k_cur.  An fp
+        cache holds them, appended rotated.  A quantized cache's past codes
+        are dequantized, un-smoothed and rotated in place in the scratch
+        buffer."""
         cfg, lc = self.cfg, self.layers[li]
         past, t = self.length, k_cur.shape[0]
+        if not lc.quantized:
+            return lc.k_fp[: past + t]
         k = self.scratch[: past + t]
-        if lc.quantized:
-            spec = cfg.token_spec()
-            qk = QuantizedTensor("token", lc.k_codes[:past], spec.bits, spec.group_size,
-                                 m=lc.k_m[:past], n=lc.k_n[:past])
-            dequantize(qk, out=k[:past])
-            sp = self.kv_smoothing[li][0]
-            if sp is not None:
-                apply_kv_smoothing(k[:past], sp, "to_raw", out=k[:past])
-        else:
-            k[:past] = lc.k_fp[:past]
+        spec = cfg.token_spec()
+        qk = QuantizedTensor("token", lc.k_codes[:past], spec.bits, spec.group_size,
+                             m=lc.k_m[:past], n=lc.k_n[:past])
+        dequantize(qk, out=k[:past])
+        sp = self.kv_smoothing[li][0]
+        if sp is not None:
+            apply_kv_smoothing(k[:past], sp, "to_raw", out=k[:past])
+        rope(k[:past], np.arange(past), cfg.rope_base, cfg.head_dim, out=k[:past])
         k[past:] = k_cur
-        return rope(k, np.arange(past + t), cfg.rope_base, cfg.head_dim, out=k)
+        return k
 
     def _folded_k(self, li: int, k_cur: np.ndarray):
         """k(qh): one query row's raw scores over layer li's past codes, then
@@ -454,7 +467,6 @@ class PoqKvCache:
         past, h = self.length, cfg.n_heads
         s, contraction = self.k_fold[li]
         n_seg = len(self.seg_head)
-        k_rot = rope(k_cur, np.arange(past, past + 1), cfg.rope_base, cfg.head_dim)
 
         def k(qh: np.ndarray) -> np.ndarray:
             q = qh.reshape(-1)
@@ -475,7 +487,7 @@ class PoqKvCache:
                 raw += sums[:, n_seg:]
             scores = np.empty((h, 1, past + 1), dtype=np.float32)
             scores[:, 0, :past] = raw.T
-            scores[:, 0, past] = (q * k_rot[0]).reshape(h, -1).sum(axis=1)
+            scores[:, 0, past] = (q * k_cur[0]).reshape(h, -1).sum(axis=1)
             return scores
 
         return k
@@ -508,80 +520,86 @@ class PoqKvCache:
 ATTN_BLOCK = 128
 
 
-def causal_attention(q, k, v, n_heads: int, diag=None):
-    """softmax(q k^T / sqrt(d) + causal mask) v for every head.
+def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
+    """softmax(q k^T / sqrt(d) + causal mask) v for every head of seqs
+    sequences stacked as rows.
 
-    k and v are (S, H*D) at positions 0 .. S-1, and q is (T, H*D) at the
-    last T of them, S-T .. S-1.  The heads are (H, rows, D) views of the
-    inputs.  Query rows are taken ATTN_BLOCK at a time: rows [a, b) score
-    only the keys [0, S-T+b) they can see, in an (H, b-a, S-T+b) buffer that
-    becomes the probabilities in place, and write their rows of the output.
-    Tensors make one tape node whose backward keeps only the inputs and the
-    probabilities, so on the tape the whole chunk is one block.
+    Each sequence attends only within itself.  Its k and v rows are (S, H*D)
+    at positions 0 .. S-1, and its q rows are (T, H*D) at the last T of
+    them, S-T .. S-1.  The heads are (seqs, H, rows, D) views of the inputs,
+    (H, rows, D) for one sequence.  Query rows are taken ATTN_BLOCK at a
+    time: rows [a, b) of every sequence score only the keys [0, S-T+b) they
+    can see, in a (seqs, H, b-a, S-T+b) buffer that becomes the
+    probabilities in place, and write their rows of the output.  Tensors
+    make one tape node whose backward keeps only the inputs and the
+    probabilities, so on the tape a sequence is one block.
 
-    Arrays record nothing, and there a cache read may hand over functions
-    instead (PoqKvCache.read_raw): k(qh) -> (H, T, S) raw scores of the
-    (H, T, D) query heads, as a decode step's folded keys give them, and
-    v(p) -> (H, T, D) applying the probabilities, as folded values do.  Each
-    takes every row at once (v(p) overwrites the keys' buffer), so then the
-    chunk runs as one block.  One block is the whole (H, T, S) matrix:
-    chunks onto a filled cache, calibration and training keep that
-    arithmetic bit for bit.
+    Arrays record nothing, and there a cache read of one sequence may hand
+    over functions instead (PoqKvCache.read_raw): k(qh) -> (H, T, S) raw
+    scores of the (H, T, D) query heads, as a decode step's folded keys give
+    them, and v(p) -> (H, T, D) applying the (H, T, S) probabilities, as
+    folded values do.  Each takes every row at once (v(p) overwrites the
+    keys' buffer), so then the chunk runs as one block.
 
-    On arrays only, the POQ diagonal diag = (k_cur, v_cur), each (T, H*D),
-    stands in for the keys and values at column S-T+i of query row i: with k
-    and v from the cache round trip, every row attends as a decode step does.
+    On arrays only, the POQ diagonal diag = (k_cur, v_cur), each shaped as
+    q, stands in for the keys and values at column S-T+i of query row i:
+    with k and v from the cache round trip, every row attends as a decode
+    step does.
     """
     tape = isinstance(q, Tensor)
     data = (lambda a: a.data) if tape else (lambda a: a)
-    t = q.shape[0]
+    t = q.shape[0] // seqs
     d = q.shape[1] // n_heads
     scale = np.float32(1.0 / np.sqrt(d))
+    lead = (seqs,) if seqs > 1 else ()  # one sequence keeps (H, rows, D) heads
 
     def heads(a: np.ndarray, rows: int) -> np.ndarray:
-        return a.reshape(rows, n_heads, d).transpose(1, 0, 2)
+        return a.reshape(*lead, rows, n_heads, d).swapaxes(-3, -2)
 
     def merge(a: np.ndarray) -> np.ndarray:
-        return a.transpose(1, 0, 2).reshape(a.shape[1], n_heads * d)
+        return a.swapaxes(-3, -2).reshape(-1, n_heads * d)
 
     qh = heads(data(q), t)
     if callable(k):
         scores = k(qh)
         s = scores.shape[-1]
     else:
-        s = k.shape[0]
+        s = k.shape[0] // seqs
         kh = heads(data(k), s)
     offset = s - t
     vh = None if callable(v) else heads(data(v), s)
     if diag is not None:
         kch, vch = heads(diag[0], t), heads(diag[1], t)
     step = max(t, 1) if tape or callable(k) or callable(v) else ATTN_BLOCK
-    out = np.empty((t, n_heads, d), dtype=qh.dtype)
+    out = np.empty((*lead, t, n_heads, d), dtype=qh.dtype)
     for a in range(0, t, step):
         b = min(a + step, t)
         cols = offset + b
-        p = scores if callable(k) else np.matmul(qh[:, a:b], kh[:, :cols].transpose(0, 2, 1))
+        if callable(k):
+            p = scores
+        else:
+            p = np.matmul(qh[..., a:b, :], kh[..., :cols, :].swapaxes(-1, -2))
         if diag is not None:
             rows = np.arange(b - a)
-            ii = (slice(None), rows, rows + offset + a)
-            p[ii] = np.einsum("htd,htd->ht", qh[:, a:b], kch[:, a:b])
+            ii = (..., rows, rows + offset + a)
+            p[ii] = np.einsum("...td,...td->...t", qh[..., a:b, :], kch[..., a:b, :])
         p *= scale
         softmax_causal(p, offset + a)
-        o = v(p) if callable(v) else np.matmul(p, vh[:, :cols])
+        o = v(p) if callable(v) else np.matmul(p, vh[..., :cols, :])
         if diag is not None:
-            o += p[ii][..., None] * (vch[:, a:b] - vh[:, offset + a : cols])
-        out[a:b] = o.transpose(1, 0, 2)
-    out = out.reshape(t, n_heads * d)
+            o += p[ii][..., None] * (vch[..., a:b, :] - vh[..., offset + a : cols, :])
+        out[..., a:b, :, :] = o.swapaxes(-3, -2)
+    out = out.reshape(seqs * t, n_heads * d)
     if not tape:
         return out
 
     def backward(g):
         gh = heads(g, t)
-        dp = np.matmul(gh, vh.transpose(0, 2, 1))
-        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        dp = np.matmul(gh, vh.swapaxes(-1, -2))
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         ds *= scale
-        grads = (np.matmul(ds, kh), np.matmul(qh.transpose(0, 2, 1), ds).transpose(0, 2, 1),
-                 np.matmul(p.transpose(0, 2, 1), gh))
+        grads = (np.matmul(ds, kh), np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2),
+                 np.matmul(p.swapaxes(-1, -2), gh))
         for a, ga in zip((q, k, v), grads):
             if a.requires_grad:
                 a._accum(merge(ga))
@@ -629,16 +647,20 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     """One decoder block given its weights and a KV handler.
 
     x and the weights are all Tensors (recorded on the tape) or all arrays.
+    x stacks equal-length sequences as rows, each at positions (so a row
+    count that is not a multiple of len(positions) raises DimensionError).
     kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and must
     return (k_all_rotated, v_all): raw-space attention inputs covering past +
-    current tokens, the chunk's rows last, so the causal mask follows from
-    their row counts.  A third element, if returned, is causal_attention's
-    POQ diagonal; on arrays k_all may be a function of the query heads and
-    v_all one of the attention weights (see causal_attention).  The runtime
+    current tokens of each sequence, the chunk's rows last, so the causal
+    mask follows from their row counts.  A third element, if returned, is
+    causal_attention's POQ diagonal; on arrays k_all may be a function of the
+    query heads and v_all one of the attention weights (see
+    causal_attention).  The runtime
     cache path and the calibration fake-quant path both plug in through
     kv_fn, so the surrounding arithmetic is shared bit-for-bit.
     """
     aq = act_fn if act_fn is not None else (lambda y: y)
+    seqs = sequences(x.shape[0], positions)
 
     xn = rms_norm(x, w["attn_norm"])
     xq = aq(xn)
@@ -648,7 +670,7 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
 
     q_rot = rope(q, positions, cfg.rope_base, cfg.head_dim)
     k_all, v_all, *diag = kv_fn(k_s, v_s, positions)
-    merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, *diag)
+    merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, *diag, seqs=seqs)
     out = aq(merged) @ w["o_w"] + w["o_b"]
     x = x + out
 
@@ -662,18 +684,23 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
 
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
                    cache: PoqKvCache | None, mode: str):
-    """Append the chunk's rows to the cache, then attend over its past rows
-    plus the chunk's.  A cache needs array inputs."""
+    """Rotate the chunk's keys, append the chunk's rows to the cache, then
+    attend over its past rows plus the chunk's.  A cache needs array inputs
+    of one sequence; stacked sequences raise UsageError."""
     spec = cfg.token_spec() if mode == "weight_kv" and cfg.kv_quantized and not cfg.poq else None
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
         k_raw, v_raw = _raw_kv(blk, k_s, v_s, spec)
-        past = 0 if cache is None else cache.length
+        k_rot = rope(k_raw, positions, cfg.rope_base, cfg.head_dim)
         if cache is not None:
-            cache.append(li, k_s, v_s, k_raw, v_raw)
-        if past:
-            return cache.read_raw(li, k_raw, v_raw)
-        return rope(k_raw, positions, cfg.rope_base, cfg.head_dim), v_raw
+            if k_s.shape[0] != len(positions):
+                raise UsageError(f"a forward onto a cache takes one sequence, got "
+                                 f"{k_s.shape[0]} rows at {len(positions)} positions")
+            past = cache.length
+            cache.append(li, k_s, v_s, k_rot, v_raw)
+            if past:
+                return cache.read_raw(li, k_rot, v_raw)
+        return k_rot, v_raw
 
     return kv_fn
 
@@ -700,10 +727,13 @@ def block_forward(
     cache: PoqKvCache | None,
     mode: str,
     act_fn=None,
+    seq_len: int | None = None,
 ):
     """Block li over x, whose first row sits at start_pos (cache.length with a
-    cache).  A Tensor x is recorded on the tape (no cache); an array is not."""
-    positions = np.arange(start_pos, start_pos + x.shape[0])
+    cache).  Without a cache, x may stack sequences of seq_len rows each (one
+    sequence by default).  A Tensor x is recorded on the tape (no cache); an
+    array is not."""
+    positions = np.arange(start_pos, start_pos + (x.shape[0] if seq_len is None else seq_len))
     kv_fn = _runtime_kv_fn(cfg, blk, li, cache, mode)
     w = block_tensors(blk) if isinstance(x, Tensor) else block_arrays(blk)
     return block_core(cfg, w, x, positions, kv_fn, act_fn=act_fn)

@@ -37,13 +37,6 @@ S_FLOOR = 1e-6
 SPREAD_EPS = 1e-12
 
 
-def group_bounds(n: int, group_size: int) -> list[tuple[int, int]]:
-    """Partition n channels into groups of group_size; the tail may be short."""
-    if group_size < 1:
-        raise KvqError(f"group_size must be positive, got {group_size}")
-    return [(a, min(a + group_size, n)) for a in range(0, n, group_size)]
-
-
 # -- parameter containers -----------------------------------------------------
 
 
@@ -122,13 +115,6 @@ class QuantizedTensor:
     n: np.ndarray | None = None
     h: np.ndarray | None = None
     z: np.ndarray | None = None
-
-    def nbytes_modeled(self) -> int:
-        """Bytes under the deployment model: packed codes + 16-bit params."""
-        param_count = (self.m.size + self.n.size) if self.kind == "token" else (
-            self.h.size + self.z.size
-        )
-        return self.codes.size * self.bits // 8 + param_count * 2
 
 
 # -- smoothing ----------------------------------------------------------------

@@ -12,9 +12,15 @@ the ops the model, calibration and training call.
 The transformer primitives work on all heads at once.  rope rotates a
 (T, n_heads * head_dim) tensor in one op, slicing cos/sin from a float32
 table that repeats each head's angles across the width, is computed in
-float64 once per (base, head_dim, width) and is grown on demand.  softmax_causal is an in-place kernel on a plain (..., T, S) array,
-so a caller can turn its (heads, T, S) scores buffer into probabilities
-without a copy.
+float64 once per (base, head_dim, width) and is grown on demand.
+softmax_causal is an in-place kernel on a plain (..., T, S) array, so a
+caller can turn its (heads, T, S) scores buffer into probabilities without
+a copy.
+
+Equal-length sequences can be stacked as rows, (B*T, C): rms_norm, silu,
+matmul, embedding and cross_entropy work row by row, and rope takes B from
+the row count and the T positions (sequences).  The Tensor matmul stays
+2-d.
 
 rms_norm, rope and silu take a Tensor, which records a tape op, or a plain
 float32 array, which records nothing and runs the same arithmetic: the
@@ -359,10 +365,21 @@ def rope_table(base: float, head_dim: int, width: int,
     return cos, sin
 
 
+def sequences(rows: int, positions: np.ndarray) -> int:
+    """How many sequences of len(positions) rows are stacked in rows; a row
+    count that is not a multiple raises DimensionError."""
+    t = len(positions)
+    if rows % t if t else rows:
+        raise DimensionError(f"{rows} rows do not stack sequences of {t} positions")
+    return rows // t if t else 1
+
+
 def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None = None,
          out: np.ndarray | None = None):
-    """Rotary position embedding on a (T, n_heads * head_dim) Tensor or array.
+    """Rotary position embedding on a (B*T, n_heads * head_dim) Tensor or array.
 
+    x stacks B equal-length sequences as rows, each at the T positions given
+    (sequences); every row of a sequence takes its position's table row.
     Every head is rotated in the rotate-half layout, [x1, x2] ->
     [x1 cos - x2 sin, x2 cos + x1 sin]; head_dim defaults to the full width
     (one head).  positions must be a contiguous ascending range, so cos/sin
@@ -371,22 +388,27 @@ def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None =
     """
     tape = isinstance(x, Tensor)
     _check_finite("rope", x.data if tape else x)
-    t, width = x.shape
+    rows, width = x.shape
     d = width if head_dim is None else head_dim
     if d % 2 != 0 or width % d != 0:
         raise DimensionError(f"rope requires an even head_dim dividing {width}, got {d}")
     positions = np.asarray(positions)
+    t = positions.shape[0] if positions.ndim == 1 else 0
     start = int(positions[0]) if t else 0
-    if positions.shape != (t,) or start < 0 or (t > 1 and np.any(np.diff(positions) != 1)):
-        raise DimensionError("rope positions must be a contiguous range from >= 0")
+    if (positions.ndim != 1 or start < 0 or (t > 1 and np.any(np.diff(positions) != 1))
+            or (rows % t if t else rows)):
+        raise DimensionError("rope positions must be a contiguous range from >= 0, "
+                             "one per row of each stacked sequence")
     cos, sin = rope_table(base, d, width, start + t)
     cos, sin = cos[start : start + t], sin[start : start + t]
+    if rows > t:  # every stacked sequence takes the same table rows
+        cos, sin = np.tile(cos, (rows // t, 1)), np.tile(sin, (rows // t, 1))
 
     def rotate(a: np.ndarray, sin_rows: np.ndarray, out=None) -> np.ndarray:
         # the swapped halves are one copy of a view with the half axis
         # reversed, taken before out is written, so out may be a
-        swapped = np.ascontiguousarray(a.reshape(t, width // d, 2, d // 2)[:, :, ::-1])
-        swapped = swapped.reshape(t, width)
+        swapped = np.ascontiguousarray(a.reshape(rows, width // d, 2, d // 2)[:, :, ::-1])
+        swapped = swapped.reshape(rows, width)
         swapped *= sin_rows
         out = np.multiply(a, cos, out=out)
         out += swapped

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kvq.errors import KvqError
 from kvq.evaluate import encode_bytes, train_model
 from kvq.model import Model, ModelConfig, spread_kv_channels
 
@@ -20,6 +21,13 @@ def tiny_config(**kw) -> ModelConfig:
     )
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def group_bounds(n: int, group_size: int) -> list[tuple[int, int]]:
+    """Partition n channels into groups of group_size; the tail may be short."""
+    if group_size < 1:
+        raise KvqError(f"group_size must be positive, got {group_size}")
+    return [(a, min(a + group_size, n)) for a in range(0, n, group_size)]
 
 
 def word_corpus(seed: int, n_words: int = 1000) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import WORDS, fitted_model, tiny_config
+from conftest import WORDS, fitted_model, group_bounds, tiny_config
 from test_quantizers import oracle_token, oracle_weight
 
 from kvq import calibration
@@ -47,7 +47,6 @@ from kvq.quantizers import (
     WeightQuantSpec,
     apply_kv_smoothing,
     dequantize,
-    group_bounds,
     init_smoothing,
     quantize_token,
     quantize_weight,

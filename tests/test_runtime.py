@@ -9,7 +9,7 @@ import pytest
 from conftest import tiny_config
 import kvq.evaluate
 import kvq.model
-from kvq.errors import CapacityError, KvqError, NumericError, UsageError
+from kvq.errors import CapacityError, DimensionError, KvqError, NumericError, UsageError
 from kvq.evaluate import score_logits
 from kvq.model import (
     ATTN_BLOCK,
@@ -19,6 +19,7 @@ from kvq.model import (
     ModelConfig,
     PoqKvCache,
     attach_kv_smoothing,
+    block_forward,
     causal_attention,
     decode_step,
     generate,
@@ -220,8 +221,8 @@ class TestSlimKernels:
 
 
 def tape_read_raw(cache, li, blk):
-    """Raw-space (pre-rotary K) past K/V of layer li (block blk): dequantize,
-    then un-smooth."""
+    """Raw-space past K/V of layer li (block blk): dequantize, then un-smooth
+    (pre-rotary K), or an fp cache's rows (rotated K)."""
     lc, t = cache.layers[li], cache.length
     if not lc.quantized:
         return lc.k_fp[:t], lc.v_fp[:t]
@@ -237,10 +238,13 @@ def tape_read_raw(cache, li, blk):
 
 
 def tape_append(cache, li, k_s, v_s, k_raw, v_raw):
-    """Store a chunk's rows, quantizing K and V in separate calls."""
+    """Store a chunk's rows, quantizing K and V in separate calls; an fp
+    cache stores K rotated."""
     lc, rows = cache.layers[li], slice(cache.length, cache.length + k_s.shape[0])
     if not lc.quantized:
-        lc.k_fp[rows], lc.v_fp[rows] = k_raw, v_raw
+        cfg = cache.cfg
+        lc.k_fp[rows] = rope(k_raw, np.arange(rows.start, rows.stop), cfg.rope_base, cfg.head_dim)
+        lc.v_fp[rows] = v_raw
         return
     for y, codes, m, n in ((k_s, lc.k_codes, lc.k_m, lc.k_n), (v_s, lc.v_codes, lc.v_m, lc.v_n)):
         q = quantize_token(y, cache.cfg.token_spec())
@@ -264,7 +268,9 @@ def tape_runtime_kv_fn(cfg, blk, li, cache, mode):
         past = 0 if cache is None else cache.length
         if past:
             k_past, v_past = tape_read_raw(cache, li, blk)
-            k_past = rope(Tensor(k_past), np.arange(past), cfg.rope_base, cfg.head_dim)
+            k_past = Tensor(k_past)
+            if cache.layers[li].quantized:
+                k_past = rope(k_past, np.arange(past), cfg.rope_base, cfg.head_dim)
             k_all = concat_rows([k_past, k_all])
             v_all = concat_rows([Tensor(v_past), v_all])
         if cache is not None:
@@ -604,6 +610,81 @@ class TestFoldedCacheRead:
         getattr(cache.layers[-1], name)[3, 0] = np.nan
         with pytest.raises(NumericError):
             decode_step(m, 5, cache)
+
+
+class TestFpCacheRotatedKeys:
+    """An fp cache (fp and weight_only) stores each chunk's K rows rotated,
+    once, at append; reads take them as stored."""
+
+    @pytest.mark.parametrize("mode", ["fp", "weight_only"])
+    def test_stored_rows_are_rope_of_the_raw_rows(self, monkeypatch, mode):
+        m = quantized(make_model(seed=6), mode)
+        cfg, raw = m.config, []
+        raw_kv = kvq.model._raw_kv
+
+        def recording(*args):
+            k, v = raw_kv(*args)
+            raw.append(k)
+            return k, v
+
+        monkeypatch.setattr(kvq.model, "_raw_kv", recording)
+        _, cache = prefill(m, IDS[:10])
+        model_forward(m, IDS[10:16], cache=cache)
+        for tok in IDS[16:20]:
+            decode_step(m, int(tok), cache)
+        start = 0
+        for first in range(0, len(raw), cfg.n_layers):  # one forward: one call per layer
+            t = raw[first].shape[0]
+            for li in range(cfg.n_layers):
+                want = rope(raw[first + li], np.arange(start, start + t), cfg.rope_base,
+                            cfg.head_dim)
+                assert np.array_equal(cache.layers[li].k_fp[start : start + t], want)
+            start += t
+        assert start == cache.length == 20
+
+    def test_weight_only_decode_matches_cacheless_forward(self):
+        # max |dlogit| measured 6.0e-8 over these 9 rows (logits up to 0.37)
+        m = quantized(make_model(seed=6), "weight_only")
+        logits, cache = prefill(m, IDS[:12])
+        rows = [logits.data] + [decode_step(m, int(tok), cache).data for tok in IDS[12:20]]
+        full = model_forward(m, IDS[:20]).data
+        assert np.abs(np.concatenate(rows) - full).max() <= 1e-5
+
+
+class TestStackedForward:
+    """Without a cache a block takes equal-length sequences stacked as rows;
+    its one-sequence call is the reference."""
+
+    @pytest.mark.parametrize("t", [1, 8])
+    def test_block_matches_each_sequence(self, t):
+        # max |diff| measured 0.0 at t = 1 and 8 (tiny config, 3 sequences)
+        m = make_model(seed=8)
+        ids = np.random.default_rng(8).integers(0, m.config.vocab_size, (3, t))
+        x = m.embed[ids.reshape(-1)]
+        for tape in (False, True):
+            xin = Tensor(x) if tape else x
+            got = block_forward(m.config, m.blocks[0], xin, 0, 0, None, "fp", seq_len=t)
+            got = got.data if tape else got
+            for i, seq in enumerate(ids):
+                one = block_forward(m.config, m.blocks[0], m.embed[seq], 0, 0, None, "fp")
+                assert np.abs(got[i * t : (i + 1) * t] - one).max() <= 1e-6
+
+    def test_rows_not_whole_sequences_rejected(self):
+        m = make_model()
+        with pytest.raises(DimensionError, match="rows"):
+            block_forward(m.config, m.blocks[0], m.embed[IDS[:7]], 0, 0, None, "fp", seq_len=2)
+
+    @pytest.mark.parametrize("mode", ["fp", "weight_kv"])
+    def test_stacked_forward_onto_a_cache_refused(self, mode):
+        m = quantized(make_model(), mode)
+        cache = PoqKvCache(m.config, m.blocks)
+        before = copy.deepcopy(vars(cache.layers[0]))
+        x = m.embed[np.concatenate([IDS[:4], IDS[4:8]])]
+        with pytest.raises(UsageError, match="one sequence"):
+            block_forward(m.config, m.blocks[0], x, 0, 0, cache, mode, seq_len=4)
+        assert cache.length == 0
+        for name, stored in vars(cache.layers[0]).items():
+            assert np.array_equal(stored, before[name]), name  # nothing appended
 
 
 class TestPoq:

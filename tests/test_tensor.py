@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError
-from kvq.model import causal_attention
+from kvq.model import ATTN_BLOCK, causal_attention
 from kvq.tensor import (
     Tensor,
     cross_entropy,
@@ -12,6 +12,7 @@ from kvq.tensor import (
     rms_norm,
     rope,
     round_half_away,
+    sequences,
     softmax_causal,
 )
 from tape_ops import concat_cols, concat_rows, slice_cols, slice_rows, tmax, tsum
@@ -337,3 +338,57 @@ class TestMisc:
         expect = -logp[np.arange(4), tgt].mean()
         got = cross_entropy(Tensor(logits), tgt).item()
         assert abs(got - expect) < 1e-5
+
+
+class TestStackedSequences:
+    """Equal-length sequences stacked as rows give each sequence's own
+    result: the one-sequence call of the same op is the reference."""
+
+    @pytest.mark.parametrize("t", [1, 5])
+    def test_rope_matches_each_sequence(self, t):
+        rng = np.random.default_rng(31 + t)
+        b, pos = 3, np.arange(4, 4 + t)
+        x, g = randn(rng, b * t, 16), randn(rng, b * t, 16)
+        xt = Tensor(x, requires_grad=True)
+        r = rope(xt, pos, 500.0, 8)
+        r._backward(g)
+        assert np.array_equal(rope(x, pos, 500.0, 8), r.data)
+        for i in range(b):
+            rows = slice(i * t, (i + 1) * t)
+            xi = Tensor(x[rows], requires_grad=True)
+            ri = rope(xi, pos, 500.0, 8)
+            ri._backward(g[rows])
+            assert np.array_equal(r.data[rows], ri.data)
+            assert np.array_equal(xt.grad[rows], xi.grad)
+
+    @pytest.mark.parametrize("t", [1, 6, ATTN_BLOCK + 2])
+    def test_causal_attention_matches_each_sequence(self, t):
+        # on the tape (output and gradients) and on arrays, whose query
+        # blocks run per sequence; at t = 1 each row attends only to itself
+        rng = np.random.default_rng(33 + t)
+        b = 3
+        arrs = [randn(rng, b * t, 16) for _ in range(3)]
+        w = randn(rng, b * t, 16)
+        _, got = grads_of(lambda q, k, v: tsum(causal_attention(q, k, v, 4, seqs=b) * Tensor(w)),
+                          arrs)
+        stacked = causal_attention(*arrs, 4, seqs=b)
+        for i in range(b):
+            rows = slice(i * t, (i + 1) * t)
+            one = [a[rows] for a in arrs]
+            _, want = grads_of(lambda q, k, v: tsum(causal_attention(q, k, v, 4) * Tensor(w[rows])),
+                               one)
+            assert np.array_equal(stacked[rows], causal_attention(*one, 4))
+            for ga, gw in zip(got, want):
+                assert np.array_equal(ga[rows], gw)
+
+    @pytest.mark.parametrize("rows, positions", [(7, 2), (3, 0), (5, 10)])
+    def test_rows_not_whole_sequences_rejected(self, rows, positions):
+        with pytest.raises(DimensionError, match="rows"):
+            sequences(rows, np.arange(positions))
+        with pytest.raises(DimensionError):
+            rope(np.zeros((rows, 8), np.float32), np.arange(positions))
+
+    def test_whole_sequences_counted(self):
+        assert sequences(12, np.arange(3, 7)) == 3
+        assert sequences(5, np.arange(1)) == 5
+        assert sequences(0, np.arange(0)) == 1
