@@ -185,12 +185,15 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
             f"corpus has {len(corpus_ids)} tokens; need at least {seq_len + 1} to train"
         )
     rng = np.random.default_rng(seed)
+    # a window's start is drawn below len - seq_len - 1, so the last window
+    # is never drawn; a corpus of exactly one window trains from start 0
+    high = max(1, len(corpus_ids) - seq_len - 1)
     p = lm_tensors(model)
     opt = AdamW(_lm_leaves(p), lr)
 
     losses = []
     for _ in range(steps):
-        starts = [int(rng.integers(0, len(corpus_ids) - seq_len - 1)) for _b in range(batch)]
+        starts = [int(rng.integers(0, high)) for _b in range(batch)]
         loss = lm_loss(cfg, p, np.stack([corpus_ids[a : a + seq_len + 1] for a in starts]))
         losses.append(loss.item())
         opt.zero_grad()

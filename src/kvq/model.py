@@ -24,15 +24,18 @@ A chunk of more than one row onto a filled cache and every K read of a
 cache with more segments still build the rotated past keys
 (PoqKvCache._materialized_k), which is the fold's equivalence reference.
 An fp cache (fp and weight_only) stores each chunk's K rows rotated, once,
-at append, and its reads take them as stored.  A quantized cache plans its
-reads once, when it is built (PoqKvCache._plan_reads): segment indices,
-each layer's smoothing and, when it folds K, contraction matrices, the rope
-tables and a work buffer.  That buffer and the cache's scratch buffer are
-shared by the layers and overwritten by every read.
+at append, and its reads take them as stored.  A cache plans its forwards
+once, when it is built (PoqKvCache._plan_reads), so a decode step rebuilds
+nothing: each block's weights and KV handler, and for a quantized cache the
+token spec, smoothing, segment maps, contraction matrices, rope tables and
+a work buffer.  That buffer and the cache's scratch buffer are shared by
+the layers and overwritten by every read.  The buffers and rope tables are
+allocated once on 64-byte boundaries (tensor.ALIGN), where NumPy's vector
+loops run the fold's elementwise passes in about half the time.
 
 Setting: a forward without a cache runs model.config.  A cache keeps a copy
-of the config it was built with (PoqKvCache.cfg), and every forward onto it
-runs that copy, so a decode step runs the setting of its cache whatever
+of the config it was built with (PoqKvCache.cfg) and runs the blocks it was
+built with, so a decode step runs the setting of its cache whatever
 model.config says by then.
 
 Cache protocol: PoqKvCache.length is the one record of how many positions
@@ -79,6 +82,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +99,8 @@ from .quantizers import (
     quantize_token,
     quantize_weight,
 )
-from .tensor import Tensor, rms_norm, rope, rope_table, sequences, silu, softmax_causal
+from .tensor import (Tensor, aligned_zeros, rms_norm, rope, rope_table, sequences, silu,
+                     softmax_causal)
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -260,17 +265,12 @@ class LayerCache:
         t = cfg.max_seq_len
         self.quantized = quantized
         if quantized:
-            spec = cfg.token_spec()
-            g = (c + spec.group_size - 1) // spec.group_size
-            self.k_codes = np.zeros((t, c), dtype=np.int8)
-            self.v_codes = np.zeros((t, c), dtype=np.int8)
-            self.k_m = np.zeros((t, g), dtype=np.float32)
-            self.k_n = np.ones((t, g), dtype=np.float32)
-            self.v_m = np.zeros((t, g), dtype=np.float32)
-            self.v_n = np.ones((t, g), dtype=np.float32)
+            g = -(-c // cfg.kv_group_size)
+            self.k_codes, self.v_codes = aligned_zeros((t, c), np.int8, count=2)
+            self.k_m, self.k_n, self.v_m, self.v_n = aligned_zeros((t, g), count=4)
+            self.k_n[...], self.v_n[...] = 1.0, 1.0
         else:
-            self.k_fp = np.zeros((t, c), dtype=np.float32)
-            self.v_fp = np.zeros((t, c), dtype=np.float32)
+            self.k_fp, self.v_fp = aligned_zeros((t, c), count=2)
 
 
 # A decode step scores the past keys through the query (_folded_k) only on
@@ -290,8 +290,8 @@ class PoqKvCache:
     Quantized layout holds token codes of the smoothed pre-rotary projections
     plus per-(token, group) parameters; the fp layout holds raw-space arrays,
     K rotated at append.  cfg is a copy of the config the cache was built
-    with, the setting of every forward onto it, and a quantized cache plans
-    its reads with it (_plan_reads).  length counts the positions every layer
+    with, the setting of every forward onto it, and the cache plans those
+    forwards with it (_plan_reads).  length counts the positions every layer
     holds; only model_forward advances it.  One (max_seq_len, hidden) float32
     scratch buffer serves every layer's reads, and a cache whose decode steps
     fold K holds a second one (work).
@@ -302,57 +302,74 @@ class PoqKvCache:
         quantized = cfg.quant_mode == "weight_kv" and cfg.kv_quantized
         self.layers = [LayerCache(cfg, quantized) for _ in range(cfg.n_layers)]
         self.length = 0
-        self.scratch = np.empty((cfg.max_seq_len, cfg.hidden_size), dtype=np.float32)
+        self.scratch = aligned_zeros((cfg.max_seq_len, cfg.hidden_size))[0]
         self.fold_k = False
-        if quantized:
-            self._plan_reads(blocks)
+        self._plan_reads(blocks, quantized)
 
-    def _plan_reads(self, blocks: list[DecoderBlockWeights]) -> None:
-        """Fix what every read needs and no read changes, under the same rule
-        as cfg: from the config and the blocks' K/V smoothing as they are now.
+    def _plan_reads(self, blocks: list[DecoderBlockWeights], quantized: bool) -> None:
+        """Fix what every forward onto the cache needs and none changes, under
+        the same rule as cfg: from the config and the blocks as they are now.
 
-        That is each layer's smoothing and the segments (w = gcd(kv_group_size,
-        head_dim) channels each, inside one head and one group).  With at most
-        FOLD_MAX_SEGMENTS segments, decode steps fold K (fold_k), and
-        _folded_k also needs the rope tables, sigma, a work buffer and each
-        layer's K contraction matrix: [segment ones | delta/s per head], or
-        the segment ones alone for a layer without K smoothing.
+        Every cache keeps each block's block_core weights and KV handler
+        (block_plan).  The handlers reach the cache through a weak proxy, so
+        the plan makes no reference cycle and the cache is freed with its
+        last user.  A quantized cache adds the token spec, each layer's
+        smoothing and the segments (w = gcd(kv_group_size, head_dim) channels
+        each, inside one head and one group).  seg_head and seg_group map
+        segments to heads and groups; an identity map (w = head_dim, w =
+        kv_group_size) is a slice, so indexing with it is a view, not a
+        gather.  seg_pair picks each segment's (head, group) entry.  With at
+        most FOLD_MAX_SEGMENTS segments, decode steps fold K (fold_k), and
+        _folded_k also needs the rope tables, a work buffer, the channel
+        order [identity | sigma] (swap; sigma swaps the halves of every head)
+        and each layer's K contraction matrix k_fold = [C; -C]: C = [segment
+        ones * s | delta per head], or the segment ones without K smoothing.
 
         A rope table row repeats head_dim / 2 angles across the width: cos is
-        [c, c] and sin is [-s, s] in every head.  So for any (hidden, k)
-        matrix b, cos @ b = cos_cols @ (to_cos @ b) and sin @ b = sin_cols @
-        (to_sin @ b): cos_cols and sin_cols are views of the distinct columns,
-        and to_cos and to_sin sum b's rows over the channels of each angle,
-        with sin's sign.
+        [c, c] and sin is [-s, s] in every head.  So for (hidden, k) matrices
+        a and b, cos @ a + sin @ b = cs_cols.T @ (to_cs @ [a; b]): cs_cols
+        holds the table's distinct cos and sin columns as rows, and to_cs
+        sums the rows of a and of b over the channels of each angle, with
+        sin's sign.
         """
         cfg = self.cfg
+        proxy = weakref.proxy(self)
+        self.block_plan = [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, proxy, cfg.quant_mode))
+                           for li, blk in enumerate(blocks)]
+        if not quantized:
+            return
         c, d, h, length = cfg.hidden_size, cfg.head_dim, cfg.n_heads, cfg.max_seq_len
+        self.spec = cfg.token_spec()
         self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
         self.seg_width = w = math.gcd(cfg.kv_group_size, d)
         seg = np.arange(0, c, w)
-        self.seg_head, self.seg_group = seg // d, seg // cfg.kv_group_size
+        self.seg_pair = (seg // d, slice(None), seg // cfg.kv_group_size)
+        self.seg_head = slice(None) if w == d else self.seg_pair[0]
+        self.seg_group = slice(None) if w == cfg.kv_group_size else self.seg_pair[2]
         self.fold_k = len(seg) <= FOLD_MAX_SEGMENTS
         if not self.fold_k:
             return
         cos, sin = rope_table(cfg.rope_base, d, c, length)
         self.cos, self.sin = cos[:length], sin[:length]
-        self.cos_cols, self.sin_cols = self.cos[:, : d // 2], self.sin[:, d // 2 : d]
-        within = np.arange(c) % d
+        self.cs_cols = aligned_zeros((d, length))[0]
+        self.cs_cols[...] = np.concatenate([cos[:length, : d // 2], sin[:length, d // 2 : d]], 1).T
+        channel = np.arange(c)
+        within = channel % d
         angle = (within % (d // 2) == np.arange(d // 2)[:, None]).astype(np.float32)
-        self.to_cos, self.to_sin = angle, np.where(within < d // 2, -angle, angle)
-        self.seg_to_head = (self.seg_head[:, None] == np.arange(h)).astype(np.float32)
-        # sigma: the channel order that swaps the halves of every head
-        self.swap = np.arange(c).reshape(h, 2, d // 2)[:, ::-1].reshape(-1)
-        self.work = np.empty((length, c), dtype=np.float32)
-        channel = np.arange(c)[:, None]
-        ones = (channel // w == np.arange(len(seg))).astype(np.float32)
+        self.to_cs = np.zeros((d, 2 * c), dtype=np.float32)
+        self.to_cs[: d // 2, :c] = angle
+        self.to_cs[d // 2 :, c:] = np.where(within < d // 2, -angle, angle)
+        to_head = lambda a: (a == np.arange(h)[:, None]).astype(np.float32)
+        self.seg_to_head = None if w == d else to_head(self.seg_pair[0])
+        self.swap = np.concatenate([channel, channel.reshape(h, 2, d // 2)[:, ::-1].reshape(-1)])
+        self.work = aligned_zeros((length, c))[0]
+        ones = (channel[:, None] // w == np.arange(len(seg))).astype(np.float32)
+        head = to_head(channel // d).T
         self.k_fold = []
         for sp, _ in self.kv_smoothing:
-            if sp is None:
-                self.k_fold.append((np.ones(c, dtype=np.float32), ones))
-                continue
-            delta_s = (channel // d == np.arange(h)) * (sp.delta / sp.s)[:, None]
-            self.k_fold.append((sp.s, np.concatenate([ones, delta_s], axis=1).astype(np.float32)))
+            fold = ones if sp is None else np.concatenate([ones * sp.s[:, None],
+                                                           head * sp.delta[:, None]], 1)
+            self.k_fold.append(np.concatenate([fold, -fold]))
 
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_rot: np.ndarray, v_raw: np.ndarray) -> None:
         """Store a chunk's KV for layer li at rows length .. length+t-1
@@ -369,7 +386,7 @@ class PoqKvCache:
         if lc.quantized:
             # token groups are per row, so one call over the stacked K and V
             # rows gives each the codes of its own call
-            q = quantize_token(np.concatenate([k_s, v_s]), self.cfg.token_spec())
+            q = quantize_token(np.concatenate([k_s, v_s]), self.spec)
             lc.k_codes[rows], lc.v_codes[rows] = q.codes[:t], q.codes[t:]
             lc.k_m[rows], lc.v_m[rows] = q.m[:t], q.m[t:]
             lc.k_n[rows], lc.v_n[rows] = q.n[:t], q.n[t:]
@@ -393,7 +410,8 @@ class PoqKvCache:
         Quantized values stay codes.  Take a segment of w channels
         (_plan_reads) with per-token parameters m, n and smoothing s, delta.
         Over the past rows, P . V_raw = s * ((P * n) . codes + P . m) + (sum
-        P) * delta.
+        P) * delta.  Where segments are heads and groups, P * n is a
+        broadcast product of views.
         """
         cfg, lc = self.cfg, self.layers[li]
         past, t = self.length, k_cur.shape[0]
@@ -410,17 +428,19 @@ class PoqKvCache:
             out = np.matmul(p[..., past:], heads(v_cur))
             if not lc.quantized:
                 return out + np.matmul(p_past, heads(lc.v_fp[:past]))
-            w, seg_head = self.seg_width, self.seg_head
+            w = self.seg_width
             codes = self.scratch[:past]
             codes[...] = lc.v_codes[:past]
-            p_seg = p_past[seg_head]  # (segments, T, past)
-            p_seg *= lc.v_n[:past, self.seg_group].T[:, None, :]
-            acc = np.matmul(p_seg, codes.reshape(past, -1, w).transpose(1, 0, 2))
-            acc += np.matmul(p_past, lc.v_m[:past])[seg_head, :, self.seg_group][..., None]
+            p_n = p_past[self.seg_head] * lc.v_n[:past, self.seg_group].T[:, None, :]
+            acc = np.matmul(p_n, codes.reshape(past, -1, w).transpose(1, 0, 2))
+            # P . m of every (head, group) pair: one product over all heads' rows
+            p_m = p_past.reshape(-1, past) @ lc.v_m[:past]
+            acc += p_m.reshape(h, -1, p_m.shape[1])[self.seg_pair][..., None]
             sp = self.kv_smoothing[li][1]
             if sp is not None:
                 acc *= sp.s.reshape(-1, 1, w)
-                acc += p_past.sum(axis=2)[seg_head][..., None] * sp.delta.reshape(-1, 1, w)
+                p_sum = np.add.reduce(p_past, axis=2)[self.seg_head]
+                acc += p_sum[..., None] * sp.delta.reshape(-1, 1, w)
             return out + acc.reshape(h, d // w, -1, w).transpose(0, 2, 1, 3).reshape(out.shape)
 
         return k, v
@@ -435,8 +455,7 @@ class PoqKvCache:
         if not lc.quantized:
             return lc.k_fp[: past + t]
         k = self.scratch[: past + t]
-        spec = cfg.token_spec()
-        qk = QuantizedTensor("token", lc.k_codes[:past], spec.bits, spec.group_size,
+        qk = QuantizedTensor("token", lc.k_codes[:past], self.spec.bits, self.spec.group_size,
                              m=lc.k_m[:past], n=lc.k_n[:past])
         dequantize(qk, out=k[:past])
         sp = self.kv_smoothing[li][0]
@@ -457,37 +476,40 @@ class PoqKvCache:
         rows 0 .. length-1, a segment's past score is n * sum(U * codes) +
         m * sum(U), plus U . (delta / s) per head.  U is never formed: with
         the contraction matrix scaled by q * s (a) and by sigma(q) * s (b),
-        sum(U * codes) is (cos * codes) @ a - (sin * codes) @ b over the
-        segment columns, and sum(U) with U . (delta / s) is the tables'
-        distinct columns times a and b (_plan_reads).  No past key is
-        built, and rotary pairs need not share a scale or a group.  A layer
-        without K smoothing has s = 1 and no delta term.
+        taken as one product [a; -b] = k_fold * [q; sigma(q)], sum(U *
+        codes) is (cos * codes) @ a - (sin * codes) @ b over the segment
+        columns, and sum(U) with U . (delta / s) = (cos * q - sin *
+        sigma(q)) . delta is one product over the tables' distinct columns
+        (_plan_reads).  No past key is built, and rotary pairs need not
+        share a scale or a group.  A layer without K smoothing has s = 1 and
+        no delta term.
         """
-        cfg, lc = self.cfg, self.layers[li]
-        past, h = self.length, cfg.n_heads
-        s, contraction = self.k_fold[li]
-        n_seg = len(self.seg_head)
+        lc, past, h = self.layers[li], self.length, self.cfg.n_heads
+        c, fold = self.cfg.hidden_size, self.k_fold[li]
+        n_seg = c // self.seg_width
 
         def k(qh: np.ndarray) -> np.ndarray:
             q = qh.reshape(-1)
-            a, b = contraction * (q * s)[:, None], contraction * (q[self.swap] * s)[:, None]
+            ab = fold * q[self.swap][:, None]
             codes, cos_codes = self.scratch[:past], self.work[:past]
             codes[...] = lc.k_codes[:past]
             np.multiply(self.cos[:past], codes, out=cos_codes)
             sin_codes = np.multiply(codes, self.sin[:past], out=codes)
-            seg = cos_codes @ a[:, :n_seg]
-            seg -= sin_codes @ b[:, :n_seg]
-            # (past, segments [+ H]): sum(U) per segment [, U . (delta / s) per head]
-            sums = self.cos_cols[:past] @ (self.to_cos @ a)
-            sums -= self.sin_cols[:past] @ (self.to_sin @ b)
-            seg *= lc.k_n[:past, self.seg_group]
-            seg += sums[:, :n_seg] * lc.k_m[:past, self.seg_group]
-            raw = seg @ self.seg_to_head
-            if sums.shape[1] > n_seg:
-                raw += sums[:, n_seg:]
+            seg = cos_codes @ ab[:c, :n_seg]
+            seg += sin_codes @ ab[c:, :n_seg]
+            # (segments [+ H], past): sum(U) per segment [, U . (delta / s) per head]
+            sums = (self.to_cs @ ab).T @ self.cs_cols[:, :past]
             scores = np.empty((h, 1, past + 1), dtype=np.float32)
-            scores[:, 0, :past] = raw.T
-            scores[:, 0, past] = (q * k_cur[0]).reshape(h, -1).sum(axis=1)
+            raw = scores[:, 0, :past]
+            seg_t = raw if self.seg_to_head is None else np.empty((n_seg, past), dtype=np.float32)
+            np.multiply(seg.T, lc.k_n[:past, self.seg_group].T, out=seg_t)
+            sums[:n_seg] *= lc.k_m[:past, self.seg_group].T
+            seg_t += sums[:n_seg]
+            if self.seg_to_head is not None:
+                np.matmul(self.seg_to_head, seg_t, out=raw)
+            if len(sums) > n_seg:
+                raw += sums[n_seg:]
+            scores[:, 0, past] = np.add.reduce((q * k_cur[0]).reshape(h, -1), axis=1)
             return scores
 
         return k
@@ -534,12 +556,13 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     make one tape node whose backward keeps only the inputs and the
     probabilities, so on the tape a sequence is one block.
 
-    Arrays record nothing, and there a cache read of one sequence may hand
-    over functions instead (PoqKvCache.read_raw): k(qh) -> (H, T, S) raw
-    scores of the (H, T, D) query heads, as a decode step's folded keys give
-    them, and v(p) -> (H, T, D) applying the (H, T, S) probabilities, as
-    folded values do.  Each takes every row at once (v(p) overwrites the
-    keys' buffer), so then the chunk runs as one block.
+    Arrays record nothing, and there a cache read of one sequence hands over
+    v as a function (PoqKvCache.read_raw): v(p) -> (H, T, D) applies the
+    (H, T, S) probabilities, as folded values do.  On a decode step k may be
+    one too: k(qh) -> (H, T, S) raw scores of the (H, T, D) query heads, as
+    folded keys give them.  Such a read takes every row at once (v(p)
+    overwrites the keys' buffer), so it goes straight from the scores to the
+    softmax to v, as one block.
 
     On arrays only, the POQ diagonal diag = (k_cur, v_cur), each shaped as
     q, stands in for the keys and values at column S-T+i of query row i:
@@ -550,7 +573,7 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     data = (lambda a: a.data) if tape else (lambda a: a)
     t = q.shape[0] // seqs
     d = q.shape[1] // n_heads
-    scale = np.float32(1.0 / np.sqrt(d))
+    scale = np.float32(1.0 / math.sqrt(d))
     lead = (seqs,) if seqs > 1 else ()  # one sequence keeps (H, rows, D) heads
 
     def heads(a: np.ndarray, rows: int) -> np.ndarray:
@@ -560,32 +583,28 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
         return a.swapaxes(-3, -2).reshape(-1, n_heads * d)
 
     qh = heads(data(q), t)
-    if callable(k):
-        scores = k(qh)
-        s = scores.shape[-1]
-    else:
-        s = k.shape[0] // seqs
-        kh = heads(data(k), s)
+    if callable(v):
+        p = k(qh) if callable(k) else np.matmul(qh, heads(k, k.shape[0]).swapaxes(-1, -2))
+        p *= scale
+        return merge(v(softmax_causal(p, p.shape[-1] - t)))
+    s = k.shape[0] // seqs
+    kh, vh = heads(data(k), s), heads(data(v), s)
     offset = s - t
-    vh = None if callable(v) else heads(data(v), s)
     if diag is not None:
         kch, vch = heads(diag[0], t), heads(diag[1], t)
-    step = max(t, 1) if tape or callable(k) or callable(v) else ATTN_BLOCK
+    step = max(t, 1) if tape else ATTN_BLOCK
     out = np.empty((*lead, t, n_heads, d), dtype=qh.dtype)
     for a in range(0, t, step):
         b = min(a + step, t)
         cols = offset + b
-        if callable(k):
-            p = scores
-        else:
-            p = np.matmul(qh[..., a:b, :], kh[..., :cols, :].swapaxes(-1, -2))
+        p = np.matmul(qh[..., a:b, :], kh[..., :cols, :].swapaxes(-1, -2))
         if diag is not None:
             rows = np.arange(b - a)
             ii = (..., rows, rows + offset + a)
             p[ii] = np.einsum("...td,...td->...t", qh[..., a:b, :], kch[..., a:b, :])
         p *= scale
         softmax_causal(p, offset + a)
-        o = v(p) if callable(v) else np.matmul(p, vh[..., :cols, :])
+        o = np.matmul(p, vh[..., :cols, :])
         if diag is not None:
             o += p[ii][..., None] * (vch[..., a:b, :] - vh[..., offset + a : cols, :])
         out[..., a:b, :, :] = o.swapaxes(-3, -2)
@@ -732,10 +751,14 @@ def block_forward(
     """Block li over x, whose first row sits at start_pos (cache.length with a
     cache).  Without a cache, x may stack sequences of seq_len rows each (one
     sequence by default).  A Tensor x is recorded on the tape (no cache); an
-    array is not."""
+    array is not.  With a cache, the block runs the weights and KV handler
+    the cache planned for layer li (PoqKvCache._plan_reads)."""
     positions = np.arange(start_pos, start_pos + (x.shape[0] if seq_len is None else seq_len))
-    kv_fn = _runtime_kv_fn(cfg, blk, li, cache, mode)
-    w = block_tensors(blk) if isinstance(x, Tensor) else block_arrays(blk)
+    if cache is not None:
+        w, kv_fn = cache.block_plan[li]
+    else:
+        kv_fn = _runtime_kv_fn(cfg, blk, li, None, mode)
+        w = block_tensors(blk) if isinstance(x, Tensor) else block_arrays(blk)
     return block_core(cfg, w, x, positions, kv_fn, act_fn=act_fn)
 
 

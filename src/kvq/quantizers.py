@@ -201,21 +201,30 @@ def _add_at(a: np.ndarray, at: np.ndarray, v: np.ndarray, axis: int) -> None:
 
 
 def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
-    """(T, groups * size) codes and (T, groups) m, n of a (T, groups, size) array."""
+    """(T, groups * size) codes and (T, groups) m, n of a (T, groups, size) array.
+
+    Codes round half away from zero in fewer passes than round_half_away:
+    x + copysign(0.5, x) is sign(x) * (|x| + 0.5) exactly, and clipped to the
+    code range, the int8 cast truncates it to the same code."""
     t, k, size = y.shape
     half = float(2 ** (spec.bits - 1))
     m = np.add.reduce(y, axis=2) / size  # mean(axis=2), without its wrapper's cost
     centered = y - m[:, :, None]
     spread = np.maximum.reduce(np.abs(centered), axis=2)
     flat = spread < SPREAD_EPS
-    n = np.where(flat, 1.0, spread / half).astype(np.float32)
+    n = spread / half
+    any_flat = flat.any()
+    if any_flat:
+        n[flat] = 1.0
     centered /= n[:, :, None]
-    q = round_half_away(centered)
+    q = np.copysign(0.5, centered)
+    q += centered
     np.maximum(q, spec.code_lo, out=q)  # np.clip, without its wrapper's cost
     np.minimum(q, spec.code_hi, out=q)
-    if flat.any():
-        q[flat] = 0.0
-    return q.astype(np.int8).reshape(t, k * size), m, n
+    codes = q.astype(np.int8)
+    if any_flat:
+        codes[flat] = 0
+    return codes.reshape(t, k * size), m, n
 
 
 def quantize_token(y: np.ndarray, spec: TokenQuantSpec) -> QuantizedTensor:

@@ -29,6 +29,8 @@ runtime forward runs on arrays, calibration and training on Tensors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateScaleError, DimensionError, KvqError, NumericError
@@ -316,9 +318,10 @@ def softmax_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
     if s > offset + 1:
         masked = np.arange(s)[None, :] > np.arange(t)[:, None] + offset
         np.copyto(scores, -np.inf, where=masked)
-    scores -= scores.max(axis=-1, keepdims=True)
+    # the reductions of .max and .sum, without their wrappers' cost
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
     return scores
 
 
@@ -335,6 +338,25 @@ def rms_norm(x, gain, eps: float = 1e-6):
     return (x / inv) * gain
 
 
+# Byte boundary of the rope tables and the KV cache's buffers.  NumPy's vector
+# loops run fast only on aligned rows, and a large allocation usually starts
+# 16 bytes past one: multiplying (896, 128) float32 arrays took 22 us aligned
+# and 46-49 us at 16 or 32 bytes off (2-vCPU Xeon VM).
+ALIGN = 64
+
+
+def aligned_zeros(shape: tuple, dtype=np.float32, count: int = 1) -> np.ndarray:
+    """count C-ordered arrays of zeros as one (count, *shape) array, from one
+    allocation: each [i] starts on an ALIGN-byte boundary, and so does each
+    of its rows whose byte width is a multiple of ALIGN."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    step = -(-size // ALIGN) * ALIGN
+    raw = np.zeros(count * step + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    raw = raw[start : start + count * step].reshape(count, step)[:, :size]
+    return raw.view(dtype).reshape(count, *shape)
+
+
 _ROPE_TABLES: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -348,7 +370,7 @@ def rope_table(base: float, head_dim: int, width: int,
     rows.  The angles are computed in float64, once per (base, head_dim,
     width); the table at least doubles whenever a longer range is asked for.
     A row depends only on its key and position, so every caller can share the
-    cached tables.
+    cached tables, which start on an ALIGN-byte boundary.
     """
     key = (float(base), head_dim, width)
     cos, sin = _ROPE_TABLES.get(key, (None, None))
@@ -359,8 +381,9 @@ def rope_table(base: float, head_dim: int, width: int,
         ang = np.arange(n, dtype=np.float64)[:, None] * inv_freq[None, :]
         c, s = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
         reps = width // head_dim
-        cos = np.tile(np.concatenate([c, c], axis=1), reps)
-        sin = np.tile(np.concatenate([-s, s], axis=1), reps)
+        cos, sin = aligned_zeros((n, width), count=2)
+        cos[...] = np.tile(np.concatenate([c, c], axis=1), reps)
+        sin[...] = np.tile(np.concatenate([-s, s], axis=1), reps)
         _ROPE_TABLES[key] = (cos, sin)
     return cos, sin
 

@@ -7,6 +7,7 @@ result line is written straight to the terminal (bypassing capture).
 import copy
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,7 +496,7 @@ def test_criterion_12_cli_determinism(capsys, cli_dir):
         for _ in range(2):
             assert main(argv) == 0, name
             stdout = capsys.readouterr().out
-            runs.append((stdout, [open(f, "rb").read() for f in files]))
+            runs.append((stdout, [Path(f).read_bytes() for f in files]))
         stable.append(runs[0] == runs[1])
     dt = time.time() - t0
     ok = all(stable)

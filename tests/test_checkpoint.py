@@ -1,6 +1,7 @@
 import copy
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestContainer:
         path = str(tmp_path / "t.kvq")
         write_container(path, {}, {}, {"a": np.zeros(3, np.float32),
                                        "b": np.zeros(5, np.float32)})
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         (hlen,) = struct.unpack("<Q", data[4:12])
         header = json.loads(data[12 : 12 + hlen])
         for ent in header["tensors"].values():
@@ -54,14 +55,14 @@ class TestContainer:
     def test_magic(self, tmp_path):
         path = str(tmp_path / "t.kvq")
         write_container(path, {}, {}, {})
-        assert open(path, "rb").read(4) == MAGIC
+        assert Path(path).read_bytes()[:4] == MAGIC
 
     def test_write_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.kvq"), str(tmp_path / "b.kvq")
         tensors = {"x": np.arange(7, dtype=np.float32)}
         write_container(a, {"k": 1}, {}, tensors)
         write_container(b, {"k": 1}, {}, tensors)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
@@ -71,19 +72,19 @@ class TestContainer:
 class TestMalformedFiles:
     def _write_good(self, path):
         write_container(path, {"v": 1}, {}, {"x": np.arange(4, dtype=np.float32)})
-        return open(path, "rb").read()
+        return Path(path).read_bytes()
 
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "t.kvq")
         data = self._write_good(p)
-        open(p, "wb").write(b"XXXX" + data[4:])
+        Path(p).write_bytes(b"XXXX" + data[4:])
         with pytest.raises(DataFormatError, match="byte 0"):
             read_container(p)
 
     def test_header_length_past_eof(self, tmp_path):
         p = str(tmp_path / "t.kvq")
         data = self._write_good(p)
-        open(p, "wb").write(data[:4] + struct.pack("<Q", 10**9) + data[12:])
+        Path(p).write_bytes(data[:4] + struct.pack("<Q", 10**9) + data[12:])
         with pytest.raises(DataFormatError, match="header length"):
             read_container(p)
 
@@ -91,14 +92,14 @@ class TestMalformedFiles:
         p = str(tmp_path / "t.kvq")
         data = self._write_good(p)
         (hlen,) = struct.unpack("<Q", data[4:12])
-        open(p, "wb").write(data[:12] + b"{" * hlen + data[12 + hlen :])
+        Path(p).write_bytes(data[:12] + b"{" * hlen + data[12 + hlen :])
         with pytest.raises(DataFormatError, match="JSON"):
             read_container(p)
 
     def test_tensor_past_eof(self, tmp_path):
         p = str(tmp_path / "t.kvq")
         data = self._write_good(p)
-        open(p, "wb").write(data[:-8])
+        Path(p).write_bytes(data[:-8])
         with pytest.raises(DataFormatError, match="past end of file"):
             read_container(p)
 
@@ -106,33 +107,33 @@ class TestMalformedFiles:
         p = str(tmp_path / "t.kvq")
         write_container(p, {}, {}, {"x": np.arange(4, dtype=np.float32),
                                     "y": np.arange(4, dtype=np.float32)})
-        data = open(p, "rb").read()
+        data = Path(p).read_bytes()
         (hlen,) = struct.unpack("<Q", data[4:12])
         header = json.loads(data[12 : 12 + hlen])
         header["tensors"]["y"]["offset"] = header["tensors"]["x"]["offset"] + 4
         hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         # same header length required for the payload offsets to stay valid
         hjson = hjson + b" " * (hlen - len(hjson))
-        open(p, "wb").write(data[:12] + hjson + data[12 + hlen :])
+        Path(p).write_bytes(data[:12] + hjson + data[12 + hlen :])
         with pytest.raises(DataFormatError, match="overlap"):
             read_container(p)
 
     def test_truncated_file(self, tmp_path):
         p = str(tmp_path / "t.kvq")
-        open(p, "wb").write(b"KVQ1\x05")
+        Path(p).write_bytes(b"KVQ1\x05")
         with pytest.raises(DataFormatError):
             read_container(p)
 
     def _edit_header(self, path, edit):
         """Rewrite the header as edit(header) returns it, keeping the payload
         bytes (table offsets are relative to the payload's start)."""
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         (hlen,) = struct.unpack("<Q", data[4:12])
         header = json.loads(data[12 : 12 + hlen])
         payload = data[-(-(12 + hlen) // ALIGN) * ALIGN :]
         hjson = json.dumps(edit(header)).encode()
         pad = -(-(12 + len(hjson)) // ALIGN) * ALIGN - 12 - len(hjson)
-        open(path, "wb").write(MAGIC + struct.pack("<Q", len(hjson)) + hjson + b"\0" * pad
+        Path(path).write_bytes(MAGIC + struct.pack("<Q", len(hjson)) + hjson + b"\0" * pad
                                + payload)
 
     def _edit_table(self, path, edit):
@@ -335,7 +336,7 @@ class TestModelRoundtrip:
         a, b = str(tmp_path / "a.kvq"), str(tmp_path / "b.kvq")
         save_model(m, a)
         save_model(copy.deepcopy(m), b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     @pytest.mark.parametrize("name", [
         "embed", "final_norm", "head.w", "head.b", "blocks.0.attn_norm", "blocks.1.mlp_norm",

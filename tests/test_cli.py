@@ -67,6 +67,16 @@ class TestFit:
         assert outs[0] == outs[1]
         assert a.read_bytes() == b.read_bytes()
 
+    def test_corpus_of_one_window(self, workdir, capsys):
+        # 16 bytes and the BOS token make exactly one window of --seq-len 16
+        corpus = workdir / "one_window.txt"
+        corpus.write_bytes(b"the quick brown ")
+        args = FIT_ARGS[: FIT_ARGS.index("--seq-len")] + ["--seq-len", "16", "--seed", "0"]
+        rc, stdout, _ = run(capsys, ["fit", "--corpus", str(corpus),
+                                     "--out", str(workdir / "one.kvq")] + args)
+        assert rc == 0
+        assert json.loads(stdout)["train"]["steps"] == 20
+
     def test_missing_corpus_is_data_error(self, workdir, capsys):
         rc, _, err = run(capsys, ["fit", "--corpus", str(workdir / "nope.txt"),
                                   "--out", str(workdir / "x.kvq")] + FIT_ARGS)

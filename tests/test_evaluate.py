@@ -194,6 +194,15 @@ class TestTraining:
         with pytest.raises(DataFormatError):
             train_model(m, np.arange(10), steps=1, seq_len=32)
 
+    def test_corpus_of_one_window_trains_from_its_start(self):
+        # seq_len + 1 tokens hold one window, so every draw starts at 0
+        m = Model.random(tiny_config(), seed=3)
+        corpus = word_corpus(3)[:17]
+        want = lm_loss(m.config, lm_tensors(m), np.stack([corpus, corpus]))
+        report = train_model(m, corpus, steps=2, batch=2, seq_len=16, seed=3)
+        assert report["initial_loss"] == want.item()
+        assert report["final_loss"] < report["initial_loss"]
+
     def test_training_deterministic(self):
         corpus = word_corpus(5)
         outs = []
