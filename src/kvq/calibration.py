@@ -41,7 +41,7 @@ from .quantizers import (
     fake_quant_weight,
     init_smoothing,
 )
-from .tensor import Tensor, rms_norm, rope
+from .tensor import Tensor, linear, rms_norm, rope
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -66,14 +66,31 @@ class CalibConfig:
 
 
 class AdamW:
-    """AdamW at zero weight decay, i.e. Adam, over params at one learning rate."""
+    """AdamW at zero weight decay, i.e. Adam, over params at one learning rate.
+
+    It owns its parameters' arrays: construction gives each parameter a copy
+    of its array, so a step never writes into an array the caller holds (a
+    model whose arrays lm_tensors wraps keeps them unwritten).  A step
+    updates each parameter, and its moments m and v, in place, through two
+    scratch buffers of the largest parameter's size, in the float32
+    operations, and their order, of the textbook form
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), with c = 1 - b^t.  A
+    parameter whose grad is None is skipped.
+    """
 
     def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.state = {id(p): (np.zeros_like(p.data), np.zeros_like(p.data))
-                      for p in self.params}
+        for p in self.params:
+            p.data = p.data.copy()
+        size = max((p.data.size for p in self.params), default=0)
+        scratch = np.empty((2, size), dtype=np.float32)
+        # per parameter: its moments m, v and its views a, b of the scratch
+        self.slots = [(np.zeros_like(p.data), np.zeros_like(p.data),
+                       *(buf[: p.data.size].reshape(p.shape) for buf in scratch))
+                      for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
@@ -81,18 +98,23 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        for p in self.params:
+        c1, c2 = 1 - ADAM_B1**self.t, 1 - ADAM_B2**self.t
+        for p, (m, v, a, b) in zip(self.params, self.slots):
             if p.grad is None:
                 continue
-            m, v = self.state[id(p)]
-            g = p.grad.astype(np.float32)
-            m = ADAM_B1 * m + (1 - ADAM_B1) * g
-            v = ADAM_B2 * v + (1 - ADAM_B2) * g * g
-            self.state[id(p)] = (m, v)
-            mhat = m / (1 - ADAM_B1**self.t)
-            vhat = v / (1 - ADAM_B2**self.t)
-            upd = mhat / (np.sqrt(vhat) + ADAM_EPS)
-            p.data = (p.data - self.lr * upd).astype(np.float32)
+            g = p.grad
+            m *= ADAM_B1
+            m += np.multiply(g, 1 - ADAM_B1, out=a)
+            v *= ADAM_B2
+            np.multiply(g, 1 - ADAM_B2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, c1, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            a *= self.lr
+            p.data -= a
 
 
 # -- loss construction --------------------------------------------------------
@@ -147,8 +169,8 @@ def init_trainables(model: Model, i: int, x_segs: list[np.ndarray]) -> BlockTrai
     blk = model.blocks[i]
     rows = np.reshape(x_segs, (-1, model.config.hidden_size))
     xn = rms_norm(rows, blk.attn_norm.reshape(1, -1))
-    return BlockTrainables.from_smoothing(init_smoothing(xn @ blk.k.w + blk.k.b),
-                                          init_smoothing(xn @ blk.v.w + blk.v.b))
+    return BlockTrainables.from_smoothing(init_smoothing(linear(xn, blk.k.w, blk.k.b)),
+                                          init_smoothing(linear(xn, blk.v.w, blk.v.b)))
 
 
 def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:

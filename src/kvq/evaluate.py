@@ -28,7 +28,7 @@ from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and dec
     prefill,
     require_unsmoothed,
 )
-from .tensor import Tensor, cross_entropy, embedding, rms_norm, rope
+from .tensor import Tensor, cross_entropy, embedding, linear, rms_norm, rope
 
 BOS = 256
 
@@ -163,7 +163,7 @@ def lm_loss(cfg: ModelConfig, p: dict, seqs: np.ndarray) -> Tensor:
     x = embedding(p["embed"], seqs[:, :-1].reshape(-1))
     for w in p["blocks"]:
         x = block_core(cfg, w, x, positions, kv_fn)
-    logits = rms_norm(x, p["final_norm"]) @ p["head_w"] + p["head_b"]
+    logits = linear(rms_norm(x, p["final_norm"]), p["head_w"], p["head_b"])
     return cross_entropy(logits, seqs[:, 1:].reshape(-1))
 
 

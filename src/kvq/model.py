@@ -99,8 +99,8 @@ from .quantizers import (
     quantize_token,
     quantize_weight,
 )
-from .tensor import (Tensor, aligned_zeros, rms_norm, rope, rope_table, sequences, silu,
-                     softmax_causal)
+from .tensor import (Tensor, aligned_zeros, linear, rms_norm, rope, rope_table, sequences,
+                     silu, softmax_causal)
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -683,22 +683,22 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
 
     xn = rms_norm(x, w["attn_norm"])
     xq = aq(xn)
-    q = xq @ w["q_w"] + w["q_b"]
-    k_s = xq @ w["k_w"] + w["k_b"]
-    v_s = xq @ w["v_w"] + w["v_b"]
+    q = linear(xq, w["q_w"], w["q_b"])
+    k_s = linear(xq, w["k_w"], w["k_b"])
+    v_s = linear(xq, w["v_w"], w["v_b"])
 
     q_rot = rope(q, positions, cfg.rope_base, cfg.head_dim)
     k_all, v_all, *diag = kv_fn(k_s, v_s, positions)
     merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, *diag, seqs=seqs)
-    out = aq(merged) @ w["o_w"] + w["o_b"]
+    out = linear(aq(merged), w["o_w"], w["o_b"])
     x = x + out
 
     xn2 = rms_norm(x, w["mlp_norm"])
     xq2 = aq(xn2)
-    g = xq2 @ w["gate_w"] + w["gate_b"]
-    u = xq2 @ w["up_w"] + w["up_b"]
+    g = linear(xq2, w["gate_w"], w["gate_b"])
+    u = linear(xq2, w["up_w"], w["up_b"])
     mid = aq(silu(g) * u)
-    return x + (mid @ w["down_w"] + w["down_b"])
+    return x + linear(mid, w["down_w"], w["down_b"])
 
 
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
@@ -788,7 +788,7 @@ def _head(model: Model, x: np.ndarray, act_fn=None) -> Tensor:
     xn = rms_norm(x, model.final_norm.reshape(1, -1))
     if act_fn is not None:
         xn = act_fn(xn)
-    return Tensor(xn @ model.head.w + model.head.b)
+    return Tensor(linear(xn, model.head.w, model.head.b))
 
 
 def cache_path_forward(model: Model, token_ids: np.ndarray) -> Tensor:

@@ -18,13 +18,22 @@ caller can turn its (heads, T, S) scores buffer into probabilities without
 a copy.
 
 Equal-length sequences can be stacked as rows, (B*T, C): rms_norm, silu,
-matmul, embedding and cross_entropy work row by row, and rope takes B from
-the row count and the T positions (sequences).  The Tensor matmul stays
-2-d.
+linear, embedding and cross_entropy work row by row, and rope takes B from
+the row count and the T positions (sequences).
 
-rms_norm, rope and silu take a Tensor, which records a tape op, or a plain
-float32 array, which records nothing and runs the same arithmetic: the
-runtime forward runs on arrays, calibration and training on Tensors.
+rms_norm, rope, silu and linear take a Tensor, which records a tape op, or
+a plain float32 array, which records nothing and runs the same arithmetic:
+the runtime forward runs on arrays, calibration and training on Tensors.
+linear is a projection x @ w + b with a (1, N) bias row: one tape node whose
+backward gives all three gradients, or on arrays one product with the bias
+added in place.  rms_norm is one tape node too, with the float32 arithmetic
+and gradient order of the chain of elementwise ops it replaces.
+
+No backward writes into a gradient it receives or passes on, and nothing
+else does either: a gradient array is only ever read.  So _accum keeps the
+first gradient a node receives as its .grad without a copy, even when the
+same array is also another node's gradient (an add passes g to both
+operands), and sums later ones into a new array.
 """
 
 from __future__ import annotations
@@ -240,34 +249,13 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self,), backward)
 
-    # -- linear algebra / structure -------------------------------------------
-
-    def matmul(self, other: "Tensor"):
-        b = self._coerce(other)
-        if self.ndim != 2 or b.ndim != 2 or self.shape[1] != b.shape[0]:
-            raise DimensionError(
-                f"matmul shape mismatch: {self.shape} x {b.shape}"
-            )
-        out_data = self.data @ b.data
-
-        def backward(g, a=self, b=b):
-            if a.requires_grad:
-                a._accum(g @ b.data.T)
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-
-        return Tensor._from_op(out_data, (self, b), backward)
-
-    __matmul__ = matmul
-
     # -- autodiff driver ------------------------------------------------------
 
     def _accum(self, g: np.ndarray) -> None:
-        g = np.asarray(g, dtype=np.float32)
-        if self.grad is None:
-            self.grad = g.copy().reshape(self.shape)
-        else:
-            self.grad = self.grad + g.reshape(self.shape)
+        """Add g to .grad.  The first g is kept as it is, not copied, so g
+        must never be written afterwards (see the module docstring)."""
+        g = np.asarray(g, dtype=np.float32).reshape(self.shape)
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Reverse sweep from a scalar loss; clears the recorded graph."""
@@ -326,16 +314,37 @@ def softmax_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
 
 
 def rms_norm(x, gain, eps: float = 1e-6):
-    """RMS normalization over the channel axis with a gain row (learnable on Tensors)."""
+    """RMS normalization over the channel axis with a gain row (learnable on
+    Tensors).
+
+    On Tensors it is one tape op with the float32 arithmetic, and order, of
+    the chain x / sqrt(mean(x * x) + eps) * gain of elementwise tape ops: x
+    receives g * gain / r, then the mean-square path's term twice (once per
+    x of x * x), as three separate additions."""
     if not isinstance(x, Tensor):
         _check_finite("rms_norm", x)
         # the sum and division of mean(axis=1), without its wrapper's cost
         ms = np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1]
         return x / np.sqrt(ms + np.float32(eps)) * gain
     _check_finite("rms_norm", x.data)
-    ms = (x * x).mean(axis=1, keepdims=True)
-    inv = (ms + Tensor(np.full((x.shape[0], 1), eps, dtype=np.float32))).sqrt()
-    return (x / inv) * gain
+    gain = x._coerce(gain)
+    xd, gd = x.data, gain.data
+    r = np.sqrt((xd * xd).mean(axis=1, keepdims=True) + np.float32(eps))
+    y = xd / r
+
+    def backward(g):
+        if x.requires_grad:
+            gy = g * gd
+            x._accum(gy / r)
+            g_r = (-gy * xd / (r * r)).sum(axis=1, keepdims=True)
+            g_sq = (np.broadcast_to(g_r * 0.5 / r, xd.shape) / xd.shape[1]).astype(np.float32)
+            g_sq *= xd
+            x._accum(g_sq)
+            x._accum(g_sq)
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(g * y, gd.shape))
+
+    return Tensor._from_op(y * gd, (x, gain), backward)
 
 
 # Byte boundary of the rope tables and the KV cache's buffers.  NumPy's vector
@@ -445,6 +454,37 @@ def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None =
             a._accum(rotate(g, -sin))  # the transpose rotates by -angle
 
     return Tensor._from_op(rotate(x.data, sin), (x,), backward)
+
+
+def linear(x, w, b):
+    """x @ w + b of a (rows, C) Tensor or array, a (C, N) weight and a (1, N)
+    bias row.  On Tensors it is one tape op, whose backward gives g @ w^T,
+    x^T @ g and the column sums of g; on arrays the bias is added in place.
+    A shape mismatch raises DimensionError (on arrays, one that numpy cannot
+    broadcast: the runtime path checks nothing before its product)."""
+    if not isinstance(x, Tensor):
+        try:
+            out = x @ w
+            out += b
+        except ValueError as e:
+            raise DimensionError(f"linear shape mismatch: {e}") from None
+        return out
+    w, b = x._coerce(w), x._coerce(b)
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+        raise DimensionError(f"linear shape mismatch: {xd.shape} x {wd.shape} + {bd.shape}")
+    out = xd @ wd
+    out += bd
+
+    def backward(g):
+        if x.requires_grad:
+            x._accum(g @ wd.T)
+        if w.requires_grad:
+            w._accum(xd.T @ g)
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, bd.shape))
+
+    return Tensor._from_op(out, (x, w, b), backward)
 
 
 def silu(x):

@@ -1,12 +1,16 @@
-"""A float64 reference for one decode step's attention over a quantized
-cache layer.
+"""Float64 references for kvq's fast paths.
 
-It takes the layer's stored codes and per-(token, group) m, n, the layer's
-K/V smoothing, a query row and the step's own K/V rows, and computes the
-step's scores and output in float64 by the definitions: dequantize (codes *
-n + m), un-smooth (y * s + delta), rotate every key at its position, then
-softmax and P . V.  It uses no kvq kernel, so a fast path tested against it
-is held to the size of its error, not to an order of float32 operations.
+decode_attention is one decode step's attention over a quantized cache
+layer.  It takes the layer's stored codes and per-(token, group) m, n, the
+layer's K/V smoothing, a query row and the step's own K/V rows, and computes
+the step's scores and output in float64 by the definitions: dequantize
+(codes * n + m), un-smooth (y * s + delta), rotate every key at its
+position, then softmax and P . V.
+
+adam_step is one Adam step of one parameter, by the textbook formula.
+
+They use no kvq kernel, so a fast path tested against them is held to the
+size of its error, not to an order of float32 operations.
 """
 
 from __future__ import annotations
@@ -63,3 +67,14 @@ def decode_attention(cfg, layer, past: int, smoothing: tuple, q: np.ndarray,
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     return scores, p, np.einsum("hs,hsd->hd", p, heads(values))
+
+
+def adam_step(p, g, m, v, t: int, lr: float, b1: float = 0.9, b2: float = 0.999,
+              eps: float = 1e-8):
+    """Adam at step t (from 1) in float64: the new (p, m, v) of a parameter p
+    with gradient g and moments m, v."""
+    g = np.asarray(g, dtype=np.float64)
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

@@ -1,14 +1,30 @@
 """Tape ops that only the tests' reference computations use.
 
-The per-head references in test_tensor.py, the per-group token fake-quant
-reference in test_quantizers.py and the tape cache read in test_runtime.py
-are built from these; test_tensor.py checks their gradients.  Each is a function over kvq Tensors recorded on the same
+The per-head references and the matmul-plus-bias chain in test_tensor.py,
+the per-group token fake-quant reference in test_quantizers.py and the tape
+cache read in test_runtime.py are built from these; test_tensor.py checks
+their gradients.  Each is a function over kvq Tensors recorded on the same
 tape as the library's ops.
 """
 
 import numpy as np
 
+from kvq.errors import DimensionError
 from kvq.tensor import Tensor, _check_broadcast, _unbroadcast
+
+
+def matmul(a, b):
+    """a @ b of two 2-d Tensors."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+
+    def backward(g, a=a, b=b):
+        if a.requires_grad:
+            a._accum(g @ b.data.T)
+        if b.requires_grad:
+            b._accum(a.data.T @ g)
+
+    return Tensor._from_op(a.data @ b.data, (a, b), backward)
 
 
 def tsum(a, axis=None, keepdims=False):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fitted_model, tiny_config, word_corpus
+from reference import adam_step
 import kvq.calibration as calibration
 from kvq.calibration import (
     AdamW,
@@ -67,6 +68,40 @@ class TestAdamW:
         opt = AdamW([p], 0.1)
         opt.step()
         assert p.data[0] == 1.0
+
+    def test_matches_float64_reference(self):
+        # 20 steps of three parameters; each skips every 7th step (grad None)
+        # and the grads span four decades.  Measured max |float32 - float64|:
+        # 9.0e-7 over seeds 0-19 at |p| up to about 3 (a few float32 ulps)
+        rng = np.random.default_rng(0)
+        params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in ((3, 5), (1, 4), (7,))]
+        ref = [(p.data.astype(np.float64), 0.0, 0.0) for p in params]
+        opt = AdamW(params, 0.01)
+        for t in range(1, 21):
+            before = [p.data.copy() for p in params]
+            for i, p in enumerate(params):
+                scale = 10.0 ** rng.uniform(-3, 1)
+                p.grad = (None if (t + i) % 7 == 0
+                          else (rng.normal(size=p.shape) * scale).astype(np.float32))
+            opt.step()
+            for i, (p, old) in enumerate(zip(params, before)):
+                if p.grad is None:
+                    assert np.array_equal(p.data, old)
+                else:
+                    w, m, v = ref[i]
+                    ref[i] = adam_step(w, p.grad, m, v, t, 0.01)
+                assert np.abs(p.data - ref[i][0]).max() <= 3e-6
+
+    def test_owns_its_arrays(self):
+        # a step updates the optimizer's copy, never the caller's array
+        data = np.array([1.0, -2.0], np.float32)
+        p = Tensor(data, requires_grad=True)
+        opt = AdamW([p], 0.1)
+        p.grad = np.array([0.5, -3.0], np.float32)
+        opt.step()
+        assert p.data is not data and not np.shares_memory(p.data, data)
+        assert np.array_equal(data, [1.0, -2.0]) and not np.array_equal(p.data, data)
 
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([4.0], np.float32), requires_grad=True)

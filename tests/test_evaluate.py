@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ from kvq.model import (
     spread_kv_channels,
 )
 from test_runtime import smoothed
+
+
+def model_arrays(model) -> list:
+    """Every array train_model fits, in a fixed order."""
+    out = [model.embed, model.final_norm, model.head.w, model.head.b]
+    for blk in model.blocks:
+        out += [blk.attn_norm, blk.mlp_norm]
+        out += [a for lin in blk.projections().values() for a in (lin.w, lin.b)]
+    return out
 
 
 def stepwise_logits(model, ids):
@@ -202,6 +212,33 @@ class TestTraining:
         report = train_model(m, corpus, steps=2, batch=2, seq_len=16, seed=3)
         assert report["initial_loss"] == want.item()
         assert report["final_loss"] < report["initial_loss"]
+
+    def test_losses_and_weights_pinned(self):
+        # the float32 losses, and the sha256 of the trained arrays, of this
+        # fit as the tape gave them when every projection was a matmul op
+        # plus an add op, rms_norm a chain of six ops, every first gradient
+        # was copied and Adam allocated its temporaries (numpy 2.4, OpenBLAS
+        # 0.3, x86-64): a change to the tape or the optimizer that moves
+        # float32 rounding fails here
+        m = Model.random(tiny_config(), seed=0)
+        report = train_model(m, word_corpus(0), steps=6, batch=2, seq_len=16, seed=0)
+        assert report["initial_loss"] == 5.584054946899414
+        assert report["final_loss"] == 4.978938102722168
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in model_arrays(m))).hexdigest()
+        assert digest == "f06eb39db7e93b71c6305b3283da75e11a7244845ee7081c5be4395508581477"
+
+    def test_model_arrays_unwritten_until_write_back(self):
+        # the optimizer steps its own copies; the model's arrays, read-only
+        # here, are only replaced once training ends
+        m = Model.random(tiny_config(), seed=1)
+        old = model_arrays(m)
+        before = [a.copy() for a in old]
+        for a in old:
+            a.flags.writeable = False
+        train_model(m, word_corpus(1), steps=2, batch=2, seq_len=16, seed=1)
+        assert all(np.array_equal(a, b) for a, b in zip(old, before))
+        for a, b in zip(model_arrays(m), old):
+            assert not np.shares_memory(a, b) and not np.array_equal(a, b)
 
     def test_training_deterministic(self):
         corpus = word_corpus(5)

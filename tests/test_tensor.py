@@ -3,19 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_config, word_corpus
+from kvq.calibration import CalibConfig, calibrate_block, collect_activations, sample_segments
 from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError
-from kvq.model import ATTN_BLOCK, causal_attention
+from kvq.evaluate import train_model
+from kvq.model import ATTN_BLOCK, Model, causal_attention, spread_kv_channels
 from kvq.tensor import (
     Tensor,
     cross_entropy,
     embedding,
+    linear,
     rms_norm,
     rope,
     round_half_away,
     sequences,
     softmax_causal,
 )
-from tape_ops import concat_cols, concat_rows, slice_cols, slice_rows, tmax, tsum
+from tape_ops import concat_cols, concat_rows, matmul, slice_cols, slice_rows, tmax, tsum
 
 
 def finite_diff(f, arrs, eps=1e-3):
@@ -82,8 +86,8 @@ def per_head_attention(q, k, v, n_heads, offset):
     heads = []
     for h in range(n_heads):
         qh, kh, vh = (slice_cols(a, h * d, (h + 1) * d) for a in (q, k, v))
-        scores = (qh @ transpose_op(kh)) * np.float32(1.0 / np.sqrt(d))
-        heads.append(softmax_causal_op(scores, offset) @ vh)
+        scores = matmul(qh, transpose_op(kh)) * np.float32(1.0 / np.sqrt(d))
+        heads.append(matmul(softmax_causal_op(scores, offset), vh))
     return concat_cols(heads)
 
 
@@ -131,8 +135,8 @@ class TestBroadcasting:
         assert np.array_equal(b.grad, np.full((1, 4), 6.0, np.float32))
 
     def test_matmul_shape_error_names_both(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match=r"\(2, 3\) x \(2, 3\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))))
 
 
 class TestGradients:
@@ -146,8 +150,8 @@ class TestGradients:
     def test_matmul_silu_mean(self):
         rng = np.random.default_rng(2)
         check_grads(
-            lambda a, b: (a @ b).silu().mean(),
-            [randn(rng, 3, 4), randn(rng, 4, 5)],
+            lambda a, w, b: linear(a, w, b).silu().mean(),
+            [randn(rng, 3, 4), randn(rng, 4, 5), randn(rng, 1, 5)],
         )
 
     def test_exp_sqrt_abs(self):
@@ -255,6 +259,97 @@ class TestGradients:
             lambda x, y: slice_rows(concat_rows([x, y]), 1, 4).mean(),
             [randn(rng, 2, 3), randn(rng, 3, 3)],
         )
+
+
+class TestFusedOps:
+    """linear and rms_norm are one tape op each, bit for bit the chain of
+    tape ops that they replace, and on arrays bit for bit the tape's output."""
+
+    def test_linear_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(20)
+        arrs = [randn(rng, 6, 5), randn(rng, 5, 3), randn(rng, 1, 3)]
+        r = Tensor(randn(rng, 6, 3))
+        fused = grads_of(lambda x, w, b: tsum(linear(x, w, b) * r), arrs)
+        chain = grads_of(lambda x, w, b: tsum((matmul(x, w) + b) * r), arrs)
+        assert np.array_equal(fused[0], chain[0])
+        assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
+        x, w, b = arrs
+        assert np.array_equal(linear(x, w, b), x @ w + b)
+        assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+
+    @pytest.mark.parametrize("shapes, on_arrays", [
+        (((6, 5), (4, 3), (1, 3)), True),  # inner dimensions differ
+        (((6, 5), (5, 3), (1, 4)), True),  # bias width
+        (((5,), (5, 3), (1, 3)), True),  # input not 2-d
+        (((6, 5), (5, 3), (3,)), False),  # bias not a row: numpy broadcasts it
+    ])
+    def test_linear_shape_mismatch_raises(self, shapes, on_arrays):
+        x, w, b = (np.zeros(s, np.float32) for s in shapes)
+        with pytest.raises(DimensionError, match="linear shape mismatch"):
+            linear(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+        if on_arrays:
+            with pytest.raises(DimensionError, match="linear shape mismatch"):
+                linear(x, w, b)
+
+    def test_rms_norm_matches_elementwise_chain(self):
+        # x also feeds a residual, as in a block, so its four gradient terms
+        # must be summed in the chain's order
+        rng = np.random.default_rng(21)
+        arrs = [randn(rng, 6, 8), randn(rng, 1, 8)]
+        r = Tensor(randn(rng, 6, 8))
+
+        def chain(x, gain, eps=1e-6):
+            ms = (x * x).mean(axis=1, keepdims=True)
+            return x / (ms + Tensor(np.full((x.shape[0], 1), eps, np.float32))).sqrt() * gain
+
+        fused = grads_of(lambda x, g: tsum((rms_norm(x, g) + x) * r), arrs)
+        ref = grads_of(lambda x, g: tsum((chain(x, g) + x) * r), arrs)
+        assert np.array_equal(fused[0], ref[0])
+        assert all(np.array_equal(a, b) for a, b in zip(fused[1], ref[1]))
+        x, gain = arrs
+        assert np.array_equal(rms_norm(x, gain), rms_norm(Tensor(x), Tensor(gain)).data)
+
+
+@pytest.fixture
+def sealed_grads(monkeypatch):
+    """Mark every gradient read-only as it is stored, and the array it came
+    from, so that a write into either raises."""
+    accum = Tensor._accum
+
+    def sealed(self, g):
+        if isinstance(g, np.ndarray):
+            g.flags.writeable = False
+        accum(self, g)
+        self.grad.flags.writeable = False
+
+    monkeypatch.setattr(Tensor, "_accum", sealed)
+
+
+class TestGradientsReadOnly:
+    """_accum keeps the first gradient it receives without a copy, which is
+    sound only while no backward (and no optimizer) writes a gradient."""
+
+    def test_a_backward_writing_its_gradient_raises(self, sealed_grads):
+        def doubled(a):
+            def backward(g):
+                g *= 2.0
+                a._accum(g)
+
+            return Tensor._from_op(a.data * 2.0, (a,), backward)
+
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match="read-only"):
+            tsum(doubled(x)).backward()
+
+    def test_train_and_calibration_steps_write_no_gradient(self, sealed_grads):
+        m = Model.random(tiny_config(), seed=2)
+        report = train_model(m, word_corpus(2), steps=1, batch=2, seq_len=16, seed=2)
+        assert np.isfinite(report["initial_loss"])
+        spread_kv_channels(m, 1.5, seed=2)
+        calib = CalibConfig(k=2, epochs=1, segments=1, seg_len=16, seed=2)
+        acts = collect_activations(m, sample_segments(word_corpus(2, 200), calib))
+        trace = calibrate_block(m, 0, calib, [a[0] for a in acts], [a[2] for a in acts])
+        assert len(trace["trajectory"]) == 2  # the init, then one epoch of one step
 
 
 class TestSte:
