@@ -10,13 +10,25 @@ bit-identical to the saved model's.  Files written when calibration still
 learned weight clipping may carry per-projection .gamma/.beta tensors; they
 load, and those tensors are not read.
 
+A projection's b-bit codes (b = 2..8, its meta "bits") are one uint8 stream
+of ceil(C_in * C_out / 8) * b bytes (pack_codes): code i of the row-major
+(C_in, C_out) matrix holds bits i * b .. i * b + b - 1 of the stream, counted
+from the low bit of byte 0, so every 8 codes fill b bytes and the last group
+is padded with zero codes.  Files written before codes were packed store
+them as a (C_in, C_out) uint8 matrix, one code per byte; a 2-d codes tensor
+is read that way, and loads to the same codes.
+
 A malformed file raises DataFormatError naming the first fault found: a
 header, config, meta or tensor table that is not a JSON object, a table
 entry that is not one or lacks a field, a table entry whose dtype, shape,
 offset or nbytes cannot describe its bytes, a
 tensor past the end of the file or overlapping another, a tensor that
-the config's layout needs and that is missing or has another shape, or a
-smoothing scale that is not finite or is below S_FLOOR.
+the config's layout needs and that is missing or has another shape, weight
+codes that are not uint8, a quant, projection or smoothing meta entry that is
+not a JSON object, a projection whose weight bits are not an integer in
+2..8, whose group size is not a positive integer or whose smoothing
+"absorbed" is not a boolean, or a smoothing scale that is not finite or is
+below S_FLOOR.
 """
 
 from __future__ import annotations
@@ -148,6 +160,59 @@ def read_container(path: str) -> tuple[dict, dict, dict[str, np.ndarray]]:
     return header.get("config", {}), header.get("meta", {}), tensors
 
 
+# -- packed weight codes ------------------------------------------------------
+
+
+def _lanes(width: int, keep: int) -> np.uint64:
+    """A uint64 mask of the low keep bits of every width-bit lane."""
+    return np.uint64(sum(((1 << keep) - 1) << at for at in range(0, 64, width)))
+
+
+# (lane width, codes each half of a lane holds): 8 codes, one per byte of a
+# 64-bit word, join pairwise into lanes of 2, 4 and then 8 codes
+_STAGES = [(16, 1), (32, 2), (64, 4)]
+
+
+def packed_size(numel: int, bits: int) -> int:
+    """Bytes of the stream of numel codes of the given width."""
+    return -(-numel // 8) * bits
+
+
+def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """The little-endian bit stream of a uint8 code array (row-major), as
+    packed_size bytes; every code must fit in bits.
+
+    Each 8 codes are read as one little-endian 64-bit word, a code per byte.
+    Each stage moves the upper half of every lane down onto the codes the
+    lower half holds, so the word ends with its 8 codes in its low 8 * bits
+    bits, which are its first bits bytes."""
+    flat = np.ascontiguousarray(codes, dtype=np.uint8).reshape(-1)
+    if flat.size and flat.max() >> bits:
+        raise KvqError(f"a code of {flat.max()} does not fit in {bits} bits")
+    groups = -(-flat.size // 8)
+    if flat.size % 8:
+        flat = np.concatenate([flat, np.zeros(8 * groups - flat.size, np.uint8)])
+    x = flat.view("<u8").astype(np.uint64)
+    for width, held in _STAGES:
+        low = _lanes(width, width // 2)
+        x = (x & low) | ((x & ~low) >> np.uint64(width // 2 - held * bits))
+    return x.astype("<u8", copy=False).view(np.uint8).reshape(groups, 8)[:, :bits].reshape(-1)
+
+
+def unpack_codes(stream: np.ndarray, bits: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The uint8 codes of the given shape that pack_codes(codes, bits) made
+    the stream of: its stages run backwards, splitting each lane's codes
+    into its two halves."""
+    numel, groups = math.prod(shape), len(stream) // bits
+    words = np.zeros((groups, 8), np.uint8)
+    words[:, :bits] = stream.reshape(groups, bits)
+    x = words.view("<u8").reshape(groups).astype(np.uint64)
+    for width, held in reversed(_STAGES):
+        keep = _lanes(width, held * bits)
+        x = (x & keep) | ((x >> np.uint64(held * bits)) & keep) << np.uint64(width // 2)
+    return x.astype("<u8", copy=False).view(np.uint8)[:numel].reshape(shape)
+
+
 # -- model <-> container ------------------------------------------------------
 
 
@@ -169,7 +234,7 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
             if lin.wq is None:
                 tensors[f"{base}.w"] = lin.w
             else:
-                tensors[f"{base}.wq.codes"] = lin.wq.codes
+                tensors[f"{base}.wq.codes"] = pack_codes(lin.wq.codes, lin.wq.bits)
                 tensors[f"{base}.wq.h"] = lin.wq.h
                 tensors[f"{base}.wq.z"] = lin.wq.z
                 quant_meta["projections"][base] = {
@@ -193,7 +258,16 @@ def load_model(path: str) -> Model:
         cfg = ModelConfig(**config)
     except (TypeError, KvqError) as e:
         raise DataFormatError(f"bad config in header: {e}") from e
-    quant_meta = meta.get("quant", {})
+
+    def table(within: dict, key: str, what: str) -> dict:
+        value = within.get(key, {})
+        if not isinstance(value, dict):
+            raise DataFormatError(f"{what} is a JSON {type(value).__name__}, not an object")
+        return value
+
+    quant_meta = table(meta, "quant", "meta 'quant'")
+    projections = table(quant_meta, "projections", "meta 'quant.projections'")
+    smoothing_meta = table(quant_meta, "smoothing", "meta 'quant.smoothing'")
 
     def get(name: str, *shape: int) -> np.ndarray:
         if name not in tensors:
@@ -204,27 +278,40 @@ def load_model(path: str) -> Model:
                                   f"{list(shape)} from the config")
         return tensors[name]
 
+    def codes(name: str, bits: int, cin: int, cout: int) -> np.ndarray:
+        unpacked = name in tensors and tensors[name].ndim == 2  # one code per byte
+        stored = get(name, cin, cout) if unpacked else get(name, packed_size(cin * cout, bits))
+        if stored.dtype != np.uint8:
+            raise DataFormatError(f"tensor {name!r} has dtype {stored.dtype}, expected u8")
+        return stored if unpacked else unpack_codes(stored, bits, (cin, cout))
+
     def lin(base: str, cin: int, cout: int) -> Linear:
-        pq = quant_meta.get("projections", {}).get(base)
+        pq = table(projections, base, f"projection {base!r}'s quant entry")
         wq = None
-        if pq is not None:
-            gs = pq["group_size"]
-            if not isinstance(gs, int) or gs < 1:
+        if base in projections:
+            gs, bits = pq.get("group_size"), pq.get("bits")
+            if not _is_count(gs) or gs < 1:
                 raise DataFormatError(f"projection {base!r} has weight group size {gs!r}")
+            if not _is_count(bits) or not 2 <= bits <= 8:
+                raise DataFormatError(f"projection {base!r} has weight bits {bits!r}: "
+                                      f"they must be an integer in 2..8")
             groups = -(-cin // gs)
             wq = QuantizedTensor(
                 kind="weight",
-                codes=get(f"{base}.wq.codes", cin, cout),
-                bits=pq["bits"],
+                codes=codes(f"{base}.wq.codes", bits, cin, cout),
+                bits=bits,
                 group_size=gs,
                 h=get(f"{base}.wq.h", groups, cout),
                 z=get(f"{base}.wq.z", groups, cout),
             )
         w = get(f"{base}.w", cin, cout) if wq is None else dequantize(wq)
         b = get(f"{base}.b", 1, cout)
-        sm = quant_meta.get("smoothing", {}).get(base)
+        sm = table(smoothing_meta, base, f"projection {base!r}'s smoothing entry")
         smoothing = None
-        if sm is not None:
+        if base in smoothing_meta:
+            if not isinstance(sm.get("absorbed"), bool):
+                raise DataFormatError(f"projection {base!r} has smoothing absorbed "
+                                      f"{sm.get('absorbed')!r}: it must be true or false")
             s = get(f"{base}.smooth.s", cout)
             if not (np.isfinite(s).all() and s.min() >= S_FLOOR):
                 raise DataFormatError(f"tensor {base + '.smooth.s'!r} has a scale that is not "

@@ -28,10 +28,12 @@ at append, and its reads take them as stored.  A cache plans its forwards
 once, when it is built (PoqKvCache._plan_reads), so a decode step rebuilds
 nothing: each block's weights and KV handler, and for a quantized cache the
 token spec, smoothing, segment maps, contraction matrices, rope tables and
-a work buffer.  That buffer and the cache's scratch buffer are shared by
-the layers and overwritten by every read.  The buffers and rope tables are
-allocated once on 64-byte boundaries (tensor.ALIGN), where NumPy's vector
-loops run the fold's elementwise passes in about half the time.
+a work buffer.  The parts that depend on the config alone are made once per
+config and shared by its caches (_config_read_plan).  The work buffer and
+the cache's scratch buffer are shared by the layers and overwritten by
+every read.  The buffers and rope tables are allocated once on 64-byte
+boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
+elementwise passes in about half the time.
 
 Setting: a forward without a cache runs model.config.  A cache keeps a copy
 of the config it was built with (PoqKvCache.cfg) and runs the blocks it was
@@ -284,6 +286,68 @@ class LayerCache:
 FOLD_MAX_SEGMENTS = 32
 
 
+_READ_PLANS: dict[tuple, dict] = {}
+
+
+def _config_read_plan(cfg: ModelConfig) -> dict:
+    """The attributes of a quantized PoqKvCache's read plan that depend on its
+    config alone, made once per config and shared read-only by every cache,
+    as rope_table shares its tables.
+
+    Segments are w = gcd(kv_group_size, head_dim) channels each, inside one
+    head and one group.  seg_head and seg_group map segments to heads and
+    groups; an identity map (w = head_dim, w = kv_group_size) is a slice, so
+    indexing with it is a view, not a gather.  seg_pair picks each segment's
+    (head, group) entry.  With at most FOLD_MAX_SEGMENTS segments, decode
+    steps fold K (fold_k), and PoqKvCache._folded_k also needs the rope
+    tables, the channel order [identity | sigma] (swap; sigma swaps the
+    halves of every head), the one-hot maps of channels to segments
+    (seg_ones) and heads (head_ones) and of segments to heads (seg_to_head,
+    None where segments are heads).
+
+    A rope table row repeats head_dim / 2 angles across the width: cos is
+    [c, c] and sin is [-s, s] in every head.  So for (hidden, k) matrices a
+    and b, cos @ a + sin @ b = cs_cols.T @ (to_cs @ [a; b]): cs_cols holds
+    the table's distinct cos and sin columns as rows, and to_cs sums the
+    rows of a and of b over the channels of each angle, with sin's sign.
+    """
+    c, d, h, length = cfg.hidden_size, cfg.head_dim, cfg.n_heads, cfg.max_seq_len
+    w = math.gcd(cfg.kv_group_size, d)
+    fold_k = c // w <= FOLD_MAX_SEGMENTS
+    key = (c, d, h, cfg.kv_group_size, length, float(cfg.rope_base), fold_k)
+    plan = _READ_PLANS.get(key)
+    if plan is not None:
+        return plan
+    seg = np.arange(0, c, w)
+    seg_pair = (seg // d, slice(None), seg // cfg.kv_group_size)
+    plan = {"seg_width": w, "seg_pair": seg_pair,
+            "seg_head": slice(None) if w == d else seg_pair[0],
+            "seg_group": slice(None) if w == cfg.kv_group_size else seg_pair[2],
+            "fold_k": fold_k}
+    if fold_k:
+        cos, sin = rope_table(cfg.rope_base, d, c, length)
+        cs_cols = aligned_zeros((d, length))[0]
+        cs_cols[...] = np.concatenate([cos[:length, : d // 2], sin[:length, d // 2 : d]], 1).T
+        channel = np.arange(c)
+        within = channel % d
+        angle = (within % (d // 2) == np.arange(d // 2)[:, None]).astype(np.float32)
+        to_cs = np.zeros((d, 2 * c), dtype=np.float32)
+        to_cs[: d // 2, :c] = angle
+        to_cs[d // 2 :, c:] = np.where(within < d // 2, -angle, angle)
+        to_head = lambda a: (a == np.arange(h)[:, None]).astype(np.float32)
+        plan.update(
+            cos=cos[:length], sin=sin[:length], cs_cols=cs_cols, to_cs=to_cs,
+            seg_to_head=None if w == d else to_head(seg_pair[0]),
+            swap=np.concatenate([channel, channel.reshape(h, 2, d // 2)[:, ::-1].reshape(-1)]),
+            seg_ones=(channel[:, None] // w == np.arange(len(seg))).astype(np.float32),
+            head_ones=to_head(channel // d).T)
+    for a in plan.values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    _READ_PLANS[key] = plan
+    return plan
+
+
 class PoqKvCache:
     """Per-layer paged store of past keys/values.
 
@@ -314,23 +378,11 @@ class PoqKvCache:
         (block_plan).  The handlers reach the cache through a weak proxy, so
         the plan makes no reference cycle and the cache is freed with its
         last user.  A quantized cache adds the token spec, each layer's
-        smoothing and the segments (w = gcd(kv_group_size, head_dim) channels
-        each, inside one head and one group).  seg_head and seg_group map
-        segments to heads and groups; an identity map (w = head_dim, w =
-        kv_group_size) is a slice, so indexing with it is a view, not a
-        gather.  seg_pair picks each segment's (head, group) entry.  With at
-        most FOLD_MAX_SEGMENTS segments, decode steps fold K (fold_k), and
-        _folded_k also needs the rope tables, a work buffer, the channel
-        order [identity | sigma] (swap; sigma swaps the halves of every head)
-        and each layer's K contraction matrix k_fold = [C; -C]: C = [segment
-        ones * s | delta per head], or the segment ones without K smoothing.
-
-        A rope table row repeats head_dim / 2 angles across the width: cos is
-        [c, c] and sin is [-s, s] in every head.  So for (hidden, k) matrices
-        a and b, cos @ a + sin @ b = cs_cols.T @ (to_cs @ [a; b]): cs_cols
-        holds the table's distinct cos and sin columns as rows, and to_cs
-        sums the rows of a and of b over the channels of each angle, with
-        sin's sign.
+        smoothing, the config's read plan (_config_read_plan, shared with
+        every cache of the same config) and, when decode steps fold K
+        (fold_k), a work buffer and each layer's K contraction matrix k_fold
+        = [C; -C]: C = [segment ones * s | delta per head], or the segment
+        ones without K smoothing.
         """
         cfg = self.cfg
         proxy = weakref.proxy(self)
@@ -338,37 +390,16 @@ class PoqKvCache:
                            for li, blk in enumerate(blocks)]
         if not quantized:
             return
-        c, d, h, length = cfg.hidden_size, cfg.head_dim, cfg.n_heads, cfg.max_seq_len
         self.spec = cfg.token_spec()
         self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
-        self.seg_width = w = math.gcd(cfg.kv_group_size, d)
-        seg = np.arange(0, c, w)
-        self.seg_pair = (seg // d, slice(None), seg // cfg.kv_group_size)
-        self.seg_head = slice(None) if w == d else self.seg_pair[0]
-        self.seg_group = slice(None) if w == cfg.kv_group_size else self.seg_pair[2]
-        self.fold_k = len(seg) <= FOLD_MAX_SEGMENTS
+        vars(self).update(_config_read_plan(cfg))
         if not self.fold_k:
             return
-        cos, sin = rope_table(cfg.rope_base, d, c, length)
-        self.cos, self.sin = cos[:length], sin[:length]
-        self.cs_cols = aligned_zeros((d, length))[0]
-        self.cs_cols[...] = np.concatenate([cos[:length, : d // 2], sin[:length, d // 2 : d]], 1).T
-        channel = np.arange(c)
-        within = channel % d
-        angle = (within % (d // 2) == np.arange(d // 2)[:, None]).astype(np.float32)
-        self.to_cs = np.zeros((d, 2 * c), dtype=np.float32)
-        self.to_cs[: d // 2, :c] = angle
-        self.to_cs[d // 2 :, c:] = np.where(within < d // 2, -angle, angle)
-        to_head = lambda a: (a == np.arange(h)[:, None]).astype(np.float32)
-        self.seg_to_head = None if w == d else to_head(self.seg_pair[0])
-        self.swap = np.concatenate([channel, channel.reshape(h, 2, d // 2)[:, ::-1].reshape(-1)])
-        self.work = aligned_zeros((length, c))[0]
-        ones = (channel[:, None] // w == np.arange(len(seg))).astype(np.float32)
-        head = to_head(channel // d).T
+        self.work = aligned_zeros((cfg.max_seq_len, cfg.hidden_size))[0]
         self.k_fold = []
         for sp, _ in self.kv_smoothing:
-            fold = ones if sp is None else np.concatenate([ones * sp.s[:, None],
-                                                           head * sp.delta[:, None]], 1)
+            fold = self.seg_ones if sp is None else np.concatenate(
+                [self.seg_ones * sp.s[:, None], self.head_ones * sp.delta[:, None]], 1)
             self.k_fold.append(np.concatenate([fold, -fold]))
 
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_rot: np.ndarray, v_raw: np.ndarray) -> None:
@@ -408,10 +439,10 @@ class PoqKvCache:
         before v is called.
 
         Quantized values stay codes.  Take a segment of w channels
-        (_plan_reads) with per-token parameters m, n and smoothing s, delta.
-        Over the past rows, P . V_raw = s * ((P * n) . codes + P . m) + (sum
-        P) * delta.  Where segments are heads and groups, P * n is a
-        broadcast product of views.
+        (_config_read_plan) with per-token parameters m, n and smoothing s,
+        delta.  Over the past rows, P . V_raw = s * ((P * n) . codes + P .
+        m) + (sum P) * delta.  Where segments are heads and groups, P * n is
+        a broadcast product of views.
         """
         cfg, lc = self.cfg, self.layers[li]
         past, t = self.length, k_cur.shape[0]
@@ -480,7 +511,7 @@ class PoqKvCache:
         codes) is (cos * codes) @ a - (sin * codes) @ b over the segment
         columns, and sum(U) with U . (delta / s) = (cos * q - sin *
         sigma(q)) . delta is one product over the tables' distinct columns
-        (_plan_reads).  No past key is built, and rotary pairs need not
+        (_config_read_plan).  No past key is built, and rotary pairs need not
         share a scale or a group.  A layer without K smoothing has s = 1 and
         no delta term.
         """

@@ -205,12 +205,17 @@ def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
 
     Codes round half away from zero in fewer passes than round_half_away:
     x + copysign(0.5, x) is sign(x) * (|x| + 0.5) exactly, and clipped to the
-    code range, the int8 cast truncates it to the same code."""
+    code range, the int8 cast truncates it to the same code.  The groups'
+    largest |deviation| is taken over a C-ordered (size, T * groups) copy,
+    whose maximum runs along whole rows instead of along each short group:
+    2.5-3.4x faster at 128 and 1,792 rows, 1.3 us slower at 2 (2-vCPU Xeon
+    VM, kv_group_size 32)."""
     t, k, size = y.shape
     half = float(2 ** (spec.bits - 1))
     m = np.add.reduce(y, axis=2) / size  # mean(axis=2), without its wrapper's cost
     centered = y - m[:, :, None]
-    spread = np.maximum.reduce(np.abs(centered), axis=2)
+    dev = np.abs(centered.reshape(t * k, size).T, order="C")
+    spread = np.maximum.reduce(dev, axis=0).reshape(t, k)
     flat = spread < SPREAD_EPS
     n = spread / half
     any_flat = flat.any()

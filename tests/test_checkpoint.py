@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -12,13 +13,16 @@ from kvq.checkpoint import (
     ALIGN,
     MAGIC,
     load_model,
+    pack_codes,
     read_container,
     save_model,
+    unpack_codes,
     write_container,
 )
-from kvq.errors import DataFormatError
+from kvq.errors import DataFormatError, KvqError
 from kvq.evaluate import train_model
-from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
+from kvq.model import (Model, ModelConfig, model_forward, quantize_model_weights,
+                       spread_kv_channels)
 from kvq.quantizers import init_smoothing
 from kvq.model import attach_kv_smoothing
 
@@ -231,6 +235,44 @@ class TestMalformedFiles:
             read_container(p)
 
 
+class TestPackedCodes:
+    """pack_codes writes b-bit codes as a little-endian bit stream, 8 codes
+    to b bytes; unpack_codes reads them back."""
+
+    SHAPES = [(16, 8), (3, 5), (1, 1), (7, 9), (0, 4)]
+
+    @staticmethod
+    def bitwise_stream(codes, bits):
+        # code i's bit j is bit i * bits + j of the stream, low bit first
+        stream_bits = (codes.reshape(-1, 1) >> np.arange(bits)) & 1
+        stream = np.packbits(stream_bits.reshape(-1).astype(np.uint8), bitorder="little")
+        return np.concatenate([stream, np.zeros(-(-codes.size // 8) * bits - stream.size,
+                                                np.uint8)])
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    @pytest.mark.parametrize("fill", ["zero", "code_hi", "random"])
+    def test_round_trip(self, bits, fill):
+        rng = np.random.default_rng(bits)
+        for shape in self.SHAPES:
+            codes = {"zero": np.zeros(shape, np.uint8),
+                     "code_hi": np.full(shape, 2**bits - 1, np.uint8),
+                     "random": rng.integers(0, 2**bits, shape).astype(np.uint8)}[fill]
+            stream = pack_codes(codes, bits)
+            assert stream.dtype == np.uint8
+            assert stream.shape == (math.ceil(codes.size / 8) * bits,)
+            assert np.array_equal(stream, self.bitwise_stream(codes, bits)), shape
+            back = unpack_codes(stream, bits, shape)
+            assert back.dtype == np.uint8 and np.array_equal(back, codes), shape
+
+    def test_layout_of_two_four_bit_codes(self):
+        # the first code takes the low nibble of byte 0
+        assert pack_codes(np.array([[1, 2]], np.uint8), 4).tolist() == [0x21, 0, 0, 0]
+
+    def test_code_wider_than_its_bits_refused(self):
+        with pytest.raises(KvqError, match="16 does not fit in 4 bits"):
+            pack_codes(np.array([3, 16], np.uint8), 4)
+
+
 class TestModelRoundtrip:
     def make(self, quantize=False, smooth=False):
         m = Model.random(tiny_config(), seed=0)
@@ -300,6 +342,96 @@ class TestModelRoundtrip:
                 assert np.array_equal(lin.w, b2.projections()[name].w)
         out1 = model_forward(m1, IDS).data
         assert np.array_equal(out1, model_forward(m2, IDS).data)
+
+    def test_unpacked_codes_load_to_same_codes(self, tmp_path):
+        # files written before codes were packed store a (C_in, C_out) matrix
+        # of one code per byte
+        m = self.make(quantize=True, smooth=True)
+        p, old = str(tmp_path / "m.kvq"), str(tmp_path / "old.kvq")
+        save_model(m, p)
+        config, meta, tensors = read_container(p)
+        for li, blk in enumerate(m.blocks):
+            for name, lin in blk.projections().items():
+                tensors[f"blocks.{li}.{name}.wq.codes"] = lin.wq.codes
+        write_container(old, config, meta, tensors)
+        assert Path(old).stat().st_size > Path(p).stat().st_size
+        m1, m2 = load_model(p), load_model(old)
+        for b0, b1, b2 in zip(m.blocks, m1.blocks, m2.blocks):
+            for name, lin in b0.projections().items():
+                for got in (b1, b2):
+                    assert np.array_equal(lin.wq.codes, got.projections()[name].wq.codes)
+                    assert np.array_equal(lin.w, got.projections()[name].w)
+        out = model_forward(m, IDS).data
+        assert np.array_equal(out, model_forward(m1, IDS).data)
+        assert np.array_equal(out, model_forward(m2, IDS).data)
+        # an unpacked matrix of the wrong shape names the config's shape
+        tensors["blocks.1.k.wq.codes"] = m.blocks[1].k.wq.codes[:-1]
+        write_container(old, config, meta, tensors)
+        with pytest.raises(DataFormatError, match=r"'blocks\.1\.k\.wq\.codes' has shape "
+                                                  r"\[31, 32\], expected \[32, 32\]"):
+            load_model(old)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    def test_codes_take_the_bytes_the_analyzer_counts(self, tmp_path, bits):
+        # the analyzer counts numel * bits / 8 bytes of codes per projection
+        m = Model.random(ModelConfig(n_layers=1, weight_bits=bits), seed=0)
+        quantize_model_weights(m)
+        p = str(tmp_path / "m.kvq")
+        save_model(m, p)
+        _, _, tensors = read_container(p)
+        codes = {n: a for n, a in tensors.items() if n.endswith(".wq.codes")}
+        assert len(codes) == 7
+        for name, shape in m.config.projection_shapes().items():
+            numel = math.prod(shape)
+            stream = codes[f"blocks.0.{name}.wq.codes"]
+            assert stream.nbytes == math.ceil(numel / 8) * bits == numel * bits // 8, name
+        m2 = load_model(p)
+        for name, lin in m.blocks[0].projections().items():
+            assert np.array_equal(lin.wq.codes, m2.blocks[0].projections()[name].wq.codes)
+
+    @pytest.mark.parametrize("bits", [True, "4", 0, 1, 9, 16, 4.0, None])
+    def test_bad_weight_bits_refused(self, tmp_path, bits):
+        # a projection's bits decide how its codes are read, so they must be
+        # an integer in 2..8
+        p = str(tmp_path / "m.kvq")
+        save_model(self.make(quantize=True), p)
+        config, meta, tensors = read_container(p)
+        meta["quant"]["projections"]["blocks.1.up"]["bits"] = bits
+        write_container(p, config, meta, tensors)
+        with pytest.raises(DataFormatError, match=r"projection 'blocks\.1\.up' has weight bits"):
+            load_model(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(quant=[]), "meta 'quant' is a JSON list"),
+        (lambda m: m["quant"].update(projections=[]), "meta 'quant.projections' is a JSON list"),
+        (lambda m: m["quant"]["projections"].update({"blocks.0.q": [4, 16]}),
+         "projection 'blocks.0.q''s quant entry is a JSON list"),
+        (lambda m: m["quant"]["projections"].update({"blocks.0.q": None}),
+         "projection 'blocks.0.q''s quant entry is a JSON NoneType"),
+        (lambda m: m["quant"].update(smoothing=7), "meta 'quant.smoothing' is a JSON int"),
+        (lambda m: m["quant"]["smoothing"]["blocks.1.v"].pop("absorbed"),
+         "projection 'blocks.1.v' has smoothing absorbed None"),
+        (lambda m: m["quant"]["smoothing"]["blocks.1.v"].update(absorbed=1),
+         "projection 'blocks.1.v' has smoothing absorbed 1"),
+    ])
+    def test_quant_meta_of_another_type_refused(self, tmp_path, edit, message):
+        p = str(tmp_path / "m.kvq")
+        save_model(self.make(quantize=True, smooth=True), p)
+        config, meta, tensors = read_container(p)
+        edit(meta)
+        write_container(p, config, meta, tensors)
+        with pytest.raises(DataFormatError) as err:
+            load_model(p)
+        assert str(err.value).startswith(message)
+
+    def test_codes_of_another_dtype_refused(self, tmp_path):
+        p = str(tmp_path / "m.kvq")
+        save_model(self.make(quantize=True), p)
+        config, meta, tensors = read_container(p)
+        tensors["blocks.0.q.wq.codes"] = tensors["blocks.0.q.wq.codes"].view(np.int8)
+        write_container(p, config, meta, tensors)
+        with pytest.raises(DataFormatError, match="'blocks.0.q.wq.codes' has dtype int8"):
+            load_model(p)
 
     @pytest.mark.parametrize("rewrite", ["train", "spread", "smooth", "calibrate16"])
     def test_rewritten_quantized_model_saves_new_weights(self, tmp_path, rewrite):

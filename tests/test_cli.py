@@ -280,6 +280,18 @@ class TestEval:
         assert rc == 3
         assert "blocks.0.q.w" in err
 
+    def test_bad_weight_bits_is_data_error(self, workdir, calibrated, capsys):
+        # a projection's bits decide how its packed codes are read
+        config, meta, tensors = read_container(str(calibrated))
+        meta["quant"]["projections"]["blocks.0.k"]["bits"] = 9
+        bad = workdir / "nine_bits.kvq"
+        write_container(str(bad), config, meta, tensors)
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert "projection 'blocks.0.k' has weight bits 9" in err
+
     def test_unknown_dtype_is_data_error(self, workdir, capsys):
         # same header length, so only the dtype name is wrong
         data = (workdir / "model.kvq").read_bytes()

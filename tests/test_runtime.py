@@ -654,6 +654,23 @@ class TestReadPlan:
         assert len(kept) == (1 + 2 * 6 + 4 if mode == "weight_kv" else 1 + 2 * 2)
         assert [a.ctypes.data % 64 for a in kept] == [0] * len(kept)
 
+    def test_config_plan_is_shared_and_k_fold_is_not(self):
+        # what depends on the config alone is made once per config, read-only;
+        # the K contraction matrices depend on each model's smoothing
+        plain, smooth = quantized(make_model(seed=1)), quantized(smoothed(make_model(seed=1)))
+        a, b = PoqKvCache(plain.config, plain.blocks), PoqKvCache(smooth.config, smooth.blocks)
+        shared = ["cs_cols", "to_cs", "swap", "seg_ones", "head_ones", "cos", "sin"]
+        for name in shared:
+            assert getattr(a, name) is getattr(b, name), name
+            assert not getattr(a, name).flags.writeable, name
+        assert a.seg_pair is b.seg_pair
+        for fa, fb in zip(a.k_fold, b.k_fold):
+            assert fa.shape[1] < fb.shape[1]  # the smoothed fold adds a delta column per head
+        assert a.work is not b.work and a.scratch is not b.scratch
+        longer = quantized(make_model(seed=1, max_seq_len=48))
+        c = PoqKvCache(longer.config, longer.blocks)
+        assert c.cs_cols is not a.cs_cols and c.cs_cols.shape[1] == 48
+
     def test_cache_is_freed_with_its_last_user(self):
         # the planned KV handlers reach the cache through a weak proxy, so the
         # plan holds no reference cycle
