@@ -18,7 +18,8 @@ Each block freezes whichever of three candidates has the lowest mean loss
 
 The calibration segments have one length, so a pass can stack them as rows
 (see model.block_core).  The fp activations of every block come from one
-such pass, and the statistics init from one.  Each candidate is scored by
+such pass, on Tensors that need no gradient like the fp blocks of each
+loss, and the statistics init from one.  Each candidate is scored by
 one crr_loss pass over all segments stacked: the mean absolute error over
 every row, which is the mean of the per-segment losses, on Tensors that
 need no gradient, so no tape is recorded.  Training takes one Adam step per
@@ -247,13 +248,16 @@ def crr_loss(model: Model, i: int, x_i: np.ndarray, tp: BlockTrainables, calib: 
 def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[np.ndarray]]:
     """Full-precision inputs x_i to every block (index n_layers = final
     output) of each equal-length token segment, in one pass with the
-    segments stacked as rows."""
+    segments stacked as rows.  The pass runs on Tensors that need no
+    gradient, so it records no tape and has the arithmetic of crr_loss's
+    full-precision blocks: the runtime forward on arrays normalizes
+    attention in another order (model.causal_attention)."""
     ids = np.asarray(segments, dtype=np.int64)
     b, t = ids.shape
-    xs = [model.embed[ids.reshape(-1)]]
+    xs = [Tensor(model.embed[ids.reshape(-1)])]
     for j, blk in enumerate(model.blocks):
         xs.append(block_forward(model.config, blk, xs[-1], 0, j, None, "fp", seq_len=t))
-    stacked = [x.reshape(b, t, -1) for x in xs]
+    stacked = [x.data.reshape(b, t, -1) for x in xs]
     return [[x[s] for x in stacked] for s in range(b)]
 
 

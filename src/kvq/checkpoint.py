@@ -27,8 +27,8 @@ the config's layout needs and that is missing or has another shape, weight
 codes that are not uint8, a quant, projection or smoothing meta entry that is
 not a JSON object, a projection whose weight bits are not an integer in
 2..8, whose group size is not a positive integer or whose smoothing
-"absorbed" is not a boolean, or a smoothing scale that is not finite or is
-below S_FLOOR.
+"absorbed" is not a boolean, a float tensor that holds a value that is not
+finite (checked once, as it is read), or a smoothing scale below S_FLOOR.
 """
 
 from __future__ import annotations
@@ -276,6 +276,8 @@ def load_model(path: str) -> Model:
         if found != shape:
             raise DataFormatError(f"tensor {name!r} has shape {list(found)}, expected "
                                   f"{list(shape)} from the config")
+        if tensors[name].dtype.kind == "f" and not np.isfinite(tensors[name]).all():
+            raise DataFormatError(f"tensor {name!r} holds a value that is not finite")
         return tensors[name]
 
     def codes(name: str, bits: int, cin: int, cout: int) -> np.ndarray:
@@ -313,9 +315,8 @@ def load_model(path: str) -> Model:
                 raise DataFormatError(f"projection {base!r} has smoothing absorbed "
                                       f"{sm.get('absorbed')!r}: it must be true or false")
             s = get(f"{base}.smooth.s", cout)
-            if not (np.isfinite(s).all() and s.min() >= S_FLOOR):
-                raise DataFormatError(f"tensor {base + '.smooth.s'!r} has a scale that is not "
-                                      f"finite or is below {S_FLOOR}")
+            if s.min() < S_FLOOR:
+                raise DataFormatError(f"tensor {base + '.smooth.s'!r} has a scale below {S_FLOOR}")
             smoothing = SmoothingParams(s, get(f"{base}.smooth.delta", cout),
                                         absorbed=sm["absorbed"])
         return Linear(w=w, b=b, smoothing=smoothing, wq=wq)

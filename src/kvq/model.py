@@ -52,9 +52,11 @@ block_core is the one block forward of prefill, decode, cache-path scoring,
 calibration and training.  It treats all heads at once: each of Q and K is
 rotated by a single rope call over (T, n_heads * head_dim), and
 causal_attention computes every head's scores, in-place causal softmax and
-weighted sum together.  Given Tensors (calibration, training) the block is
-recorded on the autodiff tape; the runtime forward (prefill, decode_step,
-cache_path_forward) passes plain float32 arrays and records nothing.
+weighted sum together: on the tape the softmax comes before P . V, on
+arrays the query is scaled first and the division comes after P . V.  Given
+Tensors (calibration, training) the block is recorded on the autodiff tape;
+the runtime forward (prefill, decode_step, cache_path_forward) passes plain
+float32 arrays and records nothing.
 
 Without a cache, block_core also takes B equal-length sequences stacked as
 rows, (B*T, C), each at the same T positions: every op but rope and
@@ -66,13 +68,13 @@ each sequence's attention bit for bit as its one-sequence call computes it;
 only the projections' matmuls see more rows, which can move float32 sums
 (and the weight gradients sum over every sequence).
 
-Attention takes the query rows ATTN_BLOCK at a time, so a long chunk never
-holds its whole (heads, T, T) scores matrix and never scores the masked keys
-past a block's last row.  This covers prefill, cacheless scoring and
-cache_path_forward.  Two cases stay one block per sequence, the whole
-matrix: the tape, whose backward keeps one probabilities buffer, and a
-chunk onto a filled cache, whose folded value read overwrites the keys that
-later blocks would still need.
+Attention on arrays takes the query rows ATTN_BLOCK at a time, so a long
+chunk never holds its whole (heads, T, T) scores matrix and never scores the
+masked keys past a block's last row.  This covers prefill, cacheless
+scoring and cache_path_forward.  Two cases stay one block per sequence, the
+whole matrix: the tape, whose backward keeps one probabilities buffer, and
+a chunk onto a filled cache, whose folded value read overwrites the keys
+that later blocks would still need.
 
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
@@ -95,14 +97,16 @@ from .quantizers import (
     SmoothingParams,
     TokenQuantSpec,
     WeightQuantSpec,
+    _quantize_token_groups,
+    _spans,
     absorb_smoothing,
     apply_kv_smoothing,
     dequantize,
     quantize_token,
     quantize_weight,
 )
-from .tensor import (Tensor, aligned_zeros, linear, rms_norm, rope, rope_table, sequences,
-                     silu, softmax_causal)
+from .tensor import (Tensor, _check_finite, aligned_zeros, exp_causal, linear, rms_norm, rope,
+                     rope_table, sequences, silu, softmax_causal)
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -377,7 +381,8 @@ class PoqKvCache:
         Every cache keeps each block's block_core weights and KV handler
         (block_plan).  The handlers reach the cache through a weak proxy, so
         the plan makes no reference cycle and the cache is freed with its
-        last user.  A quantized cache adds the token spec, each layer's
+        last user.  A quantized cache adds the token spec and its channel
+        spans (quantizers._spans, which append quantizes), each layer's
         smoothing, the config's read plan (_config_read_plan, shared with
         every cache of the same config) and, when decode steps fold K
         (fold_k), a work buffer and each layer's K contraction matrix k_fold
@@ -391,6 +396,7 @@ class PoqKvCache:
         if not quantized:
             return
         self.spec = cfg.token_spec()
+        self.spans = _spans(cfg.hidden_size, cfg.kv_group_size)
         self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
         vars(self).update(_config_read_plan(cfg))
         if not self.fold_k:
@@ -405,7 +411,10 @@ class PoqKvCache:
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_rot: np.ndarray, v_raw: np.ndarray) -> None:
         """Store a chunk's KV for layer li at rows length .. length+t-1
         (k_s/v_s smoothed, k_rot rotated raw keys, v_raw raw values): codes of
-        k_s and v_s, or k_rot and v_raw themselves in the fp layout."""
+        k_s and v_s, or k_rot and v_raw themselves in the fp layout.  The
+        codes, m and n are quantize_token's, from its core, span by span.
+        Rows past the capacity raise CapacityError, and non-finite rows of a
+        quantized cache NumericError, before anything is stored."""
         t = k_s.shape[0]
         start = self.length
         if start + t > self.cfg.max_seq_len:
@@ -415,12 +424,16 @@ class PoqKvCache:
         lc = self.layers[li]
         rows = slice(start, start + t)
         if lc.quantized:
-            # token groups are per row, so one call over the stacked K and V
-            # rows gives each the codes of its own call
-            q = quantize_token(np.concatenate([k_s, v_s]), self.spec)
-            lc.k_codes[rows], lc.v_codes[rows] = q.codes[:t], q.codes[t:]
-            lc.k_m[rows], lc.v_m[rows] = q.m[:t], q.m[t:]
-            lc.k_n[rows], lc.v_n[rows] = q.n[:t], q.n[t:]
+            # token groups are per row, so one call of quantize_token's core
+            # per span over the stacked K and V rows gives each the codes of
+            # its own quantize_token call
+            y = np.concatenate([k_s, v_s])
+            _check_finite("cache append", y)
+            for cols, groups, k, size in self.spans:
+                codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * t, k, size), self.spec)
+                lc.k_codes[rows, cols], lc.v_codes[rows, cols] = codes[:t], codes[t:]
+                lc.k_m[rows, groups], lc.v_m[rows, groups] = m[:t], m[t:]
+                lc.k_n[rows, groups], lc.v_n[rows, groups] = n[:t], n[t:]
         else:
             lc.k_fp[rows] = k_rot
             lc.v_fp[rows] = v_raw
@@ -430,13 +443,15 @@ class PoqKvCache:
         chunk's raw rows k_cur (rotated), v_cur at length .. length+t-1.
 
         Returns (k, v).  v(p) applies (H, T, length + t) attention weights to
-        the values, giving (H, T, head_dim).  On a decode step (one row) onto
-        a quantized cache that folds K (fold_k), k(qh) maps the (H, 1,
-        head_dim) rotated query to its (H, 1, length + 1) raw scores
-        (_folded_k) and no past key is built.  Otherwise k is the (length +
-        t, hidden) rotated keys (_materialized_k), the fold's equivalence
-        reference.  v(p) overwrites the scratch buffer, so k must be used
-        before v is called.
+        the values, giving (H, T, head_dim); it is linear in p, so
+        causal_attention hands it unnormalized weights and divides after.
+        On a decode step (one row) onto a quantized cache that folds K
+        (fold_k), k(qh) maps the (H, 1, head_dim) rotated query, which
+        causal_attention has scaled by 1/sqrt(head_dim), to its (H, 1,
+        length + 1) scores (_folded_k) and no past key is built.  Otherwise
+        k is the (length + t, hidden) rotated keys (_materialized_k), the
+        fold's equivalence reference.  v(p) overwrites the scratch buffer,
+        so k must be used before v is called.
 
         Quantized values stay codes.  Take a segment of w channels
         (_config_read_plan) with per-token parameters m, n and smoothing s,
@@ -497,8 +512,10 @@ class PoqKvCache:
         return k
 
     def _folded_k(self, li: int, k_cur: np.ndarray):
-        """k(qh): one query row's raw scores over layer li's past codes, then
-        over the step's own rotated key k_cur, as (H, 1, length + 1).
+        """k(qh): one query row's scores over layer li's past codes, then
+        over the step's own rotated key k_cur, as (H, 1, length + 1).  They
+        are linear in the query, so causal_attention passes it scaled by
+        1/sqrt(head_dim) and takes them as the scaled scores.
 
         A past key is rope_p(s * y + delta), with y = codes * n + m the
         dequantized smoothed row, and q . rope_p(x) = x . (cos_p * q -
@@ -566,11 +583,15 @@ class PoqKvCache:
 # -- forward pass -------------------------------------------------------------
 
 
-# Query rows per attention block.  At 128 rows, 4 heads and 896 keys a
-# block's float32 scores buffer is 1.8 MB and fits a 4 MB L2 cache, where the
-# whole (4, 896, 896) matrix (12.8 MB) does not; smaller blocks add more
-# per-block overhead than they save.
-ATTN_BLOCK = 128
+# Query rows per attention block.  A block's float32 scores buffer at 4
+# heads and 896 keys is 0.9 MB at 64 rows and fits a 4 MB L2 cache, where the
+# whole (4, 896, 896) matrix (12.8 MB) does not, and each block scores 64 *
+# 63 / 2 masked keys per head.  With the array path's one mask triangle per
+# block, prefill on the default config (one BLAS thread, 2-vCPU Xeon VM,
+# three seeds of 8 alternating rounds) took 0.93-0.98x the time of 128-row
+# blocks at 576 and 896 tokens and 0.99-1.05x at 256, and 256-row blocks
+# took 1.03-1.25x.
+ATTN_BLOCK = 64
 
 
 def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
@@ -580,28 +601,33 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     Each sequence attends only within itself.  Its k and v rows are (S, H*D)
     at positions 0 .. S-1, and its q rows are (T, H*D) at the last T of
     them, S-T .. S-1.  The heads are (seqs, H, rows, D) views of the inputs,
-    (H, rows, D) for one sequence.  Query rows are taken ATTN_BLOCK at a
-    time: rows [a, b) of every sequence score only the keys [0, S-T+b) they
-    can see, in a (seqs, H, b-a, S-T+b) buffer that becomes the
-    probabilities in place, and write their rows of the output.  Tensors
-    make one tape node whose backward keeps only the inputs and the
-    probabilities, so on the tape a sequence is one block.
+    (H, rows, D) for one sequence.
 
-    Arrays record nothing, and there a cache read of one sequence hands over
-    v as a function (PoqKvCache.read_raw): v(p) -> (H, T, D) applies the
-    (H, T, S) probabilities, as folded values do.  On a decode step k may be
-    one too: k(qh) -> (H, T, S) raw scores of the (H, T, D) query heads, as
-    folded keys give them.  Such a read takes every row at once (v(p)
-    overwrites the keys' buffer), so it goes straight from the scores to the
-    softmax to v, as one block.
+    Tensors make one tape node.  Each sequence's whole (H, T, S) scores are
+    scaled by 1/sqrt(D) and become the probabilities in place
+    (softmax_causal); the backward keeps only them and the inputs.
+
+    Arrays record nothing and take fewer passes over the scores.  The (T,
+    H*D) query is scaled once, before any product.  Query rows are taken
+    ATTN_BLOCK at a time: rows [a, b) of every sequence score only the keys
+    [0, S-T+b) they can see, in a (seqs, H, b-a, S-T+b) buffer.  exp_causal
+    masks the triangle of its last b-a columns and turns it into
+    unnormalized exponentials in place; their (H, b-a, D) product with the
+    values is then divided by the row sums, and written to the block's rows
+    of the output.
+
+    There a cache read of one sequence hands over v as a function
+    (PoqKvCache.read_raw): v(p) -> (H, T, D) applies (H, T, S) attention
+    weights, as folded values do, and it is linear in them.  On a decode
+    step k may be one too: k(qh) -> (H, T, S) scores of the (H, T, D)
+    scaled query heads, as folded keys give them.  Such a read takes every
+    row at once (v(p) overwrites the keys' buffer), as one block.
 
     On arrays only, the POQ diagonal diag = (k_cur, v_cur), each shaped as
     q, stands in for the keys and values at column S-T+i of query row i:
     with k and v from the cache round trip, every row attends as a decode
-    step does.
+    step does.  Its value correction is added before the division.
     """
-    tape = isinstance(q, Tensor)
-    data = (lambda a: a.data) if tape else (lambda a: a)
     t = q.shape[0] // seqs
     d = q.shape[1] // n_heads
     scale = np.float32(1.0 / math.sqrt(d))
@@ -613,48 +639,55 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     def merge(a: np.ndarray) -> np.ndarray:
         return a.swapaxes(-3, -2).reshape(-1, n_heads * d)
 
-    qh = heads(data(q), t)
+    if isinstance(q, Tensor):
+        if diag is not None:
+            raise UsageError("the POQ diagonal is an array input; the tape has no backward for it")
+        s = k.shape[0] // seqs
+        qh, kh, vh = heads(q.data, t), heads(k.data, s), heads(v.data, s)
+        p = np.matmul(qh, kh.swapaxes(-1, -2))
+        p *= scale
+        softmax_causal(p, s - t)
+
+        def backward(g):
+            gh = heads(g, t)
+            dp = np.matmul(gh, vh.swapaxes(-1, -2))
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= scale
+            grads = (np.matmul(ds, kh), np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2),
+                     np.matmul(p.swapaxes(-1, -2), gh))
+            for a, ga in zip((q, k, v), grads):
+                if a.requires_grad:
+                    a._accum(merge(ga))
+
+        return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), backward)
+
+    qh = heads(q * scale, t)
     if callable(v):
         p = k(qh) if callable(k) else np.matmul(qh, heads(k, k.shape[0]).swapaxes(-1, -2))
-        p *= scale
-        return merge(v(softmax_causal(p, p.shape[-1] - t)))
+        sums = exp_causal(p, p.shape[-1] - t)
+        o = v(p)
+        o /= sums
+        return merge(o)
     s = k.shape[0] // seqs
-    kh, vh = heads(data(k), s), heads(data(v), s)
+    kh, vh = heads(k, s), heads(v, s)
     offset = s - t
     if diag is not None:
         kch, vch = heads(diag[0], t), heads(diag[1], t)
-    step = max(t, 1) if tape else ATTN_BLOCK
     out = np.empty((*lead, t, n_heads, d), dtype=qh.dtype)
-    for a in range(0, t, step):
-        b = min(a + step, t)
+    for a in range(0, t, ATTN_BLOCK):
+        b = min(a + ATTN_BLOCK, t)
         cols = offset + b
         p = np.matmul(qh[..., a:b, :], kh[..., :cols, :].swapaxes(-1, -2))
         if diag is not None:
             rows = np.arange(b - a)
             ii = (..., rows, rows + offset + a)
             p[ii] = np.einsum("...td,...td->...t", qh[..., a:b, :], kch[..., a:b, :])
-        p *= scale
-        softmax_causal(p, offset + a)
+        sums = exp_causal(p, offset + a)
         o = np.matmul(p, vh[..., :cols, :])
         if diag is not None:
             o += p[ii][..., None] * (vch[..., a:b, :] - vh[..., offset + a : cols, :])
-        out[..., a:b, :, :] = o.swapaxes(-3, -2)
-    out = out.reshape(seqs * t, n_heads * d)
-    if not tape:
-        return out
-
-    def backward(g):
-        gh = heads(g, t)
-        dp = np.matmul(gh, vh.swapaxes(-1, -2))
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        ds *= scale
-        grads = (np.matmul(ds, kh), np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2),
-                 np.matmul(p.swapaxes(-1, -2), gh))
-        for a, ga in zip((q, k, v), grads):
-            if a.requires_grad:
-                a._accum(merge(ga))
-
-    return Tensor._from_op(out, (q, k, v), backward)
+        np.divide(o, sums, out=out[..., a:b, :, :].swapaxes(-3, -2))
+    return out.reshape(seqs * t, n_heads * d)
 
 
 def _act_quant_fn(cfg: ModelConfig):

@@ -13,9 +13,9 @@ The transformer primitives work on all heads at once.  rope rotates a
 (T, n_heads * head_dim) tensor in one op, slicing cos/sin from a float32
 table that repeats each head's angles across the width, is computed in
 float64 once per (base, head_dim, width) and is grown on demand.
-softmax_causal is an in-place kernel on a plain (..., T, S) array, so a
-caller can turn its (heads, T, S) scores buffer into probabilities without
-a copy.
+exp_causal and softmax_causal are in-place kernels on a plain (..., T, S)
+array, so a caller can turn its (heads, T, S) scores buffer into masked
+exponentials (and their row sums) or into probabilities without a copy.
 
 Equal-length sequences can be stacked as rows, (B*T, C): rms_norm, silu,
 linear, embedding and cross_entropy work row by row, and rope takes B from
@@ -294,22 +294,38 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise NumericError(f"{name}: non-finite input")
 
 
-def softmax_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
-    """In-place causal softmax over the last axis of a (..., T, S) float32 array.
+def exp_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
+    """The causal softmax of a (..., T, S) float32 array up to its division,
+    in place: returns the (..., T, 1) row sums that would normalize it.
 
-    Query row i (absolute position offset + i) may attend key columns
-    j <= offset + i; masked entries come out exactly zero.  Leading axes
-    (heads) share the mask.  Returns scores, now holding the probabilities.
+    Query row i sits at position offset + i (offset >= 0) and may attend
+    key columns j <= offset + i.  Non-finite scores raise NumericError.  Only
+    the columns past offset are masked, with a T-row triangle (and every
+    column from offset + T), not a mask as wide as S.  Each row's maximum is
+    subtracted and the exponentials are taken in place, so masked entries
+    come out exactly zero.  Leading axes (heads) share the mask.  The
+    runtime attention divides its P . V product by the sums (model.
+    causal_attention); softmax_causal divides the scores themselves.
     """
     _check_finite("softmax_causal", scores)
     t, s = scores.shape[-2:]
     if s > offset + 1:
-        masked = np.arange(s)[None, :] > np.arange(t)[:, None] + offset
-        np.copyto(scores, -np.inf, where=masked)
+        # column offset + 1 + j is masked for the rows i <= j
+        masked = np.arange(s - offset - 1) >= np.arange(t)[:, None]
+        np.copyto(scores[..., offset + 1 :], -np.inf, where=masked)
     # the reductions of .max and .sum, without their wrappers' cost
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return np.add.reduce(scores, axis=-1, keepdims=True)
+
+
+def softmax_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
+    """In-place causal softmax over the last axis of a (..., T, S) float32
+    array: exp_causal, then each row divided by its sum.  Returns scores,
+    now holding the probabilities.  The tape's attention runs it, since its
+    backward needs the probabilities; the runtime forward normalizes after
+    P . V instead."""
+    scores /= exp_causal(scores, offset)
     return scores
 
 

@@ -7,6 +7,10 @@ the step's scores and output in float64 by the definitions: dequantize
 (codes * n + m), un-smooth (y * s + delta), rotate every key at its
 position, then softmax and P . V.
 
+causal_attention is causal attention over stacked sequences, with or
+without the POQ diagonal, as one whole float64 scores matrix per sequence:
+scores, mask, softmax, then the probabilities times the values.
+
 adam_step is one Adam step of one parameter, by the textbook formula.
 
 They use no kvq kernel, so a fast path tested against them is held to the
@@ -67,6 +71,37 @@ def decode_attention(cfg, layer, past: int, smoothing: tuple, q: np.ndarray,
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     return scores, p, np.einsum("hs,hsd->hd", p, heads(values))
+
+
+def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1) -> np.ndarray:
+    """softmax(q k^T / sqrt(d) + causal mask) v in float64 for every head of
+    seqs sequences stacked as rows, as (seqs * T, n_heads * d).
+
+    A sequence's k and v rows are at positions 0 .. S-1 and its q rows at
+    the last T of them, so query row i sees the keys j <= S-T+i.  The POQ
+    diagonal diag = (k_cur, v_cur), each shaped as q, gives row i the key
+    k_cur[i] and the value v_cur[i] at its own column S-T+i in place of
+    k[S-T+i] and v[S-T+i]."""
+    t, s = q.shape[0] // seqs, k.shape[0] // seqs
+    d = q.shape[1] // n_heads
+    heads = lambda a, b, n: (np.asarray(a[b * n : (b + 1) * n], dtype=np.float64)
+                             .reshape(n, n_heads, d).transpose(1, 0, 2))
+    rows, cols = np.arange(t), np.arange(t) + s - t
+    out = []
+    for b in range(seqs):
+        qh, kh, vh = heads(q, b, t), heads(k, b, s), heads(v, b, s)
+        z = qh @ kh.transpose(0, 2, 1)
+        if diag is not None:
+            kc, vc = heads(diag[0], b, t), heads(diag[1], b, t)
+            z[:, rows, cols] = np.einsum("htd,htd->ht", qh, kc)
+        z = np.where(np.arange(s) <= cols[:, None], z / np.sqrt(d), -np.inf)
+        p = np.exp(z - z.max(axis=2, keepdims=True))
+        p /= p.sum(axis=2, keepdims=True)
+        o = p @ vh
+        if diag is not None:  # row i's value at column S-T+i is v_cur[i]
+            o += p[:, rows, cols][..., None] * (vc - vh[:, cols])
+        out.append(o.transpose(1, 0, 2).reshape(t, -1))
+    return np.concatenate(out)
 
 
 def adam_step(p, g, m, v, t: int, lr: float, b1: float = 0.9, b2: float = 0.999,

@@ -334,6 +334,35 @@ class TestEval:
         assert rc == 3
         assert expect in err
 
+    @pytest.mark.parametrize("name, value", [("blocks.0.q.wq.h", np.inf),
+                                             ("blocks.1.k.smooth.delta", np.nan)])
+    def test_non_finite_tensor_is_data_error(self, workdir, calibrated, capsys, name, value):
+        # refused at load, naming the tensor, before any forward runs
+        config, meta, tensors = read_container(str(calibrated))
+        tensors[name][0, ...] = value
+        bad = workdir / f"non_finite_{name}.kvq"
+        write_container(str(bad), config, meta, tensors)
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert f"tensor {name!r} holds a value that is not finite" in err
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_overflowing_scores_are_numeric_error(self, workdir, capsys, cache):
+        # finite q and k of about 1e20 per channel: every score overflows
+        config, meta, tensors = read_container(str(workdir / "model.kvq"))
+        tensors["blocks.0.q.b"] += np.float32(1e20)
+        tensors["blocks.0.k.b"] -= np.float32(1e20)
+        bad = workdir / "overflowing_scores.kvq"
+        write_container(str(bad), config, meta, tensors)
+        argv = ["eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+                "--max-tokens", "64"] + (["--use-cache"] if cache else [])
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's warnings, not the check
+            rc, _, err = run(capsys, argv)
+        assert rc == 4
+        assert "softmax_causal: non-finite input" in err
+
     def test_setting_comes_from_mode_flag_or_checkpoint(self, workdir, capsys):
         argv = ["eval", "--model", str(workdir / "model.kvq"),
                 "--corpus", str(workdir / "corpus.txt"), "--max-tokens", "64"]

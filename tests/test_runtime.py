@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+import reference
 from reference import decode_attention
 import kvq.evaluate
 import kvq.model
@@ -42,7 +43,7 @@ from kvq.quantizers import (
     init_smoothing,
     quantize_token,
 )
-from kvq.tensor import Tensor, rms_norm, rope, rope_table, round_half_away, softmax_causal
+from kvq.tensor import Tensor, rms_norm, rope, rope_table, round_half_away
 from tape_ops import concat_rows
 
 
@@ -356,43 +357,41 @@ class TestAllHeadsForward:
         assert np.abs(fast - slow).max() <= 1e-5
 
 
-# -- reference: causal attention as one scores matrix, before query blocks -----
-
-
-def whole_matrix_attention(q, k, v, n_heads, diag=None):
-    """causal_attention on arrays with every query row in one (H, T, S) scores
-    matrix, masked triangle included."""
-    t, s = q.shape[0], k.shape[0]
-    offset, d = s - t, q.shape[1] // n_heads
-    heads = lambda a: a.reshape(a.shape[0], n_heads, d).transpose(1, 0, 2)
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    p = np.matmul(qh, kh.transpose(0, 2, 1))
-    if diag is not None:
-        ii = (slice(None), np.arange(t), np.arange(t) + offset)
-        p[ii] = np.einsum("htd,htd->ht", qh, heads(diag[0]))
-    p *= np.float32(1.0 / np.sqrt(d))
-    softmax_causal(p, offset)
-    out = np.matmul(p, vh)
-    if diag is not None:
-        out += p[ii][..., None] * (heads(diag[1]) - vh[:, offset:])
-    return out.transpose(1, 0, 2).reshape(t, -1)
-
-
 class TestQueryBlocks:
-    """Chunks longer than ATTN_BLOCK attend one block of query rows at a time."""
+    """Chunks longer than ATTN_BLOCK attend one block of query rows at a
+    time.  The reference takes each sequence's whole scores matrix in
+    float64 (tests/reference.py).  Over these lengths, offsets and stackings,
+    with and without the POQ diagonal, the largest error was 3.7e-6 (5.5e-7
+    of the largest |output|; numpy 2.4, OpenBLAS 0.3.31); the bound leaves
+    about 2x."""
+
+    BOUNDARIES = sorted({1, ATTN_BLOCK - 1, ATTN_BLOCK, ATTN_BLOCK + 1, 2 * ATTN_BLOCK - 1,
+                         2 * ATTN_BLOCK, 2 * ATTN_BLOCK + 1, 127, 128, 129, 300})
 
     @pytest.mark.parametrize("poq", [False, True])
     @pytest.mark.parametrize("offset", [0, 37])
-    @pytest.mark.parametrize("t", [1, ATTN_BLOCK - 1, ATTN_BLOCK, ATTN_BLOCK + 1, 300])
+    @pytest.mark.parametrize("t", BOUNDARIES)
     def test_matches_whole_matrix(self, t, offset, poq):
         rng = np.random.default_rng(t + offset)
         arr = lambda rows: (2.0 * rng.normal(size=(rows, 32))).astype(np.float32)
         q, k, v = arr(t), arr(offset + t), arr(offset + t)
         diag = (arr(t), arr(t)) if poq else None
         got = causal_attention(q, k, v, 4, diag)
-        want = whole_matrix_attention(q, k, v, 4, diag)
+        want = reference.causal_attention(q, k, v, 4, diag)
         assert got.shape == want.shape == (t, 32)
-        assert np.abs(got - want).max() <= 1e-5
+        assert np.abs(got - want).max() <= 8e-6
+
+    @pytest.mark.parametrize("poq", [False, True])
+    @pytest.mark.parametrize("t", [1, ATTN_BLOCK + 1, 150])
+    def test_stacked_sequences_match_whole_matrix(self, t, poq):
+        rng = np.random.default_rng(t)
+        arr = lambda rows: (2.0 * rng.normal(size=(rows, 32))).astype(np.float32)
+        q, k, v = arr(3 * t), arr(3 * t), arr(3 * t)
+        diag = (arr(3 * t), arr(3 * t)) if poq else None
+        got = causal_attention(q, k, v, 4, diag, seqs=3)
+        want = reference.causal_attention(q, k, v, 4, diag, seqs=3)
+        assert got.shape == want.shape == (3 * t, 32)
+        assert np.abs(got - want).max() <= 8e-6
 
     def test_multi_block_prefill_identical_to_weight_only(self):
         m = quantized(make_model(seed=3, max_seq_len=320))
@@ -488,6 +487,32 @@ class TestCache:
         decode_step(mq, 3, cache)
         assert calls == [("k", "to_raw", 1), ("v", "to_raw", 1)]
 
+    @pytest.mark.parametrize("kv_bits", [2, 3, 4, 8])
+    def test_append_stores_quantize_tokens_codes(self, kv_bits):
+        # hidden 32 in groups of 12: two full groups and a short tail of 8;
+        # one and several rows, with a constant full group and tail group
+        m = quantized(make_model(kv_group_size=12, kv_bits=kv_bits))
+        cache, spec = PoqKvCache(m.config, m.blocks), m.config.token_spec()
+        lc, rng = cache.layers[1], np.random.default_rng(kv_bits)
+        for t in (1, 5, 1):
+            k_s, v_s = (3.0 * rng.normal(size=(2, t, 32))).astype(np.float32)
+            k_s[0, 12:24] = 0.75
+            v_s[-1, 24:] = -2.0
+            rows = slice(cache.length, cache.length + t)
+            cache.append(1, k_s, v_s, k_s, v_s)
+            for y, codes, m_, n_ in ((k_s, lc.k_codes, lc.k_m, lc.k_n),
+                                     (v_s, lc.v_codes, lc.v_m, lc.v_n)):
+                want = quantize_token(y, spec)
+                assert np.array_equal(codes[rows], want.codes)
+                assert np.array_equal(m_[rows], want.m) and np.array_equal(n_[rows], want.n)
+            cache.length += t
+        before = copy.deepcopy(vars(lc))
+        k_s[0, 3] = np.nan
+        with pytest.raises(NumericError, match="cache append"):
+            cache.append(1, k_s, v_s, k_s, v_s)
+        for name, stored in vars(lc).items():
+            assert np.array_equal(stored, before[name]), name  # nothing stored
+
     def test_kv_bytes_grows_linearly(self):
         m = quantized(make_model())
         _, cache = prefill(m, IDS[:8])
@@ -495,6 +520,30 @@ class TestCache:
         for t in range(8):
             decode_step(m, 1, cache)
         assert cache.kv_bytes() == 2 * b8
+
+
+class TestNonFiniteScores:
+    """Finite q and k of about 1e20 per channel make scores that overflow to
+    +-inf in the array path's products; the finite check on the scores
+    raises NumericError on each runtime path.  numpy's own overflow warning
+    is silenced, so that the check is what the test sees."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("mode", ["fp", "weight_kv"])
+    def test_prefill_chunk_and_decode_raise(self, mode, sign):
+        m = quantized(smoothed(make_model(seed=2)), mode)
+        _, cache = prefill(m, IDS[:10])
+        blk = m.blocks[1]
+        blk.q.b[...] += np.float32(1e20)  # in place: the cache planned these arrays
+        blk.k.b[...] += np.float32(sign * 1e20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for forward in (lambda: decode_step(m, 3, cache),
+                            lambda: model_forward(m, IDS[10:14], cache=cache),
+                            lambda: prefill(m, IDS[:10]),
+                            lambda: score_logits(m, IDS, use_cache=True)):
+                with pytest.raises(NumericError, match="softmax_causal"):
+                    forward()
+        assert cache.length == 10
 
 
 class TestFoldedCacheRead:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config, word_corpus
 from kvq.calibration import CalibConfig, calibrate_block, collect_activations, sample_segments
-from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError
+from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError, UsageError
 from kvq.evaluate import train_model
 from kvq.model import ATTN_BLOCK, Model, causal_attention, spread_kv_channels
 from kvq.tensor import (
@@ -203,6 +203,9 @@ class TestGradients:
             vi = np.concatenate([v[past], vc[i : i + 1]])
             row = causal_attention(q[i : i + 1], ki, vi, 4)
             assert np.abs(fused[i] - row[0]).max() <= 1e-6
+        # the diagonal is an array input: the tape node has no backward for it
+        with pytest.raises(UsageError, match="POQ diagonal"):
+            causal_attention(Tensor(q), Tensor(k), Tensor(v), 4, (kc, vc))
 
     def test_rms_norm(self):
         rng = np.random.default_rng(6)
@@ -456,7 +459,7 @@ class TestStackedSequences:
             assert np.array_equal(r.data[rows], ri.data)
             assert np.array_equal(xt.grad[rows], xi.grad)
 
-    @pytest.mark.parametrize("t", [1, 6, ATTN_BLOCK + 2])
+    @pytest.mark.parametrize("t", [1, 6, ATTN_BLOCK + 2, 2 * ATTN_BLOCK + 2])
     def test_causal_attention_matches_each_sequence(self, t):
         # on the tape (output and gradients) and on arrays, whose query
         # blocks run per sequence; at t = 1 each row attends only to itself
