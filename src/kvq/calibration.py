@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, KvqError, NumericError
-from .model import Model, block_core, block_forward, require_unsmoothed
+from .model import Model, block_core, block_tensors, fp_kv_fn, require_unsmoothed
 from .quantizers import (
     S_FLOOR,
     SmoothingParams,
@@ -237,8 +237,8 @@ def crr_loss(model: Model, i: int, x_i: np.ndarray, tp: BlockTrainables, calib: 
     positions = np.arange(seq_len)
     w = fake_block_weights(model, i, tp, wq)
     y_hat = block_core(cfg, w, Tensor(x_i.reshape(-1, c)), positions, _calib_kv_fn(model, tp))
-    for j in range(i + 1, i + k_eff):
-        y_hat = block_forward(cfg, model.blocks[j], y_hat, 0, j, None, "fp", seq_len=seq_len)
+    for blk in model.blocks[i + 1 : i + k_eff]:
+        y_hat = block_core(cfg, block_tensors(blk), y_hat, positions, fp_kv_fn(cfg))
     return reconstruction_loss(y_hat, Tensor(y_ref.reshape(-1, c)))
 
 
@@ -254,9 +254,10 @@ def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[n
     attention in another order (model.causal_attention)."""
     ids = np.asarray(segments, dtype=np.int64)
     b, t = ids.shape
+    cfg, positions = model.config, np.arange(t)
     xs = [Tensor(model.embed[ids.reshape(-1)])]
-    for j, blk in enumerate(model.blocks):
-        xs.append(block_forward(model.config, blk, xs[-1], 0, j, None, "fp", seq_len=t))
+    for blk in model.blocks:
+        xs.append(block_core(cfg, block_tensors(blk), xs[-1], positions, fp_kv_fn(cfg)))
     stacked = [x.data.reshape(b, t, -1) for x in xs]
     return [[x[s] for x in stacked] for s in range(b)]
 

@@ -27,7 +27,7 @@ the config's layout needs and that is missing or has another shape, weight
 codes that are not uint8, a quant, projection or smoothing meta entry that is
 not a JSON object, a projection whose weight bits are not an integer in
 2..8, whose group size is not a positive integer or whose smoothing
-"absorbed" is not a boolean, a float tensor that holds a value that is not
+"absorbed" is not true, a float tensor that holds a value that is not
 finite (checked once, as it is read), or a smoothing scale below S_FLOOR.
 """
 
@@ -244,9 +244,8 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
             if lin.smoothing is not None:
                 tensors[f"{base}.smooth.s"] = lin.smoothing.s
                 tensors[f"{base}.smooth.delta"] = lin.smoothing.delta
-                quant_meta.setdefault("smoothing", {})[base] = {
-                    "absorbed": lin.smoothing.absorbed
-                }
+                # every smoothing a Linear carries is folded into its w and b
+                quant_meta.setdefault("smoothing", {})[base] = {"absorbed": True}
     full_meta = dict(meta or {})
     full_meta["quant"] = quant_meta
     write_container(path, asdict(cfg), full_meta, tensors)
@@ -311,14 +310,13 @@ def load_model(path: str) -> Model:
         sm = table(smoothing_meta, base, f"projection {base!r}'s smoothing entry")
         smoothing = None
         if base in smoothing_meta:
-            if not isinstance(sm.get("absorbed"), bool):
+            if sm.get("absorbed") is not True:
                 raise DataFormatError(f"projection {base!r} has smoothing absorbed "
-                                      f"{sm.get('absorbed')!r}: it must be true or false")
+                                      f"{sm.get('absorbed')!r}: it must be true")
             s = get(f"{base}.smooth.s", cout)
             if s.min() < S_FLOOR:
                 raise DataFormatError(f"tensor {base + '.smooth.s'!r} has a scale below {S_FLOOR}")
-            smoothing = SmoothingParams(s, get(f"{base}.smooth.delta", cout),
-                                        absorbed=sm["absorbed"])
+            smoothing = SmoothingParams(s, get(f"{base}.smooth.delta", cout))
         return Linear(w=w, b=b, smoothing=smoothing, wq=wq)
 
     c, v = cfg.hidden_size, cfg.vocab_size

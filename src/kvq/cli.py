@@ -313,6 +313,8 @@ def cmd_generate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .model import MODES
+
     p = argparse.ArgumentParser(prog="kvq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -363,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="perplexity / fidelity metrics")
     sp.add_argument("--model", required=True)
     sp.add_argument("--corpus", required=True)
-    sp.add_argument("--mode", choices=("fp", "weight_only", "weight_kv",
-                                       "weight_activation"), default=None,
+    sp.add_argument("--mode", choices=MODES, default=None,
                     help="setting to score in (default: the checkpoint's quant_mode)")
     sp.add_argument("--use-cache", action="store_true",
                     help="score through the POQ cache path (quantized past, fp current K/V)")
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--prompt", required=True)
     sp.add_argument("--n-new", type=int, default=32)
-    sp.add_argument("--mode", default=None,
+    sp.add_argument("--mode", choices=MODES, default=None,
                     help="setting to generate in (default: the checkpoint's quant_mode)")
     sp.add_argument("--json")
     sp.set_defaults(fn=cmd_generate)

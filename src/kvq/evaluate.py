@@ -23,12 +23,13 @@ from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and dec
     block_tensors,
     cache_path_forward,
     decode_step,
+    fp_kv_fn,
     generate,
     model_forward,
     prefill,
     require_unsmoothed,
 )
-from .tensor import Tensor, cross_entropy, embedding, linear, rms_norm, rope
+from .tensor import Tensor, cross_entropy, embedding, linear, rms_norm
 
 BOS = 256
 
@@ -54,7 +55,9 @@ def load_corpus(path: str) -> np.ndarray:
 def score_logits(model: Model, ids: np.ndarray, use_cache: bool = False) -> np.ndarray:
     """Next-token logits at every position of one chunk (len <= max_seq_len,
     else CapacityError).  use_cache=True gives what prefill of the first token
-    and then one decode_step per token give, in one pass (cache_path_forward)."""
+    and then one decode_step per token give, in one pass (cache_path_forward);
+    in weight_activation mode it gives the cacheless logits instead, which
+    can differ from the step loop's by up to about 1e-3."""
     ids = np.asarray(ids, dtype=np.int64)
     if len(ids) > model.config.max_seq_len:
         raise CapacityError(f"chunk of {len(ids)} tokens > max_seq_len {model.config.max_seq_len}")
@@ -157,8 +160,8 @@ def lm_loss(cfg: ModelConfig, p: dict, seqs: np.ndarray) -> Tensor:
     recorded on the tape in one pass with the sequences stacked as rows: one
     embedding gather, one block_core per layer and one cross_entropy over
     all B * T rows, whose mean is the mean of the per-sequence losses.  p is
-    lm_tensors' dict; the KV handler takes k/v outputs as raw K/V."""
-    kv_fn = lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s)
+    lm_tensors' dict; the KV handler (fp_kv_fn) takes k/v outputs as raw K/V."""
+    kv_fn = fp_kv_fn(cfg)
     positions = np.arange(seqs.shape[1] - 1)
     x = embedding(p["embed"], seqs[:, :-1].reshape(-1))
     for w in p["blocks"]:

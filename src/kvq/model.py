@@ -11,29 +11,28 @@ Quantization modes:
 * weight_activation  - quantized weights plus per-token RTN quantization of
                        every linear-layer input (sensitivity harness only).
 
-A quantized cache stores pre-rotary smoothed K (and V) as codes, and a
-decode step maps neither back to raw space.  The keys' dequantization,
-un-smoothing and rotation are folded into the query: with U = cos * (q * s)
-- sin * (sigma(q) * s) over the past rows' rope tables, a segment of codes
-scores n * sum(U * codes) + m * sum(U), which the step computes without
-forming U or any past key (PoqKvCache._folded_k).  Its cost grows with the number of
-segments, hidden / gcd(kv_group_size, head_dim), so only a cache of at most
-FOLD_MAX_SEGMENTS segments folds K.  The values' dequantization and
-un-smoothing are folded past the attention weights (PoqKvCache.read_raw).
-A chunk of more than one row onto a filled cache and every K read of a
-cache with more segments still build the rotated past keys
-(PoqKvCache._materialized_k), which is the fold's equivalence reference.
+A quantized cache (ModelConfig.kv_codes) stores pre-rotary smoothed K (and
+V) as codes, and a decode step maps neither back to raw space.  The keys'
+dequantization, un-smoothing and rotation are folded into the query: with
+U = cos * (q * s) - sin * (sigma(q) * s) over the past rows' rope tables, a
+segment of codes scores n * sum(U * codes) + m * sum(U), which the step
+computes without forming U or any past key (PoqKvCache._folded_k).  Its
+cost grows with the number of segments, hidden / gcd(kv_group_size,
+head_dim), so only a cache of at most FOLD_MAX_SEGMENTS segments folds K.
+The values' dequantization and un-smoothing are folded past the attention
+weights (PoqKvCache.read_raw).  A chunk of more than one row onto a filled
+cache and every K read of a cache with more segments still build the
+rotated past keys (PoqKvCache._materialized_k), which is the fold's
+equivalence reference.
 An fp cache (fp and weight_only) stores each chunk's K rows rotated, once,
 at append, and its reads take them as stored.  A cache plans its forwards
 once, when it is built (PoqKvCache._plan_reads), so a decode step rebuilds
 nothing: each block's weights and KV handler, and for a quantized cache the
 token spec, smoothing, segment maps, contraction matrices, rope tables and
-a work buffer.  The parts that depend on the config alone are made once per
-config and shared by its caches (_config_read_plan).  The work buffer and
-the cache's scratch buffer are shared by the layers and overwritten by
-every read.  The buffers and rope tables are allocated once on 64-byte
-boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
-elementwise passes in about half the time.
+a work buffer.  The work buffer and the cache's scratch buffer are shared
+by the layers and overwritten by every read.  The buffers and rope tables
+are allocated once on 64-byte boundaries (tensor.ALIGN), where NumPy's
+vector loops run the fold's elementwise passes in about half the time.
 
 Setting: a forward without a cache runs model.config.  A cache keeps a copy
 of the config it was built with (PoqKvCache.cfg) and runs the blocks it was
@@ -56,7 +55,10 @@ weighted sum together: on the tape the softmax comes before P . V, on
 arrays the query is scaled first and the division comes after P . V.  Given
 Tensors (calibration, training) the block is recorded on the autodiff tape;
 the runtime forward (prefill, decode_step, cache_path_forward) passes plain
-float32 arrays and records nothing.
+float32 arrays and records nothing.  Each caller hands block_core its
+weights and KV handler: model_forward block_arrays and _runtime_kv_fn
+(planned once per cache), training and calibration block_tensors (or the
+fake-quantized weights) and fp_kv_fn.
 
 Without a cache, block_core also takes B equal-length sequences stacked as
 rows, (B*T, C), each at the same T positions: every op but rope and
@@ -147,6 +149,12 @@ class ModelConfig:
     @property
     def kv_quantized(self) -> bool:
         return self.kv_bits < 16
+
+    @property
+    def kv_codes(self) -> bool:
+        """Whether a cache of this config stores K/V as token codes; every
+        other cache stores them as float32 rows."""
+        return self.quant_mode == "weight_kv" and self.kv_quantized
 
     def token_spec(self) -> TokenQuantSpec:
         return TokenQuantSpec(bits=self.kv_bits, group_size=self.kv_group_size)
@@ -266,11 +274,10 @@ class Model:
 
 
 class LayerCache:
-    def __init__(self, cfg: ModelConfig, quantized: bool):
+    def __init__(self, cfg: ModelConfig):
         c = cfg.hidden_size
         t = cfg.max_seq_len
-        self.quantized = quantized
-        if quantized:
+        if cfg.kv_codes:
             g = -(-c // cfg.kv_group_size)
             self.k_codes, self.v_codes = aligned_zeros((t, c), np.int8, count=2)
             self.k_m, self.k_n, self.v_m, self.v_n = aligned_zeros((t, g), count=4)
@@ -290,13 +297,10 @@ class LayerCache:
 FOLD_MAX_SEGMENTS = 32
 
 
-_READ_PLANS: dict[tuple, dict] = {}
-
-
 def _config_read_plan(cfg: ModelConfig) -> dict:
     """The attributes of a quantized PoqKvCache's read plan that depend on its
-    config alone, made once per config and shared read-only by every cache,
-    as rope_table shares its tables.
+    config alone, all read-only; cos and sin are views of rope_table's shared
+    tables.
 
     Segments are w = gcd(kv_group_size, head_dim) channels each, inside one
     head and one group.  seg_head and seg_group map segments to heads and
@@ -318,10 +322,6 @@ def _config_read_plan(cfg: ModelConfig) -> dict:
     c, d, h, length = cfg.hidden_size, cfg.head_dim, cfg.n_heads, cfg.max_seq_len
     w = math.gcd(cfg.kv_group_size, d)
     fold_k = c // w <= FOLD_MAX_SEGMENTS
-    key = (c, d, h, cfg.kv_group_size, length, float(cfg.rope_base), fold_k)
-    plan = _READ_PLANS.get(key)
-    if plan is not None:
-        return plan
     seg = np.arange(0, c, w)
     seg_pair = (seg // d, slice(None), seg // cfg.kv_group_size)
     plan = {"seg_width": w, "seg_pair": seg_pair,
@@ -348,7 +348,6 @@ def _config_read_plan(cfg: ModelConfig) -> dict:
     for a in plan.values():
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
-    _READ_PLANS[key] = plan
     return plan
 
 
@@ -367,33 +366,32 @@ class PoqKvCache:
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
         self.cfg = cfg = dataclasses.replace(cfg)
-        quantized = cfg.quant_mode == "weight_kv" and cfg.kv_quantized
-        self.layers = [LayerCache(cfg, quantized) for _ in range(cfg.n_layers)]
+        self.layers = [LayerCache(cfg) for _ in range(cfg.n_layers)]
         self.length = 0
         self.scratch = aligned_zeros((cfg.max_seq_len, cfg.hidden_size))[0]
         self.fold_k = False
-        self._plan_reads(blocks, quantized)
+        self._plan_reads(blocks)
 
-    def _plan_reads(self, blocks: list[DecoderBlockWeights], quantized: bool) -> None:
+    def _plan_reads(self, blocks: list[DecoderBlockWeights]) -> None:
         """Fix what every forward onto the cache needs and none changes, under
         the same rule as cfg: from the config and the blocks as they are now.
 
         Every cache keeps each block's block_core weights and KV handler
         (block_plan).  The handlers reach the cache through a weak proxy, so
         the plan makes no reference cycle and the cache is freed with its
-        last user.  A quantized cache adds the token spec and its channel
-        spans (quantizers._spans, which append quantizes), each layer's
-        smoothing, the config's read plan (_config_read_plan, shared with
-        every cache of the same config) and, when decode steps fold K
-        (fold_k), a work buffer and each layer's K contraction matrix k_fold
-        = [C; -C]: C = [segment ones * s | delta per head], or the segment
-        ones without K smoothing.
+        last user.  A cache of codes (cfg.kv_codes) adds the token spec and
+        its channel spans (quantizers._spans, which append quantizes), each
+        layer's smoothing, the config's read plan, built for this cache
+        (_config_read_plan) and, when decode steps fold K (fold_k), a work
+        buffer and each layer's K contraction matrix k_fold = [C; -C]: C =
+        [segment ones * s | delta per head], or the segment ones without K
+        smoothing.
         """
         cfg = self.cfg
         proxy = weakref.proxy(self)
-        self.block_plan = [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, proxy, cfg.quant_mode))
+        self.block_plan = [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, proxy))
                            for li, blk in enumerate(blocks)]
-        if not quantized:
+        if not cfg.kv_codes:
             return
         self.spec = cfg.token_spec()
         self.spans = _spans(cfg.hidden_size, cfg.kv_group_size)
@@ -423,7 +421,7 @@ class PoqKvCache:
             )
         lc = self.layers[li]
         rows = slice(start, start + t)
-        if lc.quantized:
+        if self.cfg.kv_codes:
             # token groups are per row, so one call of quantize_token's core
             # per span over the stacked K and V rows gives each the codes of
             # its own quantize_token call
@@ -472,7 +470,7 @@ class PoqKvCache:
         def v(p: np.ndarray) -> np.ndarray:
             p_past = p[..., :past]
             out = np.matmul(p[..., past:], heads(v_cur))
-            if not lc.quantized:
+            if not cfg.kv_codes:
                 return out + np.matmul(p_past, heads(lc.v_fp[:past]))
             w = self.seg_width
             codes = self.scratch[:past]
@@ -498,7 +496,7 @@ class PoqKvCache:
         buffer."""
         cfg, lc = self.cfg, self.layers[li]
         past, t = self.length, k_cur.shape[0]
-        if not lc.quantized:
+        if not cfg.kv_codes:
             return lc.k_fp[: past + t]
         k = self.scratch[: past + t]
         qk = QuantizedTensor("token", lc.k_codes[:past], self.spec.bits, self.spec.group_size,
@@ -567,7 +565,7 @@ class PoqKvCache:
         total = 0
         t = self.length
         for lc in self.layers:
-            if lc.quantized:
+            if self.cfg.kv_codes:
                 bits = self.cfg.kv_bits
                 total += (lc.k_codes[:t].size + lc.v_codes[:t].size) * bits // 8
                 total += (
@@ -698,11 +696,9 @@ def _act_quant_fn(cfg: ModelConfig):
 
 
 def _raw_kv(blk: DecoderBlockWeights, k_s, v_s, spec: TokenQuantSpec | None = None):
-    """Raw-space attention inputs from the smoothed projections k_s, v_s;
-    given a token spec, their cache round trip (quantize, dequantize, then
-    un-smooth).  Tensors must pass through unmapped, as in calibration's fp
-    tail blocks, which are never smoothed: calibration refuses a smoothed
-    model."""
+    """Raw-space attention inputs from the smoothed projection arrays k_s,
+    v_s; given a token spec, their cache round trip (quantize, dequantize,
+    then un-smooth)."""
 
     def raw(x, sp):
         if spec is not None:
@@ -765,12 +761,19 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     return x + linear(mid, w["down_w"], w["down_b"])
 
 
-def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int,
-                   cache: PoqKvCache | None, mode: str):
-    """Rotate the chunk's keys, append the chunk's rows to the cache, then
+def fp_kv_fn(cfg: ModelConfig):
+    """The KV handler of a cacheless forward whose k/v outputs are raw K/V:
+    K rotated, V as it is (training, and calibration's activations and fp
+    blocks, which are never smoothed)."""
+    return lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s)
+
+
+def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: PoqKvCache | None):
+    """Un-smooth and rotate the chunk's keys (with POQ off over a cache of
+    codes, their round trip), append the chunk's rows to the cache, then
     attend over its past rows plus the chunk's.  A cache needs array inputs
     of one sequence; stacked sequences raise UsageError."""
-    spec = cfg.token_spec() if mode == "weight_kv" and cfg.kv_quantized and not cfg.poq else None
+    spec = cfg.token_spec() if cfg.kv_codes and not cfg.poq else None
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
         k_raw, v_raw = _raw_kv(blk, k_s, v_s, spec)
@@ -801,48 +804,28 @@ def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
     return kv_fn
 
 
-def block_forward(
-    cfg: ModelConfig,
-    blk: DecoderBlockWeights,
-    x,
-    start_pos: int,
-    li: int,
-    cache: PoqKvCache | None,
-    mode: str,
-    act_fn=None,
-    seq_len: int | None = None,
-):
-    """Block li over x, whose first row sits at start_pos (cache.length with a
-    cache).  Without a cache, x may stack sequences of seq_len rows each (one
-    sequence by default).  A Tensor x is recorded on the tape (no cache); an
-    array is not.  With a cache, the block runs the weights and KV handler
-    the cache planned for layer li (PoqKvCache._plan_reads)."""
-    positions = np.arange(start_pos, start_pos + (x.shape[0] if seq_len is None else seq_len))
-    if cache is not None:
-        w, kv_fn = cache.block_plan[li]
-    else:
-        kv_fn = _runtime_kv_fn(cfg, blk, li, None, mode)
-        w = block_tensors(blk) if isinstance(x, Tensor) else block_arrays(blk)
-    return block_core(cfg, w, x, positions, kv_fn, act_fn=act_fn)
-
-
 def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None = None) -> Tensor:
     """Forward over a token chunk on arrays; returns (T, vocab) logits.
 
     With a cache, the chunk continues at position cache.length, its KV is
-    appended, and it runs the cache's config; without one it starts at
-    position 0 and runs model.config.
+    appended, and it runs the cache's config and the blocks it planned
+    (PoqKvCache.block_plan); without one it starts at position 0 and runs
+    model.config over handlers built from it.
     """
     cfg = model.config if cache is None else cache.cfg
-    mode = cfg.quant_mode
-    if mode not in MODES:
-        raise KvqError(f"unknown quant_mode: {mode!r}")
+    if cfg.quant_mode not in MODES:
+        raise KvqError(f"unknown quant_mode: {cfg.quant_mode!r}")
+    if cache is None:
+        start, plan = 0, [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, None))
+                          for li, blk in enumerate(model.blocks)]
+    else:
+        start, plan = cache.length, cache.block_plan
     token_ids = np.asarray(token_ids, dtype=np.int64)
-    act_fn = _act_quant_fn(cfg) if mode == "weight_activation" else None
+    act_fn = _act_quant_fn(cfg) if cfg.quant_mode == "weight_activation" else None
+    positions = np.arange(start, start + len(token_ids))
     x = model.embed[token_ids]
-    start = 0 if cache is None else cache.length
-    for li, blk in enumerate(model.blocks):
-        x = block_forward(cfg, blk, x, start, li, cache, mode, act_fn=act_fn)
+    for w, kv_fn in plan:
+        x = block_core(cfg, w, x, positions, kv_fn, act_fn=act_fn)
     if cache is not None:
         cache.length += len(token_ids)
     return _head(model, x, act_fn)
@@ -859,9 +842,12 @@ def cache_path_forward(model: Model, token_ids: np.ndarray) -> Tensor:
     """(T, vocab) logits of a chunk as prefill of its first token and then one
     decode_step per token give them, in one pass on arrays.  Only POQ over a
     quantized cache differs from the cacheless forward; elsewhere the cache
-    holds what attention saw."""
+    holds what attention saw, and this is the cacheless forward.  In
+    weight_activation mode that forward is not the step loop's value: a
+    per-token activation code can round differently between the chunk's and
+    a step's matmul shapes, and the logits then differ by up to about 1e-3."""
     cfg = model.config
-    if not (cfg.quant_mode == "weight_kv" and cfg.kv_quantized and cfg.poq):
+    if not (cfg.kv_codes and cfg.poq):
         return model_forward(model, token_ids)
     positions = np.arange(len(token_ids))
     x = model.embed[token_ids]

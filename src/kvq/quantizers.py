@@ -46,7 +46,6 @@ class SmoothingParams:
 
     s: np.ndarray
     delta: np.ndarray
-    absorbed: bool = False
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.float32).reshape(-1)
@@ -123,9 +122,8 @@ class QuantizedTensor:
 def absorb_smoothing(
     w: np.ndarray, b: np.ndarray, sp: SmoothingParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fold s and delta into the producing projection: W~ = W / s, B~ = (B - delta) / s."""
-    if sp.absorbed:
-        raise KvqError("smoothing already absorbed; refusing to divide twice")
+    """Fold s and delta into the producing projection: W~ = W / s, B~ = (B - delta) / s.
+    Only Linear.absorb folds a projection's smoothing, and only once."""
     sp.check_scale()
     w = np.asarray(w, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32).reshape(1, -1)
@@ -135,7 +133,6 @@ def absorb_smoothing(
         )
     w_t = w / sp.s[None, :]
     b_t = (b - sp.delta[None, :]) / sp.s[None, :]
-    sp.absorbed = True
     return w_t.astype(np.float32), b_t.astype(np.float32)
 
 

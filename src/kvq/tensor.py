@@ -72,24 +72,18 @@ def _check_broadcast(sa: tuple, sb: tuple) -> None:
             return
         if sa == (1, sb[1]) or sa == (sb[0], 1):
             return
-    if len(sa) == 1 and len(sb) == 1 and (sa[0] == 1 or sb[0] == 1):
-        return
     raise DimensionError(f"incompatible shapes for elementwise op: {sa} vs {sb}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape` (inverse of the restricted broadcast)."""
+    """Sum grad down to a row's or column's `shape` (inverse of the
+    restricted broadcast; a Python scalar operand needs no gradient)."""
     if grad.shape == shape:
         return grad
-    if shape == ():
-        return grad.sum()
-    g = grad
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
     for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
+        if n == 1 and grad.shape[ax] != 1:
+            grad = grad.sum(axis=ax, keepdims=True)
+    return grad
 
 
 class Tensor:
@@ -192,24 +186,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self, b), backward)
 
-    def abs(self):
-        out_data = np.abs(self.data)
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                a._accum(g * np.sign(a.data))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                a._accum(g * 0.5 / np.sqrt(a.data))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
     def silu(self):
         s = 1.0 / (1.0 + np.exp(-self.data))
         out_data = self.data * s
@@ -228,24 +204,6 @@ class Tensor:
             if a.requires_grad:
                 inside = (a.data >= lo) & (a.data <= hi)
                 a._accum(g * inside)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    # -- reductions -----------------------------------------------------------
-
-    def mean(self, axis=None, keepdims: bool = False):
-        out_data = self.data.mean(axis=axis, keepdims=keepdims)
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-
-        def backward(g, a=self, axis=axis, keepdims=keepdims, count=count):
-            if a.requires_grad:
-                g = np.asarray(g)
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accum((np.broadcast_to(g, a.shape) / count).astype(np.float32))
 
         return Tensor._from_op(out_data, (self,), backward)
 

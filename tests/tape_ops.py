@@ -1,10 +1,11 @@
 """Tape ops that only the tests' reference computations use.
 
-The per-head references and the matmul-plus-bias chain in test_tensor.py,
-the per-group token fake-quant reference in test_quantizers.py and the tape
-cache read in test_runtime.py are built from these; test_tensor.py checks
-their gradients.  Each is a function over kvq Tensors recorded on the same
-tape as the library's ops.
+The per-head references, the matmul-plus-bias and rms_norm chains in
+test_tensor.py, the per-group token fake-quant reference in
+test_quantizers.py, the tape cache read in test_runtime.py and the test
+losses are built from these; test_tensor.py checks their gradients.  Each
+is a function over kvq Tensors recorded on the same tape as the library's
+ops.
 """
 
 import numpy as np
@@ -25,6 +26,35 @@ def matmul(a, b):
             b._accum(a.data.T @ g)
 
     return Tensor._from_op(a.data @ b.data, (a, b), backward)
+
+
+def tabs(a):
+    def backward(g, a=a):
+        if a.requires_grad:
+            a._accum(g * np.sign(a.data))
+
+    return Tensor._from_op(np.abs(a.data), (a,), backward)
+
+
+def sqrt(a):
+    def backward(g, a=a):
+        if a.requires_grad:
+            a._accum(g * 0.5 / np.sqrt(a.data))
+
+    return Tensor._from_op(np.sqrt(a.data), (a,), backward)
+
+
+def mean(a, axis=None, keepdims=False):
+    count = a.data.size if axis is None else a.data.shape[axis]
+
+    def backward(g, a=a):
+        if a.requires_grad:
+            g = np.asarray(g)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a._accum((np.broadcast_to(g, a.shape) / count).astype(np.float32))
+
+    return Tensor._from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tsum(a, axis=None, keepdims=False):

@@ -38,7 +38,9 @@ from kvq.model import (
     Model,
     ModelConfig,
     attach_kv_smoothing,
-    block_forward,
+    block_core,
+    block_tensors,
+    fp_kv_fn,
     prefill,
     quantize_model_weights,
 )
@@ -53,6 +55,7 @@ from kvq.quantizers import (
     quantize_weight,
 )
 from kvq.tensor import Tensor, rms_norm
+from tape_ops import mean
 
 
 def report(capsys, n: int, ok: bool, detail: str) -> None:
@@ -246,10 +249,10 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
 
     def fp_loss(arr):
         x = Tensor(arr.astype(np.float32), requires_grad=True)
-        h = x
-        for j, blk in enumerate(model.blocks):
-            h = block_forward(model.config, blk, h, 0, j, None, "fp")
-        return (h * h).mean(), x, h
+        h, cfg, positions = x, model.config, np.arange(len(arr))
+        for blk in model.blocks:
+            h = block_core(cfg, block_tensors(blk), h, positions, fp_kv_fn(cfg))
+        return mean(h * h), x, h
 
     def fd_loss(arr):
         # a float64 reduction: one float32 ulp of the loss (2.3e-10) would

@@ -61,6 +61,14 @@ class TestValidation:
     def test_bad_bits_rejected(self):
         with pytest.raises(KvqError):
             DeployConfig(arch=LLAMA2_7B, weight_bits=3)
+        for kv_bits in (1, 9, 12):
+            with pytest.raises(KvqError, match="kv bits must be one of"):
+                DeployConfig(arch=LLAMA2_7B, kv_bits=kv_bits)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0e12])
+    def test_non_positive_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(KvqError, match="bandwidth must be positive"):
+            DeployConfig(arch=LLAMA2_7B, bandwidth_bytes=bandwidth)
 
     def test_bad_batch_rejected(self):
         with pytest.raises(KvqError):

@@ -313,7 +313,6 @@ class TestModelRoundtrip:
             assert np.array_equal(b1.q.wq.codes, b2.q.wq.codes)
             assert np.array_equal(b1.q.wq.h, b2.q.wq.h)
             assert np.array_equal(b1.v.smoothing.s, b2.v.smoothing.s)
-            assert b2.v.smoothing.absorbed
         out1 = model_forward(m, IDS).data
         out2 = model_forward(m2, IDS).data
         assert np.array_equal(out1, out2)
@@ -413,6 +412,9 @@ class TestModelRoundtrip:
          "projection 'blocks.1.v' has smoothing absorbed None"),
         (lambda m: m["quant"]["smoothing"]["blocks.1.v"].update(absorbed=1),
          "projection 'blocks.1.v' has smoothing absorbed 1"),
+        # a Linear's smoothing is always folded into its weights
+        (lambda m: m["quant"]["smoothing"]["blocks.1.v"].update(absorbed=False),
+         "projection 'blocks.1.v' has smoothing absorbed False"),
     ])
     def test_quant_meta_of_another_type_refused(self, tmp_path, edit, message):
         p = str(tmp_path / "m.kvq")

@@ -292,6 +292,18 @@ class TestEval:
         assert rc == 3
         assert "projection 'blocks.0.k' has weight bits 9" in err
 
+    @pytest.mark.parametrize("group_size", [0, "16"])
+    def test_bad_weight_group_size_is_data_error(self, workdir, calibrated, capsys, group_size):
+        config, meta, tensors = read_container(str(calibrated))
+        meta["quant"]["projections"]["blocks.1.down"]["group_size"] = group_size
+        bad = workdir / "bad_group_size.kvq"
+        write_container(str(bad), config, meta, tensors)
+        rc, _, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert f"projection 'blocks.1.down' has weight group size {group_size!r}" in err
+
     def test_unknown_dtype_is_data_error(self, workdir, capsys):
         # same header length, so only the dtype name is wrong
         data = (workdir / "model.kvq").read_bytes()
@@ -489,6 +501,29 @@ class TestGenerate:
         argv = ["generate", "--model", str(workdir / "model.kvq"),
                 "--prompt", "fox ", "--n-new", "6"]
         assert run(capsys, argv)[1] == run(capsys, argv)[1]
+
+    def test_setting_comes_from_mode_flag_or_checkpoint(self, workdir, capsys, monkeypatch):
+        import kvq.model
+
+        generate, settings = kvq.model.generate, []
+
+        def recording(model, prompt_ids, n_new):
+            settings.append(model.config.quant_mode)
+            return generate(model, prompt_ids, n_new)
+
+        monkeypatch.setattr(kvq.model, "generate", recording)
+        argv = ["generate", "--model", str(workdir / "model.kvq"), "--prompt", "a ",
+                "--n-new", "2"]
+        assert run(capsys, argv)[0] == 0
+        assert run(capsys, argv + ["--mode", "weight_activation"])[0] == 0
+        assert settings == ["fp", "weight_activation"]
+
+    def test_bad_mode_is_usage_error(self, workdir):
+        # refused by the parser, before the model is loaded
+        with pytest.raises(SystemExit) as e:
+            main(["generate", "--model", str(workdir / "ghost.kvq"), "--prompt", "a ",
+                  "--mode", "bogus"])
+        assert e.value.code == 2
 
 
 class TestDispatch:

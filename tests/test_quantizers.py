@@ -13,6 +13,7 @@ from kvq.quantizers import (
     apply_kv_smoothing,
     dequantize,
     fake_quant_token,
+    _spans,
     fake_quant_weight,
     init_smoothing,
     quantize_token,
@@ -20,7 +21,7 @@ from kvq.quantizers import (
 )
 from kvq.tensor import Tensor, round_half_away
 from conftest import group_bounds
-from tape_ops import concat_cols, maximum, slice_cols, tmax, tsum
+from tape_ops import concat_cols, maximum, mean, slice_cols, tabs, tmax, tsum
 
 
 def oracle_token(y, bits, group_size):
@@ -87,9 +88,9 @@ def reference_fake_quant_token(y, bits, group_size):
     parts = []
     for a, b in group_bounds(y.shape[1], group_size):
         block = slice_cols(y, a, b)
-        m = block.mean(axis=1, keepdims=True)
+        m = mean(block, axis=1, keepdims=True)
         centered = block - m
-        n = maximum(tmax(centered.abs(), axis=1, keepdims=True) / half, REF_EPS)
+        n = maximum(tmax(tabs(centered), axis=1, keepdims=True) / half, REF_EPS)
         q = Tensor(np.clip(round_half_away(centered.data / n.data), lo, hi))
         parts.append(q * n + m)
     return parts[0] if len(parts) == 1 else concat_cols(parts)
@@ -280,14 +281,6 @@ class TestSmoothing:
         dev = np.abs(ys - ys.mean(axis=0)).max(axis=0)
         assert dev.max() < 1.3  # all channels roughly unit deviation
 
-    def test_double_absorb_rejected(self):
-        sp = init_smoothing(np.random.default_rng(10).normal(size=(4, 3)).astype(np.float32))
-        w = np.ones((2, 3), np.float32)
-        b = np.zeros((1, 3), np.float32)
-        absorb_smoothing(w, b, sp)
-        with pytest.raises(KvqError):
-            absorb_smoothing(w, b, sp)
-
     def test_scale_floor_enforced(self):
         sp = SmoothingParams(np.array([1.0, 1e-9]), np.zeros(2))
         with pytest.raises(DegenerateScaleError):
@@ -365,6 +358,9 @@ class TestGroupBounds:
     def test_invalid_group_size(self):
         with pytest.raises(KvqError):
             group_bounds(4, 0)
+        for gs in (0, -3):
+            with pytest.raises(KvqError, match="group_size must be positive"):
+                _spans(8, gs)
 
     @given(st.integers(1, 64), st.integers(1, 64))
     @settings(max_examples=50, deadline=None)

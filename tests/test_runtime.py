@@ -10,6 +10,7 @@ import pytest
 from conftest import tiny_config
 import reference
 from reference import decode_attention
+import kvq.calibration
 import kvq.evaluate
 import kvq.model
 from kvq.errors import CapacityError, DimensionError, KvqError, NumericError, UsageError
@@ -22,9 +23,12 @@ from kvq.model import (
     ModelConfig,
     PoqKvCache,
     attach_kv_smoothing,
-    block_forward,
+    block_arrays,
+    block_core,
+    block_tensors,
     causal_attention,
     decode_step,
+    fp_kv_fn,
     generate,
     model_forward,
     prefill,
@@ -227,7 +231,7 @@ def tape_read_raw(cache, li, blk):
     """Raw-space past K/V of layer li (block blk): dequantize, then un-smooth
     (pre-rotary K), or an fp cache's rows (rotated K)."""
     lc, t = cache.layers[li], cache.length
-    if not lc.quantized:
+    if not cache.cfg.kv_codes:
         return lc.k_fp[:t], lc.v_fp[:t]
     spec = cache.cfg.token_spec()
 
@@ -244,7 +248,7 @@ def tape_append(cache, li, k_s, v_s, k_raw, v_raw):
     """Store a chunk's rows, quantizing K and V in separate calls; an fp
     cache stores K rotated."""
     lc, rows = cache.layers[li], slice(cache.length, cache.length + k_s.shape[0])
-    if not lc.quantized:
+    if not cache.cfg.kv_codes:
         cfg = cache.cfg
         lc.k_fp[rows] = rope(k_raw, np.arange(rows.start, rows.stop), cfg.rope_base, cfg.head_dim)
         lc.v_fp[rows] = v_raw
@@ -254,10 +258,10 @@ def tape_append(cache, li, k_s, v_s, k_raw, v_raw):
         codes[rows], m[rows], n[rows] = q.codes, q.m, q.n
 
 
-def tape_runtime_kv_fn(cfg, blk, li, cache, mode):
+def tape_runtime_kv_fn(cfg, blk, li, cache):
     """The runtime KV handler as it ran on the tape: the past read back to raw
     space and rotated, then joined to the chunk's rows with concat_rows."""
-    spec = cfg.token_spec() if mode == "weight_kv" and cfg.kv_quantized and not cfg.poq else None
+    spec = cfg.token_spec() if cfg.kv_codes and not cfg.poq else None
 
     def raw(y, sp):
         if spec is not None:
@@ -272,7 +276,7 @@ def tape_runtime_kv_fn(cfg, blk, li, cache, mode):
         if past:
             k_past, v_past = tape_read_raw(cache, li, blk)
             k_past = Tensor(k_past)
-            if cache.layers[li].quantized:
+            if cfg.kv_codes:
                 k_past = rope(k_past, np.arange(past), cfg.rope_base, cfg.head_dim)
             k_all = concat_rows([k_past, k_all])
             v_all = concat_rows([Tensor(v_past), v_all])
@@ -295,6 +299,11 @@ class TestConfig:
         with pytest.raises(KvqError):
             ModelConfig(quant_mode="int3")
 
+    @pytest.mark.parametrize("field, value", [("max_seq_len", 0), ("vocab_size", 1)])
+    def test_degenerate_sizes_rejected(self, field, value):
+        with pytest.raises(KvqError, match="max_seq_len must be >= 1 and vocab_size >= 2"):
+            tiny_config(**{field: value})
+
     @pytest.mark.parametrize("field", ["kv_bits", "weight_bits"])
     def test_code_widths_the_codes_cannot_hold_rejected(self, field):
         # token codes are int8 and weight codes uint8; 16 and up is unquantized
@@ -307,6 +316,14 @@ class TestConfig:
     def test_kv_bits_16_not_quantized(self):
         assert not tiny_config(kv_bits=16).kv_quantized
         assert tiny_config(kv_bits=4).kv_quantized
+
+    def test_only_a_quantized_weight_kv_cache_holds_codes(self):
+        for mode in MODES:
+            for kv_bits in (4, 16):
+                cfg = tiny_config(quant_mode=mode, kv_bits=kv_bits)
+                assert cfg.kv_codes == (mode == "weight_kv" and kv_bits == 4), (mode, kv_bits)
+                layer = PoqKvCache(cfg, Model.random(cfg).blocks).layers[0]
+                assert hasattr(layer, "k_codes") == cfg.kv_codes
 
 
 class TestFpForward:
@@ -703,22 +720,14 @@ class TestReadPlan:
         assert len(kept) == (1 + 2 * 6 + 4 if mode == "weight_kv" else 1 + 2 * 2)
         assert [a.ctypes.data % 64 for a in kept] == [0] * len(kept)
 
-    def test_config_plan_is_shared_and_k_fold_is_not(self):
-        # what depends on the config alone is made once per config, read-only;
-        # the K contraction matrices depend on each model's smoothing
+    def test_k_fold_and_buffers_belong_to_each_cache(self):
+        # the K contraction matrices follow each model's smoothing, and each
+        # cache has its own work and scratch buffers
         plain, smooth = quantized(make_model(seed=1)), quantized(smoothed(make_model(seed=1)))
         a, b = PoqKvCache(plain.config, plain.blocks), PoqKvCache(smooth.config, smooth.blocks)
-        shared = ["cs_cols", "to_cs", "swap", "seg_ones", "head_ones", "cos", "sin"]
-        for name in shared:
-            assert getattr(a, name) is getattr(b, name), name
-            assert not getattr(a, name).flags.writeable, name
-        assert a.seg_pair is b.seg_pair
         for fa, fb in zip(a.k_fold, b.k_fold):
             assert fa.shape[1] < fb.shape[1]  # the smoothed fold adds a delta column per head
         assert a.work is not b.work and a.scratch is not b.scratch
-        longer = quantized(make_model(seed=1, max_seq_len=48))
-        c = PoqKvCache(longer.config, longer.blocks)
-        assert c.cs_cols is not a.cs_cols and c.cs_cols.shape[1] == 48
 
     def test_cache_is_freed_with_its_last_user(self):
         # the planned KV handlers reach the cache through a weak proxy, so the
@@ -810,19 +819,20 @@ class TestStackedForward:
         # max |diff| measured 0.0 at t = 1 and 8 (tiny config, 3 sequences)
         m = make_model(seed=8)
         ids = np.random.default_rng(8).integers(0, m.config.vocab_size, (3, t))
-        x = m.embed[ids.reshape(-1)]
+        cfg, blk, x = m.config, m.blocks[0], m.embed[ids.reshape(-1)]
         for tape in (False, True):
-            xin = Tensor(x) if tape else x
-            got = block_forward(m.config, m.blocks[0], xin, 0, 0, None, "fp", seq_len=t)
+            w, xin = (block_tensors(blk), Tensor(x)) if tape else (block_arrays(blk), x)
+            got = block_core(cfg, w, xin, np.arange(t), fp_kv_fn(cfg))
             got = got.data if tape else got
             for i, seq in enumerate(ids):
-                one = block_forward(m.config, m.blocks[0], m.embed[seq], 0, 0, None, "fp")
+                one = block_core(cfg, block_arrays(blk), m.embed[seq], np.arange(t), fp_kv_fn(cfg))
                 assert np.abs(got[i * t : (i + 1) * t] - one).max() <= 1e-6
 
     def test_rows_not_whole_sequences_rejected(self):
         m = make_model()
         with pytest.raises(DimensionError, match="rows"):
-            block_forward(m.config, m.blocks[0], m.embed[IDS[:7]], 0, 0, None, "fp", seq_len=2)
+            block_core(m.config, block_arrays(m.blocks[0]), m.embed[IDS[:7]], np.arange(2),
+                       fp_kv_fn(m.config))
 
     @pytest.mark.parametrize("mode", ["fp", "weight_kv"])
     def test_stacked_forward_onto_a_cache_refused(self, mode):
@@ -830,8 +840,9 @@ class TestStackedForward:
         cache = PoqKvCache(m.config, m.blocks)
         before = copy.deepcopy(vars(cache.layers[0]))
         x = m.embed[np.concatenate([IDS[:4], IDS[4:8]])]
+        w, kv_fn = cache.block_plan[0]
         with pytest.raises(UsageError, match="one sequence"):
-            block_forward(m.config, m.blocks[0], x, 0, 0, cache, mode, seq_len=4)
+            block_core(m.config, w, x, np.arange(4), kv_fn)
         assert cache.length == 0
         for name, stored in vars(cache.layers[0]).items():
             assert np.array_equal(stored, before[name]), name  # nothing appended
@@ -1052,15 +1063,14 @@ class TestSettingRecord:
 
         assert np.array_equal(decode(poq=False, kv_bits=8, kv_group_size=16), decode())
 
-    def test_no_public_call_takes_a_mode(self):
+    def test_no_call_takes_a_mode(self):
         # a forward's setting has one record, the config (or the cache built
-        # from it); only the internal block_forward takes a mode
+        # from it), so no function of these modules, private or not, takes one
         banned = {"mode", "mode_a", "mode_b", "setting"}
         found = []
-        for module in (kvq.model, kvq.evaluate):
+        for module in (kvq.model, kvq.evaluate, kvq.calibration):
             for name, obj in vars(module).items():
-                if (name.startswith("_") or name == "block_forward" or not callable(obj)
-                        or getattr(obj, "__module__", None) != module.__name__):
+                if not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
                     continue
                 found += [f"{module.__name__}.{name}({p})"
                           for p in inspect.signature(obj).parameters if p in banned]
