@@ -116,15 +116,8 @@ def eval_report(model: Model, ids: np.ndarray, use_cache: bool = False,
                 fp_model: Model | None = None) -> dict:
     """Perplexity of model in its own setting; given fp_model, also the
     logit MAE and the first greedy divergence against it."""
-    nll = sequence_nll(model, ids, use_cache=use_cache)
-    mean = float(nll.mean())
-    report = {
-        "setting": model.config.quant_mode,
-        "use_cache": use_cache,
-        "perplexity": float(np.exp(mean)),
-        "mean_nll": mean,
-        "tokens": int(len(nll)),
-    }
+    report = {"setting": model.config.quant_mode, "use_cache": use_cache,
+              **perplexity(model, ids, use_cache=use_cache)}
     if fp_model is not None:
         report["logit_mae_vs_fp"] = logit_mae(fp_model, model, ids, use_cache=use_cache)
         n_new = min(32, model.config.max_seq_len - min(8, len(ids)))

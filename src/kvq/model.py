@@ -25,7 +25,8 @@ cache and every K read of a cache with more segments still build the
 rotated past keys (PoqKvCache._materialized_k), which is the fold's
 equivalence reference.
 An fp cache (fp and weight_only) stores each chunk's K rows rotated, once,
-at append, and its reads take them as stored.  A cache plans its forwards
+at append, and a read takes the stored rows, the chunk's included, as the
+arrays prefill attends over.  A cache plans its forwards
 once, when it is built (PoqKvCache._plan_reads), so a decode step rebuilds
 nothing: each block's weights and KV handler, and for a quantized cache the
 token spec, smoothing, segment maps, contraction matrices, rope tables and
@@ -73,10 +74,10 @@ only the projections' matmuls see more rows, which can move float32 sums
 Attention on arrays takes the query rows ATTN_BLOCK at a time, so a long
 chunk never holds its whole (heads, T, T) scores matrix and never scores the
 masked keys past a block's last row.  This covers prefill, cacheless
-scoring and cache_path_forward.  Two cases stay one block per sequence, the
-whole matrix: the tape, whose backward keeps one probabilities buffer, and
-a chunk onto a filled cache, whose folded value read overwrites the keys
-that later blocks would still need.
+scoring, cache_path_forward and every read of an fp cache.  Two cases stay
+one block per sequence, the whole matrix: the tape, whose backward keeps
+one probabilities buffer, and a chunk onto a filled quantized cache, whose
+folded value read overwrites the keys that later blocks would still need.
 
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
@@ -281,7 +282,6 @@ class LayerCache:
             g = -(-c // cfg.kv_group_size)
             self.k_codes, self.v_codes = aligned_zeros((t, c), np.int8, count=2)
             self.k_m, self.k_n, self.v_m, self.v_n = aligned_zeros((t, g), count=4)
-            self.k_n[...], self.v_n[...] = 1.0, 1.0
         else:
             self.k_fp, self.v_fp = aligned_zeros((t, c), count=2)
 
@@ -440,16 +440,20 @@ class PoqKvCache:
         """Layer li's attention inputs over its rows 0 .. length-1 and the
         chunk's raw rows k_cur (rotated), v_cur at length .. length+t-1.
 
-        Returns (k, v).  v(p) applies (H, T, length + t) attention weights to
-        the values, giving (H, T, head_dim); it is linear in p, so
+        Returns (k, v).  An fp cache holds the chunk's rows too, appended
+        before the read, so its k and v are its (length + t, hidden) rotated
+        keys and raw values, which causal_attention takes as prefill's.
+
+        A quantized cache's v(p) applies (H, T, length + t) attention weights
+        to the values, giving (H, T, head_dim); it is linear in p, so
         causal_attention hands it unnormalized weights and divides after.
-        On a decode step (one row) onto a quantized cache that folds K
-        (fold_k), k(qh) maps the (H, 1, head_dim) rotated query, which
-        causal_attention has scaled by 1/sqrt(head_dim), to its (H, 1,
-        length + 1) scores (_folded_k) and no past key is built.  Otherwise
-        k is the (length + t, hidden) rotated keys (_materialized_k), the
-        fold's equivalence reference.  v(p) overwrites the scratch buffer,
-        so k must be used before v is called.
+        On a decode step (one row) onto a cache that folds K (fold_k), k(qh)
+        maps the (H, 1, head_dim) rotated query, which causal_attention has
+        scaled by 1/sqrt(head_dim), to its (H, 1, length + 1) scores
+        (_folded_k) and no past key is built.  Otherwise k is the (length +
+        t, hidden) rotated keys (_materialized_k), the fold's equivalence
+        reference.  v(p) overwrites the scratch buffer, so k must be used
+        before v is called.
 
         Quantized values stay codes.  Take a segment of w channels
         (_config_read_plan) with per-token parameters m, n and smoothing s,
@@ -459,6 +463,8 @@ class PoqKvCache:
         """
         cfg, lc = self.cfg, self.layers[li]
         past, t = self.length, k_cur.shape[0]
+        if not cfg.kv_codes:
+            return lc.k_fp[: past + t], lc.v_fp[: past + t]
         if self.fold_k and t == 1:
             k = self._folded_k(li, k_cur)
         else:
@@ -470,8 +476,6 @@ class PoqKvCache:
         def v(p: np.ndarray) -> np.ndarray:
             p_past = p[..., :past]
             out = np.matmul(p[..., past:], heads(v_cur))
-            if not cfg.kv_codes:
-                return out + np.matmul(p_past, heads(lc.v_fp[:past]))
             w = self.seg_width
             codes = self.scratch[:past]
             codes[...] = lc.v_codes[:past]
@@ -490,14 +494,11 @@ class PoqKvCache:
         return k, v
 
     def _materialized_k(self, li: int, k_cur: np.ndarray) -> np.ndarray:
-        """Layer li's past keys and the chunk's own rotated k_cur.  An fp
-        cache holds them, appended rotated.  A quantized cache's past codes
-        are dequantized, un-smoothed and rotated in place in the scratch
-        buffer."""
+        """Layer li's past keys and the chunk's own rotated k_cur: the past
+        codes are dequantized, un-smoothed and rotated in place in the
+        scratch buffer."""
         cfg, lc = self.cfg, self.layers[li]
         past, t = self.length, k_cur.shape[0]
-        if not cfg.kv_codes:
-            return lc.k_fp[: past + t]
         k = self.scratch[: past + t]
         qk = QuantizedTensor("token", lc.k_codes[:past], self.spec.bits, self.spec.group_size,
                              m=lc.k_m[:past], n=lc.k_n[:past])
@@ -614,7 +615,7 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     values is then divided by the row sums, and written to the block's rows
     of the output.
 
-    There a cache read of one sequence hands over v as a function
+    There a quantized cache's read hands over v as a function
     (PoqKvCache.read_raw): v(p) -> (H, T, D) applies (H, T, S) attention
     weights, as folded values do, and it is linear in them.  On a decode
     step k may be one too: k(qh) -> (H, T, S) scores of the (H, T, D)

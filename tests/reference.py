@@ -1,5 +1,12 @@
 """Float64 references for kvq's fast paths.
 
+model_logits is the whole runtime model, one row at a time: rms_norm, the
+projections, un-smoothing, each key rotated at its own position, softmax
+and P . V for each head, the gated MLP and the head.  It reads the K/V a
+quantized cache holds back from the stored codes, m and n (raw_rows) and
+quantizes nothing itself, so a float32 / float64 difference can never
+round a code differently from the live model.
+
 decode_attention is one decode step's attention over a quantized cache
 layer.  It takes the layer's stored codes and per-(token, group) m, n, the
 layer's K/V smoothing, a query row and the step's own K/V rows, and computes
@@ -35,6 +42,12 @@ def rotate(x: np.ndarray, positions, base: float, head_dim: int) -> np.ndarray:
     return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1).reshape(rows, width)
 
 
+def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """x / sqrt(mean(x * x) + eps) * gain over the channels, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    return x / np.sqrt((x * x).mean(axis=1, keepdims=True) + eps) * gain
+
+
 def raw_rows(codes: np.ndarray, m: np.ndarray, n: np.ndarray, group_size: int,
              smoothing) -> np.ndarray:
     """Stored token codes back to raw space: codes * n + m for each row's
@@ -44,6 +57,61 @@ def raw_rows(codes: np.ndarray, m: np.ndarray, n: np.ndarray, group_size: int,
     if smoothing is None:
         return y
     return y * smoothing.s.astype(np.float64) + smoothing.delta.astype(np.float64)
+
+
+def model_logits(model, ids, chunks, cache) -> np.ndarray:
+    """(len(ids), vocab) float64 logits of ids as forwards of chunk lengths
+    chunks, the first from position 0, compute them onto cache, the live
+    cache those forwards filled (prefill, then chunks or decode steps).
+
+    The config is the cache's.  A row reads the K/V of earlier chunks back
+    from the cache's codes, m and n; those of its own chunk, up to and
+    including itself, are its raw rows with POQ on and are read back from
+    the codes with POQ off.  An fp cache gives raw rows throughout.  The
+    weight_activation mode is not covered: its activation codes would round
+    differently in float64.
+    """
+    cfg = cache.cfg
+    if cfg.quant_mode == "weight_activation":
+        raise ValueError("model_logits does not model activation quantization")
+    h, d = cfg.n_heads, cfg.head_dim
+    f64 = lambda a: np.asarray(a, dtype=np.float64)
+    n = len(ids)
+    pos = np.arange(n)
+    chunk_start = np.repeat(np.cumsum([0, *chunks[:-1]]), chunks)
+
+    def proj(x, lin):
+        return x @ f64(lin.w) + f64(lin.b)
+
+    def raw(x, lin):
+        y, sp = proj(x, lin), lin.smoothing
+        return y if sp is None else y * f64(sp.s) + f64(sp.delta)
+
+    x = f64(model.embed[np.asarray(ids)])
+    for blk, lc in zip(model.blocks, cache.layers):
+        xn = rms_norm(x, blk.attn_norm)
+        q = rotate(proj(xn, blk.q), pos, cfg.rope_base, d).reshape(n, h, d)
+        k, v = raw(xn, blk.k), raw(xn, blk.v)
+        k_read, v_read = k, v
+        if cfg.kv_codes:
+            k_read = raw_rows(lc.k_codes[:n], lc.k_m[:n], lc.k_n[:n], cfg.kv_group_size,
+                              blk.k.smoothing)
+            v_read = raw_rows(lc.v_codes[:n], lc.v_m[:n], lc.v_n[:n], cfg.kv_group_size,
+                              blk.v.smoothing)
+        k, k_read = (rotate(a, pos, cfg.rope_base, d) for a in (k, k_read))
+        attn = np.empty((n, h, d))
+        for i in range(n):
+            own = chunk_start[i] if cfg.poq else i + 1  # rows from here on are raw
+            keys = np.concatenate([k_read[:own], k[own : i + 1]]).reshape(-1, h, d)
+            values = np.concatenate([v_read[:own], v[own : i + 1]]).reshape(-1, h, d)
+            z = np.einsum("hd,shd->hs", q[i], keys) / np.sqrt(d)
+            p = np.exp(z - z.max(axis=1, keepdims=True))
+            attn[i] = np.einsum("hs,shd->hd", p / p.sum(axis=1, keepdims=True), values)
+        x = x + proj(attn.reshape(n, -1), blk.o)
+        xn = rms_norm(x, blk.mlp_norm)
+        gate = proj(xn, blk.gate)
+        x = x + proj(gate / (1.0 + np.exp(-gate)) * proj(xn, blk.up), blk.down)
+    return proj(rms_norm(x, model.final_norm), model.head)
 
 
 def decode_attention(cfg, layer, past: int, smoothing: tuple, q: np.ndarray,

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import WORDS
+from kvq.analyzer import ARCH_PRESETS, DeployConfig, estimate_decode_time, estimate_memory
+from kvq.calibration import CalibConfig, calibrate_model
 from kvq.checkpoint import load_model, read_container, write_container
 from kvq.cli import main
+from kvq.evaluate import load_corpus
 
 FIT_ARGS = [
     "--layers", "2", "--hidden", "32", "--heads", "2", "--intermediate", "48",
@@ -57,15 +60,20 @@ class TestFit:
         assert rep["train"]["final_loss"] < rep["train"]["initial_loss"]
 
     def test_deterministic_checkpoint(self, workdir, capsys):
-        a, b = workdir / "da.kvq", workdir / "db.kvq"
+        # the same flags give the same bytes; another --lr trains from the
+        # same start to another model
+        a, b, c = workdir / "da.kvq", workdir / "db.kvq", workdir / "dc.kvq"
         outs = []
-        for path in (a, b):
+        for path, lr in ((a, []), (b, []), (c, ["--lr", "1e-2"])):
             rc, stdout, _ = run(capsys, ["fit", "--corpus", str(workdir / "corpus.txt"),
-                                         "--out", str(path)] + FIT_ARGS)
+                                         "--out", str(path)] + FIT_ARGS + lr)
             assert rc == 0
             outs.append(stdout)
         assert outs[0] == outs[1]
         assert a.read_bytes() == b.read_bytes()
+        default, other = (json.loads(out)["train"] for out in (outs[0], outs[2]))
+        assert other["initial_loss"] == default["initial_loss"]
+        assert other["final_loss"] != default["final_loss"]
 
     def test_corpus_of_one_window(self, workdir, capsys):
         # 16 bytes and the BOS token make exactly one window of --seq-len 16
@@ -176,7 +184,7 @@ class TestCalibrate:
         rc, stdout, _ = run(capsys, [
             "calibrate", "--model", str(workdir / "model.kvq"),
             "--corpus", str(workdir / "corpus.txt"), "--out", str(out),
-            "--json", str(workdir / "cal.json"),
+            "--json", str(workdir / "cal.json"), "--lr-smoothing", "2e-3",
         ] + CAL_ARGS)
         assert rc == 0
         rep = json.loads(stdout)
@@ -184,6 +192,11 @@ class TestCalibrate:
         assert json.loads((workdir / "cal.json").read_text()) == rep
         m = load_model(str(out))
         assert m.config.quant_mode == "weight_kv"
+        # the library's report at the same settings, --lr-smoothing included
+        calib = CalibConfig(k=1, epochs=1, lr_smoothing=2e-3, segments=2, seg_len=24)
+        want = calibrate_model(load_model(str(workdir / "model.kvq")),
+                               load_corpus(str(workdir / "corpus.txt")), calib)
+        assert rep == json.loads(json.dumps(want))
 
     @pytest.mark.parametrize("command, extra", [
         ("calibrate", CAL_ARGS),
@@ -401,15 +414,24 @@ class TestAnalyze:
         assert "llama-2-7b" in stdout and "w4kv4" in stdout
 
     def test_single_config_text_matches_json(self, capsys):
-        rc, stdout, _ = run(capsys, [
-            "analyze", "--arch", "llama-2-13b", "--setting", "w4kv4",
-            "--batch", "4", "--prompt-len", "1024", "--gen-len", "64",
-        ])
-        assert rc == 0
-        json_part, text_part = stdout.split("\n}\n", 1)
-        doc = json.loads(json_part + "\n}")
-        assert str(doc["memory"]["total_bytes"]) in text_part
-        assert doc["decode_time"]["ratio_vs_fp16"] < 0.5
+        # the default phase and bandwidth, then --phase and --bandwidth: the
+        # figures are the library's at the same settings
+        for phase, bandwidth in (("decode", 1.0e12), ("prefill", 2.0e12)):
+            flags = [] if phase == "decode" else ["--phase", phase, "--bandwidth", str(bandwidth)]
+            rc, stdout, _ = run(capsys, [
+                "analyze", "--arch", "llama-2-13b", "--setting", "w4kv4",
+                "--batch", "4", "--prompt-len", "1024", "--gen-len", "64",
+            ] + flags)
+            assert rc == 0
+            json_part, text_part = stdout.split("\n}\n", 1)
+            doc = json.loads(json_part + "\n}")
+            assert str(doc["memory"]["total_bytes"]) in text_part
+            assert doc["decode_time"]["ratio_vs_fp16"] < 0.5
+            dc = DeployConfig.for_setting(ARCH_PRESETS["llama-2-13b"], "w4kv4", batch=4,
+                                          prompt_len=1024, gen_len=64, bandwidth_bytes=bandwidth)
+            assert doc["phase"] == phase and f"({phase})" in text_part
+            assert doc["memory"] == json.loads(json.dumps(estimate_memory(dc, phase).as_dict()))
+            assert doc["decode_time"] == json.loads(json.dumps(estimate_decode_time(dc)))
 
     def test_unknown_arch_usage_error(self, capsys):
         rc, _, err = run(capsys, ["analyze", "--arch", "gpt-17"])

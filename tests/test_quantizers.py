@@ -145,6 +145,8 @@ class TestTokenQuant:
             gs = int(rng.integers(1, c + 1))
             bits = int(rng.choice([2, 3, 4, 8]))
             y = (rng.normal(size=(t, c)) * rng.uniform(0.1, 10)).astype(np.float32)
+            if trial % 3 == 0:
+                y[0] = 1.5  # flat groups
             q = quantize_token(y, TokenQuantSpec(bits, gs))
             codes, deq = oracle_token(y, bits, gs)
             assert np.array_equal(q.codes, codes), f"trial {trial}"
