@@ -33,7 +33,9 @@ token spec, smoothing, segment maps, contraction matrices, rope tables and
 a work buffer.  The work buffer and the cache's scratch buffer are shared
 by the layers and overwritten by every read.  The buffers and rope tables
 are allocated once on 64-byte boundaries (tensor.ALIGN), where NumPy's
-vector loops run the fold's elementwise passes in about half the time.
+vector loops run the fold's elementwise passes in about half the time, and
+without a fill: append writes a chunk's rows before any read, and a read
+writes the scratch and work rows it then reads.
 
 Setting: a forward without a cache runs model.config.  A cache keeps a copy
 of the config it was built with (PoqKvCache.cfg) and runs the blocks it was
@@ -53,7 +55,10 @@ calibration and training.  It treats all heads at once: each of Q and K is
 rotated by a single rope call over (T, n_heads * head_dim), and
 causal_attention computes every head's scores, in-place causal softmax and
 weighted sum together: on the tape the softmax comes before P . V, on
-arrays the query is scaled first and the division comes after P . V.  Given
+arrays the query is scaled first and the division comes after P . V.  On
+arrays a call of enough rows first bounds its scores, and when the bound
+is small its blocks exponentiate them as they are, with no finite scan or
+row maximum (causal_attention).  Given
 Tensors (calibration, training) the block is recorded on the autodiff tape;
 the runtime forward (prefill, decode_step, cache_path_forward) passes plain
 float32 arrays and records nothing.  Each caller hands block_core its
@@ -78,6 +83,9 @@ scoring, cache_path_forward and every read of an fp cache.  Two cases stay
 one block per sequence, the whole matrix: the tape, whose backward keeps
 one probabilities buffer, and a chunk onto a filled quantized cache, whose
 folded value read overwrites the keys that later blocks would still need.
+The blocked calls take the score bound when their shape pays for it
+(_bound_pays); the two whole-matrix cases and one-row reads run exp_causal,
+so calibration, training and decode keep its order.
 
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
@@ -108,7 +116,7 @@ from .quantizers import (
     quantize_token,
     quantize_weight,
 )
-from .tensor import (Tensor, _check_finite, aligned_zeros, exp_causal, linear, rms_norm, rope,
+from .tensor import (Tensor, _check_finite, aligned_empty, exp_causal, linear, rms_norm, rope,
                      rope_table, sequences, silu, softmax_causal)
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
@@ -280,10 +288,10 @@ class LayerCache:
         t = cfg.max_seq_len
         if cfg.kv_codes:
             g = -(-c // cfg.kv_group_size)
-            self.k_codes, self.v_codes = aligned_zeros((t, c), np.int8, count=2)
-            self.k_m, self.k_n, self.v_m, self.v_n = aligned_zeros((t, g), count=4)
+            self.k_codes, self.v_codes = aligned_empty((t, c), np.int8, count=2)
+            self.k_m, self.k_n, self.v_m, self.v_n = aligned_empty((t, g), count=4)
         else:
-            self.k_fp, self.v_fp = aligned_zeros((t, c), count=2)
+            self.k_fp, self.v_fp = aligned_empty((t, c), count=2)
 
 
 # A decode step scores the past keys through the query (_folded_k) only on
@@ -330,7 +338,7 @@ def _config_read_plan(cfg: ModelConfig) -> dict:
             "fold_k": fold_k}
     if fold_k:
         cos, sin = rope_table(cfg.rope_base, d, c, length)
-        cs_cols = aligned_zeros((d, length))[0]
+        cs_cols = aligned_empty((d, length))[0]
         cs_cols[...] = np.concatenate([cos[:length, : d // 2], sin[:length, d // 2 : d]], 1).T
         channel = np.arange(c)
         within = channel % d
@@ -368,7 +376,7 @@ class PoqKvCache:
         self.cfg = cfg = dataclasses.replace(cfg)
         self.layers = [LayerCache(cfg) for _ in range(cfg.n_layers)]
         self.length = 0
-        self.scratch = aligned_zeros((cfg.max_seq_len, cfg.hidden_size))[0]
+        self.scratch = aligned_empty((cfg.max_seq_len, cfg.hidden_size))[0]
         self.fold_k = False
         self._plan_reads(blocks)
 
@@ -399,7 +407,7 @@ class PoqKvCache:
         vars(self).update(_config_read_plan(cfg))
         if not self.fold_k:
             return
-        self.work = aligned_zeros((cfg.max_seq_len, cfg.hidden_size))[0]
+        self.work = aligned_empty((cfg.max_seq_len, cfg.hidden_size))[0]
         self.k_fold = []
         for sp, _ in self.kv_smoothing:
             fold = self.seg_ones if sp is None else np.concatenate(
@@ -585,12 +593,57 @@ class PoqKvCache:
 # Query rows per attention block.  A block's float32 scores buffer at 4
 # heads and 896 keys is 0.9 MB at 64 rows and fits a 4 MB L2 cache, where the
 # whole (4, 896, 896) matrix (12.8 MB) does not, and each block scores 64 *
-# 63 / 2 masked keys per head.  With the array path's one mask triangle per
-# block, prefill on the default config (one BLAS thread, 2-vCPU Xeon VM,
-# three seeds of 8 alternating rounds) took 0.93-0.98x the time of 128-row
-# blocks at 576 and 896 tokens and 0.99-1.05x at 256, and 256-row blocks
-# took 1.03-1.25x.
+# 63 / 2 masked keys per head.  With blocks that exponentiate small scores
+# as they are, a weight_kv prefill on the default config (one BLAS thread,
+# 2-vCPU Xeon VM, three rounds of 8 alternating runs at 256, 576 and 896
+# tokens) took, per round, 0.99-1.07x the time of 64-row blocks at 32 rows,
+# 0.95-1.04x at 96 and 1.00-1.14x at 128.
 ATTN_BLOCK = 64
+
+# The largest |score| the array path exponentiates without subtracting the
+# row maximum.  Every exponential then lies in [e^-30, e^30], about [9.4e-14,
+# 1.1e13], inside float32's normal range [1.2e-38, 3.4e38]: none overflows,
+# and none underflows to zero, so every row sum is positive.  A row sum and
+# every entry of P . V are at most S * e^30 * max(max|v|, 1) for S keys;
+# _small_scores holds that below FLT_MAX / 4, so no partial sum of the
+# products can overflow either, whatever order BLAS adds in.
+SCORE_LIMIT = 30.0
+_SUM_LIMIT = float(np.finfo(np.float32).max) / 4 / math.exp(SCORE_LIMIT)
+
+
+def _small_scores(qs, k, v, n_heads: int, diag, keys: int) -> bool:
+    """Whether every score of the scaled query qs against the keys k (and
+    the POQ diagonal's k_cur) is at most SCORE_LIMIT in size, and keys
+    exponentials of that size weight v (and v_cur), and a column of ones,
+    without overflow.
+
+    The bound is Hölder's, max over rows i and heads h of sum over the
+    head's channels c of |qs_ic| * max_j |k_jc|, in O((T + S) * C).  It is
+    taken in float32 with overflow and invalid-operation warnings silenced:
+    a NaN or inf in q, k or v makes the bound or the value maximum NaN or
+    inf, and the comparisons fail."""
+    d = qs.shape[1] // n_heads
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_max = np.maximum.reduce(np.abs(k), axis=0)
+        v_max = np.maximum.reduce(np.abs(v), axis=None)
+        if diag is not None:
+            np.maximum(k_max, np.maximum.reduce(np.abs(diag[0]), axis=0), out=k_max)
+            v_max = np.maximum(v_max, np.maximum.reduce(np.abs(diag[1]), axis=None))
+        # k_max spread over a (C, H) block diagonal: one product sums each head
+        head_k = k_max.reshape(n_heads, d, 1) * np.eye(n_heads, dtype=np.float32)[:, None]
+        bound = np.maximum.reduce(np.abs(qs) @ head_k.reshape(-1, n_heads), axis=None)
+    limit = _SUM_LIMIT / keys
+    return bool(bound <= SCORE_LIMIT and v_max < limit and 1.0 < limit)
+
+
+def _bound_pays(t: int, s: int, d: int) -> bool:
+    """Whether a call of t query rows per sequence over s keys, head_dim d,
+    takes the score bound.  The bound reads the t + s rows of q and k, d
+    channels per head, and a small bound saves passes over each head's t *
+    s scores; so a call takes it when it scores at least d entries per row
+    read: t * s >= d * (t + s).  A one-row read never does; a chunk onto a
+    long past does from about d rows, and a prompt from 2 * d."""
+    return t * s >= d * (t + s)
 
 
 def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
@@ -609,18 +662,28 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     Arrays record nothing and take fewer passes over the scores.  The (T,
     H*D) query is scaled once, before any product.  Query rows are taken
     ATTN_BLOCK at a time: rows [a, b) of every sequence score only the keys
-    [0, S-T+b) they can see, in a (seqs, H, b-a, S-T+b) buffer.  exp_causal
-    masks the triangle of its last b-a columns and turns it into
-    unnormalized exponentials in place; their (H, b-a, D) product with the
-    values is then divided by the row sums, and written to the block's rows
-    of the output.
+    [0, S-T+b) they can see, in a (seqs, H, b-a, S-T+b) buffer, which
+    becomes unnormalized exponentials in place.  Their (H, b-a, D) product
+    with the values is then divided by the row sums, and written to the
+    block's rows of the output.
+
+    A call whose shape pays for it (_bound_pays: T * S >= D * (T + S))
+    first bounds every score (_small_scores).  When the bound is at most
+    SCORE_LIMIT, each block exponentiates its scores as they are, with no
+    finite scan, row maximum or subtraction, and zeroes its masked triangle
+    by multiplying its last b-a columns by a 0/1 lower triangle; the values
+    carry a column of ones, so the row sums are the last column of P . V.
+    Otherwise, and on calls of other shapes, each block runs exp_causal: it
+    masks the triangle, checks that the scores are finite and subtracts
+    each row's maximum.
 
     There a quantized cache's read hands over v as a function
     (PoqKvCache.read_raw): v(p) -> (H, T, D) applies (H, T, S) attention
     weights, as folded values do, and it is linear in them.  On a decode
     step k may be one too: k(qh) -> (H, T, S) scores of the (H, T, D)
     scaled query heads, as folded keys give them.  Such a read takes every
-    row at once (v(p) overwrites the keys' buffer), as one block.
+    row at once (v(p) overwrites the keys' buffer), as one block, through
+    exp_causal.
 
     On arrays only, the POQ diagonal diag = (k_cur, v_cur), each shaped as
     q, stands in for the keys and values at column S-T+i of query row i:
@@ -660,7 +723,8 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
 
         return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), backward)
 
-    qh = heads(q * scale, t)
+    qs = q * scale
+    qh = heads(qs, t)
     if callable(v):
         p = k(qh) if callable(k) else np.matmul(qh, heads(k, k.shape[0]).swapaxes(-1, -2))
         sums = exp_causal(p, p.shape[-1] - t)
@@ -672,6 +736,13 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     offset = s - t
     if diag is not None:
         kch, vch = heads(diag[0], t), heads(diag[1], t)
+    small = _bound_pays(t, s, d) and _small_scores(qs, k, v, n_heads, diag, s)
+    if small:
+        v_ones = np.empty((*lead, n_heads, s, d + 1), dtype=np.float32)
+        v_ones[..., :d] = vh
+        v_ones[..., d] = 1.0
+        vh = v_ones
+        tri = np.tri(min(t, ATTN_BLOCK), dtype=np.float32)
     out = np.empty((*lead, t, n_heads, d), dtype=qh.dtype)
     for a in range(0, t, ATTN_BLOCK):
         b = min(a + ATTN_BLOCK, t)
@@ -681,10 +752,16 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
             rows = np.arange(b - a)
             ii = (..., rows, rows + offset + a)
             p[ii] = np.einsum("...td,...td->...t", qh[..., a:b, :], kch[..., a:b, :])
-        sums = exp_causal(p, offset + a)
+        if small:
+            np.exp(p, out=p)
+            p[..., offset + a :] *= tri[: b - a, : b - a]
+        else:
+            sums = exp_causal(p, offset + a)
         o = np.matmul(p, vh[..., :cols, :])
         if diag is not None:
-            o += p[ii][..., None] * (vch[..., a:b, :] - vh[..., offset + a : cols, :])
+            o[..., :d] += p[ii][..., None] * (vch[..., a:b, :] - vh[..., offset + a : cols, :d])
+        if small:
+            o, sums = o[..., :d], o[..., d:]
         np.divide(o, sums, out=out[..., a:b, :, :].swapaxes(-3, -2))
     return out.reshape(seqs * t, n_heads * d)
 

@@ -263,7 +263,10 @@ def exp_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
     subtracted and the exponentials are taken in place, so masked entries
     come out exactly zero.  Leading axes (heads) share the mask.  The
     runtime attention divides its P . V product by the sums (model.
-    causal_attention); softmax_causal divides the scores themselves.
+    causal_attention) on every call whose scores it has not bounded below
+    model.SCORE_LIMIT, so each runtime path either checks its scores here
+    or has proved them finite.  softmax_causal divides the scores
+    themselves.
     """
     _check_finite("softmax_causal", scores)
     t, s = scores.shape[-2:]
@@ -328,13 +331,14 @@ def rms_norm(x, gain, eps: float = 1e-6):
 ALIGN = 64
 
 
-def aligned_zeros(shape: tuple, dtype=np.float32, count: int = 1) -> np.ndarray:
-    """count C-ordered arrays of zeros as one (count, *shape) array, from one
+def aligned_empty(shape: tuple, dtype=np.float32, count: int = 1) -> np.ndarray:
+    """count C-ordered arrays as one (count, *shape) array, from one
     allocation: each [i] starts on an ALIGN-byte boundary, and so does each
-    of its rows whose byte width is a multiple of ALIGN."""
+    of its rows whose byte width is a multiple of ALIGN.  The memory is not
+    initialized: every caller writes an element before it reads it."""
     size = math.prod(shape) * np.dtype(dtype).itemsize
     step = -(-size // ALIGN) * ALIGN
-    raw = np.zeros(count * step + ALIGN, dtype=np.uint8)
+    raw = np.empty(count * step + ALIGN, dtype=np.uint8)
     start = -raw.ctypes.data % ALIGN
     raw = raw[start : start + count * step].reshape(count, step)[:, :size]
     return raw.view(dtype).reshape(count, *shape)
@@ -364,7 +368,7 @@ def rope_table(base: float, head_dim: int, width: int,
         ang = np.arange(n, dtype=np.float64)[:, None] * inv_freq[None, :]
         c, s = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
         reps = width // head_dim
-        cos, sin = aligned_zeros((n, width), count=2)
+        cos, sin = aligned_empty((n, width), count=2)
         cos[...] = np.tile(np.concatenate([c, c], axis=1), reps)
         sin[...] = np.tile(np.concatenate([-s, s], axis=1), reps)
         _ROPE_TABLES[key] = (cos, sin)

@@ -134,15 +134,14 @@ class TestScoring:
         assert logit_mae(m, m, ids) == 0.0
 
 
-# weight_activation rounds every linear-layer input to per-token codes, and a
-# float32 reorder between the chunk-shaped and row-shaped matmuls can move an
-# input across a rounding boundary: seed 0 at 8 bits differs by 1.4e-5.  The
-# bound there is the one test_runtime puts on decode against a full forward.
-TOL = {"fp": 1e-5, "weight_only": 1e-5, "weight_kv": 1e-5, "weight_activation": 1e-4}
-
-
 class TestCachePathOnePass:
-    """score_logits(use_cache=True) against the step-by-step cache path."""
+    """score_logits(use_cache=True) against the step-by-step cache path,
+    within 1e-5.  In weight_activation mode cache-path scoring is the
+    cacheless forward (model.cache_path_forward), and the step loop is not
+    its reference: every linear-layer input is rounded to per-token codes,
+    and a float32 reorder between the chunk-shaped and row-shaped products
+    can move one across a rounding boundary (seed 2 at 8 bits with POQ on,
+    64 tokens, differs from the step loop by 1.0e-3)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_stepwise(self, seed):
@@ -154,11 +153,16 @@ class TestCachePathOnePass:
                 model = equivalence_model(seed, poq=poq, kv_bits=kv_bits)
                 for mode in MODES:
                     model.config.quant_mode = mode
-                    ref = stepwise_logits(model, ids)
+                    step = mode != "weight_activation"
+                    ref = stepwise_logits(model, ids) if step else None
                     for n in (2, 17, len(ids)):
                         got = score_logits(model, ids[:n], use_cache=True)
                         assert got.shape == (n, model.config.vocab_size)
-                        assert np.abs(got - ref[:n]).max() <= TOL[mode], (poq, kv_bits, mode, n)
+                        if step:
+                            assert np.abs(got - ref[:n]).max() <= 1e-5, (poq, kv_bits, mode, n)
+                        else:
+                            cacheless = score_logits(model, ids[:n], use_cache=False)
+                            assert np.array_equal(got, cacheless), (poq, kv_bits, n)
 
 
 class TestDivergence:

@@ -19,6 +19,7 @@ from kvq.evaluate import score_logits
 from kvq.model import (
     ATTN_BLOCK,
     MODES,
+    SCORE_LIMIT,
     Linear,
     Model,
     ModelConfig,
@@ -120,44 +121,54 @@ class TestFpForward:
         pre, _ = prefill(m, IDS)
         assert np.array_equal(full, pre.data)
 
-    def test_decode_matches_full_forward(self):
-        m = make_model()
-        _, cache = prefill(m, IDS)
-        step = decode_step(m, 7, cache).data[-1]
-        full = model_forward(m, np.concatenate([IDS, [7]])).data[-1]
-        assert np.abs(step - full).max() < 1e-4
-
-    def test_chunked_prefill_consistent(self):
-        m = make_model()
-        cache = PoqKvCache(m.config, m.blocks)
-        a = model_forward(m, IDS[:10], cache=cache)
-        b = model_forward(m, IDS[10:], cache=cache)
-        whole = model_forward(m, IDS).data
-        got = np.concatenate([a.data, b.data], axis=0)
-        assert np.abs(got - whole).max() < 1e-4
-
 
 @pytest.fixture(scope="module")
 def layout_models():
     """A spread, weight-quantized model for each TestFoldedCacheRead layout,
-    without and with K/V smoothing."""
+    without and with K/V smoothing.  Block 0's query is scaled so that its
+    score bound (model._small_scores) is about 60, twice SCORE_LIMIT, where
+    block 1's is 0.09 to 0.3."""
     models = {}
     for group, head_dim, n_heads in TestFoldedCacheRead.LAYOUTS:
         base = make_model(seed=1, n_heads=n_heads, head_dim=head_dim,
                           hidden_size=n_heads * head_dim, kv_group_size=group)
         spread_kv_channels(base, 2.0, seed=1)
+        q, scale = base.blocks[0].q, np.float32(230 if head_dim == 32 else 700)
+        q.set(q.w * scale, q.b * scale)
         models[group, head_dim, n_heads, False] = quantized(base)  # a copy
         models[group, head_dim, n_heads, True] = quantized(smoothed(base))
     return models
+
+
+def bound_verdicts(monkeypatch) -> list:
+    """Record every verdict of the score bound (model._small_scores)."""
+    verdicts, small_scores = [], kvq.model._small_scores
+
+    def recording(*args):
+        verdicts.append(small_scores(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(kvq.model, "_small_scores", recording)
+    return verdicts
+
+
+def gate_everywhere(monkeypatch) -> list:
+    """Let every array call of causal_attention take the score bound,
+    whatever its shape, and record the bound's verdicts."""
+    monkeypatch.setattr(kvq.model, "_bound_pays", lambda t, s, d: True)
+    return bound_verdicts(monkeypatch)
 
 
 class TestAllHeadsForward:
     """The runtime forward, every head at once, against the float64 model of
     tests/reference.py, which attends one row and one head at a time:
     prefill, a chunk onto the filled cache and 8 decode steps, over the
-    TestFoldedCacheRead layouts with and without smoothing.  The largest
-    |dlogit| was 2.1e-7, with logits up to 0.65 (numpy 2.4, OpenBLAS
-    0.3.31); the bound leaves about 5x."""
+    TestFoldedCacheRead layouts with and without smoothing.  Every array
+    call takes the score bound: block 0's scores are past its limit and run
+    exp_causal, block 1's exponentiate as they are.  The largest |dlogit|
+    was 4.9e-7, with logits up to about 0.5 (numpy 2.4, OpenBLAS 0.3.31); the
+    bound leaves about 2x.  With block 0 unscaled it was 2.2e-7, and the
+    scaled block 0 read the same error with every call through exp_causal."""
 
     IDS = np.arange(28) * 7 % 250
     CHUNKS = [10, 10] + [1] * 8
@@ -165,53 +176,66 @@ class TestAllHeadsForward:
     @pytest.mark.parametrize("kv_bits", [2, 3, 4, 8, 16])
     @pytest.mark.parametrize("poq", [True, False])
     @pytest.mark.parametrize("mode", ["fp", "weight_only", "weight_kv"])
-    def test_matches_per_head_reference(self, layout_models, mode, poq, kv_bits):
-        ids = self.IDS
+    def test_matches_per_head_reference(self, monkeypatch, layout_models, mode, poq, kv_bits):
+        ids, verdicts = self.IDS, gate_everywhere(monkeypatch)
         for layout, base in layout_models.items():
             m = copy.copy(base)
             m.config = dataclasses.replace(base.config, quant_mode=mode, poq=poq, kv_bits=kv_bits)
+            verdicts.clear()
             logits, cache = prefill(m, ids[:10])
             rows = [logits.data, model_forward(m, ids[10:20], cache=cache).data]
             rows += [decode_step(m, int(tok), cache).data for tok in ids[20:]]
             want = reference.model_logits(m, ids, self.CHUNKS, cache)
             assert np.abs(np.concatenate(rows) - want).max() <= 1e-6, layout
+            assert set(verdicts) == {False, True}, layout
 
 
 class TestQueryBlocks:
     """Chunks longer than ATTN_BLOCK attend one block of query rows at a
     time.  The reference takes each sequence's whole scores matrix in
-    float64 (tests/reference.py).  Over these lengths, offsets and stackings,
-    with and without the POQ diagonal, the largest error was 3.7e-6 (5.5e-7
-    of the largest |output|; numpy 2.4, OpenBLAS 0.3.31); the bound leaves
-    about 2x."""
+    float64 (tests/reference.py).  Every call takes the score bound, and
+    each input runs on both of its sides: q and k (and k_cur) drawn from
+    N(0, 1) are scaled so that their bound, by its definition in float64,
+    is half of SCORE_LIMIT, where the scores are exponentiated as they are,
+    or twice it, where exp_causal runs.  Over these lengths, offsets and
+    stackings, with and without the POQ diagonal, the largest error was
+    2.9e-6 below the limit and 4.8e-6 above it (6.4e-7 of the largest
+    |output|; numpy 2.4, OpenBLAS 0.3.31); the bound leaves about 1.7x."""
 
     BOUNDARIES = sorted({1, ATTN_BLOCK - 1, ATTN_BLOCK, ATTN_BLOCK + 1, 2 * ATTN_BLOCK - 1,
                          2 * ATTN_BLOCK, 2 * ATTN_BLOCK + 1, 127, 128, 129, 300})
 
+    def both_sides(self, monkeypatch, seed, q_rows, kv_rows, poq, **kw):
+        verdicts = gate_everywhere(monkeypatch)
+        rng = np.random.default_rng(seed)
+        arr = lambda rows, f=1.0: (f * rng.normal(size=(rows, 32))).astype(np.float32)
+        q, k, v = arr(q_rows), arr(kv_rows), arr(kv_rows, 2.0)
+        diag = (arr(q_rows), arr(q_rows, 2.0)) if poq else None
+        keys = k if diag is None else np.concatenate([k, diag[0]])
+        # Hölder's bound on |q . k| / sqrt(8) over 4 heads of 8 channels
+        bound = (np.abs(q.astype(np.float64)) * np.abs(keys).max(axis=0)).reshape(-1, 4, 8)
+        bound = bound.sum(axis=2).max() / np.sqrt(8)
+        for target in (0.5 * SCORE_LIMIT, 2.0 * SCORE_LIMIT):
+            f = np.float32(np.sqrt(target / bound))
+            qf, kf = q * f, k * f
+            diag_f = None if diag is None else (diag[0] * f, diag[1])
+            verdicts.clear()
+            got = causal_attention(qf, kf, v, 4, diag_f, **kw)
+            want = reference.causal_attention(qf, kf, v, 4, diag_f, **kw)
+            assert verdicts == [target <= SCORE_LIMIT]
+            assert got.shape == want.shape == (q_rows, 32)
+            assert np.abs(got - want).max() <= 8e-6, target
+
     @pytest.mark.parametrize("poq", [False, True])
     @pytest.mark.parametrize("offset", [0, 37])
     @pytest.mark.parametrize("t", BOUNDARIES)
-    def test_matches_whole_matrix(self, t, offset, poq):
-        rng = np.random.default_rng(t + offset)
-        arr = lambda rows: (2.0 * rng.normal(size=(rows, 32))).astype(np.float32)
-        q, k, v = arr(t), arr(offset + t), arr(offset + t)
-        diag = (arr(t), arr(t)) if poq else None
-        got = causal_attention(q, k, v, 4, diag)
-        want = reference.causal_attention(q, k, v, 4, diag)
-        assert got.shape == want.shape == (t, 32)
-        assert np.abs(got - want).max() <= 8e-6
+    def test_matches_whole_matrix(self, monkeypatch, t, offset, poq):
+        self.both_sides(monkeypatch, t + offset, t, offset + t, poq)
 
     @pytest.mark.parametrize("poq", [False, True])
     @pytest.mark.parametrize("t", [1, ATTN_BLOCK + 1, 150])
-    def test_stacked_sequences_match_whole_matrix(self, t, poq):
-        rng = np.random.default_rng(t)
-        arr = lambda rows: (2.0 * rng.normal(size=(rows, 32))).astype(np.float32)
-        q, k, v = arr(3 * t), arr(3 * t), arr(3 * t)
-        diag = (arr(3 * t), arr(3 * t)) if poq else None
-        got = causal_attention(q, k, v, 4, diag, seqs=3)
-        want = reference.causal_attention(q, k, v, 4, diag, seqs=3)
-        assert got.shape == want.shape == (3 * t, 32)
-        assert np.abs(got - want).max() <= 8e-6
+    def test_stacked_sequences_match_whole_matrix(self, monkeypatch, t, poq):
+        self.both_sides(monkeypatch, t, 3 * t, 3 * t, poq, seqs=3)
 
     def test_multi_block_prefill_identical_to_weight_only(self):
         m = quantized(make_model(seed=3, max_seq_len=320))
@@ -332,7 +356,31 @@ class TestCache:
         with pytest.raises(NumericError, match="cache append"):
             cache.append(1, k_s, v_s, k_s, v_s)
         for name, stored in vars(lc).items():
-            assert np.array_equal(stored, before[name]), name  # nothing stored
+            # nothing stored; a row not yet written holds what the allocation held
+            assert np.array_equal(stored, before[name], equal_nan=True), name
+
+    @pytest.mark.parametrize("mode, max_segments", [("weight_kv", 32), ("weight_kv", 0),
+                                                     ("weight_only", 32)])
+    def test_unwritten_rows_are_never_read(self, monkeypatch, mode, max_segments):
+        # a cache's buffers are allocated without a fill: filled with NaN (and
+        # the codes with -128) before prefill, a cache, folding K or not, gives
+        # the logits of a fresh one bit for bit
+        monkeypatch.setattr(kvq.model, "FOLD_MAX_SEGMENTS", max_segments)
+        m = quantized(smoothed(make_model()), mode)
+
+        def logits(fill: bool) -> np.ndarray:
+            cache = PoqKvCache(m.config, m.blocks)
+            if fill:
+                buffers = [cache.scratch] + ([cache.work] if cache.fold_k else [])
+                buffers += [a for lc in cache.layers for a in vars(lc).values()]
+                for a in buffers:
+                    a[...] = np.nan if a.dtype.kind == "f" else -128
+            rows = [model_forward(m, IDS[:10], cache=cache).data,
+                    model_forward(m, IDS[10:16], cache=cache).data]
+            rows += [decode_step(m, int(tok), cache).data for tok in IDS[16:]]
+            return np.concatenate(rows)
+
+        assert np.array_equal(logits(False), logits(True))
 
     def test_kv_bytes_grows_linearly(self):
         m = quantized(make_model())
@@ -346,25 +394,88 @@ class TestCache:
 class TestNonFiniteScores:
     """Finite q and k of about 1e20 per channel make scores that overflow to
     +-inf in the array path's products; the finite check on the scores
-    raises NumericError on each runtime path.  numpy's own overflow warning
-    is silenced, so that the check is what the test sees."""
+    raises NumericError on each runtime path.  The 40-row forwards on arrays
+    are long enough to take the score bound (model._bound_pays), which
+    refuses block 1, so exp_causal's check runs there too.  numpy's own
+    overflow warning is silenced, so that the check is what the test sees."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("mode", ["fp", "weight_kv"])
-    def test_prefill_chunk_and_decode_raise(self, mode, sign):
+    def test_prefill_chunk_and_decode_raise(self, monkeypatch, mode, sign):
         m = quantized(smoothed(make_model(seed=2)), mode)
         _, cache = prefill(m, IDS[:10])
         blk = m.blocks[1]
         blk.q.b[...] += np.float32(1e20)  # in place: the cache planned these arrays
         blk.k.b[...] += np.float32(sign * 1e20)
+        verdicts, long = bound_verdicts(monkeypatch), np.arange(40) % 250
         with np.errstate(over="ignore", invalid="ignore"):
             for forward in (lambda: decode_step(m, 3, cache),
                             lambda: model_forward(m, IDS[10:14], cache=cache),
+                            lambda: model_forward(m, long, cache=cache),
                             lambda: prefill(m, IDS[:10]),
-                            lambda: score_logits(m, IDS, use_cache=True)):
+                            lambda: prefill(m, long),
+                            lambda: score_logits(m, IDS, use_cache=True),
+                            lambda: score_logits(m, long, use_cache=True)):
                 with pytest.raises(NumericError, match="softmax_causal"):
                     forward()
         assert cache.length == 10
+        # block 0 takes the bound, block 1 is refused; a quantized cache's
+        # chunk read is a function, which never takes it
+        assert verdicts == [True, False] * (3 if mode == "fp" else 2)
+
+
+class TestScoreBound:
+    """The array path's score bound (model._small_scores) under its shape
+    rule (model._bound_pays), seen through a count of exp_causal calls."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls, exp_causal = [], kvq.model.exp_causal
+
+        def counting(scores, offset=0):
+            calls.append(scores.shape)
+            return exp_causal(scores, offset)
+
+        monkeypatch.setattr(kvq.model, "exp_causal", counting)
+        return calls
+
+    def test_served_size_forwards_skip_exp_causal(self, monkeypatch):
+        # the served shape (4 blocks, 4 heads of 32) on a 256-token prompt;
+        # with block 2's query and keys biased to scores in the thousands,
+        # whose exponentials overflow float32, that block's 4 query blocks
+        # reach exp_causal in every forward, and the logits stay finite
+        m = quantized(smoothed(Model.random(ModelConfig(max_seq_len=256), seed=0)))
+        ids = np.random.default_rng(0).integers(0, m.config.vocab_size, 256)
+        calls = self.counted(monkeypatch)
+        forwards = (lambda: prefill(m, ids)[0].data, lambda: model_forward(m, ids).data,
+                    lambda: score_logits(m, ids, use_cache=True))
+        for forward in forwards:
+            forward()
+        assert calls == []
+        m.blocks[2].q.b[...] += np.float32(1e3)
+        m.blocks[2].k.b[...] += np.float32(1.0)
+        for forward in forwards:
+            assert np.isfinite(forward()).all()
+        assert len(calls) == 3 * 256 // ATTN_BLOCK
+
+    @pytest.mark.parametrize("mode", ["fp", "weight_only"])
+    def test_one_row_fp_cache_read_keeps_exp_causal(self, monkeypatch, mode):
+        m = quantized(make_model(max_seq_len=64), mode)
+        _, cache = prefill(m, np.arange(48) % 250)
+        calls = self.counted(monkeypatch)
+        monkeypatch.setattr(kvq.model, "_small_scores", None)  # a call would raise
+        decode_step(m, 5, cache)
+        assert calls == [(m.config.n_heads, 1, 49)] * m.config.n_layers
+
+    @pytest.mark.parametrize("where", range(5))
+    def test_non_finite_input_fails_the_bound(self, where):
+        # q, k, v, k_cur, v_cur
+        arrays = (0.5 * np.random.default_rng(0).normal(size=(5, 40, 32))).astype(np.float32)
+        small = lambda: kvq.model._small_scores(*arrays[:3], 4, tuple(arrays[3:]), 40)
+        assert small()
+        for bad in (np.nan, np.inf, -np.inf):
+            arrays[where, 7, 3] = bad
+            assert not small(), bad
 
 
 class TestFoldedCacheRead:
@@ -575,14 +686,6 @@ class TestFpCacheRotatedKeys:
             start += t
         assert start == cache.length == 20
 
-    def test_weight_only_decode_matches_cacheless_forward(self):
-        # max |dlogit| measured 6.0e-8 over these 9 rows (logits up to 0.37)
-        m = quantized(make_model(seed=6), "weight_only")
-        logits, cache = prefill(m, IDS[:12])
-        rows = [logits.data] + [decode_step(m, int(tok), cache).data for tok in IDS[12:20]]
-        full = model_forward(m, IDS[:20]).data
-        assert np.abs(np.concatenate(rows) - full).max() <= 1e-5
-
 
 class TestStackedForward:
     """Without a cache a block takes equal-length sequences stacked as rows;
@@ -619,7 +722,8 @@ class TestStackedForward:
             block_core(m.config, w, x, np.arange(4), kv_fn)
         assert cache.length == 0
         for name, stored in vars(cache.layers[0]).items():
-            assert np.array_equal(stored, before[name]), name  # nothing appended
+            # nothing appended; the rows hold what the allocation held
+            assert np.array_equal(stored, before[name], equal_nan=True), name
 
 
 class TestPoq:
