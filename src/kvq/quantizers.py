@@ -293,11 +293,13 @@ def dequantize(q: QuantizedTensor, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty((r, c), dtype=np.float32)
     if q.kind == "token":
+        # n and m repeated to channel width: broadcasting them over (rows,
+        # groups, size) runs an inner loop of only size elements
         for cols, gs, k, size in _spans(c, q.group_size):
-            part = out[:, cols].reshape(r, k, size)  # a view: only the last axis splits
-            part[...] = q.codes[:, cols].reshape(r, k, size)
-            part *= q.n[:, gs, None]
-            part += q.m[:, gs, None]
+            part = out[:, cols]
+            part[...] = q.codes[:, cols]
+            part *= np.repeat(q.n[:, gs], size, axis=1)
+            part += np.repeat(q.m[:, gs], size, axis=1)
         return out
     for rows, gs, k, size in _spans(r, q.group_size):
         part = out[rows].reshape(k, size, c)

@@ -19,7 +19,8 @@ exponentials (and their row sums) or into probabilities without a copy.
 
 Equal-length sequences can be stacked as rows, (B*T, C): rms_norm, silu,
 linear, embedding and cross_entropy work row by row, and rope takes B from
-the row count and the T positions (sequences).
+the row count and the T positions (sequences) and broadcasts the T table
+rows over a (B, T, C) view.
 
 rms_norm, rope, silu and linear take a Tensor, which records a tape op, or
 a plain float32 array, which records nothing and runs the same arithmetic:
@@ -34,6 +35,13 @@ else does either: a gradient array is only ever read.  So _accum keeps the
 first gradient a node receives as its .grad without a copy, even when the
 same array is also another node's gradient (an add passes g to both
 operands), and sums later ones into a new array.
+
+An op node keeps its parents and a backward closure holding the arrays
+that backward needs.  Tensor.backward releases both, and the node's .grad,
+right after that backward has run, so a sweep holds the activations of the
+ops not yet swept, the gradients in flight and the leaves' gradients, never
+every op node's gradient at once.  Leaves keep their .grad for the
+optimizer.
 """
 
 from __future__ import annotations
@@ -216,7 +224,19 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
-        """Reverse sweep from a scalar loss; clears the recorded graph."""
+        """Reverse sweep from a scalar loss that releases the graph as it goes.
+
+        Each op node (one with a recorded backward) is freed as soon as its
+        backward has run: its _backward, its _parents and its .grad are
+        dropped, so the arrays its backward captured, and the gradient it
+        received, go as soon as nothing else holds them.  A leaf (no recorded
+        backward) keeps its .grad, summed over every path to it.  The loss is
+        an op node too, so afterwards it has no graph, and a second
+        backward() adds nothing to any leaf.  If a backward raises, the sweep
+        stops there and leaves a partly released graph: the nodes swept
+        before it are released, it and the rest keep their records, and
+        their gradients (and the leaves') hold only what was summed so far.
+        """
         if self.shape != ():
             raise KvqError(f"backward() requires a scalar loss, got shape {self.shape}")
         order: list[Tensor] = []
@@ -235,13 +255,14 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.asarray(1.0, dtype=np.float32)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        # popping drops the sweep's own reference to each node as it is done
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
-        # release the graph so a tape is never reused
-        for node in order:
-            node._parents = ()
-            node._backward = None
+            node._backward, node._parents, node.grad = None, (), None
 
 
 # -- transformer primitives ---------------------------------------------------
@@ -411,27 +432,30 @@ def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None =
                              "one per row of each stacked sequence")
     cos, sin = rope_table(base, d, width, start + t)
     cos, sin = cos[start : start + t], sin[start : start + t]
-    if rows > t:  # every stacked sequence takes the same table rows
-        cos, sin = np.tile(cos, (rows // t, 1)), np.tile(sin, (rows // t, 1))
+    # stacked sequences are a (B, T, width) view that the table rows broadcast over
+    view = (rows // t, t, width) if rows > t else (rows, width)
 
-    def rotate(a: np.ndarray, sin_rows: np.ndarray, out=None) -> np.ndarray:
+    def rotate(a: np.ndarray, transpose: bool = False, out=None) -> np.ndarray:
         # the swapped halves are one copy of a view with the half axis
         # reversed, taken before out is written, so out may be a
         swapped = np.ascontiguousarray(a.reshape(rows, width // d, 2, d // 2)[:, :, ::-1])
-        swapped = swapped.reshape(rows, width)
-        swapped *= sin_rows
-        out = np.multiply(a, cos, out=out)
-        out += swapped
-        return out
+        swapped = swapped.reshape(view)
+        swapped *= sin
+        r = np.multiply(a.reshape(view), cos, out=None if out is None else out.reshape(view))
+        if transpose:  # the transpose rotates by -angle: x * cos - swapped * sin
+            r -= swapped
+        else:
+            r += swapped
+        return r.reshape(rows, width) if out is None else out
 
     if not tape:
-        return rotate(x, sin, out)
+        return rotate(x, out=out)
 
     def backward(g, a=x):
         if a.requires_grad:
-            a._accum(rotate(g, -sin))  # the transpose rotates by -angle
+            a._accum(rotate(g, transpose=True))
 
-    return Tensor._from_op(rotate(x.data, sin), (x,), backward)
+    return Tensor._from_op(rotate(x.data), (x,), backward)
 
 
 def linear(x, w, b):

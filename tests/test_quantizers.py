@@ -151,6 +151,10 @@ class TestTokenQuant:
             codes, deq = oracle_token(y, bits, gs)
             assert np.array_equal(q.codes, codes), f"trial {trial}"
             assert np.allclose(dequantize(q), deq, atol=1e-5), f"trial {trial}"
+            # and exactly the float32 codes * n + m of each channel's group
+            group = np.arange(c) // gs
+            exact = q.codes.astype(np.float32) * q.n[:, group] + q.m[:, group]
+            assert np.array_equal(dequantize(q), exact), f"trial {trial}"
 
     def test_roundtrip_error_bound(self):
         rng = np.random.default_rng(1)

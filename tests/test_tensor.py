@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ import reference
 from conftest import tiny_config, word_corpus
 from kvq.calibration import CalibConfig, calibrate_block, collect_activations, sample_segments
 from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError, UsageError
-from kvq.evaluate import train_model
+from kvq.evaluate import _lm_leaves, lm_loss, lm_tensors, train_model
 from kvq.model import ATTN_BLOCK, Model, causal_attention, spread_kv_channels
 from kvq.tensor import (
     Tensor,
@@ -419,10 +422,22 @@ class TestMisc:
             (x * 2.0).backward()
 
     def test_graph_cleared_after_backward(self):
-        x = Tensor(np.ones((2,), np.float32), requires_grad=True)
-        y = tsum(x * 3.0)
-        y.backward()
-        assert y._parents == () and y._backward is None
+        # every op node of a training loss is released, every leaf keeps its
+        # gradient, and a second backward adds nothing to any leaf
+        m = Model.random(tiny_config(), seed=3)
+        p = lm_tensors(m)
+        seqs = np.random.default_rng(3).integers(0, 256, size=(2, 17))
+        loss = lm_loss(m.config, p, seqs)
+        nodes = tape_nodes(loss)
+        ops = [n for n in nodes if n._backward is not None]
+        leaves = [n for n in nodes if n._backward is None and n.requires_grad]
+        assert ops and {id(t) for t in leaves} == {id(t) for t in _lm_leaves(p)}
+        loss.backward()
+        assert all(n.grad is None and n._backward is None and n._parents == () for n in ops)
+        grads = [t.grad.copy() for t in leaves]
+        assert all(g.shape == t.shape for g, t in zip(grads, leaves))
+        loss.backward()
+        assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, grads))
 
     def test_rope_preserves_pair_norms(self):
         rng = np.random.default_rng(13)
@@ -458,6 +473,67 @@ class TestMisc:
         expect = -logp[np.arange(4), tgt].mean()
         got = cross_entropy(Tensor(logits), tgt).item()
         assert abs(got - expect) < 1e-5
+
+
+def tape_nodes(loss: Tensor) -> list[Tensor]:
+    """Every node of loss's recorded graph, loss included."""
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            nodes.append(n)
+            stack.extend(n._parents)
+    return nodes
+
+
+class TestTapeRelease:
+    """backward frees each op node once its backward has run, so a sweep
+    holds the activations the unswept ops still need, the leaves' gradients
+    and the gradients in flight, not every op node's gradient at once."""
+
+    def test_sweep_frees_activations_only_the_tape_holds(self):
+        x = Tensor(np.ones((64, 64), np.float32), requires_grad=True)
+        alive = []
+
+        def probe(a):  # an identity op whose backward, run last, looks above it
+            def backward(g):
+                alive.extend(r() is not None for r in refs)
+                a._accum(g)
+
+            return Tensor._from_op(a.data.copy(), (a,), backward)
+
+        s1 = probe(x).silu()
+        m = s1 * 2.0
+        loss = tsum(m.silu())
+        refs = [weakref.ref(s1.data), weakref.ref(m.data)]
+        del s1, m
+        loss.backward()
+        assert alive == [False, False]  # already gone while the sweep still ran
+        assert np.all(x.grad != 0.0)
+
+    def test_lm_loss_peak_within_tape_bound(self):
+        # the traced peak of a forward and backward may exceed what the
+        # forward leaves on the tape (activation bytes) plus the leaves'
+        # gradients (parameter bytes) by at most half of all op nodes'
+        # gradient bytes; a sweep that kept every op node's gradient to its
+        # end exceeds it by about all of them (B 4, T 128, width 64: a
+        # 10.4 MB peak against a 12.3 MB bound; keeping them, 16.7 MB)
+        cfg = tiny_config(hidden_size=64, head_dim=32, intermediate_size=128, max_seq_len=128)
+        p = lm_tensors(Model.random(cfg, seed=4))
+        seqs = np.random.default_rng(4).integers(0, 256, size=(4, 129))
+        params = sum(t.data.nbytes for t in _lm_leaves(p))
+        lm_loss(cfg, p, seqs)  # fills the rope table before tracing
+        tracemalloc.start()
+        try:
+            loss = lm_loss(cfg, p, seqs)
+            activations = tracemalloc.get_traced_memory()[0]
+            op_grads = sum(n.data.nbytes for n in tape_nodes(loss) if n._backward is not None)
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= activations + params + op_grads / 2
 
 
 class TestStackedSequences:
