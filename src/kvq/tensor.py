@@ -1,9 +1,8 @@
 """Dense float32 tensors with reverse-mode autodiff on a recorded graph.
 
 Only the operations needed by the quantization pipeline are implemented.
-Broadcasting is deliberately restricted to three cases: equal shapes, a
-(1, C) row vector against a (T, C) matrix, and a (T, 1) column vector
-against a (T, C) matrix.  Python scalars are accepted anywhere.
+Broadcasting is deliberately restricted to equal shapes and a (1, C) row
+vector against a (T, C) matrix.  Python scalars are accepted anywhere.
 
 Rounding uses half-away-from-zero ties everywhere (see round_half_away);
 clamp passes gradients only inside the clamp interval.  The tape holds only
@@ -27,8 +26,7 @@ a plain float32 array, which records nothing and runs the same arithmetic:
 the runtime forward runs on arrays, calibration and training on Tensors.
 linear is a projection x @ w + b with a (1, N) bias row: one tape node whose
 backward gives all three gradients, or on arrays one product with the bias
-added in place.  rms_norm is one tape node too, with the float32 arithmetic
-and gradient order of the chain of elementwise ops it replaces.
+added in place.  rms_norm is one tape node too.
 
 No backward writes into a gradient it receives or passes on, and nothing
 else does either: a gradient array is only ever read.  So _accum keeps the
@@ -75,23 +73,15 @@ def _as_array(x) -> np.ndarray:
 def _check_broadcast(sa: tuple, sb: tuple) -> None:
     if sa == sb or sa == () or sb == ():
         return
-    if len(sa) == 2 and len(sb) == 2:
-        if sb == (1, sa[1]) or sb == (sa[0], 1):
-            return
-        if sa == (1, sb[1]) or sa == (sb[0], 1):
-            return
+    if len(sa) == 2 and len(sb) == 2 and (sb == (1, sa[1]) or sa == (1, sb[1])):
+        return
     raise DimensionError(f"incompatible shapes for elementwise op: {sa} vs {sb}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to a row's or column's `shape` (inverse of the
-    restricted broadcast; a Python scalar operand needs no gradient)."""
-    if grad.shape == shape:
-        return grad
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
+    """Sum grad down to a (1, C) row's `shape` (inverse of the restricted
+    broadcast; a Python scalar operand needs no gradient)."""
+    return grad if grad.shape == shape else grad.sum(axis=0, keepdims=True)
 
 
 class Tensor:
@@ -315,10 +305,12 @@ def rms_norm(x, gain, eps: float = 1e-6):
     """RMS normalization over the channel axis with a gain row (learnable on
     Tensors).
 
-    On Tensors it is one tape op with the float32 arithmetic, and order, of
-    the chain x / sqrt(mean(x * x) + eps) * gain of elementwise tape ops: x
-    receives g * gain / r, then the mean-square path's term twice (once per
-    x of x * x), as three separate additions."""
+    On Tensors it is one tape op computing x / sqrt(mean(x * x) + eps) *
+    gain: x receives g * gain / r, then the mean-square path's term twice
+    (once per x of x * x), as three separate additions.  That float32
+    arithmetic and order stay bit for bit: test_losses_and_weights_pinned
+    hashes what training computes through it, and its gradient is checked
+    against float64 central differences."""
     if not isinstance(x, Tensor):
         _check_finite("rms_norm", x)
         # the sum and division of mean(axis=1), without its wrapper's cost

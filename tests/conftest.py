@@ -4,6 +4,8 @@ import pytest
 from kvq.errors import KvqError
 from kvq.evaluate import encode_bytes, train_model
 from kvq.model import Model, ModelConfig, spread_kv_channels
+from kvq.quantizers import TokenQuantSpec, quantize_token
+from kvq.tensor import Tensor
 
 WORDS = [b"the ", b"quick ", b"brown ", b"fox ", b"jumps ", b"over ", b"a ", b"dog. "]
 
@@ -28,6 +30,50 @@ def group_bounds(n: int, group_size: int) -> list[tuple[int, int]]:
     if group_size < 1:
         raise KvqError(f"group_size must be positive, got {group_size}")
     return [(a, min(a + group_size, n)) for a in range(0, n, group_size)]
+
+
+def weighted_sum(y: Tensor, w=1.0) -> Tensor:
+    """sum(y * w) as one scalar tape op, summed in float64, whose backward
+    gives y the gradient g * w: how a test makes a loss of an op's output."""
+    w = np.broadcast_to(np.asarray(w, dtype=np.float32), y.shape)
+    return Tensor._from_op(np.sum(y.data * w, dtype=np.float64), (y,),
+                           lambda g: y._accum(g * w))
+
+
+def central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
+    """Float64 central differences of a scalar function f at every entry of x."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.empty(x.shape)
+    for i in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        grad[i] = (f(xp) - f(xm)) / (2 * eps)
+    return grad
+
+
+def assert_float64_grads(op, ref, arrs):
+    """The tape's gradients of sum(op(*inputs) * w), for a random w, against
+    float64 central differences of sum(ref(*inputs) * w) at every entry of
+    every input, each within 1e-5 of that input's largest |gradient|."""
+    ts = [Tensor(a, requires_grad=True) for a in arrs]
+    out = op(*ts)
+    w = np.random.default_rng(0).normal(size=out.shape).astype(np.float32)
+    weighted_sum(out, w).backward()
+    x64 = [np.asarray(a, dtype=np.float64) for a in arrs]
+    for i, t in enumerate(ts):
+        f = lambda a: np.sum(ref(*x64[:i], a, *x64[i + 1 :]) * w)
+        want = central_diff(f, x64[i], 1e-4)
+        assert np.abs(t.grad - want).max() <= 1e-5 * np.abs(want).max(initial=1e-6)
+
+
+def held_codes(y: np.ndarray, bits: int, group_size: int):
+    """What fake_quant_token's backward holds fixed at y: its codes, and each
+    token group's first peak of |y - m| (reference.held_fake_quant)."""
+    qt = quantize_token(y, TokenQuantSpec(bits, group_size))
+    dev = np.abs(y - np.repeat(qt.m, group_size, axis=1)[:, : y.shape[1]])
+    peaks = [dev[:, a : a + group_size].argmax(axis=1) for a in range(0, y.shape[1], group_size)]
+    return qt.codes, np.stack(peaks, axis=1)
 
 
 def word_corpus(seed: int, n_words: int = 1000) -> np.ndarray:

@@ -18,10 +18,18 @@ causal_attention is causal attention over stacked sequences, with or
 without the POQ diagonal, as one whole float64 scores matrix per sequence:
 scores, mask, softmax, then the probabilities times the values.
 
+block is one decoder block over one whole sequence.  calib_block is
+crr_loss's quantized block as a smooth function of its input and of the K/V
+smoothing: it holds fixed what fake_quant_token's backward holds fixed
+(held_fake_quant), so float64 central differences of it give the gradient
+that the tape computes, at every input entry and every smoothing channel.
+
 adam_step is one Adam step of one parameter, by the textbook formula.
 
 They use no kvq kernel, so a fast path tested against them is held to the
-size of its error, not to an order of float32 operations.
+size of its error, not to an order of float32 operations.  What a reference
+holds fixed (a cache's codes, fake_quant_token's codes and peaks) it takes
+from the live model, and quantizes nothing itself.
 """
 
 from __future__ import annotations
@@ -170,6 +178,60 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1) -> np.ndar
             o += p[:, rows, cols][..., None] * (vc - vh[:, cols])
         out.append(o.transpose(1, 0, 2).reshape(t, -1))
     return np.concatenate(out)
+
+
+def block(cfg, w, x, kv=lambda k, v: (k, v)) -> np.ndarray:
+    """One decoder block over one sequence x (T, C) at positions 0 .. T-1,
+    in float64.  w holds its weights under model.block_arrays' names; kv
+    maps the k and v projection outputs to raw K and V (by default they
+    are raw)."""
+    w = {name: np.asarray(a, dtype=np.float64) for name, a in w.items()}
+    x = np.asarray(x, dtype=np.float64)
+    pos = np.arange(len(x))
+    proj = lambda a, name: a @ w[f"{name}_w"] + w[f"{name}_b"]
+    xn = rms_norm(x, w["attn_norm"])
+    k, v = kv(proj(xn, "k"), proj(xn, "v"))
+    q, k = (rotate(a, pos, cfg.rope_base, cfg.head_dim) for a in (proj(xn, "q"), k))
+    x = x + proj(causal_attention(q, k, v, cfg.n_heads), "o")
+    xn = rms_norm(x, w["mlp_norm"])
+    gate = proj(xn, "gate")
+    return x + proj(gate / (1.0 + np.exp(-gate)) * proj(xn, "up"), "down")
+
+
+def held_fake_quant(y, codes, peaks, bits: int, group_size: int) -> np.ndarray:
+    """fake_quant_token of y (T, C) in float64 with its codes and each token
+    group's peak held fixed: codes * n + m for each group, m its mean and
+    n = |y_p - m| / 2^(bits-1) at its peak p, peaks[:, group] (a column
+    within the group).  A constant group's codes are zero, so it gives m."""
+    y = np.asarray(y, dtype=np.float64)
+    out, rows = np.empty_like(y), np.arange(len(y))
+    for g, a in enumerate(range(0, y.shape[1], group_size)):
+        grp = y[:, a : a + group_size]
+        m = grp.mean(axis=1, keepdims=True)
+        n = np.abs(grp[rows, peaks[:, g]][:, None] - m) / 2.0 ** (bits - 1)
+        out[:, a : a + group_size] = codes[:, a : a + group_size] * n + m
+    return out
+
+
+def calib_block(cfg, w, x, smoothing, held) -> np.ndarray:
+    """crr_loss's quantized block over one sequence x, in float64.
+
+    w holds the block's weights as block takes them, with its projections'
+    quantized weights.  smoothing is (s_k, d_k, s_v, d_v), each a (1, C)
+    row (s above its floor): the k and v projections are Q(w) / s and
+    (b - d) / s, their outputs are fake-quantized with held = (k_held,
+    v_held), each the (codes, peaks) of held_fake_quant, and then
+    un-smoothed, y * s + d."""
+    s_k, d_k, s_v, d_v = smoothing
+    w = dict(w, k_w=w["k_w"] / s_k, k_b=(w["k_b"] - d_k) / s_k,
+             v_w=w["v_w"] / s_v, v_b=(w["v_b"] - d_v) / s_v)
+
+    def kv(k, v):
+        k, v = (held_fake_quant(a, *h, cfg.kv_bits, cfg.kv_group_size)
+                for a, h in zip((k, v), held))
+        return k * s_k + d_k, v * s_v + d_v
+
+    return block(cfg, w, x, kv)
 
 
 def adam_step(p, g, m, v, t: int, lr: float, b1: float = 0.9, b2: float = 0.999,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fitted_model, tiny_config, word_corpus
+from conftest import fitted_model, tiny_config, weighted_sum, word_corpus
 from reference import adam_step
 import kvq.calibration as calibration
 from kvq.calibration import (
@@ -29,7 +29,6 @@ from kvq.evaluate import logit_mae
 from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
 from kvq.quantizers import WeightQuantSpec
 from kvq.tensor import Tensor
-from tape_ops import mean
 
 
 class TestConfig:
@@ -108,7 +107,7 @@ class TestAdamW:
         p = Tensor(np.array([4.0], np.float32), requires_grad=True)
         opt = AdamW([p], 0.2)
         for _ in range(100):
-            loss = mean(p * p)  # p has one element
+            loss = weighted_sum(p * p)
             opt.zero_grad()
             loss.backward()
             opt.step()

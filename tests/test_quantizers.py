@@ -19,9 +19,9 @@ from kvq.quantizers import (
     quantize_token,
     quantize_weight,
 )
-from kvq.tensor import Tensor, round_half_away
-from conftest import group_bounds
-from tape_ops import concat_cols, maximum, mean, slice_cols, tabs, tmax, tsum
+from kvq.tensor import Tensor
+import reference
+from conftest import assert_float64_grads, group_bounds, held_codes, weighted_sum
 
 
 def oracle_token(y, bits, group_size):
@@ -76,26 +76,6 @@ def oracle_weight(w, bits, group_size):
     return codes
 
 
-# -- reference: the per-group tape fake quantizer the single op replaced -----
-
-REF_EPS = 1e-8  # the tape's floor on n; constant groups differ from the runtime
-
-
-def reference_fake_quant_token(y, bits, group_size):
-    """Per-group tape: codes held fixed, q * n + m."""
-    half = float(2 ** (bits - 1))
-    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-    parts = []
-    for a, b in group_bounds(y.shape[1], group_size):
-        block = slice_cols(y, a, b)
-        m = mean(block, axis=1, keepdims=True)
-        centered = block - m
-        n = maximum(tmax(tabs(centered), axis=1, keepdims=True) / half, REF_EPS)
-        q = Tensor(np.clip(round_half_away(centered.data / n.data), lo, hi))
-        parts.append(q * n + m)
-    return parts[0] if len(parts) == 1 else concat_cols(parts)
-
-
 def fake_quant_cases(seed, kind):
     """(array, bits, group_size, regular) inputs for the fake-quant ops.
 
@@ -117,13 +97,6 @@ def fake_quant_cases(seed, kind):
         for base in (0.0, 1.5):
             x = (base + spread * rng.uniform(-1, 1, (3, 12))).astype(np.float32)
             yield (x if kind == "token" else x.T.copy()), 4, 8, False
-
-
-def assert_grad_close(actual, ref, upstream, x):
-    # float32 sums in another order: rtol 1e-5, plus an atol of 1e-5 times the
-    # size of the summed terms, sum |upstream| * max(1, |x|)
-    atol = 1e-5 * np.abs(upstream).sum() * max(1.0, float(np.abs(x).max()))
-    np.testing.assert_allclose(actual, ref, rtol=1e-5, atol=atol)
 
 
 class TestTokenQuant:
@@ -302,20 +275,20 @@ class TestSmoothing:
 
 class TestFakeQuant:
     def test_token_fake_matches_integer_path(self):
-        # forward bit-identical to the runtime; gradient equal to the tape's
-        rng = np.random.default_rng(11)
+        # forward bit-identical to the runtime; the gradient of a regular
+        # input that of float64 q * n + m with the codes and peaks held fixed
         for y0, bits, gs, regular in fake_quant_cases(11, "token"):
-            upstream = rng.normal(size=y0.shape).astype(np.float32)
-            y = Tensor(y0, requires_grad=True)
-            fake = fake_quant_token(y, bits, gs)
+            fake = lambda y: fake_quant_token(y, bits, gs)
             real = dequantize(quantize_token(y0, TokenQuantSpec(bits, gs)))
-            assert np.array_equal(fake.data, real)
-            tsum(fake * Tensor(upstream)).backward()
-            assert np.all(np.isfinite(y.grad))
+            assert np.array_equal(fake(Tensor(y0)).data, real)
             if regular:
-                ref = Tensor(y0, requires_grad=True)
-                tsum(reference_fake_quant_token(ref, bits, gs) * Tensor(upstream)).backward()
-                assert_grad_close(y.grad, ref.grad, upstream, y0)
+                codes, peaks = held_codes(y0, bits, gs)
+                assert_float64_grads(fake, lambda y: reference.held_fake_quant(
+                    y, codes, peaks, bits, gs), [y0])
+            else:
+                y = Tensor(y0, requires_grad=True)
+                weighted_sum(fake(y)).backward()
+                assert np.all(np.isfinite(y.grad))
 
     def test_weight_fake_matches_integer_path(self):
         # the runtime's rounding as floats, constant and tail groups included
@@ -326,35 +299,8 @@ class TestFakeQuant:
     def test_token_fake_gradient_flows(self):
         rng = np.random.default_rng(13)
         y = Tensor(rng.normal(size=(2, 8)).astype(np.float32), requires_grad=True)
-        tsum(fake_quant_token(y, 4, 4)).backward()
+        weighted_sum(fake_quant_token(y, 4, 4)).backward()
         assert y.grad is not None and np.all(np.isfinite(y.grad))
-
-    def test_token_fake_gradient_holds_codes_fixed(self):
-        # with the codes q held fixed, each token group computes q * n + m, so
-        # the gradient is the exact local derivative q * dn + dm
-        rng = np.random.default_rng(15)
-        bits, gs, half = 4, 4, 8.0
-        y0 = rng.normal(size=(3, 11)).astype(np.float32)  # groups 4, 4 and a tail of 3
-        upstream = rng.normal(size=(3, 11)).astype(np.float32)
-        y = Tensor(y0, requires_grad=True)
-        tsum(fake_quant_token(y, bits, gs) * Tensor(upstream)).backward()
-        qt = quantize_token(y0, TokenQuantSpec(bits, gs))
-        expected = np.zeros((3, 11))
-        for g, (a, b) in enumerate(group_bounds(11, gs)):
-            centered = y0[:, a:b] - y0[:, a:b].mean(axis=1, keepdims=True)
-            u = centered / qt.n[:, g : g + 1]
-            # codes and the |y - m| argmax are stable under a small move
-            assert np.abs(np.abs(u - np.trunc(u)) - 0.5).min() > 1e-3
-            top2 = np.sort(np.abs(centered), axis=1)[:, -2:]
-            assert np.all(top2[:, 1] - top2[:, 0] > 1e-2)
-            peak = np.abs(centered).argmax(axis=1)
-            sign = np.sign(centered[np.arange(3), peak])[:, None]
-            onehot = np.eye(b - a)[peak]
-            dn = sign * (onehot - 1.0 / (b - a)) / half  # d n / d y_k
-            gq = (upstream[:, a:b] * qt.codes[:, a:b]).sum(axis=1, keepdims=True)
-            dm = upstream[:, a:b].sum(axis=1, keepdims=True) / (b - a)
-            expected[:, a:b] = gq * dn + dm
-        np.testing.assert_allclose(y.grad, expected, rtol=1e-5, atol=1e-6)
 
 
 class TestGroupBounds:

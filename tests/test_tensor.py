@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import tiny_config, word_corpus
+from conftest import assert_float64_grads, central_diff, tiny_config, weighted_sum, word_corpus
 from kvq.calibration import CalibConfig, calibrate_block, collect_activations, sample_segments
 from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError, UsageError
 from kvq.evaluate import _lm_leaves, lm_loss, lm_tensors, train_model
@@ -23,84 +23,31 @@ from kvq.tensor import (
     sequences,
     softmax_causal,
 )
-from tape_ops import (concat_cols, concat_rows, matmul, mean, slice_cols, slice_rows, sqrt, tabs,
-                      tmax, tsum)
 
 
-def finite_diff(f, arrs, eps=1e-3):
-    """Central finite differences of a scalar function of float32 arrays."""
-    grads = []
-    for i, a in enumerate(arrs):
-        g = np.zeros_like(a, dtype=np.float64)
-        it = np.nditer(a, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-
-            def ev(v):
-                mods = [x.copy() for x in arrs]
-                mods[i][idx] = v
-                return f(*[Tensor(x) for x in mods]).item()
-
-            g[idx] = (ev(a[idx] + eps) - ev(a[idx] - eps)) / (2 * eps)
-        grads.append(g)
-    return grads
-
-
-def check_grads(f, arrs, tol=2e-2):
+def check_grads(f, arrs):
+    """The tape's gradients of sum(f(*inputs) * w), for a random w, against
+    central differences of the same float32 function: the self-check of an
+    op that has no float64 reference."""
     ts = [Tensor(a, requires_grad=True) for a in arrs]
-    f(*ts).backward()
-    fd = finite_diff(f, arrs)
-    for t, g in zip(ts, fd):
-        scale = max(1.0, float(np.abs(g).max()))
-        assert np.abs(t.grad - g).max() / scale < tol
+    out = f(*ts)
+    w = np.random.default_rng(0).normal(size=out.shape).astype(np.float32)
+    weighted_sum(out, w).backward()
+    for i, t in enumerate(ts):
+        loss = lambda a: weighted_sum(f(*map(Tensor, [*arrs[:i], a, *arrs[i + 1 :]])), w).item()
+        g = central_diff(loss, arrs[i], 1e-3)
+        assert np.abs(t.grad - g).max() / max(1.0, float(np.abs(g).max())) < 2e-2
 
 
 def randn(rng, *shape):
     return rng.normal(size=shape).astype(np.float32)
 
 
-# -- per-head reference: the composition the all-heads ops replace ------------
-
-
-def transpose_op(a):
-    def backward(g, a=a):
-        if a.requires_grad:
-            a._accum(g.T)
-
-    return Tensor._from_op(a.data.T.copy(), (a,), backward)
-
-
-def softmax_causal_op(scores, offset):
-    p = softmax_causal(scores.data.copy(), offset)
-
-    def backward(g, a=scores, p=p):
-        if a.requires_grad:
-            a._accum(p * (g - (g * p).sum(axis=1, keepdims=True)))
-
-    return Tensor._from_op(p, (scores,), backward)
-
-
-def per_head_rope(x, positions, head_dim):
-    d = head_dim
-    return concat_cols([rope(slice_cols(x, h * d, (h + 1) * d), positions)
-                        for h in range(x.shape[1] // d)])
-
-
-def per_head_attention(q, k, v, n_heads, offset):
-    d = q.shape[1] // n_heads
-    heads = []
-    for h in range(n_heads):
-        qh, kh, vh = (slice_cols(a, h * d, (h + 1) * d) for a in (q, k, v))
-        scores = matmul(qh, transpose_op(kh)) * np.float32(1.0 / np.sqrt(d))
-        heads.append(matmul(softmax_causal_op(scores, offset), vh))
-    return concat_cols(heads)
-
-
-def grads_of(f, arrs):
+def grads_of(f, arrs, w):
+    """The tape's gradients of sum(f(*inputs) * w) to each input."""
     ts = [Tensor(a, requires_grad=True) for a in arrs]
-    out = f(*ts)
-    out.backward()
-    return out.data, [t.grad for t in ts]
+    weighted_sum(f(*ts), w).backward()
+    return [t.grad for t in ts]
 
 
 class TestRounding:
@@ -119,24 +66,18 @@ class TestRounding:
 
 
 class TestBroadcasting:
-    def test_row_and_col_vectors(self):
-        rng = np.random.default_rng(0)
-        x = randn(rng, 3, 4)
-        row = randn(rng, 1, 4)
-        col = randn(rng, 3, 1)
-        assert np.allclose((Tensor(x) + Tensor(row)).data, x + row)
-        assert np.allclose((Tensor(x) * Tensor(col)).data, x * col)
-
     def test_incompatible_shapes_rejected(self):
-        with pytest.raises(DimensionError):
-            Tensor(np.zeros((3, 4))) + Tensor(np.zeros((4, 3)))
-        with pytest.raises(DimensionError):
-            Tensor(np.zeros((3, 4))) * Tensor(np.zeros((2, 4)))
+        # only equal shapes, (1, C) rows and scalars broadcast, not (T, 1) columns
+        for sa, sb in (((3, 4), (4, 3)), ((3, 4), (2, 4)), ((3, 4), (3, 1)), ((3, 1), (3, 4))):
+            with pytest.raises(DimensionError):
+                Tensor(np.zeros(sa)) * Tensor(np.zeros(sb))
 
     def test_row_vector_grad_sums(self):
-        x = Tensor(np.ones((3, 4), np.float32))
+        rng = np.random.default_rng(0)
+        x, row = randn(rng, 3, 4), randn(rng, 1, 4)
+        assert np.array_equal((Tensor(x) + Tensor(row)).data, x + row)
         b = Tensor(np.zeros((1, 4), np.float32), requires_grad=True)
-        tsum((x + b) * 2.0).backward()
+        weighted_sum((Tensor(np.ones((3, 4), np.float32)) + b) * 2.0).backward()
         assert np.array_equal(b.grad, np.full((1, 4), 6.0, np.float32))
 
     def test_matmul_shape_error_names_both(self):
@@ -145,55 +86,27 @@ class TestBroadcasting:
 
 
 class TestGradients:
+    """Each op against float64 central differences of its reference in
+    tests/reference.py, or, with none, against float32 ones of itself."""
+
     def test_arithmetic_chain(self):
         rng = np.random.default_rng(1)
-        check_grads(
-            lambda a, b: tsum((a * b + a - b) / (b * b + 2.0)),
-            [randn(rng, 3, 4), randn(rng, 3, 4)],
-        )
+        check_grads(lambda a, b: (a * b + a - b) / (b * b + 2.0),
+                    [randn(rng, 3, 4), randn(rng, 3, 4)])
 
     def test_matmul_silu_mean(self):
         rng = np.random.default_rng(2)
-        check_grads(
-            lambda a, w, b: mean(linear(a, w, b).silu()),
-            [randn(rng, 3, 4), randn(rng, 4, 5), randn(rng, 1, 5)],
-        )
-
-    def test_exp_sqrt_abs(self):
-        rng = np.random.default_rng(3)
-        x = np.abs(randn(rng, 3, 3)) + 0.5
-        check_grads(lambda a: tsum(sqrt(a) + tabs(a)), [x])
-
-    def test_reductions(self):
-        rng = np.random.default_rng(4)
-        check_grads(
-            lambda a: mean(a * tsum(a, axis=1, keepdims=True) + mean(a, axis=0, keepdims=True)),
-            [randn(rng, 3, 4)],
-        )
-
-    def test_max_routes_to_first_argmax(self):
-        x = Tensor(np.array([[1.0, 3.0, 3.0]], np.float32), requires_grad=True)
-        tmax(x).backward()
-        assert np.array_equal(x.grad, np.array([[0.0, 1.0, 0.0]], np.float32))
+        check_grads(lambda a, w, b: linear(a, w, b).silu(),
+                    [randn(rng, 3, 4), randn(rng, 4, 5), randn(rng, 1, 5)])
 
     def test_causal_attention(self):
-        # two queries at positions 3 and 4 over five keys, two heads of 4
+        # queries at the last T of S positions: 2 of 5 over two heads of 4,
+        # 3 of 7 over four heads of 4
         rng = np.random.default_rng(5)
-        w = Tensor(randn(rng, 2, 8))
-        check_grads(
-            lambda q, k, v: tsum(causal_attention(q, k, v, 2) * w),
-            [randn(rng, 2, 8), randn(rng, 5, 8), randn(rng, 5, 8)],
-        )
-
-    def test_causal_attention_matches_per_head_composition(self):
-        rng = np.random.default_rng(15)
-        arrs = [randn(rng, 3, 16), randn(rng, 7, 16), randn(rng, 7, 16)]
-        w = Tensor(randn(rng, 3, 16))
-        fused = grads_of(lambda q, k, v: tsum(causal_attention(q, k, v, 4) * w), arrs)
-        ref = grads_of(lambda q, k, v: tsum(per_head_attention(q, k, v, 4, 4) * w), arrs)
-        assert abs(fused[0] - ref[0]) <= 1e-6 * max(1.0, abs(float(ref[0])))
-        for a, b in zip(fused[1], ref[1]):
-            assert np.abs(a - b).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
+        for t, s, heads, width in ((2, 5, 2, 8), (3, 7, 4, 16)):
+            arrs = [randn(rng, t, width), randn(rng, s, width), randn(rng, s, width)]
+            assert_float64_grads(lambda q, k, v: causal_attention(q, k, v, heads),
+                                 lambda q, k, v: reference.causal_attention(q, k, v, heads), arrs)
 
     def test_causal_attention_poq_diagonal_matches_rowwise(self):
         # row i attends to k, v before its column and to (k_cur[i], v_cur[i]) at it
@@ -213,33 +126,31 @@ class TestGradients:
             causal_attention(Tensor(q), Tensor(k), Tensor(v), 4, (kc, vc))
 
     def test_rms_norm(self):
+        # x also feeds a residual, as in a block, so its gradient terms sum
         rng = np.random.default_rng(6)
-        check_grads(
-            lambda x, g: mean(rms_norm(x, g) * rms_norm(x, g)),
-            [randn(rng, 3, 4), randn(rng, 1, 4)],
-        )
+        x, gain = randn(rng, 6, 8), randn(rng, 1, 8)
+        assert_float64_grads(lambda x, g: rms_norm(x, g) + x,
+                             lambda x, g: reference.rms_norm(x, g) + x, [x, gain])
+        assert np.array_equal(rms_norm(x, gain), rms_norm(Tensor(x), Tensor(gain)).data)
+        # against float64: the largest error over 200 draws of these shapes
+        # was 1.5e-7 of the largest |output|
+        for rows, c in ((1, 128), (9, 33), (300, 64)):
+            x = (rng.normal(size=(rows, c)) * rng.uniform(0.01, 50)).astype(np.float32)
+            gain = randn(rng, 1, c)
+            want = reference.rms_norm(x, gain)
+            assert np.abs(rms_norm(x, gain) - want).max() <= 1e-6 * np.abs(want).max()
 
     def test_rope(self):
         rng = np.random.default_rng(7)
         pos = np.arange(5)
-        check_grads(lambda x: tsum(rope(x, pos) * rope(x, pos)), [randn(rng, 5, 8)])
+        assert_float64_grads(lambda x: rope(x, pos),
+                             lambda x: reference.rotate(x, pos, 10000.0, 8), [randn(rng, 5, 8)])
 
     def test_rope_multi_head(self):
         rng = np.random.default_rng(16)
         pos = np.arange(3, 8)
-        w = Tensor(randn(rng, 5, 16))
-        check_grads(lambda x: tsum(rope(x, pos, head_dim=4) * w), [randn(rng, 5, 16)])
-
-    def test_rope_multi_head_matches_per_head(self):
-        rng = np.random.default_rng(17)
-        pos = np.arange(9, 15)
-        x = randn(rng, 6, 32)
-        w = Tensor(randn(rng, 6, 32))
-        fused = grads_of(lambda a: tsum(rope(a, pos, head_dim=8) * w), [x])
-        ref = grads_of(lambda a: tsum(per_head_rope(a, pos, 8) * w), [x])
-        assert np.array_equal(rope(Tensor(x), pos, head_dim=8).data,
-                              per_head_rope(Tensor(x), pos, 8).data)
-        assert np.array_equal(fused[1][0], ref[1][0])
+        assert_float64_grads(lambda x: rope(x, pos, head_dim=4),
+                             lambda x: reference.rotate(x, pos, 10000.0, 4), [randn(rng, 5, 16)])
         # against float64 rotation, also in place (out=x), and the backward
         # by -angle; over 200 draws of these shapes the largest error was
         # 1.1e-7 of the largest |output| forward and 1.2e-7 backward
@@ -261,40 +172,23 @@ class TestGradients:
 
     def test_embedding_scatter_add(self):
         table = Tensor(np.zeros((4, 3), np.float32), requires_grad=True)
-        tsum(embedding(table, np.array([1, 1, 3]))).backward()
+        weighted_sum(embedding(table, np.array([1, 1, 3]))).backward()
         expect = np.zeros((4, 3), np.float32)
         expect[1] = 2.0
         expect[3] = 1.0
         assert np.array_equal(table.grad, expect)
 
-    def test_concat_and_slices(self):
-        rng = np.random.default_rng(9)
-        a, b = randn(rng, 3, 2), randn(rng, 3, 3)
-
-        def f(x, y):
-            c = concat_cols([x, y])
-            return tsum(slice_cols(c, 1, 4) * slice_cols(c, 0, 3))
-
-        check_grads(f, [a, b])
-        check_grads(
-            lambda x, y: mean(slice_rows(concat_rows([x, y]), 1, 4)),
-            [randn(rng, 2, 3), randn(rng, 3, 3)],
-        )
-
 
 class TestFusedOps:
-    """linear and rms_norm are one tape op each, bit for bit the chain of
-    tape ops that they replace, and on arrays bit for bit the tape's output."""
+    """linear is one tape op: on Tensors and arrays alike bit for bit
+    x @ w + b, and its gradients bit for bit their three products."""
 
     def test_linear_matches_matmul_plus_bias(self):
         rng = np.random.default_rng(20)
-        arrs = [randn(rng, 6, 5), randn(rng, 5, 3), randn(rng, 1, 3)]
-        r = Tensor(randn(rng, 6, 3))
-        fused = grads_of(lambda x, w, b: tsum(linear(x, w, b) * r), arrs)
-        chain = grads_of(lambda x, w, b: tsum((matmul(x, w) + b) * r), arrs)
-        assert np.array_equal(fused[0], chain[0])
-        assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
-        x, w, b = arrs
+        x, w, b = arrs = [randn(rng, 6, 5), randn(rng, 5, 3), randn(rng, 1, 3)]
+        r = randn(rng, 6, 3)
+        want = [r @ w.T, x.T @ r, r.sum(axis=0, keepdims=True)]
+        assert all(np.array_equal(g, e) for g, e in zip(grads_of(linear, arrs, r), want))
         assert np.array_equal(linear(x, w, b), x @ w + b)
         assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
 
@@ -312,30 +206,6 @@ class TestFusedOps:
             with pytest.raises(DimensionError, match="linear shape mismatch"):
                 linear(x, w, b)
 
-    def test_rms_norm_matches_elementwise_chain(self):
-        # x also feeds a residual, as in a block, so its four gradient terms
-        # must be summed in the chain's order
-        rng = np.random.default_rng(21)
-        arrs = [randn(rng, 6, 8), randn(rng, 1, 8)]
-        r = Tensor(randn(rng, 6, 8))
-
-        def chain(x, gain, eps=1e-6):
-            ms = mean(x * x, axis=1, keepdims=True)
-            return x / sqrt(ms + Tensor(np.full((x.shape[0], 1), eps, np.float32))) * gain
-
-        fused = grads_of(lambda x, g: tsum((rms_norm(x, g) + x) * r), arrs)
-        ref = grads_of(lambda x, g: tsum((chain(x, g) + x) * r), arrs)
-        assert np.array_equal(fused[0], ref[0])
-        assert all(np.array_equal(a, b) for a, b in zip(fused[1], ref[1]))
-        x, gain = arrs
-        assert np.array_equal(rms_norm(x, gain), rms_norm(Tensor(x), Tensor(gain)).data)
-        # against float64: the largest error over 200 draws of these shapes
-        # was 1.5e-7 of the largest |output|
-        for rows, c in ((1, 128), (9, 33), (300, 64)):
-            x = (rng.normal(size=(rows, c)) * rng.uniform(0.01, 50)).astype(np.float32)
-            gain = randn(rng, 1, c)
-            want = reference.rms_norm(x, gain)
-            assert np.abs(rms_norm(x, gain) - want).max() <= 1e-6 * np.abs(want).max()
 
 
 @pytest.fixture
@@ -367,7 +237,7 @@ class TestGradientsReadOnly:
 
         x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="read-only"):
-            tsum(doubled(x)).backward()
+            weighted_sum(doubled(x)).backward()
 
     def test_train_and_calibration_steps_write_no_gradient(self, sealed_grads):
         m = Model.random(tiny_config(), seed=2)
@@ -383,7 +253,7 @@ class TestGradientsReadOnly:
 class TestSte:
     def test_clamp_blocks_grad_outside_inclusive_interval(self):
         x = Tensor(np.array([[-2.0, -1.0, 0.5, 1.0, 2.0]], np.float32), requires_grad=True)
-        tsum(x.clamp(-1.0, 1.0)).backward()
+        weighted_sum(x.clamp(-1.0, 1.0)).backward()
         assert np.array_equal(x.grad, np.array([[0.0, 1.0, 1.0, 1.0, 0.0]], np.float32))
 
 
@@ -505,7 +375,7 @@ class TestTapeRelease:
 
         s1 = probe(x).silu()
         m = s1 * 2.0
-        loss = tsum(m.silu())
+        loss = weighted_sum(m.silu())
         refs = [weakref.ref(s1.data), weakref.ref(m.data)]
         del s1, m
         loss.backward()
@@ -565,14 +435,12 @@ class TestStackedSequences:
         b = 3
         arrs = [randn(rng, b * t, 16) for _ in range(3)]
         w = randn(rng, b * t, 16)
-        _, got = grads_of(lambda q, k, v: tsum(causal_attention(q, k, v, 4, seqs=b) * Tensor(w)),
-                          arrs)
+        got = grads_of(lambda q, k, v: causal_attention(q, k, v, 4, seqs=b), arrs, w)
         stacked = causal_attention(*arrs, 4, seqs=b)
         for i in range(b):
             rows = slice(i * t, (i + 1) * t)
             one = [a[rows] for a in arrs]
-            _, want = grads_of(lambda q, k, v: tsum(causal_attention(q, k, v, 4) * Tensor(w[rows])),
-                               one)
+            want = grads_of(lambda q, k, v: causal_attention(q, k, v, 4), one, w[rows])
             assert np.array_equal(stacked[rows], causal_attention(*one, 4))
             for ga, gw in zip(got, want):
                 assert np.array_equal(ga[rows], gw)
