@@ -308,9 +308,9 @@ def rms_norm(x, gain, eps: float = 1e-6):
     On Tensors it is one tape op computing x / sqrt(mean(x * x) + eps) *
     gain: x receives g * gain / r, then the mean-square path's term twice
     (once per x of x * x), as three separate additions.  That float32
-    arithmetic and order stay bit for bit: test_losses_and_weights_pinned
-    hashes what training computes through it, and its gradient is checked
-    against float64 central differences."""
+    arithmetic and order stay bit for bit: test_rms_norm_matches_elementwise_chain
+    checks them against the chain written out op by op in float32, and
+    test_losses_and_weights_pinned hashes what training computes through it."""
     if not isinstance(x, Tensor):
         _check_finite("rms_norm", x)
         # the sum and division of mean(axis=1), without its wrapper's cost

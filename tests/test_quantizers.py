@@ -302,6 +302,33 @@ class TestFakeQuant:
         weighted_sum(fake_quant_token(y, 4, 4)).backward()
         assert y.grad is not None and np.all(np.isfinite(y.grad))
 
+    def test_token_fake_gradient_holds_codes_fixed(self):
+        # with the codes q held fixed, each token group computes q * n + m, so
+        # the gradient is the exact local derivative q * dn + dm
+        rng = np.random.default_rng(15)
+        bits, gs, half = 4, 4, 8.0
+        y0 = rng.normal(size=(3, 11)).astype(np.float32)  # groups 4, 4 and a tail of 3
+        upstream = rng.normal(size=(3, 11)).astype(np.float32)
+        y = Tensor(y0, requires_grad=True)
+        weighted_sum(fake_quant_token(y, bits, gs), upstream).backward()
+        qt = quantize_token(y0, TokenQuantSpec(bits, gs))
+        expected = np.zeros((3, 11))
+        for g, (a, b) in enumerate(group_bounds(11, gs)):
+            centered = y0[:, a:b] - y0[:, a:b].mean(axis=1, keepdims=True)
+            u = centered / qt.n[:, g : g + 1]
+            # codes and the |y - m| argmax are stable under a small move
+            assert np.abs(np.abs(u - np.trunc(u)) - 0.5).min() > 1e-3
+            top2 = np.sort(np.abs(centered), axis=1)[:, -2:]
+            assert np.all(top2[:, 1] - top2[:, 0] > 1e-2)
+            peak = np.abs(centered).argmax(axis=1)
+            sign = np.sign(centered[np.arange(3), peak])[:, None]
+            onehot = np.eye(b - a)[peak]
+            dn = sign * (onehot - 1.0 / (b - a)) / half  # d n / d y_k
+            gq = (upstream[:, a:b] * qt.codes[:, a:b]).sum(axis=1, keepdims=True)
+            dm = upstream[:, a:b].sum(axis=1, keepdims=True) / (b - a)
+            expected[:, a:b] = gq * dn + dm
+        np.testing.assert_allclose(y.grad, expected, rtol=1e-5, atol=1e-6)
+
 
 class TestGroupBounds:
     def test_partial_tail(self):

@@ -66,16 +66,21 @@ class TestRounding:
 
 
 class TestBroadcasting:
-    def test_incompatible_shapes_rejected(self):
+    def test_row_and_col_vectors(self):
         # only equal shapes, (1, C) rows and scalars broadcast, not (T, 1) columns
-        for sa, sb in (((3, 4), (4, 3)), ((3, 4), (2, 4)), ((3, 4), (3, 1)), ((3, 1), (3, 4))):
+        rng = np.random.default_rng(0)
+        x, row = randn(rng, 3, 4), randn(rng, 1, 4)
+        assert np.array_equal((Tensor(x) + Tensor(row)).data, x + row)
+        for sa, sb in (((3, 4), (3, 1)), ((3, 1), (3, 4))):
+            with pytest.raises(DimensionError):
+                Tensor(np.zeros(sa)) * Tensor(np.zeros(sb))
+
+    def test_incompatible_shapes_rejected(self):
+        for sa, sb in (((3, 4), (4, 3)), ((3, 4), (2, 4))):
             with pytest.raises(DimensionError):
                 Tensor(np.zeros(sa)) * Tensor(np.zeros(sb))
 
     def test_row_vector_grad_sums(self):
-        rng = np.random.default_rng(0)
-        x, row = randn(rng, 3, 4), randn(rng, 1, 4)
-        assert np.array_equal((Tensor(x) + Tensor(row)).data, x + row)
         b = Tensor(np.zeros((1, 4), np.float32), requires_grad=True)
         weighted_sum((Tensor(np.ones((3, 4), np.float32)) + b) * 2.0).backward()
         assert np.array_equal(b.grad, np.full((1, 4), 6.0, np.float32))
@@ -100,13 +105,23 @@ class TestGradients:
                     [randn(rng, 3, 4), randn(rng, 4, 5), randn(rng, 1, 5)])
 
     def test_causal_attention(self):
-        # queries at the last T of S positions: 2 of 5 over two heads of 4,
-        # 3 of 7 over four heads of 4
+        # two queries at positions 3 and 4 over five keys, two heads of 4
         rng = np.random.default_rng(5)
-        for t, s, heads, width in ((2, 5, 2, 8), (3, 7, 4, 16)):
-            arrs = [randn(rng, t, width), randn(rng, s, width), randn(rng, s, width)]
-            assert_float64_grads(lambda q, k, v: causal_attention(q, k, v, heads),
-                                 lambda q, k, v: reference.causal_attention(q, k, v, heads), arrs)
+        arrs = [randn(rng, 2, 8), randn(rng, 5, 8), randn(rng, 5, 8)]
+        assert_float64_grads(lambda q, k, v: causal_attention(q, k, v, 2),
+                             lambda q, k, v: reference.causal_attention(q, k, v, 2), arrs)
+
+    def test_causal_attention_matches_per_head_composition(self):
+        # three queries over seven keys, four heads of 4 in one op, against
+        # four one-head float64 references side by side
+        rng = np.random.default_rng(15)
+        arrs = [randn(rng, 3, 16), randn(rng, 7, 16), randn(rng, 7, 16)]
+        per_head = lambda q, k, v: np.concatenate(
+            [reference.causal_attention(q[:, h : h + 4], k[:, h : h + 4], v[:, h : h + 4], 1)
+             for h in range(0, 16, 4)], axis=1)
+        want = per_head(*arrs)
+        assert np.abs(causal_attention(*arrs, 4) - want).max() <= 1e-6 * np.abs(want).max()
+        assert_float64_grads(lambda q, k, v: causal_attention(q, k, v, 4), per_head, arrs)
 
     def test_causal_attention_poq_diagonal_matches_rowwise(self):
         # row i attends to k, v before its column and to (k_cur[i], v_cur[i]) at it
@@ -131,14 +146,6 @@ class TestGradients:
         x, gain = randn(rng, 6, 8), randn(rng, 1, 8)
         assert_float64_grads(lambda x, g: rms_norm(x, g) + x,
                              lambda x, g: reference.rms_norm(x, g) + x, [x, gain])
-        assert np.array_equal(rms_norm(x, gain), rms_norm(Tensor(x), Tensor(gain)).data)
-        # against float64: the largest error over 200 draws of these shapes
-        # was 1.5e-7 of the largest |output|
-        for rows, c in ((1, 128), (9, 33), (300, 64)):
-            x = (rng.normal(size=(rows, c)) * rng.uniform(0.01, 50)).astype(np.float32)
-            gain = randn(rng, 1, c)
-            want = reference.rms_norm(x, gain)
-            assert np.abs(rms_norm(x, gain) - want).max() <= 1e-6 * np.abs(want).max()
 
     def test_rope(self):
         rng = np.random.default_rng(7)
@@ -151,6 +158,18 @@ class TestGradients:
         pos = np.arange(3, 8)
         assert_float64_grads(lambda x: rope(x, pos, head_dim=4),
                              lambda x: reference.rotate(x, pos, 10000.0, 4), [randn(rng, 5, 16)])
+
+    def test_rope_multi_head_matches_per_head(self):
+        # four heads of 8 in one op against four one-head float64 rotations
+        rng = np.random.default_rng(17)
+        pos = np.arange(9, 15)
+        x = randn(rng, 6, 32)
+        per_head = lambda a: np.concatenate(
+            [reference.rotate(a[:, h : h + 8], pos, 10000.0, 8) for h in range(0, 32, 8)], axis=1)
+        want = per_head(x)
+        got = rope(Tensor(x), pos, head_dim=8).data
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert_float64_grads(lambda a: rope(a, pos, head_dim=8), per_head, [x])
         # against float64 rotation, also in place (out=x), and the backward
         # by -angle; over 200 draws of these shapes the largest error was
         # 1.1e-7 of the largest |output| forward and 1.2e-7 backward
@@ -180,8 +199,9 @@ class TestGradients:
 
 
 class TestFusedOps:
-    """linear is one tape op: on Tensors and arrays alike bit for bit
-    x @ w + b, and its gradients bit for bit their three products."""
+    """linear and rms_norm are one tape op each, bit for bit the float32
+    chain of elementwise ops and products that they replace, forward and
+    backward, and on arrays bit for bit the tape's output."""
 
     def test_linear_matches_matmul_plus_bias(self):
         rng = np.random.default_rng(20)
@@ -206,6 +226,28 @@ class TestFusedOps:
             with pytest.raises(DimensionError, match="linear shape mismatch"):
                 linear(x, w, b)
 
+    def test_rms_norm_matches_elementwise_chain(self):
+        # the chain x / sqrt(mean(x * x) + eps) * gain, op by op in float32
+        # with each op's backward; x also feeds a residual, as in a block, so
+        # its four gradient terms must be summed in the chain's order
+        rng = np.random.default_rng(21)
+        x, gain, r = randn(rng, 6, 8), randn(rng, 1, 8), randn(rng, 6, 8)
+        d = np.sqrt((x * x).mean(axis=1, keepdims=True) + np.float32(1e-6))
+        g_q = r * gain  # of x / d, through * gain
+        g_d = (-g_q * x / (d * d)).sum(axis=1, keepdims=True)  # of d, through x / d
+        g_xx = (np.broadcast_to(g_d * 0.5 / d, x.shape) / 8).astype(np.float32)  # sqrt, mean
+        want = [r + g_q / d + g_xx * x + g_xx * x, (r * (x / d)).sum(axis=0, keepdims=True)]
+        got = grads_of(lambda x, g: rms_norm(x, g) + x, [x, gain], r)
+        assert all(np.array_equal(g, e) for g, e in zip(got, want))
+        assert np.array_equal(rms_norm(Tensor(x), Tensor(gain)).data, x / d * gain)
+        assert np.array_equal(rms_norm(x, gain), rms_norm(Tensor(x), Tensor(gain)).data)
+        # against float64: the largest error over 200 draws of these shapes
+        # was 1.5e-7 of the largest |output|
+        for rows, c in ((1, 128), (9, 33), (300, 64)):
+            x = (rng.normal(size=(rows, c)) * rng.uniform(0.01, 50)).astype(np.float32)
+            gain = randn(rng, 1, c)
+            want = reference.rms_norm(x, gain)
+            assert np.abs(rms_norm(x, gain) - want).max() <= 1e-6 * np.abs(want).max()
 
 
 @pytest.fixture
