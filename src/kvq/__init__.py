@@ -3,7 +3,19 @@ channel-smoothed + per-token-grouped KV-cache quantization with a past-only
 quantized cache, round-to-nearest group-wise weight quantization,
 cross-block reconstruction calibration of the KV smoothing, and an
 analytical deployment-memory model.
+
+Set KVQ_THREADS to pin the BLAS thread count: importing kvq sets every BLAS
+thread variable to it, over inherited values, which takes effect when numpy
+is not loaded yet (as in the kvq command).
 """
+
+import os
+
+_threads = os.environ.get("KVQ_THREADS")
+if _threads:
+    for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ[_var] = _threads
 
 from .errors import (
     AccountingError,

@@ -70,10 +70,15 @@ class AdamW:
     """AdamW at zero weight decay, i.e. Adam, over params at one learning rate.
 
     It owns its parameters' arrays: construction gives each parameter a copy
-    of its array, so a step never writes into an array the caller holds (a
-    model whose arrays lm_tensors wraps keeps them unwritten).  A step
-    updates each parameter, and its moments m and v, in place, through two
-    scratch buffers of the largest parameter's size, in the float32
+    of its array, so a step never writes into the array a parameter held when
+    it was passed in.  train_model installs these copies into the model
+    before its first step: the model holds one copy of the weights from the
+    first step on, its original arrays are never written (and are freed
+    unless the caller holds them), and a fit whose step raises leaves the
+    model with the arrays of the last completed step.
+
+    A step updates each parameter, and its moments m and v, in place, through
+    two scratch buffers of the largest parameter's size, in the float32
     operations, and their order, of the textbook form
     m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
     p -= lr * (m / c1) / (sqrt(v / c2) + eps), with c = 1 - b^t.  A

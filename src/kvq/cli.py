@@ -2,23 +2,17 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric error.
 
-Set KVQ_THREADS to pin the BLAS thread count before numpy loads.
+Set KVQ_THREADS to pin the BLAS thread count; the kvq package sets the BLAS
+variables on import, before numpy loads.
 """
 
 from __future__ import annotations
-
-import os
-
-_t = os.environ.get("KVQ_THREADS")
-if _t:
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, _t)
 
 import argparse
 import copy
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np

@@ -170,7 +170,13 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
 
     Each step draws batch windows of seq_len + 1 tokens, in order from the
     seeded generator, and takes one Adam step on their lm_loss: one tape
-    pass over all batch * seq_len rows."""
+    pass over all batch * seq_len rows.
+
+    The model holds the optimizer's arrays from the first step on, so a fit
+    keeps one copy of the weights, and the caller's original arrays are never
+    written (they are freed unless the caller holds them).  A step's
+    gradients are dropped before the next forward.  If a step raises, the
+    model keeps the arrays of the last completed step."""
     from .calibration import AdamW
 
     require_unsmoothed(model, "train_model")
@@ -186,16 +192,7 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
     high = max(1, len(corpus_ids) - seq_len - 1)
     p = lm_tensors(model)
     opt = AdamW(_lm_leaves(p), lr)
-
-    losses = []
-    for _ in range(steps):
-        starts = [int(rng.integers(0, high)) for _b in range(batch)]
-        loss = lm_loss(cfg, p, np.stack([corpus_ids[a : a + seq_len + 1] for a in starts]))
-        losses.append(loss.item())
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-
+    # install the optimizer's copies; its steps update them in place
     model.embed = p["embed"].data
     model.final_norm = p["final_norm"].data.reshape(-1)
     model.head.set(p["head_w"].data, p["head_b"].data)
@@ -204,5 +201,14 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
         blk.mlp_norm = w["mlp_norm"].data.reshape(-1)
         for name, lin in blk.projections().items():
             lin.set(w[f"{name}_w"].data, w[f"{name}_b"].data)
+
+    losses = []
+    for _ in range(steps):
+        starts = [int(rng.integers(0, high)) for _b in range(batch)]
+        opt.zero_grad()
+        loss = lm_loss(cfg, p, np.stack([corpus_ids[a : a + seq_len + 1] for a in starts]))
+        losses.append(loss.item())
+        loss.backward()
+        opt.step()
     return {"steps": steps, "initial_loss": losses[0] if losses else None,
             "final_loss": losses[-1] if losses else None}

@@ -313,9 +313,13 @@ def rms_norm(x, gain, eps: float = 1e-6):
     test_losses_and_weights_pinned hashes what training computes through it."""
     if not isinstance(x, Tensor):
         _check_finite("rms_norm", x)
-        # the sum and division of mean(axis=1), without its wrapper's cost
-        ms = np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1]
-        return x / np.sqrt(ms + np.float32(eps)) * gain
+        # the sum and division of mean(axis=1), without its wrapper's cost;
+        # the result is written into the x * x buffer
+        out = x * x
+        ms = np.add.reduce(out, axis=1, keepdims=True) / x.shape[1]
+        np.divide(x, np.sqrt(ms + np.float32(eps)), out=out)
+        out *= gain
+        return out
     _check_finite("rms_norm", x.data)
     gain = x._coerce(gain)
     xd, gd = x.data, gain.data
@@ -482,10 +486,16 @@ def linear(x, w, b):
 
 
 def silu(x):
-    """x * sigmoid(x) of a Tensor (a tape op) or an array."""
+    """x * sigmoid(x) of a Tensor (a tape op) or an array.  On an array it
+    computes x * (1 / (1 + exp(-x))) with one temporary."""
     if isinstance(x, Tensor):
         return x.silu()
-    return x * (1.0 / (1.0 + np.exp(-x)))
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    out *= x
+    return out
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

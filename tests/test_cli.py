@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ FIT_ARGS = [
     "--max-seq-len", "64", "--group-size", "16", "--kv-group-size", "8",
     "--steps", "20", "--batch", "2", "--seq-len", "24", "--seed", "0",
 ]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 CAL_ARGS = [
     "--group-size", "16", "--kv-group-size", "8",
     "--k", "1", "--epochs", "1", "--segments", "2", "--seg-len", "24",
@@ -573,15 +578,27 @@ class TestDispatch:
             main([])
         assert e.value.code == 2
 
-    def test_thread_env_plumbed(self, monkeypatch):
-        # KVQ_THREADS seeds the standard BLAS thread variables on import
-        import importlib
-        import kvq.cli as cli
+    def test_thread_env_plumbed(self):
+        # KVQ_THREADS sets every BLAS thread variable, over inherited values,
+        # before numpy first loads in a kvq command: an import hook in a fresh
+        # interpreter records the variables when numpy is first looked up
+        hook = textwrap.dedent("""
+            import json, os, sys
+            VARS = %r
+            seen = []
 
-        monkeypatch.setenv("KVQ_THREADS", "1")
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        importlib.reload(cli)
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-        importlib.reload(cli)
+            class Hook:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append({v: os.environ.get(v) for v in VARS})
+
+            sys.meta_path.insert(0, Hook())
+            import kvq.cli
+            print(json.dumps(seen))
+        """) % (BLAS_THREAD_VARS,)
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(KVQ_THREADS="1", OMP_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", hook], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert json.loads(out) == [{v: "1" for v in BLAS_THREAD_VARS}]

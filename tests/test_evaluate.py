@@ -1,11 +1,13 @@
 import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import tiny_config, word_corpus
-from kvq.errors import CapacityError, DataFormatError, KvqError, UsageError
+from kvq import evaluate
+from kvq.errors import CapacityError, DataFormatError, KvqError, NumericError, UsageError
 from kvq.evaluate import (
     BOS,
     _lm_leaves,
@@ -232,8 +234,9 @@ class TestTraining:
         assert digest == "f06eb39db7e93b71c6305b3283da75e11a7244845ee7081c5be4395508581477"
 
     def test_model_arrays_unwritten_until_write_back(self):
-        # the optimizer steps its own copies; the model's arrays, read-only
-        # here, are only replaced once training ends
+        # the optimizer steps its own copies, which the model holds from the
+        # first step on; the model's original arrays, read-only here, are
+        # never written
         m = Model.random(tiny_config(), seed=1)
         old = model_arrays(m)
         before = [a.copy() for a in old]
@@ -243,6 +246,58 @@ class TestTraining:
         assert all(np.array_equal(a, b) for a, b in zip(old, before))
         for a, b in zip(model_arrays(m), old):
             assert not np.shares_memory(a, b) and not np.array_equal(a, b)
+
+    def test_failed_step_keeps_last_completed_step(self, monkeypatch):
+        # the model holds the optimizer's arrays from the first step, so a
+        # step that raises leaves it with the arrays of the step before
+        corpus = word_corpus(2)
+        want = Model.random(tiny_config(), seed=2)
+        train_model(want, corpus, steps=2, batch=2, seq_len=16, seed=2)
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericError("injected")
+            return lm_loss(*args)
+
+        monkeypatch.setattr(evaluate, "lm_loss", failing)
+        m = Model.random(tiny_config(), seed=2)
+        with pytest.raises(NumericError, match="injected"):
+            train_model(m, corpus, steps=4, batch=2, seq_len=16, seed=2)
+        assert all(np.array_equal(a, b) for a, b in zip(model_arrays(m), model_arrays(want)))
+
+    def test_fit_peak_holds_one_copy_of_the_weights(self):
+        # the traced peak of a fit, whose model is built inside the window
+        # and held by no caller, is at most the weights once, Adam's two
+        # moments and its two scratch rows of the largest parameter, beside
+        # one step's tape (a forward and backward of fixed weights: its
+        # activations and one set of gradients), plus 2 KiB per parameter
+        # for its Tensor and optimizer slot.  A fit that kept the caller's
+        # arrays beside the optimizer's, or the last step's gradients
+        # through a forward, exceeds it by about a weight copy (hidden 64:
+        # a 2.80 MB peak against a 2.84 MB bound; holding both, 3.71 MB)
+        cfg = tiny_config(hidden_size=64, head_dim=32, intermediate_size=128)
+        corpus = word_corpus(6)
+        p = lm_tensors(Model.random(cfg, seed=6))
+        leaves = _lm_leaves(p)
+        params = sum(t.data.nbytes for t in leaves)
+        largest = max(t.data.nbytes for t in leaves)
+        slack = 2048 * len(leaves)
+        seqs = np.stack([corpus[:33], corpus[40:73]])
+        lm_loss(cfg, p, seqs)  # fills the rope table before tracing
+        tracemalloc.start()
+        try:
+            lm_loss(cfg, p, seqs).backward()
+            step = tracemalloc.get_traced_memory()[1]
+            del p, leaves
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train_model(Model.random(cfg, seed=6), corpus, steps=3, batch=2, seq_len=32, seed=6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * params + 2 * largest + step + slack
 
     def test_training_deterministic(self):
         corpus = word_corpus(5)

@@ -162,6 +162,19 @@ class TestTokenQuant:
         with pytest.raises(NumericError):
             quantize_token(np.array([[np.nan, 1.0]], np.float32), TokenQuantSpec(4, 2))
 
+    @pytest.mark.parametrize("c", [32, 30])  # whole groups; a tail group of 6
+    def test_inputs_unwritten(self, c):
+        # the cache append lets the core center and scale its private K/V
+        # stack in place; quantize_token and fake_quant_token, forward and
+        # backward, do not own their input and must leave it as it was
+        y = np.random.default_rng(4).normal(size=(5, c)).astype(np.float32)
+        before = y.copy()
+        y.flags.writeable = False
+        quantize_token(y, TokenQuantSpec(4, 8))
+        yt = Tensor(y, requires_grad=True)
+        weighted_sum(fake_quant_token(yt, 4, 8)).backward()
+        assert yt.data is y and np.array_equal(y, before)
+
     def test_code_range(self):
         rng = np.random.default_rng(3)
         q = quantize_token(rng.normal(size=(10, 16)).astype(np.float32), TokenQuantSpec(4, 4))
