@@ -4,9 +4,10 @@ quantized cache, round-to-nearest group-wise weight quantization,
 cross-block reconstruction calibration of the KV smoothing, and an
 analytical deployment-memory model.
 
-Set KVQ_THREADS to pin the BLAS thread count: importing kvq sets every BLAS
-thread variable to it, over inherited values, which takes effect when numpy
-is not loaded yet (as in the kvq command).
+Set KVQ_THREADS to pin the BLAS thread count: importing kvq, as a library
+too, sets every BLAS thread variable of the process to it, over inherited
+values (its child processes inherit them).  That takes effect when numpy is
+not loaded yet, as in the kvq command.
 """
 
 import os
@@ -16,6 +17,8 @@ if _threads:
     for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         os.environ[_var] = _threads
+    del _var
+del os, _threads
 
 from .errors import (
     AccountingError,

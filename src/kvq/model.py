@@ -432,13 +432,11 @@ class PoqKvCache:
         if self.cfg.kv_codes:
             # token groups are per row, so one call of quantize_token's core
             # per span over the stacked K and V rows gives each the codes of
-            # its own quantize_token call; the stack is private, so the core
-            # centers and scales it in place
+            # its own quantize_token call
             y = np.concatenate([k_s, v_s])
             _check_finite("cache append", y)
             for cols, groups, k, size in self.spans:
-                codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * t, k, size), self.spec,
-                                                     inplace=True)
+                codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * t, k, size), self.spec)
                 lc.k_codes[rows, cols], lc.v_codes[rows, cols] = codes[:t], codes[t:]
                 lc.k_m[rows, groups], lc.v_m[rows, groups] = m[:t], m[t:]
                 lc.k_n[rows, groups], lc.v_n[rows, groups] = n[:t], n[t:]

@@ -197,7 +197,7 @@ def _add_at(a: np.ndarray, at: np.ndarray, v: np.ndarray, axis: int) -> None:
     np.put_along_axis(a, at, np.take_along_axis(a, at, axis=axis) + v, axis=axis)
 
 
-def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec, inplace: bool = False):
+def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
     """(T, groups * size) codes and (T, groups) m, n of a (T, groups, size) array.
 
     Codes round half away from zero in fewer passes than round_half_away:
@@ -206,13 +206,11 @@ def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec, inplace: bool = 
     largest |deviation| is taken over a C-ordered (size, T * groups) copy,
     whose maximum runs along whole rows instead of along each short group:
     2.5-3.4x faster at 128 and 1,792 rows, 1.3 us slower at 2 (2-vCPU Xeon
-    VM, kv_group_size 32).  With inplace, y (which the caller must own) is
-    centered and scaled in place, one temporary of its size fewer, and is
-    left holding the scaled deviations."""
+    VM, kv_group_size 32)."""
     t, k, size = y.shape
     half = float(2 ** (spec.bits - 1))
     m = np.add.reduce(y, axis=2) / size  # mean(axis=2), without its wrapper's cost
-    centered = np.subtract(y, m[:, :, None], out=y if inplace else None)
+    centered = y - m[:, :, None]
     dev = np.abs(centered.reshape(t * k, size).T, order="C")
     spread = np.maximum.reduce(dev, axis=0).reshape(t, k)
     flat = spread < SPREAD_EPS
@@ -241,7 +239,6 @@ def quantize_token(y: np.ndarray, spec: TokenQuantSpec) -> QuantizedTensor:
     if not np.isfinite(y).all():
         raise NumericError("quantize_token: non-finite input")
     t, c = y.shape
-    # y may be the caller's array, so the core must not work in place
     parts = [
         _quantize_token_groups(y[:, cols].reshape(t, k, size), spec)
         for cols, _, k, size in _spans(c, spec.group_size)

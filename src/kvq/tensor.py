@@ -313,13 +313,9 @@ def rms_norm(x, gain, eps: float = 1e-6):
     test_losses_and_weights_pinned hashes what training computes through it."""
     if not isinstance(x, Tensor):
         _check_finite("rms_norm", x)
-        # the sum and division of mean(axis=1), without its wrapper's cost;
-        # the result is written into the x * x buffer
-        out = x * x
-        ms = np.add.reduce(out, axis=1, keepdims=True) / x.shape[1]
-        np.divide(x, np.sqrt(ms + np.float32(eps)), out=out)
-        out *= gain
-        return out
+        # the sum and division of mean(axis=1), without its wrapper's cost
+        ms = np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1]
+        return x / np.sqrt(ms + np.float32(eps)) * gain
     _check_finite("rms_norm", x.data)
     gain = x._coerce(gain)
     xd, gd = x.data, gain.data

@@ -164,9 +164,8 @@ class TestTokenQuant:
 
     @pytest.mark.parametrize("c", [32, 30])  # whole groups; a tail group of 6
     def test_inputs_unwritten(self, c):
-        # the cache append lets the core center and scale its private K/V
-        # stack in place; quantize_token and fake_quant_token, forward and
-        # backward, do not own their input and must leave it as it was
+        # quantize_token and fake_quant_token, forward and backward, do not
+        # own their input and must leave it as it was
         y = np.random.default_rng(4).normal(size=(5, c)).astype(np.float32)
         before = y.copy()
         y.flags.writeable = False
