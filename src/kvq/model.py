@@ -66,6 +66,13 @@ weights and KV handler: model_forward block_arrays and _runtime_kv_fn
 (planned once per cache), training and calibration block_tensors (or the
 fake-quantized weights) and fp_kv_fn.
 
+block_core runs two halves.  The attention half, block_attention, is a
+function of its own (rms_norm, the q/k/v projections, rope, the KV handler,
+attention and the o projection), so on arrays its locals are freed when it
+returns, before the MLP half allocates.  The MLP half is rms_norm and
+tensor.gated_mlp, one tape node that keeps only its input and the gate
+and up projections and recomputes silu and the product in its backward.
+
 Without a cache, block_core also takes B equal-length sequences stacked as
 rows, (B*T, C), each at the same T positions: every op but rope and
 attention works row by row, rope gives each sequence the same table rows,
@@ -116,8 +123,8 @@ from .quantizers import (
     quantize_token,
     quantize_weight,
 )
-from .tensor import (Tensor, _check_finite, aligned_empty, exp_causal, linear, rms_norm, rope,
-                     rope_table, sequences, silu, softmax_causal)
+from .tensor import (Tensor, _check_finite, aligned_empty, exp_causal, gated_mlp, linear, rms_norm,
+                     rope, rope_table, sequences, softmax_causal)
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -801,7 +808,9 @@ def block_tensors(blk: DecoderBlockWeights) -> dict[str, Tensor]:
 
 
 def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_fn=None):
-    """One decoder block given its weights and a KV handler.
+    """One decoder block given its weights and a KV handler: its attention
+    half (block_attention), then its MLP half, rms_norm and gated_mlp, each
+    added to the residual.
 
     x and the weights are all Tensors (recorded on the tape) or all arrays.
     x stacks equal-length sequences as rows, each at positions (so a row
@@ -815,28 +824,31 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     causal_attention).  The runtime
     cache path and the calibration fake-quant path both plug in through
     kv_fn, so the surrounding arithmetic is shared bit-for-bit.
+    act_fn (arrays only) quantizes the input of every projection.
     """
+    x = block_attention(cfg, w, x, positions, kv_fn, act_fn)
+    xn = rms_norm(x, w["mlp_norm"])
+    if act_fn is not None:
+        xn = act_fn(xn)
+    return x + gated_mlp(xn, w["gate_w"], w["gate_b"], w["up_w"], w["up_b"], w["down_w"],
+                         w["down_b"], act_fn)
+
+
+def block_attention(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_fn=None):
+    """block_core's attention half: x plus the o projection of the attention
+    of rms_norm(x)'s rotated q over what kv_fn makes of its k and v."""
     aq = act_fn if act_fn is not None else (lambda y: y)
     seqs = sequences(x.shape[0], positions)
-
-    xn = rms_norm(x, w["attn_norm"])
-    xq = aq(xn)
+    xq = aq(rms_norm(x, w["attn_norm"]))
     q = linear(xq, w["q_w"], w["q_b"])
     k_s = linear(xq, w["k_w"], w["k_b"])
     v_s = linear(xq, w["v_w"], w["v_b"])
-
-    q_rot = rope(q, positions, cfg.rope_base, cfg.head_dim)
+    del xq  # on arrays each is freed once its last reader has run
+    q = rope(q, positions, cfg.rope_base, cfg.head_dim)
     k_all, v_all, *diag = kv_fn(k_s, v_s, positions)
-    merged = causal_attention(q_rot, k_all, v_all, cfg.n_heads, *diag, seqs=seqs)
-    out = linear(aq(merged), w["o_w"], w["o_b"])
-    x = x + out
-
-    xn2 = rms_norm(x, w["mlp_norm"])
-    xq2 = aq(xn2)
-    g = linear(xq2, w["gate_w"], w["gate_b"])
-    u = linear(xq2, w["up_w"], w["up_b"])
-    mid = aq(silu(g) * u)
-    return x + linear(mid, w["down_w"], w["down_b"])
+    del k_s, v_s
+    merged = causal_attention(q, k_all, v_all, cfg.n_heads, *diag, seqs=seqs)
+    return x + linear(aq(merged), w["o_w"], w["o_b"])
 
 
 def fp_kv_fn(cfg: ModelConfig):

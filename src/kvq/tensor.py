@@ -16,17 +16,30 @@ exp_causal and softmax_causal are in-place kernels on a plain (..., T, S)
 array, so a caller can turn its (heads, T, S) scores buffer into masked
 exponentials (and their row sums) or into probabilities without a copy.
 
-Equal-length sequences can be stacked as rows, (B*T, C): rms_norm, silu,
-linear, embedding and cross_entropy work row by row, and rope takes B from
-the row count and the T positions (sequences) and broadcasts the T table
-rows over a (B, T, C) view.
+Equal-length sequences can be stacked as rows, (B*T, C): rms_norm,
+linear, gated_mlp, embedding and cross_entropy work row by row, and rope
+takes B from the row count and the T positions (sequences) and broadcasts
+the T table rows over a (B, T, C) view.
 
-rms_norm, rope, silu and linear take a Tensor, which records a tape op, or
-a plain float32 array, which records nothing and runs the same arithmetic:
-the runtime forward runs on arrays, calibration and training on Tensors.
-linear is a projection x @ w + b with a (1, N) bias row: one tape node whose
-backward gives all three gradients, or on arrays one product with the bias
-added in place.  rms_norm is one tape node too.
+rms_norm, rope, linear and gated_mlp take a Tensor, which records one tape
+op, or a plain float32 array, which records nothing and runs the same
+arithmetic: the runtime forward runs on arrays, calibration and training on
+Tensors.  linear is a projection x @ w + b with a (1, N) bias row: one tape
+node whose backward gives all three gradients, or on arrays one product
+with the bias added in place.  gated_mlp is the block's whole MLP,
+(silu(x @ wg + bg) * (x @ wu + bu)) @ wd + bd, as one node.
+
+The tape's ops are the Tensor methods +, -, *, / and clamp, and the
+functions rms_norm, rope, linear, gated_mlp, cross_entropy and embedding
+(model.causal_attention adds attention).  A node holds its parents, whose
+outputs therefore stay until the sweep passes it, and the arrays its
+backward captures beyond them:
+  * +, -, *, /, clamp, rope and linear: nothing beyond their parents;
+  * rms_norm: the (rows, 1) root mean squares r, not the normalized rows
+    x / r, which the gain's gradient recomputes;
+  * gated_mlp: the gate and up projections g and u, not silu(g) or the
+    product, which its backward recomputes from g and u;
+  * cross_entropy: the softmax probabilities; embedding: the ids.
 
 No backward writes into a gradient it receives or passes on, and nothing
 else does either: a gradient array is only ever read.  So _accum keeps the
@@ -48,7 +61,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateScaleError, DimensionError, KvqError, NumericError
+from .errors import DegenerateScaleError, DimensionError, KvqError, NumericError, UsageError
 
 EPS_DIV = 1e-12
 
@@ -184,16 +197,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self, b), backward)
 
-    def silu(self):
-        s = 1.0 / (1.0 + np.exp(-self.data))
-        out_data = self.data * s
-
-        def backward(g, a=self, s=s):
-            if a.requires_grad:
-                a._accum(g * (s * (1.0 + a.data * (1.0 - s))))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
     def clamp(self, lo: float, hi: float):
         """Clamp to [lo, hi]; gradient passes only where the input lies inside."""
         out_data = np.clip(self.data, lo, hi)
@@ -310,7 +313,9 @@ def rms_norm(x, gain, eps: float = 1e-6):
     (once per x of x * x), as three separate additions.  That float32
     arithmetic and order stay bit for bit: test_rms_norm_matches_elementwise_chain
     checks them against the chain written out op by op in float32, and
-    test_losses_and_weights_pinned hashes what training computes through it."""
+    test_losses_and_weights_pinned hashes what training computes through it.
+    The node keeps x, gain and the (rows, 1) root mean squares r; the gain's
+    gradient recomputes the normalized rows x / r."""
     if not isinstance(x, Tensor):
         _check_finite("rms_norm", x)
         # the sum and division of mean(axis=1), without its wrapper's cost
@@ -320,7 +325,8 @@ def rms_norm(x, gain, eps: float = 1e-6):
     gain = x._coerce(gain)
     xd, gd = x.data, gain.data
     r = np.sqrt((xd * xd).mean(axis=1, keepdims=True) + np.float32(eps))
-    y = xd / r
+    out = xd / r
+    out *= gd
 
     def backward(g):
         if x.requires_grad:
@@ -332,9 +338,9 @@ def rms_norm(x, gain, eps: float = 1e-6):
             x._accum(g_sq)
             x._accum(g_sq)
         if gain.requires_grad:
-            gain._accum(_unbroadcast(g * y, gd.shape))
+            gain._accum(_unbroadcast(g * (xd / r), gd.shape))
 
-    return Tensor._from_op(y * gd, (x, gain), backward)
+    return Tensor._from_op(out, (x, gain), backward)
 
 
 # Byte boundary of the rope tables and the KV cache's buffers.  NumPy's vector
@@ -450,6 +456,15 @@ def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None =
     return Tensor._from_op(rotate(x.data), (x,), backward)
 
 
+def _product(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """xd @ wd + bd of a tape op's arrays, after checking their shapes."""
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+        raise DimensionError(f"linear shape mismatch: {xd.shape} x {wd.shape} + {bd.shape}")
+    out = xd @ wd
+    out += bd
+    return out
+
+
 def linear(x, w, b):
     """x @ w + b of a (rows, C) Tensor or array, a (C, N) weight and a (1, N)
     bias row.  On Tensors it is one tape op, whose backward gives g @ w^T,
@@ -465,10 +480,7 @@ def linear(x, w, b):
         return out
     w, b = x._coerce(w), x._coerce(b)
     xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
-        raise DimensionError(f"linear shape mismatch: {xd.shape} x {wd.shape} + {bd.shape}")
-    out = xd @ wd
-    out += bd
+    out = _product(xd, wd, bd)
 
     def backward(g):
         if x.requires_grad:
@@ -481,17 +493,79 @@ def linear(x, w, b):
     return Tensor._from_op(out, (x, w, b), backward)
 
 
-def silu(x):
-    """x * sigmoid(x) of a Tensor (a tape op) or an array.  On an array it
-    computes x * (1 / (1 + exp(-x))) with one temporary."""
-    if isinstance(x, Tensor):
-        return x.silu()
-    out = np.negative(x)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    out *= x
-    return out
+def _sigmoid(g: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-g)) in float32, with one temporary."""
+    s = np.negative(g)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def gated_mlp(x, wg, bg, wu, bu, wd, bd, act_fn=None):
+    """The gated MLP (silu(x @ wg + bg) * (x @ wu + bu)) @ wd + bd of a
+    (rows, C) Tensor or array, with (C, I) gate and up weights, a (I, C)
+    down weight and bias rows.
+
+    On Tensors it is one tape op that keeps x and the gate and up
+    projections g and u, not the product or the activations: its backward
+    recomputes sigmoid(g), silu(g) = g * sigmoid(g) and silu(g) * u, and
+    then runs, in float32, the backward of the linear -> silu -> mul ->
+    linear chain it replaces, in that chain's order.  The product is formed
+    only when wd needs a gradient.
+    test_gated_mlp_matches_elementwise_chain checks the forward and every
+    gradient bit for bit against that chain.
+
+    On arrays silu(g) and its product with u are formed in g's buffer, and
+    act_fn (weight_activation's per-token activation quantizer), if given,
+    is applied to the product before the down projection; the tape takes
+    no act_fn."""
+    if not isinstance(x, Tensor):
+        g = linear(x, wg, bg)
+        s = _sigmoid(g)
+        g *= s
+        del s
+        g *= linear(x, wu, bu)
+        return linear(g if act_fn is None else act_fn(g), wd, bd)
+    if act_fn is not None:
+        raise UsageError("gated_mlp applies act_fn on arrays only")
+    wg, bg, wu, bu, wd, bd = (x._coerce(a) for a in (wg, bg, wu, bu, wd, bd))
+    xd = x.data
+    g = _product(xd, wg.data, bg.data)
+    u = _product(xd, wu.data, bu.data)
+    mid = _sigmoid(g)
+    mid *= g
+    mid *= u
+    out = _product(mid, wd.data, bd.data)
+
+    def backward(go):
+        s = _sigmoid(g)
+        a = g * s  # silu(g)
+        if wd.requires_grad:
+            wd._accum((a * u).T @ go)
+        if bd.requires_grad:
+            bd._accum(_unbroadcast(go, bd.shape))
+        if not any(t.requires_grad for t in (x, wg, bg, wu, bu)):
+            return
+        gm = go @ wd.data.T
+        gu = np.multiply(gm, a, out=a)  # mul's gradient to u
+        gm *= u  # and to silu(g)
+        d = 1.0 - s  # silu's derivative, s * (1 + g * (1 - s))
+        d *= g
+        d += 1.0
+        d *= s
+        del s
+        gm *= d  # the gradient to g
+        del d
+        if x.requires_grad:
+            x._accum(gm @ wg.data.T)
+            x._accum(gu @ wu.data.T)
+        for w, b, gr in ((wg, bg, gm), (wu, bu, gu)):
+            if w.requires_grad:
+                w._accum(xd.T @ gr)
+            if b.requires_grad:
+                b._accum(_unbroadcast(gr, b.shape))
+
+    return Tensor._from_op(out, (x, wg, bg, wu, bu, wd, bd), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

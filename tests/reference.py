@@ -18,11 +18,12 @@ causal_attention is causal attention over stacked sequences, with or
 without the POQ diagonal, as one whole float64 scores matrix per sequence:
 scores, mask, softmax, then the probabilities times the values.
 
-block is one decoder block over one whole sequence.  calib_block is
-crr_loss's quantized block as a smooth function of its input and of the K/V
-smoothing: it holds fixed what fake_quant_token's backward holds fixed
-(held_fake_quant), so float64 central differences of it give the gradient
-that the tape computes, at every input entry and every smoothing channel.
+block is one decoder block over one whole sequence, and gated_mlp its MLP,
+which model_logits runs too.  calib_block is crr_loss's quantized block as a
+smooth function of its input and of the K/V smoothing: it holds fixed what
+fake_quant_token's backward holds fixed (held_fake_quant), so float64
+central differences of it give the gradient that the tape computes, at
+every input entry and every smoothing channel.
 
 adam_step is one Adam step of one parameter, by the textbook formula.
 
@@ -65,6 +66,14 @@ def raw_rows(codes: np.ndarray, m: np.ndarray, n: np.ndarray, group_size: int,
     if smoothing is None:
         return y
     return y * smoothing.s.astype(np.float64) + smoothing.delta.astype(np.float64)
+
+
+def gated_mlp(x, wg, bg, wu, bu, wd, bd) -> np.ndarray:
+    """(silu(x @ wg + bg) * (x @ wu + bu)) @ wd + bd in float64, silu(z) =
+    z / (1 + exp(-z))."""
+    x = np.asarray(x, dtype=np.float64)
+    gate = x @ wg + bg
+    return (gate / (1.0 + np.exp(-gate)) * (x @ wu + bu)) @ wd + bd
 
 
 def model_logits(model, ids, chunks, cache) -> np.ndarray:
@@ -116,9 +125,8 @@ def model_logits(model, ids, chunks, cache) -> np.ndarray:
             p = np.exp(z - z.max(axis=1, keepdims=True))
             attn[i] = np.einsum("hs,shd->hd", p / p.sum(axis=1, keepdims=True), values)
         x = x + proj(attn.reshape(n, -1), blk.o)
-        xn = rms_norm(x, blk.mlp_norm)
-        gate = proj(xn, blk.gate)
-        x = x + proj(gate / (1.0 + np.exp(-gate)) * proj(xn, blk.up), blk.down)
+        mlp = [a for lin in (blk.gate, blk.up, blk.down) for a in (lin.w, lin.b)]
+        x = x + gated_mlp(rms_norm(x, blk.mlp_norm), *mlp)
     return proj(rms_norm(x, model.final_norm), model.head)
 
 
@@ -193,9 +201,8 @@ def block(cfg, w, x, kv=lambda k, v: (k, v)) -> np.ndarray:
     k, v = kv(proj(xn, "k"), proj(xn, "v"))
     q, k = (rotate(a, pos, cfg.rope_base, cfg.head_dim) for a in (proj(xn, "q"), k))
     x = x + proj(causal_attention(q, k, v, cfg.n_heads), "o")
-    xn = rms_norm(x, w["mlp_norm"])
-    gate = proj(xn, "gate")
-    return x + proj(gate / (1.0 + np.exp(-gate)) * proj(xn, "up"), "down")
+    mlp = [w[f"{name}_{p}"] for name in ("gate", "up", "down") for p in "wb"]
+    return x + gated_mlp(rms_norm(x, w["mlp_norm"]), *mlp)
 
 
 def held_fake_quant(y, codes, peaks, bits: int, group_size: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import inspect
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from kvq.model import (
     PoqKvCache,
     attach_kv_smoothing,
     block_arrays,
+    block_attention,
     block_core,
     block_tensors,
     causal_attention,
@@ -622,6 +624,43 @@ class TestReadPlan:
         ref = weakref.ref(cache)
         del cache
         assert ref() is None
+
+
+class TestPrefillMemory:
+    @pytest.mark.parametrize("mode", ["fp", "weight_kv"])
+    def test_prefill_peak_holds_one_block_half(self, mode):
+        # the traced peak of a default-config 512-token prefill is at most
+        # what the test measures for its parts in the same window: the cache
+        # built alone, one attention half of layer 0 onto it (the arrays it
+        # allocates, its output included, while its input is held) and the
+        # logits, which also cover the residual.  fp: a 5.25 MB peak against
+        # a 5.52 MB bound (weight_kv: 4.92 against 5.18).  A block whose
+        # attention arrays stay bound through its MLP exceeds it (6.70 MB),
+        # so does an MLP that holds all its activations at once (6.28 MB),
+        # and with both, 7.67 MB
+        m = Model.random(ModelConfig(quant_mode=mode), seed=1)
+        ids = np.random.default_rng(1).integers(0, m.config.vocab_size, m.config.max_seq_len)
+        positions = np.arange(len(ids))
+        prefill(m, ids)  # fills the rope tables before tracing
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = PoqKvCache(m.config, m.blocks)
+            built = tracemalloc.get_traced_memory()[0] - before
+            x = m.embed[ids]
+            w, kv_fn = cache.block_plan[0]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            block_attention(m.config, w, x, positions, kv_fn)
+            attention = tracemalloc.get_traced_memory()[1] - before
+            del cache, x, w, kv_fn
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            logits, _ = prefill(m, ids)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= built + attention + logits.data.nbytes
 
 
 class TestFoldsAgainstReference:

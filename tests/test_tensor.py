@@ -16,6 +16,7 @@ from kvq.tensor import (
     Tensor,
     cross_entropy,
     embedding,
+    gated_mlp,
     linear,
     rms_norm,
     rope,
@@ -99,10 +100,11 @@ class TestGradients:
         check_grads(lambda a, b: (a * b + a - b) / (b * b + 2.0),
                     [randn(rng, 3, 4), randn(rng, 3, 4)])
 
-    def test_matmul_silu_mean(self):
+    def test_gated_mlp(self):
         rng = np.random.default_rng(2)
-        check_grads(lambda a, w, b: linear(a, w, b).silu(),
-                    [randn(rng, 3, 4), randn(rng, 4, 5), randn(rng, 1, 5)])
+        arrs = [randn(rng, 3, 4), randn(rng, 4, 5), randn(rng, 1, 5), randn(rng, 4, 5),
+                randn(rng, 1, 5), randn(rng, 5, 4), randn(rng, 1, 4)]
+        assert_float64_grads(gated_mlp, reference.gated_mlp, arrs)
 
     def test_causal_attention(self):
         # two queries at positions 3 and 4 over five keys, two heads of 4
@@ -199,7 +201,7 @@ class TestGradients:
 
 
 class TestFusedOps:
-    """linear and rms_norm are one tape op each, bit for bit the float32
+    """linear, rms_norm and gated_mlp are one tape op each, bit for bit the float32
     chain of elementwise ops and products that they replace, forward and
     backward, and on arrays bit for bit the tape's output."""
 
@@ -248,6 +250,39 @@ class TestFusedOps:
             gain = randn(rng, 1, c)
             want = reference.rms_norm(x, gain)
             assert np.abs(rms_norm(x, gain) - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rows", [6, 3 * 6])  # one sequence, three stacked
+    def test_gated_mlp_matches_elementwise_chain(self, rows):
+        # linear -> silu -> mul -> linear, op by op in float32 with each op's
+        # backward; the gate and up projections' gradients to x are summed
+        # in the chain's sweep order, the gate's first
+        rng = np.random.default_rng(22 + rows)
+        x, wg, bg, wu, bu, wd, bd = arrs = [randn(rng, rows, 8), randn(rng, 8, 12), randn(rng, 1, 12),
+                                            randn(rng, 8, 12), randn(rng, 1, 12), randn(rng, 12, 8),
+                                            randn(rng, 1, 8)]
+        r = randn(rng, rows, 8)
+        g, u = x @ wg + bg, x @ wu + bu
+        s = 1.0 / (1.0 + np.exp(-g))
+        a = g * s  # silu
+        m = a * u
+        g_m = r @ wd.T  # of m, through the down projection
+        g_g = g_m * u * (s * (1.0 + g * (1.0 - s)))  # through mul, then silu
+        g_u = g_m * a
+        want = [g_g @ wg.T + g_u @ wu.T, x.T @ g_g, g_g.sum(axis=0, keepdims=True),
+                x.T @ g_u, g_u.sum(axis=0, keepdims=True), m.T @ r, r.sum(axis=0, keepdims=True)]
+        got = grads_of(gated_mlp, arrs, r)
+        assert all(np.array_equal(gr, e) for gr, e in zip(got, want))
+        # with fixed weights (calibration) the product is not recomputed
+        xt = Tensor(x, requires_grad=True)
+        gated_mlp(xt, *map(Tensor, arrs[1:]))._backward(r)
+        assert np.array_equal(xt.grad, want[0])
+        assert np.array_equal(gated_mlp(*map(Tensor, arrs)).data, m @ wd + bd)
+        assert np.array_equal(gated_mlp(*arrs), m @ wd + bd)
+        # on arrays act_fn takes the product
+        half = lambda y: y * np.float32(0.5)
+        assert np.array_equal(gated_mlp(*arrs, act_fn=half), half(m) @ wd + bd)
+        with pytest.raises(UsageError, match="arrays only"):
+            gated_mlp(*map(Tensor, arrs), act_fn=half)
 
 
 @pytest.fixture
@@ -415,14 +450,38 @@ class TestTapeRelease:
 
             return Tensor._from_op(a.data.copy(), (a,), backward)
 
-        s1 = probe(x).silu()
+        s1 = probe(x).clamp(-2.0, 2.0)
         m = s1 * 2.0
-        loss = weighted_sum(m.silu())
+        loss = weighted_sum(m.clamp(-4.0, 4.0))
         refs = [weakref.ref(s1.data), weakref.ref(m.data)]
         del s1, m
         loss.backward()
         assert alive == [False, False]  # already gone while the sweep still ran
         assert np.all(x.grad != 0.0)
+
+    def test_lm_loss_forward_keeps_g_and_u_of_each_mlp(self):
+        # what a forward leaves on the tape: every node's output and the
+        # arrays its backward captured.  Of the gated MLP's (rows,
+        # intermediate) arrays only g and u stay, two per layer, and an
+        # rms_norm node keeps its input but not its normalized rows
+        cfg = tiny_config()
+        b, t = 2, 8
+        p = lm_tensors(Model.random(cfg, seed=4))
+        loss = lm_loss(cfg, p, np.random.default_rng(4).integers(0, 256, size=(b, t + 1)))
+        kept = {}
+        for n in tape_nodes(loss):
+            kept[id(n.data)] = n.data
+            f = n._backward
+            if f is None:
+                continue
+            captured = [c.cell_contents for c in f.__closure__ or ()] + list(f.__defaults__ or ())
+            arrays = {id(a): a for a in captured if isinstance(a, np.ndarray)}
+            kept.update(arrays)
+            if f.__qualname__.startswith("rms_norm."):
+                x = n._parents[0]
+                assert [i for i, a in arrays.items() if a.shape == x.shape] == [id(x.data)]
+        wide = [a for a in kept.values() if a.shape == (b * t, cfg.intermediate_size)]
+        assert len(wide) == 2 * cfg.n_layers
 
     def test_lm_loss_peak_within_tape_bound(self):
         # the traced peak of a forward and backward may exceed what the
