@@ -94,6 +94,17 @@ The blocked calls take the score bound when their shape pays for it
 (_bound_pays); the two whole-matrix cases and one-row reads run exp_causal,
 so calibration, training and decode keep its order.
 
+So a long chunk on arrays holds its (T, hidden) activations and the MLP's
+(T, intermediate) projections whole, but each of its largest transients
+one block at a time.  Each query block's scores, product and sums are
+freed before the next block allocates its own.  The cache append, the
+POQ-off round trip and weight_activation's activation quantizer quantize
+quantizers.ROW_BLOCK rows at a time.  q, and the keys when un-smoothing or
+a round trip made them a fresh array, are rotated in place; k_s itself is
+left whole for the append.  On the benchmark's served model (hidden 128,
+intermediate 344) an 896-token prefill peaks at 6.88 MB traced, in
+attention's last query block.
+
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
 change them.  So the codes always describe w, and a projection is smoothed
@@ -122,9 +133,10 @@ from .quantizers import (
     dequantize,
     quantize_token,
     quantize_weight,
+    row_blocks,
 )
-from .tensor import (Tensor, _check_finite, aligned_empty, exp_causal, gated_mlp, linear, rms_norm,
-                     rope, rope_table, sequences, softmax_causal)
+from .tensor import (Tensor, aligned_empty, exp_causal, gated_mlp, linear, rms_norm, rope,
+                     rope_table, sequences, softmax_causal)
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 
@@ -425,7 +437,8 @@ class PoqKvCache:
         """Store a chunk's KV for layer li at rows length .. length+t-1
         (k_s/v_s smoothed, k_rot rotated raw keys, v_raw raw values): codes of
         k_s and v_s, or k_rot and v_raw themselves in the fp layout.  The
-        codes, m and n are quantize_token's, from its core, span by span.
+        codes, m and n are quantize_token's, from its core, ROW_BLOCK rows
+        and one span at a time, each written to the buffers as it is made.
         Rows past the capacity raise CapacityError, and non-finite rows of a
         quantized cache NumericError, before anything is stored."""
         t = k_s.shape[0]
@@ -435,21 +448,22 @@ class PoqKvCache:
                 f"cache capacity exceeded: {start}+{t} > {self.cfg.max_seq_len}"
             )
         lc = self.layers[li]
-        rows = slice(start, start + t)
         if self.cfg.kv_codes:
             # token groups are per row, so one call of quantize_token's core
-            # per span over the stacked K and V rows gives each the codes of
-            # its own quantize_token call
-            y = np.concatenate([k_s, v_s])
-            _check_finite("cache append", y)
-            for cols, groups, k, size in self.spans:
-                codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * t, k, size), self.spec)
-                lc.k_codes[rows, cols], lc.v_codes[rows, cols] = codes[:t], codes[t:]
-                lc.k_m[rows, groups], lc.v_m[rows, groups] = m[:t], m[t:]
-                lc.k_n[rows, groups], lc.v_n[rows, groups] = n[:t], n[t:]
+            # per span over a row block of the stacked K and V rows gives
+            # each the codes of its own quantize_token call
+            for block, y in row_blocks((k_s, v_s), "cache append"):
+                h = len(y) // 2
+                rows = slice(start + block.start, start + block.stop)
+                for cols, groups, k, size in self.spans:
+                    codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * h, k, size), self.spec)
+                    lc.k_codes[rows, cols], lc.v_codes[rows, cols] = codes[:h], codes[h:]
+                    lc.k_m[rows, groups], lc.v_m[rows, groups] = m[:h], m[h:]
+                    lc.k_n[rows, groups], lc.v_n[rows, groups] = n[:h], n[h:]
+                    del codes, m, n  # before the next span or block is quantized
         else:
-            lc.k_fp[rows] = k_rot
-            lc.v_fp[rows] = v_raw
+            lc.k_fp[start : start + t] = k_rot
+            lc.v_fp[start : start + t] = v_raw
 
     def read_raw(self, li: int, k_cur: np.ndarray, v_cur: np.ndarray):
         """Layer li's attention inputs over its rows 0 .. length-1 and the
@@ -718,15 +732,19 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
         softmax_causal(p, s - t)
 
         def backward(g):
+            # each gradient is formed only for an input that needs it
             gh = heads(g, t)
-            dp = np.matmul(gh, vh.swapaxes(-1, -2))
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            ds *= scale
-            grads = (np.matmul(ds, kh), np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2),
-                     np.matmul(p.swapaxes(-1, -2), gh))
-            for a, ga in zip((q, k, v), grads):
-                if a.requires_grad:
-                    a._accum(merge(ga))
+            if q.requires_grad or k.requires_grad:
+                dp = np.matmul(gh, vh.swapaxes(-1, -2))
+                ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+                del dp
+                ds *= scale
+                if q.requires_grad:
+                    q._accum(merge(np.matmul(ds, kh)))
+                if k.requires_grad:
+                    k._accum(merge(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)))
+            if v.requires_grad:
+                v._accum(merge(np.matmul(p.swapaxes(-1, -2), gh)))
 
         return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), backward)
 
@@ -770,6 +788,7 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
         if small:
             o, sums = o[..., :d], o[..., d:]
         np.divide(o, sums, out=out[..., a:b, :, :].swapaxes(-3, -2))
+        del p, o, sums  # so the next block's scores are the only ones held
     return out.reshape(seqs * t, n_heads * d)
 
 
@@ -844,7 +863,8 @@ def block_attention(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, 
     k_s = linear(xq, w["k_w"], w["k_b"])
     v_s = linear(xq, w["v_w"], w["v_b"])
     del xq  # on arrays each is freed once its last reader has run
-    q = rope(q, positions, cfg.rope_base, cfg.head_dim)
+    # on arrays q is the projection's own buffer, rotated in place
+    q = rope(q, positions, cfg.rope_base, cfg.head_dim, out=None if isinstance(q, Tensor) else q)
     k_all, v_all, *diag = kv_fn(k_s, v_s, positions)
     del k_s, v_s
     merged = causal_attention(q, k_all, v_all, cfg.n_heads, *diag, seqs=seqs)
@@ -867,7 +887,10 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: P
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
         k_raw, v_raw = _raw_kv(blk, k_s, v_s, spec)
-        k_rot = rope(k_raw, positions, cfg.rope_base, cfg.head_dim)
+        # un-smoothed or round-tripped keys are a fresh array, rotated in
+        # place; k_s itself is left for the append to read
+        k_rot = rope(k_raw, positions, cfg.rope_base, cfg.head_dim,
+                     out=None if k_raw is k_s else k_raw)
         if cache is not None:
             if k_s.shape[0] != len(positions):
                 raise UsageError(f"a forward onto a cache takes one sequence, got "

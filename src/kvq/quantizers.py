@@ -6,7 +6,19 @@ There is one core per quantizer kind.  quantize_token and quantize_weight
 turn an array into integer codes plus per-group affine parameters, and
 dequantize maps them back; each works on a 3-d view of all full groups at
 once, with a short tail group as one separate slice.  The KV cache and the
-checkpoints store the codes.  Calibration trains through the same core:
+checkpoints store the codes.
+
+Token groups are per row, so the token core takes a chunk ROW_BLOCK rows at
+a time (row_blocks), and its temporaries scale with the block, not with the
+chunk.  quantize_token and with it every round trip (the runtime's POQ-off
+keys and values, weight_activation's activation quantizer and
+fake_quant_token) and the cache append, which stores each block's codes as
+they are made, all run it.  Every row gets the codes, m and n it gets
+alone, and the whole chunk is checked for non-finite values before its
+first block; a chunk of at most ROW_BLOCK rows is one block, stacked and
+checked at once.
+
+Calibration trains through the same cores:
 
 * token path: fake_quant_token is one autodiff op whose forward is
   dequantize(quantize_token(...)) and whose backward holds the codes fixed,
@@ -31,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScaleError, DimensionError, KvqError, NumericError
-from .tensor import Tensor, round_half_away
+from .tensor import Tensor, _check_finite, round_half_away
 
 S_FLOOR = 1e-6
 SPREAD_EPS = 1e-12
@@ -188,7 +200,7 @@ def _spans(n: int, group_size: int) -> list[tuple[slice, slice, int, int]]:
 
 
 def _cat(arrays, axis: int) -> np.ndarray:
-    """Join per-span arrays along axis (no copy for a single span)."""
+    """Join arrays along axis (no copy for a single one)."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
@@ -229,21 +241,52 @@ def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
     return codes.reshape(t, k * size), m, n
 
 
+# Rows per block of a token quantization.  Each block's temporaries (its
+# centred rows, their transposed |deviation| copy and the rounding buffer)
+# scale with it, not with the chunk, so an 896-token prefill's K/V append
+# holds 0.13 MB of each instead of 0.92 MB.  Token groups are per row, so
+# every row gets the codes, m and n a one-block call gives it.
+ROW_BLOCK = 128
+
+
+def row_blocks(parts, name: str):
+    """The rows of the equal-length (T, C) float32 arrays parts, ROW_BLOCK
+    rows of each at a time: (rows, y) per block, y the block's rows of every
+    part stacked in parts' order.
+
+    Non-finite input raises NumericError (naming name) before the first
+    block is given, so a caller that stores each block as it comes stores
+    nothing.  A chunk of one block (every decode step's append) is its
+    parts stacked whole and checked once: on the general path's per-part
+    checks and generator, served-model decode steps ran about 4 % slower."""
+    t = len(parts[0])
+    if t <= ROW_BLOCK:
+        y = _cat(parts, 0)
+        _check_finite(name, y)
+        return ((slice(0, t), y),)
+    for part in parts:
+        _check_finite(name, part)
+    rows = (slice(a, min(a + ROW_BLOCK, t)) for a in range(0, t, ROW_BLOCK))
+    return ((r, _cat([p[r] for p in parts], 0)) for r in rows)
+
+
 def quantize_token(y: np.ndarray, spec: TokenQuantSpec) -> QuantizedTensor:
     """Per-token, per-group shifted-symmetric quantization.
 
-    The full groups are quantized at once as a (T, groups, group_size) view;
-    a short tail group is a separate slice with its own statistics.
+    The full groups are quantized at once as a (rows, groups, group_size)
+    view, ROW_BLOCK rows at a time (row_blocks); a short tail group is a
+    separate slice with its own statistics.
     """
     y = np.asarray(y, dtype=np.float32)
-    if not np.isfinite(y).all():
-        raise NumericError("quantize_token: non-finite input")
     t, c = y.shape
-    parts = [
-        _quantize_token_groups(y[:, cols].reshape(t, k, size), spec)
-        for cols, _, k, size in _spans(c, spec.group_size)
-    ]
-    codes, m, n = (_cat(arrays, 1) for arrays in zip(*parts))
+    blocks, spans = row_blocks((y,), "quantize_token"), _spans(c, spec.group_size)
+    codes = np.empty((t, c), dtype=np.int8)
+    m = np.empty((t, -(-c // spec.group_size)), dtype=np.float32)
+    n = np.empty_like(m)
+    for rows, yb in blocks:
+        for cols, groups, k, size in spans:
+            codes[rows, cols], m[rows, groups], n[rows, groups] = _quantize_token_groups(
+                yb[:, cols].reshape(len(yb), k, size), spec)
     return QuantizedTensor(
         kind="token", codes=codes, bits=spec.bits, group_size=spec.group_size, m=m, n=n
     )

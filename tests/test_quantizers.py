@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError
 from kvq.quantizers import (
+    ROW_BLOCK,
     QuantizedTensor,
     SmoothingParams,
     TokenQuantSpec,
@@ -161,6 +162,22 @@ class TestTokenQuant:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError):
             quantize_token(np.array([[np.nan, 1.0]], np.float32), TokenQuantSpec(4, 2))
+
+    @pytest.mark.parametrize("t", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5])
+    def test_row_blocks_quantize_each_row_as_alone(self, t):
+        # ROW_BLOCK rows at a time, over two full groups and a tail group of
+        # 6: every row gets the codes, m and n of its own one-row call, and a
+        # non-finite value in the last block raises
+        y = (3.0 * np.random.default_rng(t).normal(size=(t, 30))).astype(np.float32)
+        y[-1, 8:16] = 0.5
+        spec = TokenQuantSpec(4, 8)
+        q = quantize_token(y, spec)
+        rows = [quantize_token(y[i : i + 1], spec) for i in range(t)]
+        for name in ("codes", "m", "n"):
+            assert np.array_equal(getattr(q, name), np.concatenate([getattr(r, name) for r in rows]))
+        y[-1, 0] = np.inf
+        with pytest.raises(NumericError, match="quantize_token"):
+            quantize_token(y, spec)
 
     @pytest.mark.parametrize("c", [32, 30])  # whole groups; a tail group of 6
     def test_inputs_unwritten(self, c):

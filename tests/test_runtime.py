@@ -40,6 +40,7 @@ from kvq.model import (
     spread_kv_channels,
 )
 from kvq.quantizers import (
+    ROW_BLOCK,
     SmoothingParams,
     WeightQuantSpec,
     init_smoothing,
@@ -337,29 +338,44 @@ class TestCache:
     @pytest.mark.parametrize("kv_bits", [2, 3, 4, 8])
     def test_append_stores_quantize_tokens_codes(self, kv_bits):
         # hidden 32 in groups of 12: two full groups and a short tail of 8;
-        # one and several rows, with a constant full group and tail group
-        m = quantized(make_model(kv_group_size=12, kv_bits=kv_bits))
-        cache, spec = PoqKvCache(m.config, m.blocks), m.config.token_spec()
-        lc, rng = cache.layers[1], np.random.default_rng(kv_bits)
-        for t in (1, 5, 1):
-            k_s, v_s = (3.0 * rng.normal(size=(2, t, 32))).astype(np.float32)
-            k_s[0, 12:24] = 0.75
-            v_s[-1, 24:] = -2.0
-            rows = slice(cache.length, cache.length + t)
-            cache.append(1, k_s, v_s, k_s, v_s)
-            for y, codes, m_, n_ in ((k_s, lc.k_codes, lc.k_m, lc.k_n),
-                                     (v_s, lc.v_codes, lc.v_m, lc.v_n)):
-                want = quantize_token(y, spec)
-                assert np.array_equal(codes[rows], want.codes)
-                assert np.array_equal(m_[rows], want.m) and np.array_equal(n_[rows], want.n)
-            cache.length += t
-        before = copy.deepcopy(vars(lc))
-        k_s[0, 3] = np.nan
-        with pytest.raises(NumericError, match="cache append"):
-            cache.append(1, k_s, v_s, k_s, v_s)
-        for name, stored in vars(lc).items():
-            # nothing stored; a row not yet written holds what the allocation held
-            assert np.array_equal(stored, before[name], equal_nan=True), name
+        # chunks of one row block and of several (ROW_BLOCK rows each) onto
+        # an empty cache and a filled one, with a constant full group and
+        # tail group.  Every row holds the codes, m and n of quantize_token
+        # on that row alone, and a non-finite value in a chunk's last block
+        # stores nothing
+        rb = ROW_BLOCK
+        m = quantized(make_model(kv_group_size=12, kv_bits=kv_bits, max_seq_len=3 * rb))
+        spec, rng = m.config.token_spec(), np.random.default_rng(kv_bits)
+
+        def rows_alone(y):
+            qs = [quantize_token(y[i : i + 1], spec) for i in range(len(y))]
+            return [np.concatenate([getattr(q, a) for q in qs]) for a in ("codes", "m", "n")]
+
+        for t in (1, rb - 1, rb, rb + 1, 2 * rb + 5):
+            for filled in (0, rb - 5):
+                cache = PoqKvCache(m.config, m.blocks)
+                lc = cache.layers[1]
+                if filled:
+                    k_s, v_s = rng.normal(size=(2, filled, 32)).astype(np.float32)
+                    cache.append(1, k_s, v_s, k_s, v_s)
+                    cache.length = filled
+                k_s, v_s = (3.0 * rng.normal(size=(2, t, 32))).astype(np.float32)
+                k_s[0, 12:24] = 0.75
+                v_s[-1, 24:] = -2.0
+                before = copy.deepcopy(vars(lc))
+                bad = k_s.copy()
+                bad[-1, 3] = np.nan
+                with pytest.raises(NumericError, match="cache append"):
+                    cache.append(1, bad, v_s, bad, v_s)
+                for name, stored in vars(lc).items():
+                    # nothing stored; a row not yet written holds what the allocation held
+                    assert np.array_equal(stored, before[name], equal_nan=True), (t, filled, name)
+                cache.append(1, k_s, v_s, k_s, v_s)
+                rows = slice(filled, filled + t)
+                for y, stored in ((k_s, (lc.k_codes, lc.k_m, lc.k_n)),
+                                  (v_s, (lc.v_codes, lc.v_m, lc.v_n))):
+                    for got, want in zip(stored, rows_alone(y)):
+                        assert np.array_equal(got[rows], want), (t, filled)
 
     @pytest.mark.parametrize("mode, max_segments", [("weight_kv", 32), ("weight_kv", 0),
                                                      ("weight_only", 32)])
@@ -661,6 +677,52 @@ class TestPrefillMemory:
         finally:
             tracemalloc.stop()
         assert peak <= built + attention + logits.data.nbytes
+
+
+    def test_append_holds_one_row_block(self):
+        # a weight_kv cache's append quantizes ROW_BLOCK rows at a time, so
+        # a max_seq_len-row chunk (512) grows the traced memory no more than
+        # a two-block chunk of 2 * ROW_BLOCK - 1 rows: 572.9 against 572.6 KB,
+        # within 1 KiB for the block bounds' Python objects.  Quantizing the
+        # whole chunk at once, the 512 rows grew it by 2.28 MB
+        m = Model.random(ModelConfig(quant_mode="weight_kv"), seed=0)
+        cache = PoqKvCache(m.config, m.blocks)
+        rng = np.random.default_rng(0)
+
+        def growth(t):
+            k_s, v_s = rng.normal(size=(2, t, m.config.hidden_size)).astype(np.float32)
+            cache.append(0, k_s, v_s, k_s, v_s)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cache.append(0, k_s, v_s, k_s, v_s)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert growth(m.config.max_seq_len) <= growth(2 * ROW_BLOCK - 1) + 1024
+
+    def test_attention_holds_one_score_block(self):
+        # causal_attention on 896 array rows: its traced peak is at most its
+        # output, the scaled query, the values with their column of ones and
+        # one (H, ATTN_BLOCK, S) score block, plus a quarter block for the
+        # block's product with the values and NumPy's buffers for the
+        # division (measured: 152 KB over the four, a quarter block is 229
+        # KB).  A loop that rebinds a block's scores while the previous
+        # block's are held peaks 905 KB over the four
+        h, d, t = 4, 32, 896
+        q, k, v = (0.3 * np.random.default_rng(0).normal(size=(3, t, h * d))).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = causal_attention(q, k, v, h)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        block = np.empty((h, ATTN_BLOCK, t), dtype=np.float32).nbytes
+        v_ones = np.empty((h, t, d + 1), dtype=np.float32).nbytes
+        scaled_query = q.nbytes
+        assert peak <= out.nbytes + scaled_query + v_ones + block + block // 4
 
 
 class TestFoldsAgainstReference:

@@ -142,6 +142,19 @@ class TestGradients:
         with pytest.raises(UsageError, match="POQ diagonal"):
             causal_attention(Tensor(q), Tensor(k), Tensor(v), 4, (kc, vc))
 
+    def test_causal_attention_grads_need_no_other_input(self):
+        # the backward forms a gradient only for an input that needs one; each
+        # that does gets the bits it gets when all three need one
+        rng = np.random.default_rng(21)
+        arrs = [randn(rng, 3, 8), randn(rng, 5, 8), randn(rng, 5, 8)]
+        w = randn(rng, 3, 8)
+        every = grads_of(lambda q, k, v: causal_attention(q, k, v, 2), arrs, w)
+        for needs in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)):
+            ts = [Tensor(a, requires_grad=bool(n)) for a, n in zip(arrs, needs)]
+            weighted_sum(causal_attention(*ts, 2), w).backward()
+            for t, n, want in zip(ts, needs, every):
+                assert (t.grad is None) if not n else np.array_equal(t.grad, want)
+
     def test_rms_norm(self):
         # x also feeds a residual, as in a block, so its gradient terms sum
         rng = np.random.default_rng(6)
