@@ -192,24 +192,15 @@ def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:
 
 def fake_block_weights(model: Model, i: int, tp: BlockTrainables,
                        wq: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Block-i weight Tensors from its quantized weights wq, with the K/V
-    smoothing absorbed in-graph: Q(w) / s and (b - delta) / s."""
-    blk = model.blocks[i]
-    w = {
-        "attn_norm": Tensor(blk.attn_norm.reshape(1, -1)),
-        "mlp_norm": Tensor(blk.mlp_norm.reshape(1, -1)),
-    }
-    smoothing = {"k": (tp.s_k, tp.d_k), "v": (tp.s_v, tp.d_v)}
-    for name, lin in blk.projections().items():
-        wt = Tensor(wq[name])
-        bt = Tensor(lin.b)
-        if name in smoothing:
-            s, d = smoothing[name]
-            s = s.clamp(S_FLOOR, np.inf)
-            wt = wt / s
-            bt = (bt - d) / s
-        w[f"{name}_w"] = wt
-        w[f"{name}_b"] = bt
+    """Block i's block_tensors with its quantized weights wq in place of the
+    raw ones and the K/V smoothing absorbed in-graph: Q(w) / s and
+    (b - delta) / s."""
+    w = block_tensors(model.blocks[i])
+    w.update({f"{name}_w": Tensor(q) for name, q in wq.items()})
+    for name, s, d in (("k", tp.s_k, tp.d_k), ("v", tp.s_v, tp.d_v)):
+        s = s.clamp(S_FLOOR, np.inf)
+        w[f"{name}_w"] = w[f"{name}_w"] / s
+        w[f"{name}_b"] = (w[f"{name}_b"] - d) / s
     return w
 
 

@@ -24,11 +24,17 @@ entry that is not one or lacks a field, a table entry whose dtype, shape,
 offset or nbytes cannot describe its bytes, a
 tensor past the end of the file or overlapping another, a tensor that
 the config's layout needs and that is missing or has another shape, weight
-codes that are not uint8, a quant, projection or smoothing meta entry that is
-not a JSON object, a projection whose weight bits are not an integer in
-2..8, whose group size is not a positive integer or whose smoothing
-"absorbed" is not true, a float tensor that holds a value that is not
-finite (checked once, as it is read), or a smoothing scale below S_FLOOR.
+codes that are not uint8, unpacked codes (one per byte) of which one does
+not fit in its projection's bits, a quant, projection or smoothing meta
+entry that is not a JSON object, a projection whose weight bits are not an
+integer in 2..8, whose group size is not a positive integer or whose
+smoothing "absorbed" is not true, a float tensor that holds a value that is
+not finite (checked once, as it is read), or a smoothing scale below
+S_FLOOR.  So does a config that ModelConfig refuses: an unknown field, a
+layer, head, size, length or group-size field that is not an integer >= 1
+(vocab_size >= 2), an odd head_dim, a rope_base that is not finite and
+positive, a poq that is not true or false, or a kv or weight bit width
+that is not an integer in 2..8 or at least 16.
 """
 
 from __future__ import annotations
@@ -284,7 +290,12 @@ def load_model(path: str) -> Model:
         stored = get(name, cin, cout) if unpacked else get(name, packed_size(cin * cout, bits))
         if stored.dtype != np.uint8:
             raise DataFormatError(f"tensor {name!r} has dtype {stored.dtype}, expected u8")
-        return stored if unpacked else unpack_codes(stored, bits, (cin, cout))
+        if not unpacked:
+            return unpack_codes(stored, bits, (cin, cout))
+        if int(stored.max(initial=0)) >> bits:
+            raise DataFormatError(f"tensor {name!r} holds a code of {stored.max()}, which "
+                                  f"does not fit in {bits} bits")
+        return stored
 
     def lin(base: str, cin: int, cout: int) -> Linear:
         pq = table(projections, base, f"projection {base!r}'s quant entry")

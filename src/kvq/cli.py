@@ -53,6 +53,16 @@ def _apply_quant_args(model, args, **fields) -> None:
     model.config = dataclasses.replace(model.config, **fields)
 
 
+def _calib_config(args, **fields):
+    """The CalibConfig of the calibration flags that calibrate, ablate and
+    sweep-k share (build_parser's add_calib_args) and the fields given; the
+    rest keep CalibConfig's defaults."""
+    from .calibration import CalibConfig
+
+    return CalibConfig(epochs=args.epochs, segments=args.segments, seg_len=args.seg_len,
+                       seed=args.seed, **fields)
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -107,18 +117,11 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .calibration import CalibConfig, calibrate_model
+    from .calibration import calibrate_model
     from .checkpoint import load_model, save_model
     from .evaluate import load_corpus
 
-    calib = CalibConfig(
-        k=args.k,
-        epochs=args.epochs,
-        lr_smoothing=args.lr_smoothing,
-        seed=args.seed,
-        segments=args.segments,
-        seg_len=args.seg_len,
-    )
+    calib = _calib_config(args, k=args.k, lr_smoothing=args.lr_smoothing)
     model = load_model(args.model)
     _apply_quant_args(model, args)
     ids = load_corpus(args.corpus)
@@ -233,15 +236,13 @@ def _run_variant(model, ids, eval_ids, features: set[str], calib) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    from .calibration import CalibConfig
     from .checkpoint import load_model
     from .evaluate import load_corpus, perplexity
 
     for f in args.drop + args.add:
         if f not in _FEATURES:
             raise UsageError(f"unknown feature {f!r}; choose from {_FEATURES}")
-    calib = CalibConfig(k=args.k, epochs=args.epochs, seed=args.seed,
-                        segments=args.segments, seg_len=args.seg_len)
+    calib = _calib_config(args, k=args.k)
     model = load_model(args.model)
     ids = load_corpus(args.corpus)
     eval_ids = _eval_slice(ids, args.max_tokens)
@@ -264,12 +265,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
-    from .calibration import CalibConfig
     from .checkpoint import load_model
     from .evaluate import load_corpus
 
-    calib = CalibConfig(epochs=args.epochs, seed=args.seed,
-                        segments=args.segments, seg_len=args.seg_len)
+    calib = _calib_config(args)
     model = load_model(args.model)
     k_values = [int(v) for v in args.k_values.split(",") if v]
     for k in k_values:
@@ -317,6 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--" + flag.replace("_", "-"), type=int, default=None,
                             help="default: the checkpoint's value")
 
+    def add_calib_args(sp, epochs: int, segments: int, seg_len: int):
+        """The model, corpus, JSON and calibration flags of calibrate, ablate
+        and sweep-k, at the command's defaults."""
+        sp.add_argument("--model", required=True)
+        sp.add_argument("--corpus", required=True)
+        sp.add_argument("--epochs", type=int, default=epochs)
+        sp.add_argument("--segments", type=int, default=segments)
+        sp.add_argument("--seg-len", type=int, default=seg_len)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--json")
+
     sp = sub.add_parser("fit", help="train a small byte-level model")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
@@ -343,17 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_quantize)
 
     sp = sub.add_parser("calibrate", help="optimize K/V smoothing block by block")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--corpus", required=True)
+    add_calib_args(sp, epochs=5, segments=32, seg_len=256)
     sp.add_argument("--out", required=True)
     add_quant_args(sp)
     sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--epochs", type=int, default=5)
     sp.add_argument("--lr-smoothing", type=float, default=5e-4)
-    sp.add_argument("--segments", type=int, default=32)
-    sp.add_argument("--seg-len", type=int, default=256)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json")
     sp.set_defaults(fn=cmd_calibrate)
 
     sp = sub.add_parser("eval", help="perplexity / fidelity metrics")
@@ -381,31 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("ablate", help="toggle pipeline pieces and compare perplexity")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--corpus", required=True)
+    add_calib_args(sp, epochs=2, segments=8, seg_len=64)
     sp.add_argument("--drop", action="append", default=[],
                     help=f"feature to remove from the full pipeline: {_FEATURES}")
     sp.add_argument("--add", action="append", default=[],
                     help="feature to add on top of the bare pipeline")
     sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--epochs", type=int, default=2)
-    sp.add_argument("--segments", type=int, default=8)
-    sp.add_argument("--seg-len", type=int, default=64)
     sp.add_argument("--max-tokens", type=int, default=512)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json")
     sp.set_defaults(fn=cmd_ablate)
 
     sp = sub.add_parser("sweep-k", help="calibrate at several span lengths")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--corpus", required=True)
+    add_calib_args(sp, epochs=2, segments=8, seg_len=64)
     sp.add_argument("--k-values", default="1,2,3,5")
-    sp.add_argument("--epochs", type=int, default=2)
-    sp.add_argument("--segments", type=int, default=8)
-    sp.add_argument("--seg-len", type=int, default=64)
     sp.add_argument("--max-tokens", type=int, default=512)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json")
     sp.set_defaults(fn=cmd_sweep_k)
 
     sp = sub.add_parser("generate", help="greedy continuation of a UTF-8 prompt")

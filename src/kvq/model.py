@@ -115,6 +115,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -139,6 +140,13 @@ from .tensor import (Tensor, aligned_empty, exp_causal, gated_mlp, linear, rms_n
                      rope_table, sequences, softmax_causal)
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
+# a block's projections, in DecoderBlockWeights order
+PROJECTIONS = ("q", "k", "v", "o", "gate", "up", "down")
+
+
+def _is_int(v) -> bool:
+    """An integer of any integral type, Python's or numpy's, but not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -159,6 +167,16 @@ class ModelConfig:
     poq: bool = True
 
     def __post_init__(self):
+        counts = ("n_layers", "n_heads", "head_dim", "intermediate_size", "kv_group_size",
+                  "weight_group_size")
+        for name in counts + ("hidden_size", "vocab_size", "max_seq_len"):
+            if not _is_int(getattr(self, name)):
+                raise KvqError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise KvqError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.head_dim % 2:
+            raise KvqError(f"head_dim must be even (rope rotates pairs), got {self.head_dim}")
         if self.hidden_size != self.n_heads * self.head_dim:
             raise KvqError(
                 f"hidden_size {self.hidden_size} != n_heads*head_dim "
@@ -166,13 +184,18 @@ class ModelConfig:
             )
         if self.max_seq_len < 1 or self.vocab_size < 2:
             raise KvqError("max_seq_len must be >= 1 and vocab_size >= 2")
+        base = self.rope_base
+        if isinstance(base, bool) or not isinstance(base, numbers.Real) or not 0 < base < math.inf:
+            raise KvqError(f"rope_base must be a finite positive number, got {base!r}")
+        if not isinstance(self.poq, bool):
+            raise KvqError(f"poq must be true or false, got {self.poq!r}")
         if self.quant_mode not in MODES:
             raise KvqError(f"unknown quant_mode: {self.quant_mode!r}")
         # token codes are int8 and weight codes uint8; 16 bits and up means unquantized
         for name in ("kv_bits", "weight_bits"):
             bits = getattr(self, name)
-            if bits < 2 or 8 < bits < 16:
-                raise KvqError(f"{name} must be 2..8 or at least 16, got {bits}")
+            if not _is_int(bits) or bits < 2 or 8 < bits < 16:
+                raise KvqError(f"{name} must be 2..8 or at least 16, got {bits!r}")
 
     @property
     def kv_quantized(self) -> bool:
@@ -188,10 +211,9 @@ class ModelConfig:
         return TokenQuantSpec(bits=self.kv_bits, group_size=self.kv_group_size)
 
     def projection_shapes(self) -> dict[str, tuple[int, int]]:
-        """(C_in, C_out) of each block projection, in DecoderBlockWeights order."""
+        """(C_in, C_out) of each block projection, in PROJECTIONS order."""
         c, i = self.hidden_size, self.intermediate_size
-        return {"q": (c, c), "k": (c, c), "v": (c, c), "o": (c, c),
-                "gate": (c, i), "up": (c, i), "down": (i, c)}
+        return dict(zip(PROJECTIONS, [(c, c)] * 4 + [(c, i), (c, i), (i, c)]))
 
 
 @dataclass
@@ -240,15 +262,7 @@ class DecoderBlockWeights:
     mlp_norm: np.ndarray
 
     def projections(self) -> dict[str, Linear]:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "v": self.v,
-            "o": self.o,
-            "gate": self.gate,
-            "up": self.up,
-            "down": self.down,
-        }
+        return {name: getattr(self, name) for name in PROJECTIONS}
 
 
 class Model:

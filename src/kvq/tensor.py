@@ -31,9 +31,12 @@ with the bias added in place.  gated_mlp is the block's whole MLP,
 
 The tape's ops are the Tensor methods +, -, *, / and clamp, and the
 functions rms_norm, rope, linear, gated_mlp, cross_entropy and embedding
-(model.causal_attention adds attention).  A node holds its parents, whose
-outputs therefore stay until the sweep passes it, and the arrays its
-backward captures beyond them:
+(model.causal_attention adds attention).  +, -, * and / are one op,
+Tensor._elementwise, given the value and the two local gradients: it
+coerces a scalar operand, checks the broadcast and sums each gradient down
+to its operand's shape (/ checks for a near-zero divisor after the
+shapes).  A node holds its parents, whose outputs therefore stay until the
+sweep passes it, and the arrays its backward captures beyond them:
   * +, -, *, /, clamp, rope and linear: nothing beyond their parents;
   * rms_norm: the (rows, 1) root mean squares r, not the normalized rows
     x / r, which the gain's gradient recomputes;
@@ -141,61 +144,38 @@ class Tensor:
             return other
         return Tensor(other)
 
-    def __add__(self, other):
+    def _elementwise(self, other, value, grad_a, grad_b):
+        """One tape op of self and other (coerced, broadcast-checked):
+        value(x, y) of their arrays, whose backward passes grad_a(g, x, y)
+        and grad_b(g, x, y), summed down to each operand's shape, to each
+        operand that needs a gradient."""
         b = self._coerce(other)
         _check_broadcast(self.shape, b.shape)
-        out_data = self.data + b.data
 
         def backward(g, a=self, b=b):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g, b.shape))
+            for t, grad in ((a, grad_a), (b, grad_b)):
+                if t.requires_grad:
+                    t._accum(_unbroadcast(grad(g, a.data, b.data), t.shape))
 
-        return Tensor._from_op(out_data, (self, b), backward)
+        return Tensor._from_op(value(self.data, b.data), (self, b), backward)
+
+    def __add__(self, other):
+        return self._elementwise(other, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
     def __sub__(self, other):
-        b = self._coerce(other)
-        _check_broadcast(self.shape, b.shape)
-        out_data = self.data - b.data
-
-        def backward(g, a=self, b=b):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-g, b.shape))
-
-        return Tensor._from_op(out_data, (self, b), backward)
+        return self._elementwise(other, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
     def __mul__(self, other):
-        b = self._coerce(other)
-        _check_broadcast(self.shape, b.shape)
-        out_data = self.data * b.data
-
-        def backward(g, a=self, b=b):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.shape))
-
-        return Tensor._from_op(out_data, (self, b), backward)
+        return self._elementwise(other, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
     def __truediv__(self, other):
-        b = self._coerce(other)
-        _check_broadcast(self.shape, b.shape)
-        if np.min(np.abs(b.data)) < EPS_DIV:
-            raise DegenerateScaleError(
-                f"division by near-zero value (|divisor| < {EPS_DIV})"
-            )
-        out_data = self.data / b.data
+        def quotient(x, y):
+            if np.min(np.abs(y)) < EPS_DIV:
+                raise DegenerateScaleError(f"division by near-zero value (|divisor| < {EPS_DIV})")
+            return x / y
 
-        def backward(g, a=self, b=b):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return Tensor._from_op(out_data, (self, b), backward)
+        return self._elementwise(other, quotient, lambda g, x, y: g / y,
+                                 lambda g, x, y: -g * x / (y * y))
 
     def clamp(self, lo: float, hi: float):
         """Clamp to [lo, hi]; gradient passes only where the input lies inside."""

@@ -370,6 +370,26 @@ class TestModelRoundtrip:
                                                   r"\[31, 32\], expected \[32, 32\]"):
             load_model(old)
 
+    def test_unpacked_codes_that_do_not_fit_rejected(self, tmp_path):
+        # one code per byte can hold a value its projection's bits cannot:
+        # 255 at 4 bits would load as a weight off its grid
+        m = self.make(quantize=True)
+        p = str(tmp_path / "m.kvq")
+        save_model(m, p)
+        config, meta, tensors = read_container(p)
+        codes = m.blocks[0].q.wq.codes.copy()
+        assert m.blocks[0].q.wq.bits == 4
+        for code, fits in ((15, True), (16, False), (255, False)):
+            codes[0, 0] = code
+            tensors["blocks.0.q.wq.codes"] = codes
+            write_container(p, config, meta, tensors)
+            if fits:
+                assert load_model(p).blocks[0].q.wq.codes[0, 0] == code
+                continue
+            with pytest.raises(DataFormatError, match=rf"'blocks\.0\.q\.wq\.codes' holds a "
+                                                      rf"code of {code}.*4 bits"):
+                load_model(p)
+
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_codes_take_the_bytes_the_analyzer_counts(self, tmp_path, bits):
         # the analyzer counts numel * bits / 8 bytes of codes per projection
@@ -507,3 +527,25 @@ class TestModelRoundtrip:
         write_container(p, {"bogus_field": 1}, {}, {})
         with pytest.raises(DataFormatError, match="config"):
             load_model(p)
+        # a field of the wrong type or out of range fails at load, naming the
+        # field, not at first use (or never); the rest of the file is sound
+        good = str(tmp_path / "good.kvq")
+        save_model(self.make(), good)
+        config, meta, tensors = read_container(good)
+        faults = [("n_layers", 2.5), ("max_seq_len", 8.5), ("n_layers", 0), ("n_layers", -1),
+                  ("n_heads", True), ("intermediate_size", "48"), ("vocab_size", None),
+                  ("hidden_size", 32.0), ("kv_group_size", 0), ("weight_group_size", -16),
+                  ("kv_bits", 4.5), ("weight_bits", False), ("rope_base", 0.0),
+                  ("rope_base", -1.0), ("rope_base", math.inf), ("rope_base", math.nan),
+                  ("rope_base", "1e4"), ("rope_base", True), ("poq", "yes"), ("poq", 1)]
+        for field, value in faults:
+            write_container(p, dict(config, **{field: value}), meta, tensors)
+            with pytest.raises(DataFormatError, match=f"bad config in header: {field}"):
+                load_model(p)
+        # an odd head_dim, even where the widths agree
+        write_container(p, dict(config, hidden_size=30, n_heads=2, head_dim=15), meta, tensors)
+        with pytest.raises(DataFormatError, match="head_dim must be even"):
+            load_model(p)
+        # integers of numpy's types and an integral rope_base are taken as they are
+        assert load_model(good).config == ModelConfig(**dict(
+            config, n_layers=np.int64(2), kv_group_size=np.int32(8), rope_base=10000))

@@ -11,7 +11,7 @@ from conftest import WORDS
 from kvq.analyzer import ARCH_PRESETS, DeployConfig, estimate_decode_time, estimate_memory
 from kvq.calibration import CalibConfig, calibrate_model
 from kvq.checkpoint import load_model, read_container, write_container
-from kvq.cli import main
+from kvq.cli import build_parser, main
 from kvq.evaluate import load_corpus
 
 FIT_ARGS = [
@@ -287,6 +287,22 @@ class TestEval:
         assert rc == 3
         assert "kv_bits" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", 2.5), ("max_seq_len", 8.5), ("n_layers", 0), ("poq", "yes"),
+        ("kv_group_size", 0),
+    ])
+    def test_malformed_config_field_is_data_error(self, workdir, capsys, field, value):
+        # a config field of the wrong type or range fails at load, not as a
+        # traceback, a silent score or a usage error at first use
+        config, meta, tensors = read_container(str(workdir / "model.kvq"))
+        bad = workdir / "bad_field.kvq"
+        write_container(str(bad), dict(config, **{field: value}), meta, tensors)
+        rc, stdout, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert f"bad config in header: {field}" in err and stdout == ""
+
     def test_missing_tensor_is_data_error(self, workdir, capsys):
         config, meta, tensors = read_container(str(workdir / "model.kvq"))
         del tensors["blocks.0.q.w"]
@@ -551,6 +567,23 @@ class TestGenerate:
             main(["generate", "--model", str(workdir / "ghost.kvq"), "--prompt", "a ",
                   "--mode", "bogus"])
         assert e.value.code == 2
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, extra, want", [
+        ("calibrate", ["--out", "o"], {"k": 5, "epochs": 5, "segments": 32, "seg_len": 256,
+                                       "lr_smoothing": 5e-4, "seed": 0}),
+        ("ablate", [], {"k": 5, "epochs": 2, "segments": 8, "seg_len": 64, "max_tokens": 512,
+                        "seed": 0}),
+        ("sweep-k", [], {"k_values": "1,2,3,5", "epochs": 2, "segments": 8, "seg_len": 64,
+                         "max_tokens": 512, "seed": 0}),
+    ])
+    def test_calibration_defaults(self, command, extra, want):
+        # the commands share their calibration flags' declarations, not
+        # their defaults
+        args = build_parser().parse_args([command, "--model", "m", "--corpus", "c"] + extra)
+        assert {key: getattr(args, key) for key in want} == want
+        assert args.json is None
 
 
 class TestDispatch:

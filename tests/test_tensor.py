@@ -99,6 +99,15 @@ class TestGradients:
         rng = np.random.default_rng(1)
         check_grads(lambda a, b: (a * b + a - b) / (b * b + 2.0),
                     [randn(rng, 3, 4), randn(rng, 3, 4)])
+        # the shapes calibration uses: a (1, C) row on either side of a
+        # (T, C) matrix, as in Q(w) / s, (b - delta) / s and y * s + delta,
+        # and Python scalars; each expression runs as it is on float64 arrays
+        x, d = randn(rng, 3, 4), randn(rng, 1, 4)
+        s = 0.5 + np.abs(randn(rng, 1, 4))
+        row_right = lambda x, s, d: x / s + (x - d) / s + (x * s + d) * 0.5 - 1.5
+        row_left = lambda x, s, d: d - s * x + d / (x * x + 1.0) + s + x
+        for f in (row_right, row_left):
+            assert_float64_grads(f, f, [x, s, d])
 
     def test_gated_mlp(self):
         rng = np.random.default_rng(2)
