@@ -14,9 +14,9 @@ A projection's b-bit codes (b = 2..8, its meta "bits") are one uint8 stream
 of ceil(C_in * C_out / 8) * b bytes (pack_codes): code i of the row-major
 (C_in, C_out) matrix holds bits i * b .. i * b + b - 1 of the stream, counted
 from the low bit of byte 0, so every 8 codes fill b bytes and the last group
-is padded with zero codes.  Files written before codes were packed store
-them as a (C_in, C_out) uint8 matrix, one code per byte; a 2-d codes tensor
-is read that way, and loads to the same codes.
+is padded with zero codes.  Codes load only as this stream: a (C_in, C_out)
+matrix of one code per byte, as files written before codes were packed
+store them, fails the shape check.
 
 A malformed file raises DataFormatError naming the first fault found: a
 header, config, meta or tensor table that is not a JSON object, a table
@@ -24,8 +24,8 @@ entry that is not one or lacks a field, a table entry whose dtype, shape,
 offset or nbytes cannot describe its bytes, a
 tensor past the end of the file or overlapping another, a tensor that
 the config's layout needs and that is missing or has another shape, weight
-codes that are not uint8, unpacked codes (one per byte) of which one does
-not fit in its projection's bits, a quant, projection or smoothing meta
+codes that are not uint8, a float tensor that is not float32, a quant,
+projection or smoothing meta
 entry that is not a JSON object, a projection whose weight bits are not an
 integer in 2..8, whose group size is not a positive integer or whose
 smoothing "absorbed" is not true, a float tensor that holds a value that is
@@ -274,28 +274,19 @@ def load_model(path: str) -> Model:
     projections = table(quant_meta, "projections", "meta 'quant.projections'")
     smoothing_meta = table(quant_meta, "smoothing", "meta 'quant.smoothing'")
 
-    def get(name: str, *shape: int) -> np.ndarray:
+    def get(name: str, *shape: int, dtype=np.float32) -> np.ndarray:
         if name not in tensors:
             raise DataFormatError(f"tensor {name!r} missing from {path}")
-        found = tensors[name].shape
-        if found != shape:
-            raise DataFormatError(f"tensor {name!r} has shape {list(found)}, expected "
+        found = tensors[name]
+        if found.shape != shape:
+            raise DataFormatError(f"tensor {name!r} has shape {list(found.shape)}, expected "
                                   f"{list(shape)} from the config")
-        if tensors[name].dtype.kind == "f" and not np.isfinite(tensors[name]).all():
+        if found.dtype != dtype:
+            raise DataFormatError(f"tensor {name!r} has dtype {found.dtype}, expected "
+                                  f"{np.dtype(dtype)}")
+        if found.dtype.kind == "f" and not np.isfinite(found).all():
             raise DataFormatError(f"tensor {name!r} holds a value that is not finite")
-        return tensors[name]
-
-    def codes(name: str, bits: int, cin: int, cout: int) -> np.ndarray:
-        unpacked = name in tensors and tensors[name].ndim == 2  # one code per byte
-        stored = get(name, cin, cout) if unpacked else get(name, packed_size(cin * cout, bits))
-        if stored.dtype != np.uint8:
-            raise DataFormatError(f"tensor {name!r} has dtype {stored.dtype}, expected u8")
-        if not unpacked:
-            return unpack_codes(stored, bits, (cin, cout))
-        if int(stored.max(initial=0)) >> bits:
-            raise DataFormatError(f"tensor {name!r} holds a code of {stored.max()}, which "
-                                  f"does not fit in {bits} bits")
-        return stored
+        return found
 
     def lin(base: str, cin: int, cout: int) -> Linear:
         pq = table(projections, base, f"projection {base!r}'s quant entry")
@@ -310,7 +301,8 @@ def load_model(path: str) -> Model:
             groups = -(-cin // gs)
             wq = QuantizedTensor(
                 kind="weight",
-                codes=codes(f"{base}.wq.codes", bits, cin, cout),
+                codes=unpack_codes(get(f"{base}.wq.codes", packed_size(cin * cout, bits),
+                                       dtype=np.uint8), bits, (cin, cout)),
                 bits=bits,
                 group_size=gs,
                 h=get(f"{base}.wq.h", groups, cout),

@@ -1,6 +1,8 @@
 """Command-line toolkit.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric error.
+Every command prints only its JSON report to stdout (--json also writes it
+to a file).  Exit codes: 0 success, 2 usage error, 3 data/format error, 4
+numeric error.
 
 Set KVQ_THREADS to pin the BLAS thread count; the kvq package sets the BLAS
 variables on import, before numpy loads.
@@ -75,7 +77,7 @@ def cmd_fit(args) -> int:
         n_layers=args.layers,
         hidden_size=args.hidden,
         n_heads=args.heads,
-        head_dim=args.hidden // args.heads,
+        head_dim=args.hidden // max(args.heads, 1),  # ModelConfig refuses heads < 1
         intermediate_size=args.intermediate,
         max_seq_len=args.max_seq_len,
         kv_group_size=args.kv_group_size,
@@ -155,16 +157,7 @@ def cmd_analyze(args) -> int:
     )
 
     if args.preset == "decode-table":
-        rows = table7_report()
-        doc = {"preset": "decode-table", "rows": rows}
-        print(_write_json(doc, args.json))
-        header = f"{'model':<14}{'bs':>4}{'len':>6} | " + "".join(
-            f"{s:>10}" for s in ("fp16", "w4", "w4kv4", "w4a4")
-        )
-        print(header)
-        for r in rows:
-            cells = "".join(f"{r[s]:>10.4f}" for s in ("fp16", "w4", "w4kv4", "w4a4"))
-            print(f"{r['model']:<14}{r['batch']:>4}{r['len']:>6} | {cells}")
+        print(_write_json({"preset": "decode-table", "rows": table7_report()}, args.json))
         return 0
 
     arch = ARCH_PRESETS.get(args.arch)
@@ -175,7 +168,6 @@ def cmd_analyze(args) -> int:
         prompt_len=args.prompt_len, gen_len=args.gen_len,
         bandwidth_bytes=args.bandwidth,
     )
-    mem = estimate_memory(dc, args.phase).as_dict()
     doc = {
         "arch": arch.name,
         "setting": args.setting,
@@ -183,25 +175,11 @@ def cmd_analyze(args) -> int:
         "prompt_len": args.prompt_len,
         "gen_len": args.gen_len,
         "phase": args.phase,
-        "memory": mem,
+        "memory": estimate_memory(dc, args.phase).as_dict(),
     }
     if args.gen_len >= 1:
         doc["decode_time"] = estimate_decode_time(dc)
     print(_write_json(doc, args.json))
-    print(f"{arch.name} {args.setting} bs={args.batch} "
-          f"prompt={args.prompt_len} gen={args.gen_len} ({args.phase})")
-    for key in ("weights_bytes", "kv_cache_bytes", "temp_activation_bytes", "total_bytes"):
-        share = ""
-        name = key.removesuffix("_bytes")
-        if name in ("weights", "kv_cache"):
-            share = f"  ({mem['proportions'][name]:.2%})"
-        elif name == "temp_activation":
-            share = f"  ({mem['proportions']['temp_activations']:.2%})"
-        print(f"  {name:<16} {mem[key]:>16d} B  = {mem[key] / 1e9:.4f} GB{share}")
-    if "decode_time" in doc:
-        dt = doc["decode_time"]
-        print(f"  decode: {dt['seconds_per_token'] * 1e3:.3f} ms/token, "
-              f"{dt['ratio_vs_fp16']:.3f}x fp16 bytes")
     return 0
 
 

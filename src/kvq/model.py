@@ -12,18 +12,20 @@ Quantization modes:
                        every linear-layer input (sensitivity harness only).
 
 A quantized cache (ModelConfig.kv_codes) stores pre-rotary smoothed K (and
-V) as codes, and a decode step maps neither back to raw space.  The keys'
-dequantization, un-smoothing and rotation are folded into the query: with
-U = cos * (q * s) - sin * (sigma(q) * s) over the past rows' rope tables, a
-segment of codes scores n * sum(U * codes) + m * sum(U), which the step
-computes without forming U or any past key (PoqKvCache._folded_k).  Its
-cost grows with the number of segments, hidden / gcd(kv_group_size,
-head_dim), so only a cache of at most FOLD_MAX_SEGMENTS segments folds K.
-The values' dequantization and un-smoothing are folded past the attention
-weights (PoqKvCache.read_raw).  A chunk of more than one row onto a filled
-cache and every K read of a cache with more segments still build the
-rotated past keys (PoqKvCache._materialized_k), which is the fold's
-equivalence reference.
+V) as codes, and a decode step maps neither back to raw space.  The cache
+runs the whole attention read over its codes (PoqKvCache.read_raw): the
+scaled query's scores, exp_causal, the values and the division by the row
+sums.  The keys' dequantization, un-smoothing and rotation are folded into
+the query: with U = cos * (q * s) - sin * (sigma(q) * s) over the past
+rows' rope tables, a segment of codes scores n * sum(U * codes) + m *
+sum(U), which the step computes without forming U or any past key
+(PoqKvCache._folded_k).  Its cost grows with the number of segments, hidden
+/ gcd(kv_group_size, head_dim), so only a cache of at most
+FOLD_MAX_SEGMENTS segments folds K.  The values' dequantization and
+un-smoothing are folded past the attention weights.  A chunk of more than
+one row onto a filled cache and every K read of a cache with more segments
+still build the rotated past keys (PoqKvCache._materialized_k), which is
+the fold's equivalence reference.
 An fp cache (fp and weight_only) stores each chunk's K rows rotated, once,
 at append, and a read takes the stored rows, the chunk's included, as the
 arrays prefill attends over.  A cache plans its forwards
@@ -64,7 +66,9 @@ the runtime forward (prefill, decode_step, cache_path_forward) passes plain
 float32 arrays and records nothing.  Each caller hands block_core its
 weights and KV handler: model_forward block_arrays and _runtime_kv_fn
 (planned once per cache), training and calibration block_tensors (or the
-fake-quantized weights) and fp_kv_fn.
+fake-quantized weights) and fp_kv_fn.  Onto a cache of codes with a past,
+the handler gives block_attention the cache's read (PoqKvCache.read_raw) in
+place of causal_attention's inputs.
 
 block_core runs two halves.  The attention half, block_attention, is a
 function of its own (rms_norm, the q/k/v projections, rope, the KV handler,
@@ -88,9 +92,9 @@ chunk never holds its whole (heads, T, T) scores matrix and never scores the
 masked keys past a block's last row.  This covers prefill, cacheless
 scoring, cache_path_forward and every read of an fp cache.  Two cases stay
 one block per sequence, the whole matrix: the tape, whose backward keeps
-one probabilities buffer, and a chunk onto a filled quantized cache, whose
-folded value read overwrites the keys that later blocks would still need.
-The blocked calls take the score bound when their shape pays for it
+one probabilities buffer, and a quantized cache's read (read_raw), whose
+value fold overwrites the keys that later blocks would still need.  The
+blocked calls take the score bound when their shape pays for it
 (_bound_pays); the two whole-matrix cases and one-row reads run exp_causal,
 so calibration, training and decode keep its order.
 
@@ -479,24 +483,21 @@ class PoqKvCache:
             lc.k_fp[start : start + t] = k_rot
             lc.v_fp[start : start + t] = v_raw
 
-    def read_raw(self, li: int, k_cur: np.ndarray, v_cur: np.ndarray):
-        """Layer li's attention inputs over its rows 0 .. length-1 and the
-        chunk's raw rows k_cur (rotated), v_cur at length .. length+t-1.
+    def read_raw(self, li: int, q: np.ndarray, k_cur: np.ndarray, v_cur: np.ndarray) -> np.ndarray:
+        """Layer li's (T, hidden) attention output for the chunk's rotated
+        query q over its past rows 0 .. length-1, held as codes, and the
+        chunk's own raw rows k_cur (rotated) and v_cur at length ..
+        length+t-1.
 
-        Returns (k, v).  An fp cache holds the chunk's rows too, appended
-        before the read, so its k and v are its (length + t, hidden) rotated
-        keys and raw values, which causal_attention takes as prefill's.
-
-        A quantized cache's v(p) applies (H, T, length + t) attention weights
-        to the values, giving (H, T, head_dim); it is linear in p, so
-        causal_attention hands it unnormalized weights and divides after.
-        On a decode step (one row) onto a cache that folds K (fold_k), k(qh)
-        maps the (H, 1, head_dim) rotated query, which causal_attention has
-        scaled by 1/sqrt(head_dim), to its (H, 1, length + 1) scores
-        (_folded_k) and no past key is built.  Otherwise k is the (length +
-        t, hidden) rotated keys (_materialized_k), the fold's equivalence
-        reference.  v(p) overwrites the scratch buffer, so k must be used
-        before v is called.
+        The query is scaled by 1/sqrt(head_dim) first.  On a decode step
+        (one row) onto a cache that folds K (fold_k), the scores come from
+        the codes through the query (_folded_k) and no past key is built;
+        otherwise the query heads take their product with the rotated keys
+        (_materialized_k), the fold's equivalence reference.  exp_causal
+        turns the scores into unnormalized weights, the values are folded
+        past them, and the output is divided by the row sums, as
+        causal_attention divides an array read.  The value fold overwrites
+        the scratch buffer the keys were read from.
 
         Quantized values stay codes.  Take a segment of w channels
         (_config_read_plan) with per-token parameters m, n and smoothing s,
@@ -505,36 +506,32 @@ class PoqKvCache:
         a broadcast product of views.
         """
         cfg, lc = self.cfg, self.layers[li]
-        past, t = self.length, k_cur.shape[0]
-        if not cfg.kv_codes:
-            return lc.k_fp[: past + t], lc.v_fp[: past + t]
-        if self.fold_k and t == 1:
-            k = self._folded_k(li, k_cur)
-        else:
-            k = self._materialized_k(li, k_cur)
-
-        h, d = cfg.n_heads, cfg.head_dim
+        past, t = self.length, q.shape[0]
+        h, d, w = cfg.n_heads, cfg.head_dim, self.seg_width
         heads = lambda a: a.reshape(a.shape[0], h, d).transpose(1, 0, 2)
-
-        def v(p: np.ndarray) -> np.ndarray:
-            p_past = p[..., :past]
-            out = np.matmul(p[..., past:], heads(v_cur))
-            w = self.seg_width
-            codes = self.scratch[:past]
-            codes[...] = lc.v_codes[:past]
-            p_n = p_past[self.seg_head] * lc.v_n[:past, self.seg_group].T[:, None, :]
-            acc = np.matmul(p_n, codes.reshape(past, -1, w).transpose(1, 0, 2))
-            # P . m of every (head, group) pair: one product over all heads' rows
-            p_m = p_past.reshape(-1, past) @ lc.v_m[:past]
-            acc += p_m.reshape(h, -1, p_m.shape[1])[self.seg_pair][..., None]
-            sp = self.kv_smoothing[li][1]
-            if sp is not None:
-                acc *= sp.s.reshape(-1, 1, w)
-                p_sum = np.add.reduce(p_past, axis=2)[self.seg_head]
-                acc += p_sum[..., None] * sp.delta.reshape(-1, 1, w)
-            return out + acc.reshape(h, d // w, -1, w).transpose(0, 2, 1, 3).reshape(out.shape)
-
-        return k, v
+        qh = heads(q * np.float32(1.0 / math.sqrt(d)))
+        if self.fold_k and t == 1:
+            p = self._folded_k(li, qh, k_cur)
+        else:
+            p = np.matmul(qh, heads(self._materialized_k(li, k_cur)).transpose(0, 2, 1))
+        sums = exp_causal(p, past)
+        p_past = p[..., :past]
+        out = np.matmul(p[..., past:], heads(v_cur))
+        codes = self.scratch[:past]
+        codes[...] = lc.v_codes[:past]
+        p_n = p_past[self.seg_head] * lc.v_n[:past, self.seg_group].T[:, None, :]
+        acc = np.matmul(p_n, codes.reshape(past, -1, w).transpose(1, 0, 2))
+        # P . m of every (head, group) pair: one product over all heads' rows
+        p_m = p_past.reshape(-1, past) @ lc.v_m[:past]
+        acc += p_m.reshape(h, -1, p_m.shape[1])[self.seg_pair][..., None]
+        sp = self.kv_smoothing[li][1]
+        if sp is not None:
+            acc *= sp.s.reshape(-1, 1, w)
+            p_sum = np.add.reduce(p_past, axis=2)[self.seg_head]
+            acc += p_sum[..., None] * sp.delta.reshape(-1, 1, w)
+        o = out + acc.reshape(h, d // w, -1, w).transpose(0, 2, 1, 3).reshape(out.shape)
+        o /= sums
+        return o.transpose(1, 0, 2).reshape(t, h * d)
 
     def _materialized_k(self, li: int, k_cur: np.ndarray) -> np.ndarray:
         """Layer li's past keys and the chunk's own rotated k_cur: the past
@@ -553,11 +550,12 @@ class PoqKvCache:
         k[past:] = k_cur
         return k
 
-    def _folded_k(self, li: int, k_cur: np.ndarray):
-        """k(qh): one query row's scores over layer li's past codes, then
-        over the step's own rotated key k_cur, as (H, 1, length + 1).  They
-        are linear in the query, so causal_attention passes it scaled by
-        1/sqrt(head_dim) and takes them as the scaled scores.
+    def _folded_k(self, li: int, qh: np.ndarray, k_cur: np.ndarray) -> np.ndarray:
+        """The (H, 1, length + 1) scores of the (H, 1, head_dim) query heads
+        qh of one rotated row over layer li's past codes, then over the
+        step's own rotated key k_cur.  They are linear in the query, so
+        read_raw passes it scaled by 1/sqrt(head_dim) and takes them as the
+        scaled scores.
 
         A past key is rope_p(s * y + delta), with y = codes * n + m the
         dequantized smoothed row, and q . rope_p(x) = x . (cos_p * q -
@@ -577,32 +575,28 @@ class PoqKvCache:
         lc, past, h = self.layers[li], self.length, self.cfg.n_heads
         c, fold = self.cfg.hidden_size, self.k_fold[li]
         n_seg = c // self.seg_width
-
-        def k(qh: np.ndarray) -> np.ndarray:
-            q = qh.reshape(-1)
-            ab = fold * q[self.swap][:, None]
-            codes, cos_codes = self.scratch[:past], self.work[:past]
-            codes[...] = lc.k_codes[:past]
-            np.multiply(self.cos[:past], codes, out=cos_codes)
-            sin_codes = np.multiply(codes, self.sin[:past], out=codes)
-            seg = cos_codes @ ab[:c, :n_seg]
-            seg += sin_codes @ ab[c:, :n_seg]
-            # (segments [+ H], past): sum(U) per segment [, U . (delta / s) per head]
-            sums = (self.to_cs @ ab).T @ self.cs_cols[:, :past]
-            scores = np.empty((h, 1, past + 1), dtype=np.float32)
-            raw = scores[:, 0, :past]
-            seg_t = raw if self.seg_to_head is None else np.empty((n_seg, past), dtype=np.float32)
-            np.multiply(seg.T, lc.k_n[:past, self.seg_group].T, out=seg_t)
-            sums[:n_seg] *= lc.k_m[:past, self.seg_group].T
-            seg_t += sums[:n_seg]
-            if self.seg_to_head is not None:
-                np.matmul(self.seg_to_head, seg_t, out=raw)
-            if len(sums) > n_seg:
-                raw += sums[n_seg:]
-            scores[:, 0, past] = np.add.reduce((q * k_cur[0]).reshape(h, -1), axis=1)
-            return scores
-
-        return k
+        q = qh.reshape(-1)
+        ab = fold * q[self.swap][:, None]
+        codes, cos_codes = self.scratch[:past], self.work[:past]
+        codes[...] = lc.k_codes[:past]
+        np.multiply(self.cos[:past], codes, out=cos_codes)
+        sin_codes = np.multiply(codes, self.sin[:past], out=codes)
+        seg = cos_codes @ ab[:c, :n_seg]
+        seg += sin_codes @ ab[c:, :n_seg]
+        # (segments [+ H], past): sum(U) per segment [, U . (delta / s) per head]
+        sums = (self.to_cs @ ab).T @ self.cs_cols[:, :past]
+        scores = np.empty((h, 1, past + 1), dtype=np.float32)
+        raw = scores[:, 0, :past]
+        seg_t = raw if self.seg_to_head is None else np.empty((n_seg, past), dtype=np.float32)
+        np.multiply(seg.T, lc.k_n[:past, self.seg_group].T, out=seg_t)
+        sums[:n_seg] *= lc.k_m[:past, self.seg_group].T
+        seg_t += sums[:n_seg]
+        if self.seg_to_head is not None:
+            np.matmul(self.seg_to_head, seg_t, out=raw)
+        if len(sums) > n_seg:
+            raw += sums[n_seg:]
+        scores[:, 0, past] = np.add.reduce((q * k_cur[0]).reshape(h, -1), axis=1)
+        return scores
 
     def kv_bytes(self) -> int:
         """Deployment-model byte count of the live cache (packed codes + 16-bit params)."""
@@ -712,14 +706,6 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     masks the triangle, checks that the scores are finite and subtracts
     each row's maximum.
 
-    There a quantized cache's read hands over v as a function
-    (PoqKvCache.read_raw): v(p) -> (H, T, D) applies (H, T, S) attention
-    weights, as folded values do, and it is linear in them.  On a decode
-    step k may be one too: k(qh) -> (H, T, S) scores of the (H, T, D)
-    scaled query heads, as folded keys give them.  Such a read takes every
-    row at once (v(p) overwrites the keys' buffer), as one block, through
-    exp_causal.
-
     On arrays only, the POQ diagonal diag = (k_cur, v_cur), each shaped as
     q, stands in for the keys and values at column S-T+i of query row i:
     with k and v from the cache round trip, every row attends as a decode
@@ -764,12 +750,6 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
 
     qs = q * scale
     qh = heads(qs, t)
-    if callable(v):
-        p = k(qh) if callable(k) else np.matmul(qh, heads(k, k.shape[0]).swapaxes(-1, -2))
-        sums = exp_causal(p, p.shape[-1] - t)
-        o = v(p)
-        o /= sums
-        return merge(o)
     s = k.shape[0] // seqs
     kh, vh = heads(k, s), heads(v, s)
     offset = s - t
@@ -848,15 +828,15 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     x and the weights are all Tensors (recorded on the tape) or all arrays.
     x stacks equal-length sequences as rows, each at positions (so a row
     count that is not a multiple of len(positions) raises DimensionError).
-    kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and must
-    return (k_all_rotated, v_all): raw-space attention inputs covering past +
-    current tokens of each sequence, the chunk's rows last, so the causal
+    kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and
+    returns (k_all_rotated, v_all): raw-space attention inputs covering past
+    + current tokens of each sequence, the chunk's rows last, so the causal
     mask follows from their row counts.  A third element, if returned, is
-    causal_attention's POQ diagonal; on arrays k_all may be a function of the
-    query heads and v_all one of the attention weights (see
-    causal_attention).  The runtime
-    cache path and the calibration fake-quant path both plug in through
-    kv_fn, so the surrounding arithmetic is shared bit-for-bit.
+    causal_attention's POQ diagonal.  Onto a cache of codes with a past it
+    returns instead the function of the rotated query that gives the
+    attention output (PoqKvCache.read_raw).  The runtime cache path and the
+    calibration fake-quant path both plug in through kv_fn, so the
+    surrounding arithmetic is shared bit-for-bit.
     act_fn (arrays only) quantizes the input of every projection.
     """
     x = block_attention(cfg, w, x, positions, kv_fn, act_fn)
@@ -879,9 +859,11 @@ def block_attention(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, 
     del xq  # on arrays each is freed once its last reader has run
     # on arrays q is the projection's own buffer, rotated in place
     q = rope(q, positions, cfg.rope_base, cfg.head_dim, out=None if isinstance(q, Tensor) else q)
-    k_all, v_all, *diag = kv_fn(k_s, v_s, positions)
+    kv = kv_fn(k_s, v_s, positions)
     del k_s, v_s
-    merged = causal_attention(q, k_all, v_all, cfg.n_heads, *diag, seqs=seqs)
+    # onto a cache of codes with a past, kv is the cache's read of the query
+    merged = kv(q) if callable(kv) else causal_attention(q, *kv[:2], cfg.n_heads, *kv[2:],
+                                                         seqs=seqs)
     return x + linear(aq(merged), w["o_w"], w["o_b"])
 
 
@@ -894,9 +876,11 @@ def fp_kv_fn(cfg: ModelConfig):
 
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: PoqKvCache | None):
     """Un-smooth and rotate the chunk's keys (with POQ off over a cache of
-    codes, their round trip), append the chunk's rows to the cache, then
-    attend over its past rows plus the chunk's.  A cache needs array inputs
-    of one sequence; stacked sequences raise UsageError."""
+    codes, their round trip) and append the chunk's rows to the cache.  Then
+    attention reads its past rows plus the chunk's: an fp cache's stored
+    rows, or over a cache of codes with a past, PoqKvCache.read_raw.  A
+    cache needs array inputs of one sequence; stacked sequences raise
+    UsageError."""
     spec = cfg.token_spec() if cfg.kv_codes and not cfg.poq else None
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
@@ -911,8 +895,11 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: P
                                  f"{k_s.shape[0]} rows at {len(positions)} positions")
             past = cache.length
             cache.append(li, k_s, v_s, k_rot, v_raw)
+            if not cfg.kv_codes:
+                lc, end = cache.layers[li], past + len(positions)
+                return lc.k_fp[:end], lc.v_fp[:end]
             if past:
-                return cache.read_raw(li, k_rot, v_raw)
+                return lambda q: cache.read_raw(li, q, k_rot, v_raw)
         return k_rot, v_raw
 
     return kv_fn

@@ -19,6 +19,7 @@ from kvq.checkpoint import (
     unpack_codes,
     write_container,
 )
+from kvq.cli import main
 from kvq.errors import DataFormatError, KvqError
 from kvq.evaluate import train_model
 from kvq.model import (Model, ModelConfig, model_forward, quantize_model_weights,
@@ -342,53 +343,44 @@ class TestModelRoundtrip:
         out1 = model_forward(m1, IDS).data
         assert np.array_equal(out1, model_forward(m2, IDS).data)
 
-    def test_unpacked_codes_load_to_same_codes(self, tmp_path):
-        # files written before codes were packed store a (C_in, C_out) matrix
-        # of one code per byte
+    def test_unpacked_codes_refused(self, tmp_path, capsys):
+        # codes load only as the packed stream: a (C_in, C_out) matrix of one
+        # code per byte, the layout of files written before codes were
+        # packed, fails the shape check, which names the stream's shape
         m = self.make(quantize=True, smooth=True)
-        p, old = str(tmp_path / "m.kvq"), str(tmp_path / "old.kvq")
-        save_model(m, p)
-        config, meta, tensors = read_container(p)
-        for li, blk in enumerate(m.blocks):
-            for name, lin in blk.projections().items():
-                tensors[f"blocks.{li}.{name}.wq.codes"] = lin.wq.codes
-        write_container(old, config, meta, tensors)
-        assert Path(old).stat().st_size > Path(p).stat().st_size
-        m1, m2 = load_model(p), load_model(old)
-        for b0, b1, b2 in zip(m.blocks, m1.blocks, m2.blocks):
-            for name, lin in b0.projections().items():
-                for got in (b1, b2):
-                    assert np.array_equal(lin.wq.codes, got.projections()[name].wq.codes)
-                    assert np.array_equal(lin.w, got.projections()[name].w)
-        out = model_forward(m, IDS).data
-        assert np.array_equal(out, model_forward(m1, IDS).data)
-        assert np.array_equal(out, model_forward(m2, IDS).data)
-        # an unpacked matrix of the wrong shape names the config's shape
-        tensors["blocks.1.k.wq.codes"] = m.blocks[1].k.wq.codes[:-1]
-        write_container(old, config, meta, tensors)
-        with pytest.raises(DataFormatError, match=r"'blocks\.1\.k\.wq\.codes' has shape "
-                                                  r"\[31, 32\], expected \[32, 32\]"):
-            load_model(old)
-
-    def test_unpacked_codes_that_do_not_fit_rejected(self, tmp_path):
-        # one code per byte can hold a value its projection's bits cannot:
-        # 255 at 4 bits would load as a weight off its grid
-        m = self.make(quantize=True)
         p = str(tmp_path / "m.kvq")
         save_model(m, p)
         config, meta, tensors = read_container(p)
-        codes = m.blocks[0].q.wq.codes.copy()
-        assert m.blocks[0].q.wq.bits == 4
-        for code, fits in ((15, True), (16, False), (255, False)):
-            codes[0, 0] = code
-            tensors["blocks.0.q.wq.codes"] = codes
-            write_container(p, config, meta, tensors)
-            if fits:
-                assert load_model(p).blocks[0].q.wq.codes[0, 0] == code
-                continue
-            with pytest.raises(DataFormatError, match=rf"'blocks\.0\.q\.wq\.codes' holds a "
-                                                      rf"code of {code}.*4 bits"):
-                load_model(p)
+        tensors["blocks.1.k.wq.codes"] = m.blocks[1].k.wq.codes
+        assert m.blocks[1].k.wq.codes.shape == (32, 32) and m.blocks[1].k.wq.bits == 4
+        write_container(p, config, meta, tensors)
+        with pytest.raises(DataFormatError, match=r"^tensor 'blocks\.1\.k\.wq\.codes' has shape "
+                                                  r"\[32, 32\], expected \[512\] from the config$"):
+            load_model(p)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"the quick brown fox jumps over the lazy dog")
+        assert main(["eval", "--model", p, "--corpus", str(corpus)]) == 3
+        assert "'blocks.1.k.wq.codes' has shape [32, 32]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, dtype", [
+        ("embed", np.int32), ("blocks.0.q.w", np.int8), ("final_norm", np.int32),
+        ("blocks.0.q.b", np.uint8), ("head.w", np.int32), ("blocks.1.mlp_norm", np.uint8),
+        ("blocks.0.up.wq.h", np.int32), ("blocks.1.k.smooth.s", np.int32),
+        ("blocks.0.v.smooth.delta", np.int8),
+    ])
+    def test_float_tensor_stored_as_integers_refused(self, tmp_path, name, dtype):
+        # every float tensor is f32; one of the right shape stored as another
+        # dtype is refused, naming it and its dtype, instead of loading as
+        # integer weights
+        quantize = ".wq." in name or ".smooth." in name
+        p = str(tmp_path / "m.kvq")
+        save_model(self.make(quantize=quantize, smooth=quantize), p)
+        config, meta, tensors = read_container(p)
+        tensors[name] = np.ones_like(tensors[name], dtype=dtype)
+        write_container(p, config, meta, tensors)
+        with pytest.raises(DataFormatError) as err:
+            load_model(p)
+        assert str(err.value) == f"tensor {name!r} has dtype {np.dtype(dtype)}, expected float32"
 
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_codes_take_the_bytes_the_analyzer_counts(self, tmp_path, bits):

@@ -96,6 +96,16 @@ class TestFit:
         assert rc == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("flag, field", [("--layers", "n_layers"), ("--heads", "n_heads")])
+    def test_zero_layers_or_heads_is_usage_error(self, workdir, capsys, flag, field):
+        # --heads 0 is refused by ModelConfig, before the head width divides by it
+        out = workdir / "zero.kvq"
+        rc, stdout, err = run(capsys, ["fit", "--corpus", str(workdir / "corpus.txt"),
+                                       "--out", str(out)] + FIT_ARGS + [flag, "0"])
+        assert rc == 2
+        assert f"{field} must be >= 1" in err
+        assert stdout == "" and not out.exists()
+
 
 class TestQuantize:
     def test_weight_kv_warns_without_smoothing(self, workdir, capsys):
@@ -303,6 +313,18 @@ class TestEval:
         assert rc == 3
         assert f"bad config in header: {field}" in err and stdout == ""
 
+    def test_float_tensor_stored_as_integers_is_data_error(self, workdir, capsys):
+        # an embedding of the right shape stored as i32 would load and score
+        config, meta, tensors = read_container(str(workdir / "model.kvq"))
+        tensors["embed"] = tensors["embed"].astype(np.int32)
+        bad = workdir / "int_embed.kvq"
+        write_container(str(bad), config, meta, tensors)
+        rc, stdout, err = run(capsys, [
+            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+        ])
+        assert rc == 3
+        assert "tensor 'embed' has dtype int32, expected float32" in err and stdout == ""
+
     def test_missing_tensor_is_data_error(self, workdir, capsys):
         config, meta, tensors = read_container(str(workdir / "model.kvq"))
         del tensors["blocks.0.q.w"]
@@ -426,17 +448,21 @@ class TestEval:
 
 class TestAnalyze:
     def test_preset_table(self, capsys, tmp_path):
+        # stdout is the JSON report alone, the one the --json file holds
         jpath = tmp_path / "t.json"
         rc, stdout, _ = run(capsys, ["analyze", "--preset", "decode-table",
                                      "--json", str(jpath)])
         assert rc == 0
         doc = json.loads(jpath.read_text())
         assert len(doc["rows"]) == 6
-        assert "llama-2-7b" in stdout and "w4kv4" in stdout
+        assert json.loads(stdout) == doc
+        assert "llama-2-7b" in {r["model"] for r in doc["rows"]}
+        assert all("w4kv4" in r for r in doc["rows"])
 
-    def test_single_config_text_matches_json(self, capsys):
-        # the default phase and bandwidth, then --phase and --bandwidth: the
-        # figures are the library's at the same settings
+    def test_single_config_json_matches_library(self, capsys):
+        # the default phase and bandwidth, then --phase and --bandwidth:
+        # stdout is the JSON report alone, and its figures are the library's
+        # at the same settings
         for phase, bandwidth in (("decode", 1.0e12), ("prefill", 2.0e12)):
             flags = [] if phase == "decode" else ["--phase", phase, "--bandwidth", str(bandwidth)]
             rc, stdout, _ = run(capsys, [
@@ -444,13 +470,11 @@ class TestAnalyze:
                 "--batch", "4", "--prompt-len", "1024", "--gen-len", "64",
             ] + flags)
             assert rc == 0
-            json_part, text_part = stdout.split("\n}\n", 1)
-            doc = json.loads(json_part + "\n}")
-            assert str(doc["memory"]["total_bytes"]) in text_part
+            doc = json.loads(stdout)
             assert doc["decode_time"]["ratio_vs_fp16"] < 0.5
             dc = DeployConfig.for_setting(ARCH_PRESETS["llama-2-13b"], "w4kv4", batch=4,
                                           prompt_len=1024, gen_len=64, bandwidth_bytes=bandwidth)
-            assert doc["phase"] == phase and f"({phase})" in text_part
+            assert doc["phase"] == phase
             assert doc["memory"] == json.loads(json.dumps(estimate_memory(dc, phase).as_dict()))
             assert doc["decode_time"] == json.loads(json.dumps(estimate_decode_time(dc)))
 

@@ -438,7 +438,7 @@ class TestNonFiniteScores:
                     forward()
         assert cache.length == 10
         # block 0 takes the bound, block 1 is refused; a quantized cache's
-        # chunk read is a function, which never takes it
+        # chunk read runs in PoqKvCache.read_raw, which never takes it
         assert verdicts == [True, False] * (3 if mode == "fp" else 2)
 
 
@@ -726,11 +726,12 @@ class TestPrefillMemory:
 
 
 class TestFoldsAgainstReference:
-    """The K fold's scores and the V fold's output of a decode step, layer by
-    layer, against the float64 reference (tests/reference.py).  Over these
-    layouts, contexts 1, 64 and 299, with and without smoothing, the largest
-    error was 2.3e-7 of the largest |score| and 8.0e-7 of the largest
-    |output| (numpy 2.4, OpenBLAS 0.3.31); the bounds leave about 4x."""
+    """The K fold's scores and the whole quantized read (PoqKvCache.read_raw)
+    of a decode step, layer by layer, against the float64 reference
+    (tests/reference.py).  Over these layouts, contexts 1, 64 and 299, with
+    and without smoothing, the largest error was 2.3e-7 of the largest
+    |score| and 5.8e-7 of the largest |output| (numpy 2.4, OpenBLAS 0.3.31);
+    the bounds leave about 4x and 5x."""
 
     @pytest.mark.parametrize("smooth", [False, True])
     @pytest.mark.parametrize("group, head_dim, n_heads", TestFoldedCacheRead.LAYOUTS)
@@ -748,12 +749,12 @@ class TestFoldsAgainstReference:
             pos = np.arange(ctx, ctx + 1)
             for li in range(cfg.n_layers):
                 q, k, v = rng.normal(size=(3, 1, cfg.hidden_size)).astype(np.float32)
-                scores, p, out = decode_attention(cfg, cache.layers[li], ctx,
+                scores, _, out = decode_attention(cfg, cache.layers[li], ctx,
                                                   cache.kv_smoothing[li], q, k, v)
-                k_read, v_read = cache.read_raw(li, rope(k, pos, cfg.rope_base, head_dim), v)
-                got = k_read(heads(rope(q, pos, cfg.rope_base, head_dim)))[:, 0]
+                q_rot, k_rot = (rope(a, pos, cfg.rope_base, head_dim) for a in (q, k))
+                got = cache._folded_k(li, heads(q_rot), k_rot)[:, 0]
                 assert np.abs(got - scores).max() <= 1e-6 * np.abs(scores).max(), (ctx, li)
-                got = v_read(p.astype(np.float32)[:, None, :])[:, 0]
+                got = cache.read_raw(li, q_rot, k_rot, v).reshape(n_heads, head_dim)
                 assert np.abs(got - out).max() <= 3e-6 * np.abs(out).max(), (ctx, li)
 
 
