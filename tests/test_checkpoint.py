@@ -343,20 +343,26 @@ class TestModelRoundtrip:
         out1 = model_forward(m1, IDS).data
         assert np.array_equal(out1, model_forward(m2, IDS).data)
 
-    def test_unpacked_codes_refused(self, tmp_path, capsys):
+    def test_unpacked_codes_that_do_not_fit_rejected(self, tmp_path, capsys):
         # codes load only as the packed stream: a (C_in, C_out) matrix of one
         # code per byte, the layout of files written before codes were
-        # packed, fails the shape check, which names the stream's shape
+        # packed, fails the shape check, which names the stream's shape,
+        # whether its codes fit the projection's 4 bits or not (255 would
+        # load as a weight off its grid)
         m = self.make(quantize=True, smooth=True)
         p = str(tmp_path / "m.kvq")
         save_model(m, p)
         config, meta, tensors = read_container(p)
-        tensors["blocks.1.k.wq.codes"] = m.blocks[1].k.wq.codes
-        assert m.blocks[1].k.wq.codes.shape == (32, 32) and m.blocks[1].k.wq.bits == 4
-        write_container(p, config, meta, tensors)
-        with pytest.raises(DataFormatError, match=r"^tensor 'blocks\.1\.k\.wq\.codes' has shape "
-                                                  r"\[32, 32\], expected \[512\] from the config$"):
-            load_model(p)
+        codes = m.blocks[1].k.wq.codes.copy()
+        assert codes.shape == (32, 32) and m.blocks[1].k.wq.bits == 4
+        for code in (15, 16, 255):
+            codes[0, 0] = code
+            tensors["blocks.1.k.wq.codes"] = codes
+            write_container(p, config, meta, tensors)
+            with pytest.raises(DataFormatError, match=r"^tensor 'blocks\.1\.k\.wq\.codes' has "
+                                                      r"shape \[32, 32\], expected \[512\] from "
+                                                      r"the config$"):
+                load_model(p)
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"the quick brown fox jumps over the lazy dog")
         assert main(["eval", "--model", p, "--corpus", str(corpus)]) == 3
