@@ -442,9 +442,9 @@ class PoqKvCache:
         self.spans = _spans(cfg.hidden_size, cfg.kv_group_size)
         self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
         vars(self).update(_config_read_plan(cfg))
+        self.work = aligned_empty((cfg.max_seq_len, cfg.hidden_size))[0]
         if not self.fold_k:
             return
-        self.work = aligned_empty((cfg.max_seq_len, cfg.hidden_size))[0]
         self.k_fold = []
         for sp, _ in self.kv_smoothing:
             fold = self.seg_ones if sp is None else np.concatenate(
@@ -484,18 +484,17 @@ class PoqKvCache:
             lc.v_fp[start : start + t] = v_raw
 
     def read_raw(self, li: int, q: np.ndarray, k_cur: np.ndarray, v_cur: np.ndarray) -> np.ndarray:
-        """Layer li's (T, hidden) attention output for the chunk's rotated
-        query q over its past rows 0 .. length-1, held as codes, and the
-        chunk's own raw rows k_cur (rotated) and v_cur at length ..
-        length+t-1.
+        """Layer li's (1, hidden) attention output for a decode step's
+        rotated query q over its past rows 0 .. length-1, held as codes, and
+        the step's own raw row k_cur (rotated) and v_cur at length: the
+        fold, the read of a one-row step onto a cache that folds K (fold_k).
+        Every other read of a cache attends over its rows (rows) in
+        causal_attention.
 
-        The query is scaled by 1/sqrt(head_dim) first.  On a decode step
-        (one row) onto a cache that folds K (fold_k), the scores come from
-        the codes through the query (_folded_k) and no past key is built;
-        otherwise the query heads take their product with the rotated keys
-        (_materialized_k), the fold's equivalence reference.  exp_causal
-        turns the scores into unnormalized weights, the values are folded
-        past them, and the output is divided by the row sums, as
+        The query is scaled by 1/sqrt(head_dim) first.  The scores come from
+        the codes through the query (_folded_k) and no past key is built.
+        exp_causal turns them into unnormalized weights, the values are
+        folded past them, and the output is divided by the row sums, as
         causal_attention divides an array read.  The value fold overwrites
         the scratch buffer the keys were read from.
 
@@ -509,11 +508,7 @@ class PoqKvCache:
         past, t = self.length, q.shape[0]
         h, d, w = cfg.n_heads, cfg.head_dim, self.seg_width
         heads = lambda a: a.reshape(a.shape[0], h, d).transpose(1, 0, 2)
-        qh = heads(q * np.float32(1.0 / math.sqrt(d)))
-        if self.fold_k and t == 1:
-            p = self._folded_k(li, qh, k_cur)
-        else:
-            p = np.matmul(qh, heads(self._materialized_k(li, k_cur)).transpose(0, 2, 1))
+        p = self._folded_k(li, heads(q * np.float32(1.0 / math.sqrt(d))), k_cur)
         sums = exp_causal(p, past)
         p_past = p[..., :past]
         out = np.matmul(p[..., past:], heads(v_cur))
@@ -533,22 +528,29 @@ class PoqKvCache:
         o /= sums
         return o.transpose(1, 0, 2).reshape(t, h * d)
 
-    def _materialized_k(self, li: int, k_cur: np.ndarray) -> np.ndarray:
-        """Layer li's past keys and the chunk's own rotated k_cur: the past
-        codes are dequantized, un-smoothed and rotated in place in the
-        scratch buffer."""
-        cfg, lc = self.cfg, self.layers[li]
-        past, t = self.length, k_cur.shape[0]
-        k = self.scratch[: past + t]
-        qk = QuantizedTensor("token", lc.k_codes[:past], self.spec.bits, self.spec.group_size,
-                             m=lc.k_m[:past], n=lc.k_n[:past])
-        dequantize(qk, out=k[:past])
-        sp = self.kv_smoothing[li][0]
-        if sp is not None:
-            apply_kv_smoothing(k[:past], sp, "to_raw", out=k[:past])
-        rope(k[:past], np.arange(past), cfg.rope_base, cfg.head_dim, out=k[:past])
-        k[past:] = k_cur
-        return k
+    def rows(self, li: int, k_cur: np.ndarray, v_cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Layer li's raw K (rotated) and V rows 0 .. length+t-1 that
+        causal_attention reads, the chunk's own k_cur (rotated) and v_cur
+        last, after append stored them.  An fp cache gives its stored rows,
+        and a cache of codes without a past the chunk's.  Otherwise the past
+        codes are dequantized and un-smoothed in place, K in the scratch
+        buffer, where it is also rotated, and V in the work buffer."""
+        cfg, lc, past = self.cfg, self.layers[li], self.length
+        end = past + k_cur.shape[0]
+        if not cfg.kv_codes:
+            return lc.k_fp[:end], lc.v_fp[:end]
+        if not past:
+            return k_cur, v_cur
+        out = self.scratch[:end], self.work[:end]
+        for x, codes, m, n, sp, cur in zip(out, (lc.k_codes, lc.v_codes), (lc.k_m, lc.v_m),
+                                           (lc.k_n, lc.v_n), self.kv_smoothing[li], (k_cur, v_cur)):
+            dequantize(QuantizedTensor("token", codes[:past], self.spec.bits, self.spec.group_size,
+                                       m=m[:past], n=n[:past]), out=x[:past])
+            if sp is not None:
+                apply_kv_smoothing(x[:past], sp, "to_raw", out=x[:past])
+            x[past:] = cur
+        rope(out[0][:past], np.arange(past), cfg.rope_base, cfg.head_dim, out=out[0][:past])
+        return out
 
     def _folded_k(self, li: int, qh: np.ndarray, k_cur: np.ndarray) -> np.ndarray:
         """The (H, 1, length + 1) scores of the (H, 1, head_dim) query heads
@@ -893,13 +895,10 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: P
             if k_s.shape[0] != len(positions):
                 raise UsageError(f"a forward onto a cache takes one sequence, got "
                                  f"{k_s.shape[0]} rows at {len(positions)} positions")
-            past = cache.length
             cache.append(li, k_s, v_s, k_rot, v_raw)
-            if not cfg.kv_codes:
-                lc, end = cache.layers[li], past + len(positions)
-                return lc.k_fp[:end], lc.v_fp[:end]
-            if past:
+            if cache.fold_k and cache.length and len(positions) == 1:
                 return lambda q: cache.read_raw(li, q, k_rot, v_raw)
+            return cache.rows(li, k_rot, v_raw)
         return k_rot, v_raw
 
     return kv_fn

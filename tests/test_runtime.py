@@ -389,7 +389,7 @@ class TestCache:
         def logits(fill: bool) -> np.ndarray:
             cache = PoqKvCache(m.config, m.blocks)
             if fill:
-                buffers = [cache.scratch] + ([cache.work] if cache.fold_k else [])
+                buffers = [cache.scratch] + ([cache.work] if m.config.kv_codes else [])
                 buffers += [a for lc in cache.layers for a in vars(lc).values()]
                 for a in buffers:
                     a[...] = np.nan if a.dtype.kind == "f" else -128
@@ -437,9 +437,9 @@ class TestNonFiniteScores:
                 with pytest.raises(NumericError, match="softmax_causal"):
                     forward()
         assert cache.length == 10
-        # block 0 takes the bound, block 1 is refused; a quantized cache's
-        # chunk read runs in PoqKvCache.read_raw, which never takes it
-        assert verdicts == [True, False] * (3 if mode == "fp" else 2)
+        # block 0 takes the bound, block 1 is refused: the 40-row chunk onto
+        # the cache, the 40-token prefill and the 40-token cache-path scoring
+        assert verdicts == [True, False] * 3
 
 
 class TestScoreBound:
