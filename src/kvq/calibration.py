@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, KvqError, NumericError
-from .model import Model, block_core, block_tensors, fp_kv_fn, require_unsmoothed
+from .model import (Model, block_core, block_tensors, check_token_ids, fp_kv_fn,
+                    require_unsmoothed)
 from .quantizers import (
     S_FLOOR,
     SmoothingParams,
@@ -360,6 +361,7 @@ def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) ->
     """
     require_unsmoothed(model, "calibrate")
     segments = sample_segments(corpus_ids, calib)
+    check_token_ids(corpus_ids, model.config.vocab_size, "the corpus")
     acts = collect_activations(model, segments)
     cfg = model.config
     blocks_trace = []

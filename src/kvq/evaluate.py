@@ -22,6 +22,7 @@ from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and dec
     block_core,
     block_tensors,
     cache_path_forward,
+    check_token_ids,
     decode_step,
     fp_kv_fn,
     generate,
@@ -186,6 +187,7 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
         raise DataFormatError(
             f"corpus has {len(corpus_ids)} tokens; need at least {seq_len + 1} to train"
         )
+    check_token_ids(corpus_ids, cfg.vocab_size, "the corpus")
     rng = np.random.default_rng(seed)
     # a window's start is drawn below len - seq_len - 1, so the last window
     # is never drawn; a corpus of exactly one window trains from start 0

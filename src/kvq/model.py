@@ -12,20 +12,22 @@ Quantization modes:
                        every linear-layer input (sensitivity harness only).
 
 A quantized cache (ModelConfig.kv_codes) stores pre-rotary smoothed K (and
-V) as codes, and a decode step maps neither back to raw space.  The cache
-runs the whole attention read over its codes (PoqKvCache.read_raw): the
-scaled query's scores, exp_causal, the values and the division by the row
-sums.  The keys' dequantization, un-smoothing and rotation are folded into
-the query: with U = cos * (q * s) - sin * (sigma(q) * s) over the past
-rows' rope tables, a segment of codes scores n * sum(U * codes) + m *
-sum(U), which the step computes without forming U or any past key
-(PoqKvCache._folded_k).  Its cost grows with the number of segments, hidden
-/ gcd(kv_group_size, head_dim), so only a cache of at most
-FOLD_MAX_SEGMENTS segments folds K.  The values' dequantization and
-un-smoothing are folded past the attention weights.  A chunk of more than
-one row onto a filled cache and every K read of a cache with more segments
-still build the rotated past keys (PoqKvCache._materialized_k), which is
-the fold's equivalence reference.
+V) as codes, and is read in one of two forms.  The fold: a one-row decode
+step onto a cache of at most FOLD_MAX_SEGMENTS segments maps neither past
+K nor V back to raw space, and the cache runs the whole attention read
+over its codes (PoqKvCache.read_raw): the scaled query's scores,
+exp_causal, the values and the division by the row sums.  The keys'
+dequantization, un-smoothing and rotation are folded into the query: with
+U = cos * (q * s) - sin * (sigma(q) * s) over the past rows' rope tables, a
+segment of codes scores n * sum(U * codes) + m * sum(U), which the step
+computes without forming U or any past key (PoqKvCache._folded_k).  The
+values' dequantization and un-smoothing are folded past the attention
+weights.  The fold's cost grows with the number of segments, hidden /
+gcd(kv_group_size, head_dim), hence the threshold.  Every other read, a
+chunk of more than one row onto a filled cache and a decode step onto a
+cache of more segments, takes the materialized rows (PoqKvCache.rows): the
+past codes dequantized and un-smoothed, K rotated, with the chunk's own
+rows last, which causal_attention attends over as it does prefill's.
 An fp cache (fp and weight_only) stores each chunk's K rows rotated, once,
 at append, and a read takes the stored rows, the chunk's included, as the
 arrays prefill attends over.  A cache plans its forwards
@@ -66,9 +68,9 @@ the runtime forward (prefill, decode_step, cache_path_forward) passes plain
 float32 arrays and records nothing.  Each caller hands block_core its
 weights and KV handler: model_forward block_arrays and _runtime_kv_fn
 (planned once per cache), training and calibration block_tensors (or the
-fake-quantized weights) and fp_kv_fn.  Onto a cache of codes with a past,
-the handler gives block_attention the cache's read (PoqKvCache.read_raw) in
-place of causal_attention's inputs.
+fake-quantized weights) and fp_kv_fn.  For a decode step onto a cache that
+folds, the handler gives block_attention the cache's read
+(PoqKvCache.read_raw) in place of causal_attention's inputs.
 
 block_core runs two halves.  The attention half, block_attention, is a
 function of its own (rms_norm, the q/k/v projections, rope, the KV handler,
@@ -90,13 +92,11 @@ only the projections' matmuls see more rows, which can move float32 sums
 Attention on arrays takes the query rows ATTN_BLOCK at a time, so a long
 chunk never holds its whole (heads, T, T) scores matrix and never scores the
 masked keys past a block's last row.  This covers prefill, cacheless
-scoring, cache_path_forward and every read of an fp cache.  Two cases stay
-one block per sequence, the whole matrix: the tape, whose backward keeps
-one probabilities buffer, and a quantized cache's read (read_raw), whose
-value fold overwrites the keys that later blocks would still need.  The
-blocked calls take the score bound when their shape pays for it
-(_bound_pays); the two whole-matrix cases and one-row reads run exp_causal,
-so calibration, training and decode keep its order.
+scoring, cache_path_forward and every cache read but the fold.  One case
+stays one block per sequence, the whole matrix: the tape, whose backward
+keeps one probabilities buffer.  The blocked calls take the score bound
+when their shape pays for it (_bound_pays); the tape, one-row reads and the
+fold run exp_causal, so calibration, training and decode keep its order.
 
 So a long chunk on arrays holds its (T, hidden) activations and the MLP's
 (T, intermediate) projections whole, but each of its largest transients
@@ -107,7 +107,8 @@ quantizers.ROW_BLOCK rows at a time.  q, and the keys when un-smoothing or
 a round trip made them a fresh array, are rotated in place; k_s itself is
 left whole for the append.  On the benchmark's served model (hidden 128,
 intermediate 344) an 896-token prefill peaks at 6.88 MB traced, in
-attention's last query block.
+attention's last query block, and a 300-row chunk onto a 600-row past at
+2.12 MB, at kv_group_size 32 and 2 alike.
 
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
@@ -331,14 +332,15 @@ class LayerCache:
             self.k_fp, self.v_fp = aligned_empty((t, c), count=2)
 
 
-# A decode step scores the past keys through the query (_folded_k) only on
-# a cache of at most this many segments.  The fold's two (past, hidden) x
-# (hidden, segments) products grow with the count, and the materialized read
-# does not.  On the default config (hidden 128, head_dim 32, one BLAS
-# thread, 2-vCPU Xeon VM) a decode step with the fold took 0.78-1.00x the
-# materialized read's time at 4, 8 and 16 segments (kv_group_size 32, 16, 8)
-# and 0.95-1.02x at 32, but 1.02-1.08x at 64 and 1.10-1.23x at 128, over
-# contexts 64 to 896.
+# A decode step reads the cache through the fold (PoqKvCache.read_raw) only
+# on a cache of at most this many segments; on others it attends over the
+# materialized rows (PoqKvCache.rows).  The fold's two (past, hidden) x
+# (hidden, segments) products grow with the count, and materializing does
+# not.  On the default config (hidden 128, head_dim 32, one BLAS thread,
+# 2-vCPU Xeon VM) a decode step with the K fold took 0.78-1.00x the time of
+# one with materialized keys at 4, 8 and 16 segments (kv_group_size 32, 16,
+# 8) and 0.95-1.02x at 32, but 1.02-1.08x at 64 and 1.10-1.23x at 128, over
+# contexts 64 to 896, with the values folded in both.
 FOLD_MAX_SEGMENTS = 32
 
 
@@ -405,8 +407,10 @@ class PoqKvCache:
     with, the setting of every forward onto it, and the cache plans those
     forwards with it (_plan_reads).  length counts the positions every layer
     holds; only model_forward advances it.  One (max_seq_len, hidden) float32
-    scratch buffer serves every layer's reads, and a cache whose decode steps
-    fold K holds a second one (work).
+    scratch buffer serves every layer's reads, and a quantized cache holds a
+    second one (work).  A quantized cache is read in two forms: the fold
+    (read_raw) for a decode step onto a cache that folds (fold_k), and the
+    materialized rows (rows) for every other read.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
@@ -427,8 +431,8 @@ class PoqKvCache:
         last user.  A cache of codes (cfg.kv_codes) adds the token spec and
         its channel spans (quantizers._spans, which append quantizes), each
         layer's smoothing, the config's read plan, built for this cache
-        (_config_read_plan) and, when decode steps fold K (fold_k), a work
-        buffer and each layer's K contraction matrix k_fold = [C; -C]: C =
+        (_config_read_plan), a work buffer and, when decode steps fold
+        (fold_k), each layer's K contraction matrix k_fold = [C; -C]: C =
         [segment ones * s | delta per head], or the segment ones without K
         smoothing.
         """
@@ -541,16 +545,18 @@ class PoqKvCache:
             return lc.k_fp[:end], lc.v_fp[:end]
         if not past:
             return k_cur, v_cur
-        out = self.scratch[:end], self.work[:end]
-        for x, codes, m, n, sp, cur in zip(out, (lc.k_codes, lc.v_codes), (lc.k_m, lc.v_m),
-                                           (lc.k_n, lc.v_n), self.kv_smoothing[li], (k_cur, v_cur)):
-            dequantize(QuantizedTensor("token", codes[:past], self.spec.bits, self.spec.group_size,
-                                       m=m[:past], n=n[:past]), out=x[:past])
+        k, v = self.scratch[:end], self.work[:end]
+        (sp_k, sp_v), spec = self.kv_smoothing[li], self.spec
+        for x, codes, m, n, sp, cur in ((k, lc.k_codes, lc.k_m, lc.k_n, sp_k, k_cur),
+                                        (v, lc.v_codes, lc.v_m, lc.v_n, sp_v, v_cur)):
+            qt = QuantizedTensor("token", codes[:past], spec.bits, spec.group_size,
+                                 m=m[:past], n=n[:past])
+            dequantize(qt, out=x[:past])
             if sp is not None:
                 apply_kv_smoothing(x[:past], sp, "to_raw", out=x[:past])
             x[past:] = cur
-        rope(out[0][:past], np.arange(past), cfg.rope_base, cfg.head_dim, out=out[0][:past])
-        return out
+        rope(k[:past], np.arange(past), cfg.rope_base, cfg.head_dim, out=k[:past])
+        return k, v
 
     def _folded_k(self, li: int, qh: np.ndarray, k_cur: np.ndarray) -> np.ndarray:
         """The (H, 1, length + 1) scores of the (H, 1, head_dim) query heads
@@ -834,10 +840,10 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     returns (k_all_rotated, v_all): raw-space attention inputs covering past
     + current tokens of each sequence, the chunk's rows last, so the causal
     mask follows from their row counts.  A third element, if returned, is
-    causal_attention's POQ diagonal.  Onto a cache of codes with a past it
-    returns instead the function of the rotated query that gives the
-    attention output (PoqKvCache.read_raw).  The runtime cache path and the
-    calibration fake-quant path both plug in through kv_fn, so the
+    causal_attention's POQ diagonal.  For a decode step onto a cache that
+    folds it returns instead the function of the rotated query that gives
+    the attention output (PoqKvCache.read_raw).  The runtime cache path and
+    the calibration fake-quant path both plug in through kv_fn, so the
     surrounding arithmetic is shared bit-for-bit.
     act_fn (arrays only) quantizes the input of every projection.
     """
@@ -879,10 +885,10 @@ def fp_kv_fn(cfg: ModelConfig):
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: PoqKvCache | None):
     """Un-smooth and rotate the chunk's keys (with POQ off over a cache of
     codes, their round trip) and append the chunk's rows to the cache.  Then
-    attention reads its past rows plus the chunk's: an fp cache's stored
-    rows, or over a cache of codes with a past, PoqKvCache.read_raw.  A
-    cache needs array inputs of one sequence; stacked sequences raise
-    UsageError."""
+    attention reads its past rows plus the chunk's: for a decode step onto a
+    cache that folds, the fold (PoqKvCache.read_raw), and otherwise the
+    cache's rows (PoqKvCache.rows).  A cache needs array inputs of one
+    sequence; stacked sequences raise UsageError."""
     spec = cfg.token_spec() if cfg.kv_codes and not cfg.poq else None
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
@@ -917,6 +923,19 @@ def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
     return kv_fn
 
 
+def check_token_ids(ids, vocab_size: int, what: str = "a forward's chunk") -> np.ndarray:
+    """ids as an int64 array.  UsageError if there are none, or for an id
+    outside [0, vocab_size), which the embedding gather would wrap or fail
+    on."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if not ids.size:
+        raise UsageError(f"{what} is empty; it needs at least one token id")
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        bad = ids[(ids < 0) | (ids >= vocab_size)].flat[0]
+        raise UsageError(f"{what} holds token id {bad}, outside [0, {vocab_size})")
+    return ids
+
+
 def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None = None) -> Tensor:
     """Forward over a token chunk on arrays; returns (T, vocab) logits.
 
@@ -925,6 +944,7 @@ def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None 
     (PoqKvCache.block_plan); without one it starts at position 0 and runs
     model.config over handlers built from it.
     """
+    token_ids = check_token_ids(token_ids, model.config.vocab_size)
     cfg = model.config if cache is None else cache.cfg
     if cfg.quant_mode not in MODES:
         raise KvqError(f"unknown quant_mode: {cfg.quant_mode!r}")
@@ -933,7 +953,6 @@ def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None 
                           for li, blk in enumerate(model.blocks)]
     else:
         start, plan = cache.length, cache.block_plan
-    token_ids = np.asarray(token_ids, dtype=np.int64)
     act_fn = _act_quant_fn(cfg) if cfg.quant_mode == "weight_activation" else None
     positions = np.arange(start, start + len(token_ids))
     x = model.embed[token_ids]
@@ -962,6 +981,7 @@ def cache_path_forward(model: Model, token_ids: np.ndarray) -> Tensor:
     cfg = model.config
     if not (cfg.kv_codes and cfg.poq):
         return model_forward(model, token_ids)
+    token_ids = check_token_ids(token_ids, cfg.vocab_size)
     positions = np.arange(len(token_ids))
     x = model.embed[token_ids]
     for blk in model.blocks:

@@ -257,10 +257,10 @@ def exp_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
     subtracted and the exponentials are taken in place, so masked entries
     come out exactly zero.  Leading axes (heads) share the mask.  The
     runtime attention divides its P . V product by the sums (model.
-    causal_attention, and PoqKvCache.read_raw over a cache of codes) on
-    every call whose scores it has not bounded below model.SCORE_LIMIT, so
-    each runtime path either checks its scores here or has proved them
-    finite.  softmax_causal divides the scores
+    causal_attention, and the fold of a decode step over a cache of codes,
+    PoqKvCache.read_raw) on every call whose scores it has not bounded
+    below model.SCORE_LIMIT, so each runtime path either checks its scores
+    here or has proved them finite.  softmax_causal divides the scores
     themselves.
     """
     _check_finite("softmax_causal", scores)

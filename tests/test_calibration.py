@@ -388,6 +388,15 @@ class TestSegments:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert len(a) == 5 and all(len(s) == 16 for s in a)
 
+    @pytest.mark.parametrize("bad", [-1, 258])
+    def test_corpus_id_outside_vocabulary_rejected(self, bad):
+        m = Model.random(tiny_config(), seed=0)
+        corpus = word_corpus(0, 50)
+        corpus[-1] = bad
+        with pytest.raises(UsageError, match=f"the corpus holds token id {bad}, outside"):
+            calibrate_model(m, corpus, CalibConfig(epochs=0, segments=2, seg_len=16))
+        assert m.config.quant_mode == "fp" and all(blk.k.smoothing is None for blk in m.blocks)
+
     def test_short_corpus_rejected(self):
         with pytest.raises(DataFormatError):
             sample_segments(np.arange(8), CalibConfig(seg_len=16))

@@ -7,12 +7,13 @@ import textwrap
 import numpy as np
 import pytest
 
-from conftest import WORDS
+from conftest import WORDS, tiny_config
 from kvq.analyzer import ARCH_PRESETS, DeployConfig, estimate_decode_time, estimate_memory
 from kvq.calibration import CalibConfig, calibrate_model
-from kvq.checkpoint import load_model, read_container, write_container
+from kvq.checkpoint import load_model, read_container, save_model, write_container
 from kvq.cli import build_parser, main
 from kvq.evaluate import load_corpus
+from kvq.model import Model
 
 FIT_ARGS = [
     "--layers", "2", "--hidden", "32", "--heads", "2", "--intermediate", "48",
@@ -568,6 +569,14 @@ class TestGenerate:
         argv = ["generate", "--model", str(workdir / "model.kvq"),
                 "--prompt", "fox ", "--n-new", "6"]
         assert run(capsys, argv)[1] == run(capsys, argv)[1]
+
+    def test_prompt_outside_vocabulary_is_usage_error(self, tmp_path, capsys):
+        # a model of 100 ids embeds neither BOS (256) nor the byte of "z" (122)
+        path = tmp_path / "small.kvq"
+        save_model(Model.random(tiny_config(vocab_size=100)), str(path))
+        rc, _, err = run(capsys, ["generate", "--model", str(path), "--prompt", "z",
+                                  "--n-new", "2"])
+        assert rc == 2 and "holds token id 256, outside [0, 100)" in err
 
     def test_setting_comes_from_mode_flag_or_checkpoint(self, workdir, capsys, monkeypatch):
         import kvq.model

@@ -206,6 +206,16 @@ class TestTraining:
             for name, lin in b1.projections().items():
                 assert np.array_equal(lin.w, b2.projections()[name].w), name
 
+    @pytest.mark.parametrize("bad", [-1, 258, 10**6])
+    def test_corpus_id_outside_vocabulary_rejected(self, bad):
+        m = Model.random(tiny_config(), seed=0)
+        corpus = word_corpus(0, 50)
+        corpus[17] = bad
+        embed = m.embed.copy()
+        with pytest.raises(UsageError, match=f"the corpus holds token id {bad}, outside"):
+            train_model(m, corpus, steps=1, batch=1, seq_len=8)
+        assert np.array_equal(m.embed, embed)
+
     def test_corpus_too_short_rejected(self):
         m = Model.random(tiny_config(), seed=0)
         with pytest.raises(DataFormatError):

@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import inspect
+import math
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -409,6 +410,38 @@ class TestCache:
         assert cache.kv_bytes() == 2 * b8
 
 
+class TestTokenIds:
+    """A forward refuses an empty chunk and any token id outside [0,
+    vocab_size) with UsageError (the CLI's exit 2), before it appends
+    anything: unchecked, an id of -1 read the embedding's last row, one of
+    vocab_size or more raised a bare IndexError, and an empty chunk failed
+    inside attention."""
+
+    @pytest.mark.parametrize("mode", ["fp", "weight_kv"])
+    def test_bad_chunks_refused(self, mode):
+        m = quantized(make_model(), mode)
+        v = m.config.vocab_size
+        _, cache = prefill(m, IDS[:4])
+        for bad in ([-1], [3, v], [v + 741], [2, -5, 7]):
+            for forward in (lambda: prefill(m, bad), lambda: model_forward(m, bad, cache=cache),
+                            lambda: model_forward(m, bad), lambda: generate(m, bad, 2),
+                            lambda: score_logits(m, bad, use_cache=True),
+                            lambda: kvq.evaluate.perplexity(m, [1, *bad], use_cache=True)):
+                with pytest.raises(UsageError, match=r"holds token id -?\d+, outside \[0, 258\)"):
+                    forward()
+        for tok in (-1, v, 999):
+            with pytest.raises(UsageError, match=f"token id {tok}, outside"):
+                decode_step(m, tok, cache)
+        for forward in (lambda: prefill(m, []), lambda: model_forward(m, [], cache=cache),
+                        lambda: score_logits(m, [], use_cache=True), lambda: score_logits(m, [])):
+            with pytest.raises(UsageError, match="chunk is empty"):
+                forward()
+        assert cache.length == 4
+        # the last and first ids of the vocabulary are read
+        assert decode_step(m, v - 1, cache).shape == (1, v) and cache.length == 5
+        assert prefill(m, [0])[1].length == 1
+
+
 class TestNonFiniteScores:
     """Finite q and k of about 1e20 per channel make scores that overflow to
     +-inf in the array path's products; the finite check on the scores
@@ -505,9 +538,9 @@ class TestFoldedCacheRead:
     @pytest.mark.parametrize("smooth", [False, True])
     @pytest.mark.parametrize("group, head_dim, n_heads", LAYOUTS)
     def test_fold_matches_materialized_read(self, monkeypatch, group, head_dim, n_heads, smooth):
-        # decode steps onto a past of about 300 rows score the codes through
-        # the query (_folded_k), whatever the segment count; the reference
-        # materializes every past key
+        # decode steps onto a past of about 300 rows read the codes through
+        # the fold (read_raw), whatever the segment count; the reference
+        # attends over the materialized rows (rows) in causal_attention
         base = make_model(seed=4, n_heads=n_heads, head_dim=head_dim, max_seq_len=320,
                           hidden_size=n_heads * head_dim, kv_group_size=group)
         spread_kv_channels(base, 2.0, seed=4)
@@ -537,23 +570,42 @@ class TestFoldedCacheRead:
         assert not PoqKvCache(m.config, m.blocks).fold_k
 
     def test_prefill_and_cache_scoring_unchanged(self, monkeypatch):
-        # neither reads a cache one row at a time, so the fold never runs;
-        # the chunk's 100 rows attend as one block, against the float64
-        # model within 1e-6 (measured 1.3e-7, logits up to 0.48)
-        m = quantized(smoothed(make_model(seed=5, max_seq_len=320)))
-        ids = np.random.default_rng(5).integers(0, m.config.vocab_size, 300)
+        # for each layout and a 64-segment one (kv_group_size 2, hidden 128),
+        # smoothing and POQ on and off: a 200-token prefill and a 100-row
+        # chunk onto the filled cache, whose past rows are materialized and
+        # attend in causal_attention, and on the 64-segment cache, which does
+        # not fold, 4 one-row steps read the same way.  All against the
+        # float64 model within 1e-6 (measured 5.0e-7, logits up to 1.06).
+        # None of them reads the fold, so with FOLD_MAX_SEGMENTS 0 prefill,
+        # the chunk and cache-path scoring are bit-identical
+        ids = np.random.default_rng(5).integers(0, 250, 304)
+        for group, head_dim, n_heads in self.LAYOUTS + [(2, 32, 4)]:
+            base = make_model(seed=5, n_heads=n_heads, head_dim=head_dim, max_seq_len=320,
+                              hidden_size=n_heads * head_dim, kv_group_size=group)
+            spread_kv_channels(base, 2.0, seed=5)
+            segments = n_heads * head_dim // math.gcd(group, head_dim)
+            steps = 4 if segments > kvq.model.FOLD_MAX_SEGMENTS else 0
+            for m in (quantized(base), quantized(smoothed(base))):
+                for poq in (True, False):
+                    m.config.poq = poq
 
-        def outputs():
-            logits, cache = prefill(m, ids[:200])
-            chunk = model_forward(m, ids[200:], cache=cache).data
-            return logits.data, chunk, score_logits(m, ids, use_cache=True), cache
+                    def outputs():
+                        logits, cache = prefill(m, ids[:200])
+                        rows = [logits.data, model_forward(m, ids[200:300], cache=cache).data]
+                        rows += [decode_step(m, int(tok), cache).data
+                                 for tok in ids[300 : 300 + steps]]
+                        return rows, score_logits(m, ids[:300], use_cache=True), cache
 
-        *got, cache = outputs()
-        want = reference.model_logits(m, ids, [200, 100], cache)
-        assert np.abs(np.concatenate(got[:2]) - want).max() <= 1e-6
-        monkeypatch.setattr(kvq.model, "FOLD_MAX_SEGMENTS", 0)
-        for a, b in zip(got, outputs()):
-            assert np.array_equal(a, b)
+                    got, scored, cache = outputs()
+                    assert cache.fold_k == (steps == 0)
+                    want = reference.model_logits(m, ids[: 300 + steps],
+                                                  [200, 100] + [1] * steps, cache)
+                    assert np.abs(np.concatenate(got) - want).max() <= 1e-6, (group, poq)
+                    monkeypatch.setattr(kvq.model, "FOLD_MAX_SEGMENTS", 0)
+                    again, scored_again, _ = outputs()
+                    monkeypatch.undo()
+                    assert np.array_equal(np.concatenate(got[:2]), np.concatenate(again[:2]))
+                    assert np.array_equal(scored, scored_again)
 
     def test_runtime_records_no_tape_ops(self, monkeypatch):
         calls = []
@@ -723,6 +775,34 @@ class TestPrefillMemory:
         v_ones = np.empty((h, t, d + 1), dtype=np.float32).nbytes
         scaled_query = q.nbytes
         assert peak <= out.nbytes + scaled_query + v_ones + block + block // 4
+
+    @pytest.mark.parametrize("group", [32, 2])
+    def test_chunk_onto_quantized_past_holds_one_score_block(self, group):
+        # a 300-row chunk onto a 600-row weight_kv past, default config at
+        # kv_group_size 32 (the served layout, 4 segments) and 2 (64): the
+        # past rows are materialized in the cache's buffers and attend in
+        # causal_attention, one query block at a time.  The traced peak is
+        # at most the chunk's input, query, scaled query and output, the
+        # values with their column of ones, one (H, ATTN_BLOCK, S) score
+        # block and a quarter block: 2.12 MB against 2.24 MB in both
+        # layouts.  A read that builds the whole (H, T, S) scores, with a
+        # (T, past) copy of them per segment, peaked at 8.61 and 97.4 MB
+        cfg = ModelConfig(quant_mode="weight_kv", max_seq_len=1024, kv_group_size=group)
+        m = Model.random(cfg, seed=1)
+        ids = np.random.default_rng(1).integers(0, cfg.vocab_size, 900)
+        _, cache = prefill(m, ids[:600])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model_forward(m, ids[600:], cache=cache)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        h, d, t, s = cfg.n_heads, cfg.head_dim, 300, 900
+        rows = np.empty((t, cfg.hidden_size), dtype=np.float32).nbytes
+        v_ones = np.empty((h, s, d + 1), dtype=np.float32).nbytes
+        block = np.empty((h, ATTN_BLOCK, s), dtype=np.float32).nbytes
+        assert peak <= 4 * rows + v_ones + block + block // 4
 
 
 class TestFoldsAgainstReference:

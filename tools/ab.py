@@ -1,0 +1,198 @@
+"""In-process A/B timing of two kvq trees, with an A/A control.
+
+    python tools/ab.py TREE_A TREE_B [--rounds N] [--kv-group-size G]
+                       [--workloads NAME,...] [--tiny]
+
+Each tree is a checkout whose src/kvq is imported under its own package
+name (kvq_a, kvq_b, and kvq_a2, a second import of TREE_A for the control),
+after every BLAS thread variable is set to 1, before numpy loads.  Each
+import builds the same served model from the same seeds: a random model of
+the default config (max_seq_len 1024), its K/V channels spread, then W4
+weights with every block's K/V smoothing initialised from the activation
+statistics of 256 tokens (calibration's init, untrained), in weight_kv.
+
+Workloads, each timed per call:
+
+    decode_384, decode_896  16 decode steps after a prefill of that context
+    prefill_896             one 896-token prefill
+    score_192               192-token cache-path scoring (score_logits)
+    chunk_300_on_600        a 300-row chunk onto a 600-row prefilled cache
+    calibrate               calibrate_model (k 2, 1 epoch, 4 x 64 tokens)
+
+A round runs each import once per workload, in an order that rotates from
+round to round.  Per workload one JSON line is printed:
+
+    b_over_a  B's time over A's per round: median, quartiles and wins (B
+              faster)
+    a2_over_a the same for the second import of A, the control: its spread
+              is the noise a B/A ratio must exceed
+    sha256    of each import's outputs (logits, or the calibration report
+              and weights), from the first, untimed call
+    identical whether A's and B's hashes are equal
+
+--tiny runs small sizes for a smoke test; its times mean nothing.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("KVQ_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import copy
+import gc
+import hashlib
+import importlib.util
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+FULL = dict(config={"max_seq_len": 1024}, decode=(384, 896), steps=16, prefill=896, score=192,
+            chunk=(600, 300), calib=dict(k=2, epochs=1, segments=4, seg_len=64), corpus=4096)
+TINY = dict(config=dict(n_layers=2, hidden_size=32, n_heads=2, head_dim=16,
+                        intermediate_size=48, max_seq_len=64, weight_group_size=16),
+            decode=(16, 40), steps=4, prefill=48, score=16, chunk=(30, 20),
+            calib=dict(k=2, epochs=1, segments=2, seg_len=16), corpus=256)
+
+
+def load_tree(root: Path, name: str):
+    """Import root/src/kvq as the package name."""
+    src = root / "src" / "kvq"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Tree:
+    """One import of kvq and the models it builds from the shared seeds."""
+
+    def __init__(self, kvq, sizes: dict, kv_group_size: int):
+        self.kvq = kvq
+        cfg = kvq.ModelConfig(**sizes["config"], kv_group_size=kv_group_size)
+        rng = np.random.default_rng(0)
+        self.ids = rng.integers(0, 256, cfg.max_seq_len)
+        self.corpus = rng.integers(0, 256, sizes["corpus"])
+        self.calib = kvq.CalibConfig(**sizes["calib"], seed=0)
+        self.fp = kvq.Model.random(cfg, seed=1)
+        kvq.model.spread_kv_channels(self.fp, seed=1)
+        # W4 weights and the statistics-initialised K/V smoothing of every block
+        self.served = copy.deepcopy(self.fp)
+        calibration = kvq.calibration
+        acts = calibration.collect_activations(self.fp, [self.corpus[: cfg.max_seq_len // 4]])[0]
+        for i in range(cfg.n_layers):
+            trainables = calibration.init_trainables(self.fp, i, [acts[i]])
+            calibration.freeze_block(self.served, i, trainables)
+        self.served.config.quant_mode = "weight_kv"
+
+
+def workloads(sizes: dict) -> dict:
+    """name -> fn(tree) returning (seconds, outputs)."""
+
+    def decode(ctx):
+        def run(tr: Tree):
+            kvq = tr.kvq
+            logits, cache = kvq.prefill(tr.served, tr.ids[:ctx])
+            outs, nxt = [logits.data], int(np.argmax(logits.data[-1]))
+            start = time.perf_counter()
+            for _ in range(sizes["steps"]):
+                outs.append(kvq.decode_step(tr.served, nxt, cache).data)
+                nxt = int(np.argmax(outs[-1][-1]))
+            return time.perf_counter() - start, outs
+        return run
+
+    def timed(fn):
+        start = time.perf_counter()
+        out = fn()
+        return time.perf_counter() - start, out
+
+    def prefill(tr: Tree):
+        t, (logits, _) = timed(lambda: tr.kvq.prefill(tr.served, tr.ids[: sizes["prefill"]]))
+        return t, [logits.data]
+
+    def score(tr: Tree):
+        ids = tr.ids[: sizes["score"]]
+        t, logits = timed(lambda: tr.kvq.evaluate.score_logits(tr.served, ids, use_cache=True))
+        return t, [logits]
+
+    def chunk(tr: Tree):
+        past, rows = sizes["chunk"]
+        first, cache = tr.kvq.prefill(tr.served, tr.ids[:past])
+        chunk_ids = tr.ids[past : past + rows]
+        t, logits = timed(lambda: tr.kvq.model_forward(tr.served, chunk_ids, cache=cache))
+        return t, [first.data, logits.data]
+
+    def calibrate(tr: Tree):
+        model = copy.deepcopy(tr.fp)
+        t, report = timed(lambda: tr.kvq.calibrate_model(model, tr.corpus, tr.calib))
+        report_bytes = np.frombuffer(json.dumps(report, sort_keys=True).encode(), np.uint8)
+        weights = [lin.w for blk in model.blocks for lin in blk.projections().values()]
+        return t, [report_bytes, *weights]
+
+    (short, long), (past, rows) = sizes["decode"], sizes["chunk"]
+    return {f"decode_{short}": decode(short), f"decode_{long}": decode(long),
+            f"prefill_{sizes['prefill']}": prefill, f"score_{sizes['score']}": score,
+            f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate}
+
+
+def digest(outputs) -> str:
+    h = hashlib.sha256()
+    for a in outputs:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def ratio_summary(num: list, den: list) -> dict:
+    r = np.asarray(num) / np.asarray(den)
+    q1, med, q3 = np.percentile(r, [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3), "wins": int(np.sum(r < 1))}
+
+
+def compare(trees: dict, name: str, fn, rounds: int) -> dict:
+    keys = list(trees)
+    hashes = {k: digest(fn(trees[k])[1]) for k in keys}  # the first call also warms up
+    times = {k: [] for k in keys}
+    for r in range(rounds):
+        for k in keys[r % len(keys):] + keys[: r % len(keys)]:
+            gc.collect()
+            times[k].append(fn(trees[k])[0])
+    return {"workload": name, "rounds": rounds,
+            "a_ms_median": 1e3 * float(np.median(times["a"])),
+            "b_ms_median": 1e3 * float(np.median(times["b"])),
+            "b_over_a": ratio_summary(times["b"], times["a"]),
+            "a2_over_a": ratio_summary(times["a2"], times["a"]),
+            "sha256": hashes, "identical": hashes["a"] == hashes["b"]}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("tree_a", type=Path)
+    ap.add_argument("tree_b", type=Path)
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--kv-group-size", type=int, default=32)
+    ap.add_argument("--workloads", default="", help="comma-separated names (default: all)")
+    ap.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
+    args = ap.parse_args(argv)
+    sizes = TINY if args.tiny else FULL
+    fns = workloads(sizes)
+    chosen = args.workloads.split(",") if args.workloads else list(fns)
+    unknown = sorted(set(chosen) - set(fns))
+    if unknown:
+        ap.error(f"unknown workloads {unknown}; choose from {sorted(fns)}")
+    trees = {key: Tree(load_tree(root.resolve(), f"kvq_{key}"), sizes, args.kv_group_size)
+             for key, root in (("a", args.tree_a), ("b", args.tree_b), ("a2", args.tree_a))}
+    for name in chosen:
+        print(json.dumps(compare(trees, name, fns[name], args.rounds)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
