@@ -28,7 +28,7 @@ segment, on the tape, in segment order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .tensor import Tensor, linear, rms_norm, rope
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibConfig:
     k: int = 5
     epochs: int = 5
@@ -370,7 +370,7 @@ def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) ->
         x_segs = [xs[i] for xs in acts]
         ref_segs = [xs[i + k_eff] for xs in acts]
         blocks_trace.append(calibrate_block(model, i, calib, x_segs, ref_segs))
-    model.config.quant_mode = "weight_kv"
+    model.config = replace(cfg, quant_mode="weight_kv")
     finals = [b["final_loss"] for b in blocks_trace]
     inits = [b["initial_loss"] for b in blocks_trace]
     ratios = [f / ini for f, ini in zip(finals, inits) if ini and np.isfinite(ini) and ini > 0]

@@ -1,16 +1,27 @@
 """Binary checkpoint container: magic "KVQ1", an 8-byte little-endian header
-length, a JSON header (config + tensor table + quantization metadata), then a
-64-byte-aligned little-endian tensor payload.
+length, a JSON header, then a 64-byte-aligned little-endian tensor payload.
 
-A single container carries both fp and quantized models; quant_mode and any
-learned parameters (weight codes and scales, smoothing) live in the header's
-metadata plus named payload tensors.  A quantized projection is stored as its
-codes and (h, z) only; loading rebuilds its weights as dequantize(codes),
-bit-identical to the saved model's.  Files written when calibration still
-learned weight clipping may carry per-projection .gamma/.beta tensors; they
-load, and those tensors are not read.
+The header holds the model's config (every ModelConfig field), the
+caller's meta (save_model adds nothing to it and load_model reads none of
+it) and the tensor table (each tensor's dtype, shape, offset and nbytes).
+The config is the one record of the model's setting: quant_mode, and the
+weight bits and group size every projection's codes are read at.
 
-A projection's b-bit codes (b = 2..8, its meta "bits") are one uint8 stream
+A single container carries both fp and quantized models.  save_model
+stores a projection as its codes and (h, z) when its codes are of the
+config's (weight_bits, weight_group_size), and otherwise as its w (an
+unquantized projection's weights, or the dequantization of codes of another
+setting, bit for bit).  load_model reads a projection from codes when the
+config's weight_bits are below 16 and its .wq.codes is stored, rebuilding
+its weights as dequantize(codes), bit-identical to the saved model's;
+otherwise it reads .w.  A projection is smoothed when its .smooth.s or
+.smooth.delta is stored, and then both must be.  Every smoothing a Linear
+carries is folded into its w and b.  Unknown tensors and meta keys are
+ignored: files written when calibration still learned weight clipping carry
+per-projection .gamma/.beta tensors, and files written before the config
+was the one record carry a meta "quant" entry; both load.
+
+A projection's b-bit codes (b = weight_bits, 2..8) are one uint8 stream
 of ceil(C_in * C_out / 8) * b bytes (pack_codes): code i of the row-major
 (C_in, C_out) matrix holds bits i * b .. i * b + b - 1 of the stream, counted
 from the low bit of byte 0, so every 8 codes fill b bytes and the last group
@@ -21,20 +32,18 @@ store them, fails the shape check.
 A malformed file raises DataFormatError naming the first fault found: a
 header, config, meta or tensor table that is not a JSON object, a table
 entry that is not one or lacks a field, a table entry whose dtype, shape,
-offset or nbytes cannot describe its bytes, a
-tensor past the end of the file or overlapping another, a tensor that
-the config's layout needs and that is missing or has another shape, weight
-codes that are not uint8, a float tensor that is not float32, a quant,
-projection or smoothing meta
-entry that is not a JSON object, a projection whose weight bits are not an
-integer in 2..8, whose group size is not a positive integer or whose
-smoothing "absorbed" is not true, a float tensor that holds a value that is
-not finite (checked once, as it is read), or a smoothing scale below
-S_FLOOR.  So does a config that ModelConfig refuses: an unknown field, a
-layer, head, size, length or group-size field that is not an integer >= 1
-(vocab_size >= 2), an odd head_dim, a rope_base that is not finite and
-positive, a poq that is not true or false, or a kv or weight bit width
-that is not an integer in 2..8 or at least 16.
+offset or nbytes cannot describe its bytes, a tensor past the end of the
+file or overlapping another, a tensor that the config's layout needs and
+that is missing or has another shape (a codes stream of another width, h
+and z of another group count, a .w the config needs in place of codes, the
+other half of a smoothing), weight codes that are not uint8, a float tensor
+that is not float32, a float tensor that holds a value that is not finite
+(checked once, as it is read), or a smoothing scale below S_FLOOR.  So does
+a config that ModelConfig refuses: an unknown field, a layer, head, size,
+length or group-size field that is not an integer >= 1 (vocab_size >= 2),
+an odd head_dim, a rope_base that is not finite and positive, a poq that is
+not true or false, or a kv or weight bit width that is not an integer in
+2..8 or at least 16.
 """
 
 from __future__ import annotations
@@ -230,49 +239,33 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
         "head.w": model.head.w,
         "head.b": model.head.b,
     }
-    quant_meta: dict = {"projections": {}}
     for li, blk in enumerate(model.blocks):
         tensors[f"blocks.{li}.attn_norm"] = blk.attn_norm
         tensors[f"blocks.{li}.mlp_norm"] = blk.mlp_norm
         for name, lin in blk.projections().items():
             base = f"blocks.{li}.{name}"
             tensors[f"{base}.b"] = lin.b
-            if lin.wq is None:
+            # codes are read at the config's width and groups, so codes of
+            # another setting are stored as their dequantization, w
+            if lin.wq is None or (lin.wq.bits, lin.wq.group_size) != (cfg.weight_bits,
+                                                                      cfg.weight_group_size):
                 tensors[f"{base}.w"] = lin.w
             else:
                 tensors[f"{base}.wq.codes"] = pack_codes(lin.wq.codes, lin.wq.bits)
                 tensors[f"{base}.wq.h"] = lin.wq.h
                 tensors[f"{base}.wq.z"] = lin.wq.z
-                quant_meta["projections"][base] = {
-                    "bits": lin.wq.bits,
-                    "group_size": lin.wq.group_size,
-                }
             if lin.smoothing is not None:
                 tensors[f"{base}.smooth.s"] = lin.smoothing.s
                 tensors[f"{base}.smooth.delta"] = lin.smoothing.delta
-                # every smoothing a Linear carries is folded into its w and b
-                quant_meta.setdefault("smoothing", {})[base] = {"absorbed": True}
-    full_meta = dict(meta or {})
-    full_meta["quant"] = quant_meta
-    write_container(path, asdict(cfg), full_meta, tensors)
+    write_container(path, asdict(cfg), meta or {}, tensors)
 
 
 def load_model(path: str) -> Model:
-    config, meta, tensors = read_container(path)
+    config, _, tensors = read_container(path)
     try:
         cfg = ModelConfig(**config)
     except (TypeError, KvqError) as e:
         raise DataFormatError(f"bad config in header: {e}") from e
-
-    def table(within: dict, key: str, what: str) -> dict:
-        value = within.get(key, {})
-        if not isinstance(value, dict):
-            raise DataFormatError(f"{what} is a JSON {type(value).__name__}, not an object")
-        return value
-
-    quant_meta = table(meta, "quant", "meta 'quant'")
-    projections = table(quant_meta, "projections", "meta 'quant.projections'")
-    smoothing_meta = table(quant_meta, "smoothing", "meta 'quant.smoothing'")
 
     def get(name: str, *shape: int, dtype=np.float32) -> np.ndarray:
         if name not in tensors:
@@ -288,16 +281,11 @@ def load_model(path: str) -> Model:
             raise DataFormatError(f"tensor {name!r} holds a value that is not finite")
         return found
 
+    bits, gs = cfg.weight_bits, cfg.weight_group_size
+
     def lin(base: str, cin: int, cout: int) -> Linear:
-        pq = table(projections, base, f"projection {base!r}'s quant entry")
         wq = None
-        if base in projections:
-            gs, bits = pq.get("group_size"), pq.get("bits")
-            if not _is_count(gs) or gs < 1:
-                raise DataFormatError(f"projection {base!r} has weight group size {gs!r}")
-            if not _is_count(bits) or not 2 <= bits <= 8:
-                raise DataFormatError(f"projection {base!r} has weight bits {bits!r}: "
-                                      f"they must be an integer in 2..8")
+        if bits < 16 and f"{base}.wq.codes" in tensors:
             groups = -(-cin // gs)
             wq = QuantizedTensor(
                 kind="weight",
@@ -310,12 +298,8 @@ def load_model(path: str) -> Model:
             )
         w = get(f"{base}.w", cin, cout) if wq is None else dequantize(wq)
         b = get(f"{base}.b", 1, cout)
-        sm = table(smoothing_meta, base, f"projection {base!r}'s smoothing entry")
         smoothing = None
-        if base in smoothing_meta:
-            if sm.get("absorbed") is not True:
-                raise DataFormatError(f"projection {base!r} has smoothing absorbed "
-                                      f"{sm.get('absorbed')!r}: it must be true")
+        if f"{base}.smooth.s" in tensors or f"{base}.smooth.delta" in tensors:
             s = get(f"{base}.smooth.s", cout)
             if s.min() < S_FLOOR:
                 raise DataFormatError(f"tensor {base + '.smooth.s'!r} has a scale below {S_FLOOR}")

@@ -85,7 +85,7 @@ def cmd_fit(args) -> int:
     )
     model = Model.random(cfg, seed=args.seed)
     report = {"config": {"n_layers": cfg.n_layers, "hidden_size": cfg.hidden_size}}
-    if args.steps > 0:
+    if args.steps:  # train_model refuses a negative count
         ids = load_corpus(args.corpus)
         report["train"] = train_model(
             model, ids, steps=args.steps, batch=args.batch,
@@ -139,7 +139,7 @@ def cmd_eval(args) -> int:
 
     model = load_model(args.model)
     if args.mode:
-        model.config.quant_mode = args.mode
+        model.config = dataclasses.replace(model.config, quant_mode=args.mode)
     ids = _eval_slice(load_corpus(args.corpus), args.max_tokens)
     fp_model = load_model(args.fp_model) if args.fp_model else None
     report = eval_report(model, ids, use_cache=args.use_cache, fp_model=fp_model)
@@ -194,16 +194,15 @@ def _run_variant(model, ids, eval_ids, features: set[str], calib) -> dict:
     from .model import quantize_model_weights
 
     m = copy.deepcopy(model)
-    if "2dq-token" not in features:
-        m.config.kv_bits = 16
+    # calibration reads only kv_bits of these three fields
+    m.config = dataclasses.replace(m.config, quant_mode="weight_kv", poq="poq" in features,
+                                   kv_bits=m.config.kv_bits if "2dq-token" in features else 16)
     mean_final_loss = None
     if "2dq-channel" in features:
         report = calibrate_model(m, ids, calib)
         mean_final_loss = float(np.mean([b["final_loss"] for b in report["blocks"]]))
     else:
         quantize_model_weights(m)
-        m.config.quant_mode = "weight_kv"
-    m.config.poq = "poq" in features
     ppl = perplexity(m, eval_ids, use_cache=True)
     return {
         "features": sorted(features),
@@ -246,9 +245,13 @@ def cmd_sweep_k(args) -> int:
     from .checkpoint import load_model
     from .evaluate import load_corpus
 
+    try:
+        k_values = [int(v) for v in args.k_values.split(",")]
+    except ValueError:
+        raise UsageError(f"--k-values must be comma-separated integers, "
+                         f"got {args.k_values!r}") from None
     calib = _calib_config(args)
     model = load_model(args.model)
-    k_values = [int(v) for v in args.k_values.split(",") if v]
     for k in k_values:
         if not 1 <= k <= model.config.n_layers:
             raise UsageError(f"k must be in 1..{model.config.n_layers}, got {k}")
@@ -270,7 +273,7 @@ def cmd_generate(args) -> int:
 
     model = load_model(args.model)
     if args.mode:
-        model.config.quant_mode = args.mode
+        model.config = dataclasses.replace(model.config, quant_mode=args.mode)
     prompt = encode_bytes(args.prompt.encode("utf-8"))
     out = generate(model, prompt, args.n_new)
     new = out[len(prompt):]

@@ -13,6 +13,8 @@ token and is not scored.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapacityError, DataFormatError, KvqError
@@ -177,9 +179,15 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
     keeps one copy of the weights, and the caller's original arrays are never
     written (they are freed unless the caller holds them).  A step's
     gradients are dropped before the next forward.  If a step raises, the
-    model keeps the arrays of the last completed step."""
+    model keeps the arrays of the last completed step.  steps < 0, batch or
+    seq_len < 1, and an lr that is not finite and positive raise KvqError."""
     from .calibration import AdamW
 
+    if steps < 0 or batch < 1 or seq_len < 1:
+        raise KvqError(f"need steps >= 0, batch >= 1, seq_len >= 1; got {steps}, {batch}, "
+                       f"{seq_len}")
+    if not 0 < lr < math.inf:
+        raise KvqError(f"lr must be a finite positive number, got {lr}")
     require_unsmoothed(model, "train_model")
     cfg = model.config
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)

@@ -41,10 +41,14 @@ vector loops run the fold's elementwise passes in about half the time, and
 without a fill: append writes a chunk's rows before any read, and a read
 writes the scratch and work rows it then reads.
 
-Setting: a forward without a cache runs model.config.  A cache keeps a copy
-of the config it was built with (PoqKvCache.cfg) and runs the blocks it was
-built with, so a decode step runs the setting of its cache whatever
-model.config says by then.
+Setting: a ModelConfig is frozen, so it is checked once, when it is made,
+and no config changes after its checks.  A library user changes a model's
+setting by giving it a new config, model.config =
+dataclasses.replace(model.config, ...), which runs the checks again.  A
+forward without a cache runs model.config.  A cache keeps the config it was
+built with (PoqKvCache.cfg) and runs the blocks it was built with, so a
+decode step runs the setting of its cache whatever config the model holds
+by then.
 
 Cache protocol: PoqKvCache.length is the one record of how many positions
 the cache holds, and a forward over a chunk starts at that position.  Each
@@ -118,7 +122,6 @@ at most once (a second smoothing raises UsageError).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 import weakref
@@ -154,7 +157,7 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     n_layers: int = 4
     hidden_size: int = 128
@@ -403,18 +406,18 @@ class PoqKvCache:
 
     Quantized layout holds token codes of the smoothed pre-rotary projections
     plus per-(token, group) parameters; the fp layout holds raw-space arrays,
-    K rotated at append.  cfg is a copy of the config the cache was built
-    with, the setting of every forward onto it, and the cache plans those
-    forwards with it (_plan_reads).  length counts the positions every layer
-    holds; only model_forward advances it.  One (max_seq_len, hidden) float32
-    scratch buffer serves every layer's reads, and a quantized cache holds a
-    second one (work).  A quantized cache is read in two forms: the fold
+    K rotated at append.  cfg is the config the cache was built with, kept
+    as given (a ModelConfig cannot change), the setting of every forward
+    onto it, and the cache plans those forwards with it (_plan_reads).
+    length counts the positions every layer holds; only model_forward
+    advances it.  One (max_seq_len, hidden) float32 scratch buffer serves
+    every layer's reads, and a quantized cache holds a second one (work).  A quantized cache is read in two forms: the fold
     (read_raw) for a decode step onto a cache that folds (fold_k), and the
     materialized rows (rows) for every other read.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
-        self.cfg = cfg = dataclasses.replace(cfg)
+        self.cfg = cfg
         self.layers = [LayerCache(cfg) for _ in range(cfg.n_layers)]
         self.length = 0
         self.scratch = aligned_empty((cfg.max_seq_len, cfg.hidden_size))[0]
@@ -946,8 +949,6 @@ def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None 
     """
     token_ids = check_token_ids(token_ids, model.config.vocab_size)
     cfg = model.config if cache is None else cache.cfg
-    if cfg.quant_mode not in MODES:
-        raise KvqError(f"unknown quant_mode: {cfg.quant_mode!r}")
     if cache is None:
         start, plan = 0, [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, None))
                           for li, blk in enumerate(model.blocks)]

@@ -5,6 +5,7 @@ result line is written straight to the terminal (bypassing capture).
 """
 
 import copy
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -80,7 +81,7 @@ def seeds_suite():
         rep = calibrate_model(mq, corpus, CalibConfig(seed=seed, **CAL))
         mr = copy.deepcopy(fp)
         quantize_model_weights(mr)
-        mr.config.quant_mode = "weight_kv"
+        mr.config = dataclasses.replace(mr.config, quant_mode="weight_kv")
         init_ratios = [b["trajectory"][0] / b["initial_loss"] for b in rep["blocks"]]
         suite.append({"seed": seed, "fp": fp, "corpus": corpus, "mq": mq, "mr": mr,
                       "ratio": rep["mean_final_initial_ratio"],
@@ -117,9 +118,9 @@ def test_criterion_01_poq_prefill_equivalence(capsys):
         m = Model.random(cfg, seed=trial)
         quantize_model_weights(m)
         ids = rng.integers(0, cfg.vocab_size, size=int(rng.integers(8, 48)))
-        m.config.quant_mode = "weight_only"
+        m.config = dataclasses.replace(m.config, quant_mode="weight_only")
         a, _ = prefill(m, ids)
-        m.config.quant_mode = "weight_kv"
+        m.config = dataclasses.replace(m.config, quant_mode="weight_kv")
         b, _ = prefill(m, ids)
         identical += int(np.array_equal(a.data, b.data))
     dt = time.time() - t0
@@ -343,7 +344,7 @@ def test_criterion_09_ablation_directions(capsys, seeds_suite):
         # past-only quantization on the W4KV4 model whose KV error dominates
         mae_on = logit_mae(fp, mr, ev, use_cache=True)
         m_off = copy.deepcopy(mr)
-        m_off.config.poq = False
+        m_off.config = dataclasses.replace(m_off.config, poq=False)
         mae_off = logit_mae(fp, m_off, ev, use_cache=True)
         poq_worse += int(mae_off > mae_on)
 
@@ -356,7 +357,7 @@ def test_criterion_09_ablation_directions(capsys, seeds_suite):
                               init_smoothing(xn @ blk.v.w + blk.v.b)))
         attach_kv_smoothing(ms, per_layer)
         quantize_model_weights(ms)
-        ms.config.quant_mode = "weight_kv"
+        ms.config = dataclasses.replace(ms.config, quant_mode="weight_kv")
         mae_rtn = logit_mae(fp, mr, ev, use_cache=True)
         mae_sm = logit_mae(fp, ms, ev, use_cache=True)
         smooth_better += int(mae_sm < mae_rtn)
@@ -378,8 +379,7 @@ def test_criterion_10_activation_vs_kv_sensitivity(capsys):
 
         def degraded(mode, bits):
             m = copy.deepcopy(model)
-            m.config.kv_bits = bits
-            m.config.quant_mode = mode
+            m.config = dataclasses.replace(m.config, kv_bits=bits, quant_mode=mode)
             return perplexity(m, ev, use_cache=True)["perplexity"] - ppl_fp
 
         kv4 = degraded("weight_kv", 4)
@@ -417,7 +417,7 @@ def test_criterion_11_accounting_agreement(capsys):
         )
         m = Model.random(cfg, seed=trial)
         quantize_model_weights(m)
-        m.config.quant_mode = "weight_kv"
+        m.config = dataclasses.replace(m.config, quant_mode="weight_kv")
         _, cache = prefill(m, np.arange(int(rng.integers(2, 40))))
         rep = verify_runtime_accounting(m, cache)
         exact += int(rep["analyzer_bytes"] == rep["runtime_bytes"])

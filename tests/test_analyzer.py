@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,7 @@ class TestRuntimeAgreement:
             )
             m = Model.random(cfg, seed=trial)
             quantize_model_weights(m)
-            m.config.quant_mode = "weight_kv"
+            m.config = dataclasses.replace(m.config, quant_mode="weight_kv")
             _, cache = prefill(m, np.arange(int(rng.integers(2, 40))))
             report = verify_runtime_accounting(m, cache)
             assert report["analyzer_bytes"] == report["runtime_bytes"]
@@ -176,7 +178,7 @@ class TestRuntimeAgreement:
     def test_mismatch_raises(self):
         m = Model.random(tiny_config(), seed=0)
         quantize_model_weights(m)
-        m.config.quant_mode = "weight_kv"
+        m.config = dataclasses.replace(m.config, quant_mode="weight_kv")
         _, cache = prefill(m, np.arange(10))
         cache.layers[0].k_codes = np.zeros((64, 40), dtype=np.int8)  # corrupt
         with pytest.raises(AccountingError, match=r"\d+ != .*\d+"):

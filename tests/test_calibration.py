@@ -157,8 +157,7 @@ class TestCrrLoss:
         model, _, calib, _, acts = calib_setup
         last = model.config.n_layers - 1
         tp = init_trainables(model, last, [a[last] for a in acts])
-        big_k = copy.deepcopy(calib)
-        big_k.k = 10
+        big_k = dataclasses.replace(calib, k=10)
         loss = crr_loss(model, last, acts[0][last], tp, big_k, acts[0][last + 1],
                         quantized_weights(model, last))
         assert np.isfinite(loss.item())
@@ -252,7 +251,7 @@ class TestCalibrateModel:
         assert all(not b["failed"] for b in report["blocks"])
         mr = copy.deepcopy(model)
         quantize_model_weights(mr)
-        mr.config.quant_mode = "weight_kv"
+        mr.config = dataclasses.replace(mr.config, quant_mode="weight_kv")
         ev = corpus[:300]
         mae_cal = logit_mae(model, mq, ev, use_cache=True)
         mae_rtn = logit_mae(model, mr, ev, use_cache=True)
@@ -433,10 +432,9 @@ class TestAblateRows:
             row = _run_variant(model, corpus, corpus[:200], features, calib)
             rtn = copy.deepcopy(model)
             quantize_model_weights(rtn)
-            rtn.config.quant_mode = "weight_kv"
-            rtn.config.poq = "poq" in features
+            rtn.config = dataclasses.replace(rtn.config, quant_mode="weight_kv", poq="poq" in features)
             if "2dq-token" not in features:
-                rtn.config.kv_bits = 16
+                rtn.config = dataclasses.replace(rtn.config, kv_bits=16)
             assert row["mean_final_loss"] is None
             assert row["perplexity"] == perplexity(rtn, corpus[:200], use_cache=True)["perplexity"]
             for bq, br in zip(scored[-1].blocks, rtn.blocks):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import struct
@@ -288,7 +289,7 @@ class TestModelRoundtrip:
             attach_kv_smoothing(m, per_layer)
         if quantize:
             quantize_model_weights(m)
-            m.config.quant_mode = "weight_kv"
+            m.config = dataclasses.replace(m.config, quant_mode="weight_kv")
         return m
 
     def test_fp_roundtrip_bit_exact(self, tmp_path):
@@ -319,29 +320,40 @@ class TestModelRoundtrip:
         assert np.array_equal(out1, out2)
 
     def test_old_clipping_tensors_load_to_same_codes(self, tmp_path):
-        # files from when checkpoints also stored the mapped clipping carry
-        # .gamma/.beta tensors and a quant.clipping list; loading ignores them
-        m = self.make(quantize=True)
+        # files written before the config was the one record of a setting
+        # carry a meta "quant" entry (each projection's bits and group size,
+        # and "absorbed" for each smoothing), and files from when checkpoints
+        # also stored the mapped clipping carry .gamma/.beta tensors and a
+        # quant.clipping list; loading reads none of them
+        m = self.make(quantize=True, smooth=True)
         p, old = str(tmp_path / "m.kvq"), str(tmp_path / "old.kvq")
-        save_model(m, p)
+        save_model(m, p, meta={"seed": 3})
         config, meta, tensors = read_container(p)
+        assert meta == {"seed": 3}
         gs = m.config.weight_group_size
+        quant = {"projections": {}, "smoothing": {}, "clipping": []}
         for li, blk in enumerate(m.blocks):
             for name, lin in blk.projections().items():
                 base = f"blocks.{li}.{name}"
+                quant["projections"][base] = {"bits": lin.wq.bits, "group_size": gs}
+                if lin.smoothing is not None:
+                    quant["smoothing"][base] = {"absorbed": True}
                 shape = (-(-lin.w.shape[0] // gs), lin.w.shape[1])
                 tensors[f"{base}.gamma"] = np.full(shape, 0.9, np.float32)
                 tensors[f"{base}.beta"] = np.full(shape, 0.8, np.float32)
-                meta["quant"].setdefault("clipping", []).append(base)
-        write_container(old, config, meta, tensors)
+                quant["clipping"].append(base)
+        assert len(quant["projections"]) == 14 and len(quant["smoothing"]) == 4
+        write_container(old, config, dict(meta, quant=quant), tensors)
         m1, m2 = load_model(p), load_model(old)
         assert not hasattr(m2, "clipping")
         for b1, b2 in zip(m1.blocks, m2.blocks):
             for name, lin in b1.projections().items():
                 assert np.array_equal(lin.wq.codes, b2.projections()[name].wq.codes)
                 assert np.array_equal(lin.w, b2.projections()[name].w)
+            assert np.array_equal(b1.k.smoothing.s, b2.k.smoothing.s)
         out1 = model_forward(m1, IDS).data
         assert np.array_equal(out1, model_forward(m2, IDS).data)
+        assert np.array_equal(out1, model_forward(m, IDS).data)
 
     def test_unpacked_codes_that_do_not_fit_rejected(self, tmp_path, capsys):
         # codes load only as the packed stream: a (C_in, C_out) matrix of one
@@ -406,43 +418,58 @@ class TestModelRoundtrip:
         for name, lin in m.blocks[0].projections().items():
             assert np.array_equal(lin.wq.codes, m2.blocks[0].projections()[name].wq.codes)
 
-    @pytest.mark.parametrize("bits", [True, "4", 0, 1, 9, 16, 4.0, None])
-    def test_bad_weight_bits_refused(self, tmp_path, bits):
-        # a projection's bits decide how its codes are read, so they must be
-        # an integer in 2..8
+    @pytest.mark.parametrize("field, value, tensor", [
+        ("weight_bits", 3, "blocks.0.q.wq.codes"), ("weight_group_size", 32, "blocks.0.q.wq.h"),
+    ])
+    def test_config_edited_off_its_codes_refused(self, tmp_path, field, value, tensor):
+        # codes are read at the config's width and groups, so an edit of
+        # either (4 -> 3 bits, 16 -> 32 rows a group) is refused naming the
+        # first stream whose shape it no longer describes
         p = str(tmp_path / "m.kvq")
         save_model(self.make(quantize=True), p)
         config, meta, tensors = read_container(p)
-        meta["quant"]["projections"]["blocks.1.up"]["bits"] = bits
-        write_container(p, config, meta, tensors)
-        with pytest.raises(DataFormatError, match=r"projection 'blocks\.1\.up' has weight bits"):
+        assert (config["weight_bits"], config["weight_group_size"]) == (4, 16)
+        write_container(p, dict(config, **{field: value}), meta, tensors)
+        with pytest.raises(DataFormatError, match=rf"^tensor '{tensor}' has shape "):
             load_model(p)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda m: m.update(quant=[]), "meta 'quant' is a JSON list"),
-        (lambda m: m["quant"].update(projections=[]), "meta 'quant.projections' is a JSON list"),
-        (lambda m: m["quant"]["projections"].update({"blocks.0.q": [4, 16]}),
-         "projection 'blocks.0.q''s quant entry is a JSON list"),
-        (lambda m: m["quant"]["projections"].update({"blocks.0.q": None}),
-         "projection 'blocks.0.q''s quant entry is a JSON NoneType"),
-        (lambda m: m["quant"].update(smoothing=7), "meta 'quant.smoothing' is a JSON int"),
-        (lambda m: m["quant"]["smoothing"]["blocks.1.v"].pop("absorbed"),
-         "projection 'blocks.1.v' has smoothing absorbed None"),
-        (lambda m: m["quant"]["smoothing"]["blocks.1.v"].update(absorbed=1),
-         "projection 'blocks.1.v' has smoothing absorbed 1"),
-        # a Linear's smoothing is always folded into its weights
-        (lambda m: m["quant"]["smoothing"]["blocks.1.v"].update(absorbed=False),
-         "projection 'blocks.1.v' has smoothing absorbed False"),
-    ])
-    def test_quant_meta_of_another_type_refused(self, tmp_path, edit, message):
+    @pytest.mark.parametrize("bits", [True, "4", 0, 1, 9, 16, 4.0, None])
+    def test_bad_weight_bits_refused(self, tmp_path, bits):
+        # the config's weight bits decide how every projection's codes are
+        # read, so they must be an integer in 2..8, or at least 16, where a
+        # projection is read from its .w, which a file of codes lacks
+        p = str(tmp_path / "m.kvq")
+        save_model(self.make(quantize=True), p)
+        config, meta, tensors = read_container(p)
+        write_container(p, dict(config, weight_bits=bits), meta, tensors)
+        message = (r"^tensor 'blocks\.0\.q\.w' missing from " if bits == 16 else
+                   r"^bad config in header: weight_bits must be 2\.\.8 or at least 16")
+        with pytest.raises(DataFormatError, match=message):
+            load_model(p)
+
+    @pytest.mark.parametrize("missing", ["delta", "s"])
+    def test_half_a_smoothing_refused(self, tmp_path, missing):
+        # a projection is smoothed when either tensor is stored, and then
+        # needs both
         p = str(tmp_path / "m.kvq")
         save_model(self.make(quantize=True, smooth=True), p)
         config, meta, tensors = read_container(p)
-        edit(meta)
+        del tensors[f"blocks.1.v.smooth.{missing}"]
         write_container(p, config, meta, tensors)
-        with pytest.raises(DataFormatError) as err:
+        with pytest.raises(DataFormatError,
+                           match=rf"^tensor 'blocks\.1\.v\.smooth\.{missing}' missing from "):
             load_model(p)
-        assert str(err.value).startswith(message)
+
+    def test_meta_is_not_read(self, tmp_path):
+        # the header's meta is the caller's: whatever it holds, the file
+        # loads to the model saved
+        m = self.make(quantize=True, smooth=True)
+        p = str(tmp_path / "m.kvq")
+        save_model(m, p)
+        config, meta, tensors = read_container(p)
+        assert meta == {}
+        write_container(p, config, {"quant": [], "smoothing": 7}, tensors)
+        assert np.array_equal(model_forward(m, IDS).data, model_forward(load_model(p), IDS).data)
 
     def test_codes_of_another_dtype_refused(self, tmp_path):
         p = str(tmp_path / "m.kvq")
@@ -464,11 +491,14 @@ class TestModelRoundtrip:
         elif rewrite == "calibrate16":
             # kvq quantize --mode w4kv4, then kvq calibrate --bits 16: the
             # smoothing is absorbed but no new codes are made
-            m.config.weight_bits = 16
+            m.config = dataclasses.replace(m.config, weight_bits=16)
             calibrate_model(m, word_corpus(0), CalibConfig(k=1, epochs=1, segments=2,
                                                            seg_len=16))
             assert all(b.k.smoothing is not None and b.v.smoothing is not None
                        for b in m.blocks)
+            # q, o, gate, up and down keep their 4-bit codes, which a 16-bit
+            # config cannot read, so they are stored as their w
+            assert all(b.q.wq is not None and b.q.wq.bits == 4 for b in m.blocks)
         else:
             x = m.embed[IDS]
             attach_kv_smoothing(m, [(init_smoothing(x @ blk.k.w + blk.k.b),
@@ -479,6 +509,8 @@ class TestModelRoundtrip:
         m2 = load_model(p)
         for b1, b2 in zip(m.blocks, m2.blocks):
             assert b2.k.wq is None and b2.v.wq is None
+            if rewrite == "calibrate16":
+                assert all(lin.wq is None for lin in b2.projections().values())
             for name, lin in b1.projections().items():
                 assert np.array_equal(lin.w, b2.projections()[name].w)
         assert np.array_equal(model_forward(m, IDS).data, model_forward(m2, IDS).data)

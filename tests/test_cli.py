@@ -91,6 +91,19 @@ class TestFit:
         assert rc == 0
         assert json.loads(stdout)["train"]["steps"] == 20
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--steps", "-1", "need steps >= 0"), ("--batch", "0", "need steps >= 0"),
+        ("--seq-len", "0", "need steps >= 0"), ("--lr", "-1", "lr must be a finite positive"),
+        ("--lr", "nan", "lr must be a finite positive"),
+    ])
+    def test_arguments_it_cannot_train_with_are_usage_errors(self, workdir, capsys, flag,
+                                                             value, message):
+        out = workdir / "refused.kvq"
+        rc, stdout, err = run(capsys, ["fit", "--corpus", str(workdir / "corpus.txt"),
+                                       "--out", str(out)] + FIT_ARGS + [flag, value])
+        assert rc == 2
+        assert message in err and stdout == "" and not out.exists()
+
     def test_missing_corpus_is_data_error(self, workdir, capsys):
         rc, _, err = run(capsys, ["fit", "--corpus", str(workdir / "nope.txt"),
                                   "--out", str(workdir / "x.kvq")] + FIT_ARGS)
@@ -338,28 +351,37 @@ class TestEval:
         assert "blocks.0.q.w" in err
 
     def test_bad_weight_bits_is_data_error(self, workdir, calibrated, capsys):
-        # a projection's bits decide how its packed codes are read
+        # the config's bits decide how every projection's packed codes are
+        # read: 9 is no width, and 3 reads a stream of another length
         config, meta, tensors = read_container(str(calibrated))
-        meta["quant"]["projections"]["blocks.0.k"]["bits"] = 9
-        bad = workdir / "nine_bits.kvq"
-        write_container(str(bad), config, meta, tensors)
-        rc, _, err = run(capsys, [
-            "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
-        ])
-        assert rc == 3
-        assert "projection 'blocks.0.k' has weight bits 9" in err
+        bad = workdir / "bad_bits.kvq"
+        for bits, message in ((9, "bad config in header: weight_bits must be 2..8 or at least "
+                                  "16, got 9"),
+                              (3, "tensor 'blocks.0.q.wq.codes' has shape [512], expected "
+                                  "[384] from the config")):
+            write_container(str(bad), dict(config, weight_bits=bits), meta, tensors)
+            rc, _, err = run(capsys, [
+                "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
+            ])
+            assert rc == 3
+            assert message in err
 
-    @pytest.mark.parametrize("group_size", [0, "16"])
+    @pytest.mark.parametrize("group_size", [0, "16", 32])
     def test_bad_weight_group_size_is_data_error(self, workdir, calibrated, capsys, group_size):
+        # h and z hold one row per group of the config's group size
+        message = {
+            0: "bad config in header: weight_group_size must be >= 1, got 0",
+            "16": "bad config in header: weight_group_size must be an integer, got '16'",
+            32: "tensor 'blocks.0.q.wq.h' has shape [2, 32], expected [1, 32] from the config",
+        }[group_size]
         config, meta, tensors = read_container(str(calibrated))
-        meta["quant"]["projections"]["blocks.1.down"]["group_size"] = group_size
         bad = workdir / "bad_group_size.kvq"
-        write_container(str(bad), config, meta, tensors)
+        write_container(str(bad), dict(config, weight_group_size=group_size), meta, tensors)
         rc, _, err = run(capsys, [
             "eval", "--model", str(bad), "--corpus", str(workdir / "corpus.txt"),
         ])
         assert rc == 3
-        assert f"projection 'blocks.1.down' has weight group size {group_size!r}" in err
+        assert message in err
 
     def test_unknown_dtype_is_data_error(self, workdir, capsys):
         # same header length, so only the dtype name is wrong
@@ -552,6 +574,15 @@ class TestSweepK:
         ])
         assert rc == 2
         assert "k must be in 1..2" in err and stdout == ""
+
+    @pytest.mark.parametrize("k_values", ["1,x", ""])
+    def test_k_values_that_are_not_integers_rejected(self, workdir, capsys, k_values):
+        rc, stdout, err = run(capsys, [
+            "sweep-k", "--model", str(workdir / "model.kvq"),
+            "--corpus", str(workdir / "corpus.txt"), "--k-values", k_values,
+        ])
+        assert rc == 2 and stdout == ""
+        assert f"--k-values must be comma-separated integers, got {k_values!r}" in err
 
 
 class TestGenerate:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -155,7 +156,7 @@ class TestCachePathOnePass:
             for kv_bits in (4, 8, 16):
                 model = equivalence_model(seed, poq=poq, kv_bits=kv_bits)
                 for mode in MODES:
-                    model.config.quant_mode = mode
+                    model.config = dataclasses.replace(model.config, quant_mode=mode)
                     step = mode != "weight_activation"
                     ref = stepwise_logits(model, ids) if step else None
                     for n in (2, 17, len(ids)):
@@ -214,6 +215,24 @@ class TestTraining:
         embed = m.embed.copy()
         with pytest.raises(UsageError, match=f"the corpus holds token id {bad}, outside"):
             train_model(m, corpus, steps=1, batch=1, seq_len=8)
+        assert np.array_equal(m.embed, embed)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(steps=-3), "need steps >= 0, batch >= 1, seq_len >= 1; got -3, 1, 16"),
+        (dict(batch=0), "need steps >= 0, batch >= 1, seq_len >= 1; got 1, 0, 16"),
+        (dict(seq_len=0), "need steps >= 0, batch >= 1, seq_len >= 1; got 1, 1, 0"),
+        (dict(lr=-1.0), "lr must be a finite positive number, got -1.0"),
+        (dict(lr=0.0), "lr must be a finite positive number, got 0.0"),
+        (dict(lr=float("nan")), "lr must be a finite positive number, got nan"),
+        (dict(lr=float("inf")), "lr must be a finite positive number, got inf"),
+    ])
+    def test_arguments_it_cannot_train_with_refused(self, bad, message):
+        # a negative lr would train uphill, and negative steps train nothing
+        m = Model.random(tiny_config(), seed=0)
+        embed = m.embed.copy()
+        with pytest.raises(KvqError) as err:
+            train_model(m, word_corpus(0), **dict(dict(steps=1, batch=1, seq_len=16), **bad))
+        assert str(err.value) == message
         assert np.array_equal(m.embed, embed)
 
     def test_corpus_too_short_rejected(self):

@@ -57,7 +57,7 @@ def make_model(seed=0, **kw):
 def in_mode(model, mode):
     """A copy of model whose forwards run mode."""
     m = copy.deepcopy(model)
-    m.config.quant_mode = mode
+    m.config = dataclasses.replace(m.config, quant_mode=mode)
     return m
 
 
@@ -555,7 +555,7 @@ class TestFoldedCacheRead:
 
         for poq in (True, False):
             for kv_bits in (2, 3, 4, 8):
-                m.config.poq, m.config.kv_bits = poq, kv_bits
+                m.config = dataclasses.replace(m.config, poq=poq, kv_bits=kv_bits)
                 folded, materialized = run(m.config.hidden_size), run(0)
                 assert np.abs(folded - materialized).max() <= 1e-5, (poq, kv_bits)
 
@@ -566,7 +566,7 @@ class TestFoldedCacheRead:
         # grows with them, the materialized read's does not
         m = quantized(make_model(n_heads=4, head_dim=32, hidden_size=128, kv_group_size=group))
         assert PoqKvCache(m.config, m.blocks).fold_k == folds
-        m.config.kv_bits = 16  # an fp cache
+        m.config = dataclasses.replace(m.config, kv_bits=16)  # an fp cache
         assert not PoqKvCache(m.config, m.blocks).fold_k
 
     def test_prefill_and_cache_scoring_unchanged(self, monkeypatch):
@@ -587,7 +587,7 @@ class TestFoldedCacheRead:
             steps = 4 if segments > kvq.model.FOLD_MAX_SEGMENTS else 0
             for m in (quantized(base), quantized(smoothed(base))):
                 for poq in (True, False):
-                    m.config.poq = poq
+                    m.config = dataclasses.replace(m.config, poq=poq)
 
                     def outputs():
                         logits, cache = prefill(m, ids[:200])
@@ -928,7 +928,7 @@ class TestPoq:
     def test_poq_off_quantizes_current_step(self):
         m = quantized(make_model())
         m2 = copy.deepcopy(m)
-        m2.config.poq = False
+        m2.config = dataclasses.replace(m2.config, poq=False)
         a, _ = prefill(m, IDS)
         b, _ = prefill(m2, IDS)
         assert not np.array_equal(a.data, b.data)
@@ -970,14 +970,14 @@ class TestModes:
                 assert np.array_equal(lin.w, b2.projections()[name].w), name
 
     def test_unknown_mode_rejected(self):
-        # the config is checked when built, and again by every forward, since
-        # the field can be set afterwards (kvq eval/generate --mode do)
+        # a config cannot change after its checks, so a mode is refused where
+        # it is set: a replace runs the checks again (kvq eval/generate --mode
+        # set the mode this way), and the model keeps its config
         m = make_model()
-        m.config.quant_mode = "bogus"
-        with pytest.raises(KvqError):
-            model_forward(m, IDS)
-        with pytest.raises(KvqError):
-            prefill(m, IDS)
+        with pytest.raises(KvqError, match="unknown quant_mode: 'bogus'"):
+            m.config = dataclasses.replace(m.config, quant_mode="bogus")
+        assert m.config.quant_mode == "fp"
+        assert np.isfinite(model_forward(m, IDS).data).all()
 
 
 class TestGenerate:
@@ -1085,26 +1085,43 @@ class TestSettingRecord:
         def decode_after_switching_to(mode):
             mm = copy.deepcopy(m)
             _, cache = prefill(mm, IDS[:12])
-            mm.config.quant_mode = mode
+            mm.config = dataclasses.replace(mm.config, quant_mode=mode)
             return np.concatenate([decode_step(mm, int(t), cache).data for t in IDS[12:20]])
 
         assert np.array_equal(decode_after_switching_to("weight_activation"),
                               decode_after_switching_to("weight_kv"))
 
     def test_cache_keeps_its_quant_setting(self):
-        # the cache copies its config: changing the model's POQ, KV width or
-        # KV group size after prefill leaves the cached decode untouched
+        # the cache keeps the config it was built with, which cannot change:
+        # giving the model a new POQ, KV width or KV group size after prefill
+        # leaves the cached decode untouched
         m = quantized(smoothed(make_model(seed=1)))
         ids = np.arange(36) * 7 % 250
 
         def decode(**change):
             mm = copy.deepcopy(m)
             _, cache = prefill(mm, ids[:20])
-            for field, value in change.items():
-                setattr(mm.config, field, value)
+            assert cache.cfg is mm.config
+            mm.config = dataclasses.replace(mm.config, **change)
             return np.concatenate([decode_step(mm, int(t), cache).data for t in ids[20:]])
 
         assert np.array_equal(decode(poq=False, kv_bits=8, kv_group_size=16), decode())
+
+    def test_config_cannot_change_after_its_checks(self):
+        # a field is set only by replace, which checks the new config
+        cfg = tiny_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.kv_bits = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kvq.calibration.CalibConfig().k = 10
+        # int8 cannot hold 9-bit token codes, and 0 bits is no width
+        for bits in (9, 0):
+            with pytest.raises(KvqError, match=f"kv_bits must be 2..8 or at least 16, got {bits}"):
+                dataclasses.replace(cfg, kv_bits=bits)
+        with pytest.raises(KvqError, match="weight_bits must be 2..8 or at least 16, got 12"):
+            dataclasses.replace(cfg, weight_bits=12)
+        with pytest.raises(KvqError, match="k must be >= 1"):
+            dataclasses.replace(kvq.calibration.CalibConfig(), k=0)
 
     def test_no_call_takes_a_mode(self):
         # a forward's setting has one record, the config (or the cache built

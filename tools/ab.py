@@ -18,6 +18,8 @@ Workloads, each timed per call:
     score_192               192-token cache-path scoring (score_logits)
     chunk_300_on_600        a 300-row chunk onto a 600-row prefilled cache
     calibrate               calibrate_model (k 2, 1 epoch, 4 x 64 tokens)
+    save_load               save_model and load_model of the served model, in
+                            a temporary directory
 
 A round runs each import once per workload, in an order that rotates from
 round to round.  Per workload one JSON line is printed:
@@ -27,7 +29,9 @@ round to round.  Per workload one JSON line is printed:
     a2_over_a the same for the second import of A, the control: its spread
               is the noise a B/A ratio must exceed
     sha256    of each import's outputs (logits, or the calibration report
-              and weights), from the first, untimed call
+              and weights, or the loaded model's arrays and its 64-token
+              cache-path logits, not the file's bytes), from the first,
+              untimed call
     identical whether A's and B's hashes are equal
 
 --tiny runs small sizes for a smoke test; its times mean nothing.
@@ -43,11 +47,13 @@ for _var in ("KVQ_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_
 
 import argparse
 import copy
+import dataclasses
 import gc
 import hashlib
 import importlib.util
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -91,7 +97,7 @@ class Tree:
         for i in range(cfg.n_layers):
             trainables = calibration.init_trainables(self.fp, i, [acts[i]])
             calibration.freeze_block(self.served, i, trainables)
-        self.served.config.quant_mode = "weight_kv"
+        self.served.config = dataclasses.replace(self.served.config, quant_mode="weight_kv")
 
 
 def workloads(sizes: dict) -> dict:
@@ -137,10 +143,36 @@ def workloads(sizes: dict) -> dict:
         weights = [lin.w for blk in model.blocks for lin in blk.projections().values()]
         return t, [report_bytes, *weights]
 
+    def save_load(tr: Tree):
+        kvq = tr.kvq
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "served.kvq")
+            start = time.perf_counter()
+            kvq.save_model(tr.served, path)
+            model = kvq.load_model(path)
+            t = time.perf_counter() - start
+        logits = kvq.evaluate.score_logits(model, tr.ids[:64], use_cache=True)
+        return t, [*model_arrays(model), logits]
+
     (short, long), (past, rows) = sizes["decode"], sizes["chunk"]
     return {f"decode_{short}": decode(short), f"decode_{long}": decode(long),
             f"prefill_{sizes['prefill']}": prefill, f"score_{sizes['score']}": score,
-            f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate}
+            f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate, "save_load": save_load}
+
+
+def model_arrays(model) -> list:
+    """Every array that defines a model: embed, norms, head, and each
+    projection's w, b, weight codes, h, z and smoothing, when it has them."""
+    out = [model.embed, model.final_norm, model.head.w, model.head.b]
+    for blk in model.blocks:
+        out += [blk.attn_norm, blk.mlp_norm]
+        for lin in blk.projections().values():
+            out += [lin.w, lin.b]
+            if lin.wq is not None:
+                out += [lin.wq.codes, lin.wq.h, lin.wq.z]
+            if lin.smoothing is not None:
+                out += [lin.smoothing.s, lin.smoothing.delta]
+    return out
 
 
 def digest(outputs) -> str:
