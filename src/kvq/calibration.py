@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataFormatError, KvqError, NumericError
-from .model import (Model, block_core, block_tensors, check_token_ids, fp_kv_fn,
+from .model import (Model, block_core, block_tensors, check_capacity, check_token_ids, fp_kv_fn,
                     require_unsmoothed)
 from .quantizers import (
     S_FLOOR,
@@ -340,7 +340,7 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
 
 
 def sample_segments(corpus_ids: np.ndarray, calib: CalibConfig) -> list[np.ndarray]:
-    corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
+    corpus_ids = np.asarray(corpus_ids)
     if len(corpus_ids) < calib.seg_len:
         raise DataFormatError(
             f"corpus has {len(corpus_ids)} tokens, shorter than one "
@@ -357,11 +357,14 @@ def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) ->
     The model must be unsmoothed (fp or round-to-nearest): a k or v
     projection that already carries smoothing raises UsageError naming its
     block, before any work.  On return the model carries absorbed smoothing,
-    fixed weight codes, and quant_mode="weight_kv".
+    fixed weight codes, and quant_mode="weight_kv".  Segments longer than
+    max_seq_len raise CapacityError, and corpus ids that check_token_ids
+    refuses UsageError, also before any work.
     """
     require_unsmoothed(model, "calibrate")
+    check_capacity(calib.seg_len, model.config, "calibration segment")
+    corpus_ids = check_token_ids(corpus_ids, model.config.vocab_size, "the corpus")
     segments = sample_segments(corpus_ids, calib)
-    check_token_ids(corpus_ids, model.config.vocab_size, "the corpus")
     acts = collect_activations(model, segments)
     cfg = model.config
     blocks_trace = []

@@ -36,8 +36,12 @@ def _write_json(obj, path: str | None) -> str:
     return text
 
 
-def _eval_slice(ids: np.ndarray, limit: int) -> np.ndarray:
-    return ids[: max(2, min(len(ids), limit))]
+def _check_max_tokens(limit: int) -> None:
+    """A score needs a context token and a scored one, so --max-tokens
+    below 2 raises UsageError."""
+    if limit < 2:
+        raise UsageError(f"--max-tokens must be >= 2 (a context token and a scored one), "
+                         f"got {limit}")
 
 
 # quantization flag -> ModelConfig field
@@ -137,10 +141,11 @@ def cmd_eval(args) -> int:
     from .checkpoint import load_model
     from .evaluate import eval_report, load_corpus
 
+    _check_max_tokens(args.max_tokens)
     model = load_model(args.model)
     if args.mode:
         model.config = dataclasses.replace(model.config, quant_mode=args.mode)
-    ids = _eval_slice(load_corpus(args.corpus), args.max_tokens)
+    ids = load_corpus(args.corpus)[: args.max_tokens]
     fp_model = load_model(args.fp_model) if args.fp_model else None
     report = eval_report(model, ids, use_cache=args.use_cache, fp_model=fp_model)
     print(_write_json(report, args.json))
@@ -219,10 +224,11 @@ def cmd_ablate(args) -> int:
     for f in args.drop + args.add:
         if f not in _FEATURES:
             raise UsageError(f"unknown feature {f!r}; choose from {_FEATURES}")
+    _check_max_tokens(args.max_tokens)
     calib = _calib_config(args, k=args.k)
     model = load_model(args.model)
     ids = load_corpus(args.corpus)
-    eval_ids = _eval_slice(ids, args.max_tokens)
+    eval_ids = ids[: args.max_tokens]
 
     full = set(_FEATURES)
     rows = [dict(_run_variant(model, ids, eval_ids, full, calib), variant="full")]
@@ -250,13 +256,14 @@ def cmd_sweep_k(args) -> int:
     except ValueError:
         raise UsageError(f"--k-values must be comma-separated integers, "
                          f"got {args.k_values!r}") from None
+    _check_max_tokens(args.max_tokens)
     calib = _calib_config(args)
     model = load_model(args.model)
     for k in k_values:
         if not 1 <= k <= model.config.n_layers:
             raise UsageError(f"k must be in 1..{model.config.n_layers}, got {k}")
     ids = load_corpus(args.corpus)
-    eval_ids = _eval_slice(ids, args.max_tokens)
+    eval_ids = ids[: args.max_tokens]
     rows = []
     for k in k_values:
         row = _run_variant(model, ids, eval_ids, set(_FEATURES), dataclasses.replace(calib, k=k))

@@ -17,13 +17,14 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, DataFormatError, KvqError
+from .errors import DataFormatError, KvqError
 from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and decode_step here)
     Model,
     ModelConfig,
     block_core,
     block_tensors,
     cache_path_forward,
+    check_capacity,
     check_token_ids,
     decode_step,
     fp_kv_fn,
@@ -61,9 +62,6 @@ def score_logits(model: Model, ids: np.ndarray, use_cache: bool = False) -> np.n
     and then one decode_step per token give, in one pass (cache_path_forward);
     in weight_activation mode it gives the cacheless logits instead, which
     can differ from the step loop's by up to about 1e-3."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) > model.config.max_seq_len:
-        raise CapacityError(f"chunk of {len(ids)} tokens > max_seq_len {model.config.max_seq_len}")
     if not use_cache:
         return model_forward(model, ids).data
     return cache_path_forward(model, ids).data
@@ -79,7 +77,8 @@ def _chunks(ids: np.ndarray, max_len: int):
 def sequence_nll(model: Model, ids: np.ndarray, use_cache: bool = False) -> np.ndarray:
     """Per-token negative log-likelihoods over all scored positions."""
     nlls = []
-    for chunk in _chunks(np.asarray(ids, dtype=np.int64), model.config.max_seq_len):
+    ids = check_token_ids(ids, model.config.vocab_size, "the scored sequence")
+    for chunk in _chunks(ids, model.config.max_seq_len):
         logits = score_logits(model, chunk, use_cache=use_cache)
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -99,7 +98,7 @@ def perplexity(model: Model, ids: np.ndarray, use_cache: bool = False) -> dict:
 def logit_mae(model_a: Model, model_b: Model, ids: np.ndarray, use_cache: bool = False) -> float:
     """Mean absolute difference of next-token logits over all scored positions."""
     total, count = 0.0, 0
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = check_token_ids(ids, model_a.config.vocab_size, "the scored sequence")
     for chunk in _chunks(ids, model_a.config.max_seq_len):
         la = score_logits(model_a, chunk, use_cache=use_cache)
         lb = score_logits(model_b, chunk, use_cache=use_cache)
@@ -180,7 +179,8 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
     written (they are freed unless the caller holds them).  A step's
     gradients are dropped before the next forward.  If a step raises, the
     model keeps the arrays of the last completed step.  steps < 0, batch or
-    seq_len < 1, and an lr that is not finite and positive raise KvqError."""
+    seq_len < 1, and an lr that is not finite and positive raise KvqError,
+    and a seq_len past max_seq_len CapacityError."""
     from .calibration import AdamW
 
     if steps < 0 or batch < 1 or seq_len < 1:
@@ -188,14 +188,14 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
                        f"{seq_len}")
     if not 0 < lr < math.inf:
         raise KvqError(f"lr must be a finite positive number, got {lr}")
-    require_unsmoothed(model, "train_model")
     cfg = model.config
-    corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
+    check_capacity(seq_len, cfg, "training window")
+    require_unsmoothed(model, "train_model")
+    corpus_ids = check_token_ids(corpus_ids, cfg.vocab_size, "the corpus")
     if len(corpus_ids) < seq_len + 1:
         raise DataFormatError(
             f"corpus has {len(corpus_ids)} tokens; need at least {seq_len + 1} to train"
         )
-    check_token_ids(corpus_ids, cfg.vocab_size, "the corpus")
     rng = np.random.default_rng(seed)
     # a window's start is drawn below len - seq_len - 1, so the last window
     # is never drawn; a corpus of exactly one window trains from start 0

@@ -11,16 +11,21 @@ Quantization modes:
 * weight_activation  - quantized weights plus per-token RTN quantization of
                        every linear-layer input (sensitivity harness only).
 
-A quantized cache (ModelConfig.kv_codes) stores pre-rotary smoothed K (and
-V) as codes, and is read in one of two forms.  The fold: a one-row decode
-step onto a cache of at most FOLD_MAX_SEGMENTS segments maps neither past
-K nor V back to raw space, and the cache runs the whole attention read
-over its codes (PoqKvCache.read_raw): the scaled query's scores,
-exp_causal, the values and the division by the row sums.  The keys'
-dequantization, un-smoothing and rotation are folded into the query: with
-U = cos * (q * s) - sin * (sigma(q) * s) over the past rows' rope tables, a
-segment of codes scores n * sum(U * codes) + m * sum(U), which the step
-computes without forming U or any past key (PoqKvCache._folded_k).  The
+A cache keeps every layer's past K and V in one store (PoqKvCache).  A
+quantized cache (ModelConfig.kv_codes) holds two arrays: the int8 codes of
+the pre-rotary smoothed K and V, (n_layers, 2, max_seq_len, hidden), and
+their per-(token, group) m and n, (n_layers, 2, 2, max_seq_len, groups).
+An fp cache (fp and weight_only) holds one float32 array of K rows,
+rotated once at append, and raw V rows, (n_layers, 2, max_seq_len,
+hidden).  A quantized cache is read in one of two forms.  The fold: a
+one-row decode step onto a cache of at most FOLD_MAX_SEGMENTS segments maps
+neither past K nor V back to raw space, and the cache runs the whole
+attention read over its codes (PoqKvCache.read_raw): the scaled query's
+scores, exp_causal, the values and the division by the row sums.  The
+keys' dequantization, un-smoothing and rotation are folded into the query:
+with U = cos * (q * s) - sin * (sigma(q) * s) over the past rows' rope
+tables, a segment of codes scores n * sum(U * codes) + m * sum(U), which
+the step computes without forming U or any past key (PoqKvCache._folded_k).  The
 values' dequantization and un-smoothing are folded past the attention
 weights.  The fold's cost grows with the number of segments, hidden /
 gcd(kv_group_size, head_dim), hence the threshold.  Every other read, a
@@ -28,18 +33,18 @@ chunk of more than one row onto a filled cache and a decode step onto a
 cache of more segments, takes the materialized rows (PoqKvCache.rows): the
 past codes dequantized and un-smoothed, K rotated, with the chunk's own
 rows last, which causal_attention attends over as it does prefill's.
-An fp cache (fp and weight_only) stores each chunk's K rows rotated, once,
-at append, and a read takes the stored rows, the chunk's included, as the
-arrays prefill attends over.  A cache plans its forwards
-once, when it is built (PoqKvCache._plan_reads), so a decode step rebuilds
-nothing: each block's weights and KV handler, and for a quantized cache the
-token spec, smoothing, segment maps, contraction matrices, rope tables and
-a work buffer.  The work buffer and the cache's scratch buffer are shared
-by the layers and overwritten by every read.  The buffers and rope tables
-are allocated once on 64-byte boundaries (tensor.ALIGN), where NumPy's
-vector loops run the fold's elementwise passes in about half the time, and
-without a fill: append writes a chunk's rows before any read, and a read
-writes the scratch and work rows it then reads.
+An fp cache's read takes the stored rows, the chunk's included, as the
+arrays prefill attends over.  A cache plans its forwards once, when it is
+built (PoqKvCache._plan_reads), so a decode step rebuilds nothing: each
+block's weights and KV handler, and for a quantized cache the token spec,
+smoothing, segment maps, contraction matrices and rope tables.  Only a
+quantized cache holds read buffers, one pair (scratch and work), shared by
+the layers and overwritten by every read.  Each layer's K or V slab of the
+store, the read buffers and the rope tables are allocated once on 64-byte
+boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
+elementwise passes in about half the time, and without a fill: append
+writes a chunk's rows before any read, and a read writes the scratch and
+work rows it then reads.
 
 Setting: a ModelConfig is frozen, so it is checked once, when it is made,
 and no config changes after its checks.  A library user changes a model's
@@ -323,18 +328,6 @@ class Model:
 # -- KV cache -----------------------------------------------------------------
 
 
-class LayerCache:
-    def __init__(self, cfg: ModelConfig):
-        c = cfg.hidden_size
-        t = cfg.max_seq_len
-        if cfg.kv_codes:
-            g = -(-c // cfg.kv_group_size)
-            self.k_codes, self.v_codes = aligned_empty((t, c), np.int8, count=2)
-            self.k_m, self.k_n, self.v_m, self.v_n = aligned_empty((t, g), count=4)
-        else:
-            self.k_fp, self.v_fp = aligned_empty((t, c), count=2)
-
-
 # A decode step reads the cache through the fold (PoqKvCache.read_raw) only
 # on a cache of at most this many segments; on others it attends over the
 # materialized rows (PoqKvCache.rows).  The fold's two (past, hidden) x
@@ -402,25 +395,38 @@ def _config_read_plan(cfg: ModelConfig) -> dict:
 
 
 class PoqKvCache:
-    """Per-layer paged store of past keys/values.
+    """The past keys and values of every layer, in one K/V store.
 
-    Quantized layout holds token codes of the smoothed pre-rotary projections
-    plus per-(token, group) parameters; the fp layout holds raw-space arrays,
-    K rotated at append.  cfg is the config the cache was built with, kept
-    as given (a ModelConfig cannot change), the setting of every forward
-    onto it, and the cache plans those forwards with it (_plan_reads).
-    length counts the positions every layer holds; only model_forward
-    advances it.  One (max_seq_len, hidden) float32 scratch buffer serves
-    every layer's reads, and a quantized cache holds a second one (work).  A quantized cache is read in two forms: the fold
-    (read_raw) for a decode step onto a cache that folds (fold_k), and the
-    materialized rows (rows) for every other read.
+    A cache of codes (cfg.kv_codes) holds the token codes of the smoothed
+    pre-rotary K and V projections, codes, int8 (n_layers, 2, max_seq_len,
+    hidden), and their per-(token, group) parameters, params, float32
+    (n_layers, 2, 2, max_seq_len, groups), indexed [layer, K/V, (m/n,) row,
+    ...].  Any other cache holds kv, float32 (n_layers, 2, max_seq_len,
+    hidden): K rows rotated at append, and V rows raw.  Each (max_seq_len,
+    ...) slab is row-major and starts on tensor.ALIGN.  Only a cache of codes
+    holds read buffers, one (max_seq_len, hidden) float32 pair, scratch and
+    work, shared by the layers and overwritten by every read.
+
+    cfg is the config the cache was built with, kept as given (a ModelConfig
+    cannot change), the setting of every forward onto it, and the cache
+    plans those forwards with it (_plan_reads).  length counts the positions
+    every layer holds; only model_forward advances it.  A cache of codes is
+    read in two forms: the fold (read_raw) for a decode step onto a cache
+    that folds (fold_k), and the materialized rows (rows) for every other
+    read.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
         self.cfg = cfg
-        self.layers = [LayerCache(cfg) for _ in range(cfg.n_layers)]
         self.length = 0
-        self.scratch = aligned_empty((cfg.max_seq_len, cfg.hidden_size))[0]
+        n, t, c = cfg.n_layers, cfg.max_seq_len, cfg.hidden_size
+        if cfg.kv_codes:
+            g = -(-c // cfg.kv_group_size)
+            self.codes = aligned_empty((t, c), np.int8, count=2 * n).reshape(n, 2, t, c)
+            self.params = aligned_empty((t, g), count=4 * n).reshape(n, 2, 2, t, g)
+            self.scratch, self.work = aligned_empty((t, c), count=2)
+        else:
+            self.kv = aligned_empty((t, c), count=2 * n).reshape(n, 2, t, c)
         self.fold_k = False
         self._plan_reads(blocks)
 
@@ -434,7 +440,7 @@ class PoqKvCache:
         last user.  A cache of codes (cfg.kv_codes) adds the token spec and
         its channel spans (quantizers._spans, which append quantizes), each
         layer's smoothing, the config's read plan, built for this cache
-        (_config_read_plan), a work buffer and, when decode steps fold
+        (_config_read_plan) and, when decode steps fold
         (fold_k), each layer's K contraction matrix k_fold = [C; -C]: C =
         [segment ones * s | delta per head], or the segment ones without K
         smoothing.
@@ -449,7 +455,6 @@ class PoqKvCache:
         self.spans = _spans(cfg.hidden_size, cfg.kv_group_size)
         self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
         vars(self).update(_config_read_plan(cfg))
-        self.work = aligned_empty((cfg.max_seq_len, cfg.hidden_size))[0]
         if not self.fold_k:
             return
         self.k_fold = []
@@ -463,7 +468,7 @@ class PoqKvCache:
         (k_s/v_s smoothed, k_rot rotated raw keys, v_raw raw values): codes of
         k_s and v_s, or k_rot and v_raw themselves in the fp layout.  The
         codes, m and n are quantize_token's, from its core, ROW_BLOCK rows
-        and one span at a time, each written to the buffers as it is made.
+        and one span at a time, each written to the store as it is made.
         Rows past the capacity raise CapacityError, and non-finite rows of a
         quantized cache NumericError, before anything is stored."""
         t = k_s.shape[0]
@@ -472,23 +477,22 @@ class PoqKvCache:
             raise CapacityError(
                 f"cache capacity exceeded: {start}+{t} > {self.cfg.max_seq_len}"
             )
-        lc = self.layers[li]
-        if self.cfg.kv_codes:
-            # token groups are per row, so one call of quantize_token's core
-            # per span over a row block of the stacked K and V rows gives
-            # each the codes of its own quantize_token call
-            for block, y in row_blocks((k_s, v_s), "cache append"):
-                h = len(y) // 2
-                rows = slice(start + block.start, start + block.stop)
-                for cols, groups, k, size in self.spans:
-                    codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * h, k, size), self.spec)
-                    lc.k_codes[rows, cols], lc.v_codes[rows, cols] = codes[:h], codes[h:]
-                    lc.k_m[rows, groups], lc.v_m[rows, groups] = m[:h], m[h:]
-                    lc.k_n[rows, groups], lc.v_n[rows, groups] = n[:h], n[h:]
-                    del codes, m, n  # before the next span or block is quantized
-        else:
-            lc.k_fp[start : start + t] = k_rot
-            lc.v_fp[start : start + t] = v_raw
+        if not self.cfg.kv_codes:
+            self.kv[li, :, start : start + t] = k_rot, v_raw
+            return
+        # [K/V, row, channel] codes, and [m/n, K/V, row, group] params
+        store, params = self.codes[li], self.params[li].swapaxes(0, 1)
+        # token groups are per row, so one call of quantize_token's core per
+        # span over a row block of the stacked K and V rows gives each the
+        # codes of its own quantize_token call
+        for block, y in row_blocks((k_s, v_s), "cache append"):
+            h = len(y) // 2
+            rows = slice(start + block.start, start + block.stop)
+            for cols, groups, k, size in self.spans:
+                codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * h, k, size), self.spec)
+                store[:, rows, cols] = codes.reshape(2, h, -1)
+                params[:, :, rows, groups] = m.reshape(2, h, k), n.reshape(2, h, k)
+                del codes, m, n  # before the next span or block is quantized
 
     def read_raw(self, li: int, q: np.ndarray, k_cur: np.ndarray, v_cur: np.ndarray) -> np.ndarray:
         """Layer li's (1, hidden) attention output for a decode step's
@@ -511,20 +515,20 @@ class PoqKvCache:
         m) + (sum P) * delta.  Where segments are heads and groups, P * n is
         a broadcast product of views.
         """
-        cfg, lc = self.cfg, self.layers[li]
-        past, t = self.length, q.shape[0]
+        cfg, past, t = self.cfg, self.length, q.shape[0]
         h, d, w = cfg.n_heads, cfg.head_dim, self.seg_width
         heads = lambda a: a.reshape(a.shape[0], h, d).transpose(1, 0, 2)
         p = self._folded_k(li, heads(q * np.float32(1.0 / math.sqrt(d))), k_cur)
         sums = exp_causal(p, past)
         p_past = p[..., :past]
         out = np.matmul(p[..., past:], heads(v_cur))
+        v_m, v_n = self.params[li, 1, 0, :past], self.params[li, 1, 1, :past]
         codes = self.scratch[:past]
-        codes[...] = lc.v_codes[:past]
-        p_n = p_past[self.seg_head] * lc.v_n[:past, self.seg_group].T[:, None, :]
+        codes[...] = self.codes[li, 1, :past]
+        p_n = p_past[self.seg_head] * v_n[:, self.seg_group].T[:, None, :]
         acc = np.matmul(p_n, codes.reshape(past, -1, w).transpose(1, 0, 2))
         # P . m of every (head, group) pair: one product over all heads' rows
-        p_m = p_past.reshape(-1, past) @ lc.v_m[:past]
+        p_m = p_past.reshape(-1, past) @ v_m
         acc += p_m.reshape(h, -1, p_m.shape[1])[self.seg_pair][..., None]
         sp = self.kv_smoothing[li][1]
         if sp is not None:
@@ -542,18 +546,17 @@ class PoqKvCache:
         and a cache of codes without a past the chunk's.  Otherwise the past
         codes are dequantized and un-smoothed in place, K in the scratch
         buffer, where it is also rotated, and V in the work buffer."""
-        cfg, lc, past = self.cfg, self.layers[li], self.length
+        cfg, past = self.cfg, self.length
         end = past + k_cur.shape[0]
         if not cfg.kv_codes:
-            return lc.k_fp[:end], lc.v_fp[:end]
+            return self.kv[li, 0, :end], self.kv[li, 1, :end]
         if not past:
             return k_cur, v_cur
         k, v = self.scratch[:end], self.work[:end]
-        (sp_k, sp_v), spec = self.kv_smoothing[li], self.spec
-        for x, codes, m, n, sp, cur in ((k, lc.k_codes, lc.k_m, lc.k_n, sp_k, k_cur),
-                                        (v, lc.v_codes, lc.v_m, lc.v_n, sp_v, v_cur)):
-            qt = QuantizedTensor("token", codes[:past], spec.bits, spec.group_size,
-                                 m=m[:past], n=n[:past])
+        spec = self.spec
+        for j, (x, sp, cur) in enumerate(zip((k, v), self.kv_smoothing[li], (k_cur, v_cur))):
+            qt = QuantizedTensor("token", self.codes[li, j, :past], spec.bits, spec.group_size,
+                                 m=self.params[li, j, 0, :past], n=self.params[li, j, 1, :past])
             dequantize(qt, out=x[:past])
             if sp is not None:
                 apply_kv_smoothing(x[:past], sp, "to_raw", out=x[:past])
@@ -583,13 +586,14 @@ class PoqKvCache:
         share a scale or a group.  A layer without K smoothing has s = 1 and
         no delta term.
         """
-        lc, past, h = self.layers[li], self.length, self.cfg.n_heads
+        past, h = self.length, self.cfg.n_heads
         c, fold = self.cfg.hidden_size, self.k_fold[li]
+        k_m, k_n = self.params[li, 0, 0, :past], self.params[li, 0, 1, :past]
         n_seg = c // self.seg_width
         q = qh.reshape(-1)
         ab = fold * q[self.swap][:, None]
         codes, cos_codes = self.scratch[:past], self.work[:past]
-        codes[...] = lc.k_codes[:past]
+        codes[...] = self.codes[li, 0, :past]
         np.multiply(self.cos[:past], codes, out=cos_codes)
         sin_codes = np.multiply(codes, self.sin[:past], out=codes)
         seg = cos_codes @ ab[:c, :n_seg]
@@ -599,8 +603,8 @@ class PoqKvCache:
         scores = np.empty((h, 1, past + 1), dtype=np.float32)
         raw = scores[:, 0, :past]
         seg_t = raw if self.seg_to_head is None else np.empty((n_seg, past), dtype=np.float32)
-        np.multiply(seg.T, lc.k_n[:past, self.seg_group].T, out=seg_t)
-        sums[:n_seg] *= lc.k_m[:past, self.seg_group].T
+        np.multiply(seg.T, k_n[:, self.seg_group].T, out=seg_t)
+        sums[:n_seg] *= k_m[:, self.seg_group].T
         seg_t += sums[:n_seg]
         if self.seg_to_head is not None:
             np.matmul(self.seg_to_head, seg_t, out=raw)
@@ -610,21 +614,14 @@ class PoqKvCache:
         return scores
 
     def kv_bytes(self) -> int:
-        """Deployment-model byte count of the live cache (packed codes + 16-bit params)."""
-        total = 0
-        t = self.length
-        for lc in self.layers:
-            if self.cfg.kv_codes:
-                bits = self.cfg.kv_bits
-                total += (lc.k_codes[:t].size + lc.v_codes[:t].size) * bits // 8
-                total += (
-                    lc.k_m[:t].size + lc.k_n[:t].size + lc.v_m[:t].size + lc.v_n[:t].size
-                ) * 2
-            else:
-                # unquantized storage deploys as fp16 (or the stated wider bits)
-                bits = max(self.cfg.kv_bits, 16)
-                total += (lc.k_fp[:t].size + lc.v_fp[:t].size) * bits // 8
-        return total
+        """Deployment-model byte count of the live cache: packed codes and
+        16-bit params, or unquantized rows at fp16 (or the stated wider
+        bits), each layer's codes rounded down to whole bytes."""
+        t, n = self.length, self.cfg.n_layers
+        if self.cfg.kv_codes:
+            return n * (self.codes[0, :, :t].size * self.cfg.kv_bits // 8
+                        + self.params[0, :, :, :t].size * 2)
+        return n * (self.kv[0, :, :t].size * max(self.cfg.kv_bits, 16) // 8)
 
 
 # -- forward pass -------------------------------------------------------------
@@ -927,16 +924,28 @@ def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
 
 
 def check_token_ids(ids, vocab_size: int, what: str = "a forward's chunk") -> np.ndarray:
-    """ids as an int64 array.  UsageError if there are none, or for an id
+    """ids as a one-dimensional int64 array.  UsageError if there are none,
+    if they are not one-dimensional or not of an integer dtype (bools,
+    floats, strings and objects are refused, not cast), or for an id
     outside [0, vocab_size), which the embedding gather would wrap or fail
     on."""
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
     if not ids.size:
         raise UsageError(f"{what} is empty; it needs at least one token id")
+    if ids.ndim != 1:
+        raise UsageError(f"{what} must be one-dimensional, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise UsageError(f"{what} must hold integer token ids, got dtype {ids.dtype}")
     if ids.min() < 0 or ids.max() >= vocab_size:
-        bad = ids[(ids < 0) | (ids >= vocab_size)].flat[0]
+        bad = ids[(ids < 0) | (ids >= vocab_size)][0]
         raise UsageError(f"{what} holds token id {bad}, outside [0, {vocab_size})")
-    return ids
+    return ids.astype(np.int64, copy=False)
+
+
+def check_capacity(n: int, cfg: ModelConfig, what: str = "chunk") -> None:
+    """CapacityError if n positions from position 0 do not fit cfg.max_seq_len."""
+    if n > cfg.max_seq_len:
+        raise CapacityError(f"{what} of {n} tokens > max_seq_len {cfg.max_seq_len}")
 
 
 def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None = None) -> Tensor:
@@ -945,11 +954,13 @@ def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None 
     With a cache, the chunk continues at position cache.length, its KV is
     appended, and it runs the cache's config and the blocks it planned
     (PoqKvCache.block_plan); without one it starts at position 0 and runs
-    model.config over handlers built from it.
+    model.config over handlers built from it, and a chunk longer than
+    max_seq_len raises CapacityError.
     """
     token_ids = check_token_ids(token_ids, model.config.vocab_size)
     cfg = model.config if cache is None else cache.cfg
     if cache is None:
+        check_capacity(len(token_ids), cfg)
         start, plan = 0, [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, None))
                           for li, blk in enumerate(model.blocks)]
     else:
@@ -983,6 +994,7 @@ def cache_path_forward(model: Model, token_ids: np.ndarray) -> Tensor:
     if not (cfg.kv_codes and cfg.poq):
         return model_forward(model, token_ids)
     token_ids = check_token_ids(token_ids, cfg.vocab_size)
+    check_capacity(len(token_ids), cfg)
     positions = np.arange(len(token_ids))
     x = model.embed[token_ids]
     for blk in model.blocks:
@@ -997,7 +1009,10 @@ def prefill(model: Model, token_ids: np.ndarray):
 
 
 def decode_step(model: Model, token_id: int, cache: PoqKvCache) -> Tensor:
-    """One generation step; past KV read from the cache, current KV full precision."""
+    """One generation step; past KV read from the cache, current KV full
+    precision.  A token_id that is not an integer raises UsageError."""
+    if not _is_int(token_id):
+        raise UsageError(f"decode_step takes one integer token id, got {token_id!r}")
     if cache.length < 1:
         raise KvqError("decode_step requires a non-empty cache (run prefill first)")
     return model_forward(model, np.asarray([token_id]), cache=cache)
@@ -1005,7 +1020,7 @@ def decode_step(model: Model, token_id: int, cache: PoqKvCache) -> Tensor:
 
 def generate(model: Model, prompt_ids: np.ndarray, n_new: int) -> np.ndarray:
     """Deterministic greedy continuation; returns prompt + generated ids."""
-    prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
+    prompt_ids = check_token_ids(prompt_ids, model.config.vocab_size, "the prompt")
     if n_new < 0:
         raise KvqError(f"n_new must be >= 0, got {n_new}")
     out = list(prompt_ids)

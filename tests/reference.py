@@ -8,9 +8,10 @@ quantizes nothing itself, so a float32 / float64 difference can never
 round a code differently from the live model.
 
 decode_attention is one decode step's attention over a quantized cache
-layer.  It takes the layer's stored codes and per-(token, group) m, n, the
-layer's K/V smoothing, a query row and the step's own K/V rows, and computes
-the step's scores and output in float64 by the definitions: dequantize
+layer.  It takes the layer's stored K/V codes and per-(token, group) m, n
+(its slabs of the cache's store), the layer's K/V smoothing, a query row
+and the step's own K/V rows, and computes the step's scores and output in
+float64 by the definitions: dequantize
 (codes * n + m), un-smooth (y * s + delta), rotate every key at its
 position, then softmax and P . V.
 
@@ -105,16 +106,15 @@ def model_logits(model, ids, chunks, cache) -> np.ndarray:
         return y if sp is None else y * f64(sp.s) + f64(sp.delta)
 
     x = f64(model.embed[np.asarray(ids)])
-    for blk, lc in zip(model.blocks, cache.layers):
+    for li, blk in enumerate(model.blocks):
         xn = rms_norm(x, blk.attn_norm)
         q = rotate(proj(xn, blk.q), pos, cfg.rope_base, d).reshape(n, h, d)
         k, v = raw(xn, blk.k), raw(xn, blk.v)
         k_read, v_read = k, v
         if cfg.kv_codes:
-            k_read = raw_rows(lc.k_codes[:n], lc.k_m[:n], lc.k_n[:n], cfg.kv_group_size,
-                              blk.k.smoothing)
-            v_read = raw_rows(lc.v_codes[:n], lc.v_m[:n], lc.v_n[:n], cfg.kv_group_size,
-                              blk.v.smoothing)
+            k_read, v_read = (raw_rows(cache.codes[li, j, :n], *cache.params[li, j, :, :n],
+                                       cfg.kv_group_size, lin.smoothing)
+                              for j, lin in enumerate((blk.k, blk.v)))
         k, k_read = (rotate(a, pos, cfg.rope_base, d) for a in (k, k_read))
         attn = np.empty((n, h, d))
         for i in range(n):
@@ -130,22 +130,23 @@ def model_logits(model, ids, chunks, cache) -> np.ndarray:
     return proj(rms_norm(x, model.final_norm), model.head)
 
 
-def decode_attention(cfg, layer, past: int, smoothing: tuple, q: np.ndarray,
-                     k: np.ndarray, v: np.ndarray):
+def decode_attention(cfg, codes: np.ndarray, params: np.ndarray, past: int, smoothing: tuple,
+                     q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """Scores, probabilities and output of a decode step at position past.
 
-    layer holds the stored K/V codes and their m, n (rows 0 .. past-1);
-    smoothing is the layer's (K, V) SmoothingParams or None each; q, k and v
-    are the step's (1, hidden) query, key and value rows before rotation.
+    codes, (2, rows, hidden), holds the layer's stored K/V codes and params,
+    (2, 2, rows, groups), their m and n, indexed [K/V, (m/n,) row, ...]
+    (rows 0 .. past-1 are read); smoothing is the layer's (K, V)
+    SmoothingParams or None each; q, k and v are the step's (1, hidden)
+    query, key and value rows before rotation.
     Returns scores (H, past + 1), the raw q . k over the past keys and then
     the step's own key; p, their softmax after the 1 / sqrt(head_dim) scale;
     and out (H, head_dim), p applied to the past values and then the step's
     own value.
     """
     h, d, g = cfg.n_heads, cfg.head_dim, cfg.kv_group_size
-    sp_k, sp_v = smoothing
-    past_k = raw_rows(layer.k_codes[:past], layer.k_m[:past], layer.k_n[:past], g, sp_k)
-    past_v = raw_rows(layer.v_codes[:past], layer.v_m[:past], layer.v_n[:past], g, sp_v)
+    past_k, past_v = (raw_rows(codes[j, :past], *params[j, :, :past], g, sp)
+                      for j, sp in enumerate(smoothing))
     keys = rotate(np.concatenate([past_k, k]), np.arange(past + 1), cfg.rope_base, d)
     values = np.concatenate([past_v, np.asarray(v, dtype=np.float64)])
     query = rotate(q, [past], cfg.rope_base, d)

@@ -175,12 +175,25 @@ class TestRuntimeAgreement:
         report = verify_runtime_accounting(m, cache)
         assert report["analyzer_bytes"] == report["runtime_bytes"] == cache.kv_bytes()
 
+    def test_fractional_code_bytes_round_down_per_layer(self):
+        # 2 layers of 18 channels in groups of 8 (a tail group of 2) at 3
+        # bits: each layer's codes hold a fractional byte at 1 and 3 tokens
+        # (13.5, 40.5) and round down on their own, so one floor over all
+        # layers would read 75, 225 and 375
+        cfg = tiny_config(n_layers=2, n_heads=3, head_dim=6, hidden_size=18, kv_group_size=8,
+                          kv_bits=3, quant_mode="weight_kv")
+        m = Model.random(cfg, seed=0)
+        for t, want in ((1, 74), (3, 224), (5, 374)):
+            _, cache = prefill(m, np.arange(t))
+            report = verify_runtime_accounting(m, cache)
+            assert report["analyzer_bytes"] == report["runtime_bytes"] == cache.kv_bytes() == want
+
     def test_mismatch_raises(self):
         m = Model.random(tiny_config(), seed=0)
         quantize_model_weights(m)
         m.config = dataclasses.replace(m.config, quant_mode="weight_kv")
         _, cache = prefill(m, np.arange(10))
-        cache.layers[0].k_codes = np.zeros((64, 40), dtype=np.int8)  # corrupt
+        cache.codes = np.zeros((2, 2, 64, 40), dtype=np.int8)  # corrupt
         with pytest.raises(AccountingError, match=r"\d+ != .*\d+"):
             verify_runtime_accounting(m, cache)
 

@@ -24,7 +24,7 @@ from kvq.calibration import (
     reconstruction_loss,
     sample_segments,
 )
-from kvq.errors import DataFormatError, KvqError, UsageError
+from kvq.errors import CapacityError, DataFormatError, KvqError, UsageError
 from kvq.evaluate import logit_mae
 from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
 from kvq.quantizers import WeightQuantSpec
@@ -399,6 +399,21 @@ class TestSegments:
     def test_short_corpus_rejected(self):
         with pytest.raises(DataFormatError):
             sample_segments(np.arange(8), CalibConfig(seg_len=16))
+
+    @pytest.mark.parametrize("seg_len, corpus, error, message", [
+        (17, word_corpus(0, 50), CapacityError,
+         "calibration segment of 17 tokens > max_seq_len 16"),
+        (8, word_corpus(0, 50) + 0.5, UsageError, "the corpus must hold integer token ids"),
+        (8, np.stack([word_corpus(0, 50)] * 2), UsageError, "the corpus must be one-dimensional"),
+    ])
+    def test_segments_past_capacity_or_corpus_not_ids_refused(self, seg_len, corpus, error,
+                                                               message):
+        # refused before any work; a segment past max_seq_len was calibrated
+        # at positions no cache of the model holds, and float ids truncated
+        m = Model.random(tiny_config(max_seq_len=16), seed=0)
+        with pytest.raises(error, match=message):
+            calibrate_model(m, corpus, CalibConfig(k=1, epochs=0, segments=1, seg_len=seg_len))
+        assert m.config.quant_mode == "fp" and all(blk.k.smoothing is None for blk in m.blocks)
 
 
 class TestSweep:

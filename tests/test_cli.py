@@ -104,6 +104,16 @@ class TestFit:
         assert rc == 2
         assert message in err and stdout == "" and not out.exists()
 
+    def test_window_past_capacity_is_usage_error(self, workdir, capsys):
+        # a --seq-len past --max-seq-len fitted windows no cache holds
+        out = workdir / "too_long.kvq"
+        rc, stdout, err = run(capsys, ["fit", "--corpus", str(workdir / "corpus.txt"),
+                                       "--out", str(out)] + FIT_ARGS
+                              + ["--max-seq-len", "32", "--seq-len", "40"])
+        assert rc == 2
+        assert "training window of 40 tokens > max_seq_len 32" in err
+        assert stdout == "" and not out.exists()
+
     def test_missing_corpus_is_data_error(self, workdir, capsys):
         rc, _, err = run(capsys, ["fit", "--corpus", str(workdir / "nope.txt"),
                                   "--out", str(workdir / "x.kvq")] + FIT_ARGS)
@@ -260,6 +270,31 @@ class TestCalibrate:
         assert rc == 2
         assert flag.lstrip("-").replace("-", "_") in err
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "ablate", "sweep-k"])
+    def test_segments_past_capacity_are_usage_errors(self, workdir, capsys, command):
+        # the fixture's model holds 64 positions
+        out = workdir / "long_segments.kvq"
+        extra = {"calibrate": ["--out", str(out)], "sweep-k": ["--k-values", "1"]}.get(command, [])
+        rc, stdout, err = run(capsys, [
+            command, "--model", str(workdir / "model.kvq"),
+            "--corpus", str(workdir / "corpus.txt"), "--seg-len", "65",
+        ] + extra)
+        assert rc == 2
+        assert "calibration segment of 65 tokens > max_seq_len 64" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "ablate", "sweep-k"])
+    @pytest.mark.parametrize("value", ["1", "0", "-5"])
+    def test_max_tokens_below_two_is_usage_error(self, workdir, capsys, command, value):
+        # a limit below 2 was raised to 2 and scored one token
+        rc, stdout, err = run(capsys, [
+            command, "--model", str(workdir / "model.kvq"),
+            "--corpus", str(workdir / "corpus.txt"), "--max-tokens", value,
+        ])
+        assert rc == 2
+        assert f"--max-tokens must be >= 2 (a context token and a scored one), got {value}" in err
+        assert stdout == ""
 
 
 class TestEval:

@@ -240,6 +240,24 @@ class TestTraining:
         with pytest.raises(DataFormatError):
             train_model(m, np.arange(10), steps=1, seq_len=32)
 
+    def test_window_past_capacity_refused(self):
+        # a seq_len past max_seq_len fitted windows no cache of the model holds
+        m = Model.random(tiny_config(max_seq_len=16), seed=0)
+        embed = m.embed.copy()
+        with pytest.raises(CapacityError, match="training window of 17 tokens > max_seq_len 16"):
+            train_model(m, word_corpus(0), steps=1, batch=1, seq_len=17)
+        assert np.array_equal(m.embed, embed)
+        train_model(m, word_corpus(0), steps=1, batch=1, seq_len=16)
+
+    @pytest.mark.parametrize("corpus", [np.arange(40) + 0.5, (np.arange(40) % 2).astype(bool),
+                                        np.arange(40).reshape(2, 20)])
+    def test_corpus_of_other_types_or_shapes_refused(self, corpus):
+        m = Model.random(tiny_config(), seed=0)
+        embed = m.embed.copy()
+        with pytest.raises(UsageError, match="the corpus must"):
+            train_model(m, corpus, steps=1, batch=1, seq_len=8)
+        assert np.array_equal(m.embed, embed)
+
     def test_corpus_of_one_window_trains_from_its_start(self):
         # seq_len + 1 tokens hold one window, so every draw starts at 0
         m = Model.random(tiny_config(), seed=3)

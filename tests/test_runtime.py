@@ -114,8 +114,12 @@ class TestConfig:
             for kv_bits in (4, 16):
                 cfg = tiny_config(quant_mode=mode, kv_bits=kv_bits)
                 assert cfg.kv_codes == (mode == "weight_kv" and kv_bits == 4), (mode, kv_bits)
-                layer = PoqKvCache(cfg, Model.random(cfg).blocks).layers[0]
-                assert hasattr(layer, "k_codes") == cfg.kv_codes
+                cache = PoqKvCache(cfg, Model.random(cfg).blocks)
+                # a cache of codes holds codes, params and one read-buffer
+                # pair; any other holds its rows and no read buffer
+                held = {"codes", "params", "scratch", "work"} if cfg.kv_codes else {"kv"}
+                store = {"codes", "params", "kv", "scratch", "work"}
+                assert store & set(vars(cache)) == held, (mode, kv_bits)
 
 
 class TestFpForward:
@@ -269,6 +273,18 @@ class TestCache:
         with pytest.raises(CapacityError):
             decode_step(m, 0, cache)
 
+    @pytest.mark.parametrize("mode, poq", [("fp", True), ("weight_kv", True),
+                                           ("weight_kv", False)])
+    def test_forwards_without_a_cache_stop_at_capacity(self, mode, poq):
+        # the cacheless forward and the one-pass cache path ran a chunk of
+        # any length, past the positions a cache of the model holds
+        m = quantized(make_model(max_seq_len=16, poq=poq), mode)
+        ids = np.arange(40) % 250
+        for forward in (model_forward, kvq.model.cache_path_forward):
+            with pytest.raises(CapacityError, match="chunk of 17 tokens > max_seq_len 16"):
+                forward(m, ids[:17])
+            assert forward(m, ids[:16]).shape == (16, m.config.vocab_size)
+
     def test_decode_requires_prefill(self):
         m = make_model()
         cache = PoqKvCache(m.config, m.blocks)
@@ -355,7 +371,6 @@ class TestCache:
         for t in (1, rb - 1, rb, rb + 1, 2 * rb + 5):
             for filled in (0, rb - 5):
                 cache = PoqKvCache(m.config, m.blocks)
-                lc = cache.layers[1]
                 if filled:
                     k_s, v_s = rng.normal(size=(2, filled, 32)).astype(np.float32)
                     cache.append(1, k_s, v_s, k_s, v_s)
@@ -363,18 +378,18 @@ class TestCache:
                 k_s, v_s = (3.0 * rng.normal(size=(2, t, 32))).astype(np.float32)
                 k_s[0, 12:24] = 0.75
                 v_s[-1, 24:] = -2.0
-                before = copy.deepcopy(vars(lc))
+                before = [cache.codes.copy(), cache.params.copy()]
                 bad = k_s.copy()
                 bad[-1, 3] = np.nan
                 with pytest.raises(NumericError, match="cache append"):
                     cache.append(1, bad, v_s, bad, v_s)
-                for name, stored in vars(lc).items():
+                for stored, was in zip((cache.codes, cache.params), before):
                     # nothing stored; a row not yet written holds what the allocation held
-                    assert np.array_equal(stored, before[name], equal_nan=True), (t, filled, name)
+                    assert np.array_equal(stored, was, equal_nan=True), (t, filled)
                 cache.append(1, k_s, v_s, k_s, v_s)
                 rows = slice(filled, filled + t)
-                for y, stored in ((k_s, (lc.k_codes, lc.k_m, lc.k_n)),
-                                  (v_s, (lc.v_codes, lc.v_m, lc.v_n))):
+                for j, y in enumerate((k_s, v_s)):
+                    stored = (cache.codes[1, j], *cache.params[1, j])  # codes, m, n
                     for got, want in zip(stored, rows_alone(y)):
                         assert np.array_equal(got[rows], want), (t, filled)
 
@@ -390,9 +405,8 @@ class TestCache:
         def logits(fill: bool) -> np.ndarray:
             cache = PoqKvCache(m.config, m.blocks)
             if fill:
-                buffers = [cache.scratch] + ([cache.work] if m.config.kv_codes else [])
-                buffers += [a for lc in cache.layers for a in vars(lc).values()]
-                for a in buffers:
+                names = ("codes", "params", "scratch", "work") if m.config.kv_codes else ("kv",)
+                for a in (getattr(cache, name) for name in names):
                     a[...] = np.nan if a.dtype.kind == "f" else -128
             rows = [model_forward(m, IDS[:10], cache=cache).data,
                     model_forward(m, IDS[10:16], cache=cache).data]
@@ -440,6 +454,39 @@ class TestTokenIds:
         # the last and first ids of the vocabulary are read
         assert decode_step(m, v - 1, cache).shape == (1, v) and cache.length == 5
         assert prefill(m, [0])[1].length == 1
+
+    @pytest.mark.parametrize("mode", ["fp", "weight_kv"])
+    def test_ids_of_other_types_or_shapes_refused(self, mode):
+        # ids that numpy can cast are not cast: a float, string or bool chunk
+        # ran as the ids it truncated to, and a 2-D one raised a bare
+        # ValueError
+        m = quantized(make_model(), mode)
+        _, cache = prefill(m, IDS[:4])
+        typed = ([1.7, 2.2], ["3"], [True, False], np.array([1, 2], dtype=object),
+                 np.array([1.0, 2.0], dtype=np.float32))
+        for bad, message in [(b, "must hold integer token ids") for b in typed] + [
+                ([[1, 2], [3, 4]], "must be one-dimensional"), (7, "must be one-dimensional")]:
+            for forward in (lambda: prefill(m, bad), lambda: model_forward(m, bad, cache=cache),
+                            lambda: model_forward(m, bad), lambda: generate(m, bad, 0),
+                            lambda: score_logits(m, bad, use_cache=True),
+                            lambda: kvq.evaluate.perplexity(m, bad),
+                            lambda: kvq.evaluate.logit_mae(m, m, bad)):
+                with pytest.raises(UsageError, match=message):
+                    forward()
+        for tok in (2.9, 3.0, True, "3", np.float32(3), np.array(3), [3]):
+            with pytest.raises(UsageError, match="decode_step takes one integer token id"):
+                decode_step(m, tok, cache)
+        # generate checks its prompt even when it generates nothing
+        with pytest.raises(UsageError, match="the prompt holds token id 999, outside"):
+            generate(m, [999], 0)
+        assert cache.length == 4
+        # integers of every width are ids
+        want = prefill(m, IDS[:6])[0].data
+        for dtype in (np.uint8, np.int16, np.int32, np.uint64):
+            assert np.array_equal(prefill(m, IDS[:6].astype(dtype))[0].data, want), dtype
+        assert np.array_equal(generate(m, IDS[:3].astype(np.uint8), 0), IDS[:3])
+        decode_step(m, np.int32(5), cache)
+        assert cache.length == 5
 
 
 class TestNonFiniteScores:
@@ -630,7 +677,8 @@ class TestFoldedCacheRead:
     def test_corrupt_cache_params_raise(self, name):
         m = quantized(smoothed(make_model(seed=1)))
         _, cache = prefill(m, IDS)
-        getattr(cache.layers[-1], name)[3, 0] = np.nan
+        kv, mn = "kv".index(name[0]), "mn".index(name[2])
+        cache.params[-1, kv, mn, 3, 0] = np.nan
         with pytest.raises(NumericError):
             decode_step(m, 5, cache)
 
@@ -667,12 +715,15 @@ class TestReadPlan:
         m = quantized(make_model(seed=1, max_seq_len=37, n_heads=3, head_dim=6,
                                  hidden_size=18, kv_group_size=3), mode)
         cache = PoqKvCache(m.config, m.blocks)
-        kept = [cache.scratch] + [a for lc in cache.layers for a in vars(lc).values()
-                                  if isinstance(a, np.ndarray)]
-        if mode == "weight_kv":
+        codes = mode == "weight_kv"
+        store = [cache.codes, cache.params] if codes else [cache.kv]
+        # every (max_seq_len, .) slab of the store: each layer's K and V
+        # codes and their m and n, or K and V rows
+        kept = [a[ix] for a in store for ix in np.ndindex(a.shape[:-2])]
+        assert len(kept) == (2 * 2 + 2 * 4 if codes else 2 * 2)
+        if codes:
             assert cache.fold_k
-            kept += [cache.work, cache.cos, cache.sin, cache.cs_cols]
-        assert len(kept) == (1 + 2 * 6 + 4 if mode == "weight_kv" else 1 + 2 * 2)
+            kept += [cache.scratch, cache.work, cache.cos, cache.sin, cache.cs_cols]
         assert [a.ctypes.data % 64 for a in kept] == [0] * len(kept)
 
     def test_k_fold_and_buffers_belong_to_each_cache(self):
@@ -829,7 +880,7 @@ class TestFoldsAgainstReference:
             pos = np.arange(ctx, ctx + 1)
             for li in range(cfg.n_layers):
                 q, k, v = rng.normal(size=(3, 1, cfg.hidden_size)).astype(np.float32)
-                scores, _, out = decode_attention(cfg, cache.layers[li], ctx,
+                scores, _, out = decode_attention(cfg, cache.codes[li], cache.params[li], ctx,
                                                   cache.kv_smoothing[li], q, k, v)
                 q_rot, k_rot = (rope(a, pos, cfg.rope_base, head_dim) for a in (q, k))
                 got = cache._folded_k(li, heads(q_rot), k_rot)[:, 0]
@@ -864,7 +915,7 @@ class TestFpCacheRotatedKeys:
             for li in range(cfg.n_layers):
                 want = rope(raw[first + li], np.arange(start, start + t), cfg.rope_base,
                             cfg.head_dim)
-                assert np.array_equal(cache.layers[li].k_fp[start : start + t], want)
+                assert np.array_equal(cache.kv[li, 0, start : start + t], want)
             start += t
         assert start == cache.length == 20
 
@@ -897,15 +948,16 @@ class TestStackedForward:
     def test_stacked_forward_onto_a_cache_refused(self, mode):
         m = quantized(make_model(), mode)
         cache = PoqKvCache(m.config, m.blocks)
-        before = copy.deepcopy(vars(cache.layers[0]))
+        names = ("codes", "params") if m.config.kv_codes else ("kv",)
+        before = {name: getattr(cache, name).copy() for name in names}
         x = m.embed[np.concatenate([IDS[:4], IDS[4:8]])]
         w, kv_fn = cache.block_plan[0]
         with pytest.raises(UsageError, match="one sequence"):
             block_core(m.config, w, x, np.arange(4), kv_fn)
         assert cache.length == 0
-        for name, stored in vars(cache.layers[0]).items():
+        for name, stored in before.items():
             # nothing appended; the rows hold what the allocation held
-            assert np.array_equal(stored, before[name], equal_nan=True), name
+            assert np.array_equal(getattr(cache, name), stored, equal_nan=True), name
 
 
 class TestPoq:

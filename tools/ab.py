@@ -20,6 +20,11 @@ Workloads, each timed per call:
     calibrate               calibrate_model (k 2, 1 epoch, 4 x 64 tokens)
     save_load               save_model and load_model of the served model, in
                             a temporary directory
+    train_step              one train_model step (batch 2, seq_len 64) on a
+                            copy of the fp model
+    crr_loss                one crr_loss forward and backward on block 1 (k 2)
+                            over 4 x 64-token segments of the fp model, from
+                            the statistics-initialised smoothing
 
 A round runs each import once per workload, in an order that rotates from
 round to round.  Per workload one JSON line is printed:
@@ -30,8 +35,9 @@ round to round.  Per workload one JSON line is printed:
               is the noise a B/A ratio must exceed
     sha256    of each import's outputs (logits, or the calibration report
               and weights, or the loaded model's arrays and its 64-token
-              cache-path logits, not the file's bytes), from the first,
-              untimed call
+              cache-path logits, not the file's bytes, or the fitted loss
+              and arrays, or the loss and the smoothing's gradients), from
+              the first, untimed call
     identical whether A's and B's hashes are equal
 
 --tiny runs small sizes for a smoke test; its times mean nothing.
@@ -59,12 +65,15 @@ from pathlib import Path
 
 import numpy as np
 
+# train: (batch, seq_len) of train_step; crr: (segments, seg_len) of crr_loss
 FULL = dict(config={"max_seq_len": 1024}, decode=(384, 896), steps=16, prefill=896, score=192,
-            chunk=(600, 300), calib=dict(k=2, epochs=1, segments=4, seg_len=64), corpus=4096)
+            chunk=(600, 300), calib=dict(k=2, epochs=1, segments=4, seg_len=64), corpus=4096,
+            train=(2, 64), crr=(4, 64))
 TINY = dict(config=dict(n_layers=2, hidden_size=32, n_heads=2, head_dim=16,
                         intermediate_size=48, max_seq_len=64, weight_group_size=16),
             decode=(16, 40), steps=4, prefill=48, score=16, chunk=(30, 20),
-            calib=dict(k=2, epochs=1, segments=2, seg_len=16), corpus=256)
+            calib=dict(k=2, epochs=1, segments=2, seg_len=16), corpus=256,
+            train=(2, 16), crr=(2, 16))
 
 
 def load_tree(root: Path, name: str):
@@ -154,10 +163,34 @@ def workloads(sizes: dict) -> dict:
         logits = kvq.evaluate.score_logits(model, tr.ids[:64], use_cache=True)
         return t, [*model_arrays(model), logits]
 
+    def train_step(tr: Tree):
+        model, (batch, seq_len) = copy.deepcopy(tr.fp), sizes["train"]
+        t, report = timed(lambda: tr.kvq.train_model(model, tr.corpus, steps=1, batch=batch,
+                                                     seq_len=seq_len, seed=0))
+        return t, [np.float64(report["final_loss"]), *model_arrays(model)]
+
+    def crr_loss(tr: Tree):
+        calibration, (segments, seg_len) = tr.kvq.calibration, sizes["crr"]
+        ids = tr.corpus[: segments * seg_len].reshape(segments, seg_len)
+        acts = calibration.collect_activations(tr.fp, list(ids))
+        k_eff = min(tr.calib.k, tr.fp.config.n_layers - 1)
+        x, ref = (np.stack([a[i] for a in acts]) for i in (1, 1 + k_eff))
+        tp = calibration.init_trainables(tr.fp, 1, list(x))
+        wq = calibration.quantized_weights(tr.fp, 1)
+
+        def step():
+            loss = calibration.crr_loss(tr.fp, 1, x, tp, tr.calib, ref, wq)
+            loss.backward()
+            return loss.item()
+
+        t, loss = timed(step)
+        return t, [np.float64(loss), *(p.grad for p in tp.smooth_params())]
+
     (short, long), (past, rows) = sizes["decode"], sizes["chunk"]
     return {f"decode_{short}": decode(short), f"decode_{long}": decode(long),
             f"prefill_{sizes['prefill']}": prefill, f"score_{sizes['score']}": score,
-            f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate, "save_load": save_load}
+            f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate, "save_load": save_load,
+            "train_step": train_step, "crr_loss": crr_loss}
 
 
 def model_arrays(model) -> list:
