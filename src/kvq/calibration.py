@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataFormatError, KvqError, NumericError
+from .errors import DataFormatError, KvqError, NumericError, UsageError
 from .model import (Model, block_core, block_tensors, check_capacity, check_token_ids, fp_kv_fn,
                     require_unsmoothed)
 from .quantizers import (
@@ -248,10 +248,22 @@ def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[n
     segments stacked as rows.  The pass runs on Tensors that need no
     gradient, so it records no tape and has the arithmetic of crr_loss's
     full-precision blocks: the runtime forward on arrays normalizes
-    attention in another order (model.causal_attention)."""
-    ids = np.asarray(segments, dtype=np.int64)
+    attention in another order (model.causal_attention).
+
+    Each segment is checked as a forward's chunk is (check_token_ids,
+    UsageError) and against max_seq_len (check_capacity, CapacityError);
+    no segments, or segments of more than one length, raise UsageError."""
+    cfg = model.config
+    segments = [check_token_ids(seg, cfg.vocab_size, f"calibration segment {i}")
+                for i, seg in enumerate(segments)]
+    lengths = sorted({len(seg) for seg in segments})
+    if len(lengths) != 1:
+        raise UsageError(f"calibration takes one or more segments of one length, got "
+                         f"lengths {lengths}")
+    check_capacity(lengths[0], cfg, "calibration segment")
+    ids = np.stack(segments)
     b, t = ids.shape
-    cfg, positions = model.config, np.arange(t)
+    positions = np.arange(t)
     xs = [Tensor(model.embed[ids.reshape(-1)])]
     for blk in model.blocks:
         xs.append(block_core(cfg, block_tensors(blk), xs[-1], positions, fp_kv_fn(cfg)))

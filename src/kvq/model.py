@@ -18,10 +18,11 @@ their per-(token, group) m and n, (n_layers, 2, 2, max_seq_len, groups).
 An fp cache (fp and weight_only) holds one float32 array of K rows,
 rotated once at append, and raw V rows, (n_layers, 2, max_seq_len,
 hidden).  A quantized cache is read in one of two forms.  The fold: a
-one-row decode step onto a cache of at most FOLD_MAX_SEGMENTS segments maps
+decode step onto a cache of at most FOLD_MAX_SEGMENTS segments maps
 neither past K nor V back to raw space, and the cache runs the whole
 attention read over its codes (PoqKvCache.read_raw): the scaled query's
-scores, exp_causal, the values and the division by the row sums.  The
+scores, exp_causal, the values and the division by the row sums.  Its one
+caller is the cache's own one-row decode step (PoqKvCache.step).  The
 keys' dequantization, un-smoothing and rotation are folded into the query:
 with U = cos * (q * s) - sin * (sigma(q) * s) over the past rows' rope
 tables, a segment of codes scores n * sum(U * codes) + m * sum(U), which
@@ -29,17 +30,19 @@ the step computes without forming U or any past key (PoqKvCache._folded_k).  The
 values' dequantization and un-smoothing are folded past the attention
 weights.  The fold's cost grows with the number of segments, hidden /
 gcd(kv_group_size, head_dim), hence the threshold.  Every other read, a
-chunk of more than one row onto a filled cache and a decode step onto a
-cache of more segments, takes the materialized rows (PoqKvCache.rows): the
+chunk onto a filled cache (one of one row included) and a decode step onto
+a cache of more segments, takes the materialized rows (PoqKvCache.rows): the
 past codes dequantized and un-smoothed, K rotated, with the chunk's own
 rows last, which causal_attention attends over as it does prefill's.
 An fp cache's read takes the stored rows, the chunk's included, as the
 arrays prefill attends over.  A cache plans its forwards once, when it is
 built (PoqKvCache._plan_reads), so a decode step rebuilds nothing: each
 block's weights and KV handler, and for a quantized cache the token spec,
-smoothing, segment maps, contraction matrices and rope tables.  Only a
+smoothing, each layer's views of the store, segment maps, contraction
+matrices and rope tables.  Only a
 quantized cache holds read buffers, one pair (scratch and work), shared by
-the layers and overwritten by every read.  Each layer's K or V slab of the
+the layers and overwritten by every read; the fold uses scratch alone.  Each
+layer's K or V slab of the
 store, the read buffers and the rope tables are allocated once on 64-byte
 boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
 elementwise passes in about half the time, and without a fill: append
@@ -59,12 +62,13 @@ Cache protocol: PoqKvCache.length is the one record of how many positions
 the cache holds, and a forward over a chunk starts at that position.  Each
 block's KV handler first appends the chunk's rows at length .. length+t-1
 (append is the only write site and the only capacity check), then reads the
-past rows 0 .. length-1.  model_forward advances length once, after the last
-block, so a forward that raises part-way leaves length unchanged and the
-next forward overwrites the rows it had written.
+past rows 0 .. length-1.  model_forward (or the cache's step) advances
+length once, after the last block, so a forward that raises part-way leaves
+length unchanged and the next forward overwrites the rows it had written.
 
-block_core is the one block forward of prefill, decode, cache-path scoring,
-calibration and training.  It treats all heads at once: each of Q and K is
+block_core is the one block forward of prefill, chunks, decode steps onto a
+cache that does not fold, cache-path scoring, calibration and training.  It
+treats all heads at once: each of Q and K is
 rotated by a single rope call over (T, n_heads * head_dim), and
 causal_attention computes every head's scores, in-place causal softmax and
 weighted sum together: on the tape the softmax comes before P . V, on
@@ -77,9 +81,18 @@ the runtime forward (prefill, decode_step, cache_path_forward) passes plain
 float32 arrays and records nothing.  Each caller hands block_core its
 weights and KV handler: model_forward block_arrays and _runtime_kv_fn
 (planned once per cache), training and calibration block_tensors (or the
-fake-quantized weights) and fp_kv_fn.  For a decode step onto a cache that
-folds, the handler gives block_attention the cache's read
-(PoqKvCache.read_raw) in place of causal_attention's inputs.
+fake-quantized weights) and fp_kv_fn.  block_core does not know the fold.
+
+A decode step onto a cache that folds is the one forward that does not run
+block_core: decode_step hands it to the cache (PoqKvCache.step), which runs
+block_core's arithmetic for one row as plain float32 array expressions, in
+block_core's order, so every logit, code and (m, n) is the one block_core
+would give.  It rotates q and k as one (2, hidden) array at the step's row
+of the rope table, appends, reads through the fold, and skips the general
+path's per-call dispatch, shape checks and rope table lookups.  On the
+served model of tools/ab.py (4 blocks, hidden 128, one BLAS thread, 2-vCPU
+Xeon VM) 16 steps took 0.83x, 0.88x and 0.88x block_core's time after
+prefills of 64, 384 and 896 tokens (medians of 20 alternating rounds).
 
 block_core runs two halves.  The attention half, block_attention, is a
 function of its own (rms_norm, the q/k/v projections, rope, the KV handler,
@@ -149,8 +162,8 @@ from .quantizers import (
     quantize_weight,
     row_blocks,
 )
-from .tensor import (Tensor, aligned_empty, exp_causal, gated_mlp, linear, rms_norm, rope,
-                     rope_table, sequences, softmax_causal)
+from .tensor import (Tensor, _check_finite, aligned_empty, exp_causal, gated_mlp, linear,
+                     rms_norm, rope, rope_table, sequences, softmax_causal)
 
 MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
 # a block's projections, in DecoderBlockWeights order
@@ -410,10 +423,10 @@ class PoqKvCache:
     cfg is the config the cache was built with, kept as given (a ModelConfig
     cannot change), the setting of every forward onto it, and the cache
     plans those forwards with it (_plan_reads).  length counts the positions
-    every layer holds; only model_forward advances it.  A cache of codes is
-    read in two forms: the fold (read_raw) for a decode step onto a cache
-    that folds (fold_k), and the materialized rows (rows) for every other
-    read.
+    every layer holds; only model_forward and step advance it.  A cache of
+    codes is read in two forms: the fold (read_raw) for the cache's own
+    decode step (step), onto a cache that folds (fold_k), and the
+    materialized rows (rows) for every other read.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
@@ -435,15 +448,19 @@ class PoqKvCache:
         the same rule as cfg: from the config and the blocks as they are now.
 
         Every cache keeps each block's block_core weights and KV handler
-        (block_plan).  The handlers reach the cache through a weak proxy, so
-        the plan makes no reference cycle and the cache is freed with its
-        last user.  A cache of codes (cfg.kv_codes) adds the token spec and
-        its channel spans (quantizers._spans, which append quantizes), each
-        layer's smoothing, the config's read plan, built for this cache
-        (_config_read_plan) and, when decode steps fold
-        (fold_k), each layer's K contraction matrix k_fold = [C; -C]: C =
-        [segment ones * s | delta per head], or the segment ones without K
-        smoothing.
+        (block_plan); the weights are also the step's.  The handlers reach
+        the cache through a weak proxy, so the plan makes no reference cycle
+        and the cache is freed with its last user.  A cache of codes
+        (cfg.kv_codes) adds the token spec and its channel spans
+        (quantizers._spans, which append quantizes), each layer's smoothing,
+        each layer's views of the store (layer_store for append, layer_reads
+        for the reads), the config's read plan, built for this cache
+        (_config_read_plan) and, when decode steps fold (fold_k), each
+        layer's V smoothing per segment and K contraction matrix k_fold =
+        [C; -C]: C = [segment ones * s | delta per head], or the segment ones
+        without K smoothing.  A fold read's six slices of the store took
+        about 1.7 us from the whole store and 1.0 us from a layer's planned
+        views.
         """
         cfg = self.cfg
         proxy = weakref.proxy(self)
@@ -454,9 +471,19 @@ class PoqKvCache:
         self.spec = cfg.token_spec()
         self.spans = _spans(cfg.hidden_size, cfg.kv_group_size)
         self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
+        # each layer's views of the store: its K/V codes and their (m, n), which
+        # append writes, and the (codes, m, n) of its K and of its V, which reads take
+        layers = range(cfg.n_layers)
+        self.layer_store = [(self.codes[li], self.params[li]) for li in layers]
+        self.layer_reads = [[(self.codes[li, j], *self.params[li, j]) for j in (0, 1)]
+                            for li in layers]
         vars(self).update(_config_read_plan(cfg))
         if not self.fold_k:
             return
+        w = self.seg_width
+        self.v_seg_smoothing = [None if sp is None else (sp.s.reshape(-1, 1, w),
+                                                         sp.delta.reshape(-1, 1, w))
+                                for _, sp in self.kv_smoothing]
         self.k_fold = []
         for sp, _ in self.kv_smoothing:
             fold = self.seg_ones if sp is None else np.concatenate(
@@ -480,26 +507,73 @@ class PoqKvCache:
         if not self.cfg.kv_codes:
             self.kv[li, :, start : start + t] = k_rot, v_raw
             return
-        # [K/V, row, channel] codes, and [m/n, K/V, row, group] params
-        store, params = self.codes[li], self.params[li].swapaxes(0, 1)
+        # [K/V, row, channel] codes, and [K/V, m/n, row, group] params
+        store, params = self.layer_store[li]
         # token groups are per row, so one call of quantize_token's core per
         # span over a row block of the stacked K and V rows gives each the
-        # codes of its own quantize_token call
+        # codes of its own quantize_token call; a one-row chunk's are written
+        # as the core returns them
         for block, y in row_blocks((k_s, v_s), "cache append"):
             h = len(y) // 2
-            rows = slice(start + block.start, start + block.stop)
+            rows = start if t == 1 else slice(start + block.start, start + block.stop)
             for cols, groups, k, size in self.spans:
                 codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * h, k, size), self.spec)
-                store[:, rows, cols] = codes.reshape(2, h, -1)
-                params[:, :, rows, groups] = m.reshape(2, h, k), n.reshape(2, h, k)
+                if t > 1:
+                    codes, m, n = codes.reshape(2, h, -1), m.reshape(2, h, k), n.reshape(2, h, k)
+                store[:, rows, cols] = codes
+                params[:, 0, rows, groups] = m
+                params[:, 1, rows, groups] = n
                 del codes, m, n  # before the next span or block is quantized
+
+    def step(self, model: Model, ids: np.ndarray) -> Tensor:
+        """The (1, vocab) logits of a decode step of ids, one checked token
+        id, onto a cache that folds (fold_k), over the blocks the cache
+        planned.  This is decode_step's forward onto such a cache; every
+        other forward runs block_core.  It is block_core's arithmetic for one
+        row, written out as the same float32 array expressions in the same
+        order, so every logit, code and (m, n) is the one block_core gives.
+        Per layer: rms_norm; the q/k/v products; K and V un-smoothed (or
+        with POQ off their round trip, _raw_kv); q and k rotated as one (2,
+        hidden) array at the step's row of the rope table; append; the fold
+        (read_raw); the o projection; rms_norm and the gated MLP.
+
+        It keeps the checks of block_core's path: capacity before anything
+        is written, the finite checks of rms_norm, rope, append and
+        exp_causal, and length advanced only after the last layer."""
+        cfg, pos = self.cfg, self.length
+        if pos >= cfg.max_seq_len:
+            raise CapacityError(f"cache capacity exceeded: {pos}+1 > {cfg.max_seq_len}")
+        h, d, c = cfg.n_heads, cfg.head_dim, cfg.hidden_size
+        round_trip = None if cfg.poq else self.spec
+        cos, sin = self.cos[pos], self.sin[pos]
+        x = model.embed[ids]
+        for li, (w, _) in enumerate(self.block_plan):
+            xn = _row_rms_norm(x, w["attn_norm"])
+            q = xn @ w["q_w"] + w["q_b"]
+            k_s, v_s = xn @ w["k_w"] + w["k_b"], xn @ w["v_w"] + w["v_b"]
+            k_raw, v_raw = _raw_kv(self.kv_smoothing[li], k_s, v_s, round_trip)
+            qk = np.concatenate((q, k_raw))
+            _check_finite("rope", qk)
+            swapped = np.ascontiguousarray(qk.reshape(2, h, 2, d // 2)[:, :, ::-1]).reshape(2, c)
+            swapped *= sin
+            qk *= cos
+            qk += swapped
+            self.append(li, k_s, v_s, qk[1:], v_raw)
+            x = x + (self.read_raw(li, qk[:1], qk[1:], v_raw) @ w["o_w"] + w["o_b"])
+            xn = _row_rms_norm(x, w["mlp_norm"])
+            g = xn @ w["gate_w"] + w["gate_b"]
+            g *= 1.0 / (np.exp(-g) + 1.0)
+            g *= xn @ w["up_w"] + w["up_b"]
+            x = x + (g @ w["down_w"] + w["down_b"])
+        self.length = pos + 1
+        return _head(model, x)
 
     def read_raw(self, li: int, q: np.ndarray, k_cur: np.ndarray, v_cur: np.ndarray) -> np.ndarray:
         """Layer li's (1, hidden) attention output for a decode step's
         rotated query q over its past rows 0 .. length-1, held as codes, and
         the step's own raw row k_cur (rotated) and v_cur at length: the
-        fold, the read of a one-row step onto a cache that folds K (fold_k).
-        Every other read of a cache attends over its rows (rows) in
+        fold, the read of the cache's own decode step (step), its one
+        caller.  Every other read of a cache attends over its rows (rows) in
         causal_attention.
 
         The query is scaled by 1/sqrt(head_dim) first.  The scores come from
@@ -515,29 +589,27 @@ class PoqKvCache:
         m) + (sum P) * delta.  Where segments are heads and groups, P * n is
         a broadcast product of views.
         """
-        cfg, past, t = self.cfg, self.length, q.shape[0]
-        h, d, w = cfg.n_heads, cfg.head_dim, self.seg_width
-        heads = lambda a: a.reshape(a.shape[0], h, d).transpose(1, 0, 2)
-        p = self._folded_k(li, heads(q * np.float32(1.0 / math.sqrt(d))), k_cur)
+        past, h, d, w = self.length, self.cfg.n_heads, self.cfg.head_dim, self.seg_width
+        p = self._folded_k(li, (q * np.float32(1.0 / math.sqrt(d))).reshape(h, 1, d), k_cur)
         sums = exp_causal(p, past)
         p_past = p[..., :past]
-        out = np.matmul(p[..., past:], heads(v_cur))
-        v_m, v_n = self.params[li, 1, 0, :past], self.params[li, 1, 1, :past]
+        out = np.matmul(p[..., past:], v_cur.reshape(h, 1, d))
+        v_codes, v_m, v_n = self.layer_reads[li][1]
         codes = self.scratch[:past]
-        codes[...] = self.codes[li, 1, :past]
-        p_n = p_past[self.seg_head] * v_n[:, self.seg_group].T[:, None, :]
+        codes[...] = v_codes[:past]
+        p_n = p_past[self.seg_head] * v_n[:past, self.seg_group].T[:, None, :]
         acc = np.matmul(p_n, codes.reshape(past, -1, w).transpose(1, 0, 2))
         # P . m of every (head, group) pair: one product over all heads' rows
-        p_m = p_past.reshape(-1, past) @ v_m
+        p_m = p_past.reshape(-1, past) @ v_m[:past]
         acc += p_m.reshape(h, -1, p_m.shape[1])[self.seg_pair][..., None]
-        sp = self.kv_smoothing[li][1]
+        sp = self.v_seg_smoothing[li]  # s and delta per segment
         if sp is not None:
-            acc *= sp.s.reshape(-1, 1, w)
+            acc *= sp[0]
             p_sum = np.add.reduce(p_past, axis=2)[self.seg_head]
-            acc += p_sum[..., None] * sp.delta.reshape(-1, 1, w)
+            acc += p_sum[..., None] * sp[1]
         o = out + acc.reshape(h, d // w, -1, w).transpose(0, 2, 1, 3).reshape(out.shape)
         o /= sums
-        return o.transpose(1, 0, 2).reshape(t, h * d)
+        return o.reshape(1, h * d)
 
     def rows(self, li: int, k_cur: np.ndarray, v_cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Layer li's raw K (rotated) and V rows 0 .. length+t-1 that
@@ -554,9 +626,10 @@ class PoqKvCache:
             return k_cur, v_cur
         k, v = self.scratch[:end], self.work[:end]
         spec = self.spec
-        for j, (x, sp, cur) in enumerate(zip((k, v), self.kv_smoothing[li], (k_cur, v_cur))):
-            qt = QuantizedTensor("token", self.codes[li, j, :past], spec.bits, spec.group_size,
-                                 m=self.params[li, j, 0, :past], n=self.params[li, j, 1, :past])
+        for x, (codes, m, n), sp, cur in zip((k, v), self.layer_reads[li], self.kv_smoothing[li],
+                                             (k_cur, v_cur)):
+            qt = QuantizedTensor("token", codes[:past], spec.bits, spec.group_size,
+                                 m=m[:past], n=n[:past])
             dequantize(qt, out=x[:past])
             if sp is not None:
                 apply_kv_smoothing(x[:past], sp, "to_raw", out=x[:past])
@@ -586,25 +659,28 @@ class PoqKvCache:
         share a scale or a group.  A layer without K smoothing has s = 1 and
         no delta term.
         """
-        past, h = self.length, self.cfg.n_heads
-        c, fold = self.cfg.hidden_size, self.k_fold[li]
-        k_m, k_n = self.params[li, 0, 0, :past], self.params[li, 0, 1, :past]
+        past, h, c = self.length, self.cfg.n_heads, self.cfg.hidden_size
+        k_codes, k_m, k_n = self.layer_reads[li][0]
         n_seg = c // self.seg_width
         q = qh.reshape(-1)
-        ab = fold * q[self.swap][:, None]
-        codes, cos_codes = self.scratch[:past], self.work[:past]
-        codes[...] = self.codes[li, 0, :past]
-        np.multiply(self.cos[:past], codes, out=cos_codes)
-        sin_codes = np.multiply(codes, self.sin[:past], out=codes)
-        seg = cos_codes @ ab[:c, :n_seg]
-        seg += sin_codes @ ab[c:, :n_seg]
+        ab = self.k_fold[li] * q[self.swap][:, None]
+        # the codes are cast twice into one buffer, not once beside a second
+        # one: with one buffer less in cache, steps at context 896 took 0.96x
+        # the time, and at 64 and 384 1.00x
+        buf, codes = self.scratch[:past], k_codes[:past]
+        buf[...] = codes
+        np.multiply(self.cos[:past], buf, out=buf)
+        seg = buf @ ab[:c, :n_seg]
+        buf[...] = codes
+        np.multiply(buf, self.sin[:past], out=buf)
+        seg += buf @ ab[c:, :n_seg]
         # (segments [+ H], past): sum(U) per segment [, U . (delta / s) per head]
         sums = (self.to_cs @ ab).T @ self.cs_cols[:, :past]
         scores = np.empty((h, 1, past + 1), dtype=np.float32)
         raw = scores[:, 0, :past]
         seg_t = raw if self.seg_to_head is None else np.empty((n_seg, past), dtype=np.float32)
-        np.multiply(seg.T, k_n[:, self.seg_group].T, out=seg_t)
-        sums[:n_seg] *= k_m[:, self.seg_group].T
+        np.multiply(seg.T, k_n[:past, self.seg_group].T, out=seg_t)
+        sums[:n_seg] *= k_m[:past, self.seg_group].T
         seg_t += sums[:n_seg]
         if self.seg_to_head is not None:
             np.matmul(self.seg_to_head, seg_t, out=raw)
@@ -646,6 +722,19 @@ ATTN_BLOCK = 64
 # products can overflow either, whatever order BLAS adds in.
 SCORE_LIMIT = 30.0
 _SUM_LIMIT = float(np.finfo(np.float32).max) / 4 / math.exp(SCORE_LIMIT)
+
+
+def _row_rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """tensor.rms_norm of one (1, C) array row, bit for bit: its sum of
+    squares is the same reduction over the same C values, taken as a scalar,
+    so the division, the eps and the square root are scalar operations.  A
+    finite sum means finite values, so rms_norm's finite check runs only on
+    a sum that is not.  At C = 128 a call took 2.9 us against 4.8 us for the
+    (1, 1)-array form."""
+    ss = np.add.reduce(x * x, axis=None)
+    if not math.isfinite(ss):
+        _check_finite("rms_norm", x)
+    return x / np.sqrt(ss / x.shape[1] + np.float32(1e-6)) * gain
 
 
 def _small_scores(qs, k, v, n_heads: int, diag, keys: int) -> bool:
@@ -801,17 +890,17 @@ def _act_quant_fn(cfg: ModelConfig):
     return lambda x: dequantize(quantize_token(x, spec))
 
 
-def _raw_kv(blk: DecoderBlockWeights, k_s, v_s, spec: TokenQuantSpec | None = None):
+def _raw_kv(smoothing: tuple, k_s, v_s, spec: TokenQuantSpec | None = None):
     """Raw-space attention inputs from the smoothed projection arrays k_s,
-    v_s; given a token spec, their cache round trip (quantize, dequantize,
-    then un-smooth)."""
+    v_s, under a block's (K, V) smoothing; given a token spec, their cache
+    round trip (quantize, dequantize, then un-smooth)."""
 
     def raw(x, sp):
         if spec is not None:
             x = dequantize(quantize_token(x, spec))
         return x if sp is None else apply_kv_smoothing(x, sp, "to_raw")
 
-    return raw(k_s, blk.k.smoothing), raw(v_s, blk.v.smoothing)
+    return raw(k_s, smoothing[0]), raw(v_s, smoothing[1])
 
 
 def block_arrays(blk: DecoderBlockWeights) -> dict[str, np.ndarray]:
@@ -869,9 +958,7 @@ def block_attention(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, 
     q = rope(q, positions, cfg.rope_base, cfg.head_dim, out=None if isinstance(q, Tensor) else q)
     kv = kv_fn(k_s, v_s, positions)
     del k_s, v_s
-    # onto a cache of codes with a past, kv is the cache's read of the query
-    merged = kv(q) if callable(kv) else causal_attention(q, *kv[:2], cfg.n_heads, *kv[2:],
-                                                         seqs=seqs)
+    merged = causal_attention(q, *kv[:2], cfg.n_heads, *kv[2:], seqs=seqs)
     return x + linear(aq(merged), w["o_w"], w["o_b"])
 
 
@@ -885,14 +972,15 @@ def fp_kv_fn(cfg: ModelConfig):
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: PoqKvCache | None):
     """Un-smooth and rotate the chunk's keys (with POQ off over a cache of
     codes, their round trip) and append the chunk's rows to the cache.  Then
-    attention reads its past rows plus the chunk's: for a decode step onto a
-    cache that folds, the fold (PoqKvCache.read_raw), and otherwise the
-    cache's rows (PoqKvCache.rows).  A cache needs array inputs of one
-    sequence; stacked sequences raise UsageError."""
+    attention reads the cache's rows (PoqKvCache.rows): its past rows plus
+    the chunk's.  The fold, PoqKvCache.read_raw, is not among them: only the
+    cache's own decode step (PoqKvCache.step) reads it.  A cache needs array
+    inputs of one sequence; stacked sequences raise UsageError."""
     spec = cfg.token_spec() if cfg.kv_codes and not cfg.poq else None
+    smoothing = (blk.k.smoothing, blk.v.smoothing)
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
-        k_raw, v_raw = _raw_kv(blk, k_s, v_s, spec)
+        k_raw, v_raw = _raw_kv(smoothing, k_s, v_s, spec)
         # un-smoothed or round-tripped keys are a fresh array, rotated in
         # place; k_s itself is left for the append to read
         k_rot = rope(k_raw, positions, cfg.rope_base, cfg.head_dim,
@@ -902,8 +990,6 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: P
                 raise UsageError(f"a forward onto a cache takes one sequence, got "
                                  f"{k_s.shape[0]} rows at {len(positions)} positions")
             cache.append(li, k_s, v_s, k_rot, v_raw)
-            if cache.fold_k and cache.length and len(positions) == 1:
-                return lambda q: cache.read_raw(li, q, k_rot, v_raw)
             return cache.rows(li, k_rot, v_raw)
         return k_rot, v_raw
 
@@ -914,10 +1000,12 @@ def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
     """A chunk from position 0 as a POQ cache serves it one step at a time:
     every row's past is the cache round trip, and its own K/V stay fp."""
 
+    smoothing = (blk.k.smoothing, blk.v.smoothing)
+
     def kv_fn(k_s, v_s, positions: np.ndarray):
         rot = lambda k: rope(k, positions, cfg.rope_base, cfg.head_dim)
-        k_past, v_past = _raw_kv(blk, k_s, v_s, cfg.token_spec())
-        k_cur, v_cur = _raw_kv(blk, k_s, v_s)
+        k_past, v_past = _raw_kv(smoothing, k_s, v_s, cfg.token_spec())
+        k_cur, v_cur = _raw_kv(smoothing, k_s, v_s)
         return rot(k_past), v_past, (rot(k_cur), v_cur)
 
     return kv_fn
@@ -1010,22 +1098,35 @@ def prefill(model: Model, token_ids: np.ndarray):
 
 def decode_step(model: Model, token_id: int, cache: PoqKvCache) -> Tensor:
     """One generation step; past KV read from the cache, current KV full
-    precision.  A token_id that is not an integer raises UsageError."""
+    precision.  A token_id that is not an integer, or is outside the
+    vocabulary, raises UsageError.  Onto a cache that folds (fold_k) the
+    cache runs the step (PoqKvCache.step); onto any other, model_forward
+    runs it as a one-row chunk."""
     if not _is_int(token_id):
         raise UsageError(f"decode_step takes one integer token id, got {token_id!r}")
     if cache.length < 1:
         raise KvqError("decode_step requires a non-empty cache (run prefill first)")
-    return model_forward(model, np.asarray([token_id]), cache=cache)
+    ids = check_token_ids(np.asarray([token_id]), model.config.vocab_size)
+    if cache.fold_k:
+        return cache.step(model, ids)
+    return model_forward(model, ids, cache=cache)
 
 
 def generate(model: Model, prompt_ids: np.ndarray, n_new: int) -> np.ndarray:
-    """Deterministic greedy continuation; returns prompt + generated ids."""
+    """Deterministic greedy continuation; returns prompt + generated ids.
+    n_new must be an integer (not a bool, UsageError) and >= 0.  The cache
+    holds the prompt and every generated token but the last, so a prompt
+    and n_new > 0 that need more than max_seq_len positions raise
+    CapacityError before any forward runs."""
     prompt_ids = check_token_ids(prompt_ids, model.config.vocab_size, "the prompt")
+    if not _is_int(n_new):
+        raise UsageError(f"n_new must be an integer, got {n_new!r}")
     if n_new < 0:
         raise KvqError(f"n_new must be >= 0, got {n_new}")
     out = list(prompt_ids)
     if n_new == 0:
         return np.asarray(out, dtype=np.int64)
+    check_capacity(len(prompt_ids) + n_new - 1, model.config, "generation's cache")
     logits, cache = prefill(model, prompt_ids)
     nxt = int(np.argmax(logits.data[-1]))
     out.append(nxt)

@@ -4,8 +4,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ["decode_16", "decode_40", "prefill_48", "score_16", "chunk_20_on_30", "calibrate",
-             "save_load", "train_step", "crr_loss"]
+WORKLOADS = ["decode_8", "decode_16", "decode_40", "prefill_48", "score_16", "chunk_20_on_30",
+             "calibrate", "save_load", "train_step", "crr_loss"]
 RATIO_KEYS = {"median", "q1", "q3", "wins"}
 
 

@@ -348,11 +348,15 @@ def test_criterion_09_ablation_directions(capsys, seeds_suite):
         mae_off = logit_mae(fp, m_off, ev, use_cache=True)
         poq_worse += int(mae_off > mae_on)
 
+        # smoothing statistics of the first 128 tokens, as two segments of
+        # the model's 64 positions: collect_activations refuses a segment
+        # longer than max_seq_len
         ms = copy.deepcopy(fp)
-        acts = collect_activations(ms, [corpus[:128]])
+        acts = collect_activations(ms, list(corpus[:128].reshape(2, 64)))
         per_layer = []
         for i, blk in enumerate(ms.blocks):
-            xn = rms_norm(Tensor(acts[0][i]), Tensor(blk.attn_norm.reshape(1, -1))).data
+            x = np.concatenate([a[i] for a in acts])
+            xn = rms_norm(Tensor(x), Tensor(blk.attn_norm.reshape(1, -1))).data
             per_layer.append((init_smoothing(xn @ blk.k.w + blk.k.b),
                               init_smoothing(xn @ blk.v.w + blk.v.b)))
         attach_kv_smoothing(ms, per_layer)

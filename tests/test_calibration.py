@@ -221,6 +221,28 @@ class TestStackedPasses:
             for a, b in zip(stacked, alone):
                 assert np.abs(a - b).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
 
+    def test_collect_activations_checks_its_segments(self):
+        # unchecked, float segments ran as the ids they truncated to, an id
+        # of -1 read the embedding's last row, a segment past max_seq_len ran
+        # past the positions a cache holds, and ragged segments raised a bare
+        # ValueError
+        model = Model.random(tiny_config(n_layers=1, max_seq_len=16), seed=0)
+        for bad, message in [([[1.7, 2.2, 3.9]], "segment 0 must hold integer token ids"),
+                             ([[1, 2, 3], [-1, 2, 3]], "segment 1 holds token id -1, outside"),
+                             ([[1, 2, 3], [4, 5]], r"one length, got lengths \[2, 3\]"),
+                             ([], r"one length, got lengths \[\]"),
+                             ([[1, 2], []], "segment 1 is empty")]:
+            with pytest.raises(UsageError, match=message):
+                collect_activations(model, bad)
+        with pytest.raises(CapacityError, match="segment of 40 tokens > max_seq_len 16"):
+            collect_activations(model, [np.arange(40)])
+        # integer segments of any width, as lists or an array's rows, run
+        want = collect_activations(model, [[1, 2, 3], [4, 5, 6]])
+        for segs in (np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8), [(1, 2, 3), (4, 5, 6)]):
+            got = collect_activations(model, segs)
+            assert all(np.array_equal(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
+        assert len(collect_activations(model, [np.arange(16)])[0]) == 2
+
     def test_one_adam_step_per_segment_in_order(self, calib_setup, monkeypatch):
         # the three candidates take the stacked segments; training takes
         # epochs * segments steps, one segment each, in order

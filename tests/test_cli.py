@@ -644,6 +644,18 @@ class TestGenerate:
                                   "--n-new", "2"])
         assert rc == 2 and "holds token id 256, outside [0, 100)" in err
 
+    def test_n_new_past_capacity_exits_2_before_decoding(self, workdir, capsys, monkeypatch):
+        # the model holds 64 positions; BOS and 4 prompt bytes plus 61 new
+        # tokens need 65.  Every step that fit was decoded before the exit
+        import kvq.model
+
+        steps = []
+        monkeypatch.setattr(kvq.model, "decode_step", lambda *a: steps.append(a))
+        rc, stdout, err = run(capsys, ["generate", "--model", str(workdir / "model.kvq"),
+                                       "--prompt", "fox ", "--n-new", "61"])
+        assert rc == 2 and stdout == "" and steps == []
+        assert "generation's cache of 65 tokens > max_seq_len 64" in err
+
     def test_setting_comes_from_mode_flag_or_checkpoint(self, workdir, capsys, monkeypatch):
         import kvq.model
 

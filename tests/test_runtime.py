@@ -335,6 +335,34 @@ class TestCache:
         assert cache.length == len(IDS) + 1
         assert np.abs(step - full).max() < 1e-4
 
+    def test_step_failing_mid_model_leaves_length(self, monkeypatch):
+        # a decode step onto a cache that folds runs the cache's own step
+        # (PoqKvCache.step), not block_core: it fails in layer 1's read,
+        # after layer 0 and layer 1 have appended their rows.  The cache must
+        # not advance, and the next step, which overwrites those rows, gives
+        # a fresh cache's logits and codes bit for bit
+        m = quantized(smoothed(make_model()))
+        _, cache = prefill(m, IDS)
+        assert cache.fold_k
+        read, calls = PoqKvCache.read_raw, []
+
+        def failing_at_layer_1(cache, li, *args):
+            calls.append(li)
+            if li == 1:
+                raise NumericError("injected failure at layer 1")
+            return read(cache, li, *args)
+
+        monkeypatch.setattr(PoqKvCache, "read_raw", failing_at_layer_1)
+        with pytest.raises(NumericError, match="injected"):
+            decode_step(m, 7, cache)
+        monkeypatch.undo()
+        assert calls == [0, 1] and cache.length == len(IDS)
+        step = decode_step(m, 5, cache).data
+        _, fresh = prefill(m, IDS)
+        assert np.array_equal(step, decode_step(m, 5, fresh).data)
+        assert np.array_equal(cache.codes[:, :, : len(IDS) + 1], fresh.codes[:, :, : len(IDS) + 1])
+        assert cache.length == len(IDS) + 1
+
     def test_smoothing_applied_once_per_read(self, monkeypatch):
         # the folded reads take the past K/V straight from the codes: a decode
         # step maps only its own K and V row to raw space, once each
@@ -436,6 +464,7 @@ class TestTokenIds:
         m = quantized(make_model(), mode)
         v = m.config.vocab_size
         _, cache = prefill(m, IDS[:4])
+        assert cache.fold_k == (mode == "weight_kv")  # decode_step runs the cache's step
         for bad in ([-1], [3, v], [v + 741], [2, -5, 7]):
             for forward in (lambda: prefill(m, bad), lambda: model_forward(m, bad, cache=cache),
                             lambda: model_forward(m, bad), lambda: generate(m, bad, 2),
@@ -462,6 +491,7 @@ class TestTokenIds:
         # ValueError
         m = quantized(make_model(), mode)
         _, cache = prefill(m, IDS[:4])
+        assert cache.fold_k == (mode == "weight_kv")  # decode_step runs the cache's step
         typed = ([1.7, 2.2], ["3"], [True, False], np.array([1, 2], dtype=object),
                  np.array([1.0, 2.0], dtype=np.float32))
         for bad, message in [(b, "must hold integer token ids") for b in typed] + [
@@ -675,12 +705,85 @@ class TestFoldedCacheRead:
 
     @pytest.mark.parametrize("name", ["k_m", "k_n", "v_m", "v_n"])
     def test_corrupt_cache_params_raise(self, name):
+        # the step onto a cache that folds reads K's m and n in its scores,
+        # which exp_causal checks, and V's in its output, which the next
+        # rms_norm checks; either way nothing advances
         m = quantized(smoothed(make_model(seed=1)))
         _, cache = prefill(m, IDS)
+        assert cache.fold_k
         kv, mn = "kv".index(name[0]), "mn".index(name[2])
         cache.params[-1, kv, mn, 3, 0] = np.nan
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="softmax_causal" if kv == 0 else "rms_norm"):
             decode_step(m, 5, cache)
+        assert cache.length == len(IDS)
+
+
+class TestFoldStep:
+    """A decode step onto a cache that folds runs the cache's own one-row
+    step (PoqKvCache.step): block_core's float32 arithmetic written out for
+    one row, reading the past through the fold (read_raw).  Every other
+    forward, a one-row chunk through model_forward included, runs
+    block_core and reads the cache's materialized rows."""
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("group, head_dim, n_heads", TestFoldedCacheRead.LAYOUTS)
+    def test_steps_match_chunks_and_float64(self, group, head_dim, n_heads, smooth):
+        # 8 steps after a 64-token prefill, POQ on and off, kv_bits 2, 3, 4
+        # and 8.  Each step against a one-row chunk of its token through
+        # model_forward onto the same cache, whose rows the step then
+        # overwrites, within 1e-5 (measured 1.2e-7), and all steps against
+        # the float64 model reading the cache's codes (reference.model_logits)
+        # within 1e-6 (measured 1.6e-7, logits up to 0.71)
+        base = make_model(seed=7, n_heads=n_heads, head_dim=head_dim, max_seq_len=80,
+                          hidden_size=n_heads * head_dim, kv_group_size=group)
+        spread_kv_channels(base, 2.0, seed=7)
+        m = quantized(smoothed(base) if smooth else base)
+        ids = np.random.default_rng(7).integers(0, m.config.vocab_size, 72)
+        for poq in (True, False):
+            for kv_bits in (2, 3, 4, 8):
+                m.config = dataclasses.replace(m.config, poq=poq, kv_bits=kv_bits)
+                _, cache = prefill(m, ids[:64])
+                assert cache.fold_k
+                steps = []
+                for tok in ids[64:]:
+                    chunk = model_forward(m, [tok], cache=cache).data
+                    cache.length -= 1
+                    steps.append(decode_step(m, int(tok), cache).data)
+                    assert np.abs(steps[-1] - chunk).max() <= 1e-5, (poq, kv_bits)
+                want = reference.model_logits(m, ids, [64] + [1] * 8, cache)[64:]
+                assert np.abs(np.concatenate(steps) - want).max() <= 1e-6, (poq, kv_bits)
+
+    @pytest.mark.parametrize("mode, max_segments, folds", [("weight_kv", 32, True),
+                                                            ("weight_kv", 0, False),
+                                                            ("weight_only", 32, False)])
+    def test_only_decode_steps_read_the_fold(self, monkeypatch, mode, max_segments, folds):
+        # prefill, chunks of several rows and of one, and cache-path scoring
+        # run block_core; so does a decode step onto a cache that does not
+        # fold.  One onto a cache that folds runs none, and it alone calls
+        # read_raw, once per layer
+        monkeypatch.setattr(kvq.model, "FOLD_MAX_SEGMENTS", max_segments)
+        m = quantized(smoothed(make_model()), mode)
+        core, read, calls = kvq.model.block_core, PoqKvCache.read_raw, []
+
+        def counting_core(*args, **kwargs):
+            calls.append("block_core")
+            return core(*args, **kwargs)
+
+        def counting_read(*args):
+            calls.append("read_raw")
+            return read(*args)
+
+        monkeypatch.setattr(kvq.model, "block_core", counting_core)
+        monkeypatch.setattr(PoqKvCache, "read_raw", counting_read)
+        _, cache = prefill(m, IDS[:10])
+        assert cache.fold_k == folds
+        model_forward(m, IDS[10:13], cache=cache)
+        model_forward(m, IDS[13:14], cache=cache)
+        score_logits(m, IDS, use_cache=True)
+        assert calls == ["block_core"] * 4 * m.config.n_layers
+        calls.clear()
+        decode_step(m, 3, cache)
+        assert calls == ["read_raw" if folds else "block_core"] * m.config.n_layers
 
 
 class TestReadPlan:
@@ -1049,6 +1152,28 @@ class TestGenerate:
     def test_negative_n_rejected(self):
         with pytest.raises(KvqError):
             generate(make_model(), IDS[:4], -1)
+
+    @pytest.mark.parametrize("n_new", [2.5, "3", True, False, None, np.float32(2)])
+    def test_n_new_that_is_not_an_integer_refused(self, n_new):
+        # 2.5 and "3" raised a bare TypeError, and True generated one token
+        with pytest.raises(UsageError, match="n_new must be an integer"):
+            generate(make_model(), IDS[:4], n_new)
+        assert len(generate(make_model(), IDS[:4], np.int64(2))) == 6
+
+    @pytest.mark.parametrize("mode", ["fp", "weight_kv"])
+    def test_past_capacity_refused_before_any_forward(self, monkeypatch, mode):
+        # the cache holds the prompt and every new token but the last: a
+        # 10-token prompt and 55 new tokens fill max_seq_len 64 exactly, and
+        # one more token decoded every step that fit before CapacityError
+        m = quantized(make_model(max_seq_len=64), mode)
+        assert len(generate(m, IDS[:10], 55)) == 65
+        forwards = []
+        monkeypatch.setattr(kvq.model, "prefill", lambda *a: forwards.append(a))
+        with pytest.raises(CapacityError, match="generation's cache of 65 tokens > max_seq_len 64"):
+            generate(m, IDS[:10], 56)
+        assert forwards == []
+        # n_new 0 runs no forward, so a prompt of any length comes back
+        assert len(generate(m, np.arange(70) % 250, 0)) == 70
 
 
 class TestChannelSpread:

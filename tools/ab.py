@@ -13,7 +13,9 @@ statistics of 256 tokens (calibration's init, untrained), in weight_kv.
 
 Workloads, each timed per call:
 
-    decode_384, decode_896  16 decode steps after a prefill of that context
+    decode_64, decode_384,  16 decode steps after a prefill of that context;
+    decode_896              at 64 the step's fixed cost dominates, at 896 the
+                            read of the past
     prefill_896             one 896-token prefill
     score_192               192-token cache-path scoring (score_logits)
     chunk_300_on_600        a 300-row chunk onto a 600-row prefilled cache
@@ -66,12 +68,12 @@ from pathlib import Path
 import numpy as np
 
 # train: (batch, seq_len) of train_step; crr: (segments, seg_len) of crr_loss
-FULL = dict(config={"max_seq_len": 1024}, decode=(384, 896), steps=16, prefill=896, score=192,
+FULL = dict(config={"max_seq_len": 1024}, decode=(64, 384, 896), steps=16, prefill=896, score=192,
             chunk=(600, 300), calib=dict(k=2, epochs=1, segments=4, seg_len=64), corpus=4096,
             train=(2, 64), crr=(4, 64))
 TINY = dict(config=dict(n_layers=2, hidden_size=32, n_heads=2, head_dim=16,
                         intermediate_size=48, max_seq_len=64, weight_group_size=16),
-            decode=(16, 40), steps=4, prefill=48, score=16, chunk=(30, 20),
+            decode=(8, 16, 40), steps=4, prefill=48, score=16, chunk=(30, 20),
             calib=dict(k=2, epochs=1, segments=2, seg_len=16), corpus=256,
             train=(2, 16), crr=(2, 16))
 
@@ -186,8 +188,8 @@ def workloads(sizes: dict) -> dict:
         t, loss = timed(step)
         return t, [np.float64(loss), *(p.grad for p in tp.smooth_params())]
 
-    (short, long), (past, rows) = sizes["decode"], sizes["chunk"]
-    return {f"decode_{short}": decode(short), f"decode_{long}": decode(long),
+    past, rows = sizes["chunk"]
+    return {**{f"decode_{ctx}": decode(ctx) for ctx in sizes["decode"]},
             f"prefill_{sizes['prefill']}": prefill, f"score_{sizes['score']}": score,
             f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate, "save_load": save_load,
             "train_step": train_step, "crr_loss": crr_loss}
