@@ -132,13 +132,12 @@ def reconstruction_loss(y_hat: Tensor, y_ref: Tensor) -> Tensor:
     the loss carries no float32 accumulation error.  The backward is
     g * sign(r) / N, as for (y_hat - y_ref).abs().mean()."""
     r = y_hat - y_ref
+    rr, rd = r.record, r.data
 
     def backward(g):
-        if r.requires_grad:
-            r._accum((np.broadcast_to(g, r.shape) / r.data.size).astype(np.float32)
-                     * np.sign(r.data))
+        rr.accum((np.broadcast_to(g, rd.shape) / rd.size).astype(np.float32) * np.sign(rd))
 
-    return Tensor._from_op(np.mean(np.abs(r.data), dtype=np.float64), (r,), backward)
+    return Tensor._from_op(np.mean(np.abs(rd), dtype=np.float64), (r,), backward)
 
 
 @dataclass

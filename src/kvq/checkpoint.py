@@ -11,11 +11,14 @@ A single container carries both fp and quantized models.  save_model
 stores a projection as its codes and (h, z) when its codes are of the
 config's (weight_bits, weight_group_size), and otherwise as its w (an
 unquantized projection's weights, or the dequantization of codes of another
-setting, bit for bit).  load_model reads a projection from codes when the
-config's weight_bits are below 16 and its .wq.codes is stored, rebuilding
-its weights as dequantize(codes), bit-identical to the saved model's;
-otherwise it reads .w.  A projection is smoothed when its .smooth.s or
-.smooth.delta is stored, and then both must be.  Every smoothing a Linear
+setting, bit for bit).  A projection in memory holds the file's stream
+(model.Linear), so save_model writes its wq.codes as they are, and
+load_model keeps the stream it read as the projection's wq.codes.
+load_model reads a projection from codes when the config's weight_bits are
+below 16 and its .wq.codes is stored, rebuilding its weights as the
+dequantization of the codes unpacked for that moment, bit-identical to the
+saved model's; otherwise it reads .w.  A projection is smoothed when its
+.smooth.s or .smooth.delta is stored, and then both must be.  Every smoothing a Linear
 carries is folded into its w and b.  Unknown tensors and meta keys are
 ignored: files written when calibration still learned weight clipping carry
 per-projection .gamma/.beta tensors, and files written before the config
@@ -51,13 +54,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .errors import DataFormatError, KvqError
 from .model import DecoderBlockWeights, Linear, Model, ModelConfig
-from .quantizers import S_FLOOR, QuantizedTensor, SmoothingParams, dequantize
+from .quantizers import (S_FLOOR, QuantizedTensor, SmoothingParams, dequantize, packed_size,
+                         unpack_codes)
 
 MAGIC = b"KVQ1"
 ALIGN = 64
@@ -175,59 +179,6 @@ def read_container(path: str) -> tuple[dict, dict, dict[str, np.ndarray]]:
     return header.get("config", {}), header.get("meta", {}), tensors
 
 
-# -- packed weight codes ------------------------------------------------------
-
-
-def _lanes(width: int, keep: int) -> np.uint64:
-    """A uint64 mask of the low keep bits of every width-bit lane."""
-    return np.uint64(sum(((1 << keep) - 1) << at for at in range(0, 64, width)))
-
-
-# (lane width, codes each half of a lane holds): 8 codes, one per byte of a
-# 64-bit word, join pairwise into lanes of 2, 4 and then 8 codes
-_STAGES = [(16, 1), (32, 2), (64, 4)]
-
-
-def packed_size(numel: int, bits: int) -> int:
-    """Bytes of the stream of numel codes of the given width."""
-    return -(-numel // 8) * bits
-
-
-def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """The little-endian bit stream of a uint8 code array (row-major), as
-    packed_size bytes; every code must fit in bits.
-
-    Each 8 codes are read as one little-endian 64-bit word, a code per byte.
-    Each stage moves the upper half of every lane down onto the codes the
-    lower half holds, so the word ends with its 8 codes in its low 8 * bits
-    bits, which are its first bits bytes."""
-    flat = np.ascontiguousarray(codes, dtype=np.uint8).reshape(-1)
-    if flat.size and flat.max() >> bits:
-        raise KvqError(f"a code of {flat.max()} does not fit in {bits} bits")
-    groups = -(-flat.size // 8)
-    if flat.size % 8:
-        flat = np.concatenate([flat, np.zeros(8 * groups - flat.size, np.uint8)])
-    x = flat.view("<u8").astype(np.uint64)
-    for width, held in _STAGES:
-        low = _lanes(width, width // 2)
-        x = (x & low) | ((x & ~low) >> np.uint64(width // 2 - held * bits))
-    return x.astype("<u8", copy=False).view(np.uint8).reshape(groups, 8)[:, :bits].reshape(-1)
-
-
-def unpack_codes(stream: np.ndarray, bits: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The uint8 codes of the given shape that pack_codes(codes, bits) made
-    the stream of: its stages run backwards, splitting each lane's codes
-    into its two halves."""
-    numel, groups = math.prod(shape), len(stream) // bits
-    words = np.zeros((groups, 8), np.uint8)
-    words[:, :bits] = stream.reshape(groups, bits)
-    x = words.view("<u8").reshape(groups).astype(np.uint64)
-    for width, held in reversed(_STAGES):
-        keep = _lanes(width, held * bits)
-        x = (x & keep) | ((x >> np.uint64(held * bits)) & keep) << np.uint64(width // 2)
-    return x.astype("<u8", copy=False).view(np.uint8)[:numel].reshape(shape)
-
-
 # -- model <-> container ------------------------------------------------------
 
 
@@ -251,7 +202,7 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
                                                                       cfg.weight_group_size):
                 tensors[f"{base}.w"] = lin.w
             else:
-                tensors[f"{base}.wq.codes"] = pack_codes(lin.wq.codes, lin.wq.bits)
+                tensors[f"{base}.wq.codes"] = lin.wq.codes
                 tensors[f"{base}.wq.h"] = lin.wq.h
                 tensors[f"{base}.wq.z"] = lin.wq.z
             if lin.smoothing is not None:
@@ -289,14 +240,16 @@ def load_model(path: str) -> Model:
             groups = -(-cin // gs)
             wq = QuantizedTensor(
                 kind="weight",
-                codes=unpack_codes(get(f"{base}.wq.codes", packed_size(cin * cout, bits),
-                                       dtype=np.uint8), bits, (cin, cout)),
+                codes=get(f"{base}.wq.codes", packed_size(cin * cout, bits), dtype=np.uint8),
                 bits=bits,
                 group_size=gs,
                 h=get(f"{base}.wq.h", groups, cout),
                 z=get(f"{base}.wq.z", groups, cout),
             )
-        w = get(f"{base}.w", cin, cout) if wq is None else dequantize(wq)
+        if wq is None:
+            w = get(f"{base}.w", cin, cout)
+        else:  # the stream stays as read; its codes are unpacked only to form w
+            w = dequantize(replace(wq, codes=unpack_codes(wq.codes, bits, (cin, cout))))
         b = get(f"{base}.b", 1, cout)
         smoothing = None
         if f"{base}.smooth.s" in tensors or f"{base}.smooth.delta" in tensors:

@@ -98,8 +98,9 @@ block_core runs two halves.  The attention half, block_attention, is a
 function of its own (rms_norm, the q/k/v projections, rope, the KV handler,
 attention and the o projection), so on arrays its locals are freed when it
 returns, before the MLP half allocates.  The MLP half is rms_norm and
-tensor.gated_mlp, one tape node that keeps only its input and the gate
-and up projections and recomputes silu and the product in its backward.
+tensor.gated_mlp, one tape node whose backward keeps the gate and up
+projections (and its input, when a gate or up weight needs a gradient) and
+recomputes silu and the product.
 
 Without a cache, block_core also takes B equal-length sequences stacked as
 rows, (B*T, C), each at the same T positions: every op but rope and
@@ -143,7 +144,7 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,6 +159,7 @@ from .quantizers import (
     absorb_smoothing,
     apply_kv_smoothing,
     dequantize,
+    pack_codes,
     quantize_token,
     quantize_weight,
     row_blocks,
@@ -246,12 +248,18 @@ class ModelConfig:
 class Linear:
     """One projection x @ w + b, the one owner of its weights, codes and K/V
     smoothing.  Once it is built, only its methods change them, so the codes
-    always describe w and the projection is smoothed at most once."""
+    always describe w and the projection is smoothed at most once.
+
+    Its codes are held as a checkpoint stores them: wq.codes is the
+    packed_size-byte stream of pack_codes, beside wq's (groups, C_out) h and
+    z, not one code per byte.  They are unpacked only for as long as a
+    caller needs them, to form w: here (quantize) and in load_model."""
 
     w: np.ndarray  # (C_in, C_out)
     b: np.ndarray  # (1, C_out)
     smoothing: SmoothingParams | None = None
-    # weight codes; when set, w == dequantize(wq) and a checkpoint stores only wq
+    # weight codes as the packed stream; when set, w is their dequantization
+    # and a checkpoint stores wq as it is
     wq: QuantizedTensor | None = None
 
     def set(self, w: np.ndarray, b: np.ndarray) -> None:
@@ -270,9 +278,11 @@ class Linear:
         self.smoothing = sp
 
     def quantize(self, spec: WeightQuantSpec) -> None:
-        """Fix the weight codes at spec; w becomes their dequantization."""
-        self.wq = quantize_weight(self.w, spec)
-        self.w = dequantize(self.wq)
+        """Fix the weight codes at spec; w becomes their dequantization, and
+        wq keeps them packed."""
+        qt = quantize_weight(self.w, spec)
+        self.w = dequantize(qt)
+        self.wq = replace(qt, codes=pack_codes(qt.codes, qt.bits))
 
 
 @dataclass
@@ -783,7 +793,8 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
 
     Tensors make one tape node.  Each sequence's whole (H, T, S) scores are
     scaled by 1/sqrt(D) and become the probabilities in place
-    (softmax_causal); the backward keeps only them and the inputs.
+    (softmax_causal); the backward keeps them and, of the inputs, only
+    those a gradient it forms reads (q's reads k and v, k's q and v).
 
     Arrays record nothing and take fewer passes over the scores.  The (T,
     H*D) query is scaled once, before any product.  Query rows are taken
@@ -823,27 +834,33 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
         if diag is not None:
             raise UsageError("the POQ diagonal is an array input; the tape has no backward for it")
         s = k.shape[0] // seqs
+        rq, rk, rv = q.record, k.record, v.record
         qh, kh, vh = heads(q.data, t), heads(k.data, s), heads(v.data, s)
         p = np.matmul(qh, kh.swapaxes(-1, -2))
         p *= scale
         softmax_causal(p, s - t)
+        out = merge(np.matmul(p, vh))
+        # q's gradient reads k and v, k's reads q and v, v's only p
+        kh = kh if rq is not None else None
+        qh = qh if rk is not None else None
+        vh = vh if rq is not None or rk is not None else None
 
         def backward(g):
             # each gradient is formed only for an input that needs it
             gh = heads(g, t)
-            if q.requires_grad or k.requires_grad:
+            if rq is not None or rk is not None:
                 dp = np.matmul(gh, vh.swapaxes(-1, -2))
                 ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
                 del dp
                 ds *= scale
-                if q.requires_grad:
-                    q._accum(merge(np.matmul(ds, kh)))
-                if k.requires_grad:
-                    k._accum(merge(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)))
-            if v.requires_grad:
-                v._accum(merge(np.matmul(p.swapaxes(-1, -2), gh)))
+                if rq is not None:
+                    rq.accum(merge(np.matmul(ds, kh)))
+                if rk is not None:
+                    rk.accum(merge(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)))
+            if rv is not None:
+                rv.accum(merge(np.matmul(p.swapaxes(-1, -2), gh)))
 
-        return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), backward)
+        return Tensor._from_op(out, (q, k, v), backward)
 
     qs = q * scale
     qh = heads(qs, t)

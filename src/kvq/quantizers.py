@@ -5,8 +5,10 @@ quantization.
 There is one core per quantizer kind.  quantize_token and quantize_weight
 turn an array into integer codes plus per-group affine parameters, and
 dequantize maps them back; each works on a 3-d view of all full groups at
-once, with a short tail group as one separate slice.  The KV cache and the
-checkpoints store the codes.
+once, with a short tail group as one separate slice.  The KV cache stores
+token codes one per byte.  Weight codes are held (model.Linear) and stored
+(checkpoint) as one bit stream at their width, pack_codes, and unpacked
+(unpack_codes) only where their dequantization is formed.
 
 Token groups are per row, so the token core takes a chunk ROW_BLOCK rows at
 a time (row_blocks), and its temporaries scale with the block, not with the
@@ -38,6 +40,7 @@ constant: it gets a unit step and zero codes, and dequantizes to its mean
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +118,8 @@ class QuantizedTensor:
 
     kind == "token": params are m, n with shape (T, n_groups); dequant is
     codes * n + m.  kind == "weight": params are h, z with shape
-    (n_groups, C_out); dequant is (codes - z) * h.
+    (n_groups, C_out); dequant is (codes - z) * h.  dequantize takes codes
+    of the array's shape; a Linear's wq holds them as pack_codes' stream.
     """
 
     kind: str
@@ -352,6 +356,59 @@ def dequantize(q: QuantizedTensor, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+# -- packed weight codes ------------------------------------------------------
+
+
+def _lanes(width: int, keep: int) -> np.uint64:
+    """A uint64 mask of the low keep bits of every width-bit lane."""
+    return np.uint64(sum(((1 << keep) - 1) << at for at in range(0, 64, width)))
+
+
+# (lane width, codes each half of a lane holds): 8 codes, one per byte of a
+# 64-bit word, join pairwise into lanes of 2, 4 and then 8 codes
+_STAGES = [(16, 1), (32, 2), (64, 4)]
+
+
+def packed_size(numel: int, bits: int) -> int:
+    """Bytes of the stream of numel codes of the given width."""
+    return -(-numel // 8) * bits
+
+
+def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """The little-endian bit stream of a uint8 code array (row-major), as
+    packed_size bytes; every code must fit in bits.
+
+    Each 8 codes are read as one little-endian 64-bit word, a code per byte.
+    Each stage moves the upper half of every lane down onto the codes the
+    lower half holds, so the word ends with its 8 codes in its low 8 * bits
+    bits, which are its first bits bytes."""
+    flat = np.ascontiguousarray(codes, dtype=np.uint8).reshape(-1)
+    if flat.size and flat.max() >> bits:
+        raise KvqError(f"a code of {flat.max()} does not fit in {bits} bits")
+    groups = -(-flat.size // 8)
+    if flat.size % 8:
+        flat = np.concatenate([flat, np.zeros(8 * groups - flat.size, np.uint8)])
+    x = flat.view("<u8").astype(np.uint64)
+    for width, held in _STAGES:
+        low = _lanes(width, width // 2)
+        x = (x & low) | ((x & ~low) >> np.uint64(width // 2 - held * bits))
+    return x.astype("<u8", copy=False).view(np.uint8).reshape(groups, 8)[:, :bits].reshape(-1)
+
+
+def unpack_codes(stream: np.ndarray, bits: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The uint8 codes of the given shape that pack_codes(codes, bits) made
+    the stream of: its stages run backwards, splitting each lane's codes
+    into its two halves."""
+    numel, groups = math.prod(shape), len(stream) // bits
+    words = np.zeros((groups, 8), np.uint8)
+    words[:, :bits] = stream.reshape(groups, bits)
+    x = words.view("<u8").reshape(groups).astype(np.uint64)
+    for width, held in reversed(_STAGES):
+        keep = _lanes(width, held * bits)
+        x = (x & keep) | ((x >> np.uint64(held * bits)) & keep) << np.uint64(width // 2)
+    return x.astype("<u8", copy=False).view(np.uint8)[:numel].reshape(shape)
+
+
 def fake_quant_token(y: Tensor, bits: int, group_size: int) -> Tensor:
     """dequantize(quantize_token(y)) as one autodiff op, codes held fixed.
 
@@ -364,12 +421,14 @@ def fake_quant_token(y: Tensor, bits: int, group_size: int) -> Tensor:
     qt = quantize_token(y.data, TokenQuantSpec(bits, group_size))
     half = float(2 ** (bits - 1))
 
-    def backward(g, y=y):
+    ry, yd = y.record, y.data
+
+    def backward(g):
         t, c = g.shape
         parts = []
         for cols, gs, k, size in _spans(c, group_size):
             g3 = g[:, cols].reshape(t, k, size)
-            centered = y.data[:, cols].reshape(t, k, size) - qt.m[:, gs, None]
+            centered = yd[:, cols].reshape(t, k, size) - qt.m[:, gs, None]
             peak = np.abs(centered).argmax(axis=2)[:, :, None]
             at_peak = np.take_along_axis(centered, peak, axis=2)
             dn = np.where(np.abs(at_peak) < SPREAD_EPS, 0.0, np.sign(at_peak) / half)
@@ -377,7 +436,7 @@ def fake_quant_token(y: Tensor, bits: int, group_size: int) -> Tensor:
             dy = np.repeat((g3.sum(axis=2, keepdims=True) - g_n) / size, size, axis=2)
             _add_at(dy, peak, g_n, axis=2)
             parts.append(dy.reshape(t, k * size))
-        y._accum(_cat(parts, 1))
+        ry.accum(_cat(parts, 1))
 
     return Tensor._from_op(dequantize(qt), (y,), backward)
 

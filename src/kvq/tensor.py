@@ -32,30 +32,44 @@ with the bias added in place.  gated_mlp is the block's whole MLP,
 The tape's ops are the Tensor methods +, -, *, / and clamp, and the
 functions rms_norm, rope, linear, gated_mlp, cross_entropy and embedding
 (model.causal_attention adds attention).  +, -, * and / are one op,
-Tensor._elementwise, given the value and the two local gradients: it
-coerces a scalar operand, checks the broadcast and sums each gradient down
-to its operand's shape (/ checks for a near-zero divisor after the
-shapes).  A node holds its parents, whose outputs therefore stay until the
-sweep passes it, and the arrays its backward captures beyond them:
-  * +, -, *, /, clamp, rope and linear: nothing beyond their parents;
-  * rms_norm: the (rows, 1) root mean squares r, not the normalized rows
-    x / r, which the gain's gradient recomputes;
-  * gated_mlp: the gate and up projections g and u, not silu(g) or the
-    product, which its backward recomputes from g and u;
+Tensor._elementwise, given the value, the two local gradients and the
+operands each gradient reads: it coerces a scalar operand, checks the
+broadcast and sums each gradient down to its operand's shape (/ checks for
+a near-zero divisor after the shapes).
+
+The tape is a graph of records, not of Tensors.  A Tensor holds its data
+and, when it needs a gradient, its Record.  A Record holds its shape, its
+backward closure, its parents' records and, during a sweep, its gradient;
+it holds no array of values.  A backward closure captures an array only if
+a gradient it will form reads it, so a value lives as long as a Python name
+or a closure that reads it refers to it, and dies with its last reference,
+whether or not the sweep has reached the op that made it:
+  * + and -: nothing; * and /: the other operand (and / its divisor) only
+    for an operand that needs a gradient; clamp: its input;
+  * rope: nothing (its backward rotates the gradient by the same table
+    rows), so a pre-rotation q or k dies once rotated;
+  * linear: its input only when its weight needs a gradient, its weight
+    only when its input does; so the outputs of the o and down projections,
+    which feed residual adds, and the logits, which cross_entropy does not
+    read, die as soon as their consumer has run;
+  * rms_norm: its input and the (rows, 1) root mean squares r, not the
+    normalized rows x / r, which the gain's gradient recomputes;
+  * gated_mlp: the gate and up projections g and u (and its input when a
+    gate or up weight needs a gradient), not silu(g) or the product, which
+    its backward recomputes from g and u;
   * cross_entropy: the softmax probabilities; embedding: the ids.
 
 No backward writes into a gradient it receives or passes on, and nothing
-else does either: a gradient array is only ever read.  So _accum keeps the
-first gradient a node receives as its .grad without a copy, even when the
-same array is also another node's gradient (an add passes g to both
-operands), and sums later ones into a new array.
+else does either: a gradient array is only ever read.  So Record.accum
+keeps the first gradient a record receives as its .grad without a copy,
+even when the same array is also another record's gradient (an add passes
+g to both operands), and sums later ones into a new array.
 
-An op node keeps its parents and a backward closure holding the arrays
-that backward needs.  Tensor.backward releases both, and the node's .grad,
-right after that backward has run, so a sweep holds the activations of the
-ops not yet swept, the gradients in flight and the leaves' gradients, never
-every op node's gradient at once.  Leaves keep their .grad for the
-optimizer.
+Tensor.backward releases each op record's backward, parents and .grad
+right after that backward has run, so a sweep holds the arrays the
+unswept backwards read, the gradients in flight and the leaves' gradients,
+never every op's gradient at once.  Leaves (records with no backward) keep
+their .grad for the optimizer.
 """
 
 from __future__ import annotations
@@ -100,28 +114,69 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad if grad.shape == shape else grad.sum(axis=0, keepdims=True)
 
 
-class Tensor:
-    """A float32 array plus an optional autodiff record."""
+class Record:
+    """A Tensor's place on the tape: its shape, its backward and its
+    parents' records (none for a leaf), and the gradient summed into it.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    backward(g) receives the record's gradient and passes each parent that
+    needs one its part through that parent's accum; it reads only the
+    arrays it captured, never a Tensor."""
+
+    __slots__ = ("shape", "backward", "parents", "grad")
+
+    def __init__(self, shape: tuple, parents: tuple = (), backward=None):
+        self.shape = shape
+        self.backward = backward
+        self.parents = parents
+        self.grad: np.ndarray | None = None
+
+    def accum(self, g: np.ndarray) -> None:
+        """Add g to .grad.  The first g is kept as it is, not copied, so g
+        must never be written afterwards (see the module docstring)."""
+        g = np.asarray(g, dtype=np.float32).reshape(self.shape)
+        self.grad = g if self.grad is None else self.grad + g
+
+
+class Tensor:
+    """A float32 array plus, when it needs a gradient, its tape Record."""
+
+    __slots__ = ("data", "record")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._backward = None
+        self.record: Record | None = Record(self.data.shape) if requires_grad else None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _from_op(data: np.ndarray, parents, backward) -> "Tensor":
+        """The Tensor of an op's output data, recorded with its backward
+        when any of its parent Tensors needs a gradient."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        records = tuple(p.record for p in parents if p.record is not None)
+        if records:
+            out.record = Record(out.data.shape, records, backward)
         return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.record is not None
+
+    @requires_grad.setter
+    def requires_grad(self, on: bool) -> None:
+        """Make this Tensor a leaf that needs a gradient, or record nothing."""
+        if not on:
+            self.record = None
+        elif self.record is None:
+            self.record = Record(self.data.shape)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.record is None else self.record.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.record.grad = g
 
     @property
     def shape(self) -> tuple:
@@ -144,18 +199,24 @@ class Tensor:
             return other
         return Tensor(other)
 
-    def _elementwise(self, other, value, grad_a, grad_b):
+    def _elementwise(self, other, value, grad_a, grad_b, reads=("", "")):
         """One tape op of self and other (coerced, broadcast-checked):
         value(x, y) of their arrays, whose backward passes grad_a(g, x, y)
         and grad_b(g, x, y), summed down to each operand's shape, to each
-        operand that needs a gradient."""
+        operand that needs a gradient.  reads names the arrays each
+        gradient reads ("x" self's, "y" other's); the backward keeps only
+        those of the gradients it will form, and passes None for the rest."""
         b = self._coerce(other)
         _check_broadcast(self.shape, b.shape)
+        ra, rb = self.record, b.record
+        need = (reads[0] if ra is not None else "") + (reads[1] if rb is not None else "")
+        x = self.data if "x" in need else None
+        y = b.data if "y" in need else None
 
-        def backward(g, a=self, b=b):
-            for t, grad in ((a, grad_a), (b, grad_b)):
-                if t.requires_grad:
-                    t._accum(_unbroadcast(grad(g, a.data, b.data), t.shape))
+        def backward(g):
+            for r, grad in ((ra, grad_a), (rb, grad_b)):
+                if r is not None:
+                    r.accum(_unbroadcast(grad(g, x, y), r.shape))
 
         return Tensor._from_op(value(self.data, b.data), (self, b), backward)
 
@@ -166,7 +227,8 @@ class Tensor:
         return self._elementwise(other, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
     def __mul__(self, other):
-        return self._elementwise(other, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+        return self._elementwise(other, np.multiply, lambda g, x, y: g * y,
+                                 lambda g, x, y: g * x, reads=("y", "x"))
 
     def __truediv__(self, other):
         def quotient(x, y):
@@ -175,46 +237,42 @@ class Tensor:
             return x / y
 
         return self._elementwise(other, quotient, lambda g, x, y: g / y,
-                                 lambda g, x, y: -g * x / (y * y))
+                                 lambda g, x, y: -g * x / (y * y), reads=("y", "xy"))
 
     def clamp(self, lo: float, hi: float):
         """Clamp to [lo, hi]; gradient passes only where the input lies inside."""
         out_data = np.clip(self.data, lo, hi)
+        ra, xd = self.record, self.data
 
-        def backward(g, a=self, lo=lo, hi=hi):
-            if a.requires_grad:
-                inside = (a.data >= lo) & (a.data <= hi)
-                a._accum(g * inside)
+        def backward(g):
+            ra.accum(g * ((xd >= lo) & (xd <= hi)))
 
         return Tensor._from_op(out_data, (self,), backward)
 
     # -- autodiff driver ------------------------------------------------------
 
-    def _accum(self, g: np.ndarray) -> None:
-        """Add g to .grad.  The first g is kept as it is, not copied, so g
-        must never be written afterwards (see the module docstring)."""
-        g = np.asarray(g, dtype=np.float32).reshape(self.shape)
-        self.grad = g if self.grad is None else self.grad + g
-
     def backward(self) -> None:
-        """Reverse sweep from a scalar loss that releases the graph as it goes.
+        """Reverse sweep from a scalar loss that releases the tape as it goes.
 
-        Each op node (one with a recorded backward) is freed as soon as its
-        backward has run: its _backward, its _parents and its .grad are
+        Each op record (one with a backward) is freed as soon as its
+        backward has run: its backward, its parents and its .grad are
         dropped, so the arrays its backward captured, and the gradient it
-        received, go as soon as nothing else holds them.  A leaf (no recorded
-        backward) keeps its .grad, summed over every path to it.  The loss is
-        an op node too, so afterwards it has no graph, and a second
-        backward() adds nothing to any leaf.  If a backward raises, the sweep
-        stops there and leaves a partly released graph: the nodes swept
-        before it are released, it and the rest keep their records, and
-        their gradients (and the leaves') hold only what was summed so far.
+        received, go as soon as nothing else holds them.  A leaf record (no
+        backward) keeps its .grad, summed over every path to it.  The loss
+        is an op too, so afterwards it has no tape, and a second backward()
+        adds nothing to any leaf; a loss that needs no gradient has none to
+        sweep.  If a backward raises, the sweep stops there and leaves a
+        partly released tape: the records swept before it are released, it
+        and the rest keep theirs, and their gradients (and the leaves') hold
+        only what was summed so far.
         """
         if self.shape != ():
             raise KvqError(f"backward() requires a scalar loss, got shape {self.shape}")
-        order: list[Tensor] = []
+        if self.record is None:
+            return
+        order: list[Record] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Record, bool]] = [(self.record, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -224,18 +282,18 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.asarray(1.0, dtype=np.float32)
-        # popping drops the sweep's own reference to each node as it is done
+        self.record.grad = np.asarray(1.0, dtype=np.float32)
+        # popping drops the sweep's own reference to each record as it is done
         while order:
             node = order.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
-            node._backward, node._parents, node.grad = None, (), None
+                node.backward(node.grad)
+            node.backward, node.parents, node.grad = None, (), None
 
 
 # -- transformer primitives ---------------------------------------------------
@@ -295,31 +353,39 @@ def rms_norm(x, gain, eps: float = 1e-6):
     arithmetic and order stay bit for bit: test_rms_norm_matches_elementwise_chain
     checks them against the chain written out op by op in float32, and
     test_losses_and_weights_pinned hashes what training computes through it.
-    The node keeps x, gain and the (rows, 1) root mean squares r; the gain's
-    gradient recomputes the normalized rows x / r."""
+    Its backward keeps x, the gain and the (rows, 1) root mean squares r;
+    the gain's gradient recomputes the normalized rows x / r.
+
+    On arrays the same operations, in the same order, write into the x * x
+    buffer: the quotient x / r, then its product with the gain, so a call
+    allocates one (rows, C) array."""
     if not isinstance(x, Tensor):
         _check_finite("rms_norm", x)
+        sq = x * x
         # the sum and division of mean(axis=1), without its wrapper's cost
-        ms = np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1]
-        return x / np.sqrt(ms + np.float32(eps)) * gain
+        ms = np.add.reduce(sq, axis=1, keepdims=True) / x.shape[1]
+        out = np.divide(x, np.sqrt(ms + np.float32(eps)), out=sq)
+        out *= gain
+        return out
     _check_finite("rms_norm", x.data)
     gain = x._coerce(gain)
+    rx, rg = x.record, gain.record
     xd, gd = x.data, gain.data
     r = np.sqrt((xd * xd).mean(axis=1, keepdims=True) + np.float32(eps))
     out = xd / r
     out *= gd
 
     def backward(g):
-        if x.requires_grad:
+        if rx is not None:
             gy = g * gd
-            x._accum(gy / r)
+            rx.accum(gy / r)
             g_r = (-gy * xd / (r * r)).sum(axis=1, keepdims=True)
             g_sq = (np.broadcast_to(g_r * 0.5 / r, xd.shape) / xd.shape[1]).astype(np.float32)
             g_sq *= xd
-            x._accum(g_sq)
-            x._accum(g_sq)
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * (xd / r), gd.shape))
+            rx.accum(g_sq)
+            rx.accum(g_sq)
+        if rg is not None:
+            rg.accum(_unbroadcast(g * (xd / r), rg.shape))
 
     return Tensor._from_op(out, (x, gain), backward)
 
@@ -430,9 +496,10 @@ def rope(x, positions: np.ndarray, base: float = 10000.0, head_dim: int | None =
     if not tape:
         return rotate(x, out=out)
 
-    def backward(g, a=x):
-        if a.requires_grad:
-            a._accum(rotate(g, transpose=True))
+    rx = x.record
+
+    def backward(g):  # reads no value: the input dies once rotated
+        rx.accum(rotate(g, transpose=True))
 
     return Tensor._from_op(rotate(x.data), (x,), backward)
 
@@ -460,16 +527,19 @@ def linear(x, w, b):
             raise DimensionError(f"linear shape mismatch: {e}") from None
         return out
     w, b = x._coerce(w), x._coerce(b)
-    xd, wd, bd = x.data, w.data, b.data
-    out = _product(xd, wd, bd)
+    rx, rw, rb = x.record, w.record, b.record
+    out = _product(x.data, w.data, b.data)
+    # x's gradient reads only the weight, the weight's only the input
+    wd = w.data if rx is not None else None
+    xd = x.data if rw is not None else None
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g @ wd.T)
-        if w.requires_grad:
-            w._accum(xd.T @ g)
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, bd.shape))
+        if rx is not None:
+            rx.accum(g @ wd.T)
+        if rw is not None:
+            rw.accum(xd.T @ g)
+        if rb is not None:
+            rb.accum(_unbroadcast(g, rb.shape))
 
     return Tensor._from_op(out, (x, w, b), backward)
 
@@ -487,12 +557,12 @@ def gated_mlp(x, wg, bg, wu, bu, wd, bd, act_fn=None):
     (rows, C) Tensor or array, with (C, I) gate and up weights, a (I, C)
     down weight and bias rows.
 
-    On Tensors it is one tape op that keeps x and the gate and up
-    projections g and u, not the product or the activations: its backward
-    recomputes sigmoid(g), silu(g) = g * sigmoid(g) and silu(g) * u, and
-    then runs, in float32, the backward of the linear -> silu -> mul ->
-    linear chain it replaces, in that chain's order.  The product is formed
-    only when wd needs a gradient.
+    On Tensors it is one tape op that keeps the gate and up projections g
+    and u (and x when wg or wu needs a gradient), not the product or the
+    activations: its backward recomputes sigmoid(g), silu(g) = g *
+    sigmoid(g) and silu(g) * u, and then runs, in float32, the backward of
+    the linear -> silu -> mul -> linear chain it replaces, in that chain's
+    order.  The product is formed only when wd needs a gradient.
     test_gated_mlp_matches_elementwise_chain checks the forward and every
     gradient bit for bit against that chain.
 
@@ -510,24 +580,31 @@ def gated_mlp(x, wg, bg, wu, bu, wd, bd, act_fn=None):
     if act_fn is not None:
         raise UsageError("gated_mlp applies act_fn on arrays only")
     wg, bg, wu, bu, wd, bd = (x._coerce(a) for a in (wg, bg, wu, bu, wd, bd))
-    xd = x.data
-    g = _product(xd, wg.data, bg.data)
-    u = _product(xd, wu.data, bu.data)
+    rx, rg, rbg, ru, rbu, rd, rbd = (t.record for t in (x, wg, bg, wu, bu, wd, bd))
+    g = _product(x.data, wg.data, bg.data)
+    u = _product(x.data, wu.data, bu.data)
     mid = _sigmoid(g)
     mid *= g
     mid *= u
     out = _product(mid, wd.data, bd.data)
+    del mid
+    # what the gradients read besides g and u: x's the gate and up weights,
+    # theirs the input, and every one below the product the down weight
+    inner = any(r is not None for r in (rx, rg, rbg, ru, rbu))
+    xd = x.data if rg is not None or ru is not None else None
+    wgd, wud = (wg.data, wu.data) if rx is not None else (None, None)
+    wdd = wd.data if inner else None
 
     def backward(go):
         s = _sigmoid(g)
         a = g * s  # silu(g)
-        if wd.requires_grad:
-            wd._accum((a * u).T @ go)
-        if bd.requires_grad:
-            bd._accum(_unbroadcast(go, bd.shape))
-        if not any(t.requires_grad for t in (x, wg, bg, wu, bu)):
+        if rd is not None:
+            rd.accum((a * u).T @ go)
+        if rbd is not None:
+            rbd.accum(_unbroadcast(go, rbd.shape))
+        if not inner:
             return
-        gm = go @ wd.data.T
+        gm = go @ wdd.T
         gu = np.multiply(gm, a, out=a)  # mul's gradient to u
         gm *= u  # and to silu(g)
         d = 1.0 - s  # silu's derivative, s * (1 + g * (1 - s))
@@ -537,14 +614,14 @@ def gated_mlp(x, wg, bg, wu, bu, wd, bd, act_fn=None):
         del s
         gm *= d  # the gradient to g
         del d
-        if x.requires_grad:
-            x._accum(gm @ wg.data.T)
-            x._accum(gu @ wu.data.T)
-        for w, b, gr in ((wg, bg, gm), (wu, bu, gu)):
-            if w.requires_grad:
-                w._accum(xd.T @ gr)
-            if b.requires_grad:
-                b._accum(_unbroadcast(gr, b.shape))
+        if rx is not None:
+            rx.accum(gm @ wgd.T)
+            rx.accum(gu @ wud.T)
+        for rw, rb, gr in ((rg, rbg, gm), (ru, rbu, gu)):
+            if rw is not None:
+                rw.accum(xd.T @ gr)
+            if rb is not None:
+                rb.accum(_unbroadcast(gr, rb.shape))
 
     return Tensor._from_op(out, (x, wg, bg, wu, bu, wd, bd), backward)
 
@@ -558,12 +635,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     p = e / e.sum(axis=1, keepdims=True)
     nll = -np.log(np.maximum(p[np.arange(t), targets], 1e-30))
     out_data = np.asarray(nll.mean(), dtype=np.float32)
+    ra = logits.record
 
-    def backward(g, a=logits, p=p, targets=targets, t=t):
-        if a.requires_grad:
-            d = p.copy()
-            d[np.arange(t), targets] -= 1.0
-            a._accum(g * d / t)
+    def backward(g):  # reads p, not the logits
+        d = p.copy()
+        d[np.arange(t), targets] -= 1.0
+        ra.accum(g * d / t)
 
     return Tensor._from_op(out_data, (logits,), backward)
 
@@ -572,11 +649,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather from an embedding table; backward scatter-adds."""
     ids = np.asarray(ids, dtype=np.int64)
     out_data = table.data[ids]
+    ra = table.record
 
-    def backward(g, a=table, ids=ids):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, ids, g)
-            a._accum(full)
+    def backward(g):
+        full = np.zeros(ra.shape, dtype=np.float32)
+        np.add.at(full, ids, g)
+        ra.accum(full)
 
     return Tensor._from_op(out_data, (table,), backward)

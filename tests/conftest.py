@@ -36,8 +36,9 @@ def weighted_sum(y: Tensor, w=1.0) -> Tensor:
     """sum(y * w) as one scalar tape op, summed in float64, whose backward
     gives y the gradient g * w: how a test makes a loss of an op's output."""
     w = np.broadcast_to(np.asarray(w, dtype=np.float32), y.shape)
+    record = y.record
     return Tensor._from_op(np.sum(y.data * w, dtype=np.float64), (y,),
-                           lambda g: y._accum(g * w))
+                           lambda g: record.accum(g * w))
 
 
 def central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:

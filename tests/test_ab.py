@@ -1,7 +1,15 @@
+import copy
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import kvq
+from kvq.quantizers import unpack_codes
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ["decode_8", "decode_16", "decode_40", "prefill_48", "score_16", "chunk_20_on_30",
@@ -36,3 +44,39 @@ def test_unknown_workload_is_refused():
                           "--workloads", "decode_16,nope", str(ROOT), str(ROOT)],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 2 and "unknown workloads ['nope']" in run.stderr
+
+
+@pytest.fixture
+def ab(monkeypatch):
+    """tools/ab.py as a module; the thread variables it sets on import are
+    put back afterwards."""
+    for var in ("KVQ_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    spec = importlib.util.spec_from_file_location("ab_tool", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_codes_hash_one_per_byte_and_decode_times_after_warm_steps(ab, monkeypatch):
+    # a model holding its codes as the packed stream hashes as one holding
+    # them one per byte, so trees that hold either compare equal
+    tree = ab.Tree(kvq, ab.TINY, 8)
+    per_byte = copy.deepcopy(tree.served)
+    for blk in per_byte.blocks:
+        for lin in blk.projections().values():
+            codes = unpack_codes(lin.wq.codes, lin.wq.bits, lin.w.shape)
+            lin.wq = dataclasses.replace(lin.wq, codes=codes)
+    assert per_byte.blocks[0].q.wq.codes.ndim == 2 and tree.served.blocks[0].q.wq.codes.ndim == 1
+    assert (ab.digest(ab.model_arrays(kvq, per_byte))
+            == ab.digest(ab.model_arrays(kvq, tree.served)))
+    # a decode workload times its steps only after the untimed warm steps:
+    # the clock reads the number of steps taken so far
+    steps, decode_step = [], kvq.decode_step
+    with monkeypatch.context() as mp:
+        mp.setattr(kvq, "decode_step", lambda *a: steps.append(1) or decode_step(*a))
+        mp.setattr(ab.time, "perf_counter", lambda: float(len(steps)))
+        seconds, outs = ab.workloads(ab.TINY)["decode_8"](tree)
+    assert seconds == ab.TINY["steps"] and len(steps) == ab.TINY["warm"] + ab.TINY["steps"]
+    assert len(outs) == 1 + len(steps)

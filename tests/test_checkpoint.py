@@ -10,22 +10,13 @@ import pytest
 
 from conftest import tiny_config, word_corpus
 from kvq.calibration import CalibConfig, calibrate_model
-from kvq.checkpoint import (
-    ALIGN,
-    MAGIC,
-    load_model,
-    pack_codes,
-    read_container,
-    save_model,
-    unpack_codes,
-    write_container,
-)
+from kvq.checkpoint import ALIGN, MAGIC, load_model, read_container, save_model, write_container
 from kvq.cli import main
 from kvq.errors import DataFormatError, KvqError
 from kvq.evaluate import train_model
 from kvq.model import (Model, ModelConfig, model_forward, quantize_model_weights,
                        spread_kv_channels)
-from kvq.quantizers import init_smoothing
+from kvq.quantizers import dequantize, init_smoothing, pack_codes, packed_size, unpack_codes
 from kvq.model import attach_kv_smoothing
 
 IDS = np.arange(20) % 250
@@ -365,7 +356,7 @@ class TestModelRoundtrip:
         p = str(tmp_path / "m.kvq")
         save_model(m, p)
         config, meta, tensors = read_container(p)
-        codes = m.blocks[1].k.wq.codes.copy()
+        codes = unpack_codes(m.blocks[1].k.wq.codes, 4, (32, 32))
         assert codes.shape == (32, 32) and m.blocks[1].k.wq.bits == 4
         for code in (15, 16, 255):
             codes[0, 0] = code
@@ -579,3 +570,33 @@ class TestModelRoundtrip:
         # integers of numpy's types and an integral rope_base are taken as they are
         assert load_model(good).config == ModelConfig(**dict(
             config, n_layers=np.int64(2), kv_group_size=np.int32(8), rope_base=10000))
+
+
+class TestCodesAsStored:
+    """A quantized projection holds its codes as the checkpoint's stream."""
+
+    @pytest.mark.parametrize("bits", [4, 3])
+    def test_calibrated_and_loaded_projections_hold_the_stream(self, tmp_path, bits):
+        # the stream's packed_size bytes, not one code per byte; w is the
+        # stream's dequantization bit for bit, and save -> load -> save
+        # writes the same bytes
+        m = Model.random(tiny_config(weight_bits=bits), seed=6)
+        spread_kv_channels(m, 1.5, seed=6)
+        calibrate_model(m, word_corpus(6), CalibConfig(k=1, epochs=1, segments=2, seg_len=16))
+        first, second = str(tmp_path / "a.kvq"), str(tmp_path / "b.kvq")
+        save_model(m, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+        _, _, tensors = read_container(first)
+        for model in (m, loaded):
+            for li, blk in enumerate(model.blocks):
+                for name, lin in blk.projections().items():
+                    c_in, c_out = lin.w.shape
+                    assert lin.wq.codes.dtype == np.uint8
+                    assert lin.wq.codes.nbytes == packed_size(c_in * c_out, bits), name
+                    assert np.array_equal(lin.wq.codes, tensors[f"blocks.{li}.{name}.wq.codes"])
+                    codes = unpack_codes(lin.wq.codes, bits, (c_in, c_out))
+                    stream_w = dequantize(dataclasses.replace(lin.wq, codes=codes))
+                    assert np.array_equal(lin.w, stream_w), name
+        assert np.array_equal(model_forward(m, IDS).data, model_forward(loaded, IDS).data)

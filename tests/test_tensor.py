@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 
@@ -13,6 +14,7 @@ from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericEr
 from kvq.evaluate import _lm_leaves, lm_loss, lm_tensors, train_model
 from kvq.model import ATTN_BLOCK, Model, causal_attention, spread_kv_channels
 from kvq.tensor import (
+    Record,
     Tensor,
     cross_entropy,
     embedding,
@@ -201,7 +203,7 @@ class TestGradients:
             x, g, pos = randn(rng, t, width), randn(rng, t, width), np.arange(start, start + t)
             xt = Tensor(x, requires_grad=True)
             r = rope(xt, pos, 500.0, d)
-            r._backward(g)
+            r.record.backward(g)
             y = x.copy()
             assert rope(y, pos, 500.0, d, out=y) is y and np.array_equal(y, r.data)
             for got, want in ((r.data, reference.rotate(x, pos, 500.0, d)),
@@ -296,7 +298,7 @@ class TestFusedOps:
         assert all(np.array_equal(gr, e) for gr, e in zip(got, want))
         # with fixed weights (calibration) the product is not recomputed
         xt = Tensor(x, requires_grad=True)
-        gated_mlp(xt, *map(Tensor, arrs[1:]))._backward(r)
+        gated_mlp(xt, *map(Tensor, arrs[1:])).record.backward(r)
         assert np.array_equal(xt.grad, want[0])
         assert np.array_equal(gated_mlp(*map(Tensor, arrs)).data, m @ wd + bd)
         assert np.array_equal(gated_mlp(*arrs), m @ wd + bd)
@@ -311,7 +313,7 @@ class TestFusedOps:
 def sealed_grads(monkeypatch):
     """Mark every gradient read-only as it is stored, and the array it came
     from, so that a write into either raises."""
-    accum = Tensor._accum
+    accum = Record.accum
 
     def sealed(self, g):
         if isinstance(g, np.ndarray):
@@ -319,18 +321,20 @@ def sealed_grads(monkeypatch):
         accum(self, g)
         self.grad.flags.writeable = False
 
-    monkeypatch.setattr(Tensor, "_accum", sealed)
+    monkeypatch.setattr(Record, "accum", sealed)
 
 
 class TestGradientsReadOnly:
-    """_accum keeps the first gradient it receives without a copy, which is
+    """accum keeps the first gradient it receives without a copy, which is
     sound only while no backward (and no optimizer) writes a gradient."""
 
     def test_a_backward_writing_its_gradient_raises(self, sealed_grads):
         def doubled(a):
+            record = a.record
+
             def backward(g):
                 g *= 2.0
-                a._accum(g)
+                record.accum(g)
 
             return Tensor._from_op(a.data * 2.0, (a,), backward)
 
@@ -391,22 +395,22 @@ class TestMisc:
             (x * 2.0).backward()
 
     def test_graph_cleared_after_backward(self):
-        # every op node of a training loss is released, every leaf keeps its
-        # gradient, and a second backward adds nothing to any leaf
+        # every op record of a training loss is released, every leaf keeps
+        # its gradient, and a second backward adds nothing to any leaf
         m = Model.random(tiny_config(), seed=3)
         p = lm_tensors(m)
         seqs = np.random.default_rng(3).integers(0, 256, size=(2, 17))
         loss = lm_loss(m.config, p, seqs)
         nodes = tape_nodes(loss)
-        ops = [n for n in nodes if n._backward is not None]
-        leaves = [n for n in nodes if n._backward is None and n.requires_grad]
-        assert ops and {id(t) for t in leaves} == {id(t) for t in _lm_leaves(p)}
+        ops = [n for n in nodes if n.backward is not None]
+        leaves = [n for n in nodes if n.backward is None]
+        assert ops and {id(r) for r in leaves} == {id(t.record) for t in _lm_leaves(p)}
         loss.backward()
-        assert all(n.grad is None and n._backward is None and n._parents == () for n in ops)
-        grads = [t.grad.copy() for t in leaves]
-        assert all(g.shape == t.shape for g, t in zip(grads, leaves))
+        assert all(n.grad is None and n.backward is None and n.parents == () for n in ops)
+        grads = [r.grad.copy() for r in leaves]
+        assert all(g.shape == r.shape for g, r in zip(grads, leaves))
         loss.backward()
-        assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, grads))
+        assert all(np.array_equal(r.grad, g) for r, g in zip(leaves, grads))
 
     def test_rope_preserves_pair_norms(self):
         rng = np.random.default_rng(13)
@@ -444,31 +448,42 @@ class TestMisc:
         assert abs(got - expect) < 1e-5
 
 
-def tape_nodes(loss: Tensor) -> list[Tensor]:
-    """Every node of loss's recorded graph, loss included."""
-    nodes, seen, stack = [], set(), [loss]
+def tape_nodes(loss: Tensor) -> list[Record]:
+    """Every record of loss's tape, loss's own included."""
+    nodes, seen, stack = [], set(), [loss.record]
     while stack:
         n = stack.pop()
         if id(n) not in seen:
             seen.add(id(n))
             nodes.append(n)
-            stack.extend(n._parents)
+            stack.extend(n.parents)
     return nodes
 
 
+def captured_arrays(record: Record) -> dict[int, np.ndarray]:
+    """The arrays a record's backward closure holds, by id."""
+    f = record.backward
+    cells = [c.cell_contents for c in f.__closure__ or ()] + list(f.__defaults__ or ())
+    return {id(a): a for a in cells if isinstance(a, np.ndarray)}
+
+
 class TestTapeRelease:
-    """backward frees each op node once its backward has run, so a sweep
-    holds the activations the unswept ops still need, the leaves' gradients
-    and the gradients in flight, not every op node's gradient at once."""
+    """Records hold no values and each backward only the arrays it reads, so
+    a forward leaves on the tape what the backwards will read.  backward
+    frees each op record once its backward has run, so a sweep holds those
+    arrays for the unswept ops, the leaves' gradients and the gradients in
+    flight, not every op's gradient at once."""
 
     def test_sweep_frees_activations_only_the_tape_holds(self):
         x = Tensor(np.ones((64, 64), np.float32), requires_grad=True)
         alive = []
 
         def probe(a):  # an identity op whose backward, run last, looks above it
+            record = a.record
+
             def backward(g):
                 alive.extend(r() is not None for r in refs)
-                a._accum(g)
+                record.accum(g)
 
             return Tensor._from_op(a.data.copy(), (a,), backward)
 
@@ -482,36 +497,74 @@ class TestTapeRelease:
         assert np.all(x.grad != 0.0)
 
     def test_lm_loss_forward_keeps_g_and_u_of_each_mlp(self):
-        # what a forward leaves on the tape: every node's output and the
-        # arrays its backward captured.  Of the gated MLP's (rows,
-        # intermediate) arrays only g and u stay, two per layer, and an
-        # rms_norm node keeps its input but not its normalized rows
+        # what a forward leaves on the tape: the arrays its backwards
+        # captured.  Of the gated MLP's (rows, intermediate) arrays only g
+        # and u stay, two per layer; an rms_norm backward keeps its input
+        # but not its normalized rows; a residual add and a rope keep no
+        # array at all
         cfg = tiny_config()
         b, t = 2, 8
         p = lm_tensors(Model.random(cfg, seed=4))
         loss = lm_loss(cfg, p, np.random.default_rng(4).integers(0, 256, size=(b, t + 1)))
-        kept = {}
+        kept, kinds = {}, set()
         for n in tape_nodes(loss):
-            kept[id(n.data)] = n.data
-            f = n._backward
-            if f is None:
+            if n.backward is None:
                 continue
-            captured = [c.cell_contents for c in f.__closure__ or ()] + list(f.__defaults__ or ())
-            arrays = {id(a): a for a in captured if isinstance(a, np.ndarray)}
+            arrays = captured_arrays(n)
             kept.update(arrays)
-            if f.__qualname__.startswith("rms_norm."):
-                x = n._parents[0]
-                assert [i for i, a in arrays.items() if a.shape == x.shape] == [id(x.data)]
+            kind = n.backward.__qualname__.split(".")[0]
+            kinds.add(kind)
+            if kind == "rms_norm":
+                assert [a.shape for a in arrays.values()].count((b * t, cfg.hidden_size)) == 1
+            if kind in ("Tensor", "rope"):  # the residual adds, and q's and k's rotations
+                assert arrays == {}
+        assert {"Tensor", "rope", "rms_norm"} <= kinds
         wide = [a for a in kept.values() if a.shape == (b * t, cfg.intermediate_size)]
         assert len(wide) == 2 * cfg.n_layers
+        # the one (rows, C) array an rms_norm backward keeps is its input
+        x = Tensor(np.ones((3, 4), np.float32), requires_grad=True)
+        norm = rms_norm(x, Tensor(np.ones((1, 4), np.float32), requires_grad=True))
+        assert [a for a in captured_arrays(norm.record).values() if a.shape == x.shape] == [x.data]
+        assert captured_arrays(norm.record)[id(x.data)] is x.data
+
+    def test_lm_loss_forward_frees_what_no_backward_reads(self, monkeypatch):
+        # the o and down projections' outputs (the residual adds' operands),
+        # q and k before their rotation, and the logits are gone once the
+        # forward has returned, while the tape still holds the loss
+        import kvq.evaluate
+        import kvq.model
+
+        cfg = tiny_config()
+        p = lm_tensors(Model.random(cfg, seed=5))
+        o_weights = {id(w["o_w"]) for w in p["blocks"]}
+        refs = {"o": [], "down": [], "rope_in": [], "logits": []}
+
+        def spy(name, fn, kind, keep=lambda *a: True):
+            def wrapped(*args, **kw):
+                out = fn(*args, **kw)
+                if keep(*args):
+                    refs[kind].append(weakref.ref((args[0] if kind == "rope_in" else out).data))
+                return out
+            monkeypatch.setattr(name[0], name[1], wrapped)
+
+        spy((kvq.model, "linear"), kvq.model.linear, "o", lambda x, w, b: id(w) in o_weights)
+        spy((kvq.model, "gated_mlp"), kvq.model.gated_mlp, "down")
+        spy((kvq.model, "rope"), kvq.model.rope, "rope_in")
+        spy((kvq.evaluate, "linear"), kvq.evaluate.linear, "logits")
+        loss = lm_loss(cfg, p, np.random.default_rng(5).integers(0, 256, size=(2, 9)))
+        assert [len(r) for r in refs.values()] == [cfg.n_layers, cfg.n_layers,
+                                                   2 * cfg.n_layers, 1]
+        assert all(r() is None for rs in refs.values() for r in rs)
+        loss.backward()
+        assert all(t.grad is not None for t in _lm_leaves(p))
 
     def test_lm_loss_peak_within_tape_bound(self):
         # the traced peak of a forward and backward may exceed what the
         # forward leaves on the tape (activation bytes) plus the leaves'
-        # gradients (parameter bytes) by at most half of all op nodes'
-        # gradient bytes; a sweep that kept every op node's gradient to its
-        # end exceeds it by about all of them (B 4, T 128, width 64: a
-        # 10.4 MB peak against a 12.3 MB bound; keeping them, 16.7 MB)
+        # gradients (parameter bytes) by at most half of all op records'
+        # gradient bytes; a sweep that kept every op's gradient to its end
+        # exceeds it by about all of them (B 4, T 128, width 64: a 6.65 MB
+        # peak against a 7.46 MB bound)
         cfg = tiny_config(hidden_size=64, head_dim=32, intermediate_size=128, max_seq_len=128)
         p = lm_tensors(Model.random(cfg, seed=4))
         seqs = np.random.default_rng(4).integers(0, 256, size=(4, 129))
@@ -521,12 +574,16 @@ class TestTapeRelease:
         try:
             loss = lm_loss(cfg, p, seqs)
             activations = tracemalloc.get_traced_memory()[0]
-            op_grads = sum(n.data.nbytes for n in tape_nodes(loss) if n._backward is not None)
+            op_grads = sum(4 * math.prod(n.shape) for n in tape_nodes(loss)
+                           if n.backward is not None)
             loss.backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= activations + params + op_grads / 2
+        # ROADMAP item 13's bound: 10 % below the 8.19 MB this forward and
+        # backward peaked at while the tape held every op's output
+        assert peak <= 0.9 * 8.19e6
 
 
 class TestStackedSequences:
@@ -540,13 +597,13 @@ class TestStackedSequences:
         x, g = randn(rng, b * t, 16), randn(rng, b * t, 16)
         xt = Tensor(x, requires_grad=True)
         r = rope(xt, pos, 500.0, 8)
-        r._backward(g)
+        r.record.backward(g)
         assert np.array_equal(rope(x, pos, 500.0, 8), r.data)
         for i in range(b):
             rows = slice(i * t, (i + 1) * t)
             xi = Tensor(x[rows], requires_grad=True)
             ri = rope(xi, pos, 500.0, 8)
-            ri._backward(g[rows])
+            ri.record.backward(g[rows])
             assert np.array_equal(r.data[rows], ri.data)
             assert np.array_equal(xt.grad[rows], xi.grad)
 

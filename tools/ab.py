@@ -13,9 +13,10 @@ statistics of 256 tokens (calibration's init, untrained), in weight_kv.
 
 Workloads, each timed per call:
 
-    decode_64, decode_384,  16 decode steps after a prefill of that context;
-    decode_896              at 64 the step's fixed cost dominates, at 896 the
-                            read of the past
+    decode_64, decode_384,  16 decode steps after a prefill of that context
+    decode_896              and 8 untimed steps, which run slower than a
+                            steady loop; at 64 the step's fixed cost
+                            dominates, at 896 the read of the past
     prefill_896             one 896-token prefill
     score_192               192-token cache-path scoring (score_logits)
     chunk_300_on_600        a 300-row chunk onto a 600-row prefilled cache
@@ -39,7 +40,8 @@ round to round.  Per workload one JSON line is printed:
               and weights, or the loaded model's arrays and its 64-token
               cache-path logits, not the file's bytes, or the fitted loss
               and arrays, or the loss and the smoothing's gradients), from
-              the first, untimed call
+              the first, untimed call; weight codes are hashed one per
+              byte, whether a tree holds them so or packed
     identical whether A's and B's hashes are equal
 
 --tiny runs small sizes for a smoke test; its times mean nothing.
@@ -67,13 +69,14 @@ from pathlib import Path
 
 import numpy as np
 
-# train: (batch, seq_len) of train_step; crr: (segments, seg_len) of crr_loss
-FULL = dict(config={"max_seq_len": 1024}, decode=(64, 384, 896), steps=16, prefill=896, score=192,
-            chunk=(600, 300), calib=dict(k=2, epochs=1, segments=4, seg_len=64), corpus=4096,
-            train=(2, 64), crr=(4, 64))
+# warm: untimed decode steps before the timed ones; train: (batch, seq_len)
+# of train_step; crr: (segments, seg_len) of crr_loss
+FULL = dict(config={"max_seq_len": 1024}, decode=(64, 384, 896), warm=8, steps=16, prefill=896,
+            score=192, chunk=(600, 300), calib=dict(k=2, epochs=1, segments=4, seg_len=64),
+            corpus=4096, train=(2, 64), crr=(4, 64))
 TINY = dict(config=dict(n_layers=2, hidden_size=32, n_heads=2, head_dim=16,
                         intermediate_size=48, max_seq_len=64, weight_group_size=16),
-            decode=(8, 16, 40), steps=4, prefill=48, score=16, chunk=(30, 20),
+            decode=(8, 16, 40), warm=8, steps=4, prefill=48, score=16, chunk=(30, 20),
             calib=dict(k=2, epochs=1, segments=2, seg_len=16), corpus=256,
             train=(2, 16), crr=(2, 16))
 
@@ -119,8 +122,9 @@ def workloads(sizes: dict) -> dict:
             kvq = tr.kvq
             logits, cache = kvq.prefill(tr.served, tr.ids[:ctx])
             outs, nxt = [logits.data], int(np.argmax(logits.data[-1]))
-            start = time.perf_counter()
-            for _ in range(sizes["steps"]):
+            for i in range(sizes["warm"] + sizes["steps"]):
+                if i == sizes["warm"]:
+                    start = time.perf_counter()
                 outs.append(kvq.decode_step(tr.served, nxt, cache).data)
                 nxt = int(np.argmax(outs[-1][-1]))
             return time.perf_counter() - start, outs
@@ -163,13 +167,13 @@ def workloads(sizes: dict) -> dict:
             model = kvq.load_model(path)
             t = time.perf_counter() - start
         logits = kvq.evaluate.score_logits(model, tr.ids[:64], use_cache=True)
-        return t, [*model_arrays(model), logits]
+        return t, [*model_arrays(kvq, model), logits]
 
     def train_step(tr: Tree):
         model, (batch, seq_len) = copy.deepcopy(tr.fp), sizes["train"]
         t, report = timed(lambda: tr.kvq.train_model(model, tr.corpus, steps=1, batch=batch,
                                                      seq_len=seq_len, seed=0))
-        return t, [np.float64(report["final_loss"]), *model_arrays(model)]
+        return t, [np.float64(report["final_loss"]), *model_arrays(tr.kvq, model)]
 
     def crr_loss(tr: Tree):
         calibration, (segments, seg_len) = tr.kvq.calibration, sizes["crr"]
@@ -195,16 +199,21 @@ def workloads(sizes: dict) -> dict:
             "train_step": train_step, "crr_loss": crr_loss}
 
 
-def model_arrays(model) -> list:
+def model_arrays(kvq, model) -> list:
     """Every array that defines a model: embed, norms, head, and each
-    projection's w, b, weight codes, h, z and smoothing, when it has them."""
+    projection's w, b, weight codes, h, z and smoothing, when it has them.
+    The codes are taken one per byte: a packed stream (one dimension) is
+    unpacked with kvq's own unpack_codes."""
     out = [model.embed, model.final_norm, model.head.w, model.head.b]
     for blk in model.blocks:
         out += [blk.attn_norm, blk.mlp_norm]
         for lin in blk.projections().values():
             out += [lin.w, lin.b]
             if lin.wq is not None:
-                out += [lin.wq.codes, lin.wq.h, lin.wq.z]
+                codes = lin.wq.codes
+                if codes.ndim == 1:
+                    codes = kvq.checkpoint.unpack_codes(codes, lin.wq.bits, lin.w.shape)
+                out += [codes, lin.wq.h, lin.wq.z]
             if lin.smoothing is not None:
                 out += [lin.smoothing.s, lin.smoothing.delta]
     return out
