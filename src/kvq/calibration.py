@@ -2,15 +2,18 @@
 cross-block reconstruction regularization.
 
 Each block's seven projections are quantized once, round to nearest, before
-training.  The quantized branch divides the k and v weights by the smoothing
-scale on the tape, as Q(w) / s and (b - delta) / s, and fake-quantizes the
-K/V projection outputs with their codes held fixed in the backward pass (see
-quantizers.py).  Weight groups run along input channels and s is per output
-channel, so Q(w) / s has the codes that freezing gives, Q(w / s), and
-d(loss)/ds is the exact derivative wherever the loss is differentiable in s.
-Blocks i+1 .. i+k-1 run full precision in both branches and receive no
-parameter gradients.  Past-only quantization is always off during training
-(the calibration forward has no cache).
+its candidates: q, o, gate, up and down, which are never smoothed, in place
+(model.Linear.quantize, which keeps codes a projection already holds at the
+spec), and k and v as an array Q(w) beside their raw weights, which freezing
+smooths and then quantizes.  The quantized branch divides the k and v
+weights by the smoothing scale on the tape, as Q(w) / s and (b - delta) / s,
+and fake-quantizes the K/V projection outputs with their codes held fixed in
+the backward pass (see quantizers.py).  Weight groups run along input
+channels and s is per output channel, so Q(w) / s has the codes that
+freezing gives, Q(w / s), and d(loss)/ds is the exact derivative wherever
+the loss is differentiable in s.  Blocks i+1 .. i+k-1 run full precision in
+both branches and receive no parameter gradients.  Past-only quantization
+is always off during training (the calibration forward has no cache).
 
 Each block freezes whichever of three candidates has the lowest mean loss
 (the earlier on a tie): identity smoothing over the round-to-nearest weights
@@ -35,24 +38,19 @@ import numpy as np
 from .errors import DataFormatError, KvqError, NumericError, UsageError
 from .model import (Model, block_core, block_tensors, check_capacity, check_token_ids, fp_kv_fn,
                     require_unsmoothed)
-from .quantizers import (
-    S_FLOOR,
-    SmoothingParams,
-    WeightQuantSpec,
-    fake_quant_token,
-    fake_quant_weight,
-    init_smoothing,
-)
+from .quantizers import (S_FLOOR, SmoothingParams, fake_quant_token, fake_quant_weight,
+                         init_smoothing)
 from .tensor import Tensor, linear, rms_norm, rope
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the learning rate of the smoothing's Adam steps
+LR_SMOOTHING = 5e-4
 
 
 @dataclass(frozen=True)
 class CalibConfig:
     k: int = 5
     epochs: int = 5
-    lr_smoothing: float = 5e-4
     seed: int = 0
     segments: int = 32
     seg_len: int = 256
@@ -63,8 +61,6 @@ class CalibConfig:
         if self.segments < 1 or self.seg_len < 1 or self.epochs < 0:  # epochs 0: no training
             raise KvqError(f"need segments >= 1, seg_len >= 1, epochs >= 0; got "
                            f"{self.segments}, {self.seg_len}, {self.epochs}")
-        if self.lr_smoothing <= 0:
-            raise KvqError("lr_smoothing must be positive")
 
 
 class AdamW:
@@ -180,12 +176,15 @@ def init_trainables(model: Model, i: int, x_segs: list[np.ndarray]) -> BlockTrai
 
 
 def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:
-    """Block i's seven raw projection weights rounded to nearest, Q(w), or
-    the raw weights at weight_bits >= 16: what calibration trains against."""
-    cfg = model.config
+    """Block i's seven projection weights rounded to nearest, Q(w), or the
+    raw weights at weight_bits >= 16: what calibration trains against.  A
+    projection that holds codes at the config's spec gives its w, their
+    dequantization; the others' w are rounded here.  It changes nothing in
+    the model."""
+    spec = model.config.weight_spec()
     return {
-        name: fake_quant_weight(lin.w, cfg.weight_bits, cfg.weight_group_size)
-        if cfg.weight_bits < 16 else lin.w
+        name: lin.w if spec is None or lin.holds(spec)
+        else fake_quant_weight(lin.w, spec.bits, spec.group_size)
         for name, lin in model.blocks[i].projections().items()
     }
 
@@ -272,18 +271,19 @@ def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[n
 
 def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
     """Absorb smoothing and fix the block's weight codes, round to nearest.
+    A projection that holds codes at the spec keeps them (Linear.quantize):
+    after calibrate_block, only the absorbed k and v are rounded here.
 
     At weight_bits >= 16 no codes are made, and an absorbed projection's old
     codes are dropped.
     """
-    cfg = model.config
-    blk = model.blocks[i]
+    blk, spec = model.blocks[i], model.config.weight_spec()
     blk.k.absorb(SmoothingParams(np.maximum(tp.s_k.data.reshape(-1), S_FLOOR), tp.d_k.data))
     blk.v.absorb(SmoothingParams(np.maximum(tp.s_v.data.reshape(-1), S_FLOOR), tp.d_v.data))
-    if cfg.weight_bits >= 16:
+    if spec is None:
         return
     for lin in blk.projections().values():
-        lin.quantize(WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size))
+        lin.quantize(spec)
 
 
 def calibrate_block(model: Model, i: int, calib: CalibConfig,
@@ -298,6 +298,10 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
     freezes that candidate; failed means it kept RTN.  A non-finite loss
     keeps RTN and reports NaN losses.
     """
+    spec = model.config.weight_spec()
+    if spec is not None:  # the never-smoothed projections, whose codes freezing keeps
+        for name in ("q", "o", "gate", "up", "down"):
+            getattr(model.blocks[i], name).quantize(spec)
     wq = quantized_weights(model, i)
     x, ref = np.stack(x_segs), np.stack(ref_segs)
 
@@ -313,7 +317,7 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
         tp = init_trainables(model, i, x_segs)
         init = tp.detached()
         trajectory = [mean_loss(tp)]
-        opt = AdamW(tp.smooth_params(), calib.lr_smoothing)
+        opt = AdamW(tp.smooth_params(), LR_SMOOTHING)
         for _ in range(calib.epochs):
             epoch_losses = []
             for x_seg, r_seg in zip(x_segs, ref_segs):

@@ -22,7 +22,9 @@ saved model's; otherwise it reads .w.  A projection is smoothed when its
 carries is folded into its w and b.  Unknown tensors and meta keys are
 ignored: files written when calibration still learned weight clipping carry
 per-projection .gamma/.beta tensors, and files written before the config
-was the one record carry a meta "quant" entry; both load.
+was the one record carry a meta "quant" entry; both load.  A config whose
+quant_mode is "weight_only", a former mode that ran exactly as fp, loads as
+"fp".
 
 A projection's b-bit codes (b = weight_bits, 2..8) are one uint8 stream
 of ceil(C_in * C_out / 8) * b bytes (pack_codes): code i of the row-major
@@ -183,7 +185,7 @@ def read_container(path: str) -> tuple[dict, dict, dict[str, np.ndarray]]:
 
 
 def save_model(model: Model, path: str, meta: dict | None = None) -> None:
-    cfg = model.config
+    spec = model.config.weight_spec()
     tensors: dict[str, np.ndarray] = {
         "embed": model.embed,
         "final_norm": model.final_norm,
@@ -198,21 +200,22 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
             tensors[f"{base}.b"] = lin.b
             # codes are read at the config's width and groups, so codes of
             # another setting are stored as their dequantization, w
-            if lin.wq is None or (lin.wq.bits, lin.wq.group_size) != (cfg.weight_bits,
-                                                                      cfg.weight_group_size):
-                tensors[f"{base}.w"] = lin.w
-            else:
+            if lin.holds(spec):
                 tensors[f"{base}.wq.codes"] = lin.wq.codes
                 tensors[f"{base}.wq.h"] = lin.wq.h
                 tensors[f"{base}.wq.z"] = lin.wq.z
+            else:
+                tensors[f"{base}.w"] = lin.w
             if lin.smoothing is not None:
                 tensors[f"{base}.smooth.s"] = lin.smoothing.s
                 tensors[f"{base}.smooth.delta"] = lin.smoothing.delta
-    write_container(path, asdict(cfg), meta or {}, tensors)
+    write_container(path, asdict(model.config), meta or {}, tensors)
 
 
 def load_model(path: str) -> Model:
     config, _, tensors = read_container(path)
+    if config.get("quant_mode") == "weight_only":
+        config = {**config, "quant_mode": "fp"}
     try:
         cfg = ModelConfig(**config)
     except (TypeError, KvqError) as e:

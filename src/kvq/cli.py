@@ -14,18 +14,11 @@ import argparse
 import copy
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
 
 from .errors import DataFormatError, KvqError, NumericError, UsageError
-
-SETTING_MODES = {
-    "w4": "weight_only",
-    "w4kv4": "weight_kv",
-    "w4a4": "weight_activation",
-}
 
 
 def _write_json(obj, path: str | None) -> str:
@@ -101,11 +94,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    from .checkpoint import load_model, save_model
+    from .checkpoint import load_model, read_container, save_model
     from .model import quantize_model_weights
 
     model = load_model(args.model)
-    _apply_quant_args(model, args, quant_mode=SETTING_MODES[args.mode])
+    _apply_quant_args(model, args, quant_mode=args.mode)
     cfg = model.config
     quantize_model_weights(model)
     if cfg.quant_mode == "weight_kv" and all(
@@ -116,7 +109,9 @@ def cmd_quantize(args) -> int:
             "run `kvq calibrate` for best accuracy",
             file=sys.stderr,
         )
-    save_model(model, args.out, meta={"source": os.path.basename(args.model)})
+    # the input's meta, so a model that holds its codes at the config's spec
+    # (a calibrated one) is written back byte for byte
+    save_model(model, args.out, meta=read_container(args.model)[1])
     print(_write_json({"mode": cfg.quant_mode, "weight_bits": cfg.weight_bits,
                        "kv_bits": cfg.kv_bits, "out": args.out}, None))
     return 0
@@ -127,7 +122,7 @@ def cmd_calibrate(args) -> int:
     from .checkpoint import load_model, save_model
     from .evaluate import load_corpus
 
-    calib = _calib_config(args, k=args.k, lr_smoothing=args.lr_smoothing)
+    calib = _calib_config(args, k=args.k)
     model = load_model(args.model)
     _apply_quant_args(model, args)
     ids = load_corpus(args.corpus)
@@ -336,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("quantize", help="round-to-nearest quantization; keeps calibrated codes")
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--mode", choices=sorted(SETTING_MODES), default="w4kv4")
+    sp.add_argument("--mode", choices=MODES, default="weight_kv")
     add_quant_args(sp)
     sp.set_defaults(fn=cmd_quantize)
 
@@ -345,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     add_quant_args(sp)
     sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--lr-smoothing", type=float, default=5e-4)
     sp.set_defaults(fn=cmd_calibrate)
 
     sp = sub.add_parser("eval", help="perplexity / fidelity metrics")

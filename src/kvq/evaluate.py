@@ -4,7 +4,8 @@ cache_path_forward), logit MAE against an fp reference, greedy divergence,
 and a small trainer so the desk model actually fits a corpus.
 
 Every score runs the setting in the given model's config (quant_mode, poq,
-kv_bits); to compare settings, score models whose configs differ.
+kv_bits) over the weights the model holds; to compare settings, score
+models whose configs differ.
 
 Sequences longer than max_seq_len are scored in independent non-overlapping
 chunks (stride = max_seq_len); the first token of each chunk is a context
@@ -117,9 +118,15 @@ def first_divergence(a: np.ndarray, b: np.ndarray) -> int:
 def eval_report(model: Model, ids: np.ndarray, use_cache: bool = False,
                 fp_model: Model | None = None) -> dict:
     """Perplexity of model in its own setting; given fp_model, also the
-    logit MAE and the first greedy divergence against it."""
-    report = {"setting": model.config.quant_mode, "use_cache": use_cache,
-              **perplexity(model, ids, use_cache=use_cache)}
+    logit MAE and the first greedy divergence against it.  weight_bits is
+    the width of the codes every block projection holds, or None when one
+    holds none (or the widths differ): the mode says what a forward does to
+    K/V and activations, and the weights are the model's state."""
+    widths = {None if lin.wq is None else lin.wq.bits for blk in model.blocks
+              for lin in blk.projections().values()}
+    report = {"setting": model.config.quant_mode,
+              "weight_bits": widths.pop() if len(widths) == 1 else None,
+              "use_cache": use_cache, **perplexity(model, ids, use_cache=use_cache)}
     if fp_model is not None:
         report["logit_mae_vs_fp"] = logit_mae(fp_model, model, ids, use_cache=use_cache)
         n_new = min(32, model.config.max_seq_len - min(8, len(ids)))

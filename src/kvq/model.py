@@ -1,21 +1,25 @@
 """Small decoder-only transformer (pre-norm attention + gated MLP) with
 prefill/decode phases and a past-only-quantized KV cache.
 
-Quantization modes:
+Quantization modes say what a forward does to K/V and activations; whether
+the weights are codes is the model's state (each projection's Linear.wq), so
+every mode runs the weights the model holds:
 
-* fp                 - raw weights, full-precision cache.
-* weight_only        - (de)quantized weights, full-precision cache.
-* weight_kv          - quantized weights, past KV stored as token codes of the
-                       smoothed projection outputs; the current step's K/V stay
-                       full precision in attention (past-only quantization).
-* weight_activation  - quantized weights plus per-token RTN quantization of
-                       every linear-layer input (sensitivity harness only).
+* fp                 - full-precision cache and activations.
+* weight_kv          - past KV stored as token codes of the smoothed
+                       projection outputs; the current step's K/V stay full
+                       precision in attention (past-only quantization).
+* weight_activation  - per-token RTN quantization of every linear-layer
+                       input, full-precision cache (sensitivity harness only).
+
+The paper's W4 setting is a model of W4 codes in fp mode, W4KV4 the same
+model in weight_kv and W4A4 in weight_activation.
 
 A cache keeps every layer's past K and V in one store (PoqKvCache).  A
 quantized cache (ModelConfig.kv_codes) holds two arrays: the int8 codes of
 the pre-rotary smoothed K and V, (n_layers, 2, max_seq_len, hidden), and
 their per-(token, group) m and n, (n_layers, 2, 2, max_seq_len, groups).
-An fp cache (fp and weight_only) holds one float32 array of K rows,
+An fp cache (every other setting) holds one float32 array of K rows,
 rotated once at append, and raw V rows, (n_layers, 2, max_seq_len,
 hidden).  A quantized cache is read in one of two forms.  The fold: a
 decode step onto a cache of at most FOLD_MAX_SEGMENTS segments maps
@@ -135,8 +139,10 @@ attention's last query block, and a 300-row chunk onto a 600-row past at
 
 Each projection is a Linear, the one owner of its weights, weight codes and
 K/V smoothing: after it is built, only Linear.set, .absorb and .quantize
-change them.  So the codes always describe w, and a projection is smoothed
-at most once (a second smoothing raises UsageError).
+change them.  So the codes always describe w, a projection is smoothed at
+most once (a second smoothing raises UsageError), and it is quantized at
+most once per spec: its codes are the one record of that state, and
+quantizing a projection that holds codes at the spec keeps them.
 """
 
 from __future__ import annotations
@@ -164,10 +170,10 @@ from .quantizers import (
     quantize_weight,
     row_blocks,
 )
-from .tensor import (Tensor, _check_finite, aligned_empty, exp_causal, gated_mlp, linear,
-                     rms_norm, rope, rope_table, sequences, softmax_causal)
+from .tensor import (RMS_EPS, Tensor, _check_finite, aligned_empty, exp_causal, gated_mlp,
+                     linear, rms_norm, rope, rope_table, sequences, softmax_causal)
 
-MODES = ("fp", "weight_only", "weight_kv", "weight_activation")
+MODES = ("fp", "weight_kv", "weight_activation")
 # a block's projections, in DecoderBlockWeights order
 PROJECTIONS = ("q", "k", "v", "o", "gate", "up", "down")
 
@@ -238,6 +244,13 @@ class ModelConfig:
     def token_spec(self) -> TokenQuantSpec:
         return TokenQuantSpec(bits=self.kv_bits, group_size=self.kv_group_size)
 
+    def weight_spec(self) -> WeightQuantSpec | None:
+        """The spec block projections are quantized at, or None at 16 bits
+        and up, where they stay unquantized."""
+        if self.weight_bits >= 16:
+            return None
+        return WeightQuantSpec(bits=self.weight_bits, group_size=self.weight_group_size)
+
     def projection_shapes(self) -> dict[str, tuple[int, int]]:
         """(C_in, C_out) of each block projection, in PROJECTIONS order."""
         c, i = self.hidden_size, self.intermediate_size
@@ -277,9 +290,17 @@ class Linear:
         self.set(*absorb_smoothing(self.w, self.b, sp))
         self.smoothing = sp
 
+    def holds(self, spec: WeightQuantSpec | None) -> bool:
+        """Whether the projection holds codes at spec."""
+        return (self.wq is not None and spec is not None
+                and (self.wq.bits, self.wq.group_size) == (spec.bits, spec.group_size))
+
     def quantize(self, spec: WeightQuantSpec) -> None:
         """Fix the weight codes at spec; w becomes their dequantization, and
-        wq keeps them packed."""
+        wq keeps them packed.  Codes already held at spec are kept as they
+        are, so quantizing twice is quantizing once."""
+        if self.holds(spec):
+            return
         qt = quantize_weight(self.w, spec)
         self.w = dequantize(qt)
         self.wq = replace(qt, codes=pack_codes(qt.codes, qt.bits))
@@ -642,7 +663,7 @@ class PoqKvCache:
                                  m=m[:past], n=n[:past])
             dequantize(qt, out=x[:past])
             if sp is not None:
-                apply_kv_smoothing(x[:past], sp, "to_raw", out=x[:past])
+                apply_kv_smoothing(x[:past], sp, out=x[:past])
             x[past:] = cur
         rope(k[:past], np.arange(past), cfg.rope_base, cfg.head_dim, out=k[:past])
         return k, v
@@ -744,7 +765,7 @@ def _row_rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     ss = np.add.reduce(x * x, axis=None)
     if not math.isfinite(ss):
         _check_finite("rms_norm", x)
-    return x / np.sqrt(ss / x.shape[1] + np.float32(1e-6)) * gain
+    return x / np.sqrt(ss / x.shape[1] + RMS_EPS) * gain
 
 
 def _small_scores(qs, k, v, n_heads: int, diag, keys: int) -> bool:
@@ -915,7 +936,7 @@ def _raw_kv(smoothing: tuple, k_s, v_s, spec: TokenQuantSpec | None = None):
     def raw(x, sp):
         if spec is not None:
             x = dequantize(quantize_token(x, spec))
-        return x if sp is None else apply_kv_smoothing(x, sp, "to_raw")
+        return x if sp is None else apply_kv_smoothing(x, sp)
 
     return raw(k_s, smoothing[0]), raw(v_s, smoothing[1])
 
@@ -946,11 +967,10 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     returns (k_all_rotated, v_all): raw-space attention inputs covering past
     + current tokens of each sequence, the chunk's rows last, so the causal
     mask follows from their row counts.  A third element, if returned, is
-    causal_attention's POQ diagonal.  For a decode step onto a cache that
-    folds it returns instead the function of the rotated query that gives
-    the attention output (PoqKvCache.read_raw).  The runtime cache path and
-    the calibration fake-quant path both plug in through kv_fn, so the
-    surrounding arithmetic is shared bit-for-bit.
+    causal_attention's POQ diagonal.  A decode step onto a cache that folds
+    does not come here: the cache runs it (PoqKvCache.step).  The runtime
+    cache path and the calibration fake-quant path both plug in through
+    kv_fn, so the surrounding arithmetic is shared bit-for-bit.
     act_fn (arrays only) quantizes the input of every projection.
     """
     x = block_attention(cfg, w, x, positions, kv_fn, act_fn)
@@ -1203,16 +1223,13 @@ def attach_kv_smoothing(model: Model, per_layer: list[tuple[SmoothingParams, Smo
 
 
 def quantize_model_weights(model: Model) -> None:
-    """Round every block projection to nearest in place; biases and
-    embeddings stay fp.
-
-    A calibrated model's w is dequantize(codes), so quantizing it again at
-    the same bits and group size keeps those codes.
-    """
-    cfg = model.config
-    if cfg.weight_bits >= 16:
+    """Round every block projection to nearest in place at the config's
+    weight spec; biases and embeddings stay fp.  A projection that already
+    holds codes at that spec (a calibrated or RTN model's) keeps them, h
+    and z included (Linear.quantize)."""
+    spec = model.config.weight_spec()
+    if spec is None:
         return
-    spec = WeightQuantSpec(cfg.weight_bits, cfg.weight_group_size)
     for blk in model.blocks:
         for lin in blk.projections().values():
             lin.quantize(spec)

@@ -49,6 +49,8 @@ from .errors import DegenerateScaleError, DimensionError, KvqError, NumericError
 from .tensor import Tensor, _check_finite, round_half_away
 
 S_FLOOR = 1e-6
+# the floor of init_smoothing's scales, above S_FLOOR
+INIT_S_FLOOR = 1e-5
 SPREAD_EPS = 1e-12
 
 
@@ -152,37 +154,29 @@ def absorb_smoothing(
     return w_t.astype(np.float32), b_t.astype(np.float32)
 
 
-def apply_kv_smoothing(x: np.ndarray, sp: SmoothingParams, direction: str,
+def apply_kv_smoothing(x: np.ndarray, sp: SmoothingParams,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Map between raw KV space and smoothed space, into out when given
-    (out may be x itself).
-
-    to_raw: Y~ * s + delta (after dequantizing cached KV).
-    to_smoothed: (Y - delta) / s (only when smoothing is not absorbed).
-    """
+    """Map smoothed KV back to raw space, Y~ * s + delta (after dequantizing
+    cached KV), into out when given (out may be x itself).  Smoothing is
+    only ever absorbed into a projection (absorb_smoothing), so nothing maps
+    the other way."""
     x = np.asarray(x, dtype=np.float32)
-    if direction == "to_raw":
-        out = np.multiply(x, sp.s[None, :], out=out)
-        out += sp.delta[None, :]
-        return out
-    if direction == "to_smoothed":
-        sp.check_scale()
-        out = np.subtract(x, sp.delta[None, :], out=out)
-        out /= sp.s[None, :]
-        return out
-    raise KvqError(f"unknown smoothing direction: {direction!r}")
+    out = np.multiply(x, sp.s[None, :], out=out)
+    out += sp.delta[None, :]
+    return out
 
 
-def init_smoothing(samples: np.ndarray, floor: float = 1e-5) -> SmoothingParams:
+def init_smoothing(samples: np.ndarray) -> SmoothingParams:
     """Initialize from calibration activations (rows = tokens, cols = channels).
 
     delta is the per-channel mean; s maps each channel's max absolute
-    deviation to unit range, floored to keep the scale invertible.
+    deviation to unit range, floored at INIT_S_FLOOR to keep the scale
+    invertible.
     """
     samples = np.asarray(samples, dtype=np.float32)
     delta = samples.mean(axis=0)
     s = np.abs(samples - delta[None, :]).max(axis=0)
-    s = np.maximum(s, floor)
+    s = np.maximum(s, INIT_S_FLOOR)
     return SmoothingParams(s, delta)
 
 

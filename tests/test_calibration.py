@@ -26,7 +26,7 @@ from kvq.calibration import (
 )
 from kvq.errors import CapacityError, DataFormatError, KvqError, UsageError
 from kvq.evaluate import logit_mae
-from kvq.model import Model, model_forward, quantize_model_weights, spread_kv_channels
+from kvq.model import Model, ModelConfig, model_forward, quantize_model_weights, spread_kv_channels
 from kvq.quantizers import WeightQuantSpec
 from kvq.tensor import Tensor
 
@@ -34,13 +34,11 @@ from kvq.tensor import Tensor
 class TestConfig:
     def test_defaults_mirror_recipe(self):
         c = CalibConfig()
-        assert (c.k, c.epochs, c.lr_smoothing) == (5, 5, 5e-4)
+        assert (c.k, c.epochs, calibration.LR_SMOOTHING) == (5, 5, 5e-4)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(KvqError):
             CalibConfig(k=0)
-        with pytest.raises(KvqError):
-            CalibConfig(lr_smoothing=0.0)
 
     @pytest.mark.parametrize("field, value", [
         ("segments", 0), ("segments", -2), ("seg_len", 0), ("epochs", -1),
@@ -264,6 +262,26 @@ class TestStackedPasses:
 
 
 class TestCalibrateModel:
+    def test_each_weight_is_rounded_once(self, monkeypatch):
+        # q, o, gate, up and down are quantized in place before a block's
+        # candidates and keep those codes at freezing; k and v are rounded
+        # for the candidates and again once freezing absorbs the smoothing:
+        # 9 quantize_weight calls per block, 36 on the default config
+        import kvq.model
+        import kvq.quantizers
+
+        calls, quantize_weight = [], kvq.quantizers.quantize_weight
+
+        def counting(w, spec):
+            calls.append(w.shape)
+            return quantize_weight(w, spec)
+
+        monkeypatch.setattr(kvq.model, "quantize_weight", counting)
+        monkeypatch.setattr(kvq.quantizers, "quantize_weight", counting)
+        model = Model.random(ModelConfig(), seed=0)
+        calibrate_model(model, word_corpus(0), CalibConfig(k=1, epochs=1, segments=2, seg_len=16))
+        assert len(calls) == 36
+
     def test_improves_over_rtn(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup
         mq = copy.deepcopy(model)
@@ -341,8 +359,9 @@ class TestCalibrateModel:
         monkeypatch.setattr(calibration, "AdamW", CountingAdamW)
         monkeypatch.setattr(calibration, "init_trainables",
                             lambda m, i, xs: BlockTrainables.identity(m.config.hidden_size))
+        monkeypatch.setattr(calibration, "LR_SMOOTHING", 1.0)
         mq = copy.deepcopy(model)
-        report = calibrate_model(mq, corpus, dataclasses.replace(calib, lr_smoothing=1.0))
+        report = calibrate_model(mq, corpus, calib)
         assert len(runs) == model.config.n_layers
         for trace in report["blocks"]:
             assert trace["trained_loss"] > trace["initial_loss"] == trace["trajectory"][0]
@@ -482,15 +501,16 @@ class TestAblateRows:
 
 class TestKnobs:
     def test_every_calib_and_weight_spec_field_is_set(self):
-        # a CalibConfig or WeightQuantSpec field that neither the CLI nor
-        # calibration ever sets is a knob without traffic: delete it with its
-        # feature.  Set means a keyword, or a constructor's positional
-        # argument, or an attribute assignment.
+        # a CalibConfig or WeightQuantSpec field that neither the CLI,
+        # calibration nor the model (ModelConfig.weight_spec) ever sets is a
+        # knob without traffic: delete it with its feature.  Set means a
+        # keyword, or a constructor's positional argument, or an attribute
+        # assignment.
         specs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                  for cls in (CalibConfig, WeightQuantSpec)}
         src = Path(calibration.__file__).parent
         set_fields = set()
-        for name in ("cli.py", "calibration.py"):
+        for name in ("cli.py", "calibration.py", "model.py"):
             for node in ast.walk(ast.parse((src / name).read_text())):
                 if isinstance(node, ast.Call):
                     set_fields |= {kw.arg for kw in node.keywords}

@@ -451,6 +451,23 @@ class TestModelRoundtrip:
                            match=rf"^tensor 'blocks\.1\.v\.smooth\.{missing}' missing from "):
             load_model(p)
 
+    def test_weight_only_header_loads_as_fp(self, tmp_path):
+        # "weight_only", the former name of the paper's W4 setting, ran
+        # exactly as fp: a file whose config names it loads as fp over its
+        # codes, to the model saved
+        m = self.make(quantize=True)
+        p = str(tmp_path / "m.kvq")
+        save_model(m, p)
+        config, meta, tensors = read_container(p)
+        write_container(p, {**config, "quant_mode": "weight_only"}, meta, tensors)
+        loaded = load_model(p)
+        assert loaded.config.quant_mode == "fp"
+        m.config = dataclasses.replace(m.config, quant_mode="fp")
+        assert np.array_equal(model_forward(m, IDS).data, model_forward(loaded, IDS).data)
+        for b1, b2 in zip(m.blocks, loaded.blocks):
+            for name, lin in b1.projections().items():
+                assert np.array_equal(lin.wq.codes, b2.projections()[name].wq.codes), name
+
     def test_meta_is_not_read(self, tmp_path):
         # the header's meta is the caller's: whatever it holds, the file
         # loads to the model saved

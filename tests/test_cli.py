@@ -13,7 +13,7 @@ from kvq.calibration import CalibConfig, calibrate_model
 from kvq.checkpoint import load_model, read_container, save_model, write_container
 from kvq.cli import build_parser, main
 from kvq.evaluate import load_corpus
-from kvq.model import Model
+from kvq.model import MODES, Model
 
 FIT_ARGS = [
     "--layers", "2", "--hidden", "32", "--heads", "2", "--intermediate", "48",
@@ -136,7 +136,7 @@ class TestQuantize:
         out = workdir / "q.kvq"
         rc, stdout, err = run(capsys, [
             "quantize", "--model", str(workdir / "model.kvq"), "--out", str(out),
-            "--mode", "w4kv4", "--group-size", "16", "--kv-group-size", "8",
+            "--mode", "weight_kv", "--group-size", "16", "--kv-group-size", "8",
         ])
         assert rc == 0
         assert "smoothing" in err
@@ -147,7 +147,7 @@ class TestQuantize:
     def test_weight_only_quiet(self, workdir, capsys):
         rc, _, err = run(capsys, [
             "quantize", "--model", str(workdir / "model.kvq"),
-            "--out", str(workdir / "qw.kvq"), "--mode", "w4",
+            "--out", str(workdir / "qw.kvq"), "--mode", "fp",
             "--group-size", "16", "--kv-group-size", "8",
         ])
         assert rc == 0
@@ -158,7 +158,7 @@ class TestQuantize:
         for p in paths:
             rc, _, _ = run(capsys, [
                 "quantize", "--model", str(workdir / "model.kvq"), "--out", str(p),
-                "--mode", "w4", "--group-size", "16", "--kv-group-size", "8",
+                "--mode", "fp", "--group-size", "16", "--kv-group-size", "8",
             ])
             assert rc == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -173,7 +173,7 @@ class TestQuantize:
         ] + CAL_ARGS)
         assert rc == 0
         rc, _, _ = run(capsys, [
-            "quantize", "--model", str(cal), "--out", str(out), "--mode", "w4kv4",
+            "quantize", "--model", str(cal), "--out", str(out), "--mode", "weight_kv",
             "--group-size", "16", "--kv-group-size", "8",
         ])
         assert rc == 0
@@ -184,8 +184,17 @@ class TestQuantize:
                 assert np.array_equal(lin.wq.codes, lin2.wq.codes), name
                 assert np.abs(lin2.w - lin.w).max() <= 1e-6 * np.abs(lin.w).max(), name
 
+    def test_calibrated_checkpoint_written_back_byte_for_byte(self, workdir, calibrated,
+                                                              capsys):
+        # its codes are at the config's spec, so quantizing keeps them, h
+        # and z included, and the input's meta: the file is the input's
+        out = workdir / "cal_requantized.kvq"
+        rc, _, _ = run(capsys, ["quantize", "--model", str(calibrated), "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == calibrated.read_bytes()
+
     @pytest.mark.parametrize("command, extra", [
-        ("quantize", ["--mode", "w4kv4"]),
+        ("quantize", ["--mode", "weight_kv"]),
         ("calibrate", ["--corpus", "corpus.txt", "--k", "1", "--epochs", "1",
                        "--segments", "2", "--seg-len", "24"]),
     ], ids=["quantize", "calibrate"])
@@ -223,7 +232,7 @@ class TestCalibrate:
         rc, stdout, _ = run(capsys, [
             "calibrate", "--model", str(workdir / "model.kvq"),
             "--corpus", str(workdir / "corpus.txt"), "--out", str(out),
-            "--json", str(workdir / "cal.json"), "--lr-smoothing", "2e-3",
+            "--json", str(workdir / "cal.json"),
         ] + CAL_ARGS)
         assert rc == 0
         rep = json.loads(stdout)
@@ -231,8 +240,8 @@ class TestCalibrate:
         assert json.loads((workdir / "cal.json").read_text()) == rep
         m = load_model(str(out))
         assert m.config.quant_mode == "weight_kv"
-        # the library's report at the same settings, --lr-smoothing included
-        calib = CalibConfig(k=1, epochs=1, lr_smoothing=2e-3, segments=2, seg_len=24)
+        # the library's report at the same settings
+        calib = CalibConfig(k=1, epochs=1, segments=2, seg_len=24)
         want = calibrate_model(load_model(str(workdir / "model.kvq")),
                                load_corpus(str(workdir / "corpus.txt")), calib)
         assert rep == json.loads(json.dumps(want))
@@ -497,6 +506,19 @@ class TestEval:
         assert (own["setting"], rep["setting"]) == ("fp", "weight_activation")
         assert rep["perplexity"] != own["perplexity"]  # the flag reached the forward
 
+    def test_weight_bits_are_the_models_state(self, workdir, capsys):
+        # the mode says what a forward does to K/V and activations; the
+        # report's weight_bits says whether the weights are codes
+        w4 = workdir / "w4_for_eval.kvq"
+        assert run(capsys, ["quantize", "--model", str(workdir / "model.kvq"),
+                            "--out", str(w4), "--mode", "fp"])[0] == 0
+        argv = ["--corpus", str(workdir / "corpus.txt"), "--max-tokens", "64", "--mode", "fp"]
+        fp = json.loads(run(capsys, ["eval", "--model", str(workdir / "model.kvq")] + argv)[1])
+        q = json.loads(run(capsys, ["eval", "--model", str(w4)] + argv)[1])
+        assert (fp["setting"], fp["weight_bits"]) == ("fp", None)
+        assert (q["setting"], q["weight_bits"]) == ("fp", 4)
+        assert q["perplexity"] != fp["perplexity"]
+
     def test_bad_mode_is_usage_error(self, workdir):
         with pytest.raises(SystemExit) as e:
             main(["eval", "--model", str(workdir / "model.kvq"),
@@ -683,7 +705,7 @@ class TestGenerate:
 class TestParser:
     @pytest.mark.parametrize("command, extra, want", [
         ("calibrate", ["--out", "o"], {"k": 5, "epochs": 5, "segments": 32, "seg_len": 256,
-                                       "lr_smoothing": 5e-4, "seed": 0}),
+                                       "seed": 0}),
         ("ablate", [], {"k": 5, "epochs": 2, "segments": 8, "seg_len": 64, "max_tokens": 512,
                         "seed": 0}),
         ("sweep-k", [], {"k_values": "1,2,3,5", "epochs": 2, "segments": 8, "seg_len": 64,
@@ -695,6 +717,16 @@ class TestParser:
         args = build_parser().parse_args([command, "--model", "m", "--corpus", "c"] + extra)
         assert {key: getattr(args, key) for key in want} == want
         assert args.json is None
+
+    def test_one_mode_vocabulary(self):
+        # quantize, eval and generate take the model's modes, and no other
+        # command takes a mode
+        commands = build_parser()._subparsers._group_actions[0].choices
+        choices = {name: action.choices for name, sp in commands.items()
+                   for action in sp._actions if action.dest == "mode"}
+        assert choices == {name: MODES for name in ("quantize", "eval", "generate")}
+        assert build_parser().parse_args(["quantize", "--model", "m", "--out", "o"]).mode \
+            == "weight_kv"
 
 
 class TestDispatch:

@@ -278,14 +278,14 @@ class TestSmoothing:
             sp = init_smoothing(y)
             w_t, b_t = absorb_smoothing(w, b, sp)
             y_smoothed = x @ w_t + b_t
-            back = apply_kv_smoothing(y_smoothed, sp, "to_raw")
+            back = apply_kv_smoothing(y_smoothed, sp)
             assert np.abs(back - y).max() < 1e-4 * max(1e-12, np.abs(y).max())
 
     def test_smoothed_channels_normalized(self):
         rng = np.random.default_rng(9)
         y = (rng.normal(size=(50, 6)) * np.exp(np.linspace(-2, 2, 6))).astype(np.float32)
         sp = init_smoothing(y)
-        ys = apply_kv_smoothing(y, sp, "to_smoothed")
+        ys = (y - sp.delta) / sp.s
         dev = np.abs(ys - ys.mean(axis=0)).max(axis=0)
         assert dev.max() < 1.3  # all channels roughly unit deviation
 

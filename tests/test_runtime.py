@@ -54,10 +54,16 @@ def make_model(seed=0, **kw):
     return Model.random(tiny_config(**kw), seed=seed)
 
 
-def in_mode(model, mode):
-    """A copy of model whose forwards run mode."""
+def quant_mode(setting: str) -> str:
+    """The quant_mode of a setting: a mode, or "weight_only", the paper's
+    weight-only setting, which is fp over the weights the model holds."""
+    return "fp" if setting == "weight_only" else setting
+
+
+def in_mode(model, setting):
+    """A copy of model whose forwards run setting (quant_mode)."""
     m = copy.deepcopy(model)
-    m.config = dataclasses.replace(m.config, quant_mode=mode)
+    m.config = dataclasses.replace(m.config, quant_mode=quant_mode(setting))
     return m
 
 
@@ -188,7 +194,8 @@ class TestAllHeadsForward:
         ids, verdicts = self.IDS, gate_everywhere(monkeypatch)
         for layout, base in layout_models.items():
             m = copy.copy(base)
-            m.config = dataclasses.replace(base.config, quant_mode=mode, poq=poq, kv_bits=kv_bits)
+            m.config = dataclasses.replace(base.config, quant_mode=quant_mode(mode), poq=poq,
+                                           kv_bits=kv_bits)
             verdicts.clear()
             logits, cache = prefill(m, ids[:10])
             rows = [logits.data, model_forward(m, ids[10:20], cache=cache).data]
@@ -371,14 +378,14 @@ class TestCache:
         blk, calls = mq.blocks[0], []
         apply = kvq.model.apply_kv_smoothing
 
-        def counting(x, sp, direction, **kwargs):
+        def counting(x, sp, **kwargs):
             if sp is blk.k.smoothing or sp is blk.v.smoothing:
-                calls.append(("k" if sp is blk.k.smoothing else "v", direction, x.shape[0]))
-            return apply(x, sp, direction, **kwargs)
+                calls.append(("k" if sp is blk.k.smoothing else "v", x.shape[0]))
+            return apply(x, sp, **kwargs)
 
         monkeypatch.setattr(kvq.model, "apply_kv_smoothing", counting)
         decode_step(mq, 3, cache)
-        assert calls == [("k", "to_raw", 1), ("v", "to_raw", 1)]
+        assert calls == [("k", 1), ("v", 1)]
 
     @pytest.mark.parametrize("kv_bits", [2, 3, 4, 8])
     def test_append_stores_quantize_tokens_codes(self, kv_bits):
@@ -993,7 +1000,7 @@ class TestFoldsAgainstReference:
 
 
 class TestFpCacheRotatedKeys:
-    """An fp cache (fp and weight_only) stores each chunk's K rows rotated,
+    """An fp cache (fp, W4 weights or not) stores each chunk's K rows rotated,
     once, at append; reads take them as stored."""
 
     @pytest.mark.parametrize("mode", ["fp", "weight_only"])
@@ -1114,6 +1121,16 @@ class TestModes:
         b = model_forward(mq, IDS).data
         assert not np.array_equal(a, b)
         assert np.abs(a - b).mean() < 1.0  # still close
+
+    def test_quantizing_twice_is_quantizing_once(self):
+        # the codes a projection holds at the spec are the one record of its
+        # quantization: quantizing again keeps them, h and z included, and
+        # the weights they describe
+        m = quantized(make_model(seed=2))
+        lins = [lin for blk in m.blocks for lin in blk.projections().values()]
+        held = [(lin.wq, lin.w) for lin in lins]
+        quantize_model_weights(m)
+        assert all(lin.wq is wq and lin.w is w for lin, (wq, w) in zip(lins, held))
 
     def test_16_bit_weights_stay_unquantized(self):
         m = make_model(weight_bits=16)

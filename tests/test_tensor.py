@@ -447,6 +447,21 @@ class TestMisc:
         got = cross_entropy(Tensor(logits), tgt).item()
         assert abs(got - expect) < 1e-5
 
+    def test_cross_entropy_holds_one_array_beside_the_logits(self):
+        # the shifted logits, their exponentials and the probabilities share
+        # one buffer: beside the logits, a call peaks at one (rows, vocab)
+        # array and small slack (three arrays when each had its own)
+        rng = np.random.default_rng(15)
+        logits = Tensor(randn(rng, 512, 258), requires_grad=True)
+        tgt = rng.integers(0, 258, size=512)
+        tracemalloc.start()
+        try:
+            cross_entropy(logits, tgt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= logits.data.nbytes + 64 * 1024
+
 
 def tape_nodes(loss: Tensor) -> list[Record]:
     """Every record of loss's tape, loss's own included."""
