@@ -200,7 +200,7 @@ def estimate_decode_time(cfg: DeployConfig) -> dict:
 
 def verify_runtime_accounting(model, cache) -> dict:
     """Check the analyzer KV formula against live PoqKvCache buffers, exactly:
-    a cache of codes (its config's kv_codes) at its kv_bits, any other at >= 16."""
+    a cache of codes (its config's kv_codes) at its kv_bits, any other at 16."""
     mc, kv = model.config, cache.cfg
     arch = ArchSpec(
         "desk",
@@ -215,7 +215,7 @@ def verify_runtime_accounting(model, cache) -> dict:
         arch=arch,
         batch=1,
         prompt_len=cache.length,
-        kv_bits=kv.kv_bits if kv.kv_codes else max(kv.kv_bits, 16),
+        kv_bits=kv.kv_bits if kv.kv_codes else 16,
         kv_group_size=kv.kv_group_size,
     )
     analyzer = kv_cache_bytes(dc, cache.length)

@@ -97,7 +97,7 @@ class AdamW:
 
     def zero_grad(self):
         for p in self.params:
-            p.grad = None
+            p.record.grad = None
 
     def step(self):
         self.t += 1
@@ -165,11 +165,11 @@ class BlockTrainables:
         return BlockTrainables(*(Tensor(p.data.copy()) for p in self.smooth_params()))
 
 
-def init_trainables(model: Model, i: int, x_segs: list[np.ndarray]) -> BlockTrainables:
+def init_trainables(model: Model, i: int, x: np.ndarray) -> BlockTrainables:
     """Smoothing stats of block i's raw K/V activations over the calibration
-    tokens, in one pass over the segments stacked as rows."""
+    tokens, in one pass over the segments of x, (segments, T, C), as rows."""
     blk = model.blocks[i]
-    rows = np.reshape(x_segs, (-1, model.config.hidden_size))
+    rows = x.reshape(-1, model.config.hidden_size)
     xn = rms_norm(rows, blk.attn_norm.reshape(1, -1))
     return BlockTrainables.from_smoothing(init_smoothing(linear(xn, blk.k.w, blk.k.b)),
                                           init_smoothing(linear(xn, blk.v.w, blk.v.b)))
@@ -177,7 +177,7 @@ def init_trainables(model: Model, i: int, x_segs: list[np.ndarray]) -> BlockTrai
 
 def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:
     """Block i's seven projection weights rounded to nearest, Q(w), or the
-    raw weights at weight_bits >= 16: what calibration trains against.  A
+    raw weights at weight_bits 16: what calibration trains against.  A
     projection that holds codes at the config's spec gives its w, their
     dequantization; the others' w are rounded here.  It changes nothing in
     the model."""
@@ -240,10 +240,12 @@ def crr_loss(model: Model, i: int, x_i: np.ndarray, tp: BlockTrainables, calib: 
 # -- calibration driver -------------------------------------------------------
 
 
-def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[np.ndarray]]:
+def collect_activations(model: Model, segments: list[np.ndarray]) -> list[np.ndarray]:
     """Full-precision inputs x_i to every block (index n_layers = final
-    output) of each equal-length token segment, in one pass with the
-    segments stacked as rows.  The pass runs on Tensors that need no
+    output) of equal-length token segments, each one (segments, T, C)
+    array, from one pass with the segments stacked as rows: the one copy
+    calibration holds, which calibrate_block and init_trainables read as
+    they are.  The pass runs on Tensors that need no
     gradient, so it records no tape and has the arithmetic of crr_loss's
     full-precision blocks: the runtime forward on arrays normalizes
     attention in another order (model.causal_attention).
@@ -265,8 +267,7 @@ def collect_activations(model: Model, segments: list[np.ndarray]) -> list[list[n
     xs = [Tensor(model.embed[ids.reshape(-1)])]
     for blk in model.blocks:
         xs.append(block_core(cfg, block_tensors(blk), xs[-1], positions, fp_kv_fn(cfg)))
-    stacked = [x.data.reshape(b, t, -1) for x in xs]
-    return [[x[s] for x in stacked] for s in range(b)]
+    return [x.data.reshape(b, t, -1) for x in xs]
 
 
 def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
@@ -274,7 +275,7 @@ def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
     A projection that holds codes at the spec keeps them (Linear.quantize):
     after calibrate_block, only the absorbed k and v are rounded here.
 
-    At weight_bits >= 16 no codes are made, and an absorbed projection's old
+    At weight_bits 16 no codes are made, and an absorbed projection's old
     codes are dropped.
     """
     blk, spec = model.blocks[i], model.config.weight_spec()
@@ -287,8 +288,9 @@ def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
 
 
 def calibrate_block(model: Model, i: int, calib: CalibConfig,
-                    x_segs: list[np.ndarray], ref_segs: list[np.ndarray]) -> dict:
-    """Calibrate and freeze block i; returns its trace.
+                    x: np.ndarray, ref: np.ndarray) -> dict:
+    """Calibrate and freeze block i on its fp inputs x and the fp outputs ref
+    of its k-block span, each (segments, T, C); returns its trace.
 
     initial_loss scores identity smoothing over the round-to-nearest weights
     (the RTN model's block), trajectory[0] the activation-statistics init and
@@ -303,7 +305,6 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
         for name in ("q", "o", "gate", "up", "down"):
             getattr(model.blocks[i], name).quantize(spec)
     wq = quantized_weights(model, i)
-    x, ref = np.stack(x_segs), np.stack(ref_segs)
 
     def mean_loss(tp):
         val = crr_loss(model, i, x, tp.detached(), calib, ref, wq).item()
@@ -314,13 +315,13 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
     rtn = BlockTrainables.identity(model.config.hidden_size)
     try:
         initial = mean_loss(rtn)
-        tp = init_trainables(model, i, x_segs)
+        tp = init_trainables(model, i, x)
         init = tp.detached()
         trajectory = [mean_loss(tp)]
         opt = AdamW(tp.smooth_params(), LR_SMOOTHING)
         for _ in range(calib.epochs):
             epoch_losses = []
-            for x_seg, r_seg in zip(x_segs, ref_segs):
+            for x_seg, r_seg in zip(x, ref):
                 loss = crr_loss(model, i, x_seg, tp, calib, r_seg, wq)
                 opt.zero_grad()
                 loss.backward()
@@ -385,9 +386,7 @@ def calibrate_model(model: Model, corpus_ids: np.ndarray, calib: CalibConfig) ->
     blocks_trace = []
     for i in range(cfg.n_layers):
         k_eff = min(calib.k, cfg.n_layers - i)
-        x_segs = [xs[i] for xs in acts]
-        ref_segs = [xs[i + k_eff] for xs in acts]
-        blocks_trace.append(calibrate_block(model, i, calib, x_segs, ref_segs))
+        blocks_trace.append(calibrate_block(model, i, calib, acts[i], acts[i + k_eff]))
     model.config = replace(cfg, quant_mode="weight_kv")
     finals = [b["final_loss"] for b in blocks_trace]
     inits = [b["initial_loss"] for b in blocks_trace]

@@ -48,7 +48,7 @@ a config that ModelConfig refuses: an unknown field, a layer, head, size,
 length or group-size field that is not an integer >= 1 (vocab_size >= 2),
 an odd head_dim, a rope_base that is not finite and positive, a poq that is
 not true or false, or a kv or weight bit width that is not an integer in
-2..8 or at least 16.
+2..8 or 16.
 """
 
 from __future__ import annotations

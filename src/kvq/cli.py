@@ -1,7 +1,7 @@
 """Command-line toolkit.
 
-Every command prints only its JSON report to stdout (--json also writes it
-to a file).  Exit codes: 0 success, 2 usage error, 3 data/format error, 4
+Every command prints only its JSON report to stdout (`kvq ... > FILE`
+saves it).  Exit codes: 0 success, 2 usage error, 3 data/format error, 4
 numeric error.
 
 Set KVQ_THREADS to pin the BLAS thread count; the kvq package sets the BLAS
@@ -21,12 +21,8 @@ import numpy as np
 from .errors import DataFormatError, KvqError, NumericError, UsageError
 
 
-def _write_json(obj, path: str | None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    if path:
-        with open(path, "w") as f:
-            f.write(text + "\n")
-    return text
+def _print_json(obj) -> None:
+    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _check_max_tokens(limit: int) -> None:
@@ -89,7 +85,7 @@ def cmd_fit(args) -> int:
             seq_len=args.seq_len, lr=args.lr, seed=args.seed,
         )
     save_model(model, args.out, meta={"seed": args.seed})
-    print(_write_json(report, args.json))
+    _print_json(report)
     return 0
 
 
@@ -112,8 +108,8 @@ def cmd_quantize(args) -> int:
     # the input's meta, so a model that holds its codes at the config's spec
     # (a calibrated one) is written back byte for byte
     save_model(model, args.out, meta=read_container(args.model)[1])
-    print(_write_json({"mode": cfg.quant_mode, "weight_bits": cfg.weight_bits,
-                       "kv_bits": cfg.kv_bits, "out": args.out}, None))
+    _print_json({"mode": cfg.quant_mode, "weight_bits": cfg.weight_bits,
+                 "kv_bits": cfg.kv_bits, "out": args.out})
     return 0
 
 
@@ -128,7 +124,7 @@ def cmd_calibrate(args) -> int:
     ids = load_corpus(args.corpus)
     report = calibrate_model(model, ids, calib)
     save_model(model, args.out, meta={"calibrated": True, "seed": args.seed})
-    print(_write_json(report, args.json))
+    _print_json(report)
     return 0
 
 
@@ -143,7 +139,7 @@ def cmd_eval(args) -> int:
     ids = load_corpus(args.corpus)[: args.max_tokens]
     fp_model = load_model(args.fp_model) if args.fp_model else None
     report = eval_report(model, ids, use_cache=args.use_cache, fp_model=fp_model)
-    print(_write_json(report, args.json))
+    _print_json(report)
     return 0
 
 
@@ -157,7 +153,7 @@ def cmd_analyze(args) -> int:
     )
 
     if args.preset == "decode-table":
-        print(_write_json({"preset": "decode-table", "rows": table7_report()}, args.json))
+        _print_json({"preset": "decode-table", "rows": table7_report()})
         return 0
 
     arch = ARCH_PRESETS.get(args.arch)
@@ -179,7 +175,7 @@ def cmd_analyze(args) -> int:
     }
     if args.gen_len >= 1:
         doc["decode_time"] = estimate_decode_time(dc)
-    print(_write_json(doc, args.json))
+    _print_json(doc)
     return 0
 
 
@@ -238,7 +234,7 @@ def cmd_ablate(args) -> int:
                              variant=f"add:{f}"))
     fp_ppl = perplexity(model, eval_ids, use_cache=True)
     doc = {"fp_perplexity": fp_ppl["perplexity"], "variants": rows}
-    print(_write_json(doc, args.json))
+    _print_json(doc)
     return 0
 
 
@@ -264,7 +260,7 @@ def cmd_sweep_k(args) -> int:
         row = _run_variant(model, ids, eval_ids, set(_FEATURES), dataclasses.replace(calib, k=k))
         rows.append({"k": k, "mean_final_loss": row["mean_final_loss"],
                      "perplexity": row["perplexity"]})
-    print(_write_json({"rows": rows}, args.json))
+    _print_json({"rows": rows})
     return 0
 
 
@@ -280,8 +276,7 @@ def cmd_generate(args) -> int:
     out = generate(model, prompt, args.n_new)
     new = out[len(prompt):]
     text = bytes(int(t) for t in new if t < 256).decode("utf-8", errors="replace")
-    print(_write_json({"prompt": args.prompt, "ids": [int(t) for t in out],
-                       "completion": text}, args.json))
+    _print_json({"prompt": args.prompt, "ids": [int(t) for t in out], "completion": text})
     return 0
 
 
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="default: the checkpoint's value")
 
     def add_calib_args(sp, epochs: int, segments: int, seg_len: int):
-        """The model, corpus, JSON and calibration flags of calibrate, ablate
+        """The model, corpus and calibration flags of calibrate, ablate
         and sweep-k, at the command's defaults."""
         sp.add_argument("--model", required=True)
         sp.add_argument("--corpus", required=True)
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--segments", type=int, default=segments)
         sp.add_argument("--seg-len", type=int, default=seg_len)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--json")
 
     sp = sub.add_parser("fit", help="train a small byte-level model")
     sp.add_argument("--corpus", required=True)
@@ -325,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seq-len", type=int, default=64)
     sp.add_argument("--lr", type=float, default=3e-3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json")
     sp.set_defaults(fn=cmd_fit)
 
     sp = sub.add_parser("quantize", help="round-to-nearest quantization; keeps calibrated codes")
@@ -351,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="score through the POQ cache path (quantized past, fp current K/V)")
     sp.add_argument("--fp-model")
     sp.add_argument("--max-tokens", type=int, default=4096)
-    sp.add_argument("--json")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("analyze", help="deployment memory / latency model")
@@ -363,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gen-len", type=int, default=0)
     sp.add_argument("--phase", choices=("prefill", "decode"), default="decode")
     sp.add_argument("--bandwidth", type=float, default=1.0e12)
-    sp.add_argument("--json")
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("ablate", help="toggle pipeline pieces and compare perplexity")
@@ -388,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-new", type=int, default=32)
     sp.add_argument("--mode", choices=MODES, default=None,
                     help="setting to generate in (default: the checkpoint's quant_mode)")
-    sp.add_argument("--json")
     sp.set_defaults(fn=cmd_generate)
 
     return p

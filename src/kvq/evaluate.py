@@ -22,8 +22,8 @@ from .errors import DataFormatError, KvqError
 from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and decode_step here)
     Model,
     ModelConfig,
+    block_arrays,
     block_core,
-    block_tensors,
     cache_path_forward,
     check_capacity,
     check_token_ids,
@@ -144,12 +144,11 @@ def lm_tensors(model: Model) -> dict:
     """A model's weights as Tensors that need a gradient, for lm_loss: embed,
     final_norm, head_w, head_b, and under blocks each block's block_core
     weights."""
-    p = {"embed": Tensor(model.embed), "final_norm": Tensor(model.final_norm.reshape(1, -1)),
-         "head_w": Tensor(model.head.w), "head_b": Tensor(model.head.b),
-         "blocks": [block_tensors(blk) for blk in model.blocks]}
-    for t in _lm_leaves(p):
-        t.requires_grad = True
-    return p
+    leaf = lambda a: Tensor(a, requires_grad=True)
+    return {"embed": leaf(model.embed), "final_norm": leaf(model.final_norm.reshape(1, -1)),
+            "head_w": leaf(model.head.w), "head_b": leaf(model.head.b),
+            "blocks": [{name: leaf(a) for name, a in block_arrays(blk).items()}
+                       for blk in model.blocks]}
 
 
 def _lm_leaves(p: dict) -> list[Tensor]:

@@ -225,11 +225,11 @@ class ModelConfig:
             raise KvqError(f"poq must be true or false, got {self.poq!r}")
         if self.quant_mode not in MODES:
             raise KvqError(f"unknown quant_mode: {self.quant_mode!r}")
-        # token codes are int8 and weight codes uint8; 16 bits and up means unquantized
+        # token codes are int8 and weight codes uint8; 16 bits means unquantized
         for name in ("kv_bits", "weight_bits"):
             bits = getattr(self, name)
-            if not _is_int(bits) or bits < 2 or 8 < bits < 16:
-                raise KvqError(f"{name} must be 2..8 or at least 16, got {bits!r}")
+            if not _is_int(bits) or not (2 <= bits <= 8 or bits == 16):
+                raise KvqError(f"{name} must be 2..8 or 16, got {bits!r}")
 
     @property
     def kv_quantized(self) -> bool:
@@ -245,8 +245,8 @@ class ModelConfig:
         return TokenQuantSpec(bits=self.kv_bits, group_size=self.kv_group_size)
 
     def weight_spec(self) -> WeightQuantSpec | None:
-        """The spec block projections are quantized at, or None at 16 bits
-        and up, where they stay unquantized."""
+        """The spec block projections are quantized at, or None at 16 bits,
+        where they stay unquantized."""
         if self.weight_bits >= 16:
             return None
         return WeightQuantSpec(bits=self.weight_bits, group_size=self.weight_group_size)
@@ -561,12 +561,13 @@ class PoqKvCache:
         id, onto a cache that folds (fold_k), over the blocks the cache
         planned.  This is decode_step's forward onto such a cache; every
         other forward runs block_core.  It is block_core's arithmetic for one
-        row, written out as the same float32 array expressions in the same
-        order, so every logit, code and (m, n) is the one block_core gives.
-        Per layer: rms_norm; the q/k/v products; K and V un-smoothed (or
-        with POQ off their round trip, _raw_kv); q and k rotated as one (2,
-        hidden) array at the step's row of the rope table; append; the fold
-        (read_raw); the o projection; rms_norm and the gated MLP.
+        row, its attention half written out as the same float32 array
+        expressions in the same order, so every logit, code and (m, n) is
+        the one block_core gives.  Per layer: rms_norm; the q/k/v products;
+        K and V un-smoothed (or with POQ off their round trip, _raw_kv); q
+        and k rotated as one (2, hidden) array at the step's row of the rope
+        table; append; the fold (read_raw); the o projection; rms_norm of
+        the row (_row_rms_norm) and block_core's own gated_mlp.
 
         It keeps the checks of block_core's path: capacity before anything
         is written, the finite checks of rms_norm, rope, append and
@@ -591,11 +592,8 @@ class PoqKvCache:
             qk += swapped
             self.append(li, k_s, v_s, qk[1:], v_raw)
             x = x + (self.read_raw(li, qk[:1], qk[1:], v_raw) @ w["o_w"] + w["o_b"])
-            xn = _row_rms_norm(x, w["mlp_norm"])
-            g = xn @ w["gate_w"] + w["gate_b"]
-            g *= 1.0 / (np.exp(-g) + 1.0)
-            g *= xn @ w["up_w"] + w["up_b"]
-            x = x + (g @ w["down_w"] + w["down_b"])
+            x = x + gated_mlp(_row_rms_norm(x, w["mlp_norm"]), w["gate_w"], w["gate_b"],
+                              w["up_w"], w["up_b"], w["down_w"], w["down_b"])
         self.length = pos + 1
         return _head(model, x)
 
@@ -722,13 +720,13 @@ class PoqKvCache:
 
     def kv_bytes(self) -> int:
         """Deployment-model byte count of the live cache: packed codes and
-        16-bit params, or unquantized rows at fp16 (or the stated wider
-        bits), each layer's codes rounded down to whole bytes."""
+        16-bit params, or unquantized rows at fp16, each layer's codes
+        rounded down to whole bytes."""
         t, n = self.length, self.cfg.n_layers
         if self.cfg.kv_codes:
             return n * (self.codes[0, :, :t].size * self.cfg.kv_bits // 8
                         + self.params[0, :, :, :t].size * 2)
-        return n * (self.kv[0, :, :t].size * max(self.cfg.kv_bits, 16) // 8)
+        return n * self.kv[0, :, :t].size * 2
 
 
 # -- forward pass -------------------------------------------------------------

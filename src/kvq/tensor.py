@@ -162,29 +162,13 @@ class Tensor:
     def requires_grad(self) -> bool:
         return self.record is not None
 
-    @requires_grad.setter
-    def requires_grad(self, on: bool) -> None:
-        """Make this Tensor a leaf that needs a gradient, or record nothing."""
-        if not on:
-            self.record = None
-        elif self.record is None:
-            self.record = Record(self.data.shape)
-
     @property
     def grad(self) -> np.ndarray | None:
         return None if self.record is None else self.record.grad
 
-    @grad.setter
-    def grad(self, g: np.ndarray | None) -> None:
-        self.record.grad = g
-
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def item(self) -> float:
         return float(self.data)

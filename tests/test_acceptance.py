@@ -277,7 +277,7 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
     cfg = model2.config
     calib = CalibConfig(k=2, segments=4, seg_len=32, seed=0)
     acts = collect_activations(model2, sample_segments(corpus, calib))
-    tp = init_trainables(model2, 0, [a[0] for a in acts])
+    tp = init_trainables(model2, 0, acts[0])
     wq = quantized_weights(model2, 0)
     held, signs = [], []
     fake, mae = calibration.fake_quant_token, calibration.reconstruction_loss
@@ -292,7 +292,7 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
 
     monkeypatch.setattr(calibration, "fake_quant_token", fake_held)
     monkeypatch.setattr(calibration, "reconstruction_loss", mae_signs)
-    crr_loss(model2, 0, acts[0][0], tp, calib, acts[0][2], wq).backward()
+    crr_loss(model2, 0, acts[0][0], tp, calib, acts[2][0], wq).backward()
     v_held, k_held = held  # _calib_kv_fn quantizes V first
     theta = np.concatenate([p.data for p in tp.smooth_params()])  # (4, C)
     grad = np.concatenate([p.grad for p in tp.smooth_params()])
@@ -302,7 +302,7 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
         y = reference.calib_block(cfg, quantized, acts[0][0], th[:, None], (k_held, v_held))
         for blk in model2.blocks[1 : calib.k]:
             y = reference.block(cfg, block_arrays(blk), y)
-        return np.mean(signs[0] * (y - acts[0][2]))
+        return np.mean(signs[0] * (y - acts[2][0]))
 
     worst_s = rel_err(grad, central_diff(crr, theta, eps))
     dt = time.time() - t0
@@ -355,7 +355,7 @@ def test_criterion_09_ablation_directions(capsys, seeds_suite):
         acts = collect_activations(ms, list(corpus[:128].reshape(2, 64)))
         per_layer = []
         for i, blk in enumerate(ms.blocks):
-            x = np.concatenate([a[i] for a in acts])
+            x = acts[i].reshape(-1, acts[i].shape[-1])
             xn = rms_norm(Tensor(x), Tensor(blk.attn_norm.reshape(1, -1))).data
             per_layer.append((init_smoothing(xn @ blk.k.w + blk.k.b),
                               init_smoothing(xn @ blk.v.w + blk.v.b)))

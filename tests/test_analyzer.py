@@ -19,7 +19,7 @@ from kvq.analyzer import (
     weights_bytes,
 )
 from kvq.errors import AccountingError, KvqError
-from kvq.model import Model, prefill, quantize_model_weights
+from kvq.model import MODES, Model, prefill, quantize_model_weights
 
 
 class TestByteFormulas:
@@ -174,6 +174,30 @@ class TestRuntimeAgreement:
         _, cache = prefill(m, np.arange(10))
         report = verify_runtime_accounting(m, cache)
         assert report["analyzer_bytes"] == report["runtime_bytes"] == cache.kv_bytes()
+
+    def test_every_width_the_config_accepts_is_accounted(self):
+        # ModelConfig takes 2..8 bits or 16; a cache of each width, in each
+        # mode, matches the analyzer after a prefill, and one of float32 rows
+        # counts them at 16 bits (wider widths were accepted, counted at
+        # their bits by the cache and refused by the analyzer)
+        for field in ("kv_bits", "weight_bits"):
+            accepted = []
+            for bits in range(40):
+                try:
+                    tiny_config(**{field: bits})
+                except KvqError:
+                    continue
+                accepted.append(bits)
+            assert accepted == [2, 3, 4, 5, 6, 7, 8, 16], field
+        for bits in accepted:
+            for mode in MODES:
+                cfg = tiny_config(kv_bits=bits, quant_mode=mode)
+                m = Model.random(cfg, seed=0)
+                _, cache = prefill(m, np.arange(10))
+                report = verify_runtime_accounting(m, cache)
+                assert report["analyzer_bytes"] == report["runtime_bytes"] == cache.kv_bytes()
+                if not cfg.kv_codes:
+                    assert cache.kv_bytes() == cfg.n_layers * 2 * 10 * cfg.hidden_size * 2
 
     def test_fractional_code_bytes_round_down_per_layer(self):
         # 2 layers of 18 channels in groups of 8 (a tail group of 2) at 3

@@ -55,7 +55,7 @@ class TestAdamW:
     def test_first_step_matches_hand_formula(self):
         # [DERIVED] t=1: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps)
         p = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
-        p.grad = np.array([0.5, -3.0], np.float32)
+        p.record.grad = np.array([0.5, -3.0], np.float32)
         opt = AdamW([p], 0.1)
         opt.step()
         expect = np.array([1.0, -2.0]) - 0.1 * np.sign([0.5, -3.0])
@@ -80,7 +80,7 @@ class TestAdamW:
             before = [p.data.copy() for p in params]
             for i, p in enumerate(params):
                 scale = 10.0 ** rng.uniform(-3, 1)
-                p.grad = (None if (t + i) % 7 == 0
+                p.record.grad = (None if (t + i) % 7 == 0
                           else (rng.normal(size=p.shape) * scale).astype(np.float32))
             opt.step()
             for i, (p, old) in enumerate(zip(params, before)):
@@ -96,7 +96,7 @@ class TestAdamW:
         data = np.array([1.0, -2.0], np.float32)
         p = Tensor(data, requires_grad=True)
         opt = AdamW([p], 0.1)
-        p.grad = np.array([0.5, -3.0], np.float32)
+        p.record.grad = np.array([0.5, -3.0], np.float32)
         opt.step()
         assert p.data is not data and not np.shares_memory(p.data, data)
         assert np.array_equal(data, [1.0, -2.0]) and not np.array_equal(p.data, data)
@@ -131,7 +131,7 @@ def calib_setup():
 class TestTrainables:
     def test_smoothing_init_from_activations(self, calib_setup):
         model, _, _, _, acts = calib_setup
-        tp = init_trainables(model, 0, [a[0] for a in acts])
+        tp = init_trainables(model, 0, acts[0])
         assert tp.s_v.data.shape == (1, model.config.hidden_size)
         assert tp.s_v.data.std() > 0.0  # spread channels give varied scales
 
@@ -144,9 +144,9 @@ class TestTrainables:
 class TestCrrLoss:
     def test_gradients_reach_all_parameter_kinds(self, calib_setup):
         model, _, calib, _, acts = calib_setup
-        tp = init_trainables(model, 0, [a[0] for a in acts])
+        tp = init_trainables(model, 0, acts[0])
         wq = quantized_weights(model, 0)
-        loss = crr_loss(model, 0, acts[0][0], tp, calib, acts[0][2], wq)
+        loss = crr_loss(model, 0, acts[0][0], tp, calib, acts[2][0], wq)
         loss.backward()
         assert tp.s_v.grad is not None and np.any(tp.s_v.grad != 0.0)
         assert tp.d_k.grad is not None
@@ -154,9 +154,9 @@ class TestCrrLoss:
     def test_tail_truncated_at_model_end(self, calib_setup):
         model, _, calib, _, acts = calib_setup
         last = model.config.n_layers - 1
-        tp = init_trainables(model, last, [a[last] for a in acts])
+        tp = init_trainables(model, last, acts[last])
         big_k = dataclasses.replace(calib, k=10)
-        loss = crr_loss(model, last, acts[0][last], tp, big_k, acts[0][last + 1],
+        loss = crr_loss(model, last, acts[last][0], tp, big_k, acts[last + 1][0],
                         quantized_weights(model, last))
         assert np.isfinite(loss.item())
 
@@ -167,14 +167,14 @@ class TestCrrLoss:
         model, corpus = fitted_model(3, steps=30, spread=1.5, kv_bits=16)
         calib = CalibConfig(k=2, segments=4, seg_len=24, seed=0)
         acts = collect_activations(model, sample_segments(corpus, calib))
-        tp = init_trainables(model, 0, [a[0] for a in acts])
+        tp = init_trainables(model, 0, acts[0])
         wq = quantized_weights(model, 0)
-        base = crr_loss(model, 0, acts[0][0], tp, calib, acts[0][2], wq)
+        base = crr_loss(model, 0, acts[0][0], tp, calib, acts[2][0], wq)
         base.backward()
         assert np.abs(tp.s_v.grad).max() < 1e-6
-        tp2 = init_trainables(model, 0, [a[0] for a in acts])
+        tp2 = init_trainables(model, 0, acts[0])
         tp2.s_v.data *= 1.07
-        shifted = crr_loss(model, 0, acts[0][0], tp2, calib, acts[0][2], wq)
+        shifted = crr_loss(model, 0, acts[0][0], tp2, calib, acts[2][0], wq)
         assert abs(shifted.item() - base.item()) < 1e-5 * max(base.item(), 1e-6)
 
     def test_smoothing_init_reduces_loss_on_spread_channels(self, calib_setup):
@@ -185,11 +185,11 @@ class TestCrrLoss:
 
         def mean_loss(t):
             return float(np.mean(
-                [crr_loss(model, 0, a[0], t, calib, a[2], wq).item() for a in acts]
+                [crr_loss(model, 0, x, t, calib, r, wq).item() for x, r in zip(acts[0], acts[2])]
             ))
 
         identity = BlockTrainables.identity(model.config.hidden_size)
-        smoothed = init_trainables(model, 0, [a[0] for a in acts])
+        smoothed = init_trainables(model, 0, acts[0])
         assert mean_loss(smoothed) < mean_loss(identity)
 
 
@@ -202,22 +202,23 @@ class TestStackedPasses:
         # measured relative gap: 4.8e-8 (RTN) and 1.3e-8 (init), 6 segments
         model, _, calib, _, acts = calib_setup
         wq = quantized_weights(model, 0)
-        xs, refs = [a[0] for a in acts], [a[2] for a in acts]
+        xs, refs = acts[0], acts[2]
         for tp in (BlockTrainables.identity(model.config.hidden_size),
                    init_trainables(model, 0, xs)):
             per_segment = np.mean([crr_loss(model, 0, x, tp, calib, r, wq).item()
                                    for x, r in zip(xs, refs)])
-            stacked = crr_loss(model, 0, np.stack(xs), tp.detached(), calib, np.stack(refs), wq)
+            stacked = crr_loss(model, 0, xs, tp.detached(), calib, refs, wq)
             assert not stacked.requires_grad  # no tape recorded
             assert abs(stacked.item() - per_segment) <= 1e-6 * per_segment
 
     def test_collect_activations_matches_per_segment(self, calib_setup):
         # measured: max |diff| 0.0 over every block's input and the output
         model, _, _, segments, acts = calib_setup
-        for seg, stacked in zip(segments, acts):
-            (alone,) = collect_activations(model, [seg])
-            for a, b in zip(stacked, alone):
-                assert np.abs(a - b).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
+        assert [a.shape for a in acts] == [(len(segments), 32, model.config.hidden_size)] * 3
+        for s, seg in enumerate(segments):
+            alone = collect_activations(model, [seg])
+            for a, b in zip(acts, alone):
+                assert np.abs(a[s] - b[0]).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
 
     def test_collect_activations_checks_its_segments(self):
         # unchecked, float segments ran as the ids they truncated to, an id
@@ -238,14 +239,14 @@ class TestStackedPasses:
         want = collect_activations(model, [[1, 2, 3], [4, 5, 6]])
         for segs in (np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8), [(1, 2, 3), (4, 5, 6)]):
             got = collect_activations(model, segs)
-            assert all(np.array_equal(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
-        assert len(collect_activations(model, [np.arange(16)])[0]) == 2
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(collect_activations(model, [np.arange(16)])) == 2
 
     def test_one_adam_step_per_segment_in_order(self, calib_setup, monkeypatch):
         # the three candidates take the stacked segments; training takes
         # epochs * segments steps, one segment each, in order
         model, _, calib, _, acts = calib_setup
-        xs, refs = [a[0] for a in acts], [a[2] for a in acts]
+        xs, refs = acts[0], acts[2]
         seen, loss = [], calibration.crr_loss
 
         def recording(m, i, x, *rest):
@@ -256,17 +257,18 @@ class TestStackedPasses:
         calibrate_block(copy.deepcopy(model), 0, calib, xs, refs)
         stacked = [x for x in seen if x.ndim == 3]
         steps = [x for x in seen if x.ndim == 2]
-        assert len(stacked) == 3 and all(np.array_equal(x, np.stack(xs)) for x in stacked)
+        assert len(stacked) == 3 and all(x is xs for x in stacked)
         assert len(steps) == calib.epochs * len(xs)
-        assert all(x is xs[j % len(xs)] for j, x in enumerate(steps))
+        assert all(np.shares_memory(x, xs[j % len(xs)]) for j, x in enumerate(steps))
 
 
 class TestCalibrateModel:
-    def test_each_weight_is_rounded_once(self, monkeypatch):
+    def test_k_and_v_rounded_twice_the_other_weights_once(self, monkeypatch):
         # q, o, gate, up and down are quantized in place before a block's
         # candidates and keep those codes at freezing; k and v are rounded
-        # for the candidates and again once freezing absorbs the smoothing:
-        # 9 quantize_weight calls per block, 36 on the default config
+        # for the candidates, Q(w), and again once freezing absorbs the
+        # smoothing, Q(w / s): 9 quantize_weight calls per block, 36 on the
+        # default config
         import kvq.model
         import kvq.quantizers
 
@@ -281,6 +283,30 @@ class TestCalibrateModel:
         model = Model.random(ModelConfig(), seed=0)
         calibrate_model(model, word_corpus(0), CalibConfig(k=1, epochs=1, segments=2, seg_len=16))
         assert len(calls) == 36
+
+    def test_blocks_read_the_collected_activations_in_place(self, calib_setup, monkeypatch):
+        # each block's inputs and reference are the (segments, T, C) arrays
+        # collect_activations returned, not copies regrouped per segment
+        model, corpus, calib, _, _ = calib_setup
+        collected, received = [], []
+        collect, calibrate = calibration.collect_activations, calibration.calibrate_block
+
+        def collecting(*args):
+            collected.append(collect(*args))
+            return collected[-1]
+
+        def receiving(m, i, c, x, ref):
+            received.append((x, ref))
+            return calibrate(m, i, c, x, ref)
+
+        monkeypatch.setattr(calibration, "collect_activations", collecting)
+        monkeypatch.setattr(calibration, "calibrate_block", receiving)
+        calibrate_model(copy.deepcopy(model), corpus, dataclasses.replace(calib, epochs=0))
+        (acts,) = collected
+        n = model.config.n_layers
+        assert len(received) == n
+        for i, (x, ref) in enumerate(received):
+            assert np.shares_memory(x, acts[i]) and np.shares_memory(ref, acts[min(i + calib.k, n)])
 
     def test_improves_over_rtn(self, calib_setup):
         model, corpus, calib, _, _ = calib_setup
@@ -410,7 +436,7 @@ class TestCalibrateBlock:
         spread_kv_channels(m, 2.0, seed=0)
         calib = CalibConfig(k=2, epochs=2, segments=2, seg_len=16, seed=0)
         acts = collect_activations(m, sample_segments(word_corpus(0, 200), calib))
-        trace = calibrate_block(m, 0, calib, [a[0] for a in acts], [a[2] for a in acts])
+        trace = calibrate_block(m, 0, calib, acts[0], acts[2])
         assert trace["initial_loss"] == 0.0014884390402585268
         assert trace["trained_loss"] == 0.0010898264590650797
         # training ends above its init, so the block keeps the init

@@ -427,14 +427,14 @@ class TestModelRoundtrip:
     @pytest.mark.parametrize("bits", [True, "4", 0, 1, 9, 16, 4.0, None])
     def test_bad_weight_bits_refused(self, tmp_path, bits):
         # the config's weight bits decide how every projection's codes are
-        # read, so they must be an integer in 2..8, or at least 16, where a
-        # projection is read from its .w, which a file of codes lacks
+        # read, so they must be an integer in 2..8, or 16, where a projection
+        # is read from its .w, which a file of codes lacks
         p = str(tmp_path / "m.kvq")
         save_model(self.make(quantize=True), p)
         config, meta, tensors = read_container(p)
         write_container(p, dict(config, weight_bits=bits), meta, tensors)
         message = (r"^tensor 'blocks\.0\.q\.w' missing from " if bits == 16 else
-                   r"^bad config in header: weight_bits must be 2\.\.8 or at least 16")
+                   r"^bad config in header: weight_bits must be 2\.\.8 or 16")
         with pytest.raises(DataFormatError, match=message):
             load_model(p)
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import WORDS, tiny_config
-from kvq.analyzer import ARCH_PRESETS, DeployConfig, estimate_decode_time, estimate_memory
+from kvq.analyzer import (ARCH_PRESETS, DeployConfig, estimate_decode_time, estimate_memory,
+                          table7_report)
 from kvq.calibration import CalibConfig, calibrate_model
 from kvq.checkpoint import load_model, read_container, save_model, write_container
 from kvq.cli import build_parser, main
@@ -216,7 +217,7 @@ class TestQuantize:
         rc, _, err = run(capsys, ["quantize", "--model", str(workdir / "model.kvq"),
                                   "--out", str(out), flag, "12"])
         assert rc == 2
-        assert "must be 2..8 or at least 16" in err
+        assert "must be 2..8 or 16" in err
         assert not out.exists()
 
     def test_rtn_mode_removed(self, workdir):
@@ -232,12 +233,10 @@ class TestCalibrate:
         rc, stdout, _ = run(capsys, [
             "calibrate", "--model", str(workdir / "model.kvq"),
             "--corpus", str(workdir / "corpus.txt"), "--out", str(out),
-            "--json", str(workdir / "cal.json"),
         ] + CAL_ARGS)
         assert rc == 0
         rep = json.loads(stdout)
         assert len(rep["blocks"]) == 2
-        assert json.loads((workdir / "cal.json").read_text()) == rep
         m = load_model(str(out))
         assert m.config.quant_mode == "weight_kv"
         # the library's report at the same settings
@@ -399,8 +398,7 @@ class TestEval:
         # read: 9 is no width, and 3 reads a stream of another length
         config, meta, tensors = read_container(str(calibrated))
         bad = workdir / "bad_bits.kvq"
-        for bits, message in ((9, "bad config in header: weight_bits must be 2..8 or at least "
-                                  "16, got 9"),
+        for bits, message in ((9, "bad config in header: weight_bits must be 2..8 or 16, got 9"),
                               (3, "tensor 'blocks.0.q.wq.codes' has shape [512], expected "
                                   "[384] from the config")):
             write_container(str(bad), dict(config, weight_bits=bits), meta, tensors)
@@ -527,15 +525,14 @@ class TestEval:
 
 
 class TestAnalyze:
-    def test_preset_table(self, capsys, tmp_path):
-        # stdout is the JSON report alone, the one the --json file holds
-        jpath = tmp_path / "t.json"
-        rc, stdout, _ = run(capsys, ["analyze", "--preset", "decode-table",
-                                     "--json", str(jpath)])
+    def test_preset_table(self, capsys):
+        # stdout is the JSON report alone, table7_report's rows under the
+        # preset's name: `kvq analyze --preset decode-table > FILE` saves it
+        rc, stdout, _ = run(capsys, ["analyze", "--preset", "decode-table"])
         assert rc == 0
-        doc = json.loads(jpath.read_text())
+        doc = json.loads(stdout)
+        assert doc == {"preset": "decode-table", "rows": json.loads(json.dumps(table7_report()))}
         assert len(doc["rows"]) == 6
-        assert json.loads(stdout) == doc
         assert "llama-2-7b" in {r["model"] for r in doc["rows"]}
         assert all("w4kv4" in r for r in doc["rows"])
 
@@ -716,7 +713,15 @@ class TestParser:
         # their defaults
         args = build_parser().parse_args([command, "--model", "m", "--corpus", "c"] + extra)
         assert {key: getattr(args, key) for key in want} == want
-        assert args.json is None
+        assert not hasattr(args, "json")
+
+    def test_no_command_takes_json(self):
+        # every command prints its report to stdout, which `> FILE` saves
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert sorted(commands) == ["ablate", "analyze", "calibrate", "eval", "fit", "generate",
+                                    "quantize", "sweep-k"]
+        assert [name for name, sp in commands.items() for action in sp._actions
+                if "--json" in action.option_strings] == []
 
     def test_one_mode_vocabulary(self):
         # quantize, eval and generate take the model's modes, and no other

@@ -383,7 +383,7 @@ class TestStackedTrainStep:
         stacked.backward()
         grads = [t.grad for t in leaves]
         for t in leaves:
-            t.grad = None
+            t.record.grad = None
         per_window = [lm_loss(m.config, p, seq[None]) for seq in seqs]
         mean = per_window[0]
         for loss in per_window[1:]:

@@ -104,11 +104,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", ["kv_bits", "weight_bits"])
     def test_code_widths_the_codes_cannot_hold_rejected(self, field):
-        # token codes are int8 and weight codes uint8; 16 and up is unquantized
-        for bits in (0, 1, 9, 12, 15):
+        # token codes are int8 and weight codes uint8; 16 is unquantized
+        for bits in (0, 1, 9, 12, 15, 17, 24, 32):
             with pytest.raises(KvqError, match=field):
                 tiny_config(**{field: bits})
-        for bits in (2, 3, 8, 16, 32):
+        for bits in (2, 3, 8, 16):
             tiny_config(**{field: bits})
 
     def test_kv_bits_16_not_quantized(self):
@@ -138,10 +138,11 @@ class TestFpForward:
 
 @pytest.fixture(scope="module")
 def layout_models():
-    """A spread, weight-quantized model for each TestFoldedCacheRead layout,
-    without and with K/V smoothing.  Block 0's query is scaled so that its
-    score bound (model._small_scores) is about 60, twice SCORE_LIMIT, where
-    block 1's is 0.09 to 0.3."""
+    """A spread model for each TestFoldedCacheRead layout, without and with
+    K/V smoothing, as a pair: its unquantized weights and a weight-quantized
+    copy.  Block 0's query is scaled so that its score bound
+    (model._small_scores) is about 60, twice SCORE_LIMIT, where block 1's is
+    0.09 to 0.3."""
     models = {}
     for group, head_dim, n_heads in TestFoldedCacheRead.LAYOUTS:
         base = make_model(seed=1, n_heads=n_heads, head_dim=head_dim,
@@ -149,8 +150,9 @@ def layout_models():
         spread_kv_channels(base, 2.0, seed=1)
         q, scale = base.blocks[0].q, np.float32(230 if head_dim == 32 else 700)
         q.set(q.w * scale, q.b * scale)
-        models[group, head_dim, n_heads, False] = quantized(base)  # a copy
-        models[group, head_dim, n_heads, True] = quantized(smoothed(base))
+        models[group, head_dim, n_heads, False] = copy.deepcopy(base), quantized(base)
+        smoothed(base)
+        models[group, head_dim, n_heads, True] = base, quantized(base)
     return models
 
 
@@ -177,11 +179,13 @@ class TestAllHeadsForward:
     """The runtime forward, every head at once, against the float64 model of
     tests/reference.py, which attends one row and one head at a time:
     prefill, a chunk onto the filled cache and 8 decode steps, over the
-    TestFoldedCacheRead layouts with and without smoothing.  Every array
-    call takes the score bound: block 0's scores are past its limit and run
-    exp_causal, block 1's exponentiate as they are.  The largest |dlogit|
-    was 4.9e-7, with logits up to about 0.5 (numpy 2.4, OpenBLAS 0.3.31); the
-    bound leaves about 2x.  With block 0 unscaled it was 2.2e-7, and the
+    TestFoldedCacheRead layouts with and without smoothing.  The fp cases
+    run the unquantized weights, weight_only (fp over W4 weights) and
+    weight_kv the W4 copies.  Every array call takes the score bound: block
+    0's scores are past its limit and run exp_causal, block 1's exponentiate
+    as they are.  The largest |dlogit| was 4.9e-7 (2.9e-7 on fp weights),
+    with logits up to about 0.7 (numpy 2.4, OpenBLAS 0.3.31); the bound
+    leaves about 2x.  With block 0 unscaled it was 2.2e-7, and the
     scaled block 0 read the same error with every call through exp_causal."""
 
     IDS = np.arange(28) * 7 % 250
@@ -192,7 +196,8 @@ class TestAllHeadsForward:
     @pytest.mark.parametrize("mode", ["fp", "weight_only", "weight_kv"])
     def test_matches_per_head_reference(self, monkeypatch, layout_models, mode, poq, kv_bits):
         ids, verdicts = self.IDS, gate_everywhere(monkeypatch)
-        for layout, base in layout_models.items():
+        for layout, (fp_weights, w4) in layout_models.items():
+            base = fp_weights if mode == "fp" else w4
             m = copy.copy(base)
             m.config = dataclasses.replace(base.config, quant_mode=quant_mode(mode), poq=poq,
                                            kv_bits=kv_bits)
@@ -1310,9 +1315,9 @@ class TestSettingRecord:
             kvq.calibration.CalibConfig().k = 10
         # int8 cannot hold 9-bit token codes, and 0 bits is no width
         for bits in (9, 0):
-            with pytest.raises(KvqError, match=f"kv_bits must be 2..8 or at least 16, got {bits}"):
+            with pytest.raises(KvqError, match=f"kv_bits must be 2..8 or 16, got {bits}"):
                 dataclasses.replace(cfg, kv_bits=bits)
-        with pytest.raises(KvqError, match="weight_bits must be 2..8 or at least 16, got 12"):
+        with pytest.raises(KvqError, match="weight_bits must be 2..8 or 16, got 12"):
             dataclasses.replace(cfg, weight_bits=12)
         with pytest.raises(KvqError, match="k must be >= 1"):
             dataclasses.replace(kvq.calibration.CalibConfig(), k=0)

@@ -349,7 +349,7 @@ class TestGradientsReadOnly:
         spread_kv_channels(m, 1.5, seed=2)
         calib = CalibConfig(k=2, epochs=1, segments=1, seg_len=16, seed=2)
         acts = collect_activations(m, sample_segments(word_corpus(2, 200), calib))
-        trace = calibrate_block(m, 0, calib, [a[0] for a in acts], [a[2] for a in acts])
+        trace = calibrate_block(m, 0, calib, acts[0], acts[2])
         assert len(trace["trajectory"]) == 2  # the init, then one epoch of one step
 
 
