@@ -2,10 +2,11 @@
 
 Byte accounting rules:
 
+* every width is a code width from 2 to 8 bits or 16, unquantized, the
+  widths a ModelConfig takes (quantizers.check_bits);
 * quantized tensors (bits < 16) are counted bit-packed plus two 16-bit
-  per-group parameters (scale, offset); the KV cache may hold any code
-  width from 2 to 8 bits (KV_BITS), weights and activations 4 or 8;
-* unquantized tensors are counted at their stated width (fp16 by default);
+  per-group parameters (scale, offset);
+* unquantized tensors are counted at 16 bits;
 * norm gains and biases are always counted at 16 bits;
 * embedding and output head are counted at weight_bits.
 
@@ -19,10 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import AccountingError, KvqError
-
-VALID_BITS = (4, 8, 16, 32)
-# every code width the runtime KV cache stores, and the unquantized widths
-KV_BITS = (2, 3, 4, 5, 6, 7, 8, 16, 32)
+from .quantizers import check_bits
 
 GB = 1e9
 
@@ -68,11 +66,8 @@ class DeployConfig:
     def __post_init__(self):
         if self.batch < 1 or self.prompt_len < 0 or self.gen_len < 0:
             raise KvqError("batch must be >= 1 and lengths must be >= 0")
-        for b in (self.weight_bits, self.act_bits):
-            if b not in VALID_BITS:
-                raise KvqError(f"bits must be one of {VALID_BITS}, got {b}")
-        if self.kv_bits not in KV_BITS:
-            raise KvqError(f"kv bits must be one of {KV_BITS}, got {self.kv_bits}")
+        for name in ("weight_bits", "kv_bits", "act_bits"):
+            check_bits(name, getattr(self, name))
         if self.bandwidth_bytes <= 0:
             raise KvqError("bandwidth must be positive")
 

@@ -1,32 +1,36 @@
-"""Block-by-block optimization of the K/V channel scale/shift under
-cross-block reconstruction regularization.
+"""Block-by-block choice of the K/V channel scale/shift under cross-block
+reconstruction (CRR) regularization, by a grid over the migration strength.
+
+Each block's candidates scale its activation-statistics init (s_init,
+delta_init, init_trainables) by one migration strength alpha, as
+SmoothQuant does: s = s_init^alpha and delta = alpha * delta_init, one alpha
+for K and V together, at alpha = j / 2^e for j = 0 .. 2^e, e =
+CalibConfig.epochs.  alpha = 0 is identity smoothing over the
+round-to-nearest weights (RTN) and alpha = 1 the init, and each extra epoch
+halves the grid's step, so every grid holds the coarser ones.  Each
+candidate is scored by its CRR loss with no gradient, as AWQ searches its
+scale exponent, and the block freezes the candidate with the lowest loss
+(the earlier, smaller alpha on a tie).
 
 Each block's seven projections are quantized once, round to nearest, before
 its candidates: q, o, gate, up and down, which are never smoothed, in place
 (model.Linear.quantize, which keeps codes a projection already holds at the
 spec), and k and v as an array Q(w) beside their raw weights, which freezing
-smooths and then quantizes.  The quantized branch divides the k and v
-weights by the smoothing scale on the tape, as Q(w) / s and (b - delta) / s,
-and fake-quantizes the K/V projection outputs with their codes held fixed in
-the backward pass (see quantizers.py).  Weight groups run along input
-channels and s is per output channel, so Q(w) / s has the codes that
-freezing gives, Q(w / s), and d(loss)/ds is the exact derivative wherever
-the loss is differentiable in s.  Blocks i+1 .. i+k-1 run full precision in
-both branches and receive no parameter gradients.  Past-only quantization
-is always off during training (the calibration forward has no cache).
+smooths and then quantizes.  A candidate's block holds Q(w) with its
+smoothing absorbed (Linear.absorb: Q(w) / s and (b - delta) / s).  Weight
+groups run along input channels and s is per output channel, so Q(w) / s has
+the codes that freezing gives, Q(w / s).
 
-Each block freezes whichever of three candidates has the lowest mean loss
-(the earlier on a tie): identity smoothing over the round-to-nearest weights
-(RTN), the activation-statistics init, and that init after one training run.
-
-The calibration segments have one length, so a pass can stack them as rows
-(see model.block_core).  The fp activations of every block come from one
-such pass, on Tensors that need no gradient like the fp blocks of each
-loss, and the statistics init from one.  Each candidate is scored by
-one crr_loss pass over all segments stacked: the mean absolute error over
-every row, which is the mean of the per-segment losses, on Tensors that
-need no gradient, so no tape is recorded.  Training takes one Adam step per
-segment, on the tape, in segment order.
+Calibration runs on arrays, through the runtime's forward.  A candidate's
+loss (crr_loss) is block_core over its block with the runtime's KV handler
+at POQ off (each K/V row's cache round trip, then un-smoothing), then the
+full-precision blocks i+1 .. i+k-1, and the mean absolute error against the
+fp outputs, summed in float64.  The calibration segments have one length,
+so every pass stacks them as rows (see model.block_core): the fp activations
+of every block come from one pass (collect_activations), the statistics init
+from one, and each candidate is scored by one pass over all segments, whose
+mean over every row is the mean of the per-segment losses.  Nothing is
+recorded on the autodiff tape; AdamW is here for train_model.
 """
 
 from __future__ import annotations
@@ -36,21 +40,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataFormatError, KvqError, NumericError, UsageError
-from .model import (Model, block_core, block_tensors, check_capacity, check_token_ids, fp_kv_fn,
-                    require_unsmoothed)
-from .quantizers import (S_FLOOR, SmoothingParams, fake_quant_token, fake_quant_weight,
-                         init_smoothing)
-from .tensor import Tensor, linear, rms_norm, rope
+from .model import (DecoderBlockWeights, Linear, Model, _runtime_kv_fn, block_arrays, block_core,
+                    check_capacity, check_token_ids, fp_kv_fn, require_unsmoothed)
+from .quantizers import (  # noqa: F401 (the benchmark's tracer wraps fake_quant_token here)
+    SmoothingParams, fake_quant_token, fake_quant_weight, init_smoothing)
+from .tensor import linear, rms_norm
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
-# the learning rate of the smoothing's Adam steps
-LR_SMOOTHING = 5e-4
+# the largest CalibConfig.epochs: a grid of 2^6 + 1 = 65 candidates per block
+MAX_EPOCHS = 6
 
 
 @dataclass(frozen=True)
 class CalibConfig:
+    """k: the blocks a loss spans; epochs: the grid's halvings, 2^epochs + 1
+    candidates; seed, segments and seg_len: the calibration segments."""
+
     k: int = 5
-    epochs: int = 5
+    epochs: int = 2
     seed: int = 0
     segments: int = 32
     seg_len: int = 256
@@ -58,9 +65,9 @@ class CalibConfig:
     def __post_init__(self):
         if self.k < 1:
             raise KvqError(f"k must be >= 1, got {self.k}")
-        if self.segments < 1 or self.seg_len < 1 or self.epochs < 0:  # epochs 0: no training
-            raise KvqError(f"need segments >= 1, seg_len >= 1, epochs >= 0; got "
-                           f"{self.segments}, {self.seg_len}, {self.epochs}")
+        if self.segments < 1 or self.seg_len < 1 or not 0 <= self.epochs <= MAX_EPOCHS:
+            raise KvqError(f"need segments >= 1, seg_len >= 1, 0 <= epochs <= {MAX_EPOCHS}; "
+                           f"got {self.segments}, {self.seg_len}, {self.epochs}")
 
 
 class AdamW:
@@ -120,67 +127,36 @@ class AdamW:
             p.data -= a
 
 
-# -- loss construction --------------------------------------------------------
+# -- candidates and their loss ------------------------------------------------
 
 
-def reconstruction_loss(y_hat: Tensor, y_ref: Tensor) -> Tensor:
-    """Mean absolute error, summed in float64 and rounded to float32 once, so
-    the loss carries no float32 accumulation error.  The backward is
-    g * sign(r) / N, as for (y_hat - y_ref).abs().mean()."""
-    r = y_hat - y_ref
-    rr, rd = r.record, r.data
-
-    def backward(g):
-        rr.accum((np.broadcast_to(g, rd.shape) / rd.size).astype(np.float32) * np.sign(rd))
-
-    return Tensor._from_op(np.mean(np.abs(rd), dtype=np.float64), (r,), backward)
+def reconstruction_loss(y_hat: np.ndarray, y_ref: np.ndarray) -> float:
+    """Mean absolute error, summed in float64."""
+    return float(np.mean(np.abs(y_hat - y_ref), dtype=np.float64))
 
 
-@dataclass
-class BlockTrainables:
-    """Learnable parameters for one block: the K/V smoothing."""
-
-    s_k: Tensor
-    d_k: Tensor
-    s_v: Tensor
-    d_v: Tensor
-
-    @classmethod
-    def from_smoothing(cls, sp_k: SmoothingParams, sp_v: SmoothingParams) -> BlockTrainables:
-        row = lambda a: Tensor(a.reshape(1, -1).astype(np.float32), requires_grad=True)
-        return cls(row(sp_k.s), row(sp_k.delta), row(sp_v.s), row(sp_v.delta))
-
-    @classmethod
-    def identity(cls, channels: int) -> BlockTrainables:
-        """Identity smoothing: the round-to-nearest block."""
-        sp = SmoothingParams.identity(channels)
-        return cls.from_smoothing(sp, sp)
-
-    def smooth_params(self) -> list[Tensor]:
-        return [self.s_k, self.d_k, self.s_v, self.d_v]
-
-    def detached(self) -> BlockTrainables:
-        """A copy of the values as Tensors that need no gradient, so a loss
-        over them records no tape."""
-        return BlockTrainables(*(Tensor(p.data.copy()) for p in self.smooth_params()))
-
-
-def init_trainables(model: Model, i: int, x: np.ndarray) -> BlockTrainables:
-    """Smoothing stats of block i's raw K/V activations over the calibration
-    tokens, in one pass over the segments of x, (segments, T, C), as rows."""
+def init_trainables(model: Model, i: int, x: np.ndarray) -> tuple[SmoothingParams, SmoothingParams]:
+    """The (K, V) smoothing init of block i: the statistics of its raw K/V
+    activations over the calibration tokens, in one pass over the segments
+    of x, (segments, T, C), as rows.  (The benchmark's tracer counts calls
+    under this name.)"""
     blk = model.blocks[i]
-    rows = x.reshape(-1, model.config.hidden_size)
-    xn = rms_norm(rows, blk.attn_norm.reshape(1, -1))
-    return BlockTrainables.from_smoothing(init_smoothing(linear(xn, blk.k.w, blk.k.b)),
-                                          init_smoothing(linear(xn, blk.v.w, blk.v.b)))
+    xn = rms_norm(x.reshape(-1, model.config.hidden_size), blk.attn_norm.reshape(1, -1))
+    return (init_smoothing(linear(xn, blk.k.w, blk.k.b)),
+            init_smoothing(linear(xn, blk.v.w, blk.v.b)))
+
+
+def at_strength(init: tuple[SmoothingParams, ...], alpha: float) -> tuple[SmoothingParams, ...]:
+    """The smoothing s_init^alpha, alpha * delta_init of each of init: the
+    identity at alpha 0 and init itself at 1."""
+    return tuple(SmoothingParams(sp.s**alpha, sp.delta * alpha) for sp in init)
 
 
 def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:
     """Block i's seven projection weights rounded to nearest, Q(w), or the
-    raw weights at weight_bits 16: what calibration trains against.  A
-    projection that holds codes at the config's spec gives its w, their
-    dequantization; the others' w are rounded here.  It changes nothing in
-    the model."""
+    raw weights at weight_bits 16: what the candidates smooth.  A projection
+    that holds codes at the config's spec gives its w, their dequantization;
+    the others' w are rounded here.  It changes nothing in the model."""
     spec = model.config.weight_spec()
     return {
         name: lin.w if spec is None or lin.holds(spec)
@@ -189,52 +165,39 @@ def quantized_weights(model: Model, i: int) -> dict[str, np.ndarray]:
     }
 
 
-def fake_block_weights(model: Model, i: int, tp: BlockTrainables,
-                       wq: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Block i's block_tensors with its quantized weights wq in place of the
-    raw ones and the K/V smoothing absorbed in-graph: Q(w) / s and
-    (b - delta) / s."""
-    w = block_tensors(model.blocks[i])
-    w.update({f"{name}_w": Tensor(q) for name, q in wq.items()})
-    for name, s, d in (("k", tp.s_k, tp.d_k), ("v", tp.s_v, tp.d_v)):
-        s = s.clamp(S_FLOOR, np.inf)
-        w[f"{name}_w"] = w[f"{name}_w"] / s
-        w[f"{name}_b"] = (w[f"{name}_b"] - d) / s
-    return w
+def candidate_block(model: Model, i: int, smoothing: tuple[SmoothingParams, ...],
+                    wq: dict[str, np.ndarray]) -> DecoderBlockWeights:
+    """Block i with its quantized_weights wq in place of its weights and the
+    (K, V) smoothing absorbed into k and v (Linear.absorb); the model's
+    block is left as it is."""
+    src = model.blocks[i]
+    blk = DecoderBlockWeights(**{name: Linear(wq[name], lin.b)
+                                 for name, lin in src.projections().items()},
+                              attn_norm=src.attn_norm, mlp_norm=src.mlp_norm)
+    blk.k.absorb(smoothing[0])
+    blk.v.absorb(smoothing[1])
+    return blk
 
 
-def _calib_kv_fn(model: Model, tp: BlockTrainables):
-    """KV handler for the quantized calibration branch (POQ off, no cache)."""
-    cfg = model.config
+def crr_loss(model: Model, i: int, x: np.ndarray, smoothing: tuple[SmoothingParams, ...],
+             calib: CalibConfig, y_ref: np.ndarray, wq: dict[str, np.ndarray]) -> float:
+    """Reconstruction loss of block i under the (K, V) smoothing, spanning
+    up to k blocks (Qblock_i vs fp); wq is the block's quantized_weights.
 
-    def kv_fn(k_s: Tensor, v_s: Tensor, positions: np.ndarray):
-        if cfg.kv_quantized:
-            v_s = fake_quant_token(v_s, cfg.kv_bits, cfg.kv_group_size)
-            k_s = fake_quant_token(k_s, cfg.kv_bits, cfg.kv_group_size)
-        v_raw = v_s * tp.s_v.clamp(S_FLOOR, np.inf) + tp.d_v
-        k_raw = k_s * tp.s_k.clamp(S_FLOOR, np.inf) + tp.d_k
-        return rope(k_raw, positions, cfg.rope_base, cfg.head_dim), v_raw
-
-    return kv_fn
-
-
-def crr_loss(model: Model, i: int, x_i: np.ndarray, tp: BlockTrainables, calib: CalibConfig,
-             y_ref: np.ndarray, wq: dict[str, np.ndarray]) -> Tensor:
-    """Reconstruction loss for block i spanning up to k blocks (Qblock_i vs
-    fp); wq is the block's quantized_weights.
-
-    x_i and y_ref are one segment, (T, C), or equal-length segments stacked,
-    (B, T, C), which run as one pass of B * T rows; the loss is the mean
-    over every row.  It is recorded on the tape when tp needs a gradient."""
-    cfg = model.config
-    k_eff = min(calib.k, cfg.n_layers - i)
-    seq_len, c = x_i.shape[-2:]
+    Block i is the candidate_block, run by the runtime's cacheless forward
+    at weight_kv with POQ off (_runtime_kv_fn); the blocks after it run full
+    precision.  x and y_ref are one segment, (T, C), or equal-length
+    segments stacked, (B, T, C), which run as one pass of B * T rows; the
+    loss is the mean over every row."""
+    cfg = replace(model.config, quant_mode="weight_kv", poq=False)
+    seq_len, c = x.shape[-2:]
     positions = np.arange(seq_len)
-    w = fake_block_weights(model, i, tp, wq)
-    y_hat = block_core(cfg, w, Tensor(x_i.reshape(-1, c)), positions, _calib_kv_fn(model, tp))
-    for blk in model.blocks[i + 1 : i + k_eff]:
-        y_hat = block_core(cfg, block_tensors(blk), y_hat, positions, fp_kv_fn(cfg))
-    return reconstruction_loss(y_hat, Tensor(y_ref.reshape(-1, c)))
+    blk = candidate_block(model, i, smoothing, wq)
+    y = block_core(cfg, block_arrays(blk), x.reshape(-1, c), positions,
+                   _runtime_kv_fn(cfg, blk, i, None))
+    for fp in model.blocks[i + 1 : i + min(calib.k, cfg.n_layers - i)]:
+        y = block_core(cfg, block_arrays(fp), y, positions, fp_kv_fn(cfg))
+    return reconstruction_loss(y, y_ref.reshape(-1, c))
 
 
 # -- calibration driver -------------------------------------------------------
@@ -245,10 +208,8 @@ def collect_activations(model: Model, segments: list[np.ndarray]) -> list[np.nda
     output) of equal-length token segments, each one (segments, T, C)
     array, from one pass with the segments stacked as rows: the one copy
     calibration holds, which calibrate_block and init_trainables read as
-    they are.  The pass runs on Tensors that need no
-    gradient, so it records no tape and has the arithmetic of crr_loss's
-    full-precision blocks: the runtime forward on arrays normalizes
-    attention in another order (model.causal_attention).
+    they are.  The pass is the fp blocks of crr_loss: block_core on arrays
+    with fp_kv_fn.
 
     Each segment is checked as a forward's chunk is (check_token_ids,
     UsageError) and against max_seq_len (check_capacity, CapacityError);
@@ -264,23 +225,24 @@ def collect_activations(model: Model, segments: list[np.ndarray]) -> list[np.nda
     ids = np.stack(segments)
     b, t = ids.shape
     positions = np.arange(t)
-    xs = [Tensor(model.embed[ids.reshape(-1)])]
+    xs = [model.embed[ids.reshape(-1)]]
     for blk in model.blocks:
-        xs.append(block_core(cfg, block_tensors(blk), xs[-1], positions, fp_kv_fn(cfg)))
-    return [x.data.reshape(b, t, -1) for x in xs]
+        xs.append(block_core(cfg, block_arrays(blk), xs[-1], positions, fp_kv_fn(cfg)))
+    return [x.reshape(b, t, -1) for x in xs]
 
 
-def freeze_block(model: Model, i: int, tp: BlockTrainables) -> None:
-    """Absorb smoothing and fix the block's weight codes, round to nearest.
-    A projection that holds codes at the spec keeps them (Linear.quantize):
-    after calibrate_block, only the absorbed k and v are rounded here.
+def freeze_block(model: Model, i: int, smoothing: tuple[SmoothingParams, ...]) -> None:
+    """Absorb the (K, V) smoothing and fix the block's weight codes, round
+    to nearest.  A projection that holds codes at the spec keeps them
+    (Linear.quantize): after calibrate_block, only the absorbed k and v are
+    rounded here.
 
     At weight_bits 16 no codes are made, and an absorbed projection's old
     codes are dropped.
     """
     blk, spec = model.blocks[i], model.config.weight_spec()
-    blk.k.absorb(SmoothingParams(np.maximum(tp.s_k.data.reshape(-1), S_FLOOR), tp.d_k.data))
-    blk.v.absorb(SmoothingParams(np.maximum(tp.s_v.data.reshape(-1), S_FLOOR), tp.d_v.data))
+    blk.k.absorb(smoothing[0])
+    blk.v.absorb(smoothing[1])
     if spec is None:
         return
     for lin in blk.projections().values():
@@ -292,66 +254,39 @@ def calibrate_block(model: Model, i: int, calib: CalibConfig,
     """Calibrate and freeze block i on its fp inputs x and the fp outputs ref
     of its k-block span, each (segments, T, C); returns its trace.
 
-    initial_loss scores identity smoothing over the round-to-nearest weights
-    (the RTN model's block), trajectory[0] the activation-statistics init and
-    trained_loss that init after calib.epochs epochs, each in one pass over
-    every segment that records no tape.  Training takes one Adam step per
-    segment, in order.  final_loss is the lowest of the three, and the block
-    freezes that candidate; failed means it kept RTN.  A non-finite loss
-    keeps RTN and reports NaN losses.
+    losses holds the crr_loss of each candidate, in alpha order, each one
+    pass over every segment.  initial_loss is alpha 0's, the RTN block's;
+    final_loss the lowest, whose candidate the block freezes (alpha); failed
+    means it kept RTN.  A non-finite loss keeps RTN, with no losses and NaN
+    initial and final losses.
     """
     spec = model.config.weight_spec()
     if spec is not None:  # the never-smoothed projections, whose codes freezing keeps
         for name in ("q", "o", "gate", "up", "down"):
             getattr(model.blocks[i], name).quantize(spec)
     wq = quantized_weights(model, i)
-
-    def mean_loss(tp):
-        val = crr_loss(model, i, x, tp.detached(), calib, ref, wq).item()
-        if not np.isfinite(val):
-            raise NumericError(f"non-finite calibration loss at block {i}")
-        return val
-
-    rtn = BlockTrainables.identity(model.config.hidden_size)
+    alphas = [j / 2**calib.epochs for j in range(2**calib.epochs + 1)]
     try:
-        initial = mean_loss(rtn)
-        tp = init_trainables(model, i, x)
-        init = tp.detached()
-        trajectory = [mean_loss(tp)]
-        opt = AdamW(tp.smooth_params(), LR_SMOOTHING)
-        for _ in range(calib.epochs):
-            epoch_losses = []
-            for x_seg, r_seg in zip(x, ref):
-                loss = crr_loss(model, i, x_seg, tp, calib, r_seg, wq)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                epoch_losses.append(loss.item())
-            trajectory.append(float(np.mean(epoch_losses)))
-        trained = mean_loss(tp)
-        losses = [initial, trajectory[0], trained]
-        best = min(range(3), key=losses.__getitem__)  # the first of equal losses
-        tp, final = (rtn, init, tp)[best], losses[best]
+        init = init_trainables(model, i, x)
+        losses = [crr_loss(model, i, x, at_strength(init, a), calib, ref, wq) for a in alphas]
+        if not np.all(np.isfinite(losses)):
+            raise NumericError(f"non-finite calibration loss at block {i}")
+        best = losses.index(min(losses))  # the first of equal losses
+        kept = at_strength(init, alphas[best])
     except NumericError:
-        tp, best = rtn, 0
-        initial = final = trained = float("nan")
-        trajectory = []
-
+        best, losses = 0, []
+        kept = (SmoothingParams.identity(model.config.hidden_size),) * 2
     trace = {
         "block": i,
-        "initial_loss": initial,
-        "final_loss": final,
-        "trained_loss": trained,
-        "trajectory": trajectory,
+        "initial_loss": losses[0] if losses else float("nan"),
+        "final_loss": losses[best] if losses else float("nan"),
+        "alpha": alphas[best],
+        "losses": losses,
         "failed": best == 0,
-        "params": {
-            "s_k": [float(tp.s_k.data.min()), float(tp.s_k.data.max())],
-            "d_k": [float(tp.d_k.data.min()), float(tp.d_k.data.max())],
-            "s_v": [float(tp.s_v.data.min()), float(tp.s_v.data.max())],
-            "d_v": [float(tp.d_v.data.min()), float(tp.d_v.data.max())],
-        },
+        "params": {f"{name}_{kv}": [float(a.min()), float(a.max())]
+                   for kv, sp in zip("kv", kept) for name, a in (("s", sp.s), ("d", sp.delta))},
     }
-    freeze_block(model, i, tp)
+    freeze_block(model, i, kept)
     return trace
 
 

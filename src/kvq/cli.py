@@ -294,12 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--" + flag.replace("_", "-"), type=int, default=None,
                             help="default: the checkpoint's value")
 
-    def add_calib_args(sp, epochs: int, segments: int, seg_len: int):
+    def add_calib_args(sp, segments: int, seg_len: int):
         """The model, corpus and calibration flags of calibrate, ablate
         and sweep-k, at the command's defaults."""
         sp.add_argument("--model", required=True)
         sp.add_argument("--corpus", required=True)
-        sp.add_argument("--epochs", type=int, default=epochs)
+        sp.add_argument("--epochs", type=int, default=2,
+                        help="halvings of the migration-strength grid: each block scores "
+                             "alpha = j / 2^epochs for j = 0 .. 2^epochs (at most 6)")
         sp.add_argument("--segments", type=int, default=segments)
         sp.add_argument("--seg-len", type=int, default=seg_len)
         sp.add_argument("--seed", type=int, default=0)
@@ -328,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_quant_args(sp)
     sp.set_defaults(fn=cmd_quantize)
 
-    sp = sub.add_parser("calibrate", help="optimize K/V smoothing block by block")
-    add_calib_args(sp, epochs=5, segments=32, seg_len=256)
+    sp = sub.add_parser("calibrate", help="choose K/V smoothing block by block")
+    add_calib_args(sp, segments=32, seg_len=256)
     sp.add_argument("--out", required=True)
     add_quant_args(sp)
     sp.add_argument("--k", type=int, default=5)
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("ablate", help="toggle pipeline pieces and compare perplexity")
-    add_calib_args(sp, epochs=2, segments=8, seg_len=64)
+    add_calib_args(sp, segments=8, seg_len=64)
     sp.add_argument("--drop", action="append", default=[],
                     help=f"feature to remove from the full pipeline: {_FEATURES}")
     sp.add_argument("--add", action="append", default=[],
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_ablate)
 
     sp = sub.add_parser("sweep-k", help="calibrate at several span lengths")
-    add_calib_args(sp, epochs=2, segments=8, seg_len=64)
+    add_calib_args(sp, segments=8, seg_len=64)
     sp.add_argument("--k-values", default="1,2,3,5")
     sp.add_argument("--max-tokens", type=int, default=512)
     sp.set_defaults(fn=cmd_sweep_k)

@@ -80,12 +80,13 @@ arrays the query is scaled first and the division comes after P . V.  On
 arrays a call of enough rows first bounds its scores, and when the bound
 is small its blocks exponentiate them as they are, with no finite scan or
 row maximum (causal_attention).  Given
-Tensors (calibration, training) the block is recorded on the autodiff tape;
-the runtime forward (prefill, decode_step, cache_path_forward) passes plain
-float32 arrays and records nothing.  Each caller hands block_core its
+Tensors (training) the block is recorded on the autodiff tape; the runtime
+forward (prefill, decode_step, cache_path_forward) and calibration pass
+plain float32 arrays and record nothing.  Each caller hands block_core its
 weights and KV handler: model_forward block_arrays and _runtime_kv_fn
-(planned once per cache), training and calibration block_tensors (or the
-fake-quantized weights) and fp_kv_fn.  block_core does not know the fold.
+(planned once per cache), calibration a candidate block's arrays and
+_runtime_kv_fn at POQ off, or block_arrays and fp_kv_fn for its fp blocks,
+and training its Tensors and fp_kv_fn.  block_core does not know the fold.
 
 A decode step onto a cache that folds is the one forward that does not run
 block_core: decode_step hands it to the cache (PoqKvCache.step), which runs
@@ -123,7 +124,7 @@ scoring, cache_path_forward and every cache read but the fold.  One case
 stays one block per sequence, the whole matrix: the tape, whose backward
 keeps one probabilities buffer.  The blocked calls take the score bound
 when their shape pays for it (_bound_pays); the tape, one-row reads and the
-fold run exp_causal, so calibration, training and decode keep its order.
+fold run exp_causal, so training and decode keep its order.
 
 So a long chunk on arrays holds its (T, hidden) activations and the MLP's
 (T, intermediate) projections whole, but each of its largest transients
@@ -160,10 +161,12 @@ from .quantizers import (
     SmoothingParams,
     TokenQuantSpec,
     WeightQuantSpec,
+    _is_int,
     _quantize_token_groups,
     _spans,
     absorb_smoothing,
     apply_kv_smoothing,
+    check_bits,
     dequantize,
     pack_codes,
     quantize_token,
@@ -176,11 +179,6 @@ from .tensor import (RMS_EPS, Tensor, _check_finite, aligned_empty, exp_causal, 
 MODES = ("fp", "weight_kv", "weight_activation")
 # a block's projections, in DecoderBlockWeights order
 PROJECTIONS = ("q", "k", "v", "o", "gate", "up", "down")
-
-
-def _is_int(v) -> bool:
-    """An integer of any integral type, Python's or numpy's, but not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -225,11 +223,8 @@ class ModelConfig:
             raise KvqError(f"poq must be true or false, got {self.poq!r}")
         if self.quant_mode not in MODES:
             raise KvqError(f"unknown quant_mode: {self.quant_mode!r}")
-        # token codes are int8 and weight codes uint8; 16 bits means unquantized
         for name in ("kv_bits", "weight_bits"):
-            bits = getattr(self, name)
-            if not _is_int(bits) or not (2 <= bits <= 8 or bits == 16):
-                raise KvqError(f"{name} must be 2..8 or 16, got {bits!r}")
+            check_bits(name, getattr(self, name))
 
     @property
     def kv_quantized(self) -> bool:
@@ -948,11 +943,6 @@ def block_arrays(blk: DecoderBlockWeights) -> dict[str, np.ndarray]:
     return w
 
 
-def block_tensors(blk: DecoderBlockWeights) -> dict[str, Tensor]:
-    """Wrap a block's weights as (non-differentiable) Tensors for block_core."""
-    return {name: Tensor(a) for name, a in block_arrays(blk).items()}
-
-
 def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_fn=None):
     """One decoder block given its weights and a KV handler: its attention
     half (block_attention), then its MLP half, rms_norm and gated_mlp, each
@@ -966,9 +956,9 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     + current tokens of each sequence, the chunk's rows last, so the causal
     mask follows from their row counts.  A third element, if returned, is
     causal_attention's POQ diagonal.  A decode step onto a cache that folds
-    does not come here: the cache runs it (PoqKvCache.step).  The runtime
-    cache path and the calibration fake-quant path both plug in through
-    kv_fn, so the surrounding arithmetic is shared bit-for-bit.
+    does not come here: the cache runs it (PoqKvCache.step).  Every
+    caller plugs in through kv_fn, so the surrounding arithmetic is shared
+    bit-for-bit.
     act_fn (arrays only) quantizes the input of every projection.
     """
     x = block_attention(cfg, w, x, positions, kv_fn, act_fn)

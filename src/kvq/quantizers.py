@@ -20,17 +20,13 @@ alone, and the whole chunk is checked for non-finite values before its
 first block; a chunk of at most ROW_BLOCK rows is one block, stacked and
 checked at once.
 
-Calibration trains through the same cores:
-
-* token path: fake_quant_token is one autodiff op whose forward is
-  dequantize(quantize_token(...)) and whose backward holds the codes fixed,
-  so the gradient is the exact local derivative q * dn + dm through the
-  group mean m and half-range n;
-* weight path: fake_quant_weight is the plain array function
-  dequantize(quantize_weight(...)).  Weight groups run along input channels
-  and K/V smoothing scales output channels, so w / s has the codes and
-  zero-points of w: calibration quantizes each weight once and divides the
-  result by s on the tape.
+fake_quant_token and fake_quant_weight are the two round trips as plain
+array functions, dequantize(quantize_...(...)): the deployed rounding as
+floats.  Calibration scores its candidates through the runtime's POQ-off
+K/V round trip, and rounds each weight once with fake_quant_weight before
+the K/V smoothing scale divides it: weight groups run along input channels
+and smoothing scales output channels, so w / s has the codes and
+zero-points of w.
 
 Token codes are signed and live in [-2^(N-1), 2^(N-1)-1]; weight codes are
 unsigned in [0, 2^N - 1].  A group whose spread is below SPREAD_EPS is
@@ -41,17 +37,31 @@ constant: it gets a unit step and zero codes, and dequantizes to its mean
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateScaleError, DimensionError, KvqError, NumericError
-from .tensor import Tensor, _check_finite, round_half_away
+from .tensor import _check_finite, round_half_away
 
 S_FLOOR = 1e-6
 # the floor of init_smoothing's scales, above S_FLOOR
 INIT_S_FLOOR = 1e-5
 SPREAD_EPS = 1e-12
+
+
+def _is_int(v) -> bool:
+    """An integer of any integral type, Python's or numpy's, but not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_bits(name: str, bits) -> None:
+    """KvqError unless bits is an integer code width, 2..8 (token codes are
+    int8 and weight codes uint8), or 16, which means unquantized: the one
+    rule of the widths ModelConfig and the analyzer's DeployConfig take."""
+    if not _is_int(bits) or not (2 <= bits <= 8 or bits == 16):
+        raise KvqError(f"{name} must be 2..8 or 16, got {bits!r}")
 
 
 # -- parameter containers -----------------------------------------------------
@@ -180,7 +190,7 @@ def init_smoothing(samples: np.ndarray) -> SmoothingParams:
     return SmoothingParams(s, delta)
 
 
-# -- one core per kind: integer codes (runtime) and fake-quant (calibration) --
+# -- one core per kind: integer codes and their round trip as floats ---------
 
 
 def _spans(n: int, group_size: int) -> list[tuple[slice, slice, int, int]]:
@@ -200,11 +210,6 @@ def _spans(n: int, group_size: int) -> list[tuple[slice, slice, int, int]]:
 def _cat(arrays, axis: int) -> np.ndarray:
     """Join arrays along axis (no copy for a single one)."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
-
-
-def _add_at(a: np.ndarray, at: np.ndarray, v: np.ndarray, axis: int) -> None:
-    """Add v to the one element per group that at picks along axis."""
-    np.put_along_axis(a, at, np.take_along_axis(a, at, axis=axis) + v, axis=axis)
 
 
 def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
@@ -403,36 +408,9 @@ def unpack_codes(stream: np.ndarray, bits: int, shape: tuple[int, ...]) -> np.nd
     return x.astype("<u8", copy=False).view(np.uint8)[:numel].reshape(shape)
 
 
-def fake_quant_token(y: Tensor, bits: int, group_size: int) -> Tensor:
-    """dequantize(quantize_token(y)) as one autodiff op, codes held fixed.
-
-    Backward: with the codes q constant each group computes q * n + m, so the
-    gradient is the exact local derivative q * dn + dm wherever the codes and
-    each group's |y - m| argmax do not move.  n = |y_p - m| / half sends its
-    gradient to the first element p attaining the largest deviation; a
-    constant group (n = 1, zero codes) passes dm alone.
-    """
-    qt = quantize_token(y.data, TokenQuantSpec(bits, group_size))
-    half = float(2 ** (bits - 1))
-
-    ry, yd = y.record, y.data
-
-    def backward(g):
-        t, c = g.shape
-        parts = []
-        for cols, gs, k, size in _spans(c, group_size):
-            g3 = g[:, cols].reshape(t, k, size)
-            centered = yd[:, cols].reshape(t, k, size) - qt.m[:, gs, None]
-            peak = np.abs(centered).argmax(axis=2)[:, :, None]
-            at_peak = np.take_along_axis(centered, peak, axis=2)
-            dn = np.where(np.abs(at_peak) < SPREAD_EPS, 0.0, np.sign(at_peak) / half)
-            g_n = (g3 * qt.codes[:, cols].reshape(t, k, size)).sum(axis=2, keepdims=True) * dn
-            dy = np.repeat((g3.sum(axis=2, keepdims=True) - g_n) / size, size, axis=2)
-            _add_at(dy, peak, g_n, axis=2)
-            parts.append(dy.reshape(t, k * size))
-        ry.accum(_cat(parts, 1))
-
-    return Tensor._from_op(dequantize(qt), (y,), backward)
+def fake_quant_token(y: np.ndarray, bits: int, group_size: int) -> np.ndarray:
+    """dequantize(quantize_token(y)): a cache's round trip of y as floats."""
+    return dequantize(quantize_token(y, TokenQuantSpec(bits, group_size)))
 
 
 def fake_quant_weight(w: np.ndarray, bits: int, group_size: int) -> np.ndarray:

@@ -4,9 +4,9 @@ Only the operations needed by the quantization pipeline are implemented.
 Broadcasting is deliberately restricted to equal shapes and a (1, C) row
 vector against a (T, C) matrix.  Python scalars are accepted anywhere.
 
-Rounding uses half-away-from-zero ties everywhere (see round_half_away);
-clamp passes gradients only inside the clamp interval.  The tape holds only
-the ops the model, calibration and training call.
+Rounding uses half-away-from-zero ties everywhere (see round_half_away).
+The tape holds only the ops that training (evaluate.train_model) records;
+calibration runs on arrays.
 
 The transformer primitives work on all heads at once.  rope rotates a
 (T, n_heads * head_dim) tensor in one op, slicing cos/sin from a float32
@@ -23,19 +23,16 @@ the T table rows over a (B, T, C) view.
 
 rms_norm, rope, linear and gated_mlp take a Tensor, which records one tape
 op, or a plain float32 array, which records nothing and runs the same
-arithmetic: the runtime forward runs on arrays, calibration and training on
+arithmetic: the runtime forward and calibration run on arrays, training on
 Tensors.  linear is a projection x @ w + b with a (1, N) bias row: one tape
 node whose backward gives all three gradients, or on arrays one product
 with the bias added in place.  gated_mlp is the block's whole MLP,
 (silu(x @ wg + bg) * (x @ wu + bu)) @ wd + bd, as one node.
 
-The tape's ops are the Tensor methods +, -, *, / and clamp, and the
+The tape's ops are the Tensor method + (the residual adds), and the
 functions rms_norm, rope, linear, gated_mlp, cross_entropy and embedding
-(model.causal_attention adds attention).  +, -, * and / are one op,
-Tensor._elementwise, given the value, the two local gradients and the
-operands each gradient reads: it coerces a scalar operand, checks the
-broadcast and sums each gradient down to its operand's shape (/ checks for
-a near-zero divisor after the shapes).
+(model.causal_attention adds attention).  + coerces a scalar operand,
+checks the broadcast and sums the gradient down to each operand's shape.
 
 The tape is a graph of records, not of Tensors.  A Tensor holds its data
 and, when it needs a gradient, its Record.  A Record holds its shape, its
@@ -44,8 +41,7 @@ it holds no array of values.  A backward closure captures an array only if
 a gradient it will form reads it, so a value lives as long as a Python name
 or a closure that reads it refers to it, and dies with its last reference,
 whether or not the sweep has reached the op that made it:
-  * + and -: nothing; * and /: the other operand (and / its divisor) only
-    for an operand that needs a gradient; clamp: its input;
+  * +: nothing;
   * rope: nothing (its backward rotates the gradient by the same table
     rows), so a pre-rotation q or k dies once rotated;
   * linear: its input only when its weight needs a gradient, its weight
@@ -78,9 +74,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateScaleError, DimensionError, KvqError, NumericError, UsageError
+from .errors import DimensionError, KvqError, NumericError, UsageError
 
-EPS_DIV = 1e-12
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -159,10 +154,6 @@ class Tensor:
         return out
 
     @property
-    def requires_grad(self) -> bool:
-        return self.record is not None
-
-    @property
     def grad(self) -> np.ndarray | None:
         return None if self.record is None else self.record.grad
 
@@ -174,64 +165,29 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.record is not None})"
 
-    # -- elementwise arithmetic -----------------------------------------------
+    # -- the one elementwise op ------------------------------------------------
 
     def _coerce(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             return other
         return Tensor(other)
 
-    def _elementwise(self, other, value, grad_a, grad_b, reads=("", "")):
-        """One tape op of self and other (coerced, broadcast-checked):
-        value(x, y) of their arrays, whose backward passes grad_a(g, x, y)
-        and grad_b(g, x, y), summed down to each operand's shape, to each
-        operand that needs a gradient.  reads names the arrays each
-        gradient reads ("x" self's, "y" other's); the backward keeps only
-        those of the gradients it will form, and passes None for the rest."""
+    def __add__(self, other):
+        """self + other as one tape op, other coerced and broadcast-checked;
+        each operand that needs a gradient receives g, summed down to its
+        shape."""
         b = self._coerce(other)
         _check_broadcast(self.shape, b.shape)
         ra, rb = self.record, b.record
-        need = (reads[0] if ra is not None else "") + (reads[1] if rb is not None else "")
-        x = self.data if "x" in need else None
-        y = b.data if "y" in need else None
 
         def backward(g):
-            for r, grad in ((ra, grad_a), (rb, grad_b)):
+            for r in (ra, rb):
                 if r is not None:
-                    r.accum(_unbroadcast(grad(g, x, y), r.shape))
+                    r.accum(_unbroadcast(g, r.shape))
 
-        return Tensor._from_op(value(self.data, b.data), (self, b), backward)
-
-    def __add__(self, other):
-        return self._elementwise(other, np.add, lambda g, x, y: g, lambda g, x, y: g)
-
-    def __sub__(self, other):
-        return self._elementwise(other, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
-
-    def __mul__(self, other):
-        return self._elementwise(other, np.multiply, lambda g, x, y: g * y,
-                                 lambda g, x, y: g * x, reads=("y", "x"))
-
-    def __truediv__(self, other):
-        def quotient(x, y):
-            if np.min(np.abs(y)) < EPS_DIV:
-                raise DegenerateScaleError(f"division by near-zero value (|divisor| < {EPS_DIV})")
-            return x / y
-
-        return self._elementwise(other, quotient, lambda g, x, y: g / y,
-                                 lambda g, x, y: -g * x / (y * y), reads=("y", "xy"))
-
-    def clamp(self, lo: float, hi: float):
-        """Clamp to [lo, hi]; gradient passes only where the input lies inside."""
-        out_data = np.clip(self.data, lo, hi)
-        ra, xd = self.record, self.data
-
-        def backward(g):
-            ra.accum(g * ((xd >= lo) & (xd <= hi)))
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return Tensor._from_op(self.data + b.data, (self, b), backward)
 
     # -- autodiff driver ------------------------------------------------------
 

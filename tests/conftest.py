@@ -3,8 +3,7 @@ import pytest
 
 from kvq.errors import KvqError
 from kvq.evaluate import encode_bytes, train_model
-from kvq.model import Model, ModelConfig, spread_kv_channels
-from kvq.quantizers import TokenQuantSpec, quantize_token
+from kvq.model import Model, ModelConfig, block_arrays, spread_kv_channels
 from kvq.tensor import Tensor
 
 WORDS = [b"the ", b"quick ", b"brown ", b"fox ", b"jumps ", b"over ", b"a ", b"dog. "]
@@ -41,6 +40,21 @@ def weighted_sum(y: Tensor, w=1.0) -> Tensor:
                            lambda g: record.accum(g * w))
 
 
+def mean_square(y: Tensor) -> Tensor:
+    """mean(y * y) as one scalar tape op, summed in float64, whose backward
+    gives y the gradient 2 g y / size: a loss of an op's output that needs
+    no Tensor arithmetic."""
+    d, record = y.data, y.record
+    return Tensor._from_op(np.mean(d * d, dtype=np.float64), (y,),
+                           lambda g: record.accum(g * 2.0 * d / d.size))
+
+
+def block_tensors(blk) -> dict:
+    """A block's weights as the (non-differentiable) Tensors block_core takes
+    on the tape."""
+    return {name: Tensor(a) for name, a in block_arrays(blk).items()}
+
+
 def central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
     """Float64 central differences of a scalar function f at every entry of x."""
     x = np.asarray(x, dtype=np.float64)
@@ -66,15 +80,6 @@ def assert_float64_grads(op, ref, arrs):
         f = lambda a: np.sum(ref(*x64[:i], a, *x64[i + 1 :]) * w)
         want = central_diff(f, x64[i], 1e-4)
         assert np.abs(t.grad - want).max() <= 1e-5 * np.abs(want).max(initial=1e-6)
-
-
-def held_codes(y: np.ndarray, bits: int, group_size: int):
-    """What fake_quant_token's backward holds fixed at y: its codes, and each
-    token group's first peak of |y - m| (reference.held_fake_quant)."""
-    qt = quantize_token(y, TokenQuantSpec(bits, group_size))
-    dev = np.abs(y - np.repeat(qt.m, group_size, axis=1)[:, : y.shape[1]])
-    peaks = [dev[:, a : a + group_size].argmax(axis=1) for a in range(0, y.shape[1], group_size)]
-    return qt.codes, np.stack(peaks, axis=1)
 
 
 def word_corpus(seed: int, n_words: int = 1000) -> np.ndarray:

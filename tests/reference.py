@@ -20,18 +20,17 @@ without the POQ diagonal, as one whole float64 scores matrix per sequence:
 scores, mask, softmax, then the probabilities times the values.
 
 block is one decoder block over one whole sequence, and gated_mlp its MLP,
-which model_logits runs too.  calib_block is crr_loss's quantized block as a
-smooth function of its input and of the K/V smoothing: it holds fixed what
-fake_quant_token's backward holds fixed (held_fake_quant), so float64
-central differences of it give the gradient that the tape computes, at
-every input entry and every smoothing channel.
+which model_logits runs too.  calib_block is crr_loss's quantized block:
+the K/V smoothing absorbed into the k and v weights, each K/V row's round
+trip at the token codes the live round trip made (held_fake_quant), and
+un-smoothing, so a candidate's loss can be checked in float64.
 
 adam_step is one Adam step of one parameter, by the textbook formula.
 
 They use no kvq kernel, so a fast path tested against them is held to the
 size of its error, not to an order of float32 operations.  What a reference
-holds fixed (a cache's codes, fake_quant_token's codes and peaks) it takes
-from the live model, and quantizes nothing itself.
+holds fixed (a cache's codes, a round trip's codes) it takes from the live
+model, and quantizes nothing itself.
 """
 
 from __future__ import annotations
@@ -206,17 +205,16 @@ def block(cfg, w, x, kv=lambda k, v: (k, v)) -> np.ndarray:
     return x + gated_mlp(rms_norm(x, w["mlp_norm"]), *mlp)
 
 
-def held_fake_quant(y, codes, peaks, bits: int, group_size: int) -> np.ndarray:
-    """fake_quant_token of y (T, C) in float64 with its codes and each token
-    group's peak held fixed: codes * n + m for each group, m its mean and
-    n = |y_p - m| / 2^(bits-1) at its peak p, peaks[:, group] (a column
-    within the group).  A constant group's codes are zero, so it gives m."""
+def held_fake_quant(y, codes, bits: int, group_size: int) -> np.ndarray:
+    """The token round trip of y (T, C) in float64 at held codes: codes * n
+    + m for each token group, m its mean and n = max |y - m| / 2^(bits-1).
+    A constant group's codes are zero, so it gives m."""
     y = np.asarray(y, dtype=np.float64)
-    out, rows = np.empty_like(y), np.arange(len(y))
-    for g, a in enumerate(range(0, y.shape[1], group_size)):
+    out = np.empty_like(y)
+    for a in range(0, y.shape[1], group_size):
         grp = y[:, a : a + group_size]
         m = grp.mean(axis=1, keepdims=True)
-        n = np.abs(grp[rows, peaks[:, g]][:, None] - m) / 2.0 ** (bits - 1)
+        n = np.abs(grp - m).max(axis=1, keepdims=True) / 2.0 ** (bits - 1)
         out[:, a : a + group_size] = codes[:, a : a + group_size] * n + m
     return out
 
@@ -226,17 +224,16 @@ def calib_block(cfg, w, x, smoothing, held) -> np.ndarray:
 
     w holds the block's weights as block takes them, with its projections'
     quantized weights.  smoothing is (s_k, d_k, s_v, d_v), each a (1, C)
-    row (s above its floor): the k and v projections are Q(w) / s and
-    (b - d) / s, their outputs are fake-quantized with held = (k_held,
-    v_held), each the (codes, peaks) of held_fake_quant, and then
-    un-smoothed, y * s + d."""
-    s_k, d_k, s_v, d_v = smoothing
+    row: the k and v projections are Q(w) / s and (b - d) / s, their
+    outputs take the round trip at held = (k_codes, v_codes)
+    (held_fake_quant), and then are un-smoothed, y * s + d."""
+    s_k, d_k, s_v, d_v = (np.asarray(a, dtype=np.float64) for a in smoothing)
     w = dict(w, k_w=w["k_w"] / s_k, k_b=(w["k_b"] - d_k) / s_k,
              v_w=w["v_w"] / s_v, v_b=(w["v_b"] - d_v) / s_v)
 
     def kv(k, v):
-        k, v = (held_fake_quant(a, *h, cfg.kv_bits, cfg.kv_group_size)
-                for a, h in zip((k, v), held))
+        k, v = (held_fake_quant(a, codes, cfg.kv_bits, cfg.kv_group_size)
+                for a, codes in zip((k, v), held))
         return k * s_k + d_k, v * s_v + d_v
 
     return block(cfg, w, x, kv)

@@ -61,11 +61,33 @@ class TestByteFormulas:
 
 class TestValidation:
     def test_bad_bits_rejected(self):
-        with pytest.raises(KvqError):
-            DeployConfig(arch=LLAMA2_7B, weight_bits=3)
-        for kv_bits in (1, 9, 12):
-            with pytest.raises(KvqError, match="kv bits must be one of"):
-                DeployConfig(arch=LLAMA2_7B, kv_bits=kv_bits)
+        # one rule with ModelConfig's: a code width of 2..8 bits, or 16; 32
+        # bits, which no model holds, is refused for every width
+        for field in ("weight_bits", "kv_bits", "act_bits"):
+            for bits in (1, 9, 12, 32, 4.0, True):
+                with pytest.raises(KvqError, match=f"{field} must be 2..8 or 16"):
+                    DeployConfig(arch=LLAMA2_7B, **{field: bits})
+            for bits in (2, 3, 5, 8, 16):
+                DeployConfig(arch=LLAMA2_7B, **{field: bits})
+
+    def test_widths_are_the_model_config_widths(self):
+        # the analyzer accepts a width exactly when ModelConfig does: 32-bit
+        # K/V, which no model can hold, was accepted and is refused
+        with pytest.raises(KvqError, match="kv_bits must be 2..8 or 16, got 32"):
+            DeployConfig(arch=LLAMA2_7B, kv_bits=32)
+        for bits in range(40):
+            try:
+                tiny_config(kv_bits=bits)
+                model_takes = True
+            except KvqError:
+                model_takes = False
+            for field in ("weight_bits", "kv_bits", "act_bits"):
+                try:
+                    DeployConfig(arch=LLAMA2_7B, **{field: bits})
+                    takes = True
+                except KvqError:
+                    takes = False
+                assert takes == model_takes, (field, bits)
 
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0e12])
     def test_non_positive_bandwidth_rejected(self, bandwidth):

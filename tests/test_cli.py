@@ -701,7 +701,7 @@ class TestGenerate:
 
 class TestParser:
     @pytest.mark.parametrize("command, extra, want", [
-        ("calibrate", ["--out", "o"], {"k": 5, "epochs": 5, "segments": 32, "seg_len": 256,
+        ("calibrate", ["--out", "o"], {"k": 5, "epochs": 2, "segments": 32, "seg_len": 256,
                                        "seed": 0}),
         ("ablate", [], {"k": 5, "epochs": 2, "segments": 8, "seg_len": 64, "max_tokens": 512,
                         "seed": 0}),
@@ -714,6 +714,15 @@ class TestParser:
         args = build_parser().parse_args([command, "--model", "m", "--corpus", "c"] + extra)
         assert {key: getattr(args, key) for key in want} == want
         assert not hasattr(args, "json")
+
+    @pytest.mark.parametrize("epochs", [-1, 7, 40])
+    def test_grid_past_its_bounds_refused(self, tmp_path, capsys, epochs):
+        # 2^epochs + 1 candidates per block: --epochs 40 would ask for about
+        # 1e12, refused with a usage error before the model is read
+        rc = main(["calibrate", "--model", str(tmp_path / "ghost.kvq"), "--corpus",
+                   str(tmp_path / "ghost.txt"), "--out", str(tmp_path / "o.kvq"),
+                   "--epochs", str(epochs)])
+        assert rc == 2 and "0 <= epochs <= 6" in capsys.readouterr().err
 
     def test_no_command_takes_json(self):
         # every command prints its report to stdout, which `> FILE` saves

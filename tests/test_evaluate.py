@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import tiny_config, word_corpus
+from conftest import tiny_config, weighted_sum, word_corpus
 from kvq import evaluate
 from kvq.calibration import AdamW
 from kvq.errors import CapacityError, DataFormatError, KvqError, NumericError, UsageError
@@ -388,7 +388,7 @@ class TestStackedTrainStep:
         mean = per_window[0]
         for loss in per_window[1:]:
             mean = mean + loss
-        mean = mean / len(seqs)
+        mean = weighted_sum(mean, 1.0 / len(seqs))
         mean.backward()
         assert abs(stacked.item() - mean.item()) <= 1e-6 * abs(mean.item())
         for got, t in zip(grads, leaves):

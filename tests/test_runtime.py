@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import block_tensors, tiny_config
 import reference
 from reference import decode_attention
 import kvq.calibration
@@ -30,7 +30,6 @@ from kvq.model import (
     block_arrays,
     block_attention,
     block_core,
-    block_tensors,
     causal_attention,
     decode_step,
     fp_kv_fn,

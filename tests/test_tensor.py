@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import assert_float64_grads, central_diff, tiny_config, weighted_sum, word_corpus
 from kvq.calibration import CalibConfig, calibrate_block, collect_activations, sample_segments
-from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError, UsageError
+from kvq.errors import DimensionError, KvqError, NumericError, UsageError
 from kvq.evaluate import _lm_leaves, lm_loss, lm_tensors, train_model
 from kvq.model import ATTN_BLOCK, Model, causal_attention, spread_kv_channels
 from kvq.tensor import (
@@ -76,16 +76,16 @@ class TestBroadcasting:
         assert np.array_equal((Tensor(x) + Tensor(row)).data, x + row)
         for sa, sb in (((3, 4), (3, 1)), ((3, 1), (3, 4))):
             with pytest.raises(DimensionError):
-                Tensor(np.zeros(sa)) * Tensor(np.zeros(sb))
+                Tensor(np.zeros(sa)) + Tensor(np.zeros(sb))
 
     def test_incompatible_shapes_rejected(self):
         for sa, sb in (((3, 4), (4, 3)), ((3, 4), (2, 4))):
             with pytest.raises(DimensionError):
-                Tensor(np.zeros(sa)) * Tensor(np.zeros(sb))
+                Tensor(np.zeros(sa)) + Tensor(np.zeros(sb))
 
     def test_row_vector_grad_sums(self):
         b = Tensor(np.zeros((1, 4), np.float32), requires_grad=True)
-        weighted_sum((Tensor(np.ones((3, 4), np.float32)) + b) * 2.0).backward()
+        weighted_sum(Tensor(np.ones((3, 4), np.float32)) + b, 2.0).backward()
         assert np.array_equal(b.grad, np.full((1, 4), 6.0, np.float32))
 
     def test_matmul_shape_error_names_both(self):
@@ -98,18 +98,13 @@ class TestGradients:
     tests/reference.py, or, with none, against float32 ones of itself."""
 
     def test_arithmetic_chain(self):
+        # +, the tape's one elementwise op, over equal shapes, a (1, C) row
+        # on either side of a (T, C) matrix and Python scalars; the
+        # expression runs as it is on float64 arrays
         rng = np.random.default_rng(1)
-        check_grads(lambda a, b: (a * b + a - b) / (b * b + 2.0),
-                    [randn(rng, 3, 4), randn(rng, 3, 4)])
-        # the shapes calibration uses: a (1, C) row on either side of a
-        # (T, C) matrix, as in Q(w) / s, (b - delta) / s and y * s + delta,
-        # and Python scalars; each expression runs as it is on float64 arrays
-        x, d = randn(rng, 3, 4), randn(rng, 1, 4)
-        s = 0.5 + np.abs(randn(rng, 1, 4))
-        row_right = lambda x, s, d: x / s + (x - d) / s + (x * s + d) * 0.5 - 1.5
-        row_left = lambda x, s, d: d - s * x + d / (x * x + 1.0) + s + x
-        for f in (row_right, row_left):
-            assert_float64_grads(f, f, [x, s, d])
+        x, y, d = randn(rng, 3, 4), randn(rng, 3, 4), randn(rng, 1, 4)
+        chain = lambda x, y, d: (x + d) + (d + y) + x + 1.5
+        assert_float64_grads(chain, chain, [x, y, d])
 
     def test_gated_mlp(self):
         rng = np.random.default_rng(2)
@@ -343,6 +338,8 @@ class TestGradientsReadOnly:
             weighted_sum(doubled(x)).backward()
 
     def test_train_and_calibration_steps_write_no_gradient(self, sealed_grads):
+        # a training step runs its backward on sealed gradients; calibration
+        # records no tape, so it has no gradient to write
         m = Model.random(tiny_config(), seed=2)
         report = train_model(m, word_corpus(2), steps=1, batch=2, seq_len=16, seed=2)
         assert np.isfinite(report["initial_loss"])
@@ -350,14 +347,7 @@ class TestGradientsReadOnly:
         calib = CalibConfig(k=2, epochs=1, segments=1, seg_len=16, seed=2)
         acts = collect_activations(m, sample_segments(word_corpus(2, 200), calib))
         trace = calibrate_block(m, 0, calib, acts[0], acts[2])
-        assert len(trace["trajectory"]) == 2  # the init, then one epoch of one step
-
-
-class TestSte:
-    def test_clamp_blocks_grad_outside_inclusive_interval(self):
-        x = Tensor(np.array([[-2.0, -1.0, 0.5, 1.0, 2.0]], np.float32), requires_grad=True)
-        weighted_sum(x.clamp(-1.0, 1.0)).backward()
-        assert np.array_equal(x.grad, np.array([[0.0, 1.0, 1.0, 1.0, 0.0]], np.float32))
+        assert len(trace["losses"]) == 3 and np.all(np.isfinite(trace["losses"]))
 
 
 class TestCausalMask:
@@ -385,14 +375,10 @@ class TestCausalMask:
 
 
 class TestMisc:
-    def test_div_by_near_zero_raises(self):
-        with pytest.raises(DegenerateScaleError):
-            Tensor(np.ones((2, 2))) / Tensor(np.full((2, 2), 1e-13, np.float32))
-
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
         with pytest.raises(KvqError):
-            (x * 2.0).backward()
+            (x + 2.0).backward()
 
     def test_graph_cleared_after_backward(self):
         # every op record of a training loss is released, every leaf keeps
@@ -490,7 +476,8 @@ class TestTapeRelease:
     flight, not every op's gradient at once."""
 
     def test_sweep_frees_activations_only_the_tape_holds(self):
-        x = Tensor(np.ones((64, 64), np.float32), requires_grad=True)
+        rng = np.random.default_rng(4)
+        x = Tensor(randn(rng, 64, 64), requires_grad=True)
         alive = []
 
         def probe(a):  # an identity op whose backward, run last, looks above it
@@ -502,9 +489,9 @@ class TestTapeRelease:
 
             return Tensor._from_op(a.data.copy(), (a,), backward)
 
-        s1 = probe(x).clamp(-2.0, 2.0)
-        m = s1 * 2.0
-        loss = weighted_sum(m.clamp(-4.0, 4.0))
+        s1 = probe(x) + 2.0  # read by rms_norm's backward only
+        m = rms_norm(s1, Tensor(np.ones((1, 64), np.float32)))
+        loss = weighted_sum(m + 1.0, randn(rng, 64, 64))
         refs = [weakref.ref(s1.data), weakref.ref(m.data)]
         del s1, m
         loss.backward()

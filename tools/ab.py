@@ -25,9 +25,12 @@ Workloads, each timed per call:
                             a temporary directory
     train_step              one train_model step (batch 2, seq_len 64) on a
                             copy of the fp model
-    crr_loss                one crr_loss forward and backward on block 1 (k 2)
-                            over 4 x 64-token segments of the fp model, from
-                            the statistics-initialised smoothing
+    crr_loss                one crr_loss on block 1 (k 2) over 4 x 64-token
+                            segments of the fp model, at the
+                            statistics-initialised smoothing: the forward
+                            alone in trees that score on arrays, forward and
+                            backward in older trees, whose loss is a tape
+                            node
 
 A round runs each import once per workload, in an order that rotates from
 round to round.  Per workload one JSON line is printed:
@@ -39,7 +42,7 @@ round to round.  Per workload one JSON line is printed:
     sha256    of each import's outputs (logits, or the calibration report
               and weights, or the loaded model's arrays and its 64-token
               cache-path logits, not the file's bytes, or the fitted loss
-              and arrays, or the loss and the smoothing's gradients), from
+              and arrays, or the loss and any smoothing gradients), from
               the first, untimed call; weight codes are hashed one per
               byte, whether a tree holds them so or packed
     identical whether A's and B's hashes are equal
@@ -113,7 +116,9 @@ class Tree:
         self.calib = kvq.CalibConfig(**sizes["calib"], seed=0)
         self.fp = kvq.Model.random(cfg, seed=1)
         kvq.model.spread_kv_channels(self.fp, seed=1)
-        # W4 weights and the statistics-initialised K/V smoothing of every block
+        # W4 weights and the statistics-initialised K/V smoothing of every
+        # block, in the form the tree's init_trainables gives and its
+        # freeze_block takes (a (K, V) smoothing pair, or older trees' trainables)
         self.served = copy.deepcopy(self.fp)
         calibration = kvq.calibration
         acts = block_inputs(calibration.collect_activations(
@@ -190,16 +195,18 @@ def workloads(sizes: dict) -> dict:
         ids = tr.corpus[: segments * seg_len].reshape(segments, seg_len)
         acts = block_inputs(calibration.collect_activations(tr.fp, list(ids)))
         x, ref = acts[1], acts[1 + min(tr.calib.k, tr.fp.config.n_layers - 1)]
-        tp = calibration.init_trainables(tr.fp, 1, x)
+        init = calibration.init_trainables(tr.fp, 1, x)
         wq = calibration.quantized_weights(tr.fp, 1)
 
         def step():
-            loss = calibration.crr_loss(tr.fp, 1, x, tp, tr.calib, ref, wq)
+            loss = calibration.crr_loss(tr.fp, 1, x, init, tr.calib, ref, wq)
+            if isinstance(loss, float):  # scored on arrays: no tape, no gradient
+                return loss, []
             loss.backward()
-            return loss.item()
+            return loss.item(), [p.grad for p in init.smooth_params()]
 
-        t, loss = timed(step)
-        return t, [np.float64(loss), *(p.grad for p in tp.smooth_params())]
+        t, (loss, grads) = timed(step)
+        return t, [np.float64(loss), *grads]
 
     past, rows = sizes["chunk"]
     return {**{f"decode_{ctx}": decode(ctx) for ctx in sizes["decode"]},
