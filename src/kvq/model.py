@@ -50,8 +50,8 @@ layer's K or V slab of the
 store, the read buffers and the rope tables are allocated once on 64-byte
 boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
 elementwise passes in about half the time, and without a fill: append
-writes a chunk's rows before any read, and a read writes the scratch and
-work rows it then reads.
+writes a chunk's rows before any read, no read takes the row a decode step
+stores, and a read writes the scratch and work rows it then reads.
 
 Setting: a ModelConfig is frozen, so it is checked once, when it is made,
 and no config changes after its checks.  A library user changes a model's
@@ -64,11 +64,15 @@ by then.
 
 Cache protocol: PoqKvCache.length is the one record of how many positions
 the cache holds, and a forward over a chunk starts at that position.  Each
-block's KV handler first appends the chunk's rows at length .. length+t-1
-(append is the only write site and the only capacity check), then reads the
-past rows 0 .. length-1.  model_forward (or the cache's step) advances
-length once, after the last block, so a forward that raises part-way leaves
-length unchanged and the next forward overwrites the rows it had written.
+block's KV handler first appends the chunk's rows at length .. length+t-1,
+then reads the past rows 0 .. length-1.  A decode step onto a cache that
+folds reads no codes at length (POQ gives the step's own K/V to attention
+at full precision), so it stores every layer's row there at once, after the
+last layer (PoqKvCache.step).  Each write goes through PoqKvCache._store on
+a cache of codes.  model_forward (or the cache's step) advances length
+once, after the last block, so a forward that raises part-way leaves
+length unchanged, and the next forward overwrites any rows it had written;
+a step that raises has written none.
 
 block_core is the one block forward of prefill, chunks, decode steps onto a
 cache that does not fold, cache-path scoring, calibration and training.  It
@@ -92,12 +96,17 @@ A decode step onto a cache that folds is the one forward that does not run
 block_core: decode_step hands it to the cache (PoqKvCache.step), which runs
 block_core's arithmetic for one row as plain float32 array expressions, in
 block_core's order, so every logit, code and (m, n) is the one block_core
-would give.  It rotates q and k as one (2, hidden) array at the step's row
-of the rope table, appends, reads through the fold, and skips the general
-path's per-call dispatch, shape checks and rope table lookups.  On the
-served model of tools/ab.py (4 blocks, hidden 128, one BLAS thread, 2-vCPU
-Xeon VM) 16 steps took 0.83x, 0.88x and 0.88x block_core's time after
-prefills of 64, 384 and 896 tokens (medians of 20 alternating rounds).
+would give.  It writes the q/k/v products into preallocated rows,
+un-smooths K and V as one (2, hidden) pair, rotates q and k as one (2,
+hidden) array at the step's row of the rope table, reads through the fold,
+and skips the general path's per-call dispatch, shape checks and rope
+table lookups.  Every layer's smoothed K/V row waits in one step buffer,
+quantized and stored after the last layer by one core call per span.  On
+the served model of tools/ab.py (4 blocks, hidden 128, one BLAS thread,
+2-vCPU Xeon VM) 16 steps took 0.83x, 0.88x and 0.88x block_core's time
+after prefills of 64, 384 and 896 tokens (medians of 20 alternating
+rounds), and the step as it is now took 0.85x, 0.87x and 0.90x the time of
+one that appended each layer's row inside its layer (12 rounds).
 
 block_core runs two halves.  The attention half, block_attention, is a
 function of its own (rms_norm, the q/k/v projections, rope, the KV handler,
@@ -452,7 +461,10 @@ class PoqKvCache:
     every layer holds; only model_forward and step advance it.  A cache of
     codes is read in two forms: the fold (read_raw) for the cache's own
     decode step (step), onto a cache that folds (fold_k), and the
-    materialized rows (rows) for every other read.
+    materialized rows (rows) for every other read.  It is written by
+    append, a chunk's rows one layer at a time, and by step, which stores
+    every layer's row after its last layer; both write codes through
+    _store.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
@@ -478,15 +490,15 @@ class PoqKvCache:
         the cache through a weak proxy, so the plan makes no reference cycle
         and the cache is freed with its last user.  A cache of codes
         (cfg.kv_codes) adds the token spec and its channel spans
-        (quantizers._spans, which append quantizes), each layer's smoothing,
-        each layer's views of the store (layer_store for append, layer_reads
-        for the reads), the config's read plan, built for this cache
-        (_config_read_plan) and, when decode steps fold (fold_k), each
-        layer's V smoothing per segment and K contraction matrix k_fold =
-        [C; -C]: C = [segment ones * s | delta per head], or the segment ones
-        without K smoothing.  A fold read's six slices of the store took
-        about 1.7 us from the whole store and 1.0 us from a layer's planned
-        views.
+        (quantizers._spans, which _store quantizes), each layer's smoothing,
+        each layer's views of the store for the reads (layer_reads), the
+        config's read plan, built for this cache (_config_read_plan) and,
+        when decode steps fold (fold_k), each layer's K/V un-smoothing pair
+        for the step (kv_unsmooth), V smoothing per segment and K
+        contraction matrix k_fold = [C; -C]: C = [segment ones * s | delta
+        per head], or the segment ones without K smoothing.  A fold read's
+        six slices of the store took about 1.7 us from the whole store and
+        1.0 us from a layer's planned views.
         """
         cfg = self.cfg
         proxy = weakref.proxy(self)
@@ -497,15 +509,20 @@ class PoqKvCache:
         self.spec = cfg.token_spec()
         self.spans = _spans(cfg.hidden_size, cfg.kv_group_size)
         self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
-        # each layer's views of the store: its K/V codes and their (m, n), which
-        # append writes, and the (codes, m, n) of its K and of its V, which reads take
-        layers = range(cfg.n_layers)
-        self.layer_store = [(self.codes[li], self.params[li]) for li in layers]
+        # each layer's views of the store: the (codes, m, n) of its K and of
+        # its V, which reads take
         self.layer_reads = [[(self.codes[li, j], *self.params[li, j]) for j in (0, 1)]
-                            for li in layers]
+                            for li in range(cfg.n_layers)]
         vars(self).update(_config_read_plan(cfg))
         if not self.fold_k:
             return
+        # the step un-smooths a layer's K and V rows as one (2, hidden) pair,
+        # [s; delta]; an absent smoothing's rows are s = 1 and delta = -0.0,
+        # which give every float32 value, -0.0 included, back unchanged
+        one, zero = np.ones(cfg.hidden_size, np.float32), np.full(cfg.hidden_size, -0.0, np.float32)
+        self.kv_unsmooth = [None if pair == (None, None) else np.array(
+            [[one if sp is None else sp.s for sp in pair],
+             [zero if sp is None else sp.delta for sp in pair]]) for pair in self.kv_smoothing]
         w = self.seg_width
         self.v_seg_smoothing = [None if sp is None else (sp.s.reshape(-1, 1, w),
                                                          sp.delta.reshape(-1, 1, w))
@@ -519,11 +536,13 @@ class PoqKvCache:
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_rot: np.ndarray, v_raw: np.ndarray) -> None:
         """Store a chunk's KV for layer li at rows length .. length+t-1
         (k_s/v_s smoothed, k_rot rotated raw keys, v_raw raw values): codes of
-        k_s and v_s, or k_rot and v_raw themselves in the fp layout.  The
-        codes, m and n are quantize_token's, from its core, ROW_BLOCK rows
-        and one span at a time, each written to the store as it is made.
-        Rows past the capacity raise CapacityError, and non-finite rows of a
-        quantized cache NumericError, before anything is stored."""
+        k_s and v_s, or k_rot and v_raw themselves in the fp layout.  This is
+        the write of every forward onto a cache but a decode step onto a
+        cache that folds, which stores its rows itself (step).  The codes, m
+        and n are quantize_token's, ROW_BLOCK rows at a time, each block
+        stored (_store) as it is made.  Rows past the capacity raise
+        CapacityError, and non-finite rows of a quantized cache
+        NumericError, before anything is stored."""
         t = k_s.shape[0]
         start = self.length
         if start + t > self.cfg.max_seq_len:
@@ -533,64 +552,85 @@ class PoqKvCache:
         if not self.cfg.kv_codes:
             self.kv[li, :, start : start + t] = k_rot, v_raw
             return
-        # [K/V, row, channel] codes, and [K/V, m/n, row, group] params
-        store, params = self.layer_store[li]
-        # token groups are per row, so one call of quantize_token's core per
-        # span over a row block of the stacked K and V rows gives each the
-        # codes of its own quantize_token call; a one-row chunk's are written
-        # as the core returns them
+        # token groups are per row, so quantizing a row block of the stacked
+        # K and V rows gives each row the codes of its own quantize_token call
         for block, y in row_blocks((k_s, v_s), "cache append"):
-            h = len(y) // 2
-            rows = start if t == 1 else slice(start + block.start, start + block.stop)
-            for cols, groups, k, size in self.spans:
-                codes, m, n = _quantize_token_groups(y[:, cols].reshape(2 * h, k, size), self.spec)
-                if t > 1:
-                    codes, m, n = codes.reshape(2, h, -1), m.reshape(2, h, k), n.reshape(2, h, k)
-                store[:, rows, cols] = codes
-                params[:, 0, rows, groups] = m
-                params[:, 1, rows, groups] = n
-                del codes, m, n  # before the next span or block is quantized
+            self._store(y.reshape(2, len(y) // 2, -1), li,
+                        slice(start + block.start, start + block.stop))
 
-    def step(self, model: Model, ids: np.ndarray) -> Tensor:
-        """The (1, vocab) logits of a decode step of ids, one checked token
-        id, onto a cache that folds (fold_k), over the blocks the cache
+    def _store(self, y: np.ndarray, layers, rows) -> None:
+        """Quantize y, float32 rows in the shape of the store's [layers, K/V,
+        rows] (layers and rows each an index or a slice), by quantize_token's
+        core, one call per span, and write their codes, m and n there, one
+        assignment per store array and span.  The caller has checked that y
+        is finite."""
+        lead, flat = y.shape[:-1], y.reshape(-1, y.shape[-1])
+        for cols, groups, k, size in self.spans:
+            codes, m, n = _quantize_token_groups(flat[:, cols].reshape(-1, k, size), self.spec)
+            self.codes[layers, :, rows, cols] = codes.reshape(*lead, -1)
+            self.params[layers, :, 0, rows, groups] = m.reshape(*lead, k)
+            self.params[layers, :, 1, rows, groups] = n.reshape(*lead, k)
+            del codes, m, n  # before the next span is quantized
+
+    def step(self, model: Model, token_id: int) -> Tensor:
+        """The (1, vocab) logits of a decode step of token_id, one checked
+        token id, onto a cache that folds (fold_k), over the blocks the cache
         planned.  This is decode_step's forward onto such a cache; every
         other forward runs block_core.  It is block_core's arithmetic for one
         row, its attention half written out as the same float32 array
         expressions in the same order, so every logit, code and (m, n) is
-        the one block_core gives.  Per layer: rms_norm; the q/k/v products;
-        K and V un-smoothed (or with POQ off their round trip, _raw_kv); q
-        and k rotated as one (2, hidden) array at the step's row of the rope
-        table; append; the fold (read_raw); the o projection; rms_norm of
-        the row (_row_rms_norm) and block_core's own gated_mlp.
+        the one block_core gives.  Per layer: rms_norm; the q/k/v products,
+        K and V into the layer's rows of one (n_layers, 2, hidden) step
+        buffer; K and V un-smoothed together (kv_unsmooth, or with POQ off
+        after their round trip); q and k rotated as one (2, hidden) array at
+        the step's row of the rope table; the fold (read_raw); the o
+        projection; rms_norm of the row (_row_rms_norm) and block_core's own
+        gated_mlp.  Then the head, its rms_norm on the row.
 
-        It keeps the checks of block_core's path: capacity before anything
-        is written, the finite checks of rms_norm, rope, append and
-        exp_causal, and length advanced only after the last layer."""
+        Past-only quantization gives the step's own K/V to attention at full
+        precision, so no read of this step takes the codes at position
+        length, and the step buffer is stored after the head: every layer's
+        rows quantized by one core call per span and written by one
+        assignment per store array.  A step that raises writes nothing.  It
+        keeps the checks of block_core's path: capacity first, the finite
+        checks of rms_norm, rope, exp_causal and the append's (on the step
+        buffer, before the store), and length advanced only after the
+        store."""
         cfg, pos = self.cfg, self.length
         if pos >= cfg.max_seq_len:
             raise CapacityError(f"cache capacity exceeded: {pos}+1 > {cfg.max_seq_len}")
         h, d, c = cfg.n_heads, cfg.head_dim, cfg.hidden_size
-        round_trip = None if cfg.poq else self.spec
         cos, sin = self.cos[pos], self.sin[pos]
-        x = model.embed[ids]
+        kv = np.empty((cfg.n_layers, 2, c), dtype=np.float32)  # smoothed K, V rows
+        x = model.embed[None, token_id]
         for li, (w, _) in enumerate(self.block_plan):
             xn = _row_rms_norm(x, w["attn_norm"])
-            q = xn @ w["q_w"] + w["q_b"]
-            k_s, v_s = xn @ w["k_w"] + w["k_b"], xn @ w["v_w"] + w["v_b"]
-            k_raw, v_raw = _raw_kv(self.kv_smoothing[li], k_s, v_s, round_trip)
-            qk = np.concatenate((q, k_raw))
+            qkv = np.empty((3, c), dtype=np.float32)  # q, then raw K and V
+            q, k_s, v_s, raw = qkv[:1], kv[li, :1], kv[li, 1:], qkv[1:]
+            for out, name in ((q, "q"), (k_s, "k"), (v_s, "v")):
+                np.matmul(xn, w[name + "_w"], out=out)
+                out += w[name + "_b"]
+            y = kv[li] if cfg.poq else dequantize(quantize_token(kv[li], self.spec), out=raw)
+            sp = self.kv_unsmooth[li]
+            if sp is None:
+                raw[...] = y
+            else:
+                np.multiply(y, sp[0], out=raw)
+                raw += sp[1]
+            qk = qkv[:2]
             _check_finite("rope", qk)
             swapped = np.ascontiguousarray(qk.reshape(2, h, 2, d // 2)[:, :, ::-1]).reshape(2, c)
             swapped *= sin
             qk *= cos
             qk += swapped
-            self.append(li, k_s, v_s, qk[1:], v_raw)
-            x = x + (self.read_raw(li, qk[:1], qk[1:], v_raw) @ w["o_w"] + w["o_b"])
+            x = x + (self.read_raw(li, q, qkv[1:2], qkv[2:]) @ w["o_w"] + w["o_b"])
             x = x + gated_mlp(_row_rms_norm(x, w["mlp_norm"]), w["gate_w"], w["gate_b"],
                               w["up_w"], w["up_b"], w["down_w"], w["down_b"])
+        logits = linear(_row_rms_norm(x, model.final_norm), model.head.w, model.head.b)
+        _check_finite("cache append", kv)
+        self._store(kv, slice(None), pos)
         self.length = pos + 1
-        return _head(model, x)
+        return Tensor(logits)
 
     def read_raw(self, li: int, q: np.ndarray, k_cur: np.ndarray, v_cur: np.ndarray) -> np.ndarray:
         """Layer li's (1, hidden) attention output for a decode step's
@@ -1124,17 +1164,19 @@ def prefill(model: Model, token_ids: np.ndarray):
 def decode_step(model: Model, token_id: int, cache: PoqKvCache) -> Tensor:
     """One generation step; past KV read from the cache, current KV full
     precision.  A token_id that is not an integer, or is outside the
-    vocabulary, raises UsageError.  Onto a cache that folds (fold_k) the
-    cache runs the step (PoqKvCache.step); onto any other, model_forward
-    runs it as a one-row chunk."""
+    vocabulary, raises UsageError: the range is checked on the integer, and
+    one outside it goes through check_token_ids for its message.  Onto a
+    cache that folds (fold_k) the cache runs the step (PoqKvCache.step);
+    onto any other, model_forward runs it as a one-row chunk."""
     if not _is_int(token_id):
         raise UsageError(f"decode_step takes one integer token id, got {token_id!r}")
     if cache.length < 1:
         raise KvqError("decode_step requires a non-empty cache (run prefill first)")
-    ids = check_token_ids(np.asarray([token_id]), model.config.vocab_size)
+    if not 0 <= token_id < model.config.vocab_size:
+        check_token_ids([token_id], model.config.vocab_size)  # raises its UsageError
     if cache.fold_k:
-        return cache.step(model, ids)
-    return model_forward(model, ids, cache=cache)
+        return cache.step(model, token_id)
+    return model_forward(model, [token_id], cache=cache)
 
 
 def generate(model: Model, prompt_ids: np.ndarray, n_new: int) -> np.ndarray:

@@ -15,12 +15,17 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ["decode_8", "decode_16", "decode_40", "prefill_48", "score_16", "chunk_20_on_30",
              "calibrate", "save_load", "train_step", "crr_loss"]
 RATIO_KEYS = {"median", "q1", "q3", "wins"}
+# the workloads whose logits are checked against the float64 model
+NUMERIC = {"decode_8", "decode_16", "decode_40", "prefill_48"}
 
 
 def test_tree_against_itself_gives_equal_hashes():
     # tools/ab.py at tiny sizes with this tree as both sides: every workload
     # prints one JSON line with equal hashes for the two imports of A and
-    # for B.  Its timings are not checked
+    # for B, and the decode and prefill workloads each import's largest
+    # |dlogit| against tests/reference.py's float64 model, equal for the
+    # three and within float32 error (measured 7.1e-8 to 9.2e-8).  Its
+    # timings are not checked
     run = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), "--tiny",
                           "--rounds", "2", str(ROOT), str(ROOT)],
                          capture_output=True, text=True, timeout=300)
@@ -28,8 +33,13 @@ def test_tree_against_itself_gives_equal_hashes():
     lines = [json.loads(line) for line in run.stdout.splitlines()]
     assert [doc["workload"] for doc in lines] == WORKLOADS
     for doc in lines:
+        numeric = {"max_dlogit_f64"} if doc["workload"] in NUMERIC else set()
         assert set(doc) == {"workload", "rounds", "a_ms_median", "b_ms_median", "b_over_a",
-                            "a2_over_a", "sha256", "identical"}
+                            "a2_over_a", "sha256", "identical"} | numeric
+        if numeric:
+            errors = doc["max_dlogit_f64"]
+            assert set(errors) == {"a", "b", "a2"} and len(set(errors.values())) == 1
+            assert 0.0 < errors["a"] <= 1e-5, doc["workload"]
         assert doc["rounds"] == 2
         assert set(doc["b_over_a"]) == set(doc["a2_over_a"]) == RATIO_KEYS
         hashes = doc["sha256"]
@@ -77,6 +87,8 @@ def test_codes_hash_one_per_byte_and_decode_times_after_warm_steps(ab, monkeypat
     with monkeypatch.context() as mp:
         mp.setattr(kvq, "decode_step", lambda *a: steps.append(1) or decode_step(*a))
         mp.setattr(ab.time, "perf_counter", lambda: float(len(steps)))
-        seconds, outs = ab.workloads(ab.TINY)["decode_8"](tree)
+        seconds, outs, numerics = ab.workloads(ab.TINY)["decode_8"](tree)
     assert seconds == ab.TINY["steps"] and len(steps) == ab.TINY["warm"] + ab.TINY["steps"]
     assert len(outs) == 1 + len(steps)
+    # without a reference module the float64 check gives null
+    assert numerics() is None

@@ -303,16 +303,20 @@ class TestCache:
             decode_step(m, 0, cache)
 
     def test_positions_written_once(self, monkeypatch):
+        # every write of a cache of codes goes through _store: append's, one
+        # layer at the chunk's rows, and a folding decode step's, every layer
+        # at its one position
         m = quantized(make_model())
         written = np.zeros((m.config.n_layers, m.config.max_seq_len), dtype=np.int64)
-        append = PoqKvCache.append
+        store = PoqKvCache._store
 
-        def counting(cache, li, k_s, *rest):
-            written[li, cache.length : cache.length + k_s.shape[0]] += 1
-            return append(cache, li, k_s, *rest)
+        def counting(cache, y, layers, rows):
+            written[layers, rows] += 1
+            return store(cache, y, layers, rows)
 
-        monkeypatch.setattr(PoqKvCache, "append", counting)
+        monkeypatch.setattr(PoqKvCache, "_store", counting)
         _, cache = prefill(m, IDS)
+        assert cache.fold_k
         decode_step(m, 3, cache)
         assert np.all(written[:, : len(IDS) + 1] == 1)
         assert np.all(written[:, len(IDS) + 1 :] == 0)
@@ -349,9 +353,10 @@ class TestCache:
     def test_step_failing_mid_model_leaves_length(self, monkeypatch):
         # a decode step onto a cache that folds runs the cache's own step
         # (PoqKvCache.step), not block_core: it fails in layer 1's read,
-        # after layer 0 and layer 1 have appended their rows.  The cache must
-        # not advance, and the next step, which overwrites those rows, gives
-        # a fresh cache's logits and codes bit for bit
+        # after layer 0 and layer 1 have put their K/V rows in the step's
+        # buffer, which is stored only after the last layer.  The cache must
+        # not advance, and the next step gives a fresh cache's logits and
+        # codes bit for bit
         m = quantized(smoothed(make_model()))
         _, cache = prefill(m, IDS)
         assert cache.fold_k
@@ -376,20 +381,40 @@ class TestCache:
 
     def test_smoothing_applied_once_per_read(self, monkeypatch):
         # the folded reads take the past K/V straight from the codes: a decode
-        # step maps only its own K and V row to raw space, once each
+        # step maps only its own K and V rows to raw space, once, as one
+        # (2, hidden) pair with the layer's planned (s, delta) rows
+        # (kv_unsmooth), and no row through apply_kv_smoothing
         mq = quantized(smoothed(make_model()))
         _, cache = prefill(mq, IDS)
-        blk, calls = mq.blocks[0], []
-        apply = kvq.model.apply_kv_smoothing
+        blk, c, calls, applied, v_cur = mq.blocks[0], mq.config.hidden_size, [], [], []
 
-        def counting(x, sp, **kwargs):
-            if sp is blk.k.smoothing or sp is blk.v.smoothing:
-                calls.append(("k" if sp is blk.k.smoothing else "v", x.shape[0]))
-            return apply(x, sp, **kwargs)
+        class Seen(np.ndarray):
+            """Records the operand shapes of every ufunc call it takes part in."""
 
-        monkeypatch.setattr(kvq.model, "apply_kv_smoothing", counting)
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls.append((ufunc.__name__, *(np.shape(a) for a in inputs)))
+                plain = lambda a: a.view(np.ndarray) if isinstance(a, Seen) else a
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(map(plain, kwargs["out"]))
+                return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+        apply, read = kvq.model.apply_kv_smoothing, PoqKvCache.read_raw
+
+        def recording(cache, li, q, k_cur, v):
+            if li == 0:
+                v_cur.append(v.copy())
+            return read(cache, li, q, k_cur, v)
+
+        monkeypatch.setattr(kvq.model, "apply_kv_smoothing",
+                            lambda *a, **kw: applied.append(1) or apply(*a, **kw))
+        monkeypatch.setattr(PoqKvCache, "read_raw", recording)
+        cache.kv_unsmooth[0] = cache.kv_unsmooth[0].view(Seen)
         decode_step(mq, 3, cache)
-        assert calls == [("k", 1), ("v", 1)]
+        assert calls == [("multiply", (2, c), (2, c)), ("add", (2, c), (2, c))]
+        assert applied == []
+        # the value row layer 0 attends with is its own, un-smoothed once
+        xn = rms_norm(mq.embed[[3]], blk.attn_norm.reshape(1, -1))
+        assert np.array_equal(v_cur[0], apply(xn @ blk.v.w + blk.v.b, blk.v.smoothing))
 
     @pytest.mark.parametrize("kv_bits", [2, 3, 4, 8])
     def test_append_stores_quantize_tokens_codes(self, kv_bits):
@@ -528,6 +553,10 @@ class TestTokenIds:
         assert np.array_equal(generate(m, IDS[:3].astype(np.uint8), 0), IDS[:3])
         decode_step(m, np.int32(5), cache)
         assert cache.length == 5
+        # the largest id of a narrow integer type is read as itself
+        narrow = decode_step(m, np.uint8(255), cache).data
+        cache.length -= 1
+        assert np.array_equal(narrow, decode_step(m, 255, cache).data)
 
 
 class TestNonFiniteScores:
@@ -795,6 +824,72 @@ class TestFoldStep:
         calls.clear()
         decode_step(m, 3, cache)
         assert calls == ["read_raw" if folds else "block_core"] * m.config.n_layers
+
+
+class TestStepStore:
+    """A decode step onto a cache that folds (PoqKvCache.step) puts every
+    layer's smoothed K and V row in one step buffer and stores it after the
+    last layer: a step that raises stores nothing, and a step that returns
+    has stored each layer's rows as quantize_token codes them."""
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("group, head_dim, n_heads", TestFoldedCacheRead.LAYOUTS)
+    def test_step_stores_its_rows_after_the_last_layer(self, monkeypatch, group, head_dim,
+                                                      n_heads, smooth):
+        # 3 layers, so that layer 1 is neither the first nor the last; POQ on
+        # and off, kv_bits 2, 3, 4 and 8.  A step raises in the MLP of layer
+        # 0, 1 or 2, the layer's last operation, and leaves the codes and
+        # (m, n) at position length byte for byte and length as they were
+        base = make_model(seed=8, n_layers=3, n_heads=n_heads, head_dim=head_dim,
+                          hidden_size=n_heads * head_dim, kv_group_size=group)
+        spread_kv_channels(base, 2.0, seed=8)
+        m = quantized(smoothed(base) if smooth else base)
+        mlp, row_norm = kvq.model.gated_mlp, kvq.model._row_rms_norm
+        for poq in (True, False):
+            for kv_bits in (2, 3, 4, 8):
+                m.config = dataclasses.replace(m.config, poq=poq, kv_bits=kv_bits)
+                _, cache = prefill(m, IDS[:12])
+                assert cache.fold_k
+                pos, case = cache.length, (poq, kv_bits)
+                cache.codes[:, :, pos] = 77
+                cache.params[:, :, :, pos] = np.nan
+                held = cache.codes[:, :, pos].tobytes(), cache.params[:, :, :, pos].tobytes()
+                for fail in range(3):
+                    calls = []
+
+                    def failing(*args, fail=fail, calls=calls):
+                        calls.append(1)
+                        if len(calls) == fail + 1:
+                            raise NumericError(f"injected failure at layer {fail}")
+                        return mlp(*args)
+
+                    monkeypatch.setattr(kvq.model, "gated_mlp", failing)
+                    with pytest.raises(NumericError, match="injected"):
+                        decode_step(m, 5, cache)
+                    monkeypatch.undo()
+                    assert cache.length == pos, (case, fail)
+                    assert cache.codes[:, :, pos].tobytes() == held[0], (case, fail)
+                    assert cache.params[:, :, :, pos].tobytes() == held[1], (case, fail)
+                # a step that returns stores, at pos, every layer's K and V
+                # codes, m and n as quantize_token gives them for the layer's
+                # smoothed row: rms_norm of its input (recorded) times the
+                # k or v weights plus the bias
+                norms = []
+                monkeypatch.setattr(kvq.model, "_row_rms_norm",
+                                    lambda x, gain: norms.append((gain, row_norm(x, gain)))
+                                    or norms[-1][1])
+                decode_step(m, 5, cache)
+                monkeypatch.undo()
+                assert cache.length == pos + 1
+                spec = m.config.token_spec()
+                for li, blk in enumerate(m.blocks):
+                    gain = cache.block_plan[li][0]["attn_norm"]
+                    [xn] = [out for g, out in norms if g is gain]
+                    for j, lin in enumerate((blk.k, blk.v)):
+                        qt = quantize_token(xn @ lin.w + lin.b, spec)
+                        stored = cache.codes[li, j, pos], *cache.params[li, j, :, pos]
+                        for got, want in zip(stored, (qt.codes, qt.m, qt.n)):
+                            assert np.array_equal(got, want[0]), (case, li, j)
 
 
 class TestReadPlan:

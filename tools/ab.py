@@ -46,6 +46,16 @@ round to round.  Per workload one JSON line is printed:
               the first, untimed call; weight codes are hashed one per
               byte, whether a tree holds them so or packed
     identical whether A's and B's hashes are equal
+    max_dlogit_f64
+              decode and prefill workloads only: each import's largest
+              |logit - reference| over the first call's decode steps (all
+              24 of them), or over the prompt's logits for prefill, the
+              reference being the float64 model of its tree's own
+              tests/reference.py (model_logits) over the cache that call
+              filled; computed after the call, outside every timing, and
+              null for a tree without that reference.  Unlike the hash it
+              shows how far a change that moves logits within float32
+              moves them
 
 --tiny runs small sizes for a smoke test; its times mean nothing.
 """
@@ -104,11 +114,23 @@ def load_tree(root: Path, name: str):
     return module
 
 
+def load_reference(root: Path, name: str):
+    """Import root/tests/reference.py as the module name, or None if the
+    tree has none."""
+    path = root / "tests" / "reference.py"
+    if not path.is_file():
+        return None
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class Tree:
     """One import of kvq and the models it builds from the shared seeds."""
 
-    def __init__(self, kvq, sizes: dict, kv_group_size: int):
-        self.kvq = kvq
+    def __init__(self, kvq, sizes: dict, kv_group_size: int, reference=None):
+        self.kvq, self.reference = kvq, reference
         cfg = kvq.ModelConfig(**sizes["config"], kv_group_size=kv_group_size)
         rng = np.random.default_rng(0)
         self.ids = rng.integers(0, 256, cfg.max_seq_len)
@@ -129,20 +151,35 @@ class Tree:
         self.served.config = dataclasses.replace(self.served.config, quant_mode="weight_kv")
 
 
+def max_dlogit(tr: Tree, ids, chunks: list, cache, outs: list):
+    """The largest |logit - reference| of outs, the logits of the last
+    forwards of chunk lengths chunks over ids onto cache, against the
+    float64 model of tr's own tests/reference.py; None without it."""
+    model_logits = getattr(tr.reference, "model_logits", None)
+    if model_logits is None:
+        return None
+    got = np.concatenate(outs)
+    want = model_logits(tr.served, np.asarray(ids), chunks, cache)[-len(got):]
+    return float(np.abs(got - want).max())
+
+
 def workloads(sizes: dict) -> dict:
-    """name -> fn(tree) returning (seconds, outputs)."""
+    """name -> fn(tree) returning (seconds, outputs), and for decode and
+    prefill a third element: a function that gives max_dlogit of the call."""
 
     def decode(ctx):
         def run(tr: Tree):
             kvq = tr.kvq
             logits, cache = kvq.prefill(tr.served, tr.ids[:ctx])
-            outs, nxt = [logits.data], int(np.argmax(logits.data[-1]))
+            outs, ids = [logits.data], list(tr.ids[:ctx])
             for i in range(sizes["warm"] + sizes["steps"]):
                 if i == sizes["warm"]:
                     start = time.perf_counter()
-                outs.append(kvq.decode_step(tr.served, nxt, cache).data)
-                nxt = int(np.argmax(outs[-1][-1]))
-            return time.perf_counter() - start, outs
+                ids.append(int(np.argmax(outs[-1][-1])))
+                outs.append(kvq.decode_step(tr.served, ids[-1], cache).data)
+            t = time.perf_counter() - start
+            chunks = [ctx] + [1] * (len(outs) - 1)
+            return t, outs, lambda: max_dlogit(tr, ids, chunks, cache, outs[1:])
         return run
 
     def timed(fn):
@@ -151,8 +188,9 @@ def workloads(sizes: dict) -> dict:
         return time.perf_counter() - start, out
 
     def prefill(tr: Tree):
-        t, (logits, _) = timed(lambda: tr.kvq.prefill(tr.served, tr.ids[: sizes["prefill"]]))
-        return t, [logits.data]
+        ids = tr.ids[: sizes["prefill"]]
+        t, (logits, cache) = timed(lambda: tr.kvq.prefill(tr.served, ids))
+        return t, [logits.data], lambda: max_dlogit(tr, ids, [len(ids)], cache, [logits.data])
 
     def score(tr: Tree):
         ids = tr.ids[: sizes["score"]]
@@ -250,7 +288,10 @@ def ratio_summary(num: list, den: list) -> dict:
 
 def compare(trees: dict, name: str, fn, rounds: int) -> dict:
     keys = list(trees)
-    hashes = {k: digest(fn(trees[k])[1]) for k in keys}  # the first call also warms up
+    first = {k: fn(trees[k]) for k in keys}  # the first call also warms up
+    hashes = {k: digest(first[k][1]) for k in keys}
+    numerics = {k: first[k][2]() for k in keys if len(first[k]) > 2}
+    del first  # its caches, before the timed calls
     times = {k: [] for k in keys}
     for r in range(rounds):
         for k in keys[r % len(keys):] + keys[: r % len(keys)]:
@@ -261,7 +302,8 @@ def compare(trees: dict, name: str, fn, rounds: int) -> dict:
             "b_ms_median": 1e3 * float(np.median(times["b"])),
             "b_over_a": ratio_summary(times["b"], times["a"]),
             "a2_over_a": ratio_summary(times["a2"], times["a"]),
-            "sha256": hashes, "identical": hashes["a"] == hashes["b"]}
+            "sha256": hashes, "identical": hashes["a"] == hashes["b"],
+            **({"max_dlogit_f64": numerics} if numerics else {})}
 
 
 def main(argv=None) -> int:
@@ -279,7 +321,8 @@ def main(argv=None) -> int:
     unknown = sorted(set(chosen) - set(fns))
     if unknown:
         ap.error(f"unknown workloads {unknown}; choose from {sorted(fns)}")
-    trees = {key: Tree(load_tree(root.resolve(), f"kvq_{key}"), sizes, args.kv_group_size)
+    trees = {key: Tree(load_tree(root.resolve(), f"kvq_{key}"), sizes, args.kv_group_size,
+                       load_reference(root.resolve(), f"reference_{key}"))
              for key, root in (("a", args.tree_a), ("b", args.tree_b), ("a2", args.tree_a))}
     for name in chosen:
         print(json.dumps(compare(trees, name, fns[name], args.rounds)), flush=True)
