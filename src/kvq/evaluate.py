@@ -76,15 +76,19 @@ def _chunks(ids: np.ndarray, max_len: int):
 
 
 def sequence_nll(model: Model, ids: np.ndarray, use_cache: bool = False) -> np.ndarray:
-    """Per-token negative log-likelihoods over all scored positions."""
+    """Per-token negative log-likelihoods over all scored positions.
+
+    Each row with a target (all but a chunk's last) gives its log-sum-exp,
+    taken after subtracting the row's maximum, minus its target's logit,
+    shifted alike: the negated target entry of the float32 log-softmax, bit
+    for bit, with no (T, vocab) log-probability matrix formed."""
     nlls = []
     ids = check_token_ids(ids, model.config.vocab_size, "the scored sequence")
     for chunk in _chunks(ids, model.config.max_seq_len):
-        logits = score_logits(model, chunk, use_cache=use_cache)
-        z = logits - logits.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        targets = chunk[1:]
-        nlls.append(-logp[np.arange(len(targets)), targets])
+        z = score_logits(model, chunk, use_cache=use_cache)[:-1]  # the rows with a target
+        z -= z.max(axis=1, keepdims=True)
+        target = z[np.arange(len(z)), chunk[1:]]
+        nlls.append(np.log(np.exp(z, out=z).sum(axis=1)) - target)
     if not nlls:
         raise KvqError("sequence too short to score (need >= 2 tokens)")
     return np.concatenate(nlls).astype(np.float64)

@@ -5,27 +5,34 @@ quantization.
 There is one core per quantizer kind.  quantize_token and quantize_weight
 turn an array into integer codes plus per-group affine parameters, and
 dequantize maps them back; each works on a 3-d view of all full groups at
-once, with a short tail group as one separate slice.  The KV cache stores
-token codes one per byte.  Weight codes are held (model.Linear) and stored
-(checkpoint) as one bit stream at their width, pack_codes, and unpacked
-(unpack_codes) only where their dequantization is formed.
+once, with a short tail group as one separate slice.  The token core
+(_quantize_token_groups) returns its codes as integral float32; token_codes
+runs it over row blocks and spans and gives each caller what it asks for:
+the codes cast on assignment into an int8 array, with m and n (keep), or the
+round trip as floats, the codes times n plus m written into out, or both.
+The KV cache stores token codes one per byte.  Weight codes are held
+(model.Linear) and stored (checkpoint) as one bit stream at their width,
+pack_codes, and unpacked (unpack_codes) only where their dequantization is
+formed.
 
 Token groups are per row, so the token core takes a chunk ROW_BLOCK rows at
 a time (row_blocks), and its temporaries scale with the block, not with the
-chunk.  quantize_token and with it every round trip (the runtime's POQ-off
-keys and values, weight_activation's activation quantizer and
-fake_quant_token) and the cache append, which stores each block's codes as
-they are made, all run it.  Every row gets the codes, m and n it gets
-alone, and the whole chunk is checked for non-finite values before its
-first block; a chunk of at most ROW_BLOCK rows is one block, stacked and
-checked at once.
+chunk.  quantize_token, every round trip (the runtime's POQ-off keys and
+values, cache-path scoring's past keys and values, weight_activation's
+activation quantizer and fake_quant_token) and both writes of the cache, the
+append, which stores each block's codes as they are made, and the decode
+step's, all run it through token_codes.  A round trip makes no int8 array or
+QuantizedTensor for rows that are never stored.  Every row gets the codes, m
+and n it gets alone, and the whole chunk is checked for non-finite values
+before its first block; a chunk of at most ROW_BLOCK rows is one block,
+stacked and checked at once.
 
 fake_quant_token and fake_quant_weight are the two round trips as plain
-array functions, dequantize(quantize_...(...)): the deployed rounding as
-floats.  Calibration scores its candidates through the runtime's POQ-off
-K/V round trip, and rounds each weight once with fake_quant_weight before
-the K/V smoothing scale divides it: weight groups run along input channels
-and smoothing scales output channels, so w / s has the codes and
+array functions, dequantize(quantize_...(...)) bit for bit: the deployed
+rounding as floats.  Calibration scores its candidates through the runtime's
+POQ-off K/V round trip, and rounds each weight once with fake_quant_weight
+before the K/V smoothing scale divides it: weight groups run along input
+channels and smoothing scales output channels, so w / s has the codes and
 zero-points of w.
 
 Token codes are signed and live in [-2^(N-1), 2^(N-1)-1]; weight codes are
@@ -213,11 +220,16 @@ def _cat(arrays, axis: int) -> np.ndarray:
 
 
 def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
-    """(T, groups * size) codes and (T, groups) m, n of a (T, groups, size) array.
+    """(T, groups, size) codes and (T, groups) m, n of a (T, groups, size)
+    array.  The codes are integral float32: a caller that stores them casts
+    them on assignment into its int8 array, and the round trip takes them
+    as they are (token_codes).
 
     Codes round half away from zero in fewer passes than round_half_away:
     x + copysign(0.5, x) is sign(x) * (|x| + 0.5) exactly, and clipped to the
-    code range, the int8 cast truncates it to the same code.  The groups'
+    code range and truncated, as an int8 cast truncates, it is the code.  A
+    truncated code in (-1, 0) is -0.0, whose product with n adds to m as +0.0
+    does (m is -0.0 only where a group is all -0.0, a constant one).  The groups'
     largest |deviation| is taken over a C-ordered (size, T * groups) copy,
     whose maximum runs along whole rows instead of along each short group:
     2.5-3.4x faster at 128 and 1,792 rows, 1.3 us slower at 2 (2-vCPU Xeon
@@ -238,10 +250,10 @@ def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
     q += centered
     np.maximum(q, spec.code_lo, out=q)  # np.clip, without its wrapper's cost
     np.minimum(q, spec.code_hi, out=q)
-    codes = q.astype(np.int8)
+    np.trunc(q, out=q)
     if any_flat:
-        codes[flat] = 0
-    return codes.reshape(t, k * size), m, n
+        q[flat] = 0.0
+    return q, m, n
 
 
 # Rows per block of a token quantization.  Each block's temporaries (its
@@ -276,26 +288,50 @@ def row_blocks(parts, name: str):
     return ((r, _cat([p[r] for p in parts], 0)) for r in rows)
 
 
+def token_codes(parts, spec: TokenQuantSpec, name: str = "quantize_token", keep=None,
+                out: np.ndarray | None = None) -> np.ndarray | None:
+    """Quantize each of the equal-length (T, C) float32 parts per token
+    group: ROW_BLOCK rows of every part at a time (row_blocks, which checks
+    them and names name in its NumericError), one core call per block and
+    span.  The parts lie along the leading axes of the outputs, in order.
+
+    keep, a (codes, params) pair shaped (..., T, C) and (2, ..., T, groups),
+    receives each part's codes, cast on assignment, and its [m; n].  out,
+    shaped as codes and float32, receives the round trip: the integral
+    float codes times n, written into out, plus m added there in place,
+    dequantize's own arithmetic, so it is dequantize(quantize_token(part))
+    bit for bit with no int8 array.  Either may be a strided view (of a
+    cache's store, say): out's span, its last axis split into groups, is
+    always a view of it.  Returns out."""
+    spans = _spans(parts[0].shape[1], spec.group_size)
+    for rows, y in row_blocks(parts, name):
+        for cols, groups, k, size in spans:
+            q, m, n = _quantize_token_groups(y[:, cols].reshape(len(y), k, size), spec)
+            if keep is not None:
+                lead = keep[0].shape[:-2]
+                keep[0][..., rows, cols] = q.reshape(*lead, -1, k * size)
+                keep[1][0][..., rows, groups] = m.reshape(*lead, -1, k)
+                keep[1][1][..., rows, groups] = n.reshape(*lead, -1, k)
+            if out is not None:
+                dst = out[..., rows, cols].reshape(*out.shape[:-2], -1, k, size)
+                np.multiply(q.reshape(dst.shape), n.reshape(*dst.shape[:-1], 1), out=dst)
+                dst += m.reshape(*dst.shape[:-1], 1)
+            del q, m, n  # before the next span is quantized
+    return out
+
+
 def quantize_token(y: np.ndarray, spec: TokenQuantSpec) -> QuantizedTensor:
-    """Per-token, per-group shifted-symmetric quantization.
+    """Per-token, per-group shifted-symmetric quantization (token_codes).
 
     The full groups are quantized at once as a (rows, groups, group_size)
     view, ROW_BLOCK rows at a time (row_blocks); a short tail group is a
     separate slice with its own statistics.
     """
     y = np.asarray(y, dtype=np.float32)
-    t, c = y.shape
-    blocks, spans = row_blocks((y,), "quantize_token"), _spans(c, spec.group_size)
-    codes = np.empty((t, c), dtype=np.int8)
-    m = np.empty((t, -(-c // spec.group_size)), dtype=np.float32)
-    n = np.empty_like(m)
-    for rows, yb in blocks:
-        for cols, groups, k, size in spans:
-            codes[rows, cols], m[rows, groups], n[rows, groups] = _quantize_token_groups(
-                yb[:, cols].reshape(len(yb), k, size), spec)
-    return QuantizedTensor(
-        kind="token", codes=codes, bits=spec.bits, group_size=spec.group_size, m=m, n=n
-    )
+    codes = np.empty(y.shape, dtype=np.int8)
+    mn = np.empty((2, len(y), -(-y.shape[1] // spec.group_size)), dtype=np.float32)
+    token_codes((y,), spec, keep=(codes, mn))
+    return QuantizedTensor("token", codes, spec.bits, spec.group_size, m=mn[0], n=mn[1])
 
 
 def _quantize_weight_groups(w: np.ndarray, spec: WeightQuantSpec):
@@ -413,8 +449,10 @@ def unpack_codes(stream: np.ndarray, bits: int, shape: tuple[int, ...]) -> np.nd
 
 
 def fake_quant_token(y: np.ndarray, bits: int, group_size: int) -> np.ndarray:
-    """dequantize(quantize_token(y)): a cache's round trip of y as floats."""
-    return dequantize(quantize_token(y, TokenQuantSpec(bits, group_size)))
+    """dequantize(quantize_token(y)): a cache's round trip of y as floats
+    (token_codes' out)."""
+    y = np.asarray(y, dtype=np.float32)
+    return token_codes((y,), TokenQuantSpec(bits, group_size), out=np.empty_like(y))
 
 
 def fake_quant_weight(w: np.ndarray, bits: int, group_size: int) -> np.ndarray:

@@ -12,8 +12,8 @@ import kvq
 from kvq.quantizers import unpack_codes
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ["decode_8", "decode_16", "decode_40", "prefill_48", "score_16", "chunk_20_on_30",
-             "calibrate", "save_load", "train_step", "crr_loss"]
+WORKLOADS = ["decode_8", "decode_16", "decode_40", "prefill_48", "score_8", "score_16", "nll_16",
+             "chunk_20_on_30", "calibrate", "save_load", "train_step", "crr_loss"]
 RATIO_KEYS = {"median", "q1", "q3", "wins"}
 # the workloads whose logits are checked against the float64 model
 NUMERIC = {"decode_8", "decode_16", "decode_40", "prefill_48"}

@@ -282,14 +282,18 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
     init = init_trainables(model2, 0, acts[0])
     wq = quantized_weights(model2, 0)
     quantized = dict(block_arrays(model2.blocks[0]), **{f"{n}_w": w for n, w in wq.items()})
-    held, quantize = [], kvq.model.quantize_token
+    held, token_codes = [], kvq.model.token_codes
 
-    def holding(y, spec):
-        qt = quantize(y, spec)
-        held.append(qt.codes)
-        return qt
+    def holding(parts, spec, name="quantize_token", keep=None, out=None):
+        # the round trip (out) also keeps its codes, as a cache's step does
+        assert keep is None and out is not None
+        t, c = parts[0].shape
+        codes = np.empty((len(parts), t, c), np.int8)
+        params = np.empty((2, len(parts), t, -(-c // spec.group_size)), np.float32)
+        held.extend(codes)
+        return token_codes(parts, spec, name, keep=(codes, params), out=out)
 
-    monkeypatch.setattr(kvq.model, "quantize_token", holding)
+    monkeypatch.setattr(kvq.model, "token_codes", holding)
     t, worst_s = calib.seg_len, 0.0
     for alpha in (0.0, 0.5, 1.0):
         sp_k, sp_v = at_strength(init, alpha)

@@ -28,12 +28,16 @@ from kvq.evaluate import (
 from kvq.model import (
     MODES,
     Model,
+    block_arrays,
+    block_core,
     decode_step,
     model_forward,
     prefill,
     quantize_model_weights,
     spread_kv_channels,
 )
+from kvq.quantizers import apply_kv_smoothing, dequantize, init_smoothing, quantize_token
+from kvq.tensor import linear, rms_norm, rope
 from test_runtime import smoothed
 
 
@@ -98,6 +102,26 @@ class TestScoring:
         expect = -logp[np.arange(len(ids) - 1), ids[1:]]
         assert np.abs(nll - expect).max() < 1e-5
 
+    @pytest.mark.parametrize("use_cache", [False, True])
+    def test_nll_is_the_log_softmax_formula_bit_for_bit(self, use_cache):
+        # each row's log-sum-exp minus its target logit, with no
+        # log-probability matrix, equals the target's entry of the float32
+        # log-softmax, negated, bit for bit: three random W4KV4 models, 200
+        # tokens in chunks of max_seq_len (64)
+        ids = word_corpus(6)[:200]
+        for seed in range(3):
+            m = equivalence_model(seed, quant_mode="weight_kv")
+            want = []
+            for a in range(0, len(ids), m.config.max_seq_len):
+                chunk = ids[a : a + m.config.max_seq_len]
+                logits = score_logits(m, chunk, use_cache=use_cache)
+                z = logits - logits.max(axis=1, keepdims=True)
+                logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+                want.append(-logp[np.arange(len(chunk) - 1), chunk[1:]])
+            got = sequence_nll(m, ids, use_cache=use_cache)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.concatenate(want).astype(np.float64)), seed
+
     def test_cache_path_matches_prefill_path_fp(self):
         m = Model.random(tiny_config(), seed=1)
         ids = word_corpus(1)[:20]
@@ -138,6 +162,30 @@ class TestScoring:
         assert logit_mae(m, m, ids) == 0.0
 
 
+def composed_cache_path(model, ids) -> np.ndarray:
+    """Cache-path logits composed from the public pieces: each block's past
+    K/V are quantize_token's round trip, then apply_kv_smoothing, then (K)
+    rope; its own K/V, the POQ diagonal, are apply_kv_smoothing and rope of
+    the smoothed rows themselves."""
+    cfg, positions = model.config, np.arange(len(ids))
+    rot = lambda k: rope(k, positions, cfg.rope_base, cfg.head_dim)
+
+    def raw(x, sp, trip):
+        x = dequantize(quantize_token(x, cfg.token_spec())) if trip else x
+        return x if sp is None else apply_kv_smoothing(x, sp)
+
+    x = model.embed[ids]
+    for blk in model.blocks:
+        sk, sv = blk.k.smoothing, blk.v.smoothing
+
+        def kv_fn(k_s, v_s, _, sk=sk, sv=sv):
+            return (rot(raw(k_s, sk, True)), raw(v_s, sv, True),
+                    (rot(raw(k_s, sk, False)), raw(v_s, sv, False)))
+
+        x = block_core(cfg, block_arrays(blk), x, positions, kv_fn)
+    return linear(rms_norm(x, model.final_norm.reshape(1, -1)), model.head.w, model.head.b)
+
+
 class TestCachePathOnePass:
     """score_logits(use_cache=True) against the step-by-step cache path,
     within 1e-5.  In weight_activation mode cache-path scoring is the
@@ -167,6 +215,28 @@ class TestCachePathOnePass:
                         else:
                             cacheless = score_logits(model, ids[:n], use_cache=False)
                             assert np.array_equal(got, cacheless), (poq, kv_bits, n)
+
+    @pytest.mark.parametrize("sides", ["", "k", "v", "kv"])
+    def test_equals_round_trip_smoothing_rope_composition(self, sides):
+        # K smoothing only, V only, both and neither; kv_bits 2, 4 and 8,
+        # groups of 8 and of 12 (a tail of 8): the one stacked K|V round
+        # trip, its one un-smoothing and one rope call give the composed
+        # logits byte for byte, over one query block and over three
+        ids = word_corpus(5)[:150]
+        for bits in (2, 4, 8):
+            for group in (8, 12):
+                model = Model.random(tiny_config(kv_bits=bits, kv_group_size=group, max_seq_len=160,
+                                                 quant_mode="weight_kv"), seed=bits)
+                spread_kv_channels(model, log_range=2.0, seed=bits)
+                xn = rms_norm(model.embed[ids[:40]], model.blocks[0].attn_norm.reshape(1, -1))
+                for blk in model.blocks:
+                    for lin in [blk.k] * ("k" in sides) + [blk.v] * ("v" in sides):
+                        lin.absorb(init_smoothing(xn @ lin.w + lin.b))
+                quantize_model_weights(model)
+                for n in (2, 150):
+                    got = score_logits(model, ids[:n], use_cache=True)
+                    want = composed_cache_path(model, ids[:n])
+                    assert got.tobytes() == want.tobytes(), (bits, group, n)
 
 
 class TestDivergence:

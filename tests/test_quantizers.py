@@ -19,6 +19,7 @@ from kvq.quantizers import (
     init_smoothing,
     quantize_token,
     quantize_weight,
+    token_codes,
 )
 from conftest import group_bounds
 
@@ -307,6 +308,81 @@ class TestFakeQuant:
         for w0, bits, gs in fake_quant_cases(12, "weight"):
             expected = dequantize(quantize_weight(w0, WeightQuantSpec(bits, gs)))
             assert np.array_equal(fake_quant_weight(w0, bits, gs), expected)
+
+
+def int8_token_codes(y, spec):
+    """quantize_token's codes, m and n as its core made them while it cast
+    its codes to int8 itself, the cast truncating the clipped y + copysign(0.5,
+    y): the reference the core's integral float codes must match."""
+    t, c = y.shape
+    codes = np.empty((t, c), np.int8)
+    mn = np.empty((2, t, -(-c // spec.group_size)), np.float32)
+    for cols, groups, k, size in _spans(c, spec.group_size):
+        g = y[:, cols].reshape(t, k, size)
+        m = np.add.reduce(g, axis=2) / size
+        centered = g - m[:, :, None]
+        spread = np.abs(centered).max(axis=2)
+        flat = spread < 1e-12
+        n = spread / float(2 ** (spec.bits - 1))
+        n[flat] = 1.0
+        centered /= n[:, :, None]
+        q = np.clip(centered + np.copysign(0.5, centered), spec.code_lo, spec.code_hi)
+        q = q.astype(np.int8)
+        q[flat] = 0
+        codes[:, cols], mn[0][:, groups], mn[1][:, groups] = q.reshape(t, -1), m, n
+    return codes, mn
+
+
+class TestOneTokenCore:
+    """quantize_token, the round trip and every store of codes run one core
+    (token_codes over _quantize_token_groups), whose codes are integral
+    float32."""
+
+    @staticmethod
+    def rows(t, c, seed):
+        # 3-sigma rows, a constant full group, an all -0.0 full group, a
+        # constant tail group, and small values whose codes truncate to -0.0
+        y = (3.0 * np.random.default_rng(seed).normal(size=(t, c))).astype(np.float32)
+        y[0, 8:16] = 0.75
+        y[-1, :8] = -0.0
+        y[t // 2, 24:] = -2.0
+        y[1, :8] = [1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.01]
+        return y
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    @pytest.mark.parametrize("t", [2, ROW_BLOCK + 5])
+    def test_codes_and_round_trip_bit_for_bit(self, bits, t):
+        # hidden 30 in groups of 8: three full groups and a tail of 6.
+        # quantize_token's int8 codes, m and n are the int8 reference's, and
+        # the round trip (out) is dequantize(quantize_token(y)) byte for byte,
+        # -0.0 included, for each of two stacked parts written to a strided
+        # view; keep takes the codes and [m; n] of the same call
+        spec = TokenQuantSpec(bits, 8)
+        parts = (self.rows(t, 30, bits), 2.0 * self.rows(t, 30, bits + 1))
+        out = np.full((t, 2, 30), np.nan, np.float32).swapaxes(0, 1)
+        codes = np.zeros((2, t, 30), np.int8)
+        mn = np.full((2, 2, t, 4), np.nan, np.float32)
+        assert token_codes(parts, spec, keep=(codes, mn), out=out) is out
+        for i, y in enumerate(parts):
+            want_codes, want_mn = int8_token_codes(y, spec)
+            qt = quantize_token(y, spec)
+            for got, want in ((qt.codes, want_codes), (qt.m, want_mn[0]), (qt.n, want_mn[1]),
+                              (codes[i], want_codes), (mn[:, i], want_mn)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+            assert out[i].tobytes() == dequantize(qt).tobytes(), i
+            assert fake_quant_token(y, bits, 8).tobytes() == dequantize(qt).tobytes(), i
+
+    def test_non_finite_rows_store_nothing(self):
+        # a non-finite value in the last row block raises NumericError,
+        # naming the caller, before any block is written to keep or out
+        t = 2 * ROW_BLOCK + 3
+        y = self.rows(t, 30, 0)
+        y[-1, 4] = np.nan
+        codes, mn = np.full((1, t, 30), 5, np.int8), np.full((2, 1, t, 4), 7.0, np.float32)
+        out = np.full((1, t, 30), 9.0, np.float32)
+        with pytest.raises(NumericError, match="cache append"):
+            token_codes((y,), TokenQuantSpec(4, 8), "cache append", keep=(codes, mn), out=out)
+        assert np.all(codes == 5) and np.all(mn == 7.0) and np.all(out == 9.0)
 
 
 class TestGroupBounds:

@@ -43,6 +43,7 @@ from kvq.quantizers import (
     ROW_BLOCK,
     SmoothingParams,
     WeightQuantSpec,
+    _spans,
     init_smoothing,
     quantize_token,
 )
@@ -174,6 +175,45 @@ def gate_everywhere(monkeypatch) -> list:
     return bound_verdicts(monkeypatch)
 
 
+def fancy_diag_attention(q, k, v, n_heads: int, diag, seqs: int = 1):
+    """causal_attention's array loop with its POQ diagonal scored per query
+    block, written into the scores and read back by fancy indexing, as it
+    was before the diagonal took one product and a strided view: the form
+    those must equal bit for bit.  Also returns whether the call took the
+    score bound's path."""
+    t, d = q.shape[0] // seqs, q.shape[1] // n_heads
+    lead = (seqs,) if seqs > 1 else ()
+    heads = lambda a, rows: a.reshape(*lead, rows, n_heads, d).swapaxes(-3, -2)
+    qs = q * np.float32(1.0 / math.sqrt(d))
+    s = k.shape[0] // seqs
+    qh, kh, vh = heads(qs, t), heads(k, s), heads(v, s)
+    kch, vch = heads(diag[0], t), heads(diag[1], t)
+    offset = s - t
+    small = kvq.model._bound_pays(t, s, d) and kvq.model._small_scores(qs, k, v, n_heads, diag, s)
+    if small:
+        v_ones = np.empty((*lead, n_heads, s, d + 1), dtype=np.float32)
+        v_ones[..., :d], v_ones[..., d] = vh, 1.0
+        vh, tri = v_ones, np.tri(min(t, ATTN_BLOCK), dtype=np.float32)
+    out = np.empty((*lead, t, n_heads, d), dtype=np.float32)
+    for a in range(0, t, ATTN_BLOCK):
+        b = min(a + ATTN_BLOCK, t)
+        cols, rows = offset + b, np.arange(b - a)
+        p = np.matmul(qh[..., a:b, :], kh[..., :cols, :].swapaxes(-1, -2))
+        ii = (..., rows, rows + offset + a)
+        p[ii] = np.einsum("...td,...td->...t", qh[..., a:b, :], kch[..., a:b, :])
+        if small:
+            np.exp(p, out=p)
+            p[..., offset + a :] *= tri[: b - a, : b - a]
+        else:
+            sums = kvq.model.exp_causal(p, offset + a)
+        o = np.matmul(p, vh[..., :cols, :])
+        o[..., :d] += p[ii][..., None] * (vch[..., a:b, :] - vh[..., offset + a : cols, :d])
+        if small:
+            o, sums = o[..., :d], o[..., d:]
+        np.divide(o, sums, out=out[..., a:b, :, :].swapaxes(-3, -2))
+    return out.reshape(seqs * t, n_heads * d), small
+
+
 class TestAllHeadsForward:
     """The runtime forward, every head at once, against the float64 model of
     tests/reference.py, which attends one row and one head at a time:
@@ -256,6 +296,25 @@ class TestQueryBlocks:
     def test_stacked_sequences_match_whole_matrix(self, monkeypatch, t, poq):
         self.both_sides(monkeypatch, t, 3 * t, 3 * t, poq, seqs=3)
 
+    @pytest.mark.parametrize("seqs", [1, 2])
+    @pytest.mark.parametrize("offset", [0, 37])
+    @pytest.mark.parametrize("t", [1, 8, 2 * ATTN_BLOCK + 5])
+    def test_poq_diagonal_matches_fancy_index_form(self, t, offset, seqs):
+        # the diagonal's scores formed once and written and read through a
+        # strided view of each block's scores give the outputs of the form
+        # that scored it per block and indexed it, byte for byte, at a
+        # bound-gated scale and at one where exp_causal runs
+        rng = np.random.default_rng(t + offset + seqs)
+        arr = lambda rows: rng.normal(size=(seqs * rows, 32)).astype(np.float32)
+        q, k, v, k_cur, v_cur = arr(t), arr(offset + t), arr(offset + t), arr(t), arr(t)
+        paths = set()
+        for f in (np.float32(0.1), np.float32(20.0)):
+            want, small = fancy_diag_attention(q * f, k * f, v, 4, (k_cur * f, v_cur), seqs)
+            got = causal_attention(q * f, k * f, v, 4, (k_cur * f, v_cur), seqs=seqs)
+            assert got.tobytes() == want.tobytes(), (f, small)
+            paths.add(small)
+        assert paths == ({True, False} if t > ATTN_BLOCK else {False})
+
     def test_multi_block_prefill_identical_to_weight_only(self):
         m = quantized(make_model(seed=3, max_seq_len=320))
         ids = np.random.default_rng(3).integers(0, m.config.vocab_size, 300)
@@ -302,24 +361,33 @@ class TestCache:
         with pytest.raises(KvqError):
             decode_step(m, 0, cache)
 
-    def test_positions_written_once(self, monkeypatch):
-        # every write of a cache of codes goes through _store: append's, one
-        # layer at the chunk's rows, and a folding decode step's, every layer
-        # at its one position
+    def test_positions_written_once(self):
+        # every write of a cache's codes is one assignment per channel span
+        # (one span here: groups of 8 fill hidden 32) to a view of the store:
+        # append's, one layer at the chunk's rows, and a folding decode
+        # step's, every layer at its one position.  Each row is written once
+        targets = []
+
+        class Writes(np.ndarray):
+            """Records the part of the store each assignment writes."""
+
+            def __setitem__(self, key, value):
+                targets.append(self[key])
+                super().__setitem__(key, value)
+
         m = quantized(make_model())
-        written = np.zeros((m.config.n_layers, m.config.max_seq_len), dtype=np.int64)
-        store = PoqKvCache._store
-
-        def counting(cache, y, layers, rows):
-            written[layers, rows] += 1
-            return store(cache, y, layers, rows)
-
-        monkeypatch.setattr(PoqKvCache, "_store", counting)
-        _, cache = prefill(m, IDS)
+        cfg = m.config
+        cache = PoqKvCache(cfg, m.blocks)
+        cache.codes = cache.codes.view(Writes)
+        cache._plan_reads(m.blocks)  # the planned views of the store, now recording
+        model_forward(m, IDS, cache=cache)
         assert cache.fold_k
         decode_step(m, 3, cache)
-        assert np.all(written[:, : len(IDS) + 1] == 1)
-        assert np.all(written[:, len(IDS) + 1 :] == 0)
+        written = np.array([[[sum(np.shares_memory(a, cache.codes[li, j, r]) for a in targets)
+                              for r in range(cfg.max_seq_len)] for j in (0, 1)]
+                            for li in range(cfg.n_layers)])
+        assert np.all(written[:, :, : len(IDS) + 1] == 1)
+        assert np.all(written[:, :, len(IDS) + 1 :] == 0)
 
     def test_length_advances_after_all_layers(self):
         m = make_model()
@@ -891,6 +959,32 @@ class TestStepStore:
                         for got, want in zip(stored, (qt.codes, qt.m, qt.n)):
                             assert np.array_equal(got, want[0]), (case, li, j)
 
+    @pytest.mark.parametrize("group, head_dim, n_heads", TestFoldedCacheRead.LAYOUTS)
+    def test_poq_off_step_quantizes_each_row_once(self, monkeypatch, group, head_dim, n_heads):
+        # with POQ off a step keeps the codes, m and n of the round trip that
+        # attention reads and stores them as they are: one core call per
+        # channel span and layer, on the layer's (K, V) pair, where coding
+        # the rows again for the store took one more call per span.  The
+        # stored rows are quantize_token's
+        # (test_step_stores_its_rows_after_the_last_layer)
+        base = make_model(seed=9, n_layers=3, n_heads=n_heads, head_dim=head_dim,
+                          hidden_size=n_heads * head_dim, kv_group_size=group)
+        spread_kv_channels(base, 2.0, seed=9)
+        m = quantized(smoothed(base))
+        core, calls = kvq.quantizers._quantize_token_groups, []
+        spans = _spans(m.config.hidden_size, group)
+        for kv_bits in (2, 3, 4, 8):
+            m.config = dataclasses.replace(m.config, poq=False, kv_bits=kv_bits)
+            _, cache = prefill(m, IDS[:12])
+            assert cache.fold_k
+            for owner in (kvq.quantizers, kvq.model):  # wherever a caller looks it up
+                monkeypatch.setattr(owner, "_quantize_token_groups", raising=False,
+                                    value=lambda y, spec: calls.append(y.shape) or core(y, spec))
+            calls.clear()
+            decode_step(m, 5, cache)
+            monkeypatch.undo()
+            assert calls == [(2, k, size) for _ in m.blocks for _, _, k, size in spans], kv_bits
+
 
 class TestReadPlan:
     """A cache fixes, once, what every forward onto it needs (_plan_reads)."""
@@ -1105,15 +1199,15 @@ class TestFpCacheRotatedKeys:
     @pytest.mark.parametrize("mode", ["fp", "weight_only"])
     def test_stored_rows_are_rope_of_the_raw_rows(self, monkeypatch, mode):
         m = quantized(make_model(seed=6), mode)
-        cfg, raw = m.config, []
-        raw_kv = kvq.model._raw_kv
+        cfg, raw, append = m.config, [], PoqKvCache.append
+        # without smoothing a chunk's raw keys are its k projection's rows
+        assert all(blk.k.smoothing is None for blk in m.blocks)
 
-        def recording(*args):
-            k, v = raw_kv(*args)
-            raw.append(k)
-            return k, v
+        def recording(cache, li, k_s, *rest):
+            raw.append(k_s.copy())
+            return append(cache, li, k_s, *rest)
 
-        monkeypatch.setattr(kvq.model, "_raw_kv", recording)
+        monkeypatch.setattr(PoqKvCache, "append", recording)
         _, cache = prefill(m, IDS[:10])
         model_forward(m, IDS[10:16], cache=cache)
         for tok in IDS[16:20]:

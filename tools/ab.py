@@ -18,7 +18,11 @@ Workloads, each timed per call:
                             steady loop; at 64 the step's fixed cost
                             dominates, at 896 the read of the past
     prefill_896             one 896-token prefill
-    score_192               192-token cache-path scoring (score_logits)
+    score_64, score_192     cache-path scoring (score_logits) of 64 and 192
+                            tokens; at 64, the benchmark's shortest passage,
+                            a call's fixed cost is about a third of its time
+    nll_192                 perplexity(..., use_cache=True) of 192 tokens,
+                            the request perfbench's score_cached times
     chunk_300_on_600        a 300-row chunk onto a 600-row prefilled cache
     calibrate               calibrate_model (k 2, 1 epoch, 4 x 64 tokens)
     save_load               save_model and load_model of the served model, in
@@ -85,11 +89,13 @@ import numpy as np
 # warm: untimed decode steps before the timed ones; train: (batch, seq_len)
 # of train_step; crr: (segments, seg_len) of crr_loss
 FULL = dict(config={"max_seq_len": 1024}, decode=(64, 384, 896), warm=8, steps=16, prefill=896,
-            score=192, chunk=(600, 300), calib=dict(k=2, epochs=1, segments=4, seg_len=64),
+            score=(64, 192), nll=192, chunk=(600, 300),
+            calib=dict(k=2, epochs=1, segments=4, seg_len=64),
             corpus=4096, train=(2, 64), crr=(4, 64))
 TINY = dict(config=dict(n_layers=2, hidden_size=32, n_heads=2, head_dim=16,
                         intermediate_size=48, max_seq_len=64, weight_group_size=16),
-            decode=(8, 16, 40), warm=8, steps=4, prefill=48, score=16, chunk=(30, 20),
+            decode=(8, 16, 40), warm=8, steps=4, prefill=48, score=(8, 16), nll=16,
+            chunk=(30, 20),
             calib=dict(k=2, epochs=1, segments=2, seg_len=16), corpus=256,
             train=(2, 16), crr=(2, 16))
 
@@ -192,10 +198,17 @@ def workloads(sizes: dict) -> dict:
         t, (logits, cache) = timed(lambda: tr.kvq.prefill(tr.served, ids))
         return t, [logits.data], lambda: max_dlogit(tr, ids, [len(ids)], cache, [logits.data])
 
-    def score(tr: Tree):
-        ids = tr.ids[: sizes["score"]]
-        t, logits = timed(lambda: tr.kvq.evaluate.score_logits(tr.served, ids, use_cache=True))
-        return t, [logits]
+    def score(n):
+        def run(tr: Tree):
+            ids = tr.ids[:n]
+            t, logits = timed(lambda: tr.kvq.evaluate.score_logits(tr.served, ids, use_cache=True))
+            return t, [logits]
+        return run
+
+    def nll(tr: Tree):
+        ids = tr.ids[: sizes["nll"]]
+        t, out = timed(lambda: tr.kvq.perplexity(tr.served, ids, use_cache=True))
+        return t, [np.array([out["perplexity"], out["mean_nll"], out["tokens"]], np.float64)]
 
     def chunk(tr: Tree):
         past, rows = sizes["chunk"]
@@ -248,7 +261,8 @@ def workloads(sizes: dict) -> dict:
 
     past, rows = sizes["chunk"]
     return {**{f"decode_{ctx}": decode(ctx) for ctx in sizes["decode"]},
-            f"prefill_{sizes['prefill']}": prefill, f"score_{sizes['score']}": score,
+            f"prefill_{sizes['prefill']}": prefill,
+            **{f"score_{n}": score(n) for n in sizes["score"]}, f"nll_{sizes['nll']}": nll,
             f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate, "save_load": save_load,
             "train_step": train_step, "crr_loss": crr_loss}
 
