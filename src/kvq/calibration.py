@@ -29,8 +29,9 @@ fp outputs, summed in float64.  The calibration segments have one length,
 so every pass stacks them as rows (see model.block_core): the fp activations
 of every block come from one pass (collect_activations), the statistics init
 from one, and each candidate is scored by one pass over all segments, whose
-mean over every row is the mean of the per-segment losses.  Nothing is
-recorded on the autodiff tape; AdamW is here for train_model.
+mean over every row is the mean of the per-segment losses.  No gradient is
+taken.  AdamW, the optimizer of the dev trainer evaluate.train_model, stays
+in this module, where the benchmark's tracer wraps its step.
 """
 
 from __future__ import annotations
@@ -71,48 +72,45 @@ class CalibConfig:
 
 
 class AdamW:
-    """AdamW at zero weight decay, i.e. Adam, over params at one learning rate.
+    """AdamW at zero weight decay, i.e. Adam, over float32 arrays at one
+    learning rate.  It stays in this module for the benchmark's tracer
+    (perfbench/tracing.py wraps AdamW.step on this class); train_model is
+    its one caller.
 
-    It owns its parameters' arrays: construction gives each parameter a copy
-    of its array, so a step never writes into the array a parameter held when
-    it was passed in.  train_model installs these copies into the model
-    before its first step: the model holds one copy of the weights from the
-    first step on, its original arrays are never written (and are freed
-    unless the caller holds them), and a fit whose step raises leaves the
-    model with the arrays of the last completed step.
+    It owns its parameters: construction copies each array it is given into
+    params, so a step never writes into an array the caller passed in.
+    train_model installs these copies into the model before its first step:
+    the model holds one copy of the weights from the first step on, its
+    original arrays are never written (and are freed unless the caller
+    holds them), and a fit whose step raises leaves the model with the
+    arrays of the last completed step.
 
-    A step updates each parameter, and its moments m and v, in place, through
-    two scratch buffers of the largest parameter's size, in the float32
-    operations, and their order, of the textbook form
+    step(grads) updates each parameter with its gradient, and its moments m
+    and v, in place, through two scratch buffers of the largest parameter's
+    size, in the float32 operations, and their order, of the textbook form
     m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
     p -= lr * (m / c1) / (sqrt(v / c2) + eps), with c = 1 - b^t.  A
-    parameter whose grad is None is skipped.
+    parameter whose gradient is None is skipped.
     """
 
     def __init__(self, params, lr: float):
-        self.params = list(params)
+        self.params = [p.copy() for p in params]
         self.lr = lr
         self.t = 0
-        for p in self.params:
-            p.data = p.data.copy()
-        size = max((p.data.size for p in self.params), default=0)
+        size = max((p.size for p in self.params), default=0)
         scratch = np.empty((2, size), dtype=np.float32)
         # per parameter: its moments m, v and its views a, b of the scratch
-        self.slots = [(np.zeros_like(p.data), np.zeros_like(p.data),
-                       *(buf[: p.data.size].reshape(p.shape) for buf in scratch))
+        self.slots = [(np.zeros_like(p), np.zeros_like(p),
+                       *(buf[: p.size].reshape(p.shape) for buf in scratch))
                       for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.record.grad = None
-
-    def step(self):
+    # the benchmark's tracer (perfbench/tracing.py) wraps AdamW.step on this class
+    def step(self, grads) -> None:
         self.t += 1
         c1, c2 = 1 - ADAM_B1**self.t, 1 - ADAM_B2**self.t
-        for p, (m, v, a, b) in zip(self.params, self.slots):
-            if p.grad is None:
+        for p, g, (m, v, a, b) in zip(self.params, grads, self.slots):
+            if g is None:
                 continue
-            g = p.grad
             m *= ADAM_B1
             m += np.multiply(g, 1 - ADAM_B1, out=a)
             v *= ADAM_B2
@@ -124,7 +122,7 @@ class AdamW:
             b += ADAM_EPS
             a /= b
             a *= self.lr
-            p.data -= a
+            p -= a
 
 
 # -- candidates and their loss ------------------------------------------------

@@ -1,7 +1,9 @@
 """Scoring and comparison harness: byte-level corpus handling, perplexity
 cacheless or through the cache path (one teacher-forced pass, see
 cache_path_forward), logit MAE against an fp reference, greedy divergence,
-and a small trainer so the desk model actually fits a corpus.
+and a small trainer so the desk model actually fits a corpus: the
+language-model loss's forward on arrays, one backward function per op in
+reverse (lm_grads), and Adam steps.
 
 Every score runs the setting in the given model's config (quant_mode, poq,
 kv_bits) over the weights the model holds; to compare settings, score
@@ -22,19 +24,20 @@ from .errors import DataFormatError, KvqError
 from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and decode_step here)
     Model,
     ModelConfig,
+    attention_backward,
     block_arrays,
-    block_core,
     cache_path_forward,
     check_capacity,
     check_token_ids,
     decode_step,
-    fp_kv_fn,
     generate,
     model_forward,
     prefill,
     require_unsmoothed,
+    softmax_attention,
 )
-from .tensor import Tensor, cross_entropy, embedding, linear, rms_norm
+from .tensor import (_check_finite, gated_mlp, gated_mlp_backward, linear, linear_backward,
+                     rms_norm, rms_norm_backward, rope)
 
 BOS = 256
 
@@ -144,45 +147,131 @@ def eval_report(model: Model, ids: np.ndarray, use_cache: bool = False,
 # -- toy trainer --------------------------------------------------------------
 
 
-def lm_tensors(model: Model) -> dict:
-    """A model's weights as Tensors that need a gradient, for lm_loss: embed,
-    final_norm, head_w, head_b, and under blocks each block's block_core
-    weights."""
-    leaf = lambda a: Tensor(a, requires_grad=True)
-    return {"embed": leaf(model.embed), "final_norm": leaf(model.final_norm.reshape(1, -1)),
-            "head_w": leaf(model.head.w), "head_b": leaf(model.head.b),
-            "blocks": [{name: leaf(a) for name, a in block_arrays(blk).items()}
-                       for blk in model.blocks]}
+def lm_weights(model: Model) -> dict:
+    """A model's arrays as lm_grads takes them: embed, final_norm (a (1, C)
+    row), head_w, head_b, and under blocks each block's block_arrays."""
+    return {"embed": model.embed, "final_norm": model.final_norm.reshape(1, -1),
+            "head_w": model.head.w, "head_b": model.head.b,
+            "blocks": [block_arrays(blk) for blk in model.blocks]}
 
 
-def _lm_leaves(p: dict) -> list[Tensor]:
-    return ([p["embed"], p["final_norm"], p["head_w"], p["head_b"]]
-            + [t for w in p["blocks"] for t in w.values()])
+def _leaves(p: dict) -> list[np.ndarray]:
+    """lm_weights' arrays, or lm_grads' gradients, in one flat order."""
+    return [p["embed"], p["final_norm"], p["head_w"], p["head_b"],
+            *(a for w in p["blocks"] for a in w.values())]
 
 
-def lm_loss(cfg: ModelConfig, p: dict, seqs: np.ndarray) -> Tensor:
+def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of integer targets under row-wise
+    softmax, and its gradient to the logits, (softmax - onehot) / rows.  The
+    shifted logits, their exponentials, the probabilities and the gradient
+    share one buffer, so a call holds one (rows, vocab) array beside the
+    logits."""
+    _check_finite("cross_entropy", logits)
+    t = logits.shape[0]
+    p = logits - logits.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    nll = -np.log(np.maximum(p[np.arange(t), targets], 1e-30))
+    p[np.arange(t), targets] -= 1.0
+    p /= t
+    return float(nll.mean()), p
+
+
+def _block_forward(cfg: ModelConfig, w: dict, x: np.ndarray, positions: np.ndarray,
+                   seqs: int) -> tuple[np.ndarray, tuple]:
+    """One block of the fit's forward, block_core's ops on the fp weights w
+    with softmax_attention, and what its backward reads: the two rms_norm
+    inputs and r, the projections' inputs (the normed rows, the attention
+    output and the MLP's normed rows), the rotated q and k, v, the
+    probabilities, and the MLP's g and u."""
+    xq, r_attn = rms_norm(x, w["attn_norm"], keep_r=True)
+    q, k, v = (linear(xq, w[f"{n}_w"], w[f"{n}_b"]) for n in "qkv")
+    for a in (q, k):
+        rope(a, positions, cfg.rope_base, cfg.head_dim, out=a)
+    att, p = softmax_attention(q, k, v, cfg.n_heads, seqs)
+    x1 = x + linear(att, w["o_w"], w["o_b"])
+    xn, r_mlp = rms_norm(x1, w["mlp_norm"], keep_r=True)
+    gu = []
+    y = x1 + gated_mlp(xn, w["gate_w"], w["gate_b"], w["up_w"], w["up_b"], w["down_w"],
+                       w["down_b"], keep=gu)
+    return y, (x, r_attn, xq, q, k, v, p, att, x1, r_mlp, xn, *gu)
+
+
+def _block_backward(cfg: ModelConfig, w: dict, kept: list, g: np.ndarray,
+                    positions: np.ndarray, seqs: int) -> tuple[np.ndarray, dict]:
+    """The gradients of a block's output g to its input and to each of its
+    weights (named and ordered as w), from the arrays _block_forward kept,
+    popped from kept and each freed once its last reader has run.  Each
+    residual add passes g on to both operands, the residual's part first."""
+    x, r_attn, xq, q, k, v, p, att, x1, r_mlp, xn, gate, up = kept.pop()
+    gr = {}
+    gxn, gr["gate_w"], gr["gate_b"], gr["up_w"], gr["up_b"], gr["down_w"], gr["down_b"] = \
+        gated_mlp_backward(g, xn, gate, up, w["gate_w"], w["up_w"], w["down_w"])
+    del xn, gate, up
+    g, gr["mlp_norm"] = rms_norm_backward(gxn, x1, w["mlp_norm"], r_mlp, residual=g)
+    del gxn, x1
+    g_att, gr["o_w"], gr["o_b"] = linear_backward(g, att, w["o_w"])
+    del att
+    gq, gk, gv = attention_backward(g_att, q, k, v, p, cfg.n_heads, seqs)
+    del g_att, q, k, v, p
+    # q's and k's gradients rotated back into fresh arrays: k's, a strided
+    # view for one sequence, would sum its bias gradient in another order
+    gq, gk = (rope(a, positions, cfg.rope_base, cfg.head_dim, transpose=True) for a in (gq, gk))
+    gxq = None
+    for n, ga in (("q", gq), ("k", gk), ("v", gv)):
+        gi, gr[f"{n}_w"], gr[f"{n}_b"] = linear_backward(ga, xq, w[f"{n}_w"])
+        gxq = gi if gxq is None else gxq + gi
+    del gq, gk, gv, ga
+    g, gr["attn_norm"] = rms_norm_backward(gxq, x, w["attn_norm"], r_attn, residual=g)
+    return g, {name: gr[name] for name in w}
+
+
+def lm_grads(cfg: ModelConfig, p: dict, seqs: np.ndarray) -> tuple[float, dict]:
     """Mean next-token NLL of equal-length token windows seqs, (B, T + 1),
-    recorded on the tape in one pass with the sequences stacked as rows: one
-    embedding gather, one block_core per layer and one cross_entropy over
-    all B * T rows, whose mean is the mean of the per-sequence losses.  p is
-    lm_tensors' dict; the KV handler (fp_kv_fn) takes k/v outputs as raw K/V."""
-    kv_fn = fp_kv_fn(cfg)
-    positions = np.arange(seqs.shape[1] - 1)
-    x = embedding(p["embed"], seqs[:, :-1].reshape(-1))
+    and its gradient to every array of p (lm_weights' dict; the gradients
+    in the same structure).
+
+    The windows are stacked as rows, so the mean over all B * T rows is the
+    mean of the per-window losses.  The forward is the embedding gather,
+    one _block_forward per layer, the final rms_norm, the head and
+    cross_entropy, keeping per block only what its backward reads; a
+    reverse loop then runs the head's, the norm's and each block's backward
+    functions, and the embedding's gradient scatter-adds the first block's
+    input gradient onto the rows of the ids.  Its float32 operations, and
+    the order in which gradients meet, are those of the fit's pinned
+    losses and weights (test_losses_and_weights_pinned)."""
+    seqs_n, positions = seqs.shape[0], np.arange(seqs.shape[1] - 1)
+    ids = seqs[:, :-1].reshape(-1)
+    x, kept = p["embed"][ids], []
     for w in p["blocks"]:
-        x = block_core(cfg, w, x, positions, kv_fn)
-    logits = linear(rms_norm(x, p["final_norm"]), p["head_w"], p["head_b"])
-    return cross_entropy(logits, seqs[:, 1:].reshape(-1))
+        x, k = _block_forward(cfg, w, x, positions, seqs_n)
+        kept.append(k)
+    del k  # kept alone holds each block's arrays, so its backward frees them
+    xn, r = rms_norm(x, p["final_norm"], keep_r=True)
+    loss, g = cross_entropy(linear(xn, p["head_w"], p["head_b"]), seqs[:, 1:].reshape(-1))
+    g, head_w, head_b = linear_backward(g, xn, p["head_w"])
+    del xn
+    g, final_norm = rms_norm_backward(g, x, p["final_norm"], r)
+    del x
+    blocks = []
+    for w in reversed(p["blocks"]):
+        g, gw = _block_backward(cfg, w, kept, g, positions, seqs_n)
+        blocks.insert(0, gw)
+    embed = np.zeros_like(p["embed"])
+    np.add.at(embed, ids, g)
+    return loss, {"embed": embed, "final_norm": final_norm, "head_w": head_w, "head_b": head_b,
+                  "blocks": blocks}
 
 
 def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: int = 4,
                 seq_len: int = 64, lr: float = 3e-3, seed: int = 0) -> dict:
     """Brief language-model fit on a byte corpus (dev utility, not calibration).
-    A smoothed model is refused, since lm_loss takes k/v outputs as raw K/V.
+    A smoothed model is refused, since lm_grads takes k/v outputs as raw K/V.
 
     Each step draws batch windows of seq_len + 1 tokens, in order from the
-    seeded generator, and takes one Adam step on their lm_loss: one tape
-    pass over all batch * seq_len rows.
+    seeded generator, and takes one Adam step on their lm_grads: one
+    forward and one backward over all batch * seq_len rows.
 
     The model holds the optimizer's arrays from the first step on, so a fit
     keeps one copy of the weights, and the caller's original arrays are never
@@ -210,25 +299,23 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
     # a window's start is drawn below len - seq_len - 1, so the last window
     # is never drawn; a corpus of exactly one window trains from start 0
     high = max(1, len(corpus_ids) - seq_len - 1)
-    p = lm_tensors(model)
-    opt = AdamW(_lm_leaves(p), lr)
+    opt = AdamW(_leaves(lm_weights(model)), lr)
     # install the optimizer's copies; its steps update them in place
-    model.embed = p["embed"].data
-    model.final_norm = p["final_norm"].data.reshape(-1)
-    model.head.set(p["head_w"].data, p["head_b"].data)
-    for blk, w in zip(model.blocks, p["blocks"]):
-        blk.attn_norm = w["attn_norm"].data.reshape(-1)
-        blk.mlp_norm = w["mlp_norm"].data.reshape(-1)
-        for name, lin in blk.projections().items():
-            lin.set(w[f"{name}_w"].data, w[f"{name}_b"].data)
+    own = iter(opt.params)
+    model.embed, model.final_norm = next(own), next(own).reshape(-1)
+    model.head.set(next(own), next(own))
+    for blk in model.blocks:
+        blk.attn_norm, blk.mlp_norm = next(own).reshape(-1), next(own).reshape(-1)
+        for lin in blk.projections().values():
+            lin.set(next(own), next(own))
+    p = lm_weights(model)
 
     losses = []
     for _ in range(steps):
         starts = [int(rng.integers(0, high)) for _b in range(batch)]
-        opt.zero_grad()
-        loss = lm_loss(cfg, p, np.stack([corpus_ids[a : a + seq_len + 1] for a in starts]))
-        losses.append(loss.item())
-        loss.backward()
-        opt.step()
+        loss, grads = lm_grads(cfg, p, np.stack([corpus_ids[a : a + seq_len + 1] for a in starts]))
+        losses.append(loss)
+        opt.step(_leaves(grads))
+        del grads
     return {"steps": steps, "initial_loss": losses[0] if losses else None,
             "final_loss": losses[-1] if losses else None}

@@ -64,34 +64,34 @@ by then.
 
 Cache protocol: PoqKvCache.length is the one record of how many positions
 the cache holds, and a forward over a chunk starts at that position.  Each
-block's KV handler first appends the chunk's rows at length ..  length+t-1,
+block's KV handler first stores the chunk's rows at length ..  length+t-1,
 then reads the past rows 0 ..  length-1.  A decode step onto a cache that
 folds reads no codes at length (POQ gives the step's own K/V to attention
 at full precision), so it stores every layer's row there at once, after the
 last layer (PoqKvCache.step).  On a cache of codes each write assigns
 quantizers.token_codes' codes and (m, n) to a view of the store (append's,
-or the step's step_store).  model_forward (or the cache's step) advances
+code_rows' for a POQ-off chunk's own round trip, or the step's
+step_store).  model_forward (or the cache's step) advances
 length once, after the last block, so a forward that raises part-way leaves
 length unchanged, and the next forward overwrites any rows it had written;
 a step that raises has written none.
 
 block_core is the one block forward of prefill, chunks, decode steps onto a
-cache that does not fold, cache-path scoring, calibration and training.  It
-treats all heads at once: each of Q and K is
-rotated by a single rope call over (T, n_heads * head_dim), and
-causal_attention computes every head's scores, in-place causal softmax and
-weighted sum together: on the tape the softmax comes before P . V, on
-arrays the query is scaled first and the division comes after P . V.  On
-arrays a call of enough rows first bounds its scores, and when the bound
-is small its blocks exponentiate them as they are, with no finite scan or
-row maximum (causal_attention).  Given
-Tensors (training) the block is recorded on the autodiff tape; the runtime
-forward (prefill, decode_step, cache_path_forward) and calibration pass
-plain float32 arrays and record nothing.  Each caller hands block_core its
-weights and KV handler: model_forward block_arrays and _runtime_kv_fn
-(planned once per cache), calibration a candidate block's arrays and
-_runtime_kv_fn at POQ off, or block_arrays and fp_kv_fn for its fp blocks,
-and training its Tensors and fp_kv_fn.  block_core does not know the fold.
+cache that does not fold, cache-path scoring and calibration, all on
+float32 arrays.  It treats all heads at once: each of Q and K is rotated by
+a single rope call over (T, n_heads * head_dim), and causal_attention
+computes every head's scores, exponentials and weighted sum together, the
+query scaled first and the division after P . V.  A call of enough rows
+first bounds its scores, and when the bound is small its blocks
+exponentiate them as they are, with no finite scan or row maximum
+(causal_attention).  Each caller hands block_core its weights and KV
+handler: model_forward block_arrays and _runtime_kv_fn (planned once per
+cache), calibration a candidate block's arrays and _runtime_kv_fn at POQ
+off, or block_arrays and fp_kv_fn for its fp blocks.  block_core does not
+know the fold.  Training runs the same ops through its own forward, which
+keeps what its backward reads (evaluate.lm_grads), with the whole-matrix
+attention whose probabilities that backward reads (softmax_attention,
+attention_backward).
 
 A decode step onto a cache that folds is the one forward that does not run
 block_core: decode_step hands it to the cache (PoqKvCache.step), which runs
@@ -113,28 +113,27 @@ block_core runs two halves.  The attention half, block_attention, is a
 function of its own (rms_norm, the q/k/v projections, rope, the KV handler,
 attention and the o projection), so on arrays its locals are freed when it
 returns, before the MLP half allocates.  The MLP half is rms_norm and
-tensor.gated_mlp, one tape node whose backward keeps the gate and up
-projections (and its input, when a gate or up weight needs a gradient) and
-recomputes silu and the product.
+tensor.gated_mlp, which frees its gate and up projections as soon as it
+has read them.
 
 Without a cache, block_core also takes B equal-length sequences stacked as
 rows, (B*T, C), each at the same T positions: every op but rope and
 attention works row by row, rope gives each sequence the same table rows,
-and causal_attention masks each sequence on its own (seqs).  Training and
-calibration's candidate losses and activations run a batch in one pass
+and causal_attention masks each sequence on its own (seqs).  Calibration's
+candidate losses and activations, and training, run a batch in one pass
 this way.  A forward onto a cache takes one sequence.  Stacking leaves
 each sequence's attention bit for bit as its one-sequence call computes it;
 only the projections' matmuls see more rows, which can move float32 sums
-(and the weight gradients sum over every sequence).
+(and training's weight gradients sum over every sequence).
 
 Attention on arrays takes the query rows ATTN_BLOCK at a time, so a long
 chunk never holds its whole (heads, T, T) scores matrix and never scores the
 masked keys past a block's last row.  This covers prefill, cacheless
-scoring, cache_path_forward and every cache read but the fold.  One case
-stays one block per sequence, the whole matrix: the tape, whose backward
-keeps one probabilities buffer.  The blocked calls take the score bound
-when their shape pays for it (_bound_pays); the tape, one-row reads and the
-fold run exp_causal, so training and decode keep its order.
+scoring, cache_path_forward and every cache read but the fold; training's
+softmax_attention keeps each sequence's whole matrix, whose probabilities
+its backward reads.  The blocked calls take the score bound when their
+shape pays for it (_bound_pays); one-row reads and the fold run
+exp_causal, so decode keeps its order.
 
 So a long chunk on arrays holds its (T, hidden) activations and the MLP's
 (T, intermediate) projections whole, but each of its largest transients one
@@ -182,6 +181,7 @@ from .quantizers import (
     quantize_weight,
     token_codes,
 )
+# the benchmark's tracer wraps rope and softmax_causal where this module looks them up
 from .tensor import (RMS_EPS, Tensor, _check_finite, aligned_empty, exp_causal, gated_mlp,
                      linear, rms_norm, rope, rope_table, sequences, softmax_causal)
 
@@ -462,9 +462,10 @@ class PoqKvCache:
     codes is read in two forms: the fold (read_raw) for the cache's own
     decode step (step), onto a cache that folds (fold_k), and the
     materialized rows (rows) for every other read.  It is written by
-    append, a chunk's rows one layer at a time, and by step, which stores
-    every layer's row after its last layer; both assign token_codes'
-    codes and (m, n) to views of the store.
+    append, a chunk's rows one layer at a time, through code_rows' views by
+    a POQ-off chunk's own round trip, and by step, which stores every
+    layer's row after its last layer; each assigns token_codes' codes and
+    (m, n) to views of the store.
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
@@ -535,26 +536,35 @@ class PoqKvCache:
         """Store a chunk's KV for layer li at rows length .. length+t-1
         (k_s/v_s smoothed, k_rot rotated raw keys, v_raw raw values): codes of
         k_s and v_s, or k_rot and v_raw themselves in the fp layout.  This is
-        the write of every forward onto a cache but a decode step onto a
-        cache that folds, which stores its rows itself (step).  The codes, m
-        and n are quantize_token's, ROW_BLOCK rows at a time (token_codes),
-        each block stored as it is made.  Rows past the capacity raise
-        CapacityError, and non-finite rows of a quantized cache
-        NumericError, before anything is stored."""
-        t = k_s.shape[0]
-        start = self.length
-        if start + t > self.cfg.max_seq_len:
+        the write of every forward onto a cache but two, which store the
+        codes of their own round trip: a decode step onto a cache that
+        folds (step) and, with POQ off, a chunk onto a cache of codes
+        (_runtime_kv_fn, through code_rows).  The codes, m and n are
+        quantize_token's, ROW_BLOCK rows at a time (token_codes), each block
+        stored as it is made.  Rows past the capacity raise CapacityError,
+        and non-finite rows of a quantized cache NumericError, before
+        anything is stored."""
+        if self.cfg.kv_codes:
+            # token groups are per row, so quantizing a row block of the stacked
+            # K and V rows gives each row the codes of its own quantize_token call
+            token_codes((k_s, v_s), self.spec, "cache append", keep=self.code_rows(li, len(k_s)))
+        else:
+            self.kv[li, :, self._next_rows(len(k_s))] = k_rot, v_raw
+
+    def _next_rows(self, t: int) -> slice:
+        """Rows length .. length+t-1, or CapacityError past the capacity."""
+        if self.length + t > self.cfg.max_seq_len:
             raise CapacityError(
-                f"cache capacity exceeded: {start}+{t} > {self.cfg.max_seq_len}"
+                f"cache capacity exceeded: {self.length}+{t} > {self.cfg.max_seq_len}"
             )
-        if not self.cfg.kv_codes:
-            self.kv[li, :, start : start + t] = k_rot, v_raw
-            return
-        # token groups are per row, so quantizing a row block of the stacked
-        # K and V rows gives each row the codes of its own quantize_token call
-        rows = slice(start, start + t)
-        token_codes((k_s, v_s), self.spec, "cache append",
-                    keep=(self.codes[li, :, rows], self.params[li, :, :, rows].swapaxes(0, 1)))
+        return slice(self.length, self.length + t)
+
+    def code_rows(self, li: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer li's views of a cache of codes at its next t rows, (codes,
+        [m; n]) shaped as token_codes' keep takes them for stacked [K; V]
+        rows; CapacityError past the capacity, before any view is made."""
+        rows = self._next_rows(t)
+        return self.codes[li, :, rows], self.params[li, :, :, rows].swapaxes(0, 1)
 
     def step(self, model: Model, token_id: int) -> Tensor:
         """The (1, vocab) logits of a decode step of token_id, one checked
@@ -844,13 +854,8 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     them, S-T .. S-1.  The heads are (seqs, H, rows, D) views of the inputs,
     (H, rows, D) for one sequence.
 
-    Tensors make one tape node.  Each sequence's whole (H, T, S) scores are
-    scaled by 1/sqrt(D) and become the probabilities in place
-    (softmax_causal); the backward keeps them and, of the inputs, only
-    those a gradient it forms reads (q's reads k and v, k's q and v).
-
-    Arrays record nothing and take fewer passes over the scores.  The (T,
-    H*D) query is scaled once, before any product.  Query rows are taken
+    The (T, H*D) query is scaled once, before any product (training's
+    softmax_attention scales the scores instead).  Query rows are taken
     ATTN_BLOCK at a time: rows [a, b) of every sequence score only the keys
     [0, S-T+b) they can see, in a (seqs, H, b-a, S-T+b) buffer, which
     becomes unnormalized exponentials in place.  Their (H, b-a, D) product
@@ -867,7 +872,7 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     masks the triangle, checks that the scores are finite and subtracts
     each row's maximum.
 
-    On arrays only, the POQ diagonal diag = (k_cur, v_cur), each shaped as
+    The POQ diagonal diag = (k_cur, v_cur), each shaped as
     q, stands in for the keys and values at column S-T+i of query row i:
     with k and v from the cache round trip, every row attends as a decode
     step does.  Its scores, one einsum over all rows, and its value
@@ -882,54 +887,14 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     d = q.shape[1] // n_heads
     scale = np.float32(1.0 / math.sqrt(d))
     lead = (seqs,) if seqs > 1 else ()  # one sequence keeps (H, rows, D) heads
-
-    def heads(a: np.ndarray, rows: int) -> np.ndarray:
-        return a.reshape(*lead, rows, n_heads, d).swapaxes(-3, -2)
-
-    def merge(a: np.ndarray) -> np.ndarray:
-        return a.swapaxes(-3, -2).reshape(-1, n_heads * d)
-
-    if isinstance(q, Tensor):
-        if diag is not None:
-            raise UsageError("the POQ diagonal is an array input; the tape has no backward for it")
-        s = k.shape[0] // seqs
-        rq, rk, rv = q.record, k.record, v.record
-        qh, kh, vh = heads(q.data, t), heads(k.data, s), heads(v.data, s)
-        p = np.matmul(qh, kh.swapaxes(-1, -2))
-        p *= scale
-        softmax_causal(p, s - t)
-        out = merge(np.matmul(p, vh))
-        # q's gradient reads k and v, k's reads q and v, v's only p
-        kh = kh if rq is not None else None
-        qh = qh if rk is not None else None
-        vh = vh if rq is not None or rk is not None else None
-
-        def backward(g):
-            # each gradient is formed only for an input that needs it
-            gh = heads(g, t)
-            if rq is not None or rk is not None:
-                dp = np.matmul(gh, vh.swapaxes(-1, -2))
-                ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-                del dp
-                ds *= scale
-                if rq is not None:
-                    rq.accum(merge(np.matmul(ds, kh)))
-                if rk is not None:
-                    rk.accum(merge(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)))
-            if rv is not None:
-                rv.accum(merge(np.matmul(p.swapaxes(-1, -2), gh)))
-
-        return Tensor._from_op(out, (q, k, v), backward)
-
     qs = q * scale
-    qh = heads(qs, t)
+    qh, kh, vh = (_heads(a, seqs, n_heads) for a in (qs, k, v))
     s = k.shape[0] // seqs
-    kh, vh = heads(k, s), heads(v, s)
     offset = s - t
     if diag is not None:
         # the diagonal's scores and value correction, each formed once
-        diag_p = np.einsum("...td,...td->...t", qh, heads(diag[0], t))
-        diag_v = heads(diag[1], t) - vh[..., offset:, :]
+        diag_p = np.einsum("...td,...td->...t", qh, _heads(diag[0], seqs, n_heads))
+        diag_v = _heads(diag[1], seqs, n_heads) - vh[..., offset:, :]
     small = _bound_pays(t, s, d) and _small_scores(qs, k, v, n_heads, diag, s)
     if small:
         v_ones = np.empty((*lead, n_heads, s, d + 1), dtype=np.float32)
@@ -960,6 +925,45 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     return out.reshape(seqs * t, n_heads * d)
 
 
+def _heads(a: np.ndarray, seqs: int, n_heads: int) -> np.ndarray:
+    """The (rows, H*D) rows of seqs stacked sequences as (seqs, H, rows, D)
+    head views, (H, rows, D) for one sequence."""
+    lead = (seqs,) if seqs > 1 else ()
+    return a.reshape(*lead, a.shape[0] // seqs, n_heads, -1).swapaxes(-3, -2)
+
+
+def _merge(a: np.ndarray) -> np.ndarray:
+    """(..., H, rows, D) heads back as (rows, H*D) rows."""
+    return a.swapaxes(-3, -2).reshape(-1, a.shape[-3] * a.shape[-1])
+
+
+def softmax_attention(q, k, v, n_heads: int, seqs: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Training's attention: causal_attention's value, in other float32
+    arithmetic.  Each sequence's whole (H, T, S) scores are scaled by
+    1/sqrt(D) after the product and become probabilities in place
+    (softmax_causal) before P . V.  Returns the (rows, H*D) output and the
+    probabilities, which attention_backward reads."""
+    t, s = q.shape[0] // seqs, k.shape[0] // seqs
+    p = np.matmul(_heads(q, seqs, n_heads), _heads(k, seqs, n_heads).swapaxes(-1, -2))
+    p *= np.float32(1.0 / math.sqrt(q.shape[1] // n_heads))
+    softmax_causal(p, s - t)
+    return _merge(np.matmul(p, _heads(v, seqs, n_heads))), p
+
+
+def attention_backward(g, q, k, v, p, n_heads: int, seqs: int = 1) -> tuple:
+    """The gradients of softmax_attention's output to q, k and v, given g
+    and the probabilities p it returned: the softmax's backward dS = P *
+    (dP - rowsum(dP * P)) with dP = g V^T, scaled, then dS K, dS^T Q and
+    P^T g."""
+    gh, qh, kh, vh = (_heads(a, seqs, n_heads) for a in (g, q, k, v))
+    dp = np.matmul(gh, vh.swapaxes(-1, -2))
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    del dp
+    ds *= np.float32(1.0 / math.sqrt(qh.shape[-1]))
+    return (_merge(np.matmul(ds, kh)), _merge(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)),
+            _merge(np.matmul(p.swapaxes(-1, -2), gh)))
+
+
 def _act_quant_fn(cfg: ModelConfig):
     if cfg.kv_bits >= 16:
         return lambda x: x
@@ -979,13 +983,14 @@ def _unsmooth_pair(*pair: SmoothingParams | None):
                      [np.full(c, -0.0) if sp is None else sp.delta for sp in pair]], np.float32)
 
 
-def _stacked_kv(k_s, v_s, spec: TokenQuantSpec, unsmooth, current: bool) -> np.ndarray:
+def _stacked_kv(k_s, v_s, spec: TokenQuantSpec, unsmooth, current: bool, keep=None) -> np.ndarray:
     """The raw [K; V] rows of a chunk, (2, 1 + current, T, hidden): the cache
-    round trip of the smoothed k_s and v_s as one stack (token_codes),
-    with current, k_s and v_s themselves after it, then all of them
-    un-smoothed by one multiply and one add with the block's planned pair."""
+    round trip of the smoothed k_s and v_s as one stack (token_codes, which
+    also writes their codes and [m; n] to keep, when given), with current,
+    k_s and v_s themselves after it, then all of them un-smoothed by one
+    multiply and one add with the block's planned pair."""
     kv = np.empty((2, 1 + current, *k_s.shape), dtype=np.float32)
-    token_codes((k_s, v_s), spec, out=kv[:, 0])
+    token_codes((k_s, v_s), spec, keep=keep, out=kv[:, 0])
     if current:
         kv[0, 1], kv[1, 1] = k_s, v_s
     if unsmooth is not None:
@@ -1008,7 +1013,6 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     half (block_attention), then its MLP half, rms_norm and gated_mlp, each
     added to the residual.
 
-    x and the weights are all Tensors (recorded on the tape) or all arrays.
     x stacks equal-length sequences as rows, each at positions (so a row
     count that is not a multiple of len(positions) raises DimensionError).
     kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and
@@ -1019,7 +1023,7 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     does not come here: the cache runs it (PoqKvCache.step).  Every
     caller plugs in through kv_fn, so the surrounding arithmetic is shared
     bit-for-bit.
-    act_fn (arrays only) quantizes the input of every projection.
+    act_fn quantizes the input of every projection.
     """
     x = block_attention(cfg, w, x, positions, kv_fn, act_fn)
     xn = rms_norm(x, w["mlp_norm"])
@@ -1039,8 +1043,7 @@ def block_attention(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, 
     k_s = linear(xq, w["k_w"], w["k_b"])
     v_s = linear(xq, w["v_w"], w["v_b"])
     del xq  # on arrays each is freed once its last reader has run
-    # on arrays q is the projection's own buffer, rotated in place
-    q = rope(q, positions, cfg.rope_base, cfg.head_dim, out=None if isinstance(q, Tensor) else q)
+    q = rope(q, positions, cfg.rope_base, cfg.head_dim, out=q)  # the projection's own buffer
     kv = kv_fn(k_s, v_s, positions)
     del k_s, v_s
     merged = causal_attention(q, *kv[:2], cfg.n_heads, *kv[2:], seqs=seqs)
@@ -1058,30 +1061,38 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: P
     """Un-smooth and rotate the chunk's keys (with POQ off over a cache of
     codes, their round trip: the K and V rows stacked, round-tripped and
     un-smoothed as one array, _stacked_kv, as cache-path scoring's past
-    rows are) and append the chunk's rows to the cache.  Then
-    attention reads the cache's rows (PoqKvCache.rows): its past rows plus
-    the chunk's.  The fold, PoqKvCache.read_raw, is not among them: only the
-    cache's own decode step (PoqKvCache.step) reads it.  A cache needs array
-    inputs of one sequence; stacked sequences raise UsageError."""
+    rows are) and store the chunk's rows in the cache.  With POQ off the
+    round trip writes its codes, m and n straight into the cache's rows
+    (code_rows, which checks the capacity first), so each row is quantized
+    once; every other forward onto a cache appends (PoqKvCache.append).
+    Then attention reads the cache's rows (PoqKvCache.rows): its past rows
+    plus the chunk's.  The fold, PoqKvCache.read_raw, is not among them:
+    only the cache's own decode step (PoqKvCache.step) reads it.  A cache
+    needs array inputs of one sequence; stacked sequences raise
+    UsageError."""
     spec = cfg.token_spec() if cfg.kv_codes and not cfg.poq else None
     smoothing = (blk.k.smoothing, blk.v.smoothing)
     unsmooth = _unsmooth_pair(*smoothing)
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
-        k_raw, v_raw = (_stacked_kv(k_s, v_s, spec, unsmooth, False)[:, 0] if spec is not None
-                        else [x if sp is None else apply_kv_smoothing(x, sp)
-                              for x, sp in zip((k_s, v_s), smoothing)])
+        if cache is not None and k_s.shape[0] != len(positions):
+            raise UsageError(f"a forward onto a cache takes one sequence, got "
+                             f"{k_s.shape[0]} rows at {len(positions)} positions")
+        if spec is not None:
+            keep = None if cache is None else cache.code_rows(li, len(k_s))
+            k_raw, v_raw = _stacked_kv(k_s, v_s, spec, unsmooth, False, keep)[:, 0]
+        else:
+            k_raw, v_raw = [x if sp is None else apply_kv_smoothing(x, sp)
+                            for x, sp in zip((k_s, v_s), smoothing)]
         # un-smoothed or round-tripped keys are a fresh array, rotated in
         # place; k_s itself is left for the append to read
         k_rot = rope(k_raw, positions, cfg.rope_base, cfg.head_dim,
                      out=None if k_raw is k_s else k_raw)
-        if cache is not None:
-            if k_s.shape[0] != len(positions):
-                raise UsageError(f"a forward onto a cache takes one sequence, got "
-                                 f"{k_s.shape[0]} rows at {len(positions)} positions")
+        if cache is None:
+            return k_rot, v_raw
+        if spec is None:
             cache.append(li, k_s, v_s, k_rot, v_raw)
-            return cache.rows(li, k_rot, v_raw)
-        return k_rot, v_raw
+        return cache.rows(li, k_rot, v_raw)
 
     return kv_fn
 

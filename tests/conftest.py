@@ -3,8 +3,7 @@ import pytest
 
 from kvq.errors import KvqError
 from kvq.evaluate import encode_bytes, train_model
-from kvq.model import Model, ModelConfig, block_arrays, spread_kv_channels
-from kvq.tensor import Tensor
+from kvq.model import Model, ModelConfig, spread_kv_channels
 
 WORDS = [b"the ", b"quick ", b"brown ", b"fox ", b"jumps ", b"over ", b"a ", b"dog. "]
 
@@ -31,30 +30,6 @@ def group_bounds(n: int, group_size: int) -> list[tuple[int, int]]:
     return [(a, min(a + group_size, n)) for a in range(0, n, group_size)]
 
 
-def weighted_sum(y: Tensor, w=1.0) -> Tensor:
-    """sum(y * w) as one scalar tape op, summed in float64, whose backward
-    gives y the gradient g * w: how a test makes a loss of an op's output."""
-    w = np.broadcast_to(np.asarray(w, dtype=np.float32), y.shape)
-    record = y.record
-    return Tensor._from_op(np.sum(y.data * w, dtype=np.float64), (y,),
-                           lambda g: record.accum(g * w))
-
-
-def mean_square(y: Tensor) -> Tensor:
-    """mean(y * y) as one scalar tape op, summed in float64, whose backward
-    gives y the gradient 2 g y / size: a loss of an op's output that needs
-    no Tensor arithmetic."""
-    d, record = y.data, y.record
-    return Tensor._from_op(np.mean(d * d, dtype=np.float64), (y,),
-                           lambda g: record.accum(g * 2.0 * d / d.size))
-
-
-def block_tensors(blk) -> dict:
-    """A block's weights as the (non-differentiable) Tensors block_core takes
-    on the tape."""
-    return {name: Tensor(a) for name, a in block_arrays(blk).items()}
-
-
 def central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
     """Float64 central differences of a scalar function f at every entry of x."""
     x = np.asarray(x, dtype=np.float64)
@@ -67,19 +42,21 @@ def central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
     return grad
 
 
-def assert_float64_grads(op, ref, arrs):
-    """The tape's gradients of sum(op(*inputs) * w), for a random w, against
-    float64 central differences of sum(ref(*inputs) * w) at every entry of
-    every input, each within 1e-5 of that input's largest |gradient|."""
-    ts = [Tensor(a, requires_grad=True) for a in arrs]
-    out = op(*ts)
-    w = np.random.default_rng(0).normal(size=out.shape).astype(np.float32)
-    weighted_sum(out, w).backward()
+def assert_float64_grads(op, grads, ref, arrs):
+    """A backward function's gradients of sum(op(*inputs) * w), for a random
+    w, against float64 central differences of sum(ref(*inputs) * w) at every
+    entry of every input, each within 1e-5 of that input's largest
+    |gradient|.  grads(w, *inputs) runs op's forward, keeping what its
+    backward reads, and the backward of w, and returns one gradient per
+    input."""
+    w = np.random.default_rng(0).normal(size=op(*arrs).shape).astype(np.float32)
+    got = grads(w, *arrs)
+    assert len(got) == len(arrs)
     x64 = [np.asarray(a, dtype=np.float64) for a in arrs]
-    for i, t in enumerate(ts):
+    for i, g in enumerate(got):
         f = lambda a: np.sum(ref(*x64[:i], a, *x64[i + 1 :]) * w)
         want = central_diff(f, x64[i], 1e-4)
-        assert np.abs(t.grad - want).max() <= 1e-5 * np.abs(want).max(initial=1e-6)
+        assert np.abs(g - want).max() <= 1e-5 * np.abs(want).max(initial=1e-6)
 
 
 def word_corpus(seed: int, n_words: int = 1000) -> np.ndarray:

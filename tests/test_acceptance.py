@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import (WORDS, block_tensors, central_diff, fitted_model, group_bounds, mean_square,
-                      tiny_config)
+from conftest import WORDS, central_diff, fitted_model, group_bounds, tiny_config
 from test_quantizers import oracle_token, oracle_weight
 
 import kvq.model
@@ -37,14 +36,12 @@ from kvq.calibration import (
     sample_segments,
 )
 from kvq.cli import main
-from kvq.evaluate import logit_mae, perplexity
+from kvq.evaluate import _block_backward, _block_forward, logit_mae, perplexity
 from kvq.model import (
     Model,
     ModelConfig,
     attach_kv_smoothing,
     block_arrays,
-    block_core,
-    fp_kv_fn,
     prefill,
     quantize_model_weights,
 )
@@ -57,7 +54,7 @@ from kvq.quantizers import (
     quantize_token,
     quantize_weight,
 )
-from kvq.tensor import Tensor, rms_norm
+from kvq.tensor import rms_norm
 
 
 def report(capsys, n: int, ok: bool, detail: str) -> None:
@@ -243,10 +240,10 @@ def test_criterion_06_smoothing_roundtrip(capsys):
 
 
 def test_criterion_07_gradient_validity(capsys, monkeypatch):
-    # part 1: the tape's gradients against float64 central differences of
-    # the same function (tests/reference.py) at every entry, with no kink to
-    # screen and no float32 noise floor; the gradients reach 5e-3, and a
-    # relative error's denominator is floored at 1e-6
+    # part 1: training's block backward against float64 central
+    # differences of the same function (tests/reference.py) at every entry,
+    # with no kink to screen and no float32 noise floor; the gradients reach
+    # 5e-3, and a relative error's denominator is floored at 1e-6
     t0 = time.time()
     eps = 1e-5
 
@@ -258,18 +255,21 @@ def test_criterion_07_gradient_validity(capsys, monkeypatch):
     model, _ = fitted_model(0, steps=10)
     cfg = model.config
     x0 = model.embed[np.arange(12) % 250]
-    x = h = Tensor(x0, requires_grad=True)
-    for blk in model.blocks:
-        h = block_core(cfg, block_tensors(blk), h, np.arange(12), fp_kv_fn(cfg))
-    mean_square(h).backward()
     fp_blocks = [block_arrays(blk) for blk in model.blocks]
+    h, kept = x0, []
+    for w in fp_blocks:  # training's block forward, then its backward of mean(h * h)
+        h, k = _block_forward(cfg, w, h, np.arange(12), 1)
+        kept.append(k)
+    g = 2.0 * h / h.size
+    for w in reversed(fp_blocks):
+        g, _ = _block_backward(cfg, w, kept, g, np.arange(12), 1)
 
     def fp_loss(a):
         for w in fp_blocks:
             a = reference.block(cfg, w, a)
         return np.mean(a * a)
 
-    worst_x = rel_err(x.grad, central_diff(fp_loss, x0, eps))
+    worst_x = rel_err(g, central_diff(fp_loss, x0, eps))
 
     # part 2: crr_loss, the runtime's float32 array forward, against the
     # float64 block (reference.calib_block) at the K and V codes of the live
@@ -361,7 +361,7 @@ def test_criterion_09_ablation_directions(capsys, seeds_suite):
         per_layer = []
         for i, blk in enumerate(ms.blocks):
             x = acts[i].reshape(-1, acts[i].shape[-1])
-            xn = rms_norm(Tensor(x), Tensor(blk.attn_norm.reshape(1, -1))).data
+            xn = rms_norm(x, blk.attn_norm.reshape(1, -1))
             per_layer.append((init_smoothing(xn @ blk.k.w + blk.k.b),
                               init_smoothing(xn @ blk.v.w + blk.v.b)))
         attach_kv_smoothing(ms, per_layer)

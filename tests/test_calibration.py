@@ -6,10 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fitted_model, mean_square, tiny_config, word_corpus
+from conftest import fitted_model, tiny_config, word_corpus
 from reference import adam_step
 import kvq.calibration as calibration
-import kvq.tensor
 from kvq.calibration import (
     MAX_EPOCHS,
     AdamW,
@@ -30,7 +29,6 @@ from kvq.errors import CapacityError, DataFormatError, KvqError, UsageError
 from kvq.evaluate import logit_mae
 from kvq.model import Model, ModelConfig, model_forward, quantize_model_weights, spread_kv_channels
 from kvq.quantizers import SmoothingParams, WeightQuantSpec
-from kvq.tensor import Tensor
 
 
 def identity(model):
@@ -63,62 +61,56 @@ class TestConfig:
 class TestAdamW:
     def test_first_step_matches_hand_formula(self):
         # [DERIVED] t=1: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps)
-        p = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
-        p.record.grad = np.array([0.5, -3.0], np.float32)
-        opt = AdamW([p], 0.1)
-        opt.step()
+        opt = AdamW([np.array([1.0, -2.0], np.float32)], 0.1)
+        opt.step([np.array([0.5, -3.0], np.float32)])
         expect = np.array([1.0, -2.0]) - 0.1 * np.sign([0.5, -3.0])
-        assert np.allclose(p.data, expect, atol=1e-6)
+        assert np.allclose(opt.params[0], expect, atol=1e-6)
 
     def test_none_grad_skipped(self):
-        p = Tensor(np.array([1.0], np.float32), requires_grad=True)
-        opt = AdamW([p], 0.1)
-        opt.step()
-        assert p.data[0] == 1.0
+        opt = AdamW([np.array([1.0], np.float32)], 0.1)
+        opt.step([None])
+        assert opt.params[0][0] == 1.0
 
     def test_matches_float64_reference(self):
         # 20 steps of three parameters; each skips every 7th step (grad None)
         # and the grads span four decades.  Measured max |float32 - float64|:
         # 9.0e-7 over seeds 0-19 at |p| up to about 3 (a few float32 ulps)
         rng = np.random.default_rng(0)
-        params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
-                  for s in ((3, 5), (1, 4), (7,))]
-        ref = [(p.data.astype(np.float64), 0.0, 0.0) for p in params]
-        opt = AdamW(params, 0.01)
+        opt = AdamW([rng.normal(size=s).astype(np.float32) for s in ((3, 5), (1, 4), (7,))], 0.01)
+        params = opt.params
+        ref = [(p.astype(np.float64), 0.0, 0.0) for p in params]
         for t in range(1, 21):
-            before = [p.data.copy() for p in params]
+            before = [p.copy() for p in params]
+            grads = []
             for i, p in enumerate(params):
                 scale = 10.0 ** rng.uniform(-3, 1)
-                p.record.grad = (None if (t + i) % 7 == 0
-                          else (rng.normal(size=p.shape) * scale).astype(np.float32))
-            opt.step()
-            for i, (p, old) in enumerate(zip(params, before)):
-                if p.grad is None:
-                    assert np.array_equal(p.data, old)
+                grads.append(None if (t + i) % 7 == 0
+                             else (rng.normal(size=p.shape) * scale).astype(np.float32))
+            opt.step(grads)
+            for i, (p, g, old) in enumerate(zip(params, grads, before)):
+                if g is None:
+                    assert np.array_equal(p, old)
                 else:
                     w, m, v = ref[i]
-                    ref[i] = adam_step(w, p.grad, m, v, t, 0.01)
-                assert np.abs(p.data - ref[i][0]).max() <= 3e-6
+                    ref[i] = adam_step(w, g, m, v, t, 0.01)
+                assert np.abs(p - ref[i][0]).max() <= 3e-6
 
     def test_owns_its_arrays(self):
         # a step updates the optimizer's copy, never the caller's array
         data = np.array([1.0, -2.0], np.float32)
-        p = Tensor(data, requires_grad=True)
-        opt = AdamW([p], 0.1)
-        p.record.grad = np.array([0.5, -3.0], np.float32)
-        opt.step()
-        assert p.data is not data and not np.shares_memory(p.data, data)
-        assert np.array_equal(data, [1.0, -2.0]) and not np.array_equal(p.data, data)
+        opt = AdamW([data], 0.1)
+        opt.step([np.array([0.5, -3.0], np.float32)])
+        p = opt.params[0]
+        assert p is not data and not np.shares_memory(p, data)
+        assert np.array_equal(data, [1.0, -2.0]) and not np.array_equal(p, data)
 
     def test_converges_on_quadratic(self):
-        p = Tensor(np.array([4.0], np.float32), requires_grad=True)
-        opt = AdamW([p], 0.2)
+        # mean(p * p), whose gradient is 2 p / size
+        opt = AdamW([np.array([4.0], np.float32)], 0.2)
+        p = opt.params[0]
         for _ in range(100):
-            loss = mean_square(p)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        assert abs(p.data[0]) < 0.1
+            opt.step([2.0 * p / p.size])
+        assert abs(p[0]) < 0.1
 
 
 class TestLosses:
@@ -382,24 +374,6 @@ class TestCalibrateModel:
             assert bq.k.smoothing is None and bq.v.smoothing is None
             for name, lin in bq.projections().items():
                 assert np.array_equal(lin.wq.codes, br.projections()[name].wq.codes)
-
-    def test_records_no_tape(self, calib_setup, monkeypatch):
-        # calibration runs on arrays: it makes no tape record at all
-        model, corpus, calib, _, _ = calib_setup
-        made = []
-
-        class CountingRecord(kvq.tensor.Record):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                made.append(1)
-                super().__init__(*args)
-
-        monkeypatch.setattr(kvq.tensor, "Record", CountingRecord)
-        Tensor(np.zeros(2), requires_grad=True)
-        assert made == [1]  # the wrapper sees the records that are made
-        calibrate_model(copy.deepcopy(model), corpus, calib)
-        assert made == [1]
 
     def test_finer_grids_hold_the_coarser_ones(self, calib_setup):
         # the grid of epochs e + 1 holds every strength of e's, with the

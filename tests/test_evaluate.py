@@ -6,18 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import tiny_config, weighted_sum, word_corpus
+from conftest import tiny_config, word_corpus
 from kvq import evaluate
 from kvq.calibration import AdamW
 from kvq.errors import CapacityError, DataFormatError, KvqError, NumericError, UsageError
 from kvq.evaluate import (
     BOS,
-    _lm_leaves,
+    _leaves,
     encode_bytes,
     eval_report,
     first_divergence,
-    lm_loss,
-    lm_tensors,
+    lm_grads,
+    lm_weights,
     load_corpus,
     logit_mae,
     perplexity,
@@ -332,9 +332,9 @@ class TestTraining:
         # seq_len + 1 tokens hold one window, so every draw starts at 0
         m = Model.random(tiny_config(), seed=3)
         corpus = word_corpus(3)[:17]
-        want = lm_loss(m.config, lm_tensors(m), np.stack([corpus, corpus]))
+        want, _ = lm_grads(m.config, lm_weights(m), np.stack([corpus, corpus]))
         report = train_model(m, corpus, steps=2, batch=2, seq_len=16, seed=3)
-        assert report["initial_loss"] == want.item()
+        assert report["initial_loss"] == want
         assert report["final_loss"] < report["initial_loss"]
 
     def test_losses_and_weights_pinned(self):
@@ -350,6 +350,23 @@ class TestTraining:
         assert report["final_loss"] == 4.978938102722168
         digest = hashlib.sha256(b"".join(a.tobytes() for a in model_arrays(m))).hexdigest()
         assert digest == "f06eb39db7e93b71c6305b3283da75e11a7244845ee7081c5be4395508581477"
+
+    @pytest.mark.parametrize("batch, seq_len, losses, digest", [
+        (1, 16, (5.558708190917969, 5.308483123779297),
+         "3168cc1471a3e2e2fb177e651904f9e16a3fa5c6dc3a5cfd380411b211ff23ae"),
+        (3, 1, (5.5908732414245605, 5.360497951507568),
+         "766706e0fd081df949886d32f2011e2b47a93fd8df6becbcb5af0b2033dd91c5"),
+    ])
+    def test_losses_and_weights_pinned_at_other_shapes(self, batch, seq_len, losses, digest):
+        # as test_losses_and_weights_pinned, at one window (whose attention
+        # gradients come back as strided views of their heads) and at
+        # one-token windows: the float32 losses and the sha256 of the trained
+        # arrays as the autodiff tape gave them (numpy 2.4, OpenBLAS 0.3,
+        # x86-64)
+        m = Model.random(tiny_config(), seed=0)
+        report = train_model(m, word_corpus(0), steps=3, batch=batch, seq_len=seq_len, seed=1)
+        assert (report["initial_loss"], report["final_loss"]) == losses
+        assert hashlib.sha256(b"".join(a.tobytes() for a in model_arrays(m))).hexdigest() == digest
 
     def test_model_arrays_unwritten_until_write_back(self):
         # the optimizer steps its own copies, which the model holds from the
@@ -377,9 +394,9 @@ class TestTraining:
             calls.append(None)
             if len(calls) == 3:
                 raise NumericError("injected")
-            return lm_loss(*args)
+            return lm_grads(*args)
 
-        monkeypatch.setattr(evaluate, "lm_loss", failing)
+        monkeypatch.setattr(evaluate, "lm_grads", failing)
         m = Model.random(tiny_config(), seed=2)
         with pytest.raises(NumericError, match="injected"):
             train_model(m, corpus, steps=4, batch=2, seq_len=16, seed=2)
@@ -388,33 +405,31 @@ class TestTraining:
     def test_fit_peak_holds_one_copy_of_the_weights(self):
         # the traced peak of a fit, whose model is built inside the window
         # and held by no caller, is at most what the test measures for its
-        # parts: the model's Tensors (the weights once), AdamW's growth on
-        # them (its copy replaces the original: two moments, two scratch
-        # rows, its slots), and one step's tape (a forward and backward of
-        # fixed weights: its activations and one set of gradients), plus a
-        # quarter of a weight copy for the loop's own small objects.  A fit
-        # that kept the caller's arrays beside the optimizer's, or the last
-        # step's gradients through a forward, exceeds it by about a weight
-        # copy (hidden 64: a 2.80 MB peak against a 2.91 MB bound; 3.24 and
-        # 3.27 MB for one of the two, 3.71 MB for both)
+        # parts: the model (the weights once), AdamW's growth on it (its
+        # copy replaces the original: two moments, two scratch rows, its
+        # slots), and one step's lm_grads (a forward and backward: its kept
+        # arrays and one set of gradients), plus a quarter of a weight copy
+        # for the loop's own small objects.  A fit that kept the caller's
+        # arrays beside the optimizer's, or the last step's gradients
+        # through a forward, exceeds it by about a weight copy
         cfg = tiny_config(hidden_size=64, head_dim=32, intermediate_size=128)
         corpus = word_corpus(6)
         seqs = np.stack([corpus[:33], corpus[40:73]])
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            p = lm_tensors(Model.random(cfg, seed=6))
-            leaves = _lm_leaves(p)
-            params = sum(t.data.nbytes for t in leaves)
+            p = lm_weights(Model.random(cfg, seed=6))
+            leaves = _leaves(p)
+            params = sum(a.nbytes for a in leaves)
             model = tracemalloc.get_traced_memory()[0] - before
             before += model
             opt = AdamW(leaves, 1e-3)
-            adam = tracemalloc.get_traced_memory()[0] - before
+            adam = tracemalloc.get_traced_memory()[0] - before - params
             del opt
-            lm_loss(cfg, p, seqs)  # fills the rope table
+            lm_grads(cfg, p, seqs)  # fills the rope table
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            lm_loss(cfg, p, seqs).backward()
+            lm_grads(cfg, p, seqs)
             step = tracemalloc.get_traced_memory()[1] - before
             del p, leaves
             tracemalloc.reset_peak()
@@ -436,8 +451,8 @@ class TestTraining:
 
 
 class TestStackedTrainStep:
-    """A train_model step runs its windows as one lm_loss pass over the
-    stacked rows; lm_loss on each window alone is the reference."""
+    """A train_model step runs its windows as one lm_grads pass over the
+    stacked rows; lm_grads on each window alone is the reference."""
 
     def test_loss_and_gradients_match_per_window_mean(self):
         # measured on seed 7: loss rel diff 0.0, worst gradient diff 6.1e-7 of
@@ -447,30 +462,22 @@ class TestStackedTrainStep:
         corpus = word_corpus(7)
         starts = np.random.default_rng(7).integers(0, len(corpus) - 33, 4)
         seqs = np.stack([corpus[a : a + 33] for a in starts])
-        p = lm_tensors(m)
-        leaves = _lm_leaves(p)
-        stacked = lm_loss(m.config, p, seqs)
-        stacked.backward()
-        grads = [t.grad for t in leaves]
-        for t in leaves:
-            t.record.grad = None
-        per_window = [lm_loss(m.config, p, seq[None]) for seq in seqs]
-        mean = per_window[0]
-        for loss in per_window[1:]:
-            mean = mean + loss
-        mean = weighted_sum(mean, 1.0 / len(seqs))
-        mean.backward()
-        assert abs(stacked.item() - mean.item()) <= 1e-6 * abs(mean.item())
-        for got, t in zip(grads, leaves):
-            assert np.abs(got - t.grad).max() <= 1e-5 * np.abs(t.grad).max()
+        p = lm_weights(m)
+        stacked, grads = lm_grads(m.config, p, seqs)
+        per_window = [lm_grads(m.config, p, seq[None]) for seq in seqs]
+        mean = sum(loss for loss, _ in per_window) / len(seqs)
+        assert abs(stacked - mean) <= 1e-6 * abs(mean)
+        for i, got in enumerate(_leaves(grads)):
+            want = sum(np.float64(1.0) * _leaves(g)[i] for _, g in per_window) / len(seqs)
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
     def test_step_draws_windows_in_order(self):
         # the batch's windows come from successive draws of the seeded
-        # generator, and the first step's loss is their lm_loss
+        # generator, and the first step's loss is their lm_grads loss
         m = Model.random(tiny_config(), seed=4)
         corpus = word_corpus(4)
         rng = np.random.default_rng(9)
         starts = [int(rng.integers(0, len(corpus) - 17)) for _ in range(3)]
-        want = lm_loss(m.config, lm_tensors(m), np.stack([corpus[a : a + 17] for a in starts]))
+        want, _ = lm_grads(m.config, lm_weights(m), np.stack([corpus[a : a + 17] for a in starts]))
         report = train_model(m, corpus, steps=1, batch=3, seq_len=16, seed=9)
-        assert report["initial_loss"] == want.item()
+        assert report["initial_loss"] == want

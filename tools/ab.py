@@ -31,10 +31,8 @@ Workloads, each timed per call:
                             copy of the fp model
     crr_loss                one crr_loss on block 1 (k 2) over 4 x 64-token
                             segments of the fp model, at the
-                            statistics-initialised smoothing: the forward
-                            alone in trees that score on arrays, forward and
-                            backward in older trees, whose loss is a tape
-                            node
+                            statistics-initialised smoothing, scored on
+                            arrays
 
 A round runs each import once per workload, in an order that rotates from
 round to round.  Per workload one JSON line is printed:
@@ -46,9 +44,9 @@ round to round.  Per workload one JSON line is printed:
     sha256    of each import's outputs (logits, or the calibration report
               and weights, or the loaded model's arrays and its 64-token
               cache-path logits, not the file's bytes, or the fitted loss
-              and arrays, or the loss and any smoothing gradients), from
-              the first, untimed call; weight codes are hashed one per
-              byte, whether a tree holds them so or packed
+              and arrays, or the loss), from the first, untimed call;
+              weight codes are hashed one per byte, whether a tree holds
+              them so or packed
     identical whether A's and B's hashes are equal
     max_dlogit_f64
               decode and prefill workloads only: each import's largest
@@ -249,15 +247,8 @@ def workloads(sizes: dict) -> dict:
         init = calibration.init_trainables(tr.fp, 1, x)
         wq = calibration.quantized_weights(tr.fp, 1)
 
-        def step():
-            loss = calibration.crr_loss(tr.fp, 1, x, init, tr.calib, ref, wq)
-            if isinstance(loss, float):  # scored on arrays: no tape, no gradient
-                return loss, []
-            loss.backward()
-            return loss.item(), [p.grad for p in init.smooth_params()]
-
-        t, (loss, grads) = timed(step)
-        return t, [np.float64(loss), *grads]
+        t, loss = timed(lambda: calibration.crr_loss(tr.fp, 1, x, init, tr.calib, ref, wq))
+        return t, [np.float64(loss)]
 
     past, rows = sizes["chunk"]
     return {**{f"decode_{ctx}": decode(ctx) for ctx in sizes["decode"]},
