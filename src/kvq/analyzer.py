@@ -68,8 +68,8 @@ class DeployConfig:
             raise KvqError("batch must be >= 1 and lengths must be >= 0")
         for name in ("weight_bits", "kv_bits", "act_bits"):
             check_bits(name, getattr(self, name))
-        if self.bandwidth_bytes <= 0:
-            raise KvqError("bandwidth must be positive")
+        if not 0 < self.bandwidth_bytes < float("inf"):  # NaN fails too
+            raise KvqError(f"bandwidth must be positive and finite, got {self.bandwidth_bytes}")
 
     @staticmethod
     def for_setting(arch: ArchSpec, setting: str, **kw) -> "DeployConfig":

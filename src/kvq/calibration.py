@@ -44,7 +44,7 @@ from .errors import DataFormatError, KvqError, NumericError, UsageError
 from .model import (DecoderBlockWeights, Linear, Model, _runtime_kv_fn, block_arrays, block_core,
                     check_capacity, check_token_ids, fp_kv_fn, require_unsmoothed)
 from .quantizers import (  # noqa: F401 (the benchmark's tracer wraps fake_quant_token here)
-    SmoothingParams, fake_quant_token, fake_quant_weight, init_smoothing)
+    SmoothingParams, _is_int, check_seed, fake_quant_token, fake_quant_weight, init_smoothing)
 from .tensor import linear, rms_norm
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -55,7 +55,9 @@ MAX_EPOCHS = 6
 @dataclass(frozen=True)
 class CalibConfig:
     """k: the blocks a loss spans; epochs: the grid's halvings, 2^epochs + 1
-    candidates; seed, segments and seg_len: the calibration segments."""
+    candidates; seed, segments and seg_len: the calibration segments.  Each
+    is an integer, not a bool (_is_int), or KvqError; so is a seed below 0
+    (check_seed)."""
 
     k: int = 5
     epochs: int = 2
@@ -64,6 +66,10 @@ class CalibConfig:
     seg_len: int = 256
 
     def __post_init__(self):
+        for name in ("k", "epochs", "segments", "seg_len"):
+            if not _is_int(getattr(self, name)):
+                raise KvqError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_seed(self.seed)
         if self.k < 1:
             raise KvqError(f"k must be >= 1, got {self.k}")
         if self.segments < 1 or self.seg_len < 1 or not 0 <= self.epochs <= MAX_EPOCHS:

@@ -36,6 +36,7 @@ from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and dec
     require_unsmoothed,
     softmax_attention,
 )
+from .quantizers import check_seed
 from .tensor import (_check_finite, gated_mlp, gated_mlp_backward, linear, linear_backward,
                      rms_norm, rms_norm_backward, rope)
 
@@ -278,8 +279,9 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
     written (they are freed unless the caller holds them).  A step's
     gradients are dropped before the next forward.  If a step raises, the
     model keeps the arrays of the last completed step.  steps < 0, batch or
-    seq_len < 1, and an lr that is not finite and positive raise KvqError,
-    and a seq_len past max_seq_len CapacityError."""
+    seq_len < 1, an lr that is not finite and positive, and a seed that is
+    not an integer >= 0 (check_seed) raise KvqError, and a seq_len past
+    max_seq_len CapacityError."""
     from .calibration import AdamW
 
     if steps < 0 or batch < 1 or seq_len < 1:
@@ -295,7 +297,7 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
         raise DataFormatError(
             f"corpus has {len(corpus_ids)} tokens; need at least {seq_len + 1} to train"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     # a window's start is drawn below len - seq_len - 1, so the last window
     # is never drawn; a corpus of exactly one window trains from start 0
     high = max(1, len(corpus_ids) - seq_len - 1)

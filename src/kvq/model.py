@@ -36,17 +36,18 @@ weights.  The fold's cost grows with the number of segments, hidden /
 gcd(kv_group_size, head_dim), hence the threshold.  Every other read, a
 chunk onto a filled cache (one of one row included) and a decode step onto
 a cache of more segments, takes the materialized rows (PoqKvCache.rows): the
-past codes dequantized and un-smoothed, K rotated, with the chunk's own
+past K and V codes dequantized as one (2, past, hidden) stack and
+un-smoothed with the block's planned pair, K rotated, with the chunk's own
 rows last, which causal_attention attends over as it does prefill's.
 An fp cache's read takes the stored rows, the chunk's included, as the
 arrays prefill attends over.  A cache plans its forwards once, when it is
 built (PoqKvCache._plan_reads), so a decode step rebuilds nothing: each
 block's weights and KV handler, and for a quantized cache the token spec,
-smoothing, each layer's views of the store, segment maps, contraction
-matrices and rope tables.  Only a
-quantized cache holds read buffers, one pair (scratch and work), shared by
-the layers and overwritten by every read; the fold uses scratch alone.  Each
-layer's K or V slab of the
+each block's [s; delta] un-smoothing pair (PoqKvCache.unsmooth), each
+layer's views of the store, segment maps, contraction matrices and rope
+tables.  Only a quantized cache holds read buffers, one pair (scratch and
+work) as one array (reads), shared by the layers and overwritten by every
+read; the fold uses scratch alone.  Each layer's K or V slab of the
 store, the read buffers and the rope tables are allocated once on 64-byte
 boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
 elementwise passes in about half the time, and without a fill: append
@@ -76,6 +77,12 @@ length once, after the last block, so a forward that raises part-way leaves
 length unchanged, and the next forward overwrites any rows it had written;
 a step that raises has written none.
 
+One chunk driver (_forward) runs model_forward, with or without a cache,
+and cache_path_forward: the token id and capacity checks, positions,
+embedding, the block loop and the head.  They differ only in the plan they
+hand it, each block's weights and KV handler: the cache's block_plan, the
+cacheless _runtime_kv_fn handlers, or cache-path scoring's _poq_kv_fn.
+
 block_core is the one block forward of prefill, chunks, decode steps onto a
 cache that does not fold, cache-path scoring and calibration, all on
 float32 arrays.  It treats all heads at once: each of Q and K is rotated by
@@ -85,9 +92,9 @@ query scaled first and the division after P . V.  A call of enough rows
 first bounds its scores, and when the bound is small its blocks
 exponentiate them as they are, with no finite scan or row maximum
 (causal_attention).  Each caller hands block_core its weights and KV
-handler: model_forward block_arrays and _runtime_kv_fn (planned once per
-cache), calibration a candidate block's arrays and _runtime_kv_fn at POQ
-off, or block_arrays and fp_kv_fn for its fp blocks.  block_core does not
+handler: the chunk driver its plan's (planned once per cache), calibration
+a candidate block's arrays and _runtime_kv_fn at POQ off, or block_arrays
+and fp_kv_fn for its fp blocks.  block_core does not
 know the fold.  Training runs the same ops through its own forward, which
 keeps what its backward reads (evaluate.lm_grads), with the whole-matrix
 attention whose probabilities that backward reads (softmax_attention,
@@ -118,8 +125,11 @@ has read them.
 
 Without a cache, block_core also takes B equal-length sequences stacked as
 rows, (B*T, C), each at the same T positions: every op but rope and
-attention works row by row, rope gives each sequence the same table rows,
-and causal_attention masks each sequence on its own (seqs).  Calibration's
+attention works row by row, rope gives each sequence the same table rows
+(and refuses a row count that is not a multiple of T), and
+causal_attention masks each sequence on its own (seqs).  Attention, the
+runtime's and training's, always takes (seqs, H, rows, D) heads (_heads),
+one sequence included.  Calibration's
 candidate losses and activations, and training, run a batch in one pass
 this way.  A forward onto a cache takes one sequence.  Stacking leaves
 each sequence's attention bit for bit as its one-sequence call computes it;
@@ -175,6 +185,7 @@ from .quantizers import (
     absorb_smoothing,
     apply_kv_smoothing,
     check_bits,
+    check_seed,
     dequantize,
     pack_codes,
     quantize_token,  # noqa: F401 (the benchmark's tracer wraps quantize_token here)
@@ -183,7 +194,7 @@ from .quantizers import (
 )
 # the benchmark's tracer wraps rope and softmax_causal where this module looks them up
 from .tensor import (RMS_EPS, Tensor, _check_finite, aligned_empty, exp_causal, gated_mlp,
-                     linear, rms_norm, rope, rope_table, sequences, softmax_causal)
+                     linear, rms_norm, rope, rope_table, softmax_causal)
 
 MODES = ("fp", "weight_kv", "weight_activation")
 # a block's projections, in DecoderBlockWeights order
@@ -236,14 +247,10 @@ class ModelConfig:
             check_bits(name, getattr(self, name))
 
     @property
-    def kv_quantized(self) -> bool:
-        return self.kv_bits < 16
-
-    @property
     def kv_codes(self) -> bool:
         """Whether a cache of this config stores K/V as token codes; every
         other cache stores them as float32 rows."""
-        return self.quant_mode == "weight_kv" and self.kv_quantized
+        return self.quant_mode == "weight_kv" and self.kv_bits < 16
 
     def token_spec(self) -> TokenQuantSpec:
         return TokenQuantSpec(bits=self.kv_bits, group_size=self.kv_group_size)
@@ -326,24 +333,19 @@ class DecoderBlockWeights:
         return {name: getattr(self, name) for name in PROJECTIONS}
 
 
+@dataclass(eq=False)
 class Model:
-    def __init__(
-        self,
-        config: ModelConfig,
-        embed: np.ndarray,
-        blocks: list[DecoderBlockWeights],
-        final_norm: np.ndarray,
-        head: Linear,
-    ):
-        self.config = config
-        self.embed = embed
-        self.blocks = blocks
-        self.final_norm = final_norm
-        self.head = head
+    config: ModelConfig
+    embed: np.ndarray
+    blocks: list[DecoderBlockWeights]
+    final_norm: np.ndarray
+    head: Linear
 
     @staticmethod
     def random(config: ModelConfig, seed: int = 0) -> "Model":
-        rng = np.random.default_rng(seed)
+        """A model of config with seeded random weights; a seed that is not
+        an integer >= 0 raises KvqError (check_seed)."""
+        rng = np.random.default_rng(check_seed(seed))
         c, v = config.hidden_size, config.vocab_size
         std = 0.02
         res_std = std / np.sqrt(2.0 * config.n_layers)
@@ -453,7 +455,8 @@ class PoqKvCache:
     hidden): K rows rotated at append, and V rows raw.  Each (max_seq_len,
     ...) slab is row-major and starts on tensor.ALIGN.  Only a cache of codes
     holds read buffers, one (max_seq_len, hidden) float32 pair, scratch and
-    work, shared by the layers and overwritten by every read.
+    work, held as one (2, max_seq_len, hidden) array (reads), shared by the
+    layers and overwritten by every read.
 
     cfg is the config the cache was built with, kept as given (a ModelConfig
     cannot change), the setting of every forward onto it, and the cache
@@ -476,7 +479,8 @@ class PoqKvCache:
             g = -(-c // cfg.kv_group_size)
             self.codes = aligned_empty((t, c), np.int8, count=2 * n).reshape(n, 2, t, c)
             self.params = aligned_empty((t, g), count=4 * n).reshape(n, 2, 2, t, g)
-            self.scratch, self.work = aligned_empty((t, c), count=2)
+            self.reads = aligned_empty((t, c), count=2)
+            self.scratch, self.work = self.reads
         else:
             self.kv = aligned_empty((t, c), count=2 * n).reshape(n, 2, t, c)
         self.fold_k = False
@@ -490,44 +494,45 @@ class PoqKvCache:
         (block_plan); the weights are also the step's.  The handlers reach
         the cache through a weak proxy, so the plan makes no reference cycle
         and the cache is freed with its last user.  A cache of codes
-        (cfg.kv_codes) adds the token spec, each layer's smoothing, each
-        layer's views of the store for the reads (layer_reads), the config's
-        read plan, built for this cache (_config_read_plan) and, when decode
-        steps fold (fold_k), the store's views that a step writes
-        (step_store), each layer's K/V un-smoothing pair for the step
-        (kv_unsmooth, _unsmooth_pair), V smoothing per segment and K
-        contraction matrix k_fold = [C; -C]: C = [segment ones * s | delta
-        per head], or the segment ones without K smoothing.  A fold read's
-        six slices of the store took about 1.7 us from the whole store and
-        1.0 us from a layer's planned views.
+        (cfg.kv_codes) adds the token spec, each block's K/V un-smoothing
+        pair (unsmooth, _unsmooth_pair), which the materialized read (rows),
+        the step and the POQ-off handler all take, and the config's read
+        plan, built for this cache (_config_read_plan).  When decode steps
+        fold (fold_k) it also plans each layer's views of the store for the
+        fold's reads (layer_reads), the store's views that a step writes
+        (step_store), V smoothing per segment and K contraction matrix k_fold
+        = [C; -C]: C = [segment ones * s | delta per head], or the segment
+        ones without K smoothing.  A fold read's six slices of the store took
+        about 1.7 us from the whole store and 1.0 us from a layer's planned
+        views.
         """
         cfg = self.cfg
         proxy = weakref.proxy(self)
+        if cfg.kv_codes:
+            self.spec = cfg.token_spec()
+            self.unsmooth = [_unsmooth_pair(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
         self.block_plan = [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, proxy))
                            for li, blk in enumerate(blocks)]
         if not cfg.kv_codes:
             return
-        self.spec = cfg.token_spec()
-        self.kv_smoothing = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
-        # each layer's views of the store: the (codes, m, n) of its K and of
-        # its V, which reads take
-        self.layer_reads = [[(self.codes[li, j], *self.params[li, j]) for j in (0, 1)]
-                            for li in range(cfg.n_layers)]
         vars(self).update(_config_read_plan(cfg))
         if not self.fold_k:
             return
+        # each layer's views of the store: the (codes, m, n) of its K and of
+        # its V, which the fold reads
+        self.layer_reads = [[(self.codes[li, j], *self.params[li, j]) for j in (0, 1)]
+                            for li in range(cfg.n_layers)]
         # views of the store with its [layer, K/V] axes as one, which a step
         # writes its 2 * n_layers rows to: codes and [m; n]
         params = self.params.transpose(2, 0, 1, 3, 4)  # [m; n] first
         self.step_store = (self.codes.reshape(-1, *self.codes.shape[2:]),
                            params.reshape(2, -1, *params.shape[3:]))
-        self.kv_unsmooth = [_unsmooth_pair(*pair) for pair in self.kv_smoothing]
         w = self.seg_width
         self.v_seg_smoothing = [None if sp is None else (sp.s.reshape(-1, 1, w),
                                                          sp.delta.reshape(-1, 1, w))
-                                for _, sp in self.kv_smoothing]
+                                for sp in (blk.v.smoothing for blk in blocks)]
         self.k_fold = []
-        for sp, _ in self.kv_smoothing:
+        for sp in (blk.k.smoothing for blk in blocks):
             fold = self.seg_ones if sp is None else np.concatenate(
                 [self.seg_ones * sp.s[:, None], self.head_ones * sp.delta[:, None]], 1)
             self.k_fold.append(np.concatenate([fold, -fold]))
@@ -575,7 +580,7 @@ class PoqKvCache:
         expressions in the same order, so every logit, code and (m, n) is
         the one block_core gives.  Per layer: rms_norm; the q/k/v products,
         K and V into the layer's rows of one (n_layers, 2, hidden) step
-        buffer; K and V un-smoothed together (kv_unsmooth, or with POQ off
+        buffer; K and V un-smoothed together (unsmooth, or with POQ off
         after their round trip, whose codes, m and n it keeps for the
         store); q and k rotated as one (2, hidden) array at
         the step's row of the rope table; the fold (read_raw); the o
@@ -619,7 +624,7 @@ class PoqKvCache:
             at = slice(2 * li, 2 * li + 2)
             y = kv[li] if cfg.poq else token_codes((kv[li],), self.spec,
                                                    keep=(codes[at], params[:, at]), out=raw)
-            sp = self.kv_unsmooth[li]
+            sp = self.unsmooth[li]
             if sp is None:
                 raw[...] = y
             else:
@@ -688,27 +693,27 @@ class PoqKvCache:
         """Layer li's raw K (rotated) and V rows 0 .. length+t-1 that
         causal_attention reads, the chunk's own k_cur (rotated) and v_cur
         last, after append stored them.  An fp cache gives its stored rows,
-        and a cache of codes without a past the chunk's.  Otherwise the past
-        codes are dequantized and un-smoothed in place, K in the scratch
-        buffer, where it is also rotated, and V in the work buffer."""
+        and a cache of codes without a past the chunk's.  Otherwise layer
+        li's past K and V codes are read as one (2, past, hidden) stack into
+        the read buffers (reads: K in scratch, V in work): one dequantize
+        call, then one multiply and one add with the block's planned [s;
+        delta] pair (unsmooth), then one rope of K, in place."""
         cfg, past = self.cfg, self.length
         end = past + k_cur.shape[0]
         if not cfg.kv_codes:
             return self.kv[li, 0, :end], self.kv[li, 1, :end]
         if not past:
             return k_cur, v_cur
-        k, v = self.scratch[:end], self.work[:end]
-        spec = self.spec
-        for x, (codes, m, n), sp, cur in zip((k, v), self.layer_reads[li], self.kv_smoothing[li],
-                                             (k_cur, v_cur)):
-            qt = QuantizedTensor("token", codes[:past], spec.bits, spec.group_size,
-                                 m=m[:past], n=n[:past])
-            dequantize(qt, out=x[:past])
-            if sp is not None:
-                apply_kv_smoothing(x[:past], sp, out=x[:past])
-            x[past:] = cur
-        rope(k[:past], np.arange(past), cfg.rope_base, cfg.head_dim, out=k[:past])
-        return k, v
+        kv, mn = self.reads[:, :end], self.params[li, :, :, :past]
+        y, sp = kv[:, :past], self.unsmooth[li]
+        dequantize(QuantizedTensor("token", self.codes[li, :, :past], self.spec.bits,
+                                   self.spec.group_size, m=mn[:, 0], n=mn[:, 1]), out=y)
+        if sp is not None:
+            y *= sp[0][:, None]
+            y += sp[1][:, None]
+        kv[0, past:], kv[1, past:] = k_cur, v_cur
+        rope(y[0], np.arange(past), cfg.rope_base, cfg.head_dim, out=y[0])
+        return kv[0], kv[1]
 
     def _folded_k(self, li: int, qh: np.ndarray, k_cur: np.ndarray) -> np.ndarray:
         """The (H, 1, length + 1) scores of the (H, 1, head_dim) query heads
@@ -851,16 +856,16 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
 
     Each sequence attends only within itself.  Its k and v rows are (S, H*D)
     at positions 0 .. S-1, and its q rows are (T, H*D) at the last T of
-    them, S-T .. S-1.  The heads are (seqs, H, rows, D) views of the inputs,
-    (H, rows, D) for one sequence.
+    them, S-T .. S-1.  The heads are (seqs, H, rows, D) views of the inputs
+    (_heads), one sequence included.
 
     The (T, H*D) query is scaled once, before any product (training's
     softmax_attention scales the scores instead).  Query rows are taken
     ATTN_BLOCK at a time: rows [a, b) of every sequence score only the keys
     [0, S-T+b) they can see, in a (seqs, H, b-a, S-T+b) buffer, which
-    becomes unnormalized exponentials in place.  Their (H, b-a, D) product
-    with the values is then divided by the row sums, and written to the
-    block's rows of the output.
+    becomes unnormalized exponentials in place.  Their (seqs, H, b-a, D)
+    product with the values is then divided by the row sums, and written to
+    the block's rows of the output.
 
     A call whose shape pays for it (_bound_pays: T * S >= D * (T + S))
     first bounds every score (_small_scores).  When the bound is at most
@@ -886,7 +891,6 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
     t = q.shape[0] // seqs
     d = q.shape[1] // n_heads
     scale = np.float32(1.0 / math.sqrt(d))
-    lead = (seqs,) if seqs > 1 else ()  # one sequence keeps (H, rows, D) heads
     qs = q * scale
     qh, kh, vh = (_heads(a, seqs, n_heads) for a in (qs, k, v))
     s = k.shape[0] // seqs
@@ -897,12 +901,12 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
         diag_v = _heads(diag[1], seqs, n_heads) - vh[..., offset:, :]
     small = _bound_pays(t, s, d) and _small_scores(qs, k, v, n_heads, diag, s)
     if small:
-        v_ones = np.empty((*lead, n_heads, s, d + 1), dtype=np.float32)
+        v_ones = np.empty((seqs, n_heads, s, d + 1), dtype=np.float32)
         v_ones[..., :d] = vh
         v_ones[..., d] = 1.0
         vh = v_ones
         tri = np.tri(min(t, ATTN_BLOCK), dtype=np.float32)
-    out = np.empty((*lead, t, n_heads, d), dtype=qh.dtype)
+    out = np.empty((seqs, t, n_heads, d), dtype=qh.dtype)
     for a in range(0, t, ATTN_BLOCK):
         b = min(a + ATTN_BLOCK, t)
         cols = offset + b
@@ -927,9 +931,8 @@ def causal_attention(q, k, v, n_heads: int, diag=None, seqs: int = 1):
 
 def _heads(a: np.ndarray, seqs: int, n_heads: int) -> np.ndarray:
     """The (rows, H*D) rows of seqs stacked sequences as (seqs, H, rows, D)
-    head views, (H, rows, D) for one sequence."""
-    lead = (seqs,) if seqs > 1 else ()
-    return a.reshape(*lead, a.shape[0] // seqs, n_heads, -1).swapaxes(-3, -2)
+    head views, one sequence included."""
+    return a.reshape(seqs, a.shape[0] // seqs, n_heads, -1).swapaxes(1, 2)
 
 
 def _merge(a: np.ndarray) -> np.ndarray:
@@ -942,7 +945,7 @@ def softmax_attention(q, k, v, n_heads: int, seqs: int = 1) -> tuple[np.ndarray,
     arithmetic.  Each sequence's whole (H, T, S) scores are scaled by
     1/sqrt(D) after the product and become probabilities in place
     (softmax_causal) before P . V.  Returns the (rows, H*D) output and the
-    probabilities, which attention_backward reads."""
+    (seqs, H, T, S) probabilities, which attention_backward reads."""
     t, s = q.shape[0] // seqs, k.shape[0] // seqs
     p = np.matmul(_heads(q, seqs, n_heads), _heads(k, seqs, n_heads).swapaxes(-1, -2))
     p *= np.float32(1.0 / math.sqrt(q.shape[1] // n_heads))
@@ -1013,8 +1016,9 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     half (block_attention), then its MLP half, rms_norm and gated_mlp, each
     added to the residual.
 
-    x stacks equal-length sequences as rows, each at positions (so a row
-    count that is not a multiple of len(positions) raises DimensionError).
+    x stacks equal-length sequences as rows, each at positions (rope
+    refuses a row count that is not a multiple of len(positions) with
+    DimensionError).
     kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and
     returns (k_all_rotated, v_all): raw-space attention inputs covering past
     + current tokens of each sequence, the chunk's rows last, so the causal
@@ -1037,13 +1041,15 @@ def block_attention(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, 
     """block_core's attention half: x plus the o projection of the attention
     of rms_norm(x)'s rotated q over what kv_fn makes of its k and v."""
     aq = act_fn if act_fn is not None else (lambda y: y)
-    seqs = sequences(x.shape[0], positions)
     xq = aq(rms_norm(x, w["attn_norm"]))
     q = linear(xq, w["q_w"], w["q_b"])
     k_s = linear(xq, w["k_w"], w["k_b"])
     v_s = linear(xq, w["v_w"], w["v_b"])
     del xq  # on arrays each is freed once its last reader has run
-    q = rope(q, positions, cfg.rope_base, cfg.head_dim, out=q)  # the projection's own buffer
+    # in the projection's own buffer; rope refuses rows that do not stack
+    # whole sequences of len(positions) rows
+    q = rope(q, positions, cfg.rope_base, cfg.head_dim, out=q)
+    seqs = len(q) // len(positions) if len(positions) else 1
     kv = kv_fn(k_s, v_s, positions)
     del k_s, v_s
     merged = causal_attention(q, *kv[:2], cfg.n_heads, *kv[2:], seqs=seqs)
@@ -1057,7 +1063,8 @@ def fp_kv_fn(cfg: ModelConfig):
     return lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s)
 
 
-def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: PoqKvCache | None):
+def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int = 0,
+                   cache: PoqKvCache | None = None):
     """Un-smooth and rotate the chunk's keys (with POQ off over a cache of
     codes, their round trip: the K and V rows stacked, round-tripped and
     un-smoothed as one array, _stacked_kv, as cache-path scoring's past
@@ -1069,10 +1076,13 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int, cache: P
     plus the chunk's.  The fold, PoqKvCache.read_raw, is not among them:
     only the cache's own decode step (PoqKvCache.step) reads it.  A cache
     needs array inputs of one sequence; stacked sequences raise
-    UsageError."""
+    UsageError.  li and cache are the layer and the cache the chunk is
+    stored in; a cacheless handler takes neither.  The round trip's
+    un-smoothing pair is the cache's planned one (PoqKvCache.unsmooth)."""
     spec = cfg.token_spec() if cfg.kv_codes and not cfg.poq else None
     smoothing = (blk.k.smoothing, blk.v.smoothing)
-    unsmooth = _unsmooth_pair(*smoothing)
+    if spec is not None:
+        unsmooth = _unsmooth_pair(*smoothing) if cache is None else cache.unsmooth[li]
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
         if cache is not None and k_s.shape[0] != len(positions):
@@ -1149,58 +1159,60 @@ def check_capacity(n: int, cfg: ModelConfig, what: str = "chunk") -> None:
         raise CapacityError(f"{what} of {n} tokens > max_seq_len {cfg.max_seq_len}")
 
 
-def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None = None) -> Tensor:
-    """Forward over a token chunk on arrays; returns (T, vocab) logits.
-
-    With a cache, the chunk continues at position cache.length, its KV is
-    appended, and it runs the cache's config and the blocks it planned
-    (PoqKvCache.block_plan); without one it starts at position 0 and runs
-    model.config over handlers built from it, and a chunk longer than
-    max_seq_len raises CapacityError.
-    """
+def _forward(model: Model, token_ids, kv_fn, cache: PoqKvCache | None = None) -> Tensor:
+    """The one chunk driver of model_forward and cache_path_forward: the
+    (T, vocab) logits of a chunk on arrays, at the cache's config or,
+    without a cache, model.config.  It checks the token ids, then, without
+    a cache, that the chunk fits max_seq_len (CapacityError; onto a cache
+    the cache's own write checks it).  It embeds the chunk at its
+    positions, runs block_core over each block's weights and KV handler,
+    and the head.  The plan of blocks is the cache's (PoqKvCache.block_plan),
+    or each block's kv_fn(cfg, blk) from position 0 without one:
+    _runtime_kv_fn, or cache-path scoring's _poq_kv_fn.  A cache's length
+    advances once, after the last block."""
     token_ids = check_token_ids(token_ids, model.config.vocab_size)
     cfg = model.config if cache is None else cache.cfg
     if cache is None:
         check_capacity(len(token_ids), cfg)
-        start, plan = 0, [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, None))
-                          for li, blk in enumerate(model.blocks)]
+        start, plan = 0, [(block_arrays(blk), kv_fn(cfg, blk)) for blk in model.blocks]
     else:
         start, plan = cache.length, cache.block_plan
     act_fn = _act_quant_fn(cfg) if cfg.quant_mode == "weight_activation" else None
     positions = np.arange(start, start + len(token_ids))
     x = model.embed[token_ids]
-    for w, kv_fn in plan:
-        x = block_core(cfg, w, x, positions, kv_fn, act_fn=act_fn)
+    for w, fn in plan:
+        x = block_core(cfg, w, x, positions, fn, act_fn=act_fn)
     if cache is not None:
         cache.length += len(token_ids)
-    return _head(model, x, act_fn)
-
-
-def _head(model: Model, x: np.ndarray, act_fn=None) -> Tensor:
     xn = rms_norm(x, model.final_norm.reshape(1, -1))
     if act_fn is not None:
         xn = act_fn(xn)
     return Tensor(linear(xn, model.head.w, model.head.b))
 
 
+def model_forward(model: Model, token_ids: np.ndarray, cache: PoqKvCache | None = None) -> Tensor:
+    """Forward over a token chunk on arrays; returns (T, vocab) logits.
+
+    With a cache, the chunk continues at position cache.length, its KV is
+    appended, and it runs the cache's config and the blocks it planned
+    (PoqKvCache.block_plan); without one it starts at position 0 and runs
+    model.config over handlers built from it (_runtime_kv_fn), and a chunk
+    longer than max_seq_len raises CapacityError.
+    """
+    return _forward(model, token_ids, _runtime_kv_fn, cache)
+
+
 def cache_path_forward(model: Model, token_ids: np.ndarray) -> Tensor:
     """(T, vocab) logits of a chunk as prefill of its first token and then one
     decode_step per token give them, in one pass on arrays.  Only POQ over a
-    quantized cache differs from the cacheless forward; elsewhere the cache
-    holds what attention saw, and this is the cacheless forward.  In
-    weight_activation mode that forward is not the step loop's value: a
-    per-token activation code can round differently between the chunk's and
-    a step's matmul shapes, and the logits then differ by up to about 1e-3."""
+    quantized cache differs from the cacheless forward, in its handlers
+    (_poq_kv_fn); elsewhere the cache holds what attention saw, and this is
+    the cacheless forward.  In weight_activation mode that forward is not
+    the step loop's value: a per-token activation code can round
+    differently between the chunk's and a step's matmul shapes, and the
+    logits then differ by up to about 1e-3."""
     cfg = model.config
-    if not (cfg.kv_codes and cfg.poq):
-        return model_forward(model, token_ids)
-    token_ids = check_token_ids(token_ids, cfg.vocab_size)
-    check_capacity(len(token_ids), cfg)
-    positions = np.arange(len(token_ids))
-    x = model.embed[token_ids]
-    for blk in model.blocks:
-        x = block_core(cfg, block_arrays(blk), x, positions, _poq_kv_fn(cfg, blk))
-    return _head(model, x)
+    return _forward(model, token_ids, _poq_kv_fn if cfg.kv_codes and cfg.poq else _runtime_kv_fn)
 
 
 def prefill(model: Model, token_ids: np.ndarray):
@@ -1290,14 +1302,6 @@ def require_unsmoothed(model: Model, action: str) -> None:
             if getattr(blk, name).smoothing is not None:
                 raise UsageError(f"block {i}: the {name} projection already carries smoothing; "
                                  f"{action} takes an unsmoothed (fp or RTN) model")
-
-
-def attach_kv_smoothing(model: Model, per_layer: list[tuple[SmoothingParams, SmoothingParams]]) -> None:
-    """Absorb per-layer (K, V) smoothing params into the k/v projections
-    (Linear.absorb: codes dropped, a second smoothing refused)."""
-    for blk, (sp_k, sp_v) in zip(model.blocks, per_layer):
-        blk.k.absorb(sp_k)
-        blk.v.absorb(sp_v)
 
 
 def quantize_model_weights(model: Model) -> None:

@@ -13,7 +13,7 @@ exponentials (and their row sums) or into probabilities without a copy.
 
 Equal-length sequences can be stacked as rows, (B*T, C): rms_norm, linear
 and gated_mlp work row by row, and rope takes B from the row count and the
-T positions (sequences) and broadcasts the T table rows over a (B, T, C)
+T positions and broadcasts the T table rows over a (B, T, C)
 view.  linear is a projection x @ w + b with a (1, N) bias row, the bias
 added in place; gated_mlp is the block's whole MLP, (silu(x @ wg + bg) *
 (x @ wu + bu)) @ wd + bd.
@@ -216,22 +216,14 @@ def rope_table(base: float, head_dim: int, width: int,
     return cos, sin
 
 
-def sequences(rows: int, positions: np.ndarray) -> int:
-    """How many sequences of len(positions) rows are stacked in rows; a row
-    count that is not a multiple raises DimensionError."""
-    t = len(positions)
-    if rows % t if t else rows:
-        raise DimensionError(f"{rows} rows do not stack sequences of {t} positions")
-    return rows // t if t else 1
-
-
 def rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0,
          head_dim: int | None = None, out: np.ndarray | None = None,
          transpose: bool = False) -> np.ndarray:
     """Rotary position embedding of a (B*T, n_heads * head_dim) array.
 
-    x stacks B equal-length sequences as rows, each at the T positions given
-    (sequences); every row of a sequence takes its position's table row.
+    x stacks B equal-length sequences as rows, each at the T positions given,
+    so a row count that is not a multiple of T raises DimensionError; every
+    row of a sequence takes its position's table row.
     Every head is rotated in the rotate-half layout, [x1, x2] ->
     [x1 cos - x2 sin, x2 cos + x1 sin]; head_dim defaults to the full width
     (one head).  positions must be a contiguous ascending range, so cos/sin
@@ -250,8 +242,8 @@ def rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0,
     start = int(positions[0]) if t else 0
     if (positions.ndim != 1 or start < 0 or (t > 1 and np.any(np.diff(positions) != 1))
             or (rows % t if t else rows)):
-        raise DimensionError("rope positions must be a contiguous range from >= 0, "
-                             "one per row of each stacked sequence")
+        raise DimensionError(f"rope positions must be a contiguous range from >= 0, one per "
+                             f"row of each sequence: got {rows} rows, positions {positions.shape}")
     cos, sin = rope_table(base, d, width, start + t)
     cos, sin = cos[start : start + t], sin[start : start + t]
     # stacked sequences are a (B, T, width) view that the table rows broadcast over

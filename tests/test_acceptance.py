@@ -40,7 +40,6 @@ from kvq.evaluate import _block_backward, _block_forward, logit_mae, perplexity
 from kvq.model import (
     Model,
     ModelConfig,
-    attach_kv_smoothing,
     block_arrays,
     prefill,
     quantize_model_weights,
@@ -358,13 +357,12 @@ def test_criterion_09_ablation_directions(capsys, seeds_suite):
         # longer than max_seq_len
         ms = copy.deepcopy(fp)
         acts = collect_activations(ms, list(corpus[:128].reshape(2, 64)))
-        per_layer = []
         for i, blk in enumerate(ms.blocks):
             x = acts[i].reshape(-1, acts[i].shape[-1])
             xn = rms_norm(x, blk.attn_norm.reshape(1, -1))
-            per_layer.append((init_smoothing(xn @ blk.k.w + blk.k.b),
-                              init_smoothing(xn @ blk.v.w + blk.v.b)))
-        attach_kv_smoothing(ms, per_layer)
+            sp_k, sp_v = (init_smoothing(xn @ lin.w + lin.b) for lin in (blk.k, blk.v))
+            blk.k.absorb(sp_k)
+            blk.v.absorb(sp_v)
         quantize_model_weights(ms)
         ms.config = dataclasses.replace(ms.config, quant_mode="weight_kv")
         mae_rtn = logit_mae(fp, mr, ev, use_cache=True)

@@ -54,6 +54,14 @@ class TestConfig:
         with pytest.raises(KvqError, match=field):
             CalibConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.0), ("seed", True), ("k", True), ("k", 2.0), ("epochs", 1.5),
+        ("segments", "2"), ("seg_len", None),
+    ])
+    def test_non_integers_and_negative_seeds_rejected(self, field, value):
+        with pytest.raises(KvqError, match=field):
+            CalibConfig(**{field: value})
+
     def test_zero_epochs_allowed(self):
         assert CalibConfig(epochs=0).epochs == 0
 

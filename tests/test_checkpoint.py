@@ -17,7 +17,6 @@ from kvq.evaluate import train_model
 from kvq.model import (Model, ModelConfig, model_forward, quantize_model_weights,
                        spread_kv_channels)
 from kvq.quantizers import dequantize, init_smoothing, pack_codes, packed_size, unpack_codes
-from kvq.model import attach_kv_smoothing
 
 IDS = np.arange(20) % 250
 
@@ -271,13 +270,11 @@ class TestModelRoundtrip:
         m = Model.random(tiny_config(), seed=0)
         if smooth:
             spread_kv_channels(m, 1.5, seed=0)
-            per_layer = []
             for blk in m.blocks:
                 x = m.embed[IDS]
-                per_layer.append(
-                    (init_smoothing(x @ blk.k.w + blk.k.b), init_smoothing(x @ blk.v.w + blk.v.b))
-                )
-            attach_kv_smoothing(m, per_layer)
+                sp_k, sp_v = (init_smoothing(x @ lin.w + lin.b) for lin in (blk.k, blk.v))
+                blk.k.absorb(sp_k)
+                blk.v.absorb(sp_v)
         if quantize:
             quantize_model_weights(m)
             m.config = dataclasses.replace(m.config, quant_mode="weight_kv")
@@ -509,9 +506,10 @@ class TestModelRoundtrip:
             assert all(b.q.wq is not None and b.q.wq.bits == 4 for b in m.blocks)
         else:
             x = m.embed[IDS]
-            attach_kv_smoothing(m, [(init_smoothing(x @ blk.k.w + blk.k.b),
-                                     init_smoothing(x @ blk.v.w + blk.v.b))
-                                    for blk in m.blocks])
+            for blk in m.blocks:
+                sp_k, sp_v = (init_smoothing(x @ lin.w + lin.b) for lin in (blk.k, blk.v))
+                blk.k.absorb(sp_k)
+                blk.v.absorb(sp_v)
         p = str(tmp_path / "m.kvq")
         save_model(m, p)
         m2 = load_model(p)

@@ -279,6 +279,19 @@ class TestCalibrate:
         assert flag.lstrip("-").replace("-", "_") in err
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "calibrate", "ablate", "sweep-k"])
+    def test_negative_seed_is_usage_error(self, workdir, capsys, command):
+        # numpy's generators refuse it with a ValueError, past the usage checks
+        out, corpus = workdir / "negative_seed.kvq", str(workdir / "corpus.txt")
+        argv = {"fit": ["--out", str(out)] + FIT_ARGS, "calibrate": ["--out", str(out)],
+                "sweep-k": ["--k-values", "1"]}.get(command, [])
+        source = ["--corpus", corpus] if command == "fit" else [
+            "--model", str(workdir / "model.kvq"), "--corpus", corpus]
+        rc, stdout, err = run(capsys, [command] + source + argv + ["--seed", "-1"])
+        assert rc == 2
+        assert "seed must be an integer >= 0, got -1" in err
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("command", ["calibrate", "ablate", "sweep-k"])
     def test_segments_past_capacity_are_usage_errors(self, workdir, capsys, command):
         # the fixture's model holds 64 positions
@@ -554,6 +567,21 @@ class TestAnalyze:
             assert doc["phase"] == phase
             assert doc["memory"] == json.loads(json.dumps(estimate_memory(dc, phase).as_dict()))
             assert doc["decode_time"] == json.loads(json.dumps(estimate_decode_time(dc)))
+
+    @pytest.mark.parametrize("flags", [[], ["--setting", "w4kv4", "--gen-len", "2"],
+                                       ["--phase", "prefill", "--gen-len", "0"],
+                                       ["--preset", "decode-table"]])
+    def test_every_report_is_strict_json(self, capsys, flags):
+        # json.loads takes NaN and Infinity, which are not JSON
+        rc, stdout, _ = run(capsys, ["analyze"] + flags)
+        assert rc == 0
+        json.loads(stdout, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bandwidth_not_finite_and_positive_is_usage_error(self, capsys, bandwidth):
+        rc, stdout, err = run(capsys, ["analyze", f"--bandwidth={bandwidth}", "--gen-len", "2"])
+        assert rc == 2
+        assert "bandwidth must be positive and finite" in err and stdout == ""
 
     def test_unknown_arch_usage_error(self, capsys):
         rc, _, err = run(capsys, ["analyze", "--arch", "gpt-17"])

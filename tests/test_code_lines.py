@@ -15,4 +15,4 @@ def test_totals_pinned(capsys):
     spec.loader.exec_module(tool)
     assert tool.main([]) == 0
     totals = [int(n) for n in re.findall(r"^  total +(\d+)$", capsys.readouterr().out, re.M)]
-    assert totals == [2173, 107]
+    assert totals == [2156, 107]

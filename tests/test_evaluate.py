@@ -328,6 +328,16 @@ class TestTraining:
             train_model(m, corpus, steps=1, batch=1, seq_len=8)
         assert np.array_equal(m.embed, embed)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, None])
+    def test_seed_not_an_integer_at_least_zero_refused(self, seed):
+        # numpy's generators refuse a negative seed with ValueError and take
+        # a bool or None; both entry points refuse them as CalibConfig does
+        with pytest.raises(KvqError, match="seed must be an integer >= 0"):
+            Model.random(tiny_config(), seed=seed)
+        m = Model.random(tiny_config(), seed=0)
+        with pytest.raises(KvqError, match="seed must be an integer >= 0"):
+            train_model(m, word_corpus(0), steps=1, batch=1, seq_len=8, seed=seed)
+
     def test_corpus_of_one_window_trains_from_its_start(self):
         # seq_len + 1 tokens hold one window, so every draw starts at 0
         m = Model.random(tiny_config(), seed=3)

@@ -26,7 +26,6 @@ from kvq.model import (
     Model,
     ModelConfig,
     PoqKvCache,
-    attach_kv_smoothing,
     block_arrays,
     block_attention,
     block_core,
@@ -41,9 +40,12 @@ from kvq.model import (
 )
 from kvq.quantizers import (
     ROW_BLOCK,
+    QuantizedTensor,
     SmoothingParams,
     WeightQuantSpec,
     _spans,
+    apply_kv_smoothing,
+    dequantize,
     init_smoothing,
     quantize_token,
 )
@@ -74,14 +76,12 @@ def quantized(model, mode="weight_kv"):
 
 
 def smoothed(model):
-    """Attach K/V smoothing from the statistics of the IDS prompt."""
-    per_layer = []
+    """Absorb K/V smoothing from the statistics of the IDS prompt."""
     for blk in model.blocks:
         xn = rms_norm(model.embed[IDS], blk.attn_norm.reshape(1, -1))
-        per_layer.append(
-            (init_smoothing(xn @ blk.k.w + blk.k.b), init_smoothing(xn @ blk.v.w + blk.v.b))
-        )
-    attach_kv_smoothing(model, per_layer)
+        sp_k, sp_v = (init_smoothing(xn @ lin.w + lin.b) for lin in (blk.k, blk.v))
+        blk.k.absorb(sp_k)
+        blk.v.absorb(sp_v)
     return model
 
 
@@ -112,8 +112,8 @@ class TestConfig:
             tiny_config(**{field: bits})
 
     def test_kv_bits_16_not_quantized(self):
-        assert not tiny_config(kv_bits=16).kv_quantized
-        assert tiny_config(kv_bits=4).kv_quantized
+        assert not tiny_config(quant_mode="weight_kv", kv_bits=16).kv_codes
+        assert tiny_config(quant_mode="weight_kv", kv_bits=4).kv_codes
 
     def test_only_a_quantized_weight_kv_cache_holds_codes(self):
         for mode in MODES:
@@ -451,7 +451,7 @@ class TestCache:
         # the folded reads take the past K/V straight from the codes: a decode
         # step maps only its own K and V rows to raw space, once, as one
         # (2, hidden) pair with the layer's planned (s, delta) rows
-        # (kv_unsmooth), and no row through apply_kv_smoothing
+        # (unsmooth), and no row through apply_kv_smoothing
         mq = quantized(smoothed(make_model()))
         _, cache = prefill(mq, IDS)
         blk, c, calls, applied, v_cur = mq.blocks[0], mq.config.hidden_size, [], [], []
@@ -476,7 +476,7 @@ class TestCache:
         monkeypatch.setattr(kvq.model, "apply_kv_smoothing",
                             lambda *a, **kw: applied.append(1) or apply(*a, **kw))
         monkeypatch.setattr(PoqKvCache, "read_raw", recording)
-        cache.kv_unsmooth[0] = cache.kv_unsmooth[0].view(Seen)
+        cache.unsmooth[0] = cache.unsmooth[0].view(Seen)
         decode_step(mq, 3, cache)
         assert calls == [("multiply", (2, c), (2, c)), ("add", (2, c), (2, c))]
         assert applied == []
@@ -701,7 +701,7 @@ class TestScoreBound:
         calls = self.counted(monkeypatch)
         monkeypatch.setattr(kvq.model, "_small_scores", None)  # a call would raise
         decode_step(m, 5, cache)
-        assert calls == [(m.config.n_heads, 1, 49)] * m.config.n_layers
+        assert calls == [(1, m.config.n_heads, 1, 49)] * m.config.n_layers
 
     @pytest.mark.parametrize("where", range(5))
     def test_non_finite_input_fails_the_bound(self, where):
@@ -1205,8 +1205,9 @@ class TestFoldsAgainstReference:
             pos = np.arange(ctx, ctx + 1)
             for li in range(cfg.n_layers):
                 q, k, v = rng.normal(size=(3, 1, cfg.hidden_size)).astype(np.float32)
+                blk = m.blocks[li]
                 scores, _, out = decode_attention(cfg, cache.codes[li], cache.params[li], ctx,
-                                                  cache.kv_smoothing[li], q, k, v)
+                                                  (blk.k.smoothing, blk.v.smoothing), q, k, v)
                 q_rot, k_rot = (rope(a, pos, cfg.rope_base, head_dim) for a in (q, k))
                 got = cache._folded_k(li, heads(q_rot), k_rot)[:, 0]
                 assert np.abs(got - scores).max() <= 1e-6 * np.abs(scores).max(), (ctx, li)
@@ -1285,6 +1286,66 @@ class TestStackedForward:
         for name, stored in before.items():
             # nothing appended; the rows hold what the allocation held
             assert np.array_equal(getattr(cache, name), stored, equal_nan=True), name
+
+
+class TestOneChunkDriver:
+    """model_forward and cache_path_forward run one chunk driver, and a
+    cache's materialized read (PoqKvCache.rows) reads its past K and V as
+    one stack."""
+
+    @pytest.mark.parametrize("poq", [True, False])
+    def test_forwards_raise_the_same_errors(self, poq):
+        # an empty chunk, a bad id and a chunk past capacity; with POQ on,
+        # cache-path scoring runs its own handlers (_poq_kv_fn)
+        m = quantized(make_model(max_seq_len=16))
+        m.config = dataclasses.replace(m.config, poq=poq)
+        for bad, kind in (([], UsageError), ([3, 999], UsageError),
+                          (np.arange(17) % 250, CapacityError)):
+            errors = []
+            for forward in (model_forward, kvq.model.cache_path_forward):
+                with pytest.raises(kind) as err:
+                    forward(m, bad)
+                errors.append((type(err.value), str(err.value)))
+            assert errors[0] == errors[1], bad
+
+    @staticmethod
+    def per_kv_rows(cache, blk, li, k_cur, v_cur):
+        """The materialized read with K and V each on its own: a
+        QuantizedTensor, dequantize and apply_kv_smoothing per K/V, then
+        rope of the past keys."""
+        cfg, past, spec = cache.cfg, cache.length, cache.cfg.token_spec()
+        out = []
+        for j, (sp, cur) in enumerate(((blk.k.smoothing, k_cur), (blk.v.smoothing, v_cur))):
+            m, n = cache.params[li, j, :, :past]
+            x = dequantize(QuantizedTensor("token", cache.codes[li, j, :past], spec.bits,
+                                           spec.group_size, m=m, n=n))
+            out.append(np.concatenate([x if sp is None else apply_kv_smoothing(x, sp), cur]))
+        out[0][:past] = rope(out[0][:past], np.arange(past), cfg.rope_base, cfg.head_dim)
+        return out
+
+    @pytest.mark.parametrize("kv_bits", [2, 3, 4, 8])
+    @pytest.mark.parametrize("smooth", ["", "k", "v", "kv"])
+    def test_rows_read_kv_in_one_dequantize_call(self, monkeypatch, kv_bits, smooth):
+        # hidden 32 in groups of 12: two full groups and a short tail of 8;
+        # the blocks smooth neither, K only, V only or both
+        base = make_model(seed=10, kv_group_size=12, kv_bits=kv_bits)
+        spread_kv_channels(base, 1.5, seed=10)
+        for blk in base.blocks:
+            xn = rms_norm(base.embed[IDS], blk.attn_norm.reshape(1, -1))
+            for lin in (getattr(blk, name) for name in smooth):
+                lin.absorb(init_smoothing(xn @ lin.w + lin.b))
+        m = quantized(base)
+        _, cache = prefill(m, IDS[:20])
+        calls, dequant = [], kvq.model.dequantize
+        monkeypatch.setattr(kvq.model, "dequantize",
+                            lambda *a, **kw: calls.append(1) or dequant(*a, **kw))
+        rng = np.random.default_rng(kv_bits)
+        for li, blk in enumerate(m.blocks):
+            k_cur, v_cur = rng.normal(size=(2, 3, m.config.hidden_size)).astype(np.float32)
+            got = cache.rows(li, k_cur, v_cur)
+            for a, b in zip(got, self.per_kv_rows(cache, blk, li, k_cur, v_cur)):
+                assert np.array_equal(a, b), (li, smooth)
+        assert len(calls) == m.config.n_layers
 
 
 class TestPoq:

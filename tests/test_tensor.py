@@ -27,7 +27,6 @@ from kvq.tensor import (
     rms_norm_backward,
     rope,
     round_half_away,
-    sequences,
     softmax_causal,
 )
 
@@ -591,12 +590,14 @@ class TestStackedSequences:
 
     @pytest.mark.parametrize("rows, positions", [(7, 2), (3, 0), (5, 10)])
     def test_rows_not_whole_sequences_rejected(self, rows, positions):
-        with pytest.raises(DimensionError, match="rows"):
-            sequences(rows, np.arange(positions))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=f"{rows} rows"):
             rope(np.zeros((rows, 8), np.float32), np.arange(positions))
 
     def test_whole_sequences_counted(self):
-        assert sequences(12, np.arange(3, 7)) == 3
-        assert sequences(5, np.arange(1)) == 5
-        assert sequences(0, np.arange(0)) == 1
+        # rope takes every whole stack of sequences, each sequence at the
+        # table rows of positions, and zero rows at zero positions
+        for rows, positions in ((12, np.arange(3, 7)), (5, np.arange(1))):
+            one = rope(np.ones((len(positions), 8), np.float32), positions)
+            got = rope(np.ones((rows, 8), np.float32), positions)
+            assert np.array_equal(got, np.tile(one, (rows // len(positions), 1)))
+        assert rope(np.ones((0, 8), np.float32), np.arange(0)).shape == (0, 8)

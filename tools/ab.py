@@ -98,15 +98,6 @@ TINY = dict(config=dict(n_layers=2, hidden_size=32, n_heads=2, head_dim=16,
             train=(2, 16), crr=(2, 16))
 
 
-def block_inputs(acts) -> list:
-    """collect_activations' output as one (segments, T, C) array per block
-    boundary, which it is in trees that stack them; older trees return one
-    list of (T, C) arrays per segment."""
-    if isinstance(acts[0], np.ndarray):
-        return acts
-    return [np.stack(per_block) for per_block in zip(*acts)]
-
-
 def load_tree(root: Path, name: str):
     """Import root/src/kvq as the package name."""
     src = root / "src" / "kvq"
@@ -147,8 +138,7 @@ class Tree:
         # freeze_block takes (a (K, V) smoothing pair, or older trees' trainables)
         self.served = copy.deepcopy(self.fp)
         calibration = kvq.calibration
-        acts = block_inputs(calibration.collect_activations(
-            self.fp, [self.corpus[: cfg.max_seq_len // 4]]))
+        acts = calibration.collect_activations(self.fp, [self.corpus[: cfg.max_seq_len // 4]])
         for i in range(cfg.n_layers):
             trainables = calibration.init_trainables(self.fp, i, acts[i])
             calibration.freeze_block(self.served, i, trainables)
@@ -242,7 +232,7 @@ def workloads(sizes: dict) -> dict:
     def crr_loss(tr: Tree):
         calibration, (segments, seg_len) = tr.kvq.calibration, sizes["crr"]
         ids = tr.corpus[: segments * seg_len].reshape(segments, seg_len)
-        acts = block_inputs(calibration.collect_activations(tr.fp, list(ids)))
+        acts = calibration.collect_activations(tr.fp, list(ids))
         x, ref = acts[1], acts[1 + min(tr.calib.k, tr.fp.config.n_layers - 1)]
         init = calibration.init_trainables(tr.fp, 1, x)
         wq = calibration.quantized_weights(tr.fp, 1)
