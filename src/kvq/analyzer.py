@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import AccountingError, KvqError
-from .quantizers import check_bits
+from .quantizers import _is_int, check_bits
 
 GB = 1e9
 
@@ -64,6 +64,9 @@ class DeployConfig:
     bandwidth_bytes: float = 1.0e12
 
     def __post_init__(self):
+        for name in ("batch", "prompt_len", "gen_len"):
+            if not _is_int(getattr(self, name)):
+                raise KvqError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.batch < 1 or self.prompt_len < 0 or self.gen_len < 0:
             raise KvqError("batch must be >= 1 and lengths must be >= 0")
         for name in ("weight_bits", "kv_bits", "act_bits"):
@@ -168,17 +171,17 @@ def estimate_decode_time(cfg: DeployConfig) -> dict:
     """Memory-bound roofline for generating gen_len tokens after prompt_len.
 
     Per step, bytes moved = weights + live KV cache + temporary-activation IO;
-    reports absolute seconds and the ratio against the fp16 baseline.
+    reports absolute seconds and the ratio against the fp16 baseline.  The
+    steps' bytes are summed in closed form (_sum_steps), so the cost does
+    not grow with gen_len.
     """
     if cfg.gen_len < 1:
         raise KvqError("estimate_decode_time requires gen_len >= 1")
 
     def total_bytes(c: DeployConfig) -> int:
         w = weights_bytes(c)
-        total = 0
-        for t in range(c.prompt_len, c.prompt_len + c.gen_len):
-            total += w + kv_cache_bytes(c, t) + temp_activation_bytes(c, "decode", t)
-        return total
+        step = lambda t: w + kv_cache_bytes(c, t) + temp_activation_bytes(c, "decode", t)
+        return _sum_steps(step, c.prompt_len, c.gen_len)
 
     mine = total_bytes(cfg)
     base_cfg = replace(cfg, weight_bits=16, kv_bits=16, act_bits=16)
@@ -191,6 +194,23 @@ def estimate_decode_time(cfg: DeployConfig) -> dict:
         "fp16_total_bytes": base,
         "ratio_vs_fp16": mine / base,
     }
+
+
+def _sum_steps(step, start: int, n: int) -> int:
+    """step(start) + ... + step(start + n - 1), exactly, from at most 16 calls.
+
+    A step's bytes are a sum of terms (a * t + b) // 8 in its context t
+    (kv_cache_bytes and temp_activation_bytes at t >= 0), and each such term
+    grows by exactly a when t grows by 8, so step(t + 8) - step(t) is the
+    same for every t.  The steps of each residue class t = start + j + 8i,
+    i < k, are then an arithmetic series: k * step(start + j) plus that
+    difference times k (k - 1) / 2."""
+    total = 0
+    for j in range(min(n, 8)):
+        k = -(-(n - j) // 8)
+        first = step(start + j)
+        total += k * first + (step(start + j + 8) - first) * (k * (k - 1) // 2)
+    return total
 
 
 def verify_runtime_accounting(model, cache) -> dict:

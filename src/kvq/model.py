@@ -44,12 +44,13 @@ arrays prefill attends over.  A cache plans its forwards once, when it is
 built (PoqKvCache._plan_reads), so a decode step rebuilds nothing: each
 block's weights and KV handler, and for a quantized cache the token spec,
 each block's [s; delta] un-smoothing pair (PoqKvCache.unsmooth), each
-layer's views of the store, segment maps, contraction matrices and rope
-tables.  Only a quantized cache holds read buffers, one pair (scratch and
-work) as one array (reads), shared by the layers and overwritten by every
-read; the fold uses scratch alone.  Each layer's K or V slab of the
-store, the read buffers and the rope tables are allocated once on 64-byte
-boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
+layer's views of the store, and the config's segment maps, contraction
+matrices and rope tables, which are read-only and built once per config
+key, shared by every cache (_config_read_plan).  Only a quantized cache
+holds read buffers, one pair (scratch and work) as one array (reads),
+shared by the layers and overwritten by every read; the fold uses scratch
+alone.  Each layer's K or V slab of the store, the read buffers and the
+rope tables are allocated once on 64-byte boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
 elementwise passes in about half the time, and without a fill: append
 writes a chunk's rows before any read, no read takes the row a decode step
 stores, and a read writes the scratch and work rows it then reads.
@@ -168,6 +169,7 @@ quantizing a projection that holds codes at the spec keeps them.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import weakref
@@ -390,10 +392,18 @@ class Model:
 FOLD_MAX_SEGMENTS = 32
 
 
-def _config_read_plan(cfg: ModelConfig) -> dict:
+@functools.cache
+def _config_read_plan(c: int, d: int, length: int, group: int, base: float,
+                      max_segments: int) -> dict:
     """The attributes of a quantized PoqKvCache's read plan that depend on its
-    config alone, all read-only; cos and sin are views of rope_table's shared
-    tables.
+    config alone, at hidden size c, head_dim d, max_seq_len length,
+    kv_group_size group and rope_base base, folding K at up to max_segments
+    (FOLD_MAX_SEGMENTS) segments.  It is built once per key and shared by
+    every cache of that key, as rope_table's tables are: its arrays are
+    read-only, and cos and sin are views of rope_table's shared tables.
+    Building it took about 0.11 ms of a 96-token prefill's 5.4 ms on the
+    served model of tools/ab.py (kv_group_size 32, 2-vCPU Xeon VM, one BLAS
+    thread).
 
     Segments are w = gcd(kv_group_size, head_dim) channels each, inside one
     head and one group.  seg_head and seg_group map segments to heads and
@@ -412,17 +422,16 @@ def _config_read_plan(cfg: ModelConfig) -> dict:
     the table's distinct cos and sin columns as rows, and to_cs sums the
     rows of a and of b over the channels of each angle, with sin's sign.
     """
-    c, d, h, length = cfg.hidden_size, cfg.head_dim, cfg.n_heads, cfg.max_seq_len
-    w = math.gcd(cfg.kv_group_size, d)
-    fold_k = c // w <= FOLD_MAX_SEGMENTS
+    h, w = c // d, math.gcd(group, d)
+    fold_k = c // w <= max_segments
     seg = np.arange(0, c, w)
-    seg_pair = (seg // d, slice(None), seg // cfg.kv_group_size)
+    seg_pair = (seg // d, slice(None), seg // group)
     plan = {"seg_width": w, "seg_pair": seg_pair,
             "seg_head": slice(None) if w == d else seg_pair[0],
-            "seg_group": slice(None) if w == cfg.kv_group_size else seg_pair[2],
+            "seg_group": slice(None) if w == group else seg_pair[2],
             "fold_k": fold_k}
     if fold_k:
-        cos, sin = rope_table(cfg.rope_base, d, c, length)
+        cos, sin = rope_table(base, d, c, length)
         cs_cols = aligned_empty((d, length))[0]
         cs_cols[...] = np.concatenate([cos[:length, : d // 2], sin[:length, d // 2 : d]], 1).T
         channel = np.arange(c)
@@ -438,7 +447,7 @@ def _config_read_plan(cfg: ModelConfig) -> dict:
             swap=np.concatenate([channel, channel.reshape(h, 2, d // 2)[:, ::-1].reshape(-1)]),
             seg_ones=(channel[:, None] // w == np.arange(len(seg))).astype(np.float32),
             head_ones=to_head(channel // d).T)
-    for a in plan.values():
+    for a in [*plan.values(), *seg_pair]:
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return plan
@@ -468,7 +477,12 @@ class PoqKvCache:
     append, a chunk's rows one layer at a time, through code_rows' views by
     a POQ-off chunk's own round trip, and by step, which stores every
     layer's row after its last layer; each assigns token_codes' codes and
-    (m, n) to views of the store.
+    (m, n) to views of the store.  A POQ-on chunk stores the codes of its
+    smoothed k_s and v_s first and only then un-smooths and rotates those
+    same arrays in place for attention (_runtime_kv_fn), so no un-smoothed
+    copy is made.  The plan's config part (segment maps, contraction
+    matrices, rope table views) is one read-only dict per config key, shared
+    by every cache (_config_read_plan).
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
@@ -497,9 +511,11 @@ class PoqKvCache:
         (cfg.kv_codes) adds the token spec, each block's K/V un-smoothing
         pair (unsmooth, _unsmooth_pair), which the materialized read (rows),
         the step and the POQ-off handler all take, and the config's read
-        plan, built for this cache (_config_read_plan).  When decode steps
-        fold (fold_k) it also plans each layer's views of the store for the
-        fold's reads (layer_reads), the store's views that a step writes
+        plan, whose read-only arrays are built once per key of the config
+        fields it reads and shared with every other cache of that key
+        (_config_read_plan); a cache builds only what its blocks and its
+        store decide.  When decode steps fold (fold_k) it also plans each
+        layer's views of the store for the fold's reads (layer_reads), the store's views that a step writes
         (step_store), V smoothing per segment and K contraction matrix k_fold
         = [C; -C]: C = [segment ones * s | delta per head], or the segment
         ones without K smoothing.  A fold read's six slices of the store took
@@ -515,7 +531,9 @@ class PoqKvCache:
                            for li, blk in enumerate(blocks)]
         if not cfg.kv_codes:
             return
-        vars(self).update(_config_read_plan(cfg))
+        vars(self).update(_config_read_plan(cfg.hidden_size, cfg.head_dim, cfg.max_seq_len,
+                                            cfg.kv_group_size, float(cfg.rope_base),
+                                            FOLD_MAX_SEGMENTS))
         if not self.fold_k:
             return
         # each layer's views of the store: the (codes, m, n) of its K and of
@@ -540,7 +558,9 @@ class PoqKvCache:
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_rot: np.ndarray, v_raw: np.ndarray) -> None:
         """Store a chunk's KV for layer li at rows length .. length+t-1
         (k_s/v_s smoothed, k_rot rotated raw keys, v_raw raw values): codes of
-        k_s and v_s, or k_rot and v_raw themselves in the fp layout.  This is
+        k_s and v_s, or k_rot and v_raw themselves in the fp layout (a cache
+        of codes reads neither, and its POQ-on handler passes None, since it
+        stores before it un-smooths and rotates k_s and v_s in place).  This is
         the write of every forward onto a cache but two, which store the
         codes of their own round trip: a decode step onto a cache that
         folds (step) and, with POQ off, a chunk onto a cache of codes
@@ -1072,6 +1092,13 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int = 0,
     round trip writes its codes, m and n straight into the cache's rows
     (code_rows, which checks the capacity first), so each row is quantized
     once; every other forward onto a cache appends (PoqKvCache.append).
+    With POQ on over a cache of codes the append comes first: it stores the
+    codes of k_s and v_s, and then those same arrays are un-smoothed
+    (apply_kv_smoothing into themselves) and K rotated in place, so no
+    un-smoothed copy is made.  A cacheless forward un-smooths and rotates
+    in place as well, since nothing reads k_s and v_s after the handler;
+    only an fp cache's append takes k_s as the projection gave it, so there
+    the un-smoothed rows and rotated keys are fresh arrays.
     Then attention reads the cache's rows (PoqKvCache.rows): its past rows
     plus the chunk's.  The fold, PoqKvCache.read_raw, is not among them:
     only the cache's own decode step (PoqKvCache.step) reads it.  A cache
@@ -1083,6 +1110,7 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int = 0,
     smoothing = (blk.k.smoothing, blk.v.smoothing)
     if spec is not None:
         unsmooth = _unsmooth_pair(*smoothing) if cache is None else cache.unsmooth[li]
+    fp_store = cache is not None and not cfg.kv_codes  # its append takes k_s as given
 
     def kv_fn(k_s, v_s, positions: np.ndarray):
         if cache is not None and k_s.shape[0] != len(positions):
@@ -1092,15 +1120,15 @@ def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int = 0,
             keep = None if cache is None else cache.code_rows(li, len(k_s))
             k_raw, v_raw = _stacked_kv(k_s, v_s, spec, unsmooth, False, keep)[:, 0]
         else:
-            k_raw, v_raw = [x if sp is None else apply_kv_smoothing(x, sp)
+            if cache is not None and cfg.kv_codes:
+                cache.append(li, k_s, v_s, None, None)  # the codes, before k_s and v_s change
+            k_raw, v_raw = [x if sp is None else apply_kv_smoothing(x, sp, None if fp_store else x)
                             for x, sp in zip((k_s, v_s), smoothing)]
-        # un-smoothed or round-tripped keys are a fresh array, rotated in
-        # place; k_s itself is left for the append to read
         k_rot = rope(k_raw, positions, cfg.rope_base, cfg.head_dim,
-                     out=None if k_raw is k_s else k_raw)
+                     out=None if fp_store and k_raw is k_s else k_raw)
         if cache is None:
             return k_rot, v_raw
-        if spec is None:
+        if fp_store:
             cache.append(li, k_s, v_s, k_rot, v_raw)
         return cache.rows(li, k_rot, v_raw)
 

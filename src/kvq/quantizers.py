@@ -6,10 +6,11 @@ There is one core per quantizer kind.  quantize_token and quantize_weight
 turn an array into integer codes plus per-group affine parameters, and
 dequantize maps them back; each works on a 3-d view of all full groups at
 once, with a short tail group as one separate slice.  The token core
-(_quantize_token_groups) returns its codes as integral float32; token_codes
-runs it over row blocks and spans and gives each caller what it asks for:
-the codes cast on assignment into an int8 array, with m and n (keep), or the
-round trip as floats, the codes times n plus m written into out, or both.
+(_quantize_token_groups) returns its codes up to truncation toward zero, as
+float32; token_codes runs it over row blocks and spans and gives each
+caller what it asks for: the codes cast on assignment into an int8 array,
+with m and n (keep), or the round trip as floats, the codes truncated, times
+n plus m, written into out, or both.
 The KV cache stores token codes one per byte.  Weight codes are held
 (model.Linear) and stored (checkpoint) as one bit stream at their width,
 pack_codes, and unpacked (unpack_codes) only where their dequantization is
@@ -36,9 +37,14 @@ channels and smoothing scales output channels, so w / s has the codes and
 zero-points of w.
 
 Token codes are signed and live in [-2^(N-1), 2^(N-1)-1]; weight codes are
-unsigned in [0, 2^N - 1].  A group whose spread is below SPREAD_EPS is
-constant: it gets a unit step and zero codes, and dequantizes to its mean
-(token) or minimum (weight).
+unsigned in [0, 2^N - 1].  Both round half away from zero with the sign
+taken from the sign bit, OR'd into the bits of 0.5 (token) or of the
+rounded magnitude (weight, round_half_away), with no copysign call.  The
+token core clamps its codes only above: n = spread / 2^(N-1) is exact, so
+no |centred / n| exceeds 2^(N-1) and no code truncates below -2^(N-1)
+(_quantize_token_groups gives the proof).  A group whose spread is below
+SPREAD_EPS is constant: it gets a unit step and zero codes, and dequantizes
+to its mean (token) or minimum (weight).
 """
 
 from __future__ import annotations
@@ -227,21 +233,40 @@ def _cat(arrays, axis: int) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
+# float32's sign bit, and the bits of float32 0.5, as int32
+_SIGN_BIT = np.int32(-(2**31))
+_HALF_BITS = np.float32(0.5).view(np.int32)
+
+
 def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
-    """(T, groups, size) codes and (T, groups) m, n of a (T, groups, size)
-    array.  The codes are integral float32: a caller that stores them casts
-    them on assignment into its int8 array, and the round trip takes them
-    as they are (token_codes).
+    """(T, groups, size) codes up to truncation and (T, groups) m, n of a
+    (T, groups, size) array: float32 values whose truncation toward zero is
+    the codes.  A caller that stores codes casts them on assignment into its
+    int8 array, which truncates; the round trip truncates them in place
+    first (token_codes).
 
     Codes round half away from zero in fewer passes than round_half_away:
-    x + copysign(0.5, x) is sign(x) * (|x| + 0.5) exactly, and clipped to the
-    code range and truncated, as an int8 cast truncates, it is the code.  A
-    truncated code in (-1, 0) is -0.0, whose product with n adds to m as +0.0
-    does (m is -0.0 only where a group is all -0.0, a constant one).  The groups'
-    largest |deviation| is taken over a C-ordered (size, T * groups) copy,
-    whose maximum runs along whole rows instead of along each short group:
-    2.5-3.4x faster at 128 and 1,792 rows, 1.3 us slower at 2 (2-vCPU Xeon
-    VM, kv_group_size 32)."""
+    x + copysign(0.5, x) is sign(x) * (|x| + 0.5) exactly, and clipped above
+    at code_hi and truncated it is the code.  copysign(0.5, x) is x's sign
+    bit OR'd into 0.5's bits, on int32 views (NumPy's copysign loop is not
+    vectorised: 27.7 against 9.9 us on a 256-row block at kv_group_size 32,
+    2-vCPU Xeon VM).  No code falls below code_lo = -2^(b-1), so the codes
+    need no lower clamp: a group's spread is the largest of the finite
+    |centred| values it divides (the same float32 values, so the bound is
+    exact), at least SPREAD_EPS unless the group is constant, so n =
+    spread / 2^(b-1) is exact (a power-of-two quotient far above float32's
+    smallest normal) and spread / n = 2^(b-1).  Correctly rounded division
+    is monotone, so every |centred / n| <= 2^(b-1); then x - 0.5 >=
+    -2^(b-1) - 0.5, representable, and its truncation is >= -2^(b-1).  A
+    truncated code in (-1, 0) is -0.0, whose product with n adds to m as
+    +0.0 does unless m is -0.0: a group all -0.0 (constant, its codes
+    zeroed) or one whose mean underflows to -0.0 from below, where the
+    round trip's -0.0 differs from dequantize's +0.0 in its sign bit alone.
+    The groups' largest |deviation| is taken over a C-ordered (size, T *
+    groups) copy, whose maximum runs along whole rows instead of along each
+    short group: 2.5-3.4x faster at 128 and 1,792 rows, 1.3 us slower at 2
+    (2-vCPU Xeon VM, kv_group_size 32); the codes are formed in that copy's
+    buffer once it is read."""
     t, k, size = y.shape
     half = float(2 ** (spec.bits - 1))
     m = np.add.reduce(y, axis=2) / size  # mean(axis=2), without its wrapper's cost
@@ -254,11 +279,12 @@ def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
     if any_flat:
         n[flat] = 1.0
     centered /= n[:, :, None]
-    q = np.copysign(0.5, centered)
+    bits = dev.view(np.int32).reshape(t, k, size)
+    np.bitwise_and(centered.view(np.int32), _SIGN_BIT, out=bits)
+    bits |= _HALF_BITS
+    q = bits.view(np.float32)  # copysign(0.5, centered)
     q += centered
-    np.maximum(q, spec.code_lo, out=q)  # np.clip, without its wrapper's cost
     np.minimum(q, spec.code_hi, out=q)
-    np.trunc(q, out=q)
     if any_flat:
         q[flat] = 0.0
     return q, m, n
@@ -304,23 +330,25 @@ def token_codes(parts, spec: TokenQuantSpec, name: str = "quantize_token", keep=
     span.  The parts lie along the leading axes of the outputs, in order.
 
     keep, a (codes, params) pair shaped (..., T, C) and (2, ..., T, groups),
-    receives each part's codes, cast on assignment, and its [m; n].  out,
-    shaped as codes and float32, receives the round trip: the integral
-    float codes times n, written into out, plus m added there in place,
-    dequantize's own arithmetic, so it is dequantize(quantize_token(part))
-    bit for bit with no int8 array.  Either may be a strided view (of a
-    cache's store, say): out's span, its last axis split into groups, is
-    always a view of it.  Returns out."""
+    receives each part's codes, the core's values cast on assignment (the
+    int8 cast truncates), and its [m; n].  out, shaped as codes and float32,
+    receives the round trip: the core's values truncated in place (np.trunc,
+    run only here), so integral float codes, times n, written into out,
+    plus m added there in place, dequantize's own arithmetic, so it is
+    dequantize(quantize_token(part)) bit for bit with no int8 array.
+    Either may be a strided view (of a cache's store, say): out's span, its
+    last axis split into groups, is always a view of it.  Returns out."""
     spans = _spans(parts[0].shape[1], spec.group_size)
     for rows, y in row_blocks(parts, name):
         for cols, groups, k, size in spans:
             q, m, n = _quantize_token_groups(y[:, cols].reshape(len(y), k, size), spec)
-            if keep is not None:
+            if keep is not None:  # the int8 cast truncates as np.trunc does
                 lead = keep[0].shape[:-2]
                 keep[0][..., rows, cols] = q.reshape(*lead, -1, k * size)
                 keep[1][0][..., rows, groups] = m.reshape(*lead, -1, k)
                 keep[1][1][..., rows, groups] = n.reshape(*lead, -1, k)
             if out is not None:
+                np.trunc(q, out=q)
                 dst = out[..., rows, cols].reshape(*out.shape[:-2], -1, k, size)
                 np.multiply(q.reshape(dst.shape), n.reshape(*dst.shape[:-1], 1), out=dst)
                 dst += m.reshape(*dst.shape[:-1], 1)

@@ -56,11 +56,17 @@ from .errors import DimensionError, NumericError, UsageError
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (deterministic across platforms)."""
+    """Round to nearest integer, ties away from zero (deterministic across
+    platforms), as float32: floor(|x| + 0.5) with x's sign.  That floor has
+    a clear sign bit (NaN's too, since |x| clears it), so x's sign bit OR'd
+    into its bits is copysign's result for a float16, float32 or float64 x,
+    without NumPy's unvectorised copysign loop."""
+    x = np.asarray(x)
     r = np.abs(x)
     r += 0.5
     np.floor(r, out=r)
-    np.copysign(r, x, out=r)
+    bits = r.view(f"u{r.itemsize}")
+    bits |= np.bitwise_and(x.view(bits.dtype), bits.dtype.type(1 << (8 * r.itemsize - 1)))
     return r.astype(np.float32, copy=False)
 
 
@@ -137,11 +143,17 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, keep_r: bool = False):
     are those of the chain that rms_norm_backward differentiates.  The x * x
     buffer takes the quotient x / r, then its product with the gain, so a
     call allocates one (rows, C) array.  keep_r also returns r, the (rows,
-    1) root mean squares, which the backward reads."""
-    _check_finite("rms_norm", x)
+    1) root mean squares, which the backward reads.  Non-finite x raises
+    NumericError: a row of finite sums of squares holds finite values, so x
+    itself is scanned only when a sum is not finite (inf or NaN in the row,
+    or finite values whose squares overflow, which pass: r is inf and the
+    row comes out zero)."""
     sq = x * x
-    # the sum and division of mean(axis=1), without its wrapper's cost
-    ms = np.add.reduce(sq, axis=1, keepdims=True) / x.shape[1]
+    ss = np.add.reduce(sq, axis=1, keepdims=True)
+    if not np.isfinite(ss).all():
+        _check_finite("rms_norm", x)
+    # the division of mean(axis=1), without its wrapper's cost
+    ms = ss / x.shape[1]
     r = np.sqrt(ms + RMS_EPS)
     out = np.divide(x, r, out=sq)
     out *= gain

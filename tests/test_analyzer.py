@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +100,21 @@ class TestValidation:
         with pytest.raises(KvqError):
             DeployConfig(arch=LLAMA2_7B, batch=0)
 
+    @pytest.mark.parametrize("field", ["batch", "prompt_len", "gen_len"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, "2", None])
+    def test_sizes_must_be_integers(self, field, value):
+        # a bool or a non-integer size is refused by quantizers._is_int, as
+        # ModelConfig's are: batch=1.5 would give a 1,610,612,736.0-byte
+        # cache, and batch=True would pass as 1
+        with pytest.raises(KvqError, match=f"{field} must be an integer"):
+            DeployConfig(arch=LLAMA2_7B, **{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        dc = DeployConfig(arch=LLAMA2_7B, batch=np.int64(2), prompt_len=np.int32(16),
+                          gen_len=np.uint8(3))
+        assert estimate_memory(dc).kv_cache_bytes == kv_cache_bytes(
+            DeployConfig(arch=LLAMA2_7B, batch=2), 19)
+
     def test_unknown_setting_rejected(self):
         with pytest.raises(KvqError):
             DeployConfig.for_setting(LLAMA2_7B, "w2")
@@ -161,6 +178,38 @@ class TestRoofline:
                                        bandwidth_bytes=1.0e12)
         assert abs(estimate_decode_time(dc2)["total_seconds"]
                    - 2 * estimate_decode_time(dc)["total_seconds"]) < 1e-9
+
+    @staticmethod
+    def loop_bytes(dc):
+        """The per-step byte sum as one Python iteration per generated token."""
+        w = weights_bytes(dc)
+        return sum(w + kv_cache_bytes(dc, t) + temp_activation_bytes(dc, "decode", t)
+                   for t in range(dc.prompt_len, dc.prompt_len + dc.gen_len))
+
+    def test_closed_form_equals_step_loop(self):
+        # odd widths and sizes, so that every // 8 floors: the closed form
+        # gives the loop's exact integers, and the fp16 baseline's
+        arch = ArchSpec("odd", 3, 37, 1, 37, 91, 101)
+        for batch, prompt, gen, kv_bits, act_bits, group in itertools.product(
+                [1, 3], [0, 1, 13], [1, 2, 7, 8, 9, 17, 30], [3, 5, 16], [3, 16], [5, 32]):
+            dc = DeployConfig(arch=arch, batch=batch, prompt_len=prompt, gen_len=gen,
+                              weight_bits=4, kv_bits=kv_bits, act_bits=act_bits,
+                              kv_group_size=group)
+            got = estimate_decode_time(dc)
+            base = dataclasses.replace(dc, weight_bits=16, kv_bits=16, act_bits=16)
+            assert got["total_bytes"] == self.loop_bytes(dc), dc
+            assert got["fp16_total_bytes"] == self.loop_bytes(base), dc
+            assert isinstance(got["total_bytes"], int)
+
+    def test_long_generation_answers_at_once(self):
+        # 10^9 generated tokens: one Python iteration per token would take
+        # about 25 minutes; the closed form answers in well under a second
+        dc = DeployConfig.for_setting(LLAMA2_7B, "w4kv4", prompt_len=2048, gen_len=10**9)
+        start = time.perf_counter()
+        got = estimate_decode_time(dc)
+        assert time.perf_counter() - start < 1.0
+        assert got["total_bytes"] > 10**9 * weights_bytes(dc)
+        assert 0 < got["ratio_vs_fp16"] < 1
 
     def test_gen_len_required(self):
         with pytest.raises(KvqError):

@@ -583,6 +583,16 @@ class TestAnalyze:
         assert rc == 2
         assert "bandwidth must be positive and finite" in err and stdout == ""
 
+    @pytest.mark.parametrize("flag", ["--batch", "--prompt-len", "--gen-len"])
+    def test_sizes_must_be_integers(self, capsys, flag):
+        # a fractional size is refused by the parser, and a negative one (or
+        # a zero batch) by DeployConfig: both exit 2 with nothing on stdout
+        with pytest.raises(SystemExit) as e:
+            main(["analyze", flag, "1.5"])
+        assert e.value.code == 2 and "invalid int value" in capsys.readouterr().err
+        rc, stdout, err = run(capsys, ["analyze", flag, "0" if flag == "--batch" else "-1"])
+        assert rc == 2 and stdout == "" and "must be" in err
+
     def test_unknown_arch_usage_error(self, capsys):
         rc, _, err = run(capsys, ["analyze", "--arch", "gpt-17"])
         assert rc == 2

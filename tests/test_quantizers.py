@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kvq.errors import DegenerateScaleError, DimensionError, KvqError, NumericError
 from kvq.quantizers import (
     ROW_BLOCK,
+    SPREAD_EPS,
     QuantizedTensor,
     SmoothingParams,
     TokenQuantSpec,
@@ -20,6 +21,7 @@ from kvq.quantizers import (
     quantize_token,
     quantize_weight,
     token_codes,
+    _quantize_token_groups,
 )
 from conftest import group_bounds
 
@@ -383,6 +385,88 @@ class TestOneTokenCore:
         with pytest.raises(NumericError, match="cache append"):
             token_codes((y,), TokenQuantSpec(4, 8), "cache append", keep=(codes, mn), out=out)
         assert np.all(codes == 5) and np.all(mn == 7.0) and np.all(out == 9.0)
+
+
+@st.composite
+def token_cases(draw):
+    """(rows, spec): a few rows of full groups and maybe a short tail, each
+    group one of: normal values at a scale from SPREAD_EPS to 1e30, a
+    group of exact ties (symmetric pairs +-(j + 0.5) * n at a power-of-two
+    spread, so every centred / n is j + 0.5 and the extreme pair is
+    +-2^(b-1), the lowest code), a constant, all -0.0, or a mix of +-0.0;
+    normal groups may hold +-0.0 entries too."""
+    bits = draw(st.sampled_from([2, 3, 4, 8]))
+    size = draw(st.sampled_from([1, 2, 4, 8]))
+    t, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    c = k * size + draw(st.integers(0, size - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = 2 ** (bits - 1)
+    y = np.empty((t, c), np.float32)
+    for r in range(t):
+        for a in range(0, c, size):
+            g = y[r, a : a + size]
+            kind = draw(st.sampled_from(["normal", "ties", "constant", "negzero", "zeros"]))
+            if kind == "ties" and len(g) % 2 == 0:
+                n = np.float32(2.0 ** draw(st.integers(-36, 99))) / np.float32(half)
+                j = rng.integers(0, half, len(g) // 2) + 0.5
+                j[0] = half  # the spread: codes code_hi and code_lo
+                g[0::2], g[1::2] = j * n, -j * n  # each pair sums to 0, so m = 0
+            elif kind == "constant":
+                g[...] = rng.normal() * 10.0 ** draw(st.floats(-12, 30))
+            elif kind in ("negzero", "zeros"):
+                g[...] = -0.0 if kind == "negzero" else rng.choice([0.0, -0.0], len(g))
+            else:
+                g[...] = rng.normal(size=len(g)) * 10.0 ** draw(st.floats(-12, 30))
+                g[rng.random(len(g)) < 0.2] = rng.choice([0.0, -0.0])
+    return y, TokenQuantSpec(bits, size)
+
+
+class TestSignBitCore:
+    """The token core takes copysign(0.5, x) from x's sign bit and clamps
+    only above (its docstring proves no code falls below code_lo);
+    token_codes truncates only for a round trip.  Each must give the codes,
+    m and n of the int8 reference, which clamps both ends with copysign."""
+
+    @given(token_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_core_and_token_codes_match_int8_reference(self, case):
+        y, spec = case
+        t = len(y)
+        want_codes, want_mn = int8_token_codes(y, spec)
+        assert want_codes.min() >= spec.code_lo and want_codes.max() <= spec.code_hi
+        for cols, groups, k, size in _spans(y.shape[1], spec.group_size):
+            q, m, n = _quantize_token_groups(y[:, cols].reshape(t, k, size), spec)
+            codes = np.trunc(q)
+            assert codes.min() >= spec.code_lo and codes.max() <= spec.code_hi
+            assert np.array_equal(codes.reshape(t, -1), want_codes[:, cols])
+            assert m.tobytes() == want_mn[0][:, groups].tobytes()
+            assert n.tobytes() == want_mn[1][:, groups].tobytes()
+        # keep alone (no np.trunc: the int8 cast truncates), out alone, and both
+        codes, mn = np.full((1, *y.shape), 99, np.int8), np.full((2, 1, *want_mn.shape[1:]), np.nan,
+                                                                 np.float32)
+        assert token_codes((y,), spec, keep=(codes, mn)) is None
+        assert codes[0].tobytes() == want_codes.tobytes() and mn[:, 0].tobytes() == want_mn.tobytes()
+        qt = QuantizedTensor("token", want_codes, spec.bits, spec.group_size, m=want_mn[0],
+                             n=want_mn[1])
+        back = dequantize(qt).tobytes()
+        out = token_codes((y,), spec, out=np.full((1, *y.shape), np.nan, np.float32))
+        assert out[0].tobytes() == back
+        codes[...], mn[...] = 99, np.nan
+        out = token_codes((y,), spec, keep=(codes, mn), out=np.empty((1, *y.shape), np.float32))
+        assert out[0].tobytes() == back and codes[0].tobytes() == want_codes.tobytes()
+
+    def test_spread_extremes(self):
+        # groups at spreads SPREAD_EPS and 1e30, and the lowest code: a pair
+        # +-s centres to +-2^(b-1) * n exactly, and its negative member codes
+        # to code_lo with no lower clamp
+        for bits in (2, 3, 4, 8):
+            spec = TokenQuantSpec(bits, 2)
+            y = np.array([[SPREAD_EPS, -SPREAD_EPS, 1e30, -1e30, 2.0**-30, -(2.0**-30)]],
+                         np.float32)
+            qt = quantize_token(y, spec)
+            want_codes, want_mn = int8_token_codes(y, spec)
+            assert qt.codes.tobytes() == want_codes.tobytes()
+            assert np.array_equal(qt.codes[0, 2:], [spec.code_hi, spec.code_lo] * 2)
 
 
 class TestGroupBounds:

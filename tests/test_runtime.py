@@ -968,6 +968,48 @@ class TestStepStore:
 
 
     @pytest.mark.parametrize("group, head_dim, n_heads", TestFoldedCacheRead.LAYOUTS)
+    def test_poq_on_chunk_stores_then_unsmooths_in_place(self, monkeypatch, group, head_dim,
+                                                         n_heads):
+        # with POQ on, a chunk onto a cache of codes (a prefill, a chunk onto
+        # its past, a one-row chunk) stores the codes, m and n of its
+        # smoothed K and V first, then un-smooths those same arrays in place:
+        # every apply_kv_smoothing call writes into its input, so no fresh
+        # un-smoothed array is made.  The stored rows are quantize_token's of
+        # the layer's smoothed K and V, and the logits are the float64
+        # model's over what the cache holds
+        base = make_model(seed=9, n_layers=3, n_heads=n_heads, head_dim=head_dim,
+                          hidden_size=n_heads * head_dim, kv_group_size=group)
+        spread_kv_channels(base, 2.0, seed=9)
+        m = quantized(smoothed(base))
+        apply, norm = kvq.model.apply_kv_smoothing, kvq.model.rms_norm
+        for kv_bits in (2, 3, 4, 8):
+            m.config = dataclasses.replace(m.config, kv_bits=kv_bits)
+            cache, got = PoqKvCache(m.config, m.blocks), []
+            gains = [w["attn_norm"] for w, _ in cache.block_plan]
+            for a, b in ((0, 12), (12, 20), (20, 21)):
+                into, norms = [], []
+
+                def in_place(x, sp, out=None):
+                    into.append(out is x)
+                    return apply(x, sp, out)
+
+                monkeypatch.setattr(kvq.model, "apply_kv_smoothing", in_place)
+                monkeypatch.setattr(kvq.model, "rms_norm", lambda x, gain: norms.append(
+                    (gain, norm(x, gain))) or norms[-1][1])
+                got.append(model_forward(m, IDS[a:b], cache=cache).data)
+                monkeypatch.undo()
+                assert into == [True] * 2 * len(m.blocks)
+                for li, blk in enumerate(m.blocks):
+                    [xn] = [out for g, out in norms if g is gains[li]]
+                    for j, lin in enumerate((blk.k, blk.v)):
+                        qt = quantize_token(xn @ lin.w + lin.b, m.config.token_spec())
+                        stored = (cache.codes[li, j, a:b], *cache.params[li, j, :, a:b])
+                        for st, want in zip(stored, (qt.codes, qt.m, qt.n)):
+                            assert st.tobytes() == want.tobytes(), (kv_bits, li, j)
+            want = reference.model_logits(m, IDS[:21], [12, 8, 1], cache)
+            assert np.abs(np.concatenate(got) - want).max() <= 1e-6, kv_bits
+
+    @pytest.mark.parametrize("group, head_dim, n_heads", TestFoldedCacheRead.LAYOUTS)
     def test_poq_off_chunk_quantizes_each_row_once(self, monkeypatch, group, head_dim, n_heads):
         # with POQ off a chunk onto a cache of codes (a prefill, a chunk onto
         # its past, a one-row chunk) stores the codes, m and n of the round
@@ -1059,6 +1101,26 @@ class TestReadPlan:
         for fa, fb in zip(a.k_fold, b.k_fold):
             assert fa.shape[1] < fb.shape[1]  # the smoothed fold adds a delta column per head
         assert a.work is not b.work and a.scratch is not b.scratch
+
+    def test_config_plan_is_shared(self, monkeypatch):
+        # every cache of one config key holds the same read-only plan arrays;
+        # a field the plan does not read (kv_bits, poq) keeps the key, one it
+        # reads (max_seq_len) or the fold limit makes another plan
+        m = quantized(smoothed(make_model(seed=1)))
+        a, b = PoqKvCache(m.config, m.blocks), PoqKvCache(m.config, m.blocks)
+        other = dataclasses.replace(m.config, kv_bits=3, poq=False)
+        c = PoqKvCache(other, m.blocks)
+        names = ["cos", "sin", "cs_cols", "to_cs", "swap", "seg_ones", "head_ones"]
+        for name in names:
+            assert getattr(a, name) is getattr(b, name) is getattr(c, name), name
+            assert not getattr(a, name).flags.writeable, name
+        assert not any(ix.flags.writeable for ix in a.seg_pair if isinstance(ix, np.ndarray))
+        longer = PoqKvCache(dataclasses.replace(m.config, max_seq_len=40), m.blocks)
+        assert longer.cs_cols is not a.cs_cols and longer.cs_cols.shape[1] == 40
+        monkeypatch.setattr(kvq.model, "FOLD_MAX_SEGMENTS", 0)
+        assert not PoqKvCache(m.config, m.blocks).fold_k and a.fold_k
+        # per-cache state stays per cache
+        assert a.k_fold is not b.k_fold and a.codes is not b.codes
 
     def test_cache_is_freed_with_its_last_user(self):
         # the planned KV handlers reach the cache through a weak proxy, so the

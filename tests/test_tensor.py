@@ -82,6 +82,40 @@ class TestRounding:
         assert round_half_away(np.array([v]))[0] == np.float32(expect)
 
 
+def copysign_round(x):
+    """round_half_away as it was written with np.copysign: the reference
+    its sign-bit form must match byte for byte."""
+    r = np.floor(np.abs(x) + 0.5)
+    return np.copysign(r, x).astype(np.float32, copy=False)
+
+
+class TestSignBitRounding:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_matches_copysign_form_on_specials(self, dtype):
+        # ties, +-0.0, values in (-0.5, 0.5) that round to -0.0, infinities,
+        # NaN of either sign and each dtype's extremes
+        info = np.finfo(dtype)
+        x = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.0, -0.0, 0.49, -0.49, -1e-3,
+                      np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max, info.tiny,
+                      -info.tiny, info.smallest_subnormal, -info.smallest_subnormal], dtype)
+        with np.errstate(over="ignore"):  # float64's extremes overflow the float32 result
+            got, want = round_half_away(x), copysign_round(x)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert np.signbit(got[7]) and np.signbit(got[9]) and not np.signbit(got[6])
+
+    @given(st.sampled_from([16, 32, 64]).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.floats(width=w), min_size=1, max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_copysign_form(self, case):
+        width, values = case
+        x = np.array(values, dtype=f"f{width // 8}")
+        with np.errstate(over="ignore"):
+            assert round_half_away(x).tobytes() == copysign_round(x).tobytes()
+        # a strided view rounds as its copy does
+        with np.errstate(over="ignore"):
+            assert round_half_away(x[::2]).tobytes() == copysign_round(x[::2]).tobytes()
+
+
 class TestBroadcasting:
     def test_row_vector_grad_sums(self):
         # a (1, C) bias row's gradient sums the gradient over the rows
@@ -383,6 +417,24 @@ class TestCausalMask:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError):
             softmax_causal(np.array([[np.inf, 0.0]], np.float32))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rms_norm_rejects_non_finite_rows(self, bad):
+        # rms_norm scans x only when a row's sum of squares is not finite; an
+        # inf or NaN anywhere still raises NumericError naming rms_norm, and
+        # finite rows whose squares overflow pass as they did (to zero)
+        rng = np.random.default_rng(5)
+        gain = randn(rng, 1, 8)
+        for row in (0, 3):
+            x = randn(rng, 4, 8)
+            x[row, 5] = bad
+            with pytest.raises(NumericError, match="rms_norm"):
+                rms_norm(x, gain)
+        x = randn(rng, 4, 8)
+        x[2] = 1e30
+        with np.errstate(over="ignore"):
+            out = rms_norm(x, gain)
+        assert np.all(out[2] == 0.0) and np.all(np.isfinite(out))
 
     def test_head_axis_shares_mask(self):
         rng = np.random.default_rng(18)

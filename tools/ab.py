@@ -17,7 +17,9 @@ Workloads, each timed per call:
     decode_896              and 8 untimed steps, which run slower than a
                             steady loop; at 64 the step's fixed cost
                             dominates, at 896 the read of the past
-    prefill_896             one 896-token prefill
+    prefill_96, prefill_896 one prefill of that many tokens; 96 is the
+                            prompt of perfbench's score_cached probe, where a
+                            prefill's fixed costs show, 896 a long prompt
     score_64, score_192     cache-path scoring (score_logits) of 64 and 192
                             tokens; at 64, the benchmark's shortest passage,
                             a call's fixed cost is about a third of its time
@@ -86,13 +88,13 @@ import numpy as np
 
 # warm: untimed decode steps before the timed ones; train: (batch, seq_len)
 # of train_step; crr: (segments, seg_len) of crr_loss
-FULL = dict(config={"max_seq_len": 1024}, decode=(64, 384, 896), warm=8, steps=16, prefill=896,
-            score=(64, 192), nll=192, chunk=(600, 300),
+FULL = dict(config={"max_seq_len": 1024}, decode=(64, 384, 896), warm=8, steps=16,
+            prefill=(96, 896), score=(64, 192), nll=192, chunk=(600, 300),
             calib=dict(k=2, epochs=1, segments=4, seg_len=64),
             corpus=4096, train=(2, 64), crr=(4, 64))
 TINY = dict(config=dict(n_layers=2, hidden_size=32, n_heads=2, head_dim=16,
                         intermediate_size=48, max_seq_len=64, weight_group_size=16),
-            decode=(8, 16, 40), warm=8, steps=4, prefill=48, score=(8, 16), nll=16,
+            decode=(8, 16, 40), warm=8, steps=4, prefill=(12, 48), score=(8, 16), nll=16,
             chunk=(30, 20),
             calib=dict(k=2, epochs=1, segments=2, seg_len=16), corpus=256,
             train=(2, 16), crr=(2, 16))
@@ -181,10 +183,12 @@ def workloads(sizes: dict) -> dict:
         out = fn()
         return time.perf_counter() - start, out
 
-    def prefill(tr: Tree):
-        ids = tr.ids[: sizes["prefill"]]
-        t, (logits, cache) = timed(lambda: tr.kvq.prefill(tr.served, ids))
-        return t, [logits.data], lambda: max_dlogit(tr, ids, [len(ids)], cache, [logits.data])
+    def prefill(n):
+        def run(tr: Tree):
+            ids = tr.ids[:n]
+            t, (logits, cache) = timed(lambda: tr.kvq.prefill(tr.served, ids))
+            return t, [logits.data], lambda: max_dlogit(tr, ids, [n], cache, [logits.data])
+        return run
 
     def score(n):
         def run(tr: Tree):
@@ -242,7 +246,7 @@ def workloads(sizes: dict) -> dict:
 
     past, rows = sizes["chunk"]
     return {**{f"decode_{ctx}": decode(ctx) for ctx in sizes["decode"]},
-            f"prefill_{sizes['prefill']}": prefill,
+            **{f"prefill_{n}": prefill(n) for n in sizes["prefill"]},
             **{f"score_{n}": score(n) for n in sizes["score"]}, f"nll_{sizes['nll']}": nll,
             f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate, "save_load": save_load,
             "train_step": train_step, "crr_loss": crr_loss}
