@@ -43,14 +43,16 @@ An fp cache's read takes the stored rows, the chunk's included, as the
 arrays prefill attends over.  A cache plans its forwards once, when it is
 built (PoqKvCache._plan_reads), so a decode step rebuilds nothing: each
 block's weights and KV handler, and for a quantized cache the token spec,
-each block's [s; delta] un-smoothing pair (PoqKvCache.unsmooth), each
-layer's views of the store, and the config's segment maps, contraction
-matrices and rope tables, which are read-only and built once per config
-key, shared by every cache (_config_read_plan).  Only a quantized cache
-holds read buffers, one pair (scratch and work) as one array (reads),
-shared by the layers and overwritten by every read; the fold uses scratch
-alone.  Each layer's K or V slab of the store, the read buffers and the
-rope tables are allocated once on 64-byte boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
+each block's [s; delta] un-smoothing pair (PoqKvCache.unsmooth), and the
+config's segment maps, contraction matrices and rope tables, which are
+read-only and built once per config key, shared by every cache
+(_config_read_plan).  The fold's own plan (each layer's views of the store
+and its K contraction matrices) is built once too, at the cache's first
+decode step.  Only a quantized cache holds read buffers, one pair (scratch
+and work) as one array (reads), shared by the layers and overwritten by
+every read; the fold uses scratch alone.  Each layer's K or V slab of the
+store, the read buffers and the rope tables are allocated once on 64-byte
+boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
 elementwise passes in about half the time, and without a fill: append
 writes a chunk's rows before any read, no read takes the row a decode step
 stores, and a read writes the scratch and work rows it then reads.
@@ -510,50 +512,68 @@ class PoqKvCache:
         and the cache is freed with its last user.  A cache of codes
         (cfg.kv_codes) adds the token spec, each block's K/V un-smoothing
         pair (unsmooth, _unsmooth_pair), which the materialized read (rows),
-        the step and the POQ-off handler all take, and the config's read
+        the step and the POQ-off handler all take, each block's K and V
+        smoothing (s, delta) or None (fold_smoothing), and the config's read
         plan, whose read-only arrays are built once per key of the config
         fields it reads and shared with every other cache of that key
         (_config_read_plan); a cache builds only what its blocks and its
-        store decide.  When decode steps fold (fold_k) it also plans each
-        layer's views of the store for the fold's reads (layer_reads), the store's views that a step writes
-        (step_store), V smoothing per segment and K contraction matrix k_fold
-        = [C; -C]: C = [segment ones * s | delta per head], or the segment
-        ones without K smoothing.  A fold read's six slices of the store took
-        about 1.7 us from the whole store and 1.0 us from a layer's planned
-        views.
+        store decide.  The fold's own plan (layer_reads, step_store,
+        v_seg_smoothing, k_fold) is built from these at its first use, by
+        the cache's first decode step, so a cache that is never stepped,
+        such as a prefill's that only scores, does not build it: it took
+        about 50 us of a 122 us construction on the served model of
+        tools/ab.py (best of 500, 2-vCPU Xeon VM).
         """
         cfg = self.cfg
-        proxy = weakref.proxy(self)
         if cfg.kv_codes:
             self.spec = cfg.token_spec()
-            self.unsmooth = [_unsmooth_pair(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
+            pairs = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
+            self.unsmooth = [_unsmooth_pair(*pair) for pair in pairs]
+            self.fold_smoothing = [[None if sp is None else (sp.s, sp.delta) for sp in pair]
+                                   for pair in pairs]
+            vars(self).update(_config_read_plan(cfg.hidden_size, cfg.head_dim, cfg.max_seq_len,
+                                                cfg.kv_group_size, float(cfg.rope_base),
+                                                FOLD_MAX_SEGMENTS))
+        proxy = weakref.proxy(self)
         self.block_plan = [(block_arrays(blk), _runtime_kv_fn(cfg, blk, li, proxy))
                            for li, blk in enumerate(blocks)]
-        if not cfg.kv_codes:
-            return
-        vars(self).update(_config_read_plan(cfg.hidden_size, cfg.head_dim, cfg.max_seq_len,
-                                            cfg.kv_group_size, float(cfg.rope_base),
-                                            FOLD_MAX_SEGMENTS))
-        if not self.fold_k:
-            return
-        # each layer's views of the store: the (codes, m, n) of its K and of
-        # its V, which the fold reads
-        self.layer_reads = [[(self.codes[li, j], *self.params[li, j]) for j in (0, 1)]
-                            for li in range(cfg.n_layers)]
-        # views of the store with its [layer, K/V] axes as one, which a step
-        # writes its 2 * n_layers rows to: codes and [m; n]
+
+    # The fold's plan, for a cache that folds (fold_k), each part built at its
+    # first use from the store and smoothing planned at construction.
+
+    @functools.cached_property
+    def layer_reads(self) -> list:
+        """Each layer's views of the store that the fold reads: the (codes, m,
+        n) of its K and of its V.  A fold read's six slices of the store
+        took about 1.7 us from the whole store and 1.0 us from these."""
+        return [[(self.codes[li, j], *self.params[li, j]) for j in (0, 1)]
+                for li in range(self.cfg.n_layers)]
+
+    @functools.cached_property
+    def step_store(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the store with its [layer, K/V] axes as one, which a step
+        writes its 2 * n_layers rows to: codes and [m; n]."""
         params = self.params.transpose(2, 0, 1, 3, 4)  # [m; n] first
-        self.step_store = (self.codes.reshape(-1, *self.codes.shape[2:]),
-                           params.reshape(2, -1, *params.shape[3:]))
+        return (self.codes.reshape(-1, *self.codes.shape[2:]),
+                params.reshape(2, -1, *params.shape[3:]))
+
+    @functools.cached_property
+    def v_seg_smoothing(self) -> list:
+        """Each layer's V smoothing (s, delta) per segment, or None."""
         w = self.seg_width
-        self.v_seg_smoothing = [None if sp is None else (sp.s.reshape(-1, 1, w),
-                                                         sp.delta.reshape(-1, 1, w))
-                                for sp in (blk.v.smoothing for blk in blocks)]
-        self.k_fold = []
-        for sp in (blk.k.smoothing for blk in blocks):
-            fold = self.seg_ones if sp is None else np.concatenate(
-                [self.seg_ones * sp.s[:, None], self.head_ones * sp.delta[:, None]], 1)
-            self.k_fold.append(np.concatenate([fold, -fold]))
+        return [None if v is None else (v[0].reshape(-1, 1, w), v[1].reshape(-1, 1, w))
+                for _, v in self.fold_smoothing]
+
+    @functools.cached_property
+    def k_fold(self) -> list:
+        """Each layer's K contraction matrix, [C; -C]: C = [segment ones * s |
+        delta per head], or the segment ones without K smoothing."""
+        folds = []
+        for k, _ in self.fold_smoothing:
+            fold = self.seg_ones if k is None else np.concatenate(
+                [self.seg_ones * k[0][:, None], self.head_ones * k[1][:, None]], 1)
+            folds.append(np.concatenate([fold, -fold]))
+        return folds
 
     def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_rot: np.ndarray, v_raw: np.ndarray) -> None:
         """Store a chunk's KV for layer li at rows length .. length+t-1

@@ -1122,6 +1122,24 @@ class TestReadPlan:
         # per-cache state stays per cache
         assert a.k_fold is not b.k_fold and a.codes is not b.codes
 
+    def test_fold_plan_waits_for_the_first_step(self):
+        # a prefill's cache builds no fold plan; the first decode step builds
+        # it, from the smoothing the blocks held when the cache was built
+        names = ["layer_reads", "step_store", "v_seg_smoothing", "k_fold"]
+        m = quantized(make_model(seed=1))
+        twin = copy.deepcopy(m)
+        _, cache = prefill(m, IDS[:12])
+        _, twin_cache = prefill(twin, IDS[:12])
+        assert cache.fold_k and not any(name in vars(cache) for name in names)
+        smoothed(m)  # after the cache was planned: its steps do not see it
+        for tok in IDS[12:15]:
+            np.testing.assert_array_equal(decode_step(m, int(tok), cache).data,
+                                          decode_step(twin, int(tok), twin_cache).data)
+            assert all(name in vars(cache) for name in names)
+        # unsmoothed folds: no delta column per head
+        assert all(f.shape[1] == cache.seg_ones.shape[1] for f in cache.k_fold)
+        np.testing.assert_array_equal(cache.codes[:, :, :15], twin_cache.codes[:, :, :15])
+
     def test_cache_is_freed_with_its_last_user(self):
         # the planned KV handlers reach the cache through a weak proxy, so the
         # plan holds no reference cycle

@@ -473,8 +473,11 @@ class TestMisc:
         with pytest.raises(DimensionError):
             rope(np.zeros((2, 3), np.float32), np.arange(2))
 
-    # a gap, a start below 0, and too few positions for the rows
-    @pytest.mark.parametrize("positions", [[0, 2, 3], [-1, 0, 1], [0, 1]])
+    # a gap, a start below 0, too few positions for the rows, then a
+    # descending range, a gap at the last step, and a repeat and a gap whose
+    # ends are a range's
+    @pytest.mark.parametrize("positions", [[0, 2, 3], [-1, 0, 1], [0, 1], [2, 1, 0],
+                                           [0, 1, 3], [0, 0, 2]])
     def test_rope_positions_must_be_contiguous(self, positions):
         with pytest.raises(DimensionError, match="contiguous"):
             rope(np.zeros((3, 8), np.float32), np.asarray(positions))
