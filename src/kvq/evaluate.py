@@ -17,6 +17,7 @@ token and is not scored.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .model import (  # noqa: F401 (the benchmark's tracer wraps prefill and dec
     require_unsmoothed,
     softmax_attention,
 )
-from .quantizers import check_seed
+from .quantizers import _is_int, check_seed
 from .tensor import (_check_finite, gated_mlp, gated_mlp_backward, linear, linear_backward,
                      rms_norm, rms_norm_backward, rope)
 
@@ -137,8 +138,9 @@ def eval_report(model: Model, ids: np.ndarray, use_cache: bool = False,
               "use_cache": use_cache, **perplexity(model, ids, use_cache=use_cache)}
     if fp_model is not None:
         report["logit_mae_vs_fp"] = logit_mae(fp_model, model, ids, use_cache=use_cache)
-        n_new = min(32, model.config.max_seq_len - min(8, len(ids)))
-        prompt = ids[: min(8, len(ids))]
+        # the divergence prompt fits the model, so generation's n_new >= 0
+        prompt = ids[: min(8, len(ids), model.config.max_seq_len)]
+        n_new = min(32, model.config.max_seq_len - len(prompt))
         g_fp = generate(fp_model, prompt, n_new)
         g_q = generate(model, prompt, n_new)
         report["first_divergence_vs_fp"] = first_divergence(g_fp, g_q)
@@ -278,16 +280,20 @@ def train_model(model: Model, corpus_ids: np.ndarray, steps: int = 200, batch: i
     keeps one copy of the weights, and the caller's original arrays are never
     written (they are freed unless the caller holds them).  A step's
     gradients are dropped before the next forward.  If a step raises, the
-    model keeps the arrays of the last completed step.  steps < 0, batch or
-    seq_len < 1, an lr that is not finite and positive, and a seed that is
-    not an integer >= 0 (check_seed) raise KvqError, and a seq_len past
-    max_seq_len CapacityError."""
+    model keeps the arrays of the last completed step.  A steps, batch or
+    seq_len that is not an integer (_is_int: a bool is not one), steps < 0,
+    batch or seq_len < 1, an lr that is a bool or not a finite positive
+    number, and a seed that is not an integer >= 0 (check_seed) raise
+    KvqError, and a seq_len past max_seq_len CapacityError."""
     from .calibration import AdamW
 
+    for name, value in (("steps", steps), ("batch", batch), ("seq_len", seq_len)):
+        if not _is_int(value):
+            raise KvqError(f"{name} must be an integer, got {value!r}")
     if steps < 0 or batch < 1 or seq_len < 1:
         raise KvqError(f"need steps >= 0, batch >= 1, seq_len >= 1; got {steps}, {batch}, "
                        f"{seq_len}")
-    if not 0 < lr < math.inf:
+    if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
         raise KvqError(f"lr must be a finite positive number, got {lr}")
     cfg = model.config
     check_capacity(seq_len, cfg, "training window")

@@ -42,18 +42,19 @@ rows last, which causal_attention attends over as it does prefill's.
 An fp cache's read takes the stored rows, the chunk's included, as the
 arrays prefill attends over.  A cache plans its forwards once, when it is
 built (PoqKvCache._plan_reads), so a decode step rebuilds nothing: each
-block's weights and KV handler, and for a quantized cache the token spec,
-each block's [s; delta] un-smoothing pair (PoqKvCache.unsmooth), and the
-config's segment maps, contraction matrices and rope tables, which are
-read-only and built once per config key, shared by every cache
-(_config_read_plan).  The fold's own plan (each layer's views of the store
-and its K contraction matrices) is built once too, at the cache's first
-decode step.  Only a quantized cache holds read buffers, one pair (scratch
-and work) as one array (reads), shared by the layers and overwritten by
-every read; the fold uses scratch alone.  Each layer's K or V slab of the
-store, the read buffers and the rope tables are allocated once on 64-byte
-boundaries (tensor.ALIGN), where NumPy's vector loops run the fold's
-elementwise passes in about half the time, and without a fill: append
+block's weights, KV handler and [s; delta] un-smoothing pair
+(PoqKvCache.unsmooth), the one runtime record of its K/V smoothing, and for
+a quantized cache the token spec and the config's segment maps, contraction
+matrices and rope tables, which are read-only and built once per config key,
+shared by every cache (_config_read_plan).  The fold's own plan (each
+layer's views of the store, and its K contraction matrix and V [s; delta]
+per segment, both read from the block's pair) is built once too, at the
+cache's first decode step.  Only a quantized cache holds read buffers, one
+pair (scratch and work) as one array (reads), shared by the layers and
+overwritten by every read; the fold uses scratch alone.  Each layer's K or V
+slab of the store, the read buffers and the rope tables are allocated once
+on 64-byte boundaries (tensor.ALIGN), where NumPy's vector loops run the
+fold's elementwise passes in about half the time, and without a fill: append
 writes a chunk's rows before any read, no read takes the row a decode step
 stores, and a read writes the scratch and work rows it then reads.
 
@@ -74,17 +75,25 @@ folds reads no codes at length (POQ gives the step's own K/V to attention
 at full precision), so it stores every layer's row there at once, after the
 last layer (PoqKvCache.step).  On a cache of codes each write assigns
 quantizers.token_codes' codes and (m, n) to a view of the store (append's,
-code_rows' for a POQ-off chunk's own round trip, or the step's
-step_store).  model_forward (or the cache's step) advances
-length once, after the last block, so a forward that raises part-way leaves
-length unchanged, and the next forward overwrites any rows it had written;
-a step that raises has written none.
+code_rows' for a POQ-off chunk's own round trip, or the step's, every
+layer's K and V at its one row).  model_forward (or the cache's step)
+advances length once, after the last block, so a forward that raises
+part-way leaves length unchanged, and the next forward overwrites any rows
+it had written; a step that raises has written none.
 
 One chunk driver (_forward) runs model_forward, with or without a cache,
 and cache_path_forward: the token id and capacity checks, positions,
 embedding, the block loop and the head.  They differ only in the plan they
 hand it, each block's weights and KV handler: the cache's block_plan, the
 cacheless _runtime_kv_fn handlers, or cache-path scoring's _poq_kv_fn.
+
+K and V travel as one [K; V] stack from the projections to the store:
+block_attention writes the k and v projections into one (2, rows, hidden)
+buffer, and every KV handler (fp_kv_fn, _runtime_kv_fn, _poq_kv_fn) takes
+it, as do _stacked_kv and PoqKvCache.rows.  One function, _unsmooth_kv,
+maps a stack to raw space with the block's [s; delta] pair, one multiply
+and one add, in place or into a buffer: the handlers, rows, _stacked_kv and
+the step all call it, and no site un-smooths K or V on its own.
 
 block_core is the one block forward of prefill, chunks, decode steps onto a
 cache that does not fold, cache-path scoring and calibration, all on
@@ -153,9 +162,9 @@ So a long chunk on arrays holds its (T, hidden) activations and the MLP's
 block at a time.  Each query block's scores, product and sums are freed
 before the next block allocates its own.  The cache append, the K/V round
 trips (POQ off, and cache-path scoring's past rows) and weight_activation's
-activation quantizer quantize quantizers.ROW_BLOCK rows at a time.  q, and
-the keys when un-smoothing or a round trip made them a fresh array, are
-rotated in place; k_s itself is left whole for the append.  On the
+activation quantizer quantize quantizers.ROW_BLOCK rows at a time.  q and
+the [K; V] stack (or its round trip) are un-smoothed and rotated in place,
+and a block frees its stack when its handler returns.  On the
 benchmark's served model (hidden 128, intermediate 344) an 896-token
 prefill peaks at 6.88 MB traced, in attention's last query block, and a
 300-row chunk onto a 600-row past at 2.12 MB, at kv_group_size 32 and 2
@@ -187,7 +196,7 @@ from .quantizers import (
     WeightQuantSpec,
     _is_int,
     absorb_smoothing,
-    apply_kv_smoothing,
+    apply_kv_smoothing,  # noqa: F401 (the benchmark's tracer wraps apply_kv_smoothing here)
     check_bits,
     check_seed,
     dequantize,
@@ -479,12 +488,16 @@ class PoqKvCache:
     append, a chunk's rows one layer at a time, through code_rows' views by
     a POQ-off chunk's own round trip, and by step, which stores every
     layer's row after its last layer; each assigns token_codes' codes and
-    (m, n) to views of the store.  A POQ-on chunk stores the codes of its
-    smoothed k_s and v_s first and only then un-smooths and rotates those
-    same arrays in place for attention (_runtime_kv_fn), so no un-smoothed
-    copy is made.  The plan's config part (segment maps, contraction
-    matrices, rope table views) is one read-only dict per config key, shared
-    by every cache (_config_read_plan).
+    (m, n) to views of the store.  An fp cache is written by append alone,
+    its rotated K and raw V.  A POQ-on chunk stores the codes of its
+    smoothed [K; V] stack first and only then un-smooths and rotates that
+    same stack in place for attention (_runtime_kv_fn), so no un-smoothed
+    copy is made.  Every cache plans each block's [s; delta] pair
+    (unsmooth), the one runtime record of its K/V smoothing, which every
+    un-smoothing (_unsmooth_kv) and the fold's plan read.  The plan's config
+    part (segment maps, contraction matrices, rope table views) is one
+    read-only dict per config key, shared by every cache
+    (_config_read_plan).
     """
 
     def __init__(self, cfg: ModelConfig, blocks: list[DecoderBlockWeights]):
@@ -509,15 +522,14 @@ class PoqKvCache:
         Every cache keeps each block's block_core weights and KV handler
         (block_plan); the weights are also the step's.  The handlers reach
         the cache through a weak proxy, so the plan makes no reference cycle
-        and the cache is freed with its last user.  A cache of codes
-        (cfg.kv_codes) adds the token spec, each block's K/V un-smoothing
-        pair (unsmooth, _unsmooth_pair), which the materialized read (rows),
-        the step and the POQ-off handler all take, each block's K and V
-        smoothing (s, delta) or None (fold_smoothing), and the config's read
-        plan, whose read-only arrays are built once per key of the config
-        fields it reads and shared with every other cache of that key
-        (_config_read_plan); a cache builds only what its blocks and its
-        store decide.  The fold's own plan (layer_reads, step_store,
+        and the cache is freed with its last user.  Every cache also keeps
+        each block's K/V un-smoothing pair (unsmooth, _unsmooth_pair), which
+        the handlers, the materialized read (rows) and the step all apply
+        (_unsmooth_kv).  A cache of codes (cfg.kv_codes) adds the token spec
+        and the config's read plan, whose read-only arrays are built once per
+        key of the config fields it reads and shared with every other cache
+        of that key (_config_read_plan); a cache builds only what its blocks
+        and its store decide.  The fold's own plan (layer_reads,
         v_seg_smoothing, k_fold) is built from these at its first use, by
         the cache's first decode step, so a cache that is never stepped,
         such as a prefill's that only scores, does not build it: it took
@@ -525,12 +537,9 @@ class PoqKvCache:
         tools/ab.py (best of 500, 2-vCPU Xeon VM).
         """
         cfg = self.cfg
+        self.unsmooth = [_unsmooth_pair(blk) for blk in blocks]
         if cfg.kv_codes:
             self.spec = cfg.token_spec()
-            pairs = [(blk.k.smoothing, blk.v.smoothing) for blk in blocks]
-            self.unsmooth = [_unsmooth_pair(*pair) for pair in pairs]
-            self.fold_smoothing = [[None if sp is None else (sp.s, sp.delta) for sp in pair]
-                                   for pair in pairs]
             vars(self).update(_config_read_plan(cfg.hidden_size, cfg.head_dim, cfg.max_seq_len,
                                                 cfg.kv_group_size, float(cfg.rope_base),
                                                 FOLD_MAX_SEGMENTS))
@@ -550,39 +559,34 @@ class PoqKvCache:
                 for li in range(self.cfg.n_layers)]
 
     @functools.cached_property
-    def step_store(self) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the store with its [layer, K/V] axes as one, which a step
-        writes its 2 * n_layers rows to: codes and [m; n]."""
-        params = self.params.transpose(2, 0, 1, 3, 4)  # [m; n] first
-        return (self.codes.reshape(-1, *self.codes.shape[2:]),
-                params.reshape(2, -1, *params.shape[3:]))
-
-    @functools.cached_property
     def v_seg_smoothing(self) -> list:
-        """Each layer's V smoothing (s, delta) per segment, or None."""
+        """Each layer's V rows of its [s; delta] pair (unsmooth) per
+        segment, or None without a pair.  An unsmoothed V's s = 1 and delta
+        = -0.0 give the fold's values back bit for bit."""
         w = self.seg_width
-        return [None if v is None else (v[0].reshape(-1, 1, w), v[1].reshape(-1, 1, w))
-                for _, v in self.fold_smoothing]
+        return [None if p is None else p[:, 1].reshape(2, -1, 1, w) for p in self.unsmooth]
 
     @functools.cached_property
     def k_fold(self) -> list:
         """Each layer's K contraction matrix, [C; -C]: C = [segment ones * s |
-        delta per head], or the segment ones without K smoothing."""
+        delta per head] from the K rows of its [s; delta] pair (unsmooth), or
+        the segment ones without a pair.  An unsmoothed K's s = 1 keeps the
+        segment ones, and its delta = -0.0 adds only zeros to the scores,
+        which exp_causal weights as it weights the unchanged ones."""
         folds = []
-        for k, _ in self.fold_smoothing:
-            fold = self.seg_ones if k is None else np.concatenate(
-                [self.seg_ones * k[0][:, None], self.head_ones * k[1][:, None]], 1)
+        for p in self.unsmooth:
+            fold = self.seg_ones if p is None else np.concatenate(
+                [self.seg_ones * p[0, 0][:, None], self.head_ones * p[1, 0][:, None]], 1)
             folds.append(np.concatenate([fold, -fold]))
         return folds
 
-    def append(self, li: int, k_s: np.ndarray, v_s: np.ndarray, k_rot: np.ndarray, v_raw: np.ndarray) -> None:
-        """Store a chunk's KV for layer li at rows length .. length+t-1
-        (k_s/v_s smoothed, k_rot rotated raw keys, v_raw raw values): codes of
-        k_s and v_s, or k_rot and v_raw themselves in the fp layout (a cache
-        of codes reads neither, and its POQ-on handler passes None, since it
-        stores before it un-smooths and rotates k_s and v_s in place).  This is
-        the write of every forward onto a cache but two, which store the
-        codes of their own round trip: a decode step onto a cache that
+    def append(self, li: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store a chunk's K and V rows for layer li at rows length ..
+        length+t-1, as the layout stores them: a cache of codes the codes of
+        the smoothed rows (its POQ-on handler appends before it un-smooths
+        them in place), an fp cache the rotated K and raw V themselves.
+        This is the write of every forward onto a cache but two, which store
+        the codes of their own round trip: a decode step onto a cache that
         folds (step) and, with POQ off, a chunk onto a cache of codes
         (_runtime_kv_fn, through code_rows).  The codes, m and n are
         quantize_token's, ROW_BLOCK rows at a time (token_codes), each block
@@ -592,9 +596,9 @@ class PoqKvCache:
         if self.cfg.kv_codes:
             # token groups are per row, so quantizing a row block of the stacked
             # K and V rows gives each row the codes of its own quantize_token call
-            token_codes((k_s, v_s), self.spec, "cache append", keep=self.code_rows(li, len(k_s)))
+            token_codes((k, v), self.spec, "cache append", keep=self.code_rows(li, len(k)))
         else:
-            self.kv[li, :, self._next_rows(len(k_s))] = k_rot, v_raw
+            self.kv[li, :, self._next_rows(len(k))] = k, v
 
     def _next_rows(self, t: int) -> slice:
         """Rows length .. length+t-1, or CapacityError past the capacity."""
@@ -613,46 +617,45 @@ class PoqKvCache:
 
     def step(self, model: Model, token_id: int) -> Tensor:
         """The (1, vocab) logits of a decode step of token_id, one checked
-        token id, onto a cache that folds (fold_k), over the blocks the cache
-        planned.  This is decode_step's forward onto such a cache; every
-        other forward runs block_core.  It is block_core's arithmetic for one
-        row, its attention half written out as the same float32 array
-        expressions in the same order, so every logit, code and (m, n) is
-        the one block_core gives.  Per layer: rms_norm; the q/k/v products,
-        K and V into the layer's rows of one (n_layers, 2, hidden) step
-        buffer; K and V un-smoothed together (unsmooth, or with POQ off
-        after their round trip, whose codes, m and n it keeps for the
-        store); q and k rotated as one (2, hidden) array at
-        the step's row of the rope table; the fold (read_raw); the o
-        projection; rms_norm of the row (_row_rms_norm) and block_core's own
-        gated_mlp.  Then the head, its rms_norm on the row.
+        token id, onto a cache that folds (fold_k), over the blocks the
+        cache planned.  This is decode_step's forward onto such a cache;
+        every other forward runs block_core.  It is block_core's arithmetic
+        for one row, its attention half written out as the same float32
+        array expressions in the same order, so every logit, code and (m, n)
+        is the one block_core gives.  Per layer: rms_norm; the q/k/v
+        products, K and V into the layer's rows of one (n_layers, 2, hidden)
+        step buffer; K and V un-smoothed together, the layer's [K; V] row
+        pair and its planned pair (_unsmooth_kv; with POQ off after their
+        round trip, whose codes, m and n it keeps for the store); q and k
+        rotated as one (2, hidden) array at the step's row of the rope
+        table; the fold (read_raw); the o projection; rms_norm of the row
+        (_row_rms_norm) and block_core's own gated_mlp.  Then the head, its
+        rms_norm on the row.
 
         Past-only quantization gives the step's own K/V to attention at full
         precision, so no read of this step takes the codes at position
         length, and the step buffer is stored after the head: every layer's
         rows quantized by one core call per span (with POQ off, each layer's
         codes, m and n as its round trip made them, so every row is
-        quantized once) and written by one assignment per store array.  On
-        the served model of tools/ab.py with POQ off (one BLAS thread,
-        2-vCPU Xeon VM, 20 alternating rounds of 16 steps) a step that
-        keeps them took 0.94x the time of one that quantized its rows again
-        for the store at context 64 (18 of 20 rounds), and 0.95x at 384.  A
-        step that raises writes nothing.  It
-        keeps the checks of block_core's path: capacity first, the finite
-        checks of rms_norm, rope, exp_causal and the append's (on the step
-        buffer, before the store), and length advanced only after the
-        store."""
-        cfg, pos = self.cfg, self.length
-        if pos >= cfg.max_seq_len:
-            raise CapacityError(f"cache capacity exceeded: {pos}+1 > {cfg.max_seq_len}")
-        h, d, c = cfg.n_heads, cfg.head_dim, cfg.hidden_size
+        quantized once) and written by one assignment per store array to a
+        plain view of the store at the step's row.  On the served model of
+        tools/ab.py with POQ off (one BLAS thread, 2-vCPU Xeon VM, 20
+        alternating rounds of 16 steps) a step that keeps them took 0.94x
+        the time of one that quantized its rows again for the store at
+        context 64 (18 of 20 rounds), and 0.95x at 384.  A step that raises
+        writes nothing.  It keeps the checks of block_core's path: capacity
+        first (_next_rows, as append checks it), the finite checks of
+        rms_norm, rope, exp_causal and the append's (on the step buffer,
+        before the store), and length advanced only after the store."""
+        cfg, pos = self.cfg, self._next_rows(1).start
+        n, h, d, c = cfg.n_layers, cfg.n_heads, cfg.head_dim, cfg.hidden_size
         cos, sin = self.cos[pos], self.sin[pos]
-        kv = np.empty((cfg.n_layers, 2, c), dtype=np.float32)  # smoothed K, V rows
-        # the store's 2 * n_layers rows at pos, and step buffers of their codes
-        # and [m; n]: with POQ off kept from the round trip that attention
-        # reads, with POQ on made after the last layer
-        codes_at, params_at = self.step_store[0][:, pos], self.step_store[1][:, :, pos]
-        codes, params = np.empty_like(codes_at), np.empty_like(params_at)
+        kv = np.empty((n, 2, c), dtype=np.float32)  # smoothed K, V rows
+        # step buffers of the 2 * n_layers rows' codes and [m; n]: with POQ
+        # off kept from the round trip that attention reads, with POQ on
+        # made after the last layer
+        codes = np.empty((2 * n, c), dtype=np.int8)
+        params = np.empty((2, 2 * n, self.params.shape[-1]), dtype=np.float32)
         x = model.embed[None, token_id]
         for li, (w, _) in enumerate(self.block_plan):
             xn = _row_rms_norm(x, w["attn_norm"])
@@ -664,12 +667,7 @@ class PoqKvCache:
             at = slice(2 * li, 2 * li + 2)
             y = kv[li] if cfg.poq else token_codes((kv[li],), self.spec,
                                                    keep=(codes[at], params[:, at]), out=raw)
-            sp = self.unsmooth[li]
-            if sp is None:
-                raw[...] = y
-            else:
-                np.multiply(y, sp[0], out=raw)
-                raw += sp[1]
+            _unsmooth_kv(y, self.unsmooth[li], out=raw)
             qk = qkv[:2]
             _check_finite("rope", qk)
             swapped = np.ascontiguousarray(qk.reshape(2, h, 2, d // 2)[:, :, ::-1]).reshape(2, c)
@@ -682,7 +680,8 @@ class PoqKvCache:
         logits = linear(_row_rms_norm(x, model.final_norm), model.head.w, model.head.b)
         if cfg.poq:  # every layer's rows as one part: one core call per span
             token_codes((kv.reshape(-1, c),), self.spec, "cache append", keep=(codes, params))
-        codes_at[...], params_at[...] = codes, params
+        self.codes[:, :, pos] = codes.reshape(n, 2, c)
+        self.params[:, :, :, pos] = params.reshape(2, n, 2, -1).transpose(1, 2, 0, 3)
         self.length = pos + 1
         return Tensor(logits)
 
@@ -729,29 +728,28 @@ class PoqKvCache:
         o /= sums
         return o.reshape(1, h * d)
 
-    def rows(self, li: int, k_cur: np.ndarray, v_cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, li: int, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Layer li's raw K (rotated) and V rows 0 .. length+t-1 that
-        causal_attention reads, the chunk's own k_cur (rotated) and v_cur
-        last, after append stored them.  An fp cache gives its stored rows,
-        and a cache of codes without a past the chunk's.  Otherwise layer
-        li's past K and V codes are read as one (2, past, hidden) stack into
-        the read buffers (reads: K in scratch, V in work): one dequantize
-        call, then one multiply and one add with the block's planned [s;
-        delta] pair (unsmooth), then one rope of K, in place."""
+        causal_attention reads, the chunk's own (2, t, hidden) [K; V] stack
+        cur (K rotated) last, after append stored it.  An fp cache gives its
+        stored rows, and a cache of codes without a past the chunk's.
+        Otherwise layer li's past K and V codes are read as one (2, past,
+        hidden) stack into the read buffers (reads: K in scratch, V in
+        work): one dequantize call, then the block's planned [s; delta] pair
+        (unsmooth) applied in place (_unsmooth_kv), then one rope of K, in
+        place."""
         cfg, past = self.cfg, self.length
-        end = past + k_cur.shape[0]
+        end = past + cur.shape[1]
         if not cfg.kv_codes:
             return self.kv[li, 0, :end], self.kv[li, 1, :end]
         if not past:
-            return k_cur, v_cur
+            return cur[0], cur[1]
         kv, mn = self.reads[:, :end], self.params[li, :, :, :past]
-        y, sp = kv[:, :past], self.unsmooth[li]
+        y = kv[:, :past]
         dequantize(QuantizedTensor("token", self.codes[li, :, :past], self.spec.bits,
                                    self.spec.group_size, m=mn[:, 0], n=mn[:, 1]), out=y)
-        if sp is not None:
-            y *= sp[0][:, None]
-            y += sp[1][:, None]
-        kv[0, past:], kv[1, past:] = k_cur, v_cur
+        _unsmooth_kv(y, self.unsmooth[li], out=y)
+        kv[:, past:] = cur
         rope(y[0], np.arange(past), cfg.rope_base, cfg.head_dim, out=y[0])
         return kv[0], kv[1]
 
@@ -1014,11 +1012,12 @@ def _act_quant_fn(cfg: ModelConfig):
     return lambda x: token_codes((x,), spec, out=np.empty_like(x))
 
 
-def _unsmooth_pair(*pair: SmoothingParams | None):
-    """A block's (K, V) smoothing pair as one (2, 2, hidden) float32 [s;
-    delta] array of [K; V] rows, or None without smoothing.  An absent
-    smoothing's rows are s = 1 and delta = -0.0, which give every float32
-    value, -0.0 included, back unchanged."""
+def _unsmooth_pair(blk: DecoderBlockWeights):
+    """A block's K/V smoothing as one (2, 2, hidden) float32 [s; delta]
+    array of [K; V] rows, or None when neither projection is smoothed.  An
+    absent smoothing's rows are s = 1 and delta = -0.0, which give every
+    float32 value, -0.0 included, back unchanged."""
+    pair = (blk.k.smoothing, blk.v.smoothing)
     if pair == (None, None):
         return None
     c = len(next(sp for sp in pair if sp is not None).s)
@@ -1026,20 +1025,33 @@ def _unsmooth_pair(*pair: SmoothingParams | None):
                      [np.full(c, -0.0) if sp is None else sp.delta for sp in pair]], np.float32)
 
 
-def _stacked_kv(k_s, v_s, spec: TokenQuantSpec, unsmooth, current: bool, keep=None) -> np.ndarray:
+def _unsmooth_kv(kv: np.ndarray, pair, out: np.ndarray) -> np.ndarray:
+    """The raw rows kv * s + delta of a smoothed (2, ..., hidden) [K; V]
+    stack, with a block's [s; delta] pair (_unsmooth_pair), written to out
+    (which may be kv itself): one multiply and one add.  Without a pair the
+    rows are raw already, and are copied into out."""
+    if pair is None:
+        if out is not kv:
+            out[...] = kv
+        return out
+    lead = (2,) + (1,) * (kv.ndim - 2) + (-1,)
+    out = np.multiply(kv, pair[0].reshape(lead), out=out)
+    out += pair[1].reshape(lead)
+    return out
+
+
+def _stacked_kv(kv: np.ndarray, spec: TokenQuantSpec, pair, current: bool,
+                keep=None) -> np.ndarray:
     """The raw [K; V] rows of a chunk, (2, 1 + current, T, hidden): the cache
-    round trip of the smoothed k_s and v_s as one stack (token_codes, which
-    also writes their codes and [m; n] to keep, when given), with current,
-    k_s and v_s themselves after it, then all of them un-smoothed by one
-    multiply and one add with the block's planned pair."""
-    kv = np.empty((2, 1 + current, *k_s.shape), dtype=np.float32)
-    token_codes((k_s, v_s), spec, keep=keep, out=kv[:, 0])
+    round trip of its smoothed (2, T, hidden) [K; V] stack kv (token_codes,
+    which also writes the codes and [m; n] to keep, when given), with
+    current, kv itself after it, then all of them un-smoothed with the
+    block's planned pair (_unsmooth_kv)."""
+    out = np.empty((2, 1 + current, *kv.shape[1:]), dtype=np.float32)
+    token_codes(tuple(kv), spec, keep=keep, out=out[:, 0])
     if current:
-        kv[0, 1], kv[1, 1] = k_s, v_s
-    if unsmooth is not None:
-        kv *= unsmooth[0][:, None, None]
-        kv += unsmooth[1][:, None, None]
-    return kv
+        out[:, 1] = kv
+    return _unsmooth_kv(out, pair, out=out)
 
 
 def block_arrays(blk: DecoderBlockWeights) -> dict[str, np.ndarray]:
@@ -1059,9 +1071,10 @@ def block_core(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, act_f
     x stacks equal-length sequences as rows, each at positions (rope
     refuses a row count that is not a multiple of len(positions) with
     DimensionError).
-    kv_fn(k_s, v_s, q_positions) receives the k/v projection outputs and
-    returns (k_all_rotated, v_all): raw-space attention inputs covering past
-    + current tokens of each sequence, the chunk's rows last, so the causal
+    kv_fn(kv, q_positions) receives the k/v projection outputs as one (2,
+    rows, hidden) [K; V] stack, which it may overwrite, and returns
+    (k_all_rotated, v_all): raw-space attention inputs covering past +
+    current tokens of each sequence, the chunk's rows last, so the causal
     mask follows from their row counts.  A third element, if returned, is
     causal_attention's POQ diagonal.  A decode step onto a cache that folds
     does not come here: the cache runs it (PoqKvCache.step).  Every
@@ -1083,74 +1096,67 @@ def block_attention(cfg: ModelConfig, w: dict, x, positions: np.ndarray, kv_fn, 
     aq = act_fn if act_fn is not None else (lambda y: y)
     xq = aq(rms_norm(x, w["attn_norm"]))
     q = linear(xq, w["q_w"], w["q_b"])
-    k_s = linear(xq, w["k_w"], w["k_b"])
-    v_s = linear(xq, w["v_w"], w["v_b"])
+    kv = np.empty((2, len(xq), cfg.hidden_size), dtype=np.float32)  # the smoothed [K; V]
+    linear(xq, w["k_w"], w["k_b"], out=kv[0])
+    linear(xq, w["v_w"], w["v_b"], out=kv[1])
     del xq  # on arrays each is freed once its last reader has run
     # in the projection's own buffer; rope refuses rows that do not stack
     # whole sequences of len(positions) rows
     q = rope(q, positions, cfg.rope_base, cfg.head_dim, out=q)
     seqs = len(q) // len(positions) if len(positions) else 1
-    kv = kv_fn(k_s, v_s, positions)
-    del k_s, v_s
+    kv = kv_fn(kv, positions)
     merged = causal_attention(q, *kv[:2], cfg.n_heads, *kv[2:], seqs=seqs)
     return x + linear(aq(merged), w["o_w"], w["o_b"])
 
 
 def fp_kv_fn(cfg: ModelConfig):
     """The KV handler of a cacheless forward whose k/v outputs are raw K/V:
-    K rotated, V as it is (training, and calibration's activations and fp
+    K rotated in place, V as it is (calibration's activations and fp
     blocks, which are never smoothed)."""
-    return lambda k_s, v_s, positions: (rope(k_s, positions, cfg.rope_base, cfg.head_dim), v_s)
+    return lambda kv, positions: (rope(kv[0], positions, cfg.rope_base, cfg.head_dim,
+                                       out=kv[0]), kv[1])
 
 
 def _runtime_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights, li: int = 0,
                    cache: PoqKvCache | None = None):
-    """Un-smooth and rotate the chunk's keys (with POQ off over a cache of
-    codes, their round trip: the K and V rows stacked, round-tripped and
-    un-smoothed as one array, _stacked_kv, as cache-path scoring's past
-    rows are) and store the chunk's rows in the cache.  With POQ off the
-    round trip writes its codes, m and n straight into the cache's rows
+    """The KV handler of model_forward: the chunk's [K; V] stack un-smoothed
+    (_unsmooth_kv) and its keys rotated, in place, and stored in the cache.
+    With POQ off over a cache of codes the stack is first round-tripped
+    (_stacked_kv, as cache-path scoring's past rows are), and the round
+    trip writes its codes, m and n straight into the cache's rows
     (code_rows, which checks the capacity first), so each row is quantized
-    once; every other forward onto a cache appends (PoqKvCache.append).
-    With POQ on over a cache of codes the append comes first: it stores the
-    codes of k_s and v_s, and then those same arrays are un-smoothed
-    (apply_kv_smoothing into themselves) and K rotated in place, so no
-    un-smoothed copy is made.  A cacheless forward un-smooths and rotates
-    in place as well, since nothing reads k_s and v_s after the handler;
-    only an fp cache's append takes k_s as the projection gave it, so there
-    the un-smoothed rows and rotated keys are fresh arrays.
+    once; every other forward onto a cache appends (PoqKvCache.append) what
+    its layout stores.  With POQ on over a cache of codes the append comes
+    first, the codes of the smoothed rows, before the stack is un-smoothed
+    in place; an fp cache's append comes last, its rotated K and raw V.
     Then attention reads the cache's rows (PoqKvCache.rows): its past rows
     plus the chunk's.  The fold, PoqKvCache.read_raw, is not among them:
     only the cache's own decode step (PoqKvCache.step) reads it.  A cache
     needs array inputs of one sequence; stacked sequences raise
     UsageError.  li and cache are the layer and the cache the chunk is
-    stored in; a cacheless handler takes neither.  The round trip's
-    un-smoothing pair is the cache's planned one (PoqKvCache.unsmooth)."""
+    stored in; a cacheless handler takes neither.  The un-smoothing pair is
+    the cache's planned one (PoqKvCache.unsmooth), or the block's own
+    without a cache."""
     spec = cfg.token_spec() if cfg.kv_codes and not cfg.poq else None
-    smoothing = (blk.k.smoothing, blk.v.smoothing)
-    if spec is not None:
-        unsmooth = _unsmooth_pair(*smoothing) if cache is None else cache.unsmooth[li]
-    fp_store = cache is not None and not cfg.kv_codes  # its append takes k_s as given
+    pair = _unsmooth_pair(blk) if cache is None else cache.unsmooth[li]
 
-    def kv_fn(k_s, v_s, positions: np.ndarray):
-        if cache is not None and k_s.shape[0] != len(positions):
+    def kv_fn(kv: np.ndarray, positions: np.ndarray):
+        if cache is not None and kv.shape[1] != len(positions):
             raise UsageError(f"a forward onto a cache takes one sequence, got "
-                             f"{k_s.shape[0]} rows at {len(positions)} positions")
+                             f"{kv.shape[1]} rows at {len(positions)} positions")
         if spec is not None:
-            keep = None if cache is None else cache.code_rows(li, len(k_s))
-            k_raw, v_raw = _stacked_kv(k_s, v_s, spec, unsmooth, False, keep)[:, 0]
+            keep = None if cache is None else cache.code_rows(li, kv.shape[1])
+            kv = _stacked_kv(kv, spec, pair, False, keep)[:, 0]
         else:
             if cache is not None and cfg.kv_codes:
-                cache.append(li, k_s, v_s, None, None)  # the codes, before k_s and v_s change
-            k_raw, v_raw = [x if sp is None else apply_kv_smoothing(x, sp, None if fp_store else x)
-                            for x, sp in zip((k_s, v_s), smoothing)]
-        k_rot = rope(k_raw, positions, cfg.rope_base, cfg.head_dim,
-                     out=None if fp_store and k_raw is k_s else k_raw)
+                cache.append(li, kv[0], kv[1])  # the codes, before kv changes
+            _unsmooth_kv(kv, pair, out=kv)
+        rope(kv[0], positions, cfg.rope_base, cfg.head_dim, out=kv[0])
         if cache is None:
-            return k_rot, v_raw
-        if fp_store:
-            cache.append(li, k_s, v_s, k_rot, v_raw)
-        return cache.rows(li, k_rot, v_raw)
+            return kv[0], kv[1]
+        if not cfg.kv_codes:
+            cache.append(li, kv[0], kv[1])
+        return cache.rows(li, kv)
 
     return kv_fn
 
@@ -1159,22 +1165,22 @@ def _poq_kv_fn(cfg: ModelConfig, blk: DecoderBlockWeights):
     """A chunk from position 0 as a POQ cache serves it one step at a time:
     every row's past is the cache round trip, and its own K/V stay fp.
 
-    The K/V work is one of each essential pass: the chunk's K and V rows
-    round-trip as one stack, one token_codes call; its (2, 2, T, hidden)
-    [K; V] x [past; current] rows are un-smoothed by one multiply and one
-    add with the block's planned pair (_stacked_kv); and the past and
-    current keys are rotated in place by one rope call, as two stacked
-    sequences at the same positions.  On block 1 of the served model of
-    tools/ab.py (one BLAS thread, 2-vCPU Xeon VM, 400 interleaved calls)
-    the handler took 0.77x, 0.83x and 0.86x the time at 64, 128 and 192
-    tokens of one that round-tripped, un-smoothed and rotated K and V,
-    past and current, each on its own (two quantize_token, two
-    dequantize, four apply_kv_smoothing and two rope calls)."""
+    The K/V work is one of each essential pass: the chunk's [K; V] stack
+    round-trips as one token_codes call; its (2, 2, T, hidden) [K; V] x
+    [past; current] rows are un-smoothed by one multiply and one add with
+    the block's pair (_stacked_kv); and the past and current keys are
+    rotated in place by one rope call, as two stacked sequences at the
+    same positions.  On block 1 of the served model of tools/ab.py (one
+    BLAS thread, 2-vCPU Xeon VM, 400 interleaved calls) the handler took
+    0.77x, 0.83x and 0.86x the time at 64, 128 and 192 tokens of one that
+    round-tripped, un-smoothed and rotated K and V, past and current, each
+    on its own (two quantize_token, two dequantize, four
+    apply_kv_smoothing and two rope calls)."""
 
-    spec, unsmooth = cfg.token_spec(), _unsmooth_pair(blk.k.smoothing, blk.v.smoothing)
+    spec, pair = cfg.token_spec(), _unsmooth_pair(blk)
 
-    def kv_fn(k_s, v_s, positions: np.ndarray):
-        kv = _stacked_kv(k_s, v_s, spec, unsmooth, True)
+    def kv_fn(kv: np.ndarray, positions: np.ndarray):
+        kv = _stacked_kv(kv, spec, pair, True)
         k = kv[0].reshape(-1, kv.shape[-1])  # past and current keys, two stacked sequences
         rope(k, positions, cfg.rope_base, cfg.head_dim, out=k)
         return kv[0, 0], kv[1, 0], (kv[0, 1], kv[1, 1])
@@ -1312,6 +1318,12 @@ def generate(model: Model, prompt_ids: np.ndarray, n_new: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
+# The largest log_range of spread_kv_channels: its scales lie in [e^-r,
+# e^r), and at r = 126 ln 2 the smallest is float32's smallest normal, 2^-126,
+# and the largest and every inverse stay below 2^126, far inside float32.
+LOG_RANGE_MAX = -math.log(float(np.finfo(np.float32).tiny))
+
+
 def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> None:
     """Rescale K/V channels without changing the model function.
 
@@ -1321,11 +1333,17 @@ def spread_kv_channels(model: Model, log_range: float = 2.0, seed: int = 0) -> N
     inverse applied to Q (dot products unchanged), and V columns are scaled
     with the inverse applied to the o-projection rows.  Weight codes of the
     rescaled projections no longer describe them and are dropped.  A smoothed
-    model is refused, since its un-smoothing shift would stay unscaled.
+    model is refused, since its un-smoothing shift would stay unscaled.  A
+    log_range that is not a number in [0, LOG_RANGE_MAX], where every scale
+    and its inverse is a normal float32, or a seed that is not an integer
+    >= 0 (check_seed), raises KvqError before any weight changes.
     """
+    r = log_range
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0 <= r <= LOG_RANGE_MAX:
+        raise KvqError(f"log_range must be a number in [0, {LOG_RANGE_MAX:.4f}], got {r!r}")
+    rng = np.random.default_rng(check_seed(seed))
     require_unsmoothed(model, "spread_kv_channels")
     cfg = model.config
-    rng = np.random.default_rng(seed)
     d, half = cfg.head_dim, cfg.head_dim // 2
     for blk in model.blocks:
         pair = np.exp(rng.uniform(-log_range, log_range, (cfg.n_heads, half)))

@@ -260,9 +260,9 @@ def _quantize_token_groups(y: np.ndarray, spec: TokenQuantSpec):
     -2^(b-1) - 0.5, representable, and its truncation is >= -2^(b-1).  A
     truncated code in (-1, 0) is -0.0, whose product with n adds to m as
     +0.0 does unless m is -0.0: a group all -0.0 (constant, its codes
-    zeroed) or one whose mean underflows to -0.0 from below, where the
-    round trip's -0.0 differs from dequantize's +0.0 in its sign bit alone.
-    The groups' largest |deviation| is taken over a C-ordered (size, T *
+    zeroed) or one whose mean underflows to -0.0 from below.  So the round
+    trip adds m + 0.0, which is m but +0.0 for -0.0, and gives dequantize's
+    +0.0 there too (token_codes).  The groups' largest |deviation| is taken over a C-ordered (size, T *
     groups) copy, whose maximum runs along whole rows instead of along each
     short group: 2.5-3.4x faster at 128 and 1,792 rows, 1.3 us slower at 2
     (2-vCPU Xeon VM, kv_group_size 32); the codes are formed in that copy's
@@ -334,8 +334,12 @@ def token_codes(parts, spec: TokenQuantSpec, name: str = "quantize_token", keep=
     int8 cast truncates), and its [m; n].  out, shaped as codes and float32,
     receives the round trip: the core's values truncated in place (np.trunc,
     run only here), so integral float codes, times n, written into out,
-    plus m added there in place, dequantize's own arithmetic, so it is
-    dequantize(quantize_token(part)) bit for bit with no int8 array.
+    plus m + 0.0 added there in place, dequantize's own arithmetic, so it
+    is dequantize(quantize_token(part)) bit for bit with no int8 array.  A
+    truncated code in (-1, 0) is -0.0, not the int8 code's +0.0, and adding
+    m + 0.0 rather than m makes -0.0 * n + m +0.0 where m is -0.0, as
+    dequantize gives it; m + 0.0 is a (rows, groups) array, not a pass over
+    the codes, and the stored m stays quantize_token's.
     Either may be a strided view (of a cache's store, say): out's span, its
     last axis split into groups, is always a view of it.  Returns out."""
     spans = _spans(parts[0].shape[1], spec.group_size)
@@ -351,7 +355,7 @@ def token_codes(parts, spec: TokenQuantSpec, name: str = "quantize_token", keep=
                 np.trunc(q, out=q)
                 dst = out[..., rows, cols].reshape(*out.shape[:-2], -1, k, size)
                 np.multiply(q.reshape(dst.shape), n.reshape(*dst.shape[:-1], 1), out=dst)
-                dst += m.reshape(*dst.shape[:-1], 1)
+                dst += (m + 0.0).reshape(*dst.shape[:-1], 1)
             del q, m, n  # before the next span is quantized
     return out
 

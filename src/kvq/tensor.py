@@ -276,13 +276,14 @@ def rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0,
     return r.reshape(rows, width) if out is None else out
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     """x @ w + b of a (rows, C) array, a (C, N) weight and a (1, N) bias
-    row, the bias added in place.  Shapes numpy cannot multiply or
-    broadcast raise DimensionError naming all three (nothing is checked
-    before the product)."""
+    row, the bias added in place, into out (a float32 (rows, N) array) when
+    given.  Shapes numpy cannot multiply or broadcast raise DimensionError
+    naming all three (nothing is checked before the product)."""
     try:
-        out = x @ w
+        out = np.matmul(x, w, out=out)
         out += b
     except ValueError:
         raise DimensionError(f"linear shape mismatch: {np.shape(x)} x {np.shape(w)} + "

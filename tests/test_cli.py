@@ -338,6 +338,19 @@ class TestEval:
         assert rc == 0
         assert json.loads(stdout)["logit_mae_vs_fp"] == 0.0
 
+    def test_fp_model_comparison_on_a_short_model(self, tmp_path, capsys):
+        # a model of 4 positions, below the divergence prompt's 8 tokens,
+        # exited 2 (n_new must be >= 0)
+        path = tmp_path / "short.kvq"
+        save_model(Model.random(tiny_config(max_seq_len=4), seed=0), str(path))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"".join(WORDS[i] for i in range(8)))
+        rc, stdout, err = run(capsys, ["eval", "--model", str(path), "--corpus", str(corpus),
+                                       "--fp-model", str(path)])
+        assert rc == 0, err
+        rep = json.loads(stdout)
+        assert rep["logit_mae_vs_fp"] == 0.0 and rep["first_divergence_vs_fp"] == 4
+
     def test_missing_model_is_data_error(self, workdir, capsys):
         rc, _, _ = run(capsys, [
             "eval", "--model", str(workdir / "ghost.kvq"),

@@ -178,7 +178,8 @@ def composed_cache_path(model, ids) -> np.ndarray:
     for blk in model.blocks:
         sk, sv = blk.k.smoothing, blk.v.smoothing
 
-        def kv_fn(k_s, v_s, _, sk=sk, sv=sv):
+        def kv_fn(kv, _, sk=sk, sv=sv):
+            k_s, v_s = kv
             return (rot(raw(k_s, sk, True)), raw(v_s, sv, True),
                     (rot(raw(k_s, sk, False)), raw(v_s, sv, False)))
 
@@ -257,6 +258,19 @@ class TestReport:
         assert rep["first_divergence_vs_fp"] >= 8
         assert rep["perplexity"] == pytest.approx(np.exp(rep["mean_nll"]))
 
+    @pytest.mark.parametrize("max_seq_len", [2, 5, 7, 8, 9, 48])
+    def test_divergence_prompt_fits_a_short_model(self, max_seq_len):
+        # below 8 positions the divergence prompt is capped at max_seq_len
+        # (it raised KvqError for n_new < 0); a model against itself then
+        # generates its prompt plus min(32, max_seq_len - 8) tokens from 8
+        # on, so the first divergence is min(max_seq_len, 40), the value the
+        # uncapped prompt gave from 8 on
+        m = Model.random(tiny_config(max_seq_len=max_seq_len), seed=4)
+        ids = word_corpus(4)[:30]
+        for use_cache in (False, True):
+            rep = eval_report(m, ids, use_cache=use_cache, fp_model=m)
+            assert rep["first_divergence_vs_fp"] == min(max_seq_len, 40), use_cache
+
 
 class TestTraining:
     def test_loss_decreases(self, trained_pair):
@@ -295,6 +309,13 @@ class TestTraining:
         (dict(lr=0.0), "lr must be a finite positive number, got 0.0"),
         (dict(lr=float("nan")), "lr must be a finite positive number, got nan"),
         (dict(lr=float("inf")), "lr must be a finite positive number, got inf"),
+        # a 1.5 raised numpy's TypeError, and steps=True trained one step
+        (dict(steps=1.5), "steps must be an integer, got 1.5"),
+        (dict(steps=True), "steps must be an integer, got True"),
+        (dict(batch=2.0), "batch must be an integer, got 2.0"),
+        (dict(seq_len="16"), "seq_len must be an integer, got '16'"),
+        (dict(lr=True), "lr must be a finite positive number, got True"),
+        (dict(lr="0.1"), "lr must be a finite positive number, got 0.1"),
     ])
     def test_arguments_it_cannot_train_with_refused(self, bad, message):
         # a negative lr would train uphill, and negative steps train nothing

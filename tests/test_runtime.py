@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -379,7 +380,6 @@ class TestCache:
         cfg = m.config
         cache = PoqKvCache(cfg, m.blocks)
         cache.codes = cache.codes.view(Writes)
-        cache._plan_reads(m.blocks)  # the planned views of the store, now recording
         model_forward(m, IDS, cache=cache)
         assert cache.fold_k
         decode_step(m, 3, cache)
@@ -451,9 +451,12 @@ class TestCache:
         # the folded reads take the past K/V straight from the codes: a decode
         # step maps only its own K and V rows to raw space, once, as one
         # (2, hidden) pair with the layer's planned (s, delta) rows
-        # (unsmooth), and no row through apply_kv_smoothing
+        # (unsmooth), and no row through apply_kv_smoothing.  The fold's plan
+        # reads the same pair, so a first step builds it before the pair
+        # records
         mq = quantized(smoothed(make_model()))
-        _, cache = prefill(mq, IDS)
+        _, cache = prefill(mq, IDS[:-1])
+        decode_step(mq, int(IDS[-1]), cache)
         blk, c, calls, applied, v_cur = mq.blocks[0], mq.config.hidden_size, [], [], []
 
         class Seen(np.ndarray):
@@ -505,7 +508,7 @@ class TestCache:
                 cache = PoqKvCache(m.config, m.blocks)
                 if filled:
                     k_s, v_s = rng.normal(size=(2, filled, 32)).astype(np.float32)
-                    cache.append(1, k_s, v_s, k_s, v_s)
+                    cache.append(1, k_s, v_s)
                     cache.length = filled
                 k_s, v_s = (3.0 * rng.normal(size=(2, t, 32))).astype(np.float32)
                 k_s[0, 12:24] = 0.75
@@ -514,11 +517,11 @@ class TestCache:
                 bad = k_s.copy()
                 bad[-1, 3] = np.nan
                 with pytest.raises(NumericError, match="cache append"):
-                    cache.append(1, bad, v_s, bad, v_s)
+                    cache.append(1, bad, v_s)
                 for stored, was in zip((cache.codes, cache.params), before):
                     # nothing stored; a row not yet written holds what the allocation held
                     assert np.array_equal(stored, was, equal_nan=True), (t, filled)
-                cache.append(1, k_s, v_s, k_s, v_s)
+                cache.append(1, k_s, v_s)
                 rows = slice(filled, filled + t)
                 for j, y in enumerate((k_s, v_s)):
                     stored = (cache.codes[1, j], *cache.params[1, j])  # codes, m, n
@@ -972,33 +975,45 @@ class TestStepStore:
                                                          n_heads):
         # with POQ on, a chunk onto a cache of codes (a prefill, a chunk onto
         # its past, a one-row chunk) stores the codes, m and n of its
-        # smoothed K and V first, then un-smooths those same arrays in place:
-        # every apply_kv_smoothing call writes into its input, so no fresh
-        # un-smoothed array is made.  The stored rows are quantize_token's of
-        # the layer's smoothed K and V, and the logits are the float64
-        # model's over what the cache holds
+        # smoothed K and V first (append), then un-smooths that same [K; V]
+        # stack in place, one _unsmooth_kv call writing into its input, so no
+        # fresh un-smoothed array is made; a chunk onto a past then
+        # un-smooths the past rows it reads (rows) in place as well, and no
+        # row goes through apply_kv_smoothing.  The stored rows are
+        # quantize_token's of the layer's smoothed K and V, and the logits
+        # are the float64 model's over what the cache holds
         base = make_model(seed=9, n_layers=3, n_heads=n_heads, head_dim=head_dim,
                           hidden_size=n_heads * head_dim, kv_group_size=group)
         spread_kv_channels(base, 2.0, seed=9)
         m = quantized(smoothed(base))
-        apply, norm = kvq.model.apply_kv_smoothing, kvq.model.rms_norm
+        unsmooth, append, norm = kvq.model._unsmooth_kv, PoqKvCache.append, kvq.model.rms_norm
+        c = m.config.hidden_size
         for kv_bits in (2, 3, 4, 8):
             m.config = dataclasses.replace(m.config, kv_bits=kv_bits)
             cache, got = PoqKvCache(m.config, m.blocks), []
             gains = [w["attn_norm"] for w, _ in cache.block_plan]
             for a, b in ((0, 12), (12, 20), (20, 21)):
-                into, norms = [], []
+                events, norms = [], []
 
-                def in_place(x, sp, out=None):
-                    into.append(out is x)
-                    return apply(x, sp, out)
+                def in_place(kv, pair, out=None):
+                    events.append(("unsmooth", out is kv, kv.shape))
+                    return unsmooth(kv, pair, out)
 
-                monkeypatch.setattr(kvq.model, "apply_kv_smoothing", in_place)
+                def appending(cache, li, k, v):
+                    events.append(("append", li, k.shape, v.shape))
+                    return append(cache, li, k, v)
+
+                monkeypatch.setattr(kvq.model, "_unsmooth_kv", in_place)
+                monkeypatch.setattr(PoqKvCache, "append", appending)
+                monkeypatch.setattr(kvq.model, "apply_kv_smoothing", None)
                 monkeypatch.setattr(kvq.model, "rms_norm", lambda x, gain: norms.append(
                     (gain, norm(x, gain))) or norms[-1][1])
                 got.append(model_forward(m, IDS[a:b], cache=cache).data)
                 monkeypatch.undo()
-                assert into == [True] * 2 * len(m.blocks)
+                past = [("unsmooth", True, (2, a, c))] if a else []
+                assert events == [e for li in range(len(m.blocks)) for e in
+                                  [("append", li, (b - a, c), (b - a, c)),
+                                   ("unsmooth", True, (2, b - a, c)), *past]], kv_bits
                 for li, blk in enumerate(m.blocks):
                     [xn] = [out for g, out in norms if g is gains[li]]
                     for j, lin in enumerate((blk.k, blk.v)):
@@ -1125,7 +1140,7 @@ class TestReadPlan:
     def test_fold_plan_waits_for_the_first_step(self):
         # a prefill's cache builds no fold plan; the first decode step builds
         # it, from the smoothing the blocks held when the cache was built
-        names = ["layer_reads", "step_store", "v_seg_smoothing", "k_fold"]
+        names = ["layer_reads", "v_seg_smoothing", "k_fold"]
         m = quantized(make_model(seed=1))
         twin = copy.deepcopy(m)
         _, cache = prefill(m, IDS[:12])
@@ -1139,6 +1154,42 @@ class TestReadPlan:
         # unsmoothed folds: no delta column per head
         assert all(f.shape[1] == cache.seg_ones.shape[1] for f in cache.k_fold)
         np.testing.assert_array_equal(cache.codes[:, :, :15], twin_cache.codes[:, :, :15])
+
+    @pytest.mark.parametrize("side", ["k", "v"])
+    @pytest.mark.parametrize("group, head_dim, n_heads", TestFoldedCacheRead.LAYOUTS)
+    def test_one_side_smoothed_folds_as_planned_per_side(self, group, head_dim, n_heads, side):
+        # blocks with only K, or only V, smoothed, POQ on and off: the fold
+        # reads the [s; delta] pair (unsmooth), whose rows for the unsmoothed
+        # side are s = 1 and delta = -0.0, and its steps give the logits,
+        # codes and (m, n) of a twin cache whose fold is planned per side,
+        # with no smoothing terms for that side (the segment ones alone for
+        # K, no scale or shift for V), bit for bit
+        base = make_model(seed=11, n_heads=n_heads, head_dim=head_dim,
+                          hidden_size=n_heads * head_dim, kv_group_size=group)
+        spread_kv_channels(base, 2.0, seed=11)
+        for blk in base.blocks:
+            lin = getattr(blk, side)
+            xn = rms_norm(base.embed[IDS], blk.attn_norm.reshape(1, -1))
+            lin.absorb(init_smoothing(xn @ lin.w + lin.b))
+        m = quantized(base)
+        for poq in (True, False):
+            m.config = dataclasses.replace(m.config, poq=poq)
+            (_, cache), (_, twin) = prefill(m, IDS[:12]), prefill(m, IDS[:12])
+            assert cache.fold_k
+            w, k_fold, v_seg = twin.seg_width, [], []
+            for blk in m.blocks:
+                k, v = blk.k.smoothing, blk.v.smoothing
+                fold = twin.seg_ones if k is None else np.concatenate(
+                    [twin.seg_ones * k.s[:, None], twin.head_ones * k.delta[:, None]], 1)
+                k_fold.append(np.concatenate([fold, -fold]))
+                v_seg.append(None if v is None else (v.s.reshape(-1, 1, w),
+                                                     v.delta.reshape(-1, 1, w)))
+            vars(twin).update(k_fold=k_fold, v_seg_smoothing=v_seg)
+            for tok in IDS[12:20]:
+                assert np.array_equal(decode_step(m, int(tok), cache).data,
+                                      decode_step(m, int(tok), twin).data), (poq, side)
+            assert cache.codes[:, :, :20].tobytes() == twin.codes[:, :, :20].tobytes()
+            assert cache.params[..., :20, :].tobytes() == twin.params[..., :20, :].tobytes()
 
     def test_cache_is_freed_with_its_last_user(self):
         # the planned KV handlers reach the cache through a weak proxy, so the
@@ -1199,11 +1250,11 @@ class TestPrefillMemory:
 
         def growth(t):
             k_s, v_s = rng.normal(size=(2, t, m.config.hidden_size)).astype(np.float32)
-            cache.append(0, k_s, v_s, k_s, v_s)
+            cache.append(0, k_s, v_s)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                cache.append(0, k_s, v_s, k_s, v_s)
+                cache.append(0, k_s, v_s)
                 return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
@@ -1301,28 +1352,44 @@ class TestFpCacheRotatedKeys:
 
     @pytest.mark.parametrize("mode", ["fp", "weight_only"])
     def test_stored_rows_are_rope_of_the_raw_rows(self, monkeypatch, mode):
+        # a prefill, a chunk and one-row steps: each layer's append takes
+        # the chunk's K rows rotated once, rope of its k projection rows (the
+        # raw keys without smoothing), and its raw V rows, the v projection
+        # rows, and the store holds them as given
         m = quantized(make_model(seed=6), mode)
-        cfg, raw, append = m.config, [], PoqKvCache.append
-        # without smoothing a chunk's raw keys are its k projection's rows
+        cfg, calls = m.config, []
         assert all(blk.k.smoothing is None for blk in m.blocks)
+        append, norm = PoqKvCache.append, kvq.model.rms_norm
 
-        def recording(cache, li, k_s, *rest):
-            raw.append(k_s.copy())
-            return append(cache, li, k_s, *rest)
+        def recording(cache, li, k, v):
+            calls.append((li, k.copy(), v.copy()))
+            return append(cache, li, k, v)
 
+        cache = PoqKvCache(cfg, m.blocks)
+        gains = [w["attn_norm"] for w, _ in cache.block_plan]
+        norms = []
         monkeypatch.setattr(PoqKvCache, "append", recording)
-        _, cache = prefill(m, IDS[:10])
-        model_forward(m, IDS[10:16], cache=cache)
-        for tok in IDS[16:20]:
-            decode_step(m, int(tok), cache)
+        monkeypatch.setattr(kvq.model, "rms_norm", lambda x, gain: norms.append(
+            (gain, norm(x, gain))) or norms[-1][1])
+        chunks = [IDS[:10], IDS[10:16], *([tok] for tok in IDS[16:20])]
         start = 0
-        for first in range(0, len(raw), cfg.n_layers):  # one forward: one call per layer
-            t = raw[first].shape[0]
-            for li in range(cfg.n_layers):
-                want = rope(raw[first + li], np.arange(start, start + t), cfg.rope_base,
-                            cfg.head_dim)
-                assert np.array_equal(cache.kv[li, 0, start : start + t], want)
-            start += t
+        for chunk in chunks:
+            calls.clear()
+            norms.clear()
+            if len(chunk) == 1:
+                decode_step(m, int(chunk[0]), cache)
+            else:
+                model_forward(m, chunk, cache=cache)
+            rows = slice(start, start + len(chunk))
+            assert [li for li, _, _ in calls] == list(range(cfg.n_layers))
+            for (li, k, v), blk in zip(calls, m.blocks):
+                [xn] = [out for g, out in norms if g is gains[li]]
+                want = rope(xn @ blk.k.w + blk.k.b, np.arange(rows.start, rows.stop),
+                            cfg.rope_base, cfg.head_dim)
+                assert np.array_equal(k, want) and np.array_equal(v, xn @ blk.v.w + blk.v.b)
+                assert np.array_equal(cache.kv[li, 0, rows], k)
+                assert np.array_equal(cache.kv[li, 1, rows], v)
+            start = rows.stop
         assert start == cache.length == 20
 
 
@@ -1421,9 +1488,9 @@ class TestOneChunkDriver:
                             lambda *a, **kw: calls.append(1) or dequant(*a, **kw))
         rng = np.random.default_rng(kv_bits)
         for li, blk in enumerate(m.blocks):
-            k_cur, v_cur = rng.normal(size=(2, 3, m.config.hidden_size)).astype(np.float32)
-            got = cache.rows(li, k_cur, v_cur)
-            for a, b in zip(got, self.per_kv_rows(cache, blk, li, k_cur, v_cur)):
+            cur = rng.normal(size=(2, 3, m.config.hidden_size)).astype(np.float32)
+            got = cache.rows(li, cur)
+            for a, b in zip(got, self.per_kv_rows(cache, blk, li, *cur)):
                 assert np.array_equal(a, b), (li, smooth)
         assert len(calls) == m.config.n_layers
 
@@ -1564,6 +1631,38 @@ class TestChannelSpread:
         spread_kv_channels(m, log_range=2.0, seed=1)
         norms = np.linalg.norm(m.blocks[0].v.w, axis=0)
         assert norms.max() / norms.min() > 5.0
+
+    def test_arguments_checked_at_both_range_edges(self):
+        # log_range 0 (every scale 1) and LOG_RANGE_MAX (scales down to
+        # float32's smallest normal) leave finite weights and no warning; a
+        # log_range past either edge, not finite or not a number, and a seed
+        # numpy's generator refuses or a bool passed, raise KvqError and
+        # change no weight (log_range 200 left inf and NaN weights behind
+        # RuntimeWarnings; seeds -1 and 1.5 raised numpy's errors)
+        edge = kvq.model.LOG_RANGE_MAX
+        assert edge == pytest.approx(126 * np.log(2))
+        for log_range in (0.0, 0, edge):
+            m = make_model(seed=3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spread_kv_channels(m, log_range=log_range, seed=1)
+            for blk in m.blocks:
+                for lin in blk.projections().values():
+                    assert np.isfinite(lin.w).all(), log_range
+            if not log_range:
+                fresh = make_model(seed=3)
+                assert np.array_equal(m.blocks[0].k.w, fresh.blocks[0].k.w)
+        bad = [dict(log_range=x) for x in (np.nextafter(edge, np.inf), 200.0, -1e-9, -2.0,
+                                             np.nan, np.inf, True, "2.0", None)]
+        bad += [dict(seed=x) for x in (-1, 1.5, True, "1")]
+        for kw in bad:
+            m = make_model(seed=3)
+            before = copy.deepcopy(m)
+            with pytest.raises(KvqError, match="log_range" if "log_range" in kw else "seed"):
+                spread_kv_channels(m, **kw)
+            for b1, b2 in zip(before.blocks, m.blocks):
+                for name, lin in b1.projections().items():
+                    assert np.array_equal(lin.w, b2.projections()[name].w), (kw, name)
 
     def test_smoothed_model_refused(self):
         # the spread would rescale the smoothed k/v columns but not the shift

@@ -17,6 +17,9 @@ Workloads, each timed per call:
     decode_896              and 8 untimed steps, which run slower than a
                             steady loop; at 64 the step's fixed cost
                             dominates, at 896 the read of the past
+    decode_64_poq_off       decode_64 with POQ off, where each step's own
+                            K/V round-trip through the codes and the step
+                            stores the codes of that round trip
     prefill_96, prefill_896 one prefill of that many tokens; 96 is the
                             prompt of perfbench's score_cached probe, where a
                             prefill's fixed costs show, 896 a long prompt
@@ -26,6 +29,12 @@ Workloads, each timed per call:
     nll_192                 perplexity(..., use_cache=True) of 192 tokens,
                             the request perfbench's score_cached times
     chunk_300_on_600        a 300-row chunk onto a 600-row prefilled cache
+    chunk_300_on_600_fp     the same at quant_mode fp: an fp cache, whose
+                            handler un-smooths and rotates the smoothed K/V
+                            rows before it stores them
+    chunk_300_on_600_poq_off
+                            the same with POQ off: the chunk's K/V
+                            round-trip, writing their codes into the cache
     calibrate               calibrate_model (k 2, 1 epoch, 4 x 64 tokens)
     save_load               save_model and load_model of the served model, in
                             a temporary directory
@@ -146,6 +155,14 @@ class Tree:
             calibration.freeze_block(self.served, i, trainables)
         self.served.config = dataclasses.replace(self.served.config, quant_mode="weight_kv")
 
+    def setting(self, **fields):
+        """The served model, or one sharing its weights whose config has
+        fields replaced."""
+        if not fields:
+            return self.served
+        config = dataclasses.replace(self.served.config, **fields)
+        return dataclasses.replace(self.served, config=config)
+
 
 def max_dlogit(tr: Tree, ids, chunks: list, cache, outs: list):
     """The largest |logit - reference| of outs, the logits of the last
@@ -163,16 +180,16 @@ def workloads(sizes: dict) -> dict:
     """name -> fn(tree) returning (seconds, outputs), and for decode and
     prefill a third element: a function that gives max_dlogit of the call."""
 
-    def decode(ctx):
+    def decode(ctx, **setting):
         def run(tr: Tree):
-            kvq = tr.kvq
-            logits, cache = kvq.prefill(tr.served, tr.ids[:ctx])
+            kvq, model = tr.kvq, tr.setting(**setting)
+            logits, cache = kvq.prefill(model, tr.ids[:ctx])
             outs, ids = [logits.data], list(tr.ids[:ctx])
             for i in range(sizes["warm"] + sizes["steps"]):
                 if i == sizes["warm"]:
                     start = time.perf_counter()
                 ids.append(int(np.argmax(outs[-1][-1])))
-                outs.append(kvq.decode_step(tr.served, ids[-1], cache).data)
+                outs.append(kvq.decode_step(model, ids[-1], cache).data)
             t = time.perf_counter() - start
             chunks = [ctx] + [1] * (len(outs) - 1)
             return t, outs, lambda: max_dlogit(tr, ids, chunks, cache, outs[1:])
@@ -202,12 +219,15 @@ def workloads(sizes: dict) -> dict:
         t, out = timed(lambda: tr.kvq.perplexity(tr.served, ids, use_cache=True))
         return t, [np.array([out["perplexity"], out["mean_nll"], out["tokens"]], np.float64)]
 
-    def chunk(tr: Tree):
-        past, rows = sizes["chunk"]
-        first, cache = tr.kvq.prefill(tr.served, tr.ids[:past])
-        chunk_ids = tr.ids[past : past + rows]
-        t, logits = timed(lambda: tr.kvq.model_forward(tr.served, chunk_ids, cache=cache))
-        return t, [first.data, logits.data]
+    def chunk(**setting):
+        def run(tr: Tree):
+            past, rows = sizes["chunk"]
+            model = tr.setting(**setting)
+            first, cache = tr.kvq.prefill(model, tr.ids[:past])
+            chunk_ids = tr.ids[past : past + rows]
+            t, logits = timed(lambda: tr.kvq.model_forward(model, chunk_ids, cache=cache))
+            return t, [first.data, logits.data]
+        return run
 
     def calibrate(tr: Tree):
         model = copy.deepcopy(tr.fp)
@@ -245,11 +265,14 @@ def workloads(sizes: dict) -> dict:
         return t, [np.float64(loss)]
 
     past, rows = sizes["chunk"]
+    chunk_name = f"chunk_{rows}_on_{past}"
     return {**{f"decode_{ctx}": decode(ctx) for ctx in sizes["decode"]},
+            f"decode_{sizes['decode'][0]}_poq_off": decode(sizes["decode"][0], poq=False),
             **{f"prefill_{n}": prefill(n) for n in sizes["prefill"]},
             **{f"score_{n}": score(n) for n in sizes["score"]}, f"nll_{sizes['nll']}": nll,
-            f"chunk_{rows}_on_{past}": chunk, "calibrate": calibrate, "save_load": save_load,
-            "train_step": train_step, "crr_loss": crr_loss}
+            chunk_name: chunk(), f"{chunk_name}_fp": chunk(quant_mode="fp"),
+            f"{chunk_name}_poq_off": chunk(poq=False), "calibrate": calibrate,
+            "save_load": save_load, "train_step": train_step, "crr_loss": crr_loss}
 
 
 def model_arrays(kvq, model) -> list:
